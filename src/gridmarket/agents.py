@@ -15,7 +15,6 @@ from . import curves as cv
 PRODUCER = "producer"
 CONSUMER = "consumer"
 PROSUMER = "prosumer"
-DR_PROVIDER = "dr_provider"
 
 P_CAP = 100.0   # price cap used by inelastic (near-vertical) demand bids
 

@@ -15,9 +15,10 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from . import curves as cv
-from .network import line_flows, ptdf
+from .network import line_flows, line_limit_rows, ptdf
 from .optim import LpProblem, OPTIMAL, solve_lp
 
 
@@ -123,16 +124,15 @@ def _blocks(curve, segments):
     blocks over [q_min, q_max] priced at segment midpoints (exact for affine
     curves).
     """
-    widths, prices = [], []
-    if curve.q_min > 0:
-        widths.append(curve.q_min)
-        prices.append(curve.endpoint_price())
     w = (curve.q_max - curve.q_min) / segments
-    for k in range(segments):
-        mid = curve.q_min + (k + 0.5) * w
-        widths.append(w)
-        prices.append(cv.price_at(curve, mid))
-    return np.array(widths), np.array(prices)
+    mid = curve.q_min + (np.arange(segments) + 0.5) * w
+    # cv.price_at at every midpoint; midpoints lie inside [q_min, q_max]
+    prices = curve.endpoint_price() + curve.slope * (mid - curve.q_min)
+    widths = np.full(segments, w)
+    if curve.q_min > 0:
+        return (np.append(curve.q_min, widths),
+                np.append(curve.endpoint_price(), prices))
+    return widths, prices
 
 
 def clear(market_input, segments=100):
@@ -140,54 +140,31 @@ def clear(market_input, segments=100):
     net = market_input.network
     bids, offers = market_input.bids, market_input.offers
     H = ptdf(net)
-    col = {b: i for i, b in enumerate(H.bus_order)}
     limits = net.line_limits()
 
     # Assemble block variables: demand blocks first, then supply blocks.
-    cols_c, cols_w, owner, owner_bus, owner_sign = [], [], [], [], []
+    cols_c, cols_w, owner_bus, owner_sign = [], [], [], []
     spans = {}   # agent -> (start, stop) in the variable vector
-    for agent, bus, curve in bids:
-        w, p = _blocks(curve, segments)
-        spans[agent] = (len(cols_w), len(cols_w) + len(w))
-        cols_w.extend(w)
-        cols_c.extend(-p)            # taken demand value reduces cost
-        owner.extend([agent] * len(w))
-        owner_bus.extend([bus] * len(w))
-        owner_sign.extend([1.0] * len(w))
-    for agent, bus, curve in offers:
-        w, p = _blocks(curve, segments)
-        spans[agent] = (len(cols_w), len(cols_w) + len(w))
-        cols_w.extend(w)
-        cols_c.extend(p)
-        owner.extend([agent] * len(w))
-        owner_bus.extend([bus] * len(w))
-        owner_sign.extend([-1.0] * len(w))
+    for side, s in ((bids, 1.0), (offers, -1.0)):
+        for agent, bus, curve in side:
+            w, p = _blocks(curve, segments)
+            spans[agent] = (len(cols_w), len(cols_w) + len(w))
+            cols_w.extend(w)
+            cols_c.extend(-s * p)        # taken demand value reduces cost
+            owner_bus.extend([bus] * len(w))
+            owner_sign.extend([s] * len(w))
 
-    n = len(cols_w)
     c = np.array(cols_c)
     sign = np.array(owner_sign)     # +1 consumption, -1 generation
     bounds = [(0.0, wk) for wk in cols_w]
 
     # Balance: total demand = total supply.
-    A_eq = sign.reshape(1, -1)
+    A_eq = sparse.csr_array(sign.reshape(1, -1))
     b_eq = np.array([0.0])
 
     # Line limits via the path-indicator matrix (finite limits only).
-    inj_cols = np.zeros((len(H.bus_order), n))
-    for j in range(n):
-        if owner_bus[j] in col:
-            inj_cols[col[owner_bus[j]], j] = sign[j]
-    rows, rhs = [], []
-    for r, lid in enumerate(H.line_order):
-        if not np.isfinite(limits[lid]):
-            continue
-        hrow = H.entries[r] @ inj_cols
-        rows.append(hrow)
-        rhs.append(limits[lid])
-        rows.append(-hrow)
-        rhs.append(limits[lid])
-    A_ub = np.array(rows) if rows else None
-    b_ub = np.array(rhs) if rows else None
+    A_ub, b_ub, _ = line_limit_rows(
+        H, H.injection_map(owner_bus, sign), limits)
 
     sol = solve_lp(LpProblem(c=c, A_eq=A_eq, b_eq=b_eq,
                              A_ub=A_ub, b_ub=b_ub, bounds=bounds))

@@ -250,8 +250,9 @@ def cmd_sweep(args):
     out_dir = args.out or cfg.get("out_dir", "sweep")
     seeds = list(range(lo, hi + 1))
     try:
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        jobs = min(args.jobs, len(seeds))
+        if jobs > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
                 list(pool.map(_sweep_one, [(cfg, out_dir, s) for s in seeds]))
         else:
             for s in seeds:

@@ -14,8 +14,9 @@ reduction blocks below the baseline load.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
-from .network import ptdf
+from .network import line_limit_rows, ptdf
 from .optim import LpProblem, OPTIMAL, epigraph_max0, solve_lp
 
 
@@ -103,7 +104,6 @@ def build_scopf(scopf_input):
     carries the variable/row bookkeeping used for dual extraction."""
     net = scopf_input.network
     H = ptdf(net)
-    col = {b: i for i, b in enumerate(H.bus_order)}
     limits = scopf_input.limits()
 
     # Variables: P_source, then gen blocks, then DR reduction blocks.
@@ -136,46 +136,18 @@ def build_scopf(scopf_input):
 
     # Balance: P_source + sum(gen blocks) + sum(dr reductions)
     #          = total baseline - total mandatory generation.
-    row = np.zeros(n)
-    row[0] = 1.0
-    for j, _ in gen_vars:
-        row[j] = 1.0
-    for j, _ in dr_vars:
-        row[j] = 1.0
-    A_eq = row.reshape(1, -1)
+    A_eq = sparse.csr_array(np.ones((1, n)))
     b_eq = np.array([sum(base_load.values()) - sum(gen_floor.values())])
 
-    # Injections (consumption positive) per non-root bus in terms of vars.
-    inj_cols = np.zeros((len(H.bus_order), n))
-    inj_const = np.zeros(len(H.bus_order))
-    for b, load in base_load.items():
-        if b in col:
-            inj_const[col[b]] += load
-    for b, floor in gen_floor.items():
-        if b in col:
-            inj_const[col[b]] -= floor
-    for j, g in gen_vars:
-        if g.bus in col:
-            inj_cols[col[g.bus], j] = -1.0
-    for j, d in dr_vars:
-        if d.bus in col:
-            inj_cols[col[d.bus], j] = -1.0
-
-    rows, rhs, row_lines = [], [], []
-    f_const = H.entries @ inj_const
-    f_cols = H.entries @ inj_cols
-    for r, lid in enumerate(H.line_order):
-        lim = limits[lid]
-        if not np.isfinite(lim):
-            continue
-        rows.append(f_cols[r])
-        rhs.append(lim - f_const[r])
-        row_lines.append((lid, +1))
-        rows.append(-f_cols[r])
-        rhs.append(lim + f_const[r])
-        row_lines.append((lid, -1))
-    A_ub = np.array(rows) if rows else None
-    b_ub = np.array(rhs) if rows else None
+    # Injections (consumption positive) per non-root bus in terms of vars,
+    # plus the constant part: baseline loads less mandatory generation.
+    var_buses = [net.root] + [o.bus for _, o in gen_vars + dr_vars]
+    inj = H.injection_map(var_buses, -np.ones(n))
+    const = H.injection_map(
+        list(base_load) + list(gen_floor),
+        list(base_load.values()) + [-f for f in gen_floor.values()])
+    f_const = H.matrix @ const.sum(axis=1)
+    A_ub, b_ub, row_lines = line_limit_rows(H, inj, limits, f_const)
 
     problem = LpProblem(c=np.array(c), A_eq=A_eq, b_eq=b_eq,
                         A_ub=A_ub, b_ub=b_ub, bounds=bounds)
@@ -192,7 +164,7 @@ def build_scopf(scopf_input):
         "base_load": base_load,
         "gen_floor": gen_floor,
         "f_const": f_const,
-        "f_cols": f_cols,
+        "inj": inj,
     }
     return problem, maps
 
@@ -214,18 +186,12 @@ def solve_dlmp(scopf_input):
     lam = float(sol.duals_eq[0])
     mu_plus = {lid: 0.0 for lid, _, _, _ in net.lines}
     mu_minus = dict(mu_plus)
-    for r, (lid, direction) in enumerate(maps["row_lines"]):
-        if direction > 0:
-            mu_plus[lid] = float(sol.duals_ub[r])
-        else:
-            mu_minus[lid] = float(sol.duals_ub[r])
+    for (lid, direction), y in zip(maps["row_lines"], sol.duals_ub):
+        (mu_plus if direction > 0 else mu_minus)[lid] = float(y)
 
     H = maps["H"]
-    dlmp = {net.root: lam}
-    for i, bus in enumerate(H.bus_order):
-        cong = sum(H.entries[r, i] * (mu_plus[lid] - mu_minus[lid])
-                   for r, lid in enumerate(H.line_order))
-        dlmp[bus] = lam + cong
+    mu = np.array([mu_plus[lid] - mu_minus[lid] for lid in H.line_order])
+    dlmp = {net.root: lam, **dict(zip(H.bus_order, lam + H.matrix.T @ mu))}
 
     p_g = dict(maps["gen_floor"])
     for j, g in maps["gen_vars"]:
@@ -234,12 +200,11 @@ def solve_dlmp(scopf_input):
     for j, d in maps["dr_vars"]:
         p_d[d.bus] = p_d.get(d.bus, 0.0) - float(sol.x[j])
 
-    dispatch = {}
-    for bus in net.buses:
-        dispatch[bus] = (p_g.get(bus, 0.0), p_d.get(bus, 0.0))
+    dispatch = {bus: (p_g.get(bus, 0.0), p_d.get(bus, 0.0))
+                for bus in net.buses}
 
-    inj = maps["f_const"] + maps["f_cols"] @ sol.x[:maps["f_cols"].shape[1]]
-    flows = dict(zip(H.line_order, inj))
+    x = sol.x[:maps["inj"].shape[1]]
+    flows = dict(zip(H.line_order, maps["f_const"] + H.matrix @ (maps["inj"] @ x)))
     return DlmpResult(
         dispatch=dispatch,
         p_source=float(sol.x[0]),

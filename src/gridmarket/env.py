@@ -17,7 +17,7 @@ import numpy as np
 from . import curves as cv
 from . import p2p as p2p_mod
 from .agents import CONSUMER, PRODUCER, CurveBidder, UcbNegotiator
-from .clearing import MarketInput, SettlementInfeasible, clear
+from .clearing import MarketInput, clear
 from .dlmp import solve_dlmp
 from .p2p import negotiate, settle_deficiency
 
@@ -141,11 +141,7 @@ class P2pMarket(MarketBase):
 
     def __init__(self, config):
         self.config = config
-        self.round = None
-        self.outcomes = {}
-        self.log = p2p_mod.NegotiationLog()
-        self.result = None
-        self._round_no = -1
+        self.reset()
 
     def reset(self):
         self.round = None
@@ -153,6 +149,7 @@ class P2pMarket(MarketBase):
         self.log = p2p_mod.NegotiationLog()
         self.result = None
         self._round_no = -1
+        self._t_grid = None
 
     def _split_roles(self, t_grid):
         producers, consumers = [], []
@@ -165,6 +162,7 @@ class P2pMarket(MarketBase):
 
     def reset_round(self, t_grid):
         self._round_no += 1
+        self._t_grid = t_grid
         producers, consumers = self._split_roles(t_grid)
         self.round = p2p_mod.match(producers, consumers, self.env.rng,
                                    T=self.config.T)
@@ -194,7 +192,7 @@ class P2pMarket(MarketBase):
             if charge:
                 deficiency[consumer] = charge
         for aid in self.round.unmatched:
-            if agents[aid].current_role(self._round_no) == CONSUMER:
+            if agents[aid].current_role(self._t_grid) == CONSUMER:
                 grid_kw[aid] = q
                 deficiency[aid] = settle_deficiency(
                     0.0, q, self.config.retail_price)

@@ -209,31 +209,88 @@ def line_flows(network, injections):
 @dataclass
 class PtdfMatrix:
     """0/1 path-indicator matrix: H[l, i] = 1 iff line l is on the root path
-    of non-root bus i. Maps net injections to line flows: f = H @ x."""
+    of non-root bus i. Maps net injections to line flows: f = H @ x.
 
-    entries: np.ndarray
+    Stored as a sparse CSR `matrix`; `entries` is its dense view."""
+
+    matrix: object     # scipy.sparse.csr_array, lines x non-root buses
     line_order: list   # row index -> line_id
     bus_order: list    # column index -> bus id (non-root buses)
 
+    @property
+    def entries(self):
+        return self.matrix.toarray()
+
     def flows(self, injections):
         x = np.array([injections.get(b, 0.0) for b in self.bus_order])
-        f = self.entries @ x
-        return dict(zip(self.line_order, f))
+        return dict(zip(self.line_order, self.matrix @ x))
+
+    def injection_map(self, var_buses, coefs):
+        """Sparse bus x variable map with one entry per variable: variable j
+        injects coefs[j] at var_buses[j]. Root-bus variables get no entry."""
+        from scipy import sparse
+
+        col = {b: i for i, b in enumerate(self.bus_order)}
+        rows = np.fromiter((col.get(b, -1) for b in var_buses), dtype=np.intp,
+                           count=len(var_buses))
+        j = np.flatnonzero(rows >= 0)
+        j = j[np.argsort(rows[j], kind="stable")]     # CSR order: bus, then j
+        counts = np.bincount(rows[j], minlength=len(self.bus_order))
+        return sparse.csr_array(
+            (np.asarray(coefs, dtype=float)[j], j, np.append(0, np.cumsum(counts))),
+            shape=(len(self.bus_order), len(var_buses)))
 
 
 def ptdf(network):
-    """Path-indicator PTDF of a radial network."""
+    """Path-indicator PTDF of a radial network, built once per network in
+    O(sum of bus depths) and cached on it."""
+    cached = getattr(network, "_ptdf", None)
+    if cached is not None:
+        return cached
+    from scipy import sparse
+
     non_root = network.non_root_buses()
-    col = {b: i for i, b in enumerate(non_root)}
     line_order = [lid for lid, _, _, _ in network.lines]
     row = {lid: i for i, lid in enumerate(line_order)}
-    H = np.zeros((len(line_order), len(non_root)))
-    for bus in non_root:
+    rows, cols = [], []
+    for i, bus in enumerate(non_root):
         b = bus
         while b != network.root:
-            H[row[network.line_into(b)], col[bus]] = 1.0
+            rows.append(row[network.line_into(b)])
+            cols.append(i)
             b = network.parent[b]
-    return PtdfMatrix(entries=H, line_order=line_order, bus_order=non_root)
+    H = sparse.csr_array((np.ones(len(rows)), (rows, cols)),
+                         shape=(len(line_order), len(non_root)))
+    network._ptdf = PtdfMatrix(matrix=H, line_order=line_order,
+                               bus_order=non_root)
+    return network._ptdf
+
+
+def line_limit_rows(H, inj, limits, f_const=None):
+    """Sparse line-limit rows -lim <= H @ (inj @ x + const) <= lim.
+
+    `inj` is the sparse bus x variable injection map, `f_const` the line
+    flows of the constant injections (None: zero). Emits `+row, -row` per
+    finite-limit line in `H.line_order`. Returns (A_ub, b_ub, row_lines)
+    with row_lines[k] = (line_id, +1 | -1); A_ub and b_ub are None when no
+    line has a finite limit.
+    """
+    from scipy import sparse
+
+    keep = [r for r, lid in enumerate(H.line_order)
+            if np.isfinite(limits[lid])]
+    if not keep:
+        return None, None, []
+    lims = np.array([limits[H.line_order[r]] for r in keep])
+    f0 = 0.0 if f_const is None else f_const[keep]
+    b_ub = np.column_stack([lims - f0, lims + f0]).ravel()
+    # S picks each kept line twice, as +row then -row.
+    S = sparse.csr_array(
+        (np.tile([1.0, -1.0], len(keep)), np.repeat(keep, 2),
+         np.arange(2 * len(keep) + 1)),
+        shape=(2 * len(keep), len(H.line_order)))
+    row_lines = [(H.line_order[r], s) for r in keep for s in (+1, -1)]
+    return (S @ H.matrix) @ inj, b_ub, row_lines
 
 
 @dataclass

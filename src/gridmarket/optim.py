@@ -1,9 +1,13 @@
-"""Dense linear-programming core with dual recovery.
+"""Linear-programming core with dual recovery.
 
 Problems are minimizations: min c.x subject to A_eq x = b_eq,
 A_ub x <= b_ub and per-variable bounds. Duals are reported as shadow
 prices: duals_eq[i] = d objective / d b_eq[i] (unrestricted sign) and
 duals_ub[i] = -d objective / d b_ub[i] >= 0 for <=-rows.
+
+Constraint matrices may be dense arrays or scipy.sparse matrices; either
+kind goes to the solver as given. Clearing and DLMP build theirs sparse,
+from the network's cached sparse PTDF.
 
 The solve itself is delegated to scipy's HiGHS dual simplex, which returns
 exact vertex solutions and the full set of constraint/bound marginals; the
@@ -14,6 +18,7 @@ not assumed.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 OPTIMAL = "Optimal"
@@ -38,15 +43,9 @@ class LpProblem:
         self.c = np.asarray(self.c, dtype=float)
         n = self.c.size
         if self.A_eq is not None:
-            self.A_eq = np.asarray(self.A_eq, dtype=float).reshape(-1, n)
-            self.b_eq = np.asarray(self.b_eq, dtype=float).ravel()
-            if self.A_eq.shape[0] != self.b_eq.size:
-                raise ValueError("A_eq/b_eq row mismatch")
+            self.A_eq, self.b_eq = _rows(self.A_eq, self.b_eq, n, "A_eq/b_eq")
         if self.A_ub is not None:
-            self.A_ub = np.asarray(self.A_ub, dtype=float).reshape(-1, n)
-            self.b_ub = np.asarray(self.b_ub, dtype=float).ravel()
-            if self.A_ub.shape[0] != self.b_ub.size:
-                raise ValueError("A_ub/b_ub row mismatch")
+            self.A_ub, self.b_ub = _rows(self.A_ub, self.b_ub, n, "A_ub/b_ub")
         if self.bounds is None:
             self.bounds = [(0.0, np.inf)] * n
         if len(self.bounds) != n:
@@ -58,6 +57,16 @@ class LpProblem:
     @property
     def n(self):
         return self.c.size
+
+
+def _rows(A, b, n, what):
+    """Constraint rows (A with n columns, flat b); sparse A stays sparse."""
+    A = (sparse.csr_array(A, dtype=float) if sparse.issparse(A)
+         else np.asarray(A, dtype=float)).reshape(-1, n)
+    b = np.asarray(b, dtype=float).ravel()
+    if A.shape[0] != b.size:
+        raise ValueError(f"{what} row mismatch")
+    return A, b
 
 
 @dataclass
@@ -134,33 +143,27 @@ def epigraph_max0(problem, var_index):
     c = np.append(problem.c, 0.0)
     bounds = list(problem.bounds) + [(0.0, np.inf)]
 
-    def widen(A):
-        return None if A is None else np.hstack([A, np.zeros((A.shape[0], 1))])
-
-    A_eq = widen(problem.A_eq)
-    A_ub = widen(problem.A_ub)
-    row = np.zeros((1, n + 1))
-    row[0, var_index] = 1.0
-    row[0, n] = -1.0              # x - s <= 0
-    if A_ub is None:
-        A_ub, b_ub = row, np.array([0.0])
+    A_eq = problem.A_eq
+    A_ub = np.zeros((0, n)) if problem.A_ub is None else problem.A_ub
+    b_ub = np.append([] if problem.A_ub is None else problem.b_ub, 0.0)
+    # Widen by a zero column for s; A_ub gains the row x - s <= 0.
+    if sparse.issparse(A_ub):     # CSR, rebuilt from its arrays
+        A_ub = sparse.csr_array(
+            (np.append(A_ub.data, [1.0, -1.0]),
+             np.append(A_ub.indices, [var_index, n]),
+             np.append(A_ub.indptr, A_ub.indptr[-1] + 2)),
+            shape=(A_ub.shape[0] + 1, n + 1))
     else:
-        A_ub = np.vstack([A_ub, row])
-        b_ub = np.append(problem.b_ub, 0.0)
+        row = np.zeros((1, n + 1))
+        row[0, var_index] = 1.0
+        row[0, n] = -1.0
+        A_ub = np.vstack([np.hstack([A_ub, np.zeros((A_ub.shape[0], 1))]), row])
+    if sparse.issparse(A_eq):
+        A_eq = sparse.csr_array((A_eq.data, A_eq.indices, A_eq.indptr),
+                                shape=(A_eq.shape[0], n + 1))
+    elif A_eq is not None:
+        A_eq = np.hstack([A_eq, np.zeros((A_eq.shape[0], 1))])
     extended = LpProblem(c=c, A_eq=A_eq, b_eq=problem.b_eq,
                          A_ub=A_ub, b_ub=b_ub, bounds=bounds)
     return extended, n
 
-
-def dump_problem(problem):
-    """Plain-text tableau dump for debugging."""
-    out = ["min " + "  ".join(f"{v:+g}*x{j}" for j, v in enumerate(problem.c))]
-    if problem.A_eq is not None:
-        for row, b in zip(problem.A_eq, problem.b_eq):
-            out.append("  ".join(f"{v:+g}" for v in row) + f" == {b:g}")
-    if problem.A_ub is not None:
-        for row, b in zip(problem.A_ub, problem.b_ub):
-            out.append("  ".join(f"{v:+g}" for v in row) + f" <= {b:g}")
-    out.append("bounds: " + "  ".join(f"[{lo:g},{hi:g}]"
-                                      for lo, hi in problem.bounds))
-    return "\n".join(out)

@@ -88,16 +88,20 @@ def enumerate_lp_optimum(problem, tol=1e-7):
         if np.isfinite(hi):
             cons.append(e)
             rhs.append(hi)
-    cons = np.array(cons)
+    cons = np.array(cons).reshape(-1, n)
     rhs = np.array(rhs)
 
+    # One (n, n) system per combination: the equality rows, broadcast, on
+    # top of the chosen constraint rows (gathered with one index array).
     need = n - len(eq_rows)
     combos = list(combinations(range(len(cons)), need))
-    A = np.empty((len(combos), n, n))
-    b = np.empty((len(combos), n))
-    for k, combo in enumerate(combos):
-        A[k] = np.vstack(eq_rows + [cons[i] for i in combo])
-        b[k] = np.array(eq_rhs + [rhs[i] for i in combo])
+    idx = np.array(combos, dtype=int).reshape(len(combos), need)
+    E = np.array(eq_rows).reshape(-1, n)
+    A = np.concatenate([np.broadcast_to(E, (len(combos),) + E.shape),
+                        cons[idx]], axis=1)
+    b = np.concatenate([np.broadcast_to(np.array(eq_rhs, dtype=float),
+                                        (len(combos), len(eq_rhs))),
+                        rhs[idx]], axis=1)
     det = np.abs(np.linalg.det(A))
     ok = det > 1e-9
     if not np.any(ok):

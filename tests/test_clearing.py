@@ -210,3 +210,27 @@ def test_dispatch_jsonl_parses():
     d = clear(pair_input())
     for line in d.to_jsonl().splitlines():
         json.loads(line)
+
+
+def test_blocks_equal_pointwise_price_at():
+    # Reference: the per-midpoint loop over the scalar price_at.
+    from gridmarket.clearing import _blocks
+
+    rng = np.random.default_rng(61)
+    for k in range(40):
+        side = (DEMAND, SUPPLY)[k % 2]
+        q_min = 0.0 if k % 4 < 2 else float(rng.uniform(0.1, 5.0))
+        p_min = float(rng.uniform(0.0, 10.0))
+        curve = Curve(side, p_min + float(rng.uniform(0.0, 10.0)), p_min,
+                      q_min + float(rng.uniform(0.5, 50.0)), q_min)
+        segments = int(rng.integers(1, 120))
+        w = (curve.q_max - curve.q_min) / segments
+        ref_w = [w] * segments
+        ref_p = [price_at(curve, curve.q_min + (j + 0.5) * w)
+                 for j in range(segments)]
+        if q_min > 0:
+            ref_w.insert(0, q_min)
+            ref_p.insert(0, curve.endpoint_price())
+        widths, prices = _blocks(curve, segments)
+        np.testing.assert_array_equal(widths, ref_w)
+        np.testing.assert_array_equal(prices, ref_p)

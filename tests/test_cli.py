@@ -171,3 +171,33 @@ def test_sweep_bad_range(tmp_path, capsys):
     rc = main(["sweep", "--config", case("demo_p2p.cfg"),
                "--seeds", "5..2", "--jobs", "1"])
     assert rc == EXIT_CONFIG
+
+
+def test_sweep_clamps_jobs_to_seed_count(tmp_path, monkeypatch):
+    # A stand-in pool records its size and maps in-process: no workers start.
+    import gridmarket.cli as cli
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    out = str(tmp_path / "sweep")
+    rc = main(["sweep", "--config", case("demo_p2p.cfg"), "--out", out,
+               "--seeds", "0..1", "--jobs", "8"])
+    assert rc == EXIT_OK and sizes == [2]
+    rc = main(["sweep", "--config", case("demo_p2p.cfg"), "--out", out,
+               "--seeds", "4..4", "--jobs", "8"])
+    assert rc == EXIT_OK and sizes == [2]      # one seed runs serially
+    for s in (0, 1, 4):
+        assert os.path.exists(os.path.join(out, f"seed_{s}", "episode.jsonl"))

@@ -195,3 +195,33 @@ def test_summary_rows():
     assert len(rows) == 3
     assert rows[0]["feasible"] is True
     assert rows[0]["max_abs_flow"] > 0
+
+
+def test_p2p_deficiency_follows_grid_step_role_across_episodes():
+    # Two episodes without reset: the market's round counter keeps
+    # counting while t_grid restarts, so only t_grid gives the prosumers'
+    # role at settlement.
+    from gridmarket.agents import PROSUMER
+
+    net = chain()
+    agents = [UcbNegotiator("p1", 1, PRODUCER, arms=[4.0]),
+              UcbNegotiator("x1", 1, PROSUMER, arms=[4.0],
+                            availability=[True, False, False]),
+              UcbNegotiator("x2", 2, PROSUMER, arms=[4.0],
+                            availability=[True, False, True]),
+              UcbNegotiator("c1", 2, CONSUMER, arms=[5.0])]
+    env = Environment(grid=Grid(net), market=P2pMarket(P2pConfig(T=1)),
+                      agents=agents, seed=4).reset()
+    seen = []
+    env.register_callback("post_clear", lambda e: seen.append(
+        (e.clock[0], e.market.result)))
+    env.run_episode(grid_steps=2)
+    env.run_episode(grid_steps=2)
+    assert [t for t, _ in seen] == [0, 1, 0, 1]
+    charged_unmatched = 0
+    for t_grid, result in seen:
+        for aid in result.unmatched:
+            consumer = env.agent_map[aid].current_role(t_grid) == CONSUMER
+            assert (aid in result.deficiency) == consumer
+            charged_unmatched += consumer
+    assert charged_unmatched > 0
