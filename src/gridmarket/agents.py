@@ -257,13 +257,10 @@ def parse_roster(text, base_dir="."):
     """
     import os
 
-    from .network import CaseFileError, _bus_id
+    from .network import CaseFileError, _bus_id, content_lines
 
     agents = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
+    for ln, stripped in content_lines(text.splitlines()):
         tok = stripped.split()
         if tok[0] != "agent" or len(tok) < 5:
             raise CaseFileError(

@@ -93,13 +93,10 @@ class Dispatch:
 def parse_bids(text):
     """Parse bid/offer records: `bid <agent> <bus> <S|D> <p_max> <p_min>
     <q_max> <q_min>`; `#` starts a comment. Returns (bids, offers)."""
-    from .network import CaseFileError, _bus_id
+    from .network import CaseFileError, _bus_id, content_lines
 
     bids, offers = [], []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
+    for ln, stripped in content_lines(text.splitlines()):
         tok = stripped.split()
         if tok[0] != "bid" or len(tok) != 8 or tok[3] not in ("S", "D"):
             raise CaseFileError(

@@ -5,18 +5,20 @@ Subcommands: validate, run, clear, dlmp, sweep. Exit codes: 0 success,
 """
 
 import argparse
-import csv
-import json
+import math
 import os
+import re
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields, replace
 
 from . import agents as ag
 from .clearing import ClearingError, MarketInput, clear as clear_market, parse_bids
 from .dlmp import DlmpError, InfeasibleBaseline, ScopfInput, parse_offers, solve_dlmp
-from .env import ClearingMarket, DlmpMarket, Environment, P2pMarket
-from .network import CaseFileError, Grid, NetworkError, load_case
+from .env import ClearingMarket, DlmpMarket, EnvError, Environment, P2pMarket
+from .network import CaseFileError, Grid, NetworkError, content_lines, load_case
 from .p2p import P2pConfig
 
 EXIT_OK, EXIT_RUNTIME, EXIT_CONFIG = 0, 1, 2
@@ -26,21 +28,23 @@ class ConfigError(Exception):
     pass
 
 
+def _key_value(text, where):
+    key, sep, val = text.partition("=")
+    if not sep:
+        raise ConfigError(f"{where}: expected key=value, got {text!r}")
+    return key.strip(), val.strip()
+
+
 def read_config(path):
     """key=value config format, `#` comments; values stay strings."""
     cfg = {}
     try:
         with open(path, encoding="utf-8") as f:
-            for ln, raw in enumerate(f, start=1):
-                stripped = raw.split("#", 1)[0].strip()
-                if not stripped:
-                    continue
-                if "=" not in stripped:
-                    raise ConfigError(f"{path}:{ln}: expected key=value")
-                key, val = stripped.split("=", 1)
-                cfg[key.strip()] = val.strip()
-    except OSError as e:
-        raise ConfigError(str(e)) from None
+            for ln, stripped in content_lines(f):
+                key, val = _key_value(stripped, f"{path}:{ln}")
+                cfg[key] = val
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"{path}: {e}") from None
     return cfg
 
 
@@ -70,65 +74,112 @@ def cmd_validate(args):
     return EXIT_OK
 
 
-def _build_environment(cfg):
-    for key in ("case", "mechanism"):
-        if key not in cfg:
-            raise ConfigError(f"missing config key {key!r}")
-    base_dir = cfg.get("_base_dir", ".")
+@dataclass(frozen=True)
+class RunConfig:
+    """One episode's configuration: a typed, range-checked field per config
+    key, with the P2P parameters grouped as a `P2pConfig`. Paths are already
+    resolved against the base directory given to `parse`."""
 
-    def path_of(key):
-        p = cfg[key]
-        return p if os.path.isabs(p) else os.path.join(base_dir, p)
+    case: str
+    mechanism: str
+    roster: str = None
+    offers: str = None
+    grid_steps: int = 1
+    market_steps: int = None     # None: the market's own default
+    seed: int = 0
+    segments: int = 100
+    out_dir: str = None          # None: the subcommand's default
+    lmp_source: float = 5.0
+    p2p: P2pConfig = field(default_factory=P2pConfig)
 
+
+# every RunConfig field but `p2p` is a config key, as is every P2pConfig
+# field; the field's annotated type converts the key's text
+P2P_KEYS = {f.name: f.type for f in fields(P2pConfig)}
+KEYS = {**{f.name: f.type for f in fields(RunConfig) if f.name != "p2p"},
+        **P2P_KEYS}
+LOWEST = {"grid_steps": 1, "market_steps": 1, "seed": 0, "segments": 1}
+MECHANISMS = ("clearing", "p2p", "dlmp")
+
+
+def parse(cfg, base_dir="."):
+    """Turn a key=value mapping into a `RunConfig`, resolving relative paths
+    against `base_dir`. Raises ConfigError for an unknown or missing key, a
+    value of the wrong type or one out of range."""
+    values = {}
+    for key, text in cfg.items():
+        if key not in KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+        try:
+            value = KEYS[key](text)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError("must be finite")
+            if key in LOWEST and value < LOWEST[key]:
+                raise ValueError(f"must be >= {LOWEST[key]}")
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"{key}={text!r}: {e}") from None
+        values[key] = value
+    if "case" not in values:
+        raise ConfigError("missing config key 'case'")
+    if values.get("mechanism") not in MECHANISMS:
+        raise ConfigError(f"mechanism must be one of {', '.join(MECHANISMS)}; "
+                          f"got {values.get('mechanism')!r}")
+    if values["mechanism"] == "dlmp" and "offers" not in values:
+        raise ConfigError("dlmp mechanism needs an `offers` file")
+    for key in ("case", "roster", "offers"):
+        if key in values:
+            values[key] = os.path.join(base_dir, values[key])
     try:
-        network = load_case(path_of("case"))
-    except (CaseFileError, NetworkError) as e:
-        raise ConfigError(f"case: {e}") from None
-    grid = Grid(network)
-    seed = int(cfg.get("seed", 0))
-    mechanism = cfg["mechanism"]
+        p2p = P2pConfig(**{k: values.pop(k) for k in P2P_KEYS if k in values})
+    except ValueError as e:
+        raise ConfigError(f"P2P parameters: {e}") from None
+    return RunConfig(p2p=p2p, **values)
 
+
+@contextmanager
+def _config_file(key):
+    # a file the config names that cannot be read or parsed is a config error
+    try:
+        yield
+    except (OSError, UnicodeDecodeError, CaseFileError, NetworkError,
+            ag.AgentError, DlmpError, EnvError) as e:
+        raise ConfigError(f"{key}: {e}") from None
+
+
+def _read(path):
+    with open(path, encoding="utf-8") as f:
+        return f.read()
+
+
+def build_environment(rc):
+    """Load the case, roster and offers `rc` names and assemble the episode's
+    `Environment`; ConfigError when one of them fails to load."""
+    with _config_file("case"):
+        network = load_case(rc.case)
     agents = []
-    if "roster" in cfg:
-        with open(path_of("roster"), encoding="utf-8") as f:
-            agents = ag.parse_roster(
-                f.read(), base_dir=os.path.dirname(path_of("roster")))
-
-    if mechanism == "clearing":
-        market = ClearingMarket(network, segments=int(cfg.get("segments", 100)))
-    elif mechanism == "p2p":
-        market = P2pMarket(P2pConfig(
-            c_service=float(cfg.get("c_service", 0.5)),
-            c_lose=float(cfg.get("c_lose", 1.0)),
-            ub=float(cfg.get("ub", 10.0)),
-            T=int(cfg.get("T", 1)),
-            trade_quantity=float(cfg.get("trade_quantity", 3.0)),
-            retail_price=float(cfg.get("retail_price", 12.0)),
-        ))
-    elif mechanism == "dlmp":
-        if "offers" not in cfg:
-            raise ConfigError("dlmp mechanism needs an `offers` file")
-        with open(path_of("offers"), encoding="utf-8") as f:
-            gens, drs = parse_offers(f.read())
-        market = DlmpMarket(ScopfInput(
-            lmp_source=float(cfg.get("lmp_source", 5.0)),
-            gen_offers=gens, dr_offers=drs, network=network))
+    if rc.roster is not None:
+        with _config_file("roster"):
+            agents = ag.parse_roster(_read(rc.roster),
+                                     base_dir=os.path.dirname(rc.roster))
+    if rc.mechanism == "clearing":
+        market = ClearingMarket(network, segments=rc.segments)
+    elif rc.mechanism == "p2p":
+        market = P2pMarket(rc.p2p)
     else:
-        raise ConfigError(f"unknown mechanism {mechanism!r}")
+        with _config_file("offers"):
+            gens, drs = parse_offers(_read(rc.offers))
+        market = DlmpMarket(ScopfInput(lmp_source=rc.lmp_source,
+                                       gen_offers=gens, dr_offers=drs,
+                                       network=network))
+    with _config_file("roster"):
+        return Environment(Grid(network), market, agents, seed=rc.seed)
 
-    env = Environment(grid, market, agents, seed=seed)
-    grid_steps = int(cfg.get("grid_steps", 1))
-    market_steps = cfg.get("market_steps")
-    market_steps = int(market_steps) if market_steps is not None else None
-    return env, grid_steps, market_steps
 
-
-def run_from_config(cfg, out_dir):
-    env, grid_steps, market_steps = _build_environment(cfg)
+def write_episode(env, rc, out_dir):
+    """Run `rc`'s episode on a built environment; write its logs to out_dir."""
     os.makedirs(out_dir, exist_ok=True)
-    log_path = os.path.join(out_dir, "episode.jsonl")
-    env.reset(log_path=log_path)
-    env.run_episode(grid_steps, market_steps)
+    env.reset(log_path=os.path.join(out_dir, "episode.jsonl"))
+    env.run_episode(rc.grid_steps, rc.market_steps)
     rows = env.summary_rows()
     lines = ["t_grid,feasible,max_abs_flow"]
     for r in rows:
@@ -137,25 +188,29 @@ def run_from_config(cfg, out_dir):
     return env
 
 
+def run_from_config(cfg, out_dir):
+    """Run one episode from a key=value mapping; relative paths resolve
+    against its `_base_dir` entry, if any, else the working directory."""
+    cfg = dict(cfg)
+    rc = parse(cfg, base_dir=cfg.pop("_base_dir", "."))
+    return write_episode(build_environment(rc), rc, out_dir)
+
+
+def _load(path, overrides):
+    """Read the config file at `path` (if any), apply `key=value` overrides,
+    parse it and build its environment: (RunConfig, Environment)."""
+    cfg = read_config(path) if path else {}
+    cfg.update(_key_value(item, "--set") for item in overrides)
+    rc = parse(cfg, os.path.dirname(os.path.abspath(path)) if path else ".")
+    return rc, build_environment(rc)
+
+
 def cmd_run(args):
+    seed = [] if args.seed is None else [f"seed={args.seed}"]
+    rc, env = _load(args.config, (args.set or []) + seed)
+    out_dir = args.out or rc.out_dir or "out"
     try:
-        cfg = read_config(args.config) if args.config else {}
-        for item in args.set or []:
-            if "=" not in item:
-                raise ConfigError(f"--set expects key=value, got {item!r}")
-            k, v = item.split("=", 1)
-            cfg[k.strip()] = v.strip()
-        if args.config:
-            cfg.setdefault("_base_dir", os.path.dirname(os.path.abspath(args.config)))
-        if args.seed is not None:
-            cfg["seed"] = str(args.seed)
-        out_dir = args.out or cfg.get("out_dir", "out")
-        _check_run_config(cfg)
-    except (ConfigError, ValueError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        run_from_config(cfg, out_dir)
+        write_episode(env, rc, out_dir)
     except Exception as e:
         print(f"runtime error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -163,26 +218,10 @@ def cmd_run(args):
     return EXIT_OK
 
 
-def _check_run_config(cfg):
-    # raise ConfigError early for missing/ill-typed keys (exit code 2)
-    if "case" not in cfg or "mechanism" not in cfg:
-        raise ConfigError("config needs `case` and `mechanism`")
-    if cfg["mechanism"] not in ("clearing", "p2p", "dlmp"):
-        raise ConfigError(f"unknown mechanism {cfg['mechanism']!r}")
-    if cfg["mechanism"] == "dlmp" and "offers" not in cfg:
-        raise ConfigError("dlmp mechanism needs an `offers` file")
-    for key in ("grid_steps", "market_steps", "seed", "segments", "T"):
-        if key in cfg:
-            int(cfg[key])
-    if int(cfg.get("grid_steps", 1)) < 1:
-        raise ConfigError("grid_steps must be >= 1")
-
-
 def cmd_clear(args):
     try:
         net = load_case(args.case)
-        with open(args.bids, encoding="utf-8") as f:
-            bids, offers = parse_bids(f.read())
+        bids, offers = parse_bids(_read(args.bids))
         dispatch = clear_market(
             MarketInput(bids=bids, offers=offers, network=net),
             segments=args.segments)
@@ -205,8 +244,7 @@ def cmd_clear(args):
 def cmd_dlmp(args):
     try:
         net = load_case(args.case)
-        with open(args.offers, encoding="utf-8") as f:
-            gens, drs = parse_offers(f.read())
+        gens, drs = parse_offers(_read(args.offers))
         result = solve_dlmp(ScopfInput(lmp_source=args.lmp_source,
                                        gen_offers=gens, dr_offers=drs,
                                        network=net))
@@ -229,34 +267,29 @@ def cmd_dlmp(args):
 
 
 def _sweep_one(payload):
-    cfg, out_dir, seed = payload
-    cfg = dict(cfg)
-    cfg["seed"] = str(seed)
-    run_from_config(cfg, os.path.join(out_dir, f"seed_{seed}"))
-    return seed
+    rc, out_dir = payload
+    write_episode(build_environment(rc), rc,
+                  os.path.join(out_dir, f"seed_{rc.seed}"))
+    return rc.seed
 
 
 def cmd_sweep(args):
-    try:
-        cfg = read_config(args.config)
-        cfg.setdefault("_base_dir", os.path.dirname(os.path.abspath(args.config)))
-        lo, hi = (int(x) for x in args.seeds.split("..", 1))
-        if hi < lo:
-            raise ConfigError("seed range is empty")
-        _check_run_config(cfg)
-    except (ConfigError, ValueError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    out_dir = args.out or cfg.get("out_dir", "sweep")
-    seeds = list(range(lo, hi + 1))
+    m = re.fullmatch(r"(\d+)\.\.(\d+)", args.seeds)
+    if m is None or int(m[2]) < int(m[1]):
+        raise ConfigError(f"--seeds expects A..B, integers with 0 <= A <= B; "
+                          f"got {args.seeds!r}")
+    seeds = range(int(m[1]), int(m[2]) + 1)
+    rc, _ = _load(args.config, [f"seed={seeds[0]}"])
+    out_dir = args.out or rc.out_dir or "sweep"
+    payloads = [(replace(rc, seed=s), out_dir) for s in seeds]
     try:
         jobs = min(args.jobs, len(seeds))
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                list(pool.map(_sweep_one, [(cfg, out_dir, s) for s in seeds]))
+                list(pool.map(_sweep_one, payloads))
         else:
-            for s in seeds:
-                _sweep_one((cfg, out_dir, s))
+            for payload in payloads:
+                _sweep_one(payload)
     except Exception as e:
         print(f"runtime error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -307,7 +340,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

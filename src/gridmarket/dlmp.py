@@ -223,13 +223,10 @@ def parse_offers(text):
     `gen <bus> <pmin> <pmax> <qty,price> ...` and
     `dr <bus> <baseline> <qty,price> ...`; `#` starts a comment.
     """
-    from .network import CaseFileError, _bus_id
+    from .network import CaseFileError, _bus_id, content_lines
 
     gens, drs = [], []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
+    for ln, stripped in content_lines(text.splitlines()):
         tok = stripped.split()
         try:
             if tok[0] == "gen":

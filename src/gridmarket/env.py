@@ -16,7 +16,7 @@ import numpy as np
 
 from . import curves as cv
 from . import p2p as p2p_mod
-from .agents import CONSUMER, PRODUCER, CurveBidder, UcbNegotiator
+from .agents import CONSUMER, PRODUCER, UcbNegotiator
 from .clearing import MarketInput, clear
 from .dlmp import solve_dlmp
 from .p2p import negotiate, settle_deficiency
@@ -73,6 +73,16 @@ class MarketBase:
     def default_market_steps(self):
         return 1
 
+    def step_record(self, result):
+        """Fields the market adds to the `market_step` log record of a step
+        that returned `result`."""
+        return {}
+
+    def clear_record(self, result):
+        """Fields the market adds to the `clear` log record of the clearing
+        result `result`."""
+        return {"cleared": result is not None}
+
 
 class ClearingMarket(MarketBase):
     """Use Case 1 mechanism: affine-curve surplus clearing each market step;
@@ -126,6 +136,12 @@ class ClearingMarket(MarketBase):
             a.observe_reward(r)
         return self.dispatch
 
+    def step_record(self, dispatch):
+        return {} if dispatch is None else {"dispatch": dispatch.to_records()}
+
+    def clear_record(self, dispatch):
+        return {**super().clear_record(dispatch), **self.step_record(dispatch)}
+
 
 @dataclass
 class P2pRoundResult:
@@ -146,9 +162,7 @@ class P2pMarket(MarketBase):
     def reset(self):
         self.round = None
         self.outcomes = {}
-        self.log = p2p_mod.NegotiationLog()
         self.result = None
-        self._round_no = -1
         self._t_grid = None
 
     def _split_roles(self, t_grid):
@@ -161,7 +175,6 @@ class P2pMarket(MarketBase):
         return producers, consumers
 
     def reset_round(self, t_grid):
-        self._round_no += 1
         self._t_grid = t_grid
         producers, consumers = self._split_roles(t_grid)
         self.round = p2p_mod.match(producers, consumers, self.env.rng,
@@ -177,7 +190,6 @@ class P2pMarket(MarketBase):
             self.outcomes[(producer, consumer)] = out
             agents[producer].observe_reward(out.r_p)
             agents[consumer].observe_reward(out.r_c)
-            self.log.add(self._round_no, t_market, producer, consumer, out)
         return self.outcomes
 
     def finalize(self):
@@ -203,6 +215,21 @@ class P2pMarket(MarketBase):
 
     def default_market_steps(self):
         return self.config.T
+
+    def step_record(self, outcomes):
+        return {"negotiations": [
+            {"producer": p, "consumer": c, "b_p": o.b_p, "b_c": o.b_c,
+             "success": o.success, "r_p": round(o.r_p, 9),
+             "r_c": round(o.r_c, 9)}
+            for (p, c), o in sorted(outcomes.items(), key=lambda kv: str(kv[0]))]}
+
+    def clear_record(self, result):
+        return {
+            **super().clear_record(result),
+            "deficiency": {str(k): round(v, 9) for k, v in sorted(
+                result.deficiency.items(), key=lambda kv: str(kv[0]))},
+            "successes": sum(1 for o in result.outcomes.values() if o.success),
+        }
 
 
 class DlmpMarket(MarketBase):
@@ -237,6 +264,13 @@ class DlmpMarket(MarketBase):
             if net_kw != 0.0:
                 actions[f"dso@{bus}"] = (bus, net_kw)
         return actions
+
+    def step_record(self, result):
+        return {"dlmp": {str(b): round(v, 9) for b, v in result.dlmp.items()}}
+
+    def clear_record(self, result):
+        return {**super().clear_record(result), **self.step_record(result),
+                "objective": round(result.objective, 9)}
 
 
 class Environment:
@@ -294,8 +328,8 @@ class Environment:
         """Algorithm: outer grid loop, nested market loop, clear, grid step."""
         steps = (market_steps_per_grid if market_steps_per_grid is not None
                  else self.market.default_market_steps())
-        if grid_steps < 0 or steps < 1:
-            raise EnvError("need grid_steps >= 0 and market steps >= 1")
+        if grid_steps < 1 or steps < 1:
+            raise EnvError("need grid_steps >= 1 and market steps >= 1")
         for t_grid in range(grid_steps):
             self.phase = "market"
             self.market.reset_round(t_grid)
@@ -304,10 +338,13 @@ class Environment:
                 for a in self.agents:
                     a.set_market_actions()
                 result = self.market.step(t_market)
-                self.log.add(self._market_record(t_grid, t_market, result))
+                self.log.add({"phase": "market_step", "t_grid": t_grid,
+                              "t_market": t_market,
+                              **self.market.step_record(result)})
                 self._fire("post_market_step")
             cleared = self.market.finalize()
-            self.log.add(self._clear_record(t_grid, cleared))
+            self.log.add({"phase": "clear", "t_grid": t_grid,
+                          **self.market.clear_record(cleared)})
             self._fire("post_clear")
 
             self.phase = "grid"
@@ -327,39 +364,6 @@ class Environment:
             self._fire("post_grid_step")
             self.phase = "idle"
         return self.log
-
-    def _market_record(self, t_grid, t_market, result):
-        rec = {"phase": "market_step", "t_grid": t_grid, "t_market": t_market}
-        if isinstance(result, dict):     # P2P outcomes
-            rec["negotiations"] = [
-                {"producer": p, "consumer": c, "b_p": o.b_p, "b_c": o.b_c,
-                 "success": o.success, "r_p": round(o.r_p, 9),
-                 "r_c": round(o.r_c, 9)}
-                for (p, c), o in sorted(result.items(), key=lambda kv: str(kv[0]))]
-        elif result is not None and hasattr(result, "to_records"):
-            rec["dispatch"] = result.to_records()
-        elif result is not None and hasattr(result, "dlmp"):
-            rec["dlmp"] = {str(b): round(v, 9) for b, v in result.dlmp.items()}
-        return rec
-
-    def _clear_record(self, t_grid, cleared):
-        rec = {"phase": "clear", "t_grid": t_grid}
-        if cleared is None:
-            rec["cleared"] = False
-        elif hasattr(cleared, "to_records"):
-            rec["cleared"] = True
-            rec["dispatch"] = cleared.to_records()
-        elif hasattr(cleared, "dlmp"):
-            rec["cleared"] = True
-            rec["dlmp"] = {str(b): round(v, 9) for b, v in cleared.dlmp.items()}
-            rec["objective"] = round(cleared.objective, 9)
-        elif hasattr(cleared, "deficiency"):
-            rec["cleared"] = True
-            rec["deficiency"] = {str(k): round(v, 9) for k, v in sorted(
-                cleared.deficiency.items(), key=lambda kv: str(kv[0]))}
-            rec["successes"] = sum(
-                1 for o in cleared.outcomes.values() if o.success)
-        return rec
 
     def summary_rows(self):
         """Per-grid-step summary rows for the episode CSV."""

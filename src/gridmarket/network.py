@@ -149,6 +149,15 @@ def build_network(buses, lines):
     return net
 
 
+def content_lines(lines):
+    """(line number, text) of each line of a line-oriented input file that
+    holds more than a `#` comment, stripped of the comment and blanks."""
+    for ln, raw in enumerate(lines, start=1):
+        stripped = raw.split("#", 1)[0].strip()
+        if stripped:
+            yield ln, stripped
+
+
 def parse_case(text):
     """Parse the line-oriented case format into (buses, lines).
 
@@ -156,10 +165,7 @@ def parse_case(text):
     a comment. Unknown directives are rejected.
     """
     buses, lines = [], []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
+    for ln, stripped in content_lines(text.splitlines()):
         tok = stripped.split()
         if tok[0] == "bus":
             if len(tok) != 2:

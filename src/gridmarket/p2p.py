@@ -8,8 +8,7 @@ pay a fixed service fee; on failure both take a fixed penalty. Energy a
 consumer fails to secure is drawn from the substation at the retail price.
 """
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +26,7 @@ class P2pConfig:
         if not self.ub > self.c_service >= 0:
             raise ValueError("need ub > c_service >= 0")
         if self.c_lose < 0 or self.T < 1 or self.trade_quantity <= 0:
-            raise ValueError("bad P2P config")
+            raise ValueError("need c_lose >= 0, T >= 1 and trade_quantity > 0")
 
 
 @dataclass
@@ -87,28 +86,12 @@ def settle_deficiency(delivered, demanded, retail_price):
     return (demanded - delivered) * retail_price
 
 
-@dataclass
-class NegotiationLog:
-    """JSON-lines log of per-step negotiation outcomes with a moving-average
-    export for success/reward trajectories."""
-
-    records: list = field(default_factory=list)
-
-    def add(self, round_no, step, producer, consumer, outcome):
-        self.records.append({
-            "round": round_no, "step": step,
-            "producer": producer, "consumer": consumer,
-            "b_p": outcome.b_p, "b_c": outcome.b_c,
-            "success": outcome.success,
-            "r_p": outcome.r_p, "r_c": outcome.r_c,
-        })
-
-    def to_jsonl(self):
-        return "\n".join(json.dumps(r, sort_keys=True) for r in self.records)
-
-    def moving_average(self, key, window=200):
-        x = np.array([float(r[key]) for r in self.records])
-        if x.size == 0:
-            return x
-        kern = np.ones(min(window, x.size)) / min(window, x.size)
-        return np.convolve(x, kern, mode="valid")
+def moving_average(values, window=200):
+    """Trailing means over `window` consecutive values (over all of them when
+    fewer), e.g. of `success` or `r_p` along the `negotiations` entries of an
+    episode log."""
+    x = np.asarray(values, dtype=float)
+    if x.size == 0:
+        return x
+    width = min(window, x.size)
+    return np.convolve(x, np.ones(width) / width, mode="valid")

@@ -1,10 +1,14 @@
 import json
+import math
 import os
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridmarket.cli import (
-    EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main, read_config,
+    EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, KEYS, ConfigError, RunConfig, main,
+    parse, read_config,
 )
 
 CASES = os.path.join(os.path.dirname(__file__), "..", "cases")
@@ -201,3 +205,110 @@ def test_sweep_clamps_jobs_to_seed_count(tmp_path, monkeypatch):
     assert rc == EXIT_OK and sizes == [2]      # one seed runs serially
     for s in (0, 1, 4):
         assert os.path.exists(os.path.join(out, f"seed_{s}", "episode.jsonl"))
+
+
+@pytest.mark.parametrize("seeds", ["0", "a..b", "5..2"])
+def test_sweep_seed_range_names_its_form(tmp_path, capsys, seeds):
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--config", case("demo_p2p.cfg"), "--out", str(out),
+               "--seeds", seeds, "--jobs", "1"])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "A..B" in err
+    assert not out.exists()
+
+
+BAD_FILES = {
+    "bad_case.txt": b"bus 0\nbus 1\nline a 0 1\n",
+    "bad_roster.txt": b"agent a1 1\n",
+    "dup_roster.txt": b"agent a1 1 producer ucb 4\nagent a1 2 consumer ucb 5\n",
+    "binary.txt": b"bus \xff\xfe\n",
+}
+
+
+@pytest.mark.parametrize("config,setting", [
+    ("demo_p2p.cfg", "c_service=abc"),
+    ("demo_p2p.cfg", "T=0"),
+    ("demo_p2p.cfg", "trade_quantity=-1"),
+    ("demo_p2p.cfg", "ub=0"),
+    ("demo_p2p.cfg", "market_steps=0"),
+    ("demo_p2p.cfg", "market_steps=-1"),
+    ("demo_p2p.cfg", "seed=-1"),
+    ("demo_p2p.cfg", "case=nope.txt"),
+    ("demo_p2p.cfg", "roster=nope.txt"),
+    ("demo_p2p.cfg", "grid_step=3"),
+    ("demo_p2p.cfg", "case={tmp}/bad_case.txt"),
+    ("demo_p2p.cfg", "roster={tmp}/bad_roster.txt"),
+    ("demo_p2p.cfg", "roster={tmp}/dup_roster.txt"),
+    ("demo_p2p.cfg", "case={tmp}/binary.txt"),
+    ("demo_clearing.cfg", "segments=0"),
+    ("demo_clearing.cfg", "segments=-2"),
+    ("demo_dlmp.cfg", "lmp_source=x"),
+])
+def test_run_bad_config_exits_2_before_any_output(tmp_path, capsys, config,
+                                                  setting):
+    for name, data in BAD_FILES.items():
+        (tmp_path / name).write_bytes(data)
+    out = tmp_path / "out"
+    rc = main(["run", "--config", case(config), "--out", str(out),
+               "--set", setting.format(tmp=tmp_path)])
+    assert rc == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "episode.jsonl").exists()
+    assert not (out / "summary.csv").exists()
+
+
+EVERY_KEY = {
+    "case": "net.txt", "mechanism": "dlmp", "roster": "r.txt",
+    "offers": "o.txt", "grid_steps": "2", "market_steps": "3",
+    "seed": "4", "segments": "5", "out_dir": "out", "lmp_source": "4.3",
+    "T": "2", "c_service": "0.5", "c_lose": "1", "ub": "10",
+    "trade_quantity": "3", "retail_price": "12",
+}
+
+
+def test_readme_config_keys_are_the_parsed_keys():
+    with open(os.path.join(CASES, "..", "README.md"), encoding="utf-8") as f:
+        readme = f.read()
+    sentence = re.search(r"Keys: (.*?)\.\s", readme, re.S).group(1)
+    assert set(re.findall(r"`([^`]+)`", sentence)) == set(KEYS)
+    assert set(EVERY_KEY) == set(KEYS)
+    rc = parse(EVERY_KEY, base_dir="base")
+    assert rc.case == os.path.join("base", "net.txt")
+    assert (rc.grid_steps, rc.market_steps, rc.seed, rc.segments) == (2, 3, 4, 5)
+    assert rc.p2p.T == 2 and rc.p2p.ub == 10.0 and rc.lmp_source == 4.3
+
+
+CONFIG_VALUES = st.one_of(
+    st.text(max_size=6),
+    st.integers(-2, 3).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(str),
+    st.sampled_from(["clearing", "p2p", "dlmp", " 7 ", "1e400", "0x10"]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sets(st.sampled_from(sorted(KEYS)), max_size=3),
+       st.dictionaries(st.sampled_from(sorted(KEYS)), CONFIG_VALUES,
+                       max_size=3))
+def test_parse_returns_valid_config_or_config_error(dropped, changed):
+    # a valid config with a few keys dropped and a few values replaced
+    cfg = {k: v for k, v in EVERY_KEY.items() if k not in dropped}
+    cfg.update(changed)
+    try:
+        rc = parse(cfg, base_dir="base")
+    except ConfigError:
+        return
+    assert isinstance(rc, RunConfig)
+    assert rc.mechanism in ("clearing", "p2p", "dlmp")
+    assert rc.mechanism != "dlmp" or rc.offers is not None
+    assert rc.grid_steps >= 1 and rc.segments >= 1 and rc.seed >= 0
+    assert rc.market_steps is None or rc.market_steps >= 1
+    p2p = rc.p2p
+    assert p2p.T >= 1 and p2p.c_lose >= 0 and p2p.trade_quantity > 0
+    assert p2p.ub > p2p.c_service >= 0
+    for value in (rc.lmp_source, p2p.c_service, p2p.c_lose, p2p.ub,
+                  p2p.trade_quantity, p2p.retail_price):
+        assert isinstance(value, float) and math.isfinite(value)
+    for value in (rc.grid_steps, rc.seed, rc.segments, p2p.T):
+        assert type(value) is int

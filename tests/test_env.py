@@ -225,3 +225,11 @@ def test_p2p_deficiency_follows_grid_step_role_across_episodes():
             assert (aid in result.deficiency) == consumer
             charged_unmatched += consumer
     assert charged_unmatched > 0
+
+
+@pytest.mark.parametrize("grid_steps", [0, -1])
+def test_run_episode_needs_a_grid_step(grid_steps):
+    env = clearing_env().reset()
+    with pytest.raises(EnvError):
+        env.run_episode(grid_steps=grid_steps)
+    assert env.log.records == []

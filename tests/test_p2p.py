@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gridmarket.p2p import (
-    MatchRound, NegotiationLog, P2pConfig, match, negotiate, settle_deficiency,
+    MatchRound, P2pConfig, match, moving_average, negotiate, settle_deficiency,
 )
 
 CFG = P2pConfig(c_service=0.5, c_lose=1.0, ub=10.0)
@@ -94,12 +94,17 @@ def test_settle_deficiency():
 
 
 def test_log_jsonl_and_moving_average():
-    log = NegotiationLog()
+    # negotiation entries as the episode log writes them, one per market step
+    lines = []
     for k in range(10):
         out = negotiate(4.0 if k % 2 else 6.0, 5.0, CFG)
-        log.add(round_no=0, step=k, producer="p", consumer="c", outcome=out)
-    for line in log.to_jsonl().splitlines():
-        json.loads(line)
-    ma = log.moving_average("success", window=10)
+        lines.append(json.dumps({
+            "phase": "market_step", "t_grid": 0, "t_market": k,
+            "negotiations": [{"producer": "p", "consumer": "c",
+                              "b_p": out.b_p, "b_c": out.b_c,
+                              "success": out.success}]}, sort_keys=True))
+    success = [n["success"] for line in lines
+               for n in json.loads(line)["negotiations"]]
+    ma = moving_average(success, window=10)
     assert ma.shape == (1,)
     assert ma[0] == pytest.approx(0.5)
