@@ -3,12 +3,12 @@ the UCB bandit negotiator.
 
 Agents hold their actions locally; the environment pulls them in the
 matching phase (market actions while the market iterates, grid actions after
-it clears). Hidden costs and utilities are piecewise-linear, zero at q = 0.
+it clears).
 """
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import curves as cv
 
@@ -25,35 +25,6 @@ class AgentError(Exception):
 
 class PhaseViolation(AgentError):
     """Grid action submitted while the market is still negotiating."""
-
-
-@dataclass
-class PiecewiseLinear:
-    """Convex/concave PWL function through (0, 0), given as (width, slope)
-    segments in quantity order."""
-
-    segments: list
-
-    def __call__(self, q):
-        total, x = 0.0, q
-        for width, slope in self.segments:
-            take = min(x, width)
-            if take <= 0:
-                break
-            total += slope * take
-            x -= take
-        if x > 1e-9:
-            # beyond the last breakpoint: extend the final slope
-            total += self.segments[-1][1] * x
-        return total
-
-
-def reward_supply(p, q, cost_fn):
-    return p * q - cost_fn(q)
-
-
-def reward_demand(p, q, utility_fn):
-    return utility_fn(q) - p * q
 
 
 class Agent:
@@ -177,16 +148,6 @@ def ucb_update(state, i, reward):
     state.counts[i] += 1
     n = state.counts[i]
     state.means[i] += (reward - state.means[i]) / n
-
-
-def ucb_select_and_update(state, rewards_feed):
-    """Drive the bandit over a reward feed: choose, observe, update.
-
-    `rewards_feed(arm_index) -> reward`. Returns the chosen arm index.
-    """
-    i = ucb_select(state)
-    ucb_update(state, i, rewards_feed(i))
-    return i
 
 
 class UcbNegotiator(Agent):

@@ -18,10 +18,13 @@ from . import agents as ag
 from .clearing import ClearingError, MarketInput, clear as clear_market, parse_bids
 from .dlmp import DlmpError, InfeasibleBaseline, ScopfInput, parse_offers, solve_dlmp
 from .env import ClearingMarket, DlmpMarket, EnvError, Environment, P2pMarket
-from .network import CaseFileError, Grid, NetworkError, content_lines, load_case
+from .network import (CaseFileError, Grid, NetworkError, UnknownBus,
+                      content_lines, load_case)
 from .p2p import P2pConfig
 
 EXIT_OK, EXIT_RUNTIME, EXIT_CONFIG = 0, 1, 2
+# a named input file that cannot be opened, decoded or parsed
+FILE_ERRORS = (OSError, UnicodeDecodeError, CaseFileError, NetworkError)
 
 
 class ConfigError(Exception):
@@ -64,7 +67,7 @@ def atomic_write(path, text):
 def cmd_validate(args):
     try:
         net = load_case(args.case)
-    except (CaseFileError, NetworkError) as e:
+    except FILE_ERRORS as e:
         print(f"invalid case: {e}", file=sys.stderr)
         return EXIT_RUNTIME
     limits = [lim for _, _, _, lim in net.lines]
@@ -138,11 +141,11 @@ def parse(cfg, base_dir="."):
 
 @contextmanager
 def _config_file(key):
-    # a file the config names that cannot be read or parsed is a config error
+    # a file the config names that cannot be read or parsed, or that puts
+    # an agent or offer at a bus the case lacks, is a config error
     try:
         yield
-    except (OSError, UnicodeDecodeError, CaseFileError, NetworkError,
-            ag.AgentError, DlmpError, EnvError) as e:
+    except FILE_ERRORS + (ag.AgentError, DlmpError, EnvError) as e:
         raise ConfigError(f"{key}: {e}") from None
 
 
@@ -161,6 +164,9 @@ def build_environment(rc):
         with _config_file("roster"):
             agents = ag.parse_roster(_read(rc.roster),
                                      base_dir=os.path.dirname(rc.roster))
+            for a in agents:
+                if a.bus not in network.buses:
+                    raise UnknownBus(f"agent {a.id}: unknown bus {a.bus}")
     if rc.mechanism == "clearing":
         market = ClearingMarket(network, segments=rc.segments)
     elif rc.mechanism == "p2p":
@@ -168,9 +174,9 @@ def build_environment(rc):
     else:
         with _config_file("offers"):
             gens, drs = parse_offers(_read(rc.offers))
-        market = DlmpMarket(ScopfInput(lmp_source=rc.lmp_source,
-                                       gen_offers=gens, dr_offers=drs,
-                                       network=network))
+            market = DlmpMarket(ScopfInput(lmp_source=rc.lmp_source,
+                                           gen_offers=gens, dr_offers=drs,
+                                           network=network))
     with _config_file("roster"):
         return Environment(Grid(network), market, agents, seed=rc.seed)
 
@@ -225,7 +231,7 @@ def cmd_clear(args):
         dispatch = clear_market(
             MarketInput(bids=bids, offers=offers, network=net),
             segments=args.segments)
-    except (CaseFileError, NetworkError, ClearingError, OSError) as e:
+    except FILE_ERRORS + (ClearingError,) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
     print("agent,bus,side,q_kw,price_c_per_kwh")
@@ -252,7 +258,7 @@ def cmd_dlmp(args):
         print(f"infeasible baseline: {e}; binding lines: {e.binding_lines}",
               file=sys.stderr)
         return EXIT_RUNTIME
-    except (CaseFileError, NetworkError, DlmpError, OSError) as e:
+    except FILE_ERRORS + (DlmpError,) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
     lines = ["bus,dlmp,P_g,P_d"]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .network import line_limit_rows, ptdf
+from .network import line_flows, line_limit_rows, ptdf
 from .optim import LpProblem, OPTIMAL, epigraph_max0, solve_lp
 
 
@@ -80,6 +80,13 @@ class ScopfInput:
     network: object
     f_max: dict = None        # optional per-line overrides of network limits
 
+    def __post_init__(self):
+        buses = set(self.network.buses)
+        for kind, offers in (("gen", self.gen_offers), ("dr", self.dr_offers)):
+            for o in offers:
+                if o.bus not in buses:
+                    raise DlmpError(f"{kind} offer at unknown bus {o.bus}")
+
     def limits(self):
         lims = self.network.line_limits()
         if self.f_max:
@@ -140,13 +147,11 @@ def build_scopf(scopf_input):
     b_eq = np.array([sum(base_load.values()) - sum(gen_floor.values())])
 
     # Injections (consumption positive) per non-root bus in terms of vars,
-    # plus the constant part: baseline loads less mandatory generation.
+    # plus the constant flows of baseline loads less mandatory generation.
     var_buses = [net.root] + [o.bus for _, o in gen_vars + dr_vars]
     inj = H.injection_map(var_buses, -np.ones(n))
-    const = H.injection_map(
-        list(base_load) + list(gen_floor),
-        list(base_load.values()) + [-f for f in gen_floor.values()])
-    f_const = H.matrix @ const.sum(axis=1)
+    f_const = line_flows(net, {b: base_load.get(b, 0.0) - gen_floor.get(b, 0.0)
+                               for b in base_load | gen_floor})
     A_ub, b_ub, row_lines = line_limit_rows(H, inj, limits, f_const)
 
     problem = LpProblem(c=np.array(c), A_eq=A_eq, b_eq=b_eq,
@@ -159,12 +164,10 @@ def build_scopf(scopf_input):
         "gen_vars": gen_vars,
         "dr_vars": dr_vars,
         "row_lines": row_lines,      # per A_ub row before the epigraph row
-        "s_index": s_index,
         "H": H,
         "base_load": base_load,
         "gen_floor": gen_floor,
-        "f_const": f_const,
-        "inj": inj,
+        "f_const": f_const,          # line -> flow of the constant injections
     }
     return problem, maps
 
@@ -176,10 +179,8 @@ def solve_dlmp(scopf_input):
     sol = solve_lp(problem)
     if sol.status != OPTIMAL:
         limits = scopf_input.limits()
-        H = maps["H"]
-        binding = [lid for r, lid in enumerate(H.line_order)
-                   if np.isfinite(limits[lid])
-                   and abs(maps["f_const"][r]) > limits[lid] + 1e-9]
+        binding = [lid for lid, f in maps["f_const"].items()
+                   if abs(f) > limits[lid] + 1e-9]
         raise InfeasibleBaseline(
             f"SCOPF {sol.status}: baseline load violates line limits", binding)
 
@@ -202,9 +203,8 @@ def solve_dlmp(scopf_input):
 
     dispatch = {bus: (p_g.get(bus, 0.0), p_d.get(bus, 0.0))
                 for bus in net.buses}
-
-    x = sol.x[:maps["inj"].shape[1]]
-    flows = dict(zip(H.line_order, maps["f_const"] + H.matrix @ (maps["inj"] @ x)))
+    flows = line_flows(net, {bus: p_d - p_g
+                             for bus, (p_g, p_d) in dispatch.items()})
     return DlmpResult(
         dispatch=dispatch,
         p_source=float(sol.x[0]),

@@ -1,10 +1,11 @@
 """Radial distribution network model.
 
-Buses form a tree rooted at the feeder (bus 0). Line flows follow the
-recursion: the flow on the line into bus j equals the net consumption at j
-plus the flows into all of j's children. Sign convention: consumption is
-positive, generation negative; line flow is positive in the parent->child
-direction.
+Buses form a tree rooted at the feeder (bus 0). In this lossless radial
+model the flow on the line into bus j equals the net consumption at j plus
+the flows into all of j's children; every line flow is computed as the
+network's cached PTDF applied to the bus injections. Sign convention:
+consumption is positive, generation negative; line flow is positive in the
+parent->child direction.
 """
 
 from dataclasses import dataclass, field
@@ -145,7 +146,6 @@ def build_network(buses, lines):
     net = Network(buses=list(buses), lines=oriented, parent=parent,
                   children=children)
     net._line_into = line_into
-    net._bfs_order = order
     return net
 
 
@@ -196,20 +196,11 @@ def load_case(path):
 
 
 def line_flows(network, injections):
-    """Directed kW flow per line from net bus consumption (missing buses = 0).
-
-    One reverse-topological pass: the flow into bus j is j's own injection
-    plus the flows into its children.
-    """
-    flow_into = {}
-    for bus in reversed(network._bfs_order):
-        if bus == network.root:
-            continue
-        q = injections.get(bus, 0.0)
-        for child in network.children[bus]:
-            q += flow_into[child]
-        flow_into[bus] = q
-    return {network.line_into(bus): flow_into[bus] for bus in flow_into}
+    """Directed kW flow per line from net bus consumption, f = H @ x on the
+    network's cached PTDF (root-bus and missing buses inject 0)."""
+    H = ptdf(network)
+    x = np.array([injections.get(b, 0.0) for b in H.bus_order])
+    return dict(zip(H.line_order, (H.matrix @ x).tolist()))
 
 
 @dataclass
@@ -226,10 +217,6 @@ class PtdfMatrix:
     @property
     def entries(self):
         return self.matrix.toarray()
-
-    def flows(self, injections):
-        x = np.array([injections.get(b, 0.0) for b in self.bus_order])
-        return dict(zip(self.line_order, self.matrix @ x))
 
     def injection_map(self, var_buses, coefs):
         """Sparse bus x variable map with one entry per variable: variable j
@@ -276,10 +263,10 @@ def line_limit_rows(H, inj, limits, f_const=None):
     """Sparse line-limit rows -lim <= H @ (inj @ x + const) <= lim.
 
     `inj` is the sparse bus x variable injection map, `f_const` the line
-    flows of the constant injections (None: zero). Emits `+row, -row` per
-    finite-limit line in `H.line_order`. Returns (A_ub, b_ub, row_lines)
-    with row_lines[k] = (line_id, +1 | -1); A_ub and b_ub are None when no
-    line has a finite limit.
+    flows of the constant injections by line id (None: zero). Emits
+    `+row, -row` per finite-limit line in `H.line_order`. Returns (A_ub,
+    b_ub, row_lines) with row_lines[k] = (line_id, +1 | -1); A_ub and b_ub
+    are None when no line has a finite limit.
     """
     from scipy import sparse
 
@@ -287,15 +274,16 @@ def line_limit_rows(H, inj, limits, f_const=None):
             if np.isfinite(limits[lid])]
     if not keep:
         return None, None, []
-    lims = np.array([limits[H.line_order[r]] for r in keep])
-    f0 = 0.0 if f_const is None else f_const[keep]
+    kept = [H.line_order[r] for r in keep]
+    lims = np.array([limits[lid] for lid in kept])
+    f0 = 0.0 if f_const is None else np.array([f_const[lid] for lid in kept])
     b_ub = np.column_stack([lims - f0, lims + f0]).ravel()
     # S picks each kept line twice, as +row then -row.
     S = sparse.csr_array(
         (np.tile([1.0, -1.0], len(keep)), np.repeat(keep, 2),
          np.arange(2 * len(keep) + 1)),
         shape=(2 * len(keep), len(H.line_order)))
-    row_lines = [(H.line_order[r], s) for r in keep for s in (+1, -1)]
+    row_lines = [(lid, s) for lid in kept for s in (+1, -1)]
     return (S @ H.matrix) @ inj, b_ub, row_lines
 
 

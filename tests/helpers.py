@@ -2,10 +2,12 @@
 library, deliberately written against different machinery than the code
 under test."""
 
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
+from gridmarket.agents import ucb_select, ucb_update
 from gridmarket.network import build_network
 
 
@@ -172,3 +174,42 @@ def brute_force_surplus(bids, offers, network, points=200):
     welfare += -sterm if single_is_supply else sterm
     welfare[~ok] = -np.inf
     return float(np.max(welfare))
+
+
+@dataclass
+class PiecewiseLinear:
+    """Convex/concave PWL function through (0, 0), given as (width, slope)
+    segments in quantity order."""
+
+    segments: list
+
+    def __call__(self, q):
+        total, x = 0.0, q
+        for width, slope in self.segments:
+            take = min(x, width)
+            if take <= 0:
+                break
+            total += slope * take
+            x -= take
+        if x > 1e-9:
+            # beyond the last breakpoint: extend the final slope
+            total += self.segments[-1][1] * x
+        return total
+
+
+def reward_supply(p, q, cost_fn):
+    return p * q - cost_fn(q)
+
+
+def reward_demand(p, q, utility_fn):
+    return utility_fn(q) - p * q
+
+
+def ucb_select_and_update(state, rewards_feed):
+    """Drive the bandit over a reward feed: choose, observe, update.
+
+    `rewards_feed(arm_index) -> reward`. Returns the chosen arm index.
+    """
+    i = ucb_select(state)
+    ucb_update(state, i, rewards_feed(i))
+    return i

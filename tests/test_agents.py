@@ -5,12 +5,14 @@ import pytest
 
 from gridmarket.agents import (
     AgentError, BanditState, CONSUMER, CurveBidder, PhaseViolation,
-    PiecewiseLinear, PRODUCER, PROSUMER, ScriptedAgent, UcbNegotiator,
-    elastic_consumer, flat_supplier, inelastic_consumer, parse_roster,
-    reward_demand, reward_supply, ucb_index, ucb_select, ucb_select_and_update,
+    PRODUCER, PROSUMER, ScriptedAgent, UcbNegotiator, elastic_consumer,
+    flat_supplier, inelastic_consumer, parse_roster, ucb_index, ucb_select,
     ucb_update,
 )
 from gridmarket.curves import DEMAND, SUPPLY
+from helpers import (
+    PiecewiseLinear, reward_demand, reward_supply, ucb_select_and_update,
+)
 
 
 def test_piecewise_linear_eval():

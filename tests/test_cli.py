@@ -223,6 +223,8 @@ BAD_FILES = {
     "bad_roster.txt": b"agent a1 1\n",
     "dup_roster.txt": b"agent a1 1 producer ucb 4\nagent a1 2 consumer ucb 5\n",
     "binary.txt": b"bus \xff\xfe\n",
+    "far_offers.txt": b"gen 999 0 10 10,3\ndr 5 20\n",
+    "far_roster.txt": b"agent a1 999 producer ucb 4\n",
 }
 
 
@@ -244,6 +246,8 @@ BAD_FILES = {
     ("demo_clearing.cfg", "segments=0"),
     ("demo_clearing.cfg", "segments=-2"),
     ("demo_dlmp.cfg", "lmp_source=x"),
+    ("demo_dlmp.cfg", "offers={tmp}/far_offers.txt"),
+    ("demo_p2p.cfg", "roster={tmp}/far_roster.txt"),
 ])
 def test_run_bad_config_exits_2_before_any_output(tmp_path, capsys, config,
                                                   setting):
@@ -256,6 +260,31 @@ def test_run_bad_config_exits_2_before_any_output(tmp_path, capsys, config,
     assert "config error" in capsys.readouterr().err
     assert not (out / "episode.jsonl").exists()
     assert not (out / "summary.csv").exists()
+
+
+def test_dlmp_offer_at_unknown_bus_is_an_error(tmp_path, capsys):
+    offers = write(tmp_path, "far_offers.txt", "gen 999 0 10 10,3\ndr 5 20\n")
+    rc = main(["dlmp", "--case", case("case34.txt"), "--offers", offers])
+    assert rc == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "999" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["validate", "{tmp}/nope.txt"], "invalid case: "),
+    (["validate", "{tmp}/binary.txt"], "invalid case: "),
+    (["clear", "--case", case("case34.txt"), "--bids", "{tmp}/binary.txt"],
+     "error: "),
+    (["dlmp", "--case", "{tmp}/binary.txt", "--offers", case("offers34.txt")],
+     "error: "),
+], ids=["validate-missing", "validate-non-utf8", "clear-bids-non-utf8",
+        "dlmp-case-non-utf8"])
+def test_unreadable_input_file_prints_error_line(tmp_path, capsys, argv, line):
+    (tmp_path / "binary.txt").write_bytes(BAD_FILES["binary.txt"])
+    rc = main([a.format(tmp=tmp_path) for a in argv])
+    assert rc == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith(line)
 
 
 EVERY_KEY = {

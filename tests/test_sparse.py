@@ -51,7 +51,8 @@ def test_line_limit_rows_match_dense_reference(with_const):
         ref_A, ref_b, ref_lines = dense_limit_rows(net, var_buses, coefs,
                                                    limits, f_const)
         A, b, row_lines = line_limit_rows(
-            H, H.injection_map(var_buses, coefs), limits, f_const)
+            H, H.injection_map(var_buses, coefs), limits,
+            None if f_const is None else dict(zip(H.line_order, f_const)))
         assert row_lines == ref_lines
         if not ref_lines:
             assert A is None and b is None
@@ -97,10 +98,11 @@ def test_ptdf_stores_one_sparse_matrix():
     H = ptdf(net)
     assert sparse.issparse(H.matrix) and H.matrix.format == "csr"
     # one entry per (bus, line on its root path)
-    depth = {net.root: 0}
-    for b in net._bfs_order[1:]:
-        depth[b] = depth[net.parent[b]] + 1
-    assert H.matrix.nnz == sum(depth.values())
+    depth = 0
+    for b in net.non_root_buses():
+        while b != net.root:
+            depth, b = depth + 1, net.parent[b]
+    assert H.matrix.nnz == depth
 
 
 def sparse_twin(problem):
