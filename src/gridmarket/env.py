@@ -7,9 +7,15 @@ steps (agents submit market actions, the market dispatches), then the market
 clears, agents submit grid actions and the grid state advances. Market
 mechanism state is reset every grid step; agent memory (e.g. bandit
 statistics) persists across the episode.
+
+Each piece of episode work is done once. The clearing market reuses its last
+`Dispatch` while the submitted curves do not change, and the DLMP market
+solves its fixed SCOPF on the first step only; both memos last until the
+market's `reset()`. The episode log opens its file once per `run_episode`.
 """
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,15 +36,32 @@ class EnvError(Exception):
 
 @dataclass
 class EpisodeLog:
+    """Episode records in memory and, while `writing()` holds it open, in
+    the file at `sink_path`: each record is written and flushed as it is
+    added, so a crashed run keeps its prefix."""
+
     records: list = field(default_factory=list)
     sink_path: str = None
+    _sink: object = field(default=None, init=False, repr=False, compare=False)
+
+    @contextmanager
+    def writing(self):
+        """Hold the sink open for one episode; close it however that ends."""
+        if not self.sink_path:
+            yield
+            return
+        self._sink = open(self.sink_path, "a", encoding="utf-8")
+        try:
+            yield
+        finally:
+            self._sink.close()
+            self._sink = None
 
     def add(self, record):
         self.records.append(record)
-        if self.sink_path:
-            # incremental persistence: a crashed run keeps its prefix
-            with open(self.sink_path, "a", encoding="utf-8") as f:
-                f.write(json.dumps(record, sort_keys=True) + "\n")
+        if self._sink is not None:
+            self._sink.write(json.dumps(record, sort_keys=True) + "\n")
+            self._sink.flush()
 
     def to_jsonl(self):
         return "\n".join(json.dumps(r, sort_keys=True) for r in self.records)
@@ -86,15 +109,21 @@ class MarketBase:
 
 class ClearingMarket(MarketBase):
     """Use Case 1 mechanism: affine-curve surplus clearing each market step;
-    the last step's dispatch binds."""
+    the last step's dispatch binds.
+
+    A step whose bids and offers equal the last cleared ones returns that
+    clear's `Dispatch` again; `reset()` forgets it, so the memo lasts one
+    episode. The same `Dispatch` object is shared by those steps: treat it
+    as read-only."""
 
     def __init__(self, network, segments=100):
         self.network = network
         self.segments = segments
-        self.dispatch = None
+        self.reset()
 
     def reset(self):
         self.dispatch = None
+        self._last = (None, None)     # (submitted bids and offers, Dispatch)
 
     def reset_round(self, t_grid):
         self.dispatch = None
@@ -112,9 +141,12 @@ class ClearingMarket(MarketBase):
         if not bids or not offers:
             self.dispatch = None
             return None
-        self.dispatch = clear(
-            MarketInput(bids=bids, offers=offers, network=self.network),
-            segments=self.segments)
+        key = (tuple(bids), tuple(offers))
+        if key != self._last[0]:
+            self._last = (key, clear(
+                MarketInput(bids=bids, offers=offers, network=self.network),
+                segments=self.segments))
+        self.dispatch = self._last[1]
         return self.dispatch
 
     def finalize(self):
@@ -233,7 +265,11 @@ class P2pMarket(MarketBase):
 
 
 class DlmpMarket(MarketBase):
-    """Use Case 3 mechanism: single-shot SCOPF solve; DLMP-based rewards."""
+    """Use Case 3 mechanism: single-shot SCOPF solve; DLMP-based rewards.
+
+    The SCOPF input is fixed, so the first step of an episode solves it and
+    later steps return that same `DlmpResult` (treat it as read-only);
+    `reset()` drops it."""
 
     def __init__(self, scopf_input):
         self.scopf_input = scopf_input
@@ -242,11 +278,9 @@ class DlmpMarket(MarketBase):
     def reset(self):
         self.result = None
 
-    def reset_round(self, t_grid):
-        self.result = None
-
     def step(self, t_market):
-        self.result = solve_dlmp(self.scopf_input)
+        if self.result is None:
+            self.result = solve_dlmp(self.scopf_input)
         return self.result
 
     def finalize(self):
@@ -330,39 +364,40 @@ class Environment:
                  else self.market.default_market_steps())
         if grid_steps < 1 or steps < 1:
             raise EnvError("need grid_steps >= 1 and market steps >= 1")
-        for t_grid in range(grid_steps):
-            self.phase = "market"
-            self.market.reset_round(t_grid)
-            for t_market in range(steps):
-                self.clock = (t_grid, t_market)
-                for a in self.agents:
-                    a.set_market_actions()
-                result = self.market.step(t_market)
-                self.log.add({"phase": "market_step", "t_grid": t_grid,
-                              "t_market": t_market,
-                              **self.market.step_record(result)})
-                self._fire("post_market_step")
-            cleared = self.market.finalize()
-            self.log.add({"phase": "clear", "t_grid": t_grid,
-                          **self.market.clear_record(cleared)})
-            self._fire("post_clear")
+        with self.log.writing():
+            for t_grid in range(grid_steps):
+                self.phase = "market"
+                self.market.reset_round(t_grid)
+                for t_market in range(steps):
+                    self.clock = (t_grid, t_market)
+                    for a in self.agents:
+                        a.set_market_actions()
+                    result = self.market.step(t_market)
+                    self.log.add({"phase": "market_step", "t_grid": t_grid,
+                                  "t_market": t_market,
+                                  **self.market.step_record(result)})
+                    self._fire("post_market_step")
+                cleared = self.market.finalize()
+                self.log.add({"phase": "clear", "t_grid": t_grid,
+                              **self.market.clear_record(cleared)})
+                self._fire("post_clear")
 
-            self.phase = "grid"
-            actions = dict(self.market.extra_grid_actions())
-            for a in self.agents:
-                a.grid_action = None
-                a.set_grid_actions(cleared)
-                if a.grid_action is not None:
-                    actions[a.id] = a.grid_action
-            state = self.grid.step(actions)
-            self.log.add({
-                "phase": "grid_step", "t_grid": t_grid,
-                "feasible": state.feasible,
-                "flows": {str(k): round(v, 9) for k, v in sorted(
-                    state.flows.items(), key=lambda kv: str(kv[0]))},
-            })
-            self._fire("post_grid_step")
-            self.phase = "idle"
+                self.phase = "grid"
+                actions = dict(self.market.extra_grid_actions())
+                for a in self.agents:
+                    a.grid_action = None
+                    a.set_grid_actions(cleared)
+                    if a.grid_action is not None:
+                        actions[a.id] = a.grid_action
+                state = self.grid.step(actions)
+                self.log.add({
+                    "phase": "grid_step", "t_grid": t_grid,
+                    "feasible": state.feasible,
+                    "flows": {str(k): round(v, 9) for k, v in sorted(
+                        state.flows.items(), key=lambda kv: str(kv[0]))},
+                })
+                self._fire("post_grid_step")
+                self.phase = "idle"
         return self.log
 
     def summary_rows(self):

@@ -2,12 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridmarket.clearing import (
-    MarketInput, SettlementInfeasible, balance_demand_prices, budget_scale,
-    clear, parse_bids, settle_prices,
+    ClearingError, MarketInput, SettlementInfeasible, balance_demand_prices,
+    budget_scale, clear, parse_bids, settle_prices,
 )
-from gridmarket.curves import Curve, DEMAND, SUPPLY, aggregate_intersection, price_at
+from gridmarket.curves import (
+    Curve, DEMAND, SUPPLY, aggregate_intersection, integral, price_at,
+)
 from gridmarket.network import build_network
 from helpers import brute_force_surplus, random_radial_network
 
@@ -44,6 +47,54 @@ def test_budget_balance():
     pay = d.prices["d1"] * d.quantities["d1"]
     rev = d.prices["s1"] * d.quantities["s1"]
     assert pay == pytest.approx(rev, rel=1e-9)
+
+
+@st.composite
+def random_markets(draw):
+    """A random tree on 2..12 buses with finite and infinite line limits,
+    and 2..6 affine bids and as many offers at random buses."""
+    n = draw(st.integers(2, 12))
+    limit = st.one_of(st.just(INF), st.floats(0.5, 200.0))
+    lines = [(f"l{b}", draw(st.integers(0, b - 1)), b, draw(limit))
+             for b in range(1, n)]
+    net = build_network(list(range(n)), lines)
+
+    def curves(side, prefix):
+        out = []
+        for k in range(draw(st.integers(2, 6))):
+            p_min = draw(st.floats(0.0, 30.0))
+            q_min = draw(st.one_of(st.just(0.0), st.floats(0.0, 20.0)))
+            curve = Curve(side, p_max=p_min + draw(st.floats(0.0, 30.0)),
+                          p_min=p_min, q_max=q_min + draw(st.floats(0.1, 100.0)),
+                          q_min=q_min)
+            out.append((f"{prefix}{k}", draw(st.integers(0, n - 1)), curve))
+        return out
+    segments = draw(st.sampled_from([1, 7, 100]))
+    return MarketInput(bids=curves(DEMAND, "d"), offers=curves(SUPPLY, "s"),
+                       network=net), segments
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_markets())
+def test_clearing_balances_the_budget(market):
+    market_input, segments = market
+    try:
+        d = clear(market_input, segments=segments)
+    except ClearingError:
+        return
+    revenue = sum(d.prices[a] * d.quantities[a] for a in d.prices
+                  if d.sides[a] == SUPPLY)
+    payment = sum(d.prices[a] * d.quantities[a] for a in d.prices
+                  if d.sides[a] == DEMAND)
+    # relative, down to the settlement's own absolute tolerance: below it
+    # settle_prices leaves dust of either side unbalanced
+    assert abs(revenue - payment) <= 1e-9 * max(revenue, payment, 1.0)
+    # no consumer pays more than its average value: surplus >= 0; a consumer
+    # without a price pays nothing, as in Dispatch.to_records
+    for agent, _, curve in market_input.bids:
+        q = d.quantities[agent]
+        if q > 0:
+            assert d.prices.get(agent, 0.0) <= integral(curve, q) / q + 1e-9
 
 
 def test_flat_feeder_pins_exact_price():

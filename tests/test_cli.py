@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import stat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -137,6 +138,28 @@ def test_run_clearing_end_to_end(tmp_path, capsys):
     summary = open(os.path.join(out, "summary.csv")).read().splitlines()
     assert summary[0] == "t_grid,feasible,max_abs_flow"
     assert len(summary) > 1
+
+
+def test_written_outputs_follow_the_umask(tmp_path, capsys):
+    out = tmp_path / "out"
+    old = os.umask(0o022)
+    try:
+        assert main(["run", "--config", case("demo_p2p.cfg"),
+                     "--out", str(out), "--set", "grid_steps=1"]) == EXIT_OK
+        assert main(["clear", "--case", case("case3.txt"),
+                     "--bids", case("bids_demo.txt"),
+                     "--out", str(tmp_path / "dispatch.jsonl")]) == EXIT_OK
+        assert main(["dlmp", "--case", case("case34.txt"),
+                     "--offers", case("offers34.txt"), "--lmp-source", "4.3",
+                     "--out", str(tmp_path / "dlmp.csv")]) == EXIT_OK
+    finally:
+        os.umask(old)
+
+    def mode(path):
+        return stat.S_IMODE(os.stat(path).st_mode)
+    assert mode(out / "summary.csv") == mode(out / "episode.jsonl") == 0o644
+    assert mode(tmp_path / "dispatch.jsonl") == 0o644
+    assert mode(tmp_path / "dlmp.csv") == 0o644
 
 
 def test_run_set_override(tmp_path):

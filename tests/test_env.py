@@ -1,11 +1,18 @@
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import gridmarket.env as env_mod
 from gridmarket.agents import (
-    CONSUMER, PRODUCER, UcbNegotiator, elastic_consumer, flat_supplier,
+    CONSUMER, PRODUCER, CurveBidder, UcbNegotiator, elastic_consumer,
+    flat_supplier,
 )
+from gridmarket.clearing import MarketInput, clear
+from gridmarket.cli import build_environment, parse, read_config
+from gridmarket.curves import DEMAND, SUPPLY, Curve
 from gridmarket.dlmp import DrOffer, ScopfInput
 from gridmarket.env import (
     ClearingMarket, DlmpMarket, EnvError, Environment, P2pMarket,
@@ -14,6 +21,7 @@ from gridmarket.network import Grid, build_network
 from gridmarket.p2p import P2pConfig
 
 INF = float("inf")
+CASES = os.path.join(os.path.dirname(__file__), "..", "cases")
 
 
 def chain(limits=(INF, INF)):
@@ -233,3 +241,153 @@ def test_run_episode_needs_a_grid_step(grid_steps):
     with pytest.raises(EnvError):
         env.run_episode(grid_steps=grid_steps)
     assert env.log.records == []
+
+
+def counted(monkeypatch, module, name):
+    """Wrap `module.name` so each call is recorded; returns the call list."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class AlternatingBidder(CurveBidder):
+    """Bids `curves[0]` for two market steps, then `curves[1]` for two."""
+
+    def __init__(self, agent_id, bus, curves):
+        super().__init__(agent_id, bus, CONSUMER, curves[0])
+        self.curves = curves
+
+    def set_market_actions(self, observation=None):
+        self.curve = self.curves[self.env.clock[1] // 2 % 2]
+        self.market_action = self.curve
+
+
+def test_unchanged_bids_are_cleared_once(monkeypatch):
+    calls = counted(monkeypatch, env_mod, "clear")
+    env = clearing_env().reset()
+    log = env.run_episode(grid_steps=3, market_steps_per_grid=4)
+    assert len(calls) == 1
+    steps = log.by_phase("market_step")
+    assert len(steps) == 12
+    assert all(r["dispatch"] == steps[0]["dispatch"] for r in steps)
+    env.reset()
+    env.run_episode(grid_steps=3, market_steps_per_grid=4)
+    assert len(calls) == 2
+
+
+def test_changed_bids_are_cleared_again(monkeypatch):
+    calls = counted(monkeypatch, env_mod, "clear")
+    net = chain()
+    curves = (Curve(DEMAND, p_max=8.0, p_min=1.0, q_max=10.0, q_min=0.0),
+              Curve(DEMAND, p_max=6.0, p_min=2.0, q_max=4.0, q_min=0.0))
+    env = Environment(grid=Grid(net), market=ClearingMarket(net),
+                      agents=[flat_supplier("feeder", 0, 4.3, 500.0),
+                              AlternatingBidder("d1", 2, curves)]).reset()
+    seen = []
+
+    def fresh_clear(e):
+        bids = [(a.id, a.bus, a.market_action) for a in e.agents
+                if a.market_action.side == DEMAND]
+        offers = [(a.id, a.bus, a.market_action) for a in e.agents
+                  if a.market_action.side == SUPPLY]
+        ref = clear(MarketInput(bids=bids, offers=offers, network=net))
+        seen.append((e.market.dispatch.to_jsonl(), ref.to_jsonl()))
+    env.register_callback("post_market_step", fresh_clear)
+    env.run_episode(grid_steps=3, market_steps_per_grid=4)
+    # a a b b | a a b b | a a b b: every change of curve clears again
+    assert len(calls) == 6
+    assert all(got == want for got, want in seen)
+    assert len(seen) == 12 and seen[0] != seen[2]
+
+
+def test_fixed_scopf_is_solved_once_per_episode(monkeypatch):
+    calls = counted(monkeypatch, env_mod, "solve_dlmp")
+    net = chain(limits=(INF, 6.0))
+    si = ScopfInput(lmp_source=4.3, gen_offers=[],
+                    dr_offers=[DrOffer(bus=2, baseline=10.0,
+                                       blocks=[(10.0, 15.0)])],
+                    network=net)
+    env = Environment(grid=Grid(net), market=DlmpMarket(si), agents=[])
+    log = env.reset().run_episode(grid_steps=3, market_steps_per_grid=2)
+    assert len(calls) == 1
+    assert len({json.dumps(r["dlmp"]) for r in log.by_phase("market_step")}) == 1
+    env.reset().run_episode(grid_steps=3, market_steps_per_grid=2)
+    assert len(calls) == 2
+
+
+def test_log_sink_opens_once_per_episode(tmp_path, monkeypatch):
+    path = tmp_path / "episode.jsonl"
+    env = p2p_env().reset(log_path=str(path))
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+    monkeypatch.setattr(env_mod, "open", counting_open, raising=False)
+    env.run_episode(grid_steps=3)
+    assert len(opened) == 1 and opened[0].closed
+    env.run_episode(grid_steps=2)
+    assert len(opened) == 2 and opened[1].closed
+    assert len(env.log.records) == 5 * (3 + 2)
+    assert path.read_text() == env.log.to_jsonl() + "\n"
+
+
+def test_crashed_episode_keeps_its_prefix_and_closes_the_sink(
+        tmp_path, monkeypatch):
+    path = tmp_path / "episode.jsonl"
+    env = p2p_env(T=4).reset(log_path=str(path))
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+    monkeypatch.setattr(env_mod, "open", counting_open, raising=False)
+
+    def crash(e):
+        # each record is on disk as soon as it is added
+        assert path.read_text() == e.log.to_jsonl() + "\n"
+        if e.clock == (1, 2):
+            raise RuntimeError("agent crashed")
+    env.register_callback("post_market_step", crash)
+    with pytest.raises(RuntimeError):
+        env.run_episode(grid_steps=3)
+    # grid step 0 (4 market steps, clear, grid step), then 3 market steps
+    assert len(env.log.records) == 6 + 3
+    assert path.read_text() == env.log.to_jsonl() + "\n"
+    assert len(opened) == 1 and opened[0].closed
+
+
+class ClearEveryStep(ClearingMarket):
+    """Reference market: forgets the last clear before every step."""
+
+    def step(self, t_market):
+        self.reset()
+        return super().step(t_market)
+
+
+def demo_environment(name, seed):
+    path = os.path.join(CASES, name)
+    cfg = {**read_config(path), "seed": str(seed)}
+    return build_environment(parse(cfg, base_dir=CASES))
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), grid_steps=st.integers(1, 3),
+       market_steps=st.integers(1, 3))
+def test_seeded_episodes_are_deterministic(seed, grid_steps, market_steps):
+    def episode(env):
+        env.reset().run_episode(grid_steps, market_steps)
+        return env.log.to_jsonl()
+    for name in ("demo_clearing.cfg", "demo_p2p.cfg", "demo_dlmp.cfg"):
+        a, b = (demo_environment(name, seed) for _ in range(2))
+        assert episode(a) == episode(b)
+    memo = demo_environment("demo_clearing.cfg", seed)
+    env = demo_environment("demo_clearing.cfg", seed)
+    market = ClearEveryStep(env.market.network, env.market.segments)
+    ref = Environment(env.grid, market, env.agents, seed=seed)
+    assert episode(memo) == episode(ref)
