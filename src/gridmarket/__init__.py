@@ -1,6 +1,6 @@
 """Distribution-level electricity market simulation on radial networks."""
 
-from .curves import Curve, DEMAND, SUPPLY, aggregate_intersection, price_at, surplus
+from .curves import Curve, DEMAND, SUPPLY, price_at
 from .network import Grid, Network, build_network, line_flows, load_case, ptdf
 from .optim import LpProblem, LpSolution, solve_lp
 from .clearing import Dispatch, MarketInput, clear, settle_prices

@@ -39,7 +39,7 @@ class Agent:
         self.grid_action = None    # (bus, kW)
         self.rewards = []
 
-    def reset(self, rng=None):
+    def reset(self):
         self.market_action = None
         self.grid_action = None
         self.rewards = []
@@ -124,7 +124,7 @@ class BanditState:
             self.means = [0.0] * len(self.arms)
 
 
-def ucb_index(state, i, t=None):
+def ucb_index(state, i):
     """Upper confidence index of arm i: infinite while unsampled, otherwise
     empirical mean plus the sqrt(2 log(1/delta) / count) bonus."""
     n = state.counts[i]
@@ -162,8 +162,8 @@ class UcbNegotiator(Agent):
         self.bandit = BanditState(arms=self._arms, delta=delta)
         self._last_arm = None
 
-    def reset(self, rng=None):
-        super().reset(rng)
+    def reset(self):
+        super().reset()
         self.bandit = BanditState(arms=self._arms, delta=self._delta)
         self._last_arm = None
 

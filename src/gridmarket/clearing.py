@@ -15,11 +15,15 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from . import curves as cv
-from .network import line_flows, line_limit_rows, ptdf
-from .optim import LpProblem, OPTIMAL, solve_lp
+from .network import line_flows, ptdf
+from .optim import OPTIMAL, dispatch_lp, solve_lp
+
+
+# Quantities at or below this many kW do not trade: they are zeroed in the
+# dispatch and get no settlement price.
+SETTLE_TOL = 1e-9
 
 
 class ClearingError(Exception):
@@ -139,39 +143,28 @@ def clear(market_input, segments=100):
     H = ptdf(net)
     limits = net.line_limits()
 
-    # Assemble block variables: demand blocks first, then supply blocks.
-    cols_c, cols_w, owner_bus, owner_sign = [], [], [], []
+    # Block variables: demand blocks first, then supply blocks.
+    widths, block_prices, owner_bus, owner_sign = [], [], [], []
     spans = {}   # agent -> (start, stop) in the variable vector
     for side, s in ((bids, 1.0), (offers, -1.0)):
         for agent, bus, curve in side:
             w, p = _blocks(curve, segments)
-            spans[agent] = (len(cols_w), len(cols_w) + len(w))
-            cols_w.extend(w)
-            cols_c.extend(-s * p)        # taken demand value reduces cost
+            spans[agent] = (len(widths), len(widths) + len(w))
+            widths.extend(w)
+            block_prices.extend(p)
             owner_bus.extend([bus] * len(w))
             owner_sign.extend([s] * len(w))
 
-    c = np.array(cols_c)
-    sign = np.array(owner_sign)     # +1 consumption, -1 generation
-    bounds = [(0.0, wk) for wk in cols_w]
-
-    # Balance: total demand = total supply.
-    A_eq = sparse.csr_array(sign.reshape(1, -1))
-    b_eq = np.array([0.0])
-
-    # Line limits via the path-indicator matrix (finite limits only).
-    A_ub, b_ub, _ = line_limit_rows(
-        H, H.injection_map(owner_bus, sign), limits)
-
-    sol = solve_lp(LpProblem(c=c, A_eq=A_eq, b_eq=b_eq,
-                             A_ub=A_ub, b_ub=b_ub, bounds=bounds))
+    problem, _ = dispatch_lp(H, limits, owner_bus, owner_sign, block_prices,
+                             widths)
+    sol = solve_lp(problem)
     if sol.status != OPTIMAL:
         raise InfeasibleMarket(f"stage-1 LP returned {sol.status}")
 
     quantities = {}
     for agent, (lo, hi) in spans.items():
         q = float(np.sum(sol.x[lo:hi]))
-        quantities[agent] = 0.0 if q < 1e-9 else q
+        quantities[agent] = 0.0 if q <= SETTLE_TOL else q
 
     sides = {a: cv.DEMAND for a, _, _ in bids}
     sides.update({a: cv.SUPPLY for a, _, _ in offers})
@@ -189,7 +182,7 @@ def clear(market_input, segments=100):
         sum(cv.integral(c_, quantities[a]) for a, _, c_ in bids)
         - sum(cv.integral(c_, quantities[a]) for a, _, c_ in offers))
 
-    traded = any(q > 1e-9 for q in quantities.values())
+    traded = any(q > SETTLE_TOL for q in quantities.values())
     prices = settle_prices(quantities, market_input) if traded else {}
     return Dispatch(quantities=quantities, prices=prices, sides=sides,
                     buses=agent_bus, line_flows=flows,
@@ -197,14 +190,8 @@ def clear(market_input, segments=100):
                     binding_lines=binding)
 
 
-def budget_scale(supply_revenue, demand_payment):
-    """Multiplier applied to all demand-side prices to balance the budget."""
-    if demand_payment <= 0:
-        return 1.0
-    return supply_revenue / demand_payment
-
-
-def balance_demand_prices(provisional, caps, quantities, target, tol=1e-9):
+def balance_demand_prices(provisional, caps, quantities, target,
+                          tol=SETTLE_TOL):
     """Scale provisional demand prices so payments hit `target`, never
     exceeding per-agent caps (the own-curve prices).
 
@@ -220,7 +207,7 @@ def balance_demand_prices(provisional, caps, quantities, target, tol=1e-9):
         if target > tol:
             raise SettlementInfeasible("no demand payment to scale", agents)
         return prices
-    lam = budget_scale(target, payment)
+    lam = target / payment
     prices = {a: lam * prices[a] for a in agents}
     for _ in range(len(agents) + 1):
         over = [a for a in agents if prices[a] > caps[a] + tol]
@@ -242,7 +229,7 @@ def balance_demand_prices(provisional, caps, quantities, target, tol=1e-9):
     raise SettlementInfeasible("price redistribution did not converge", agents)
 
 
-def settle_prices(quantities, market_input, tol=1e-9):
+def settle_prices(quantities, market_input, tol=SETTLE_TOL):
     """Per-agent settlement prices for fixed stage-1 quantities.
 
     Suppliers are paid their own curve price. Consumers start at their own

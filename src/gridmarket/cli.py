@@ -105,7 +105,8 @@ class RunConfig:
 P2P_KEYS = {f.name: f.type for f in fields(P2pConfig)}
 KEYS = {**{f.name: f.type for f in fields(RunConfig) if f.name != "p2p"},
         **P2P_KEYS}
-LOWEST = {"grid_steps": 1, "market_steps": 1, "seed": 0, "segments": 1}
+LOWEST = {"grid_steps": 1, "market_steps": 1, "seed": 0, "segments": 1,
+          "lmp_source": 0}
 MECHANISMS = ("clearing", "p2p", "dlmp")
 
 

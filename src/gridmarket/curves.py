@@ -20,10 +20,6 @@ class QuantityOutOfRange(CurveError):
     pass
 
 
-class NoIntersection(CurveError):
-    pass
-
-
 @dataclass(frozen=True)
 class Curve:
     side: str        # SUPPLY or DEMAND
@@ -81,72 +77,3 @@ def integral(curve, q):
         return p0 * q
     dq = q - curve.q_min
     return p0 * curve.q_min + p0 * dq + 0.5 * curve.slope * dq * dq
-
-
-def surplus(curve, q, p):
-    """Surplus at dispatch (q, p): value minus payment for demand, revenue
-    minus cost for supply."""
-    if curve.side == DEMAND:
-        return integral(curve, q) - p * q
-    return p * q - integral(curve, q)
-
-
-def quantity_at_price(curve, p):
-    """Quantity the curve trades at price p over the admissible set
-    {0} u [q_min, q_max].
-
-    Outside the curve's price range the unfavourable side trades nothing:
-    a supplier offers 0 below p_min, a consumer asks 0 above p_max. Flat
-    curves (p_max == p_min) are step functions at the flat level.
-    """
-    if curve.side == SUPPLY:
-        if p < curve.p_min:
-            return 0.0
-        if curve.p_max == curve.p_min or p >= curve.p_max:
-            return curve.q_max
-    else:
-        if p > curve.p_max:
-            return 0.0
-        if curve.p_max == curve.p_min or p <= curve.p_min:
-            return curve.q_max
-    q = curve.q_min + (p - curve.endpoint_price()) / curve.slope
-    return min(max(q, curve.q_min), curve.q_max)
-
-
-def aggregate_intersection(supplies, demands, tol=1e-10, iters=200):
-    """Price/quantity where horizontally-summed supply meets summed demand.
-
-    Bisection on price over the union of curve price ranges; the excess-supply
-    function is non-decreasing in price. Raises NoIntersection when the
-    aggregates never cross within range.
-    """
-    if not supplies or not demands:
-        raise NoIntersection("need at least one supply and one demand curve")
-
-    def excess(p):
-        qs = sum(quantity_at_price(c, p) for c in supplies)
-        qd = sum(quantity_at_price(c, p) for c in demands)
-        return qs - qd
-
-    lo = min(c.p_min for c in supplies + demands)
-    hi = max(c.p_max for c in supplies + demands)
-    e_lo, e_hi = excess(lo), excess(hi)
-    if e_lo > tol or e_hi < -tol:
-        raise NoIntersection(
-            f"aggregate curves do not cross in price range [{lo}, {hi}]")
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
-    p_star = 0.5 * (lo + hi)
-    # Evaluate supply on the high side and demand on the low side of the
-    # bracket so step discontinuities (flat curves) land on the traded branch.
-    q_star = min(sum(quantity_at_price(c, hi) for c in supplies),
-                 sum(quantity_at_price(c, lo) for c in demands))
-    if q_star <= tol:
-        raise NoIntersection("aggregate curves only meet at zero trade")
-    return p_star, q_star

@@ -11,13 +11,12 @@ Cost curves are convex piecewise-linear blocks: a generator offer lists
 reduction blocks below the baseline load.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
-from .network import line_flows, line_limit_rows, ptdf
-from .optim import LpProblem, OPTIMAL, epigraph_max0, solve_lp
+from .network import line_flows, ptdf
+from .optim import INFEASIBLE, OPTIMAL, dispatch_lp, solve_lp
 
 
 class DlmpError(Exception):
@@ -86,6 +85,8 @@ class ScopfInput:
             for o in offers:
                 if o.bus not in buses:
                     raise DlmpError(f"{kind} offer at unknown bus {o.bus}")
+        if not self.lmp_source >= 0:
+            raise DlmpError(f"lmp_source must be >= 0, got {self.lmp_source}")
 
     def limits(self):
         lims = self.network.line_limits()
@@ -111,28 +112,19 @@ def build_scopf(scopf_input):
     carries the variable/row bookkeeping used for dual extraction."""
     net = scopf_input.network
     H = ptdf(net)
-    limits = scopf_input.limits()
 
-    # Variables: P_source, then gen blocks, then DR reduction blocks.
-    c = [0.0]
-    bounds = [(-np.inf, np.inf)]
-    gen_vars, dr_vars = [], []   # (var_index, offer, block_index)
-    for g in scopf_input.gen_offers:
-        for qty, price in g.blocks:
-            gen_vars.append((len(c), g))
-            c.append(price)
-            bounds.append((0.0, qty))
-    for d in scopf_input.dr_offers:
-        avail = d.baseline
-        for qty, price in d.blocks:
-            qty = min(qty, avail)       # DR cannot cut below zero load
-            if qty <= 0:
-                continue
-            dr_vars.append((len(c), d))
-            c.append(price)
-            bounds.append((0.0, qty))
-            avail -= qty
-    n = len(c)
+    # Blocks, all producing: gen blocks, then DR reduction blocks.
+    offers, caps, prices = [], [], []
+    for o in scopf_input.gen_offers + scopf_input.dr_offers:
+        # DR cannot cut below zero load
+        avail = o.baseline if isinstance(o, DrOffer) else np.inf
+        for qty, price in o.blocks:
+            qty = min(qty, avail)
+            if qty > 0:
+                offers.append(o)
+                caps.append(qty)
+                prices.append(price)
+                avail -= qty
 
     base_load = {d.bus: 0.0 for d in scopf_input.dr_offers}
     for d in scopf_input.dr_offers:
@@ -141,29 +133,22 @@ def build_scopf(scopf_input):
     for g in scopf_input.gen_offers:
         gen_floor[g.bus] += g.p_min
 
-    # Balance: P_source + sum(gen blocks) + sum(dr reductions)
-    #          = total baseline - total mandatory generation.
-    A_eq = sparse.csr_array(np.ones((1, n)))
-    b_eq = np.array([sum(base_load.values()) - sum(gen_floor.values())])
-
-    # Injections (consumption positive) per non-root bus in terms of vars,
-    # plus the constant flows of baseline loads less mandatory generation.
-    var_buses = [net.root] + [o.bus for _, o in gen_vars + dr_vars]
-    inj = H.injection_map(var_buses, -np.ones(n))
+    # The source is a priced import and an unpaid export at the root, so
+    # P_source = x[0] - x[1]. Baseline loads less mandatory generation are
+    # constant injections: the variables balance their total, and the line
+    # limits count their flows.
     f_const = line_flows(net, {b: base_load.get(b, 0.0) - gen_floor.get(b, 0.0)
                                for b in base_load | gen_floor})
-    A_ub, b_ub, row_lines = line_limit_rows(H, inj, limits, f_const)
-
-    problem = LpProblem(c=np.array(c), A_eq=A_eq, b_eq=b_eq,
-                        A_ub=A_ub, b_ub=b_ub, bounds=bounds)
-    # Price only positive imports: s >= max(0, P_source) at LMP_source.
-    problem, s_index = epigraph_max0(problem, 0)
-    problem.c[s_index] = scopf_input.lmp_source
+    problem, row_lines = dispatch_lp(
+        H, scopf_input.limits(), [net.root] * 2 + [o.bus for o in offers],
+        [-1.0, 1.0] + [-1.0] * len(offers),
+        [scopf_input.lmp_source, 0.0] + prices, [np.inf] * 2 + caps,
+        balance=sum(gen_floor.values()) - sum(base_load.values()),
+        f_const=f_const)
 
     maps = {
-        "gen_vars": gen_vars,
-        "dr_vars": dr_vars,
-        "row_lines": row_lines,      # per A_ub row before the epigraph row
+        "offers": offers,            # the offer of each variable from x[2]
+        "row_lines": row_lines,      # per A_ub row
         "H": H,
         "base_load": base_load,
         "gen_floor": gen_floor,
@@ -177,14 +162,16 @@ def solve_dlmp(scopf_input):
     net = scopf_input.network
     problem, maps = build_scopf(scopf_input)
     sol = solve_lp(problem)
-    if sol.status != OPTIMAL:
+    if sol.status == INFEASIBLE:
         limits = scopf_input.limits()
         binding = [lid for lid, f in maps["f_const"].items()
                    if abs(f) > limits[lid] + 1e-9]
         raise InfeasibleBaseline(
             f"SCOPF {sol.status}: baseline load violates line limits", binding)
+    if sol.status != OPTIMAL:
+        raise DlmpError(f"SCOPF {sol.status}")
 
-    lam = float(sol.duals_eq[0])
+    lam = -float(sol.duals_eq[0])
     mu_plus = {lid: 0.0 for lid, _, _, _ in net.lines}
     mu_minus = dict(mu_plus)
     for (lid, direction), y in zip(maps["row_lines"], sol.duals_ub):
@@ -194,12 +181,12 @@ def solve_dlmp(scopf_input):
     mu = np.array([mu_plus[lid] - mu_minus[lid] for lid in H.line_order])
     dlmp = {net.root: lam, **dict(zip(H.bus_order, lam + H.matrix.T @ mu))}
 
-    p_g = dict(maps["gen_floor"])
-    for j, g in maps["gen_vars"]:
-        p_g[g.bus] = p_g.get(g.bus, 0.0) + float(sol.x[j])
-    p_d = dict(maps["base_load"])
-    for j, d in maps["dr_vars"]:
-        p_d[d.bus] = p_d.get(d.bus, 0.0) - float(sol.x[j])
+    p_g, p_d = dict(maps["gen_floor"]), dict(maps["base_load"])
+    for o, x in zip(maps["offers"], sol.x[2:].tolist()):
+        if isinstance(o, GenOffer):
+            p_g[o.bus] = p_g.get(o.bus, 0.0) + x
+        else:
+            p_d[o.bus] = p_d.get(o.bus, 0.0) - x
 
     dispatch = {bus: (p_g.get(bus, 0.0), p_d.get(bus, 0.0))
                 for bus in net.buses}
@@ -207,7 +194,7 @@ def solve_dlmp(scopf_input):
                              for bus, (p_g, p_d) in dispatch.items()})
     return DlmpResult(
         dispatch=dispatch,
-        p_source=float(sol.x[0]),
+        p_source=float(sol.x[0] - sol.x[1]),
         lam=lam,
         mu_plus=mu_plus,
         mu_minus=mu_minus,

@@ -209,8 +209,7 @@ class P2pMarket(MarketBase):
     def reset_round(self, t_grid):
         self._t_grid = t_grid
         producers, consumers = self._split_roles(t_grid)
-        self.round = p2p_mod.match(producers, consumers, self.env.rng,
-                                   T=self.config.T)
+        self.round = p2p_mod.match(producers, consumers, self.env.rng)
         self.outcomes = {}
         self.result = None
 
@@ -348,15 +347,6 @@ class Environment:
         if log_path:
             open(log_path, "w", encoding="utf-8").close()
         return self
-
-    def state_fingerprint(self):
-        g = self.grid.state
-        return json.dumps({
-            "t": g.t,
-            "injections": {str(k): round(v, 12) for k, v in g.injections.items()},
-            "feasible": g.feasible,
-            "clock": list(self.clock),
-        }, sort_keys=True)
 
     def run_episode(self, grid_steps, market_steps_per_grid=None):
         """Algorithm: outer grid loop, nested market loop, clear, grid step."""

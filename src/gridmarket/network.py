@@ -206,17 +206,12 @@ def line_flows(network, injections):
 @dataclass
 class PtdfMatrix:
     """0/1 path-indicator matrix: H[l, i] = 1 iff line l is on the root path
-    of non-root bus i. Maps net injections to line flows: f = H @ x.
-
-    Stored as a sparse CSR `matrix`; `entries` is its dense view."""
+    of non-root bus i. Maps net injections to line flows: f = H @ x, with
+    H stored as a sparse CSR `matrix`."""
 
     matrix: object     # scipy.sparse.csr_array, lines x non-root buses
     line_order: list   # row index -> line_id
     bus_order: list    # column index -> bus id (non-root buses)
-
-    @property
-    def entries(self):
-        return self.matrix.toarray()
 
     def injection_map(self, var_buses, coefs):
         """Sparse bus x variable map with one entry per variable: variable j

@@ -6,8 +6,8 @@ prices: duals_eq[i] = d objective / d b_eq[i] (unrestricted sign) and
 duals_ub[i] = -d objective / d b_ub[i] >= 0 for <=-rows.
 
 Constraint matrices may be dense arrays or scipy.sparse matrices; either
-kind goes to the solver as given. Clearing and DLMP build theirs sparse,
-from the network's cached sparse PTDF.
+kind goes to the solver as given. Clearing and DLMP both build theirs with
+`dispatch_lp`, sparse, from the network's cached sparse PTDF.
 
 The solve itself is delegated to scipy's HiGHS dual simplex, which returns
 exact vertex solutions and the full set of constraint/bound marginals; the
@@ -15,11 +15,13 @@ strong-duality and complementary-slackness guarantees are verified in tests,
 not assumed.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
+
+from .network import line_limit_rows
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
@@ -69,6 +71,26 @@ def _rows(A, b, n, what):
     return A, b
 
 
+def dispatch_lp(H, limits, buses, signs, prices, caps, balance=0.0,
+                f_const=None):
+    """The dispatch LP of clearing and DLMP over priced blocks.
+
+    Variable j is a block of 0..caps[j] kW at buses[j] that consumes
+    (signs[j] = +1) or produces (-1) at prices[j]: minimize the cost of
+    production less the value of consumption subject to the balance row
+    signs.x = balance and the line limits on the PTDF `H` (`f_const`: flows
+    of the constant injections by line id). Returns (problem, row_lines).
+    """
+    signs = np.asarray(signs, dtype=float)
+    A_ub, b_ub, row_lines = line_limit_rows(
+        H, H.injection_map(buses, signs), limits, f_const)
+    problem = LpProblem(c=-signs * prices,
+                        A_eq=sparse.csr_array(signs.reshape(1, -1)),
+                        b_eq=np.array([balance]), A_ub=A_ub, b_ub=b_ub,
+                        bounds=[(0.0, cap) for cap in caps])
+    return problem, row_lines
+
+
 @dataclass
 class LpSolution:
     status: str
@@ -79,24 +101,6 @@ class LpSolution:
     duals_lower: np.ndarray = None   # >= 0, d obj / d lo
     duals_upper: np.ndarray = None   # <= 0, d obj / d hi
     message: str = ""
-
-    def dual_objective(self, problem):
-        """Dual objective from the reported shadow prices.
-
-        Equals the primal objective at every Optimal solve (strong duality);
-        infinite bounds contribute nothing because their duals are zero.
-        """
-        total = 0.0
-        if problem.b_eq is not None:
-            total += float(self.duals_eq @ problem.b_eq)
-        if problem.b_ub is not None:
-            total -= float(self.duals_ub @ problem.b_ub)
-        lo = np.array([b[0] for b in problem.bounds])
-        hi = np.array([b[1] for b in problem.bounds])
-        lo_fin, hi_fin = np.isfinite(lo), np.isfinite(hi)
-        total += float(self.duals_lower[lo_fin] @ lo[lo_fin])
-        total += float(self.duals_upper[hi_fin] @ hi[hi_fin])
-        return total
 
 
 def solve_lp(problem):
@@ -128,42 +132,3 @@ def solve_lp(problem):
         duals_lower=np.asarray(res.lower.marginals),
         duals_upper=np.asarray(res.upper.marginals),
     )
-
-
-def epigraph_max0(problem, var_index):
-    """Append an auxiliary variable s with s >= 0 and s >= x[var_index].
-
-    Pricing s in the objective (positive coefficient, set by the caller)
-    makes s = max(0, x[var_index]) at the optimum. Returns the extended
-    problem and the index of s.
-    """
-    if not 0 <= var_index < problem.n:
-        raise IndexError(f"var_index {var_index} out of range")
-    n = problem.n
-    c = np.append(problem.c, 0.0)
-    bounds = list(problem.bounds) + [(0.0, np.inf)]
-
-    A_eq = problem.A_eq
-    A_ub = np.zeros((0, n)) if problem.A_ub is None else problem.A_ub
-    b_ub = np.append([] if problem.A_ub is None else problem.b_ub, 0.0)
-    # Widen by a zero column for s; A_ub gains the row x - s <= 0.
-    if sparse.issparse(A_ub):     # CSR, rebuilt from its arrays
-        A_ub = sparse.csr_array(
-            (np.append(A_ub.data, [1.0, -1.0]),
-             np.append(A_ub.indices, [var_index, n]),
-             np.append(A_ub.indptr, A_ub.indptr[-1] + 2)),
-            shape=(A_ub.shape[0] + 1, n + 1))
-    else:
-        row = np.zeros((1, n + 1))
-        row[0, var_index] = 1.0
-        row[0, n] = -1.0
-        A_ub = np.vstack([np.hstack([A_ub, np.zeros((A_ub.shape[0], 1))]), row])
-    if sparse.issparse(A_eq):
-        A_eq = sparse.csr_array((A_eq.data, A_eq.indices, A_eq.indptr),
-                                shape=(A_eq.shape[0], n + 1))
-    elif A_eq is not None:
-        A_eq = np.hstack([A_eq, np.zeros((A_eq.shape[0], 1))])
-    extended = LpProblem(c=c, A_eq=A_eq, b_eq=problem.b_eq,
-                         A_ub=A_ub, b_ub=b_ub, bounds=bounds)
-    return extended, n
-

@@ -33,7 +33,6 @@ class P2pConfig:
 class MatchRound:
     pairs: list        # (producer_id, consumer_id)
     unmatched: list
-    T: int
 
 
 @dataclass
@@ -46,7 +45,7 @@ class NegotiationOutcome:
     r_c: float = 0.0
 
 
-def match(producers, consumers, rng, T=1):
+def match(producers, consumers, rng):
     """Uniform random pairing of min(|P|, |C|) pairs, without replacement.
 
     `rng` is a seed or numpy Generator; identical seeds give identical
@@ -60,7 +59,7 @@ def match(producers, consumers, rng, T=1):
     pairs = [(producers[i], consumers[j]) for i, j in zip(p_idx, c_idx)]
     matched = {a for pair in pairs for a in pair}
     unmatched = [a for a in producers + consumers if a not in matched]
-    return MatchRound(pairs=pairs, unmatched=unmatched, T=T)
+    return MatchRound(pairs=pairs, unmatched=unmatched)
 
 
 def negotiate(producer_bid, consumer_bid, config):

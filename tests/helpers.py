@@ -2,12 +2,14 @@
 library, deliberately written against different machinery than the code
 under test."""
 
+import json
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from gridmarket.agents import ucb_select, ucb_update
+from gridmarket.curves import CurveError, DEMAND, SUPPLY, integral
 from gridmarket.network import build_network
 
 
@@ -161,7 +163,7 @@ def brute_force_surplus(bids, offers, network, points=200):
     ssign = -1.0 if single_is_supply else 1.0
     if sbus in col:
         inj[col[sbus]] += ssign * q_single
-    flows = H.entries @ inj
+    flows = ptdf_entries(H) @ inj
     for r, lid in enumerate(H.line_order):
         if np.isfinite(limits[lid]):
             ok &= np.abs(flows[r]) <= limits[lid] + 1e-9
@@ -213,3 +215,112 @@ def ucb_select_and_update(state, rewards_feed):
     i = ucb_select(state)
     ucb_update(state, i, rewards_feed(i))
     return i
+
+
+def ptdf_entries(H):
+    """Dense view of a PtdfMatrix's path-indicator matrix."""
+    return H.matrix.toarray()
+
+
+def dual_objective(solution, problem):
+    """Dual objective of an Optimal LpSolution from its reported shadow
+    prices.
+
+    Equals the primal objective at every Optimal solve (strong duality);
+    infinite bounds contribute nothing because their duals are zero.
+    """
+    total = 0.0
+    if problem.b_eq is not None:
+        total += float(solution.duals_eq @ problem.b_eq)
+    if problem.b_ub is not None:
+        total -= float(solution.duals_ub @ problem.b_ub)
+    lo = np.array([b[0] for b in problem.bounds])
+    hi = np.array([b[1] for b in problem.bounds])
+    lo_fin, hi_fin = np.isfinite(lo), np.isfinite(hi)
+    total += float(solution.duals_lower[lo_fin] @ lo[lo_fin])
+    total += float(solution.duals_upper[hi_fin] @ hi[hi_fin])
+    return total
+
+
+def state_fingerprint(env):
+    """JSON fingerprint of the environment's grid state and clock."""
+    g = env.grid.state
+    return json.dumps({
+        "t": g.t,
+        "injections": {str(k): round(v, 12) for k, v in g.injections.items()},
+        "feasible": g.feasible,
+        "clock": list(env.clock),
+    }, sort_keys=True)
+
+
+class NoIntersection(CurveError):
+    pass
+
+
+def surplus(curve, q, p):
+    """Surplus at dispatch (q, p): value minus payment for demand, revenue
+    minus cost for supply."""
+    if curve.side == DEMAND:
+        return integral(curve, q) - p * q
+    return p * q - integral(curve, q)
+
+
+def quantity_at_price(curve, p):
+    """Quantity the curve trades at price p over the admissible set
+    {0} u [q_min, q_max].
+
+    Outside the curve's price range the unfavourable side trades nothing:
+    a supplier offers 0 below p_min, a consumer asks 0 above p_max. Flat
+    curves (p_max == p_min) are step functions at the flat level.
+    """
+    if curve.side == SUPPLY:
+        if p < curve.p_min:
+            return 0.0
+        if curve.p_max == curve.p_min or p >= curve.p_max:
+            return curve.q_max
+    else:
+        if p > curve.p_max:
+            return 0.0
+        if curve.p_max == curve.p_min or p <= curve.p_min:
+            return curve.q_max
+    q = curve.q_min + (p - curve.endpoint_price()) / curve.slope
+    return min(max(q, curve.q_min), curve.q_max)
+
+
+def aggregate_intersection(supplies, demands, tol=1e-10, iters=200):
+    """Price/quantity where horizontally-summed supply meets summed demand.
+
+    Bisection on price over the union of curve price ranges; the excess-supply
+    function is non-decreasing in price. Raises NoIntersection when the
+    aggregates never cross within range.
+    """
+    if not supplies or not demands:
+        raise NoIntersection("need at least one supply and one demand curve")
+
+    def excess(p):
+        qs = sum(quantity_at_price(c, p) for c in supplies)
+        qd = sum(quantity_at_price(c, p) for c in demands)
+        return qs - qd
+
+    lo = min(c.p_min for c in supplies + demands)
+    hi = max(c.p_max for c in supplies + demands)
+    e_lo, e_hi = excess(lo), excess(hi)
+    if e_lo > tol or e_hi < -tol:
+        raise NoIntersection(
+            f"aggregate curves do not cross in price range [{lo}, {hi}]")
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if excess(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < tol:
+            break
+    p_star = 0.5 * (lo + hi)
+    # Evaluate supply on the high side and demand on the low side of the
+    # bracket so step discontinuities (flat curves) land on the traded branch.
+    q_star = min(sum(quantity_at_price(c, hi) for c in supplies),
+                 sum(quantity_at_price(c, lo) for c in demands))
+    if q_star <= tol:
+        raise NoIntersection("aggregate curves only meet at zero trade")
+    return p_star, q_star

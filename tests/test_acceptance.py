@@ -14,13 +14,14 @@ import pytest
 
 from gridmarket.agents import BanditState, ucb_select, ucb_update
 from gridmarket.clearing import MarketInput, clear, parse_bids
-from gridmarket.curves import Curve, DEMAND, SUPPLY, aggregate_intersection
+from gridmarket.curves import Curve, DEMAND, SUPPLY
 from gridmarket.dlmp import DrOffer, GenOffer, ScopfInput, solve_dlmp
 from gridmarket.network import line_flows, load_case, ptdf
 from gridmarket.optim import OPTIMAL, solve_lp
 from gridmarket.p2p import P2pConfig, negotiate
 from helpers import (
-    brute_force_surplus, enumerate_lp_optimum, random_feasible_lp,
+    aggregate_intersection, brute_force_surplus, dual_objective,
+    enumerate_lp_optimum, ptdf_entries, random_feasible_lp,
     random_radial_network, subtree_sum_flows,
 )
 
@@ -45,7 +46,7 @@ def test_criterion_1_flow_oracle():
         oracle = subtree_sum_flows(net, inj)
         H = ptdf(net)
         x = np.array([inj.get(b, 0.0) for b in H.bus_order])
-        hx = dict(zip(H.line_order, H.entries @ x))
+        hx = dict(zip(H.line_order, ptdf_entries(H) @ x))
         scale = max(1.0, max(abs(v) for v in oracle.values()))
         for lid in oracle:
             worst = max(worst,
@@ -69,7 +70,7 @@ def test_criterion_2_lp_vs_enumeration():
         oracle = enumerate_lp_optimum(p)
         assert oracle is not None
         worst_obj = max(worst_obj, abs(s.objective - oracle))
-        worst_dual = max(worst_dual, abs(s.dual_objective(p) - s.objective))
+        worst_dual = max(worst_dual, abs(dual_objective(s, p) - s.objective))
         checked += 1
     elapsed = time.perf_counter() - t0
     report(2, f"500 random LPs match vertex enumeration (obj err "
@@ -298,8 +299,9 @@ def test_criterion_9_dlmp_identities():
         si = _random_scopf(rng, tight=tight)
         res = solve_dlmp(si)
         H = ptdf(si.network)
+        E = ptdf_entries(H)
         for i, bus in enumerate(H.bus_order):
-            cong = sum(H.entries[r, i] * (res.mu_plus[lid] - res.mu_minus[lid])
+            cong = sum(E[r, i] * (res.mu_plus[lid] - res.mu_minus[lid])
                        for r, lid in enumerate(H.line_order))
             decomp_err = max(decomp_err, abs(res.dlmp[bus] - (res.lam + cong)))
         if not tight:

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gridmarket.clearing as clearing
 from gridmarket.clearing import (
     ClearingError, MarketInput, SettlementInfeasible, balance_demand_prices,
-    budget_scale, clear, parse_bids, settle_prices,
+    clear, parse_bids, settle_prices,
 )
-from gridmarket.curves import (
-    Curve, DEMAND, SUPPLY, aggregate_intersection, integral, price_at,
-)
+from gridmarket.curves import Curve, DEMAND, SUPPLY, integral, price_at
 from gridmarket.network import build_network
-from helpers import brute_force_surplus, random_radial_network
+from helpers import (
+    aggregate_intersection, brute_force_surplus, random_radial_network,
+    surplus,
+)
 
 INF = float("inf")
 
@@ -40,6 +42,31 @@ def test_single_pair_matches_intersection():
     assert d.quantities["d1"] == pytest.approx(q_star, abs=10 * tol)
     assert d.prices["d1"] == pytest.approx(p_star, abs=tol)
     assert d.prices["s1"] == pytest.approx(p_star, abs=tol)
+
+
+def test_quantity_at_the_settlement_tolerance_does_not_trade(monkeypatch):
+    # d2 values energy below every offer, so stage 1 leaves it at 0 kW; the
+    # stubbed solve then hands its first block exactly 1e-9 kW
+    segments = 10
+    market = MarketInput(
+        bids=[("d1", 2, Curve(DEMAND, 3.0, 1.0, 10.0, 0.0)),
+              ("d2", 2, Curve(DEMAND, 0.5, 0.2, 10.0, 0.0))],
+        offers=[("s1", 1, Curve(SUPPLY, 3.0, 1.0, 10.0, 0.0))],
+        network=chain())
+    solve = clearing.solve_lp
+
+    def stub(problem):
+        sol = solve(problem)
+        assert np.sum(sol.x[segments:2 * segments]) == 0.0
+        sol.x[segments] = 1e-9
+        assert np.sum(sol.x[segments:2 * segments]) == 1e-9
+        return sol
+
+    monkeypatch.setattr(clearing, "solve_lp", stub)
+    d = clear(market, segments=segments)
+    # every agent with a quantity has a price, and no other agent has one
+    assert {a for a, q in d.quantities.items() if q > 0} == set(d.prices)
+    assert d.quantities["d2"] == 0.0 and d.quantities["d1"] > 1.0
 
 
 def test_budget_balance():
@@ -165,7 +192,7 @@ def test_dispatch_on_curve_constraints():
             assert abs(f) <= limits[lid] + 1e-6
         # supply settles exactly on-curve; every trading agent keeps a
         # non-negative surplus (demand never pays above its average value)
-        from gridmarket.curves import integral, price_at_extended, surplus
+        from gridmarket.curves import integral, price_at_extended
         for a, bus, c in offers:
             q = d.quantities[a]
             if q > 1e-9:
@@ -218,8 +245,15 @@ def test_brute_force_small_instance():
 
 
 def test_budget_scale_ratio():
-    assert budget_scale(100.0, 90.0) == pytest.approx(10.0 / 9.0)
-    assert budget_scale(0.0, 0.0) == 1.0
+    # one multiplier, revenue / payment, scales every demand price
+    prices = balance_demand_prices({"a": 9.0, "b": 4.5},
+                                   {"a": 100.0, "b": 100.0},
+                                   {"a": 5.0, "b": 10.0}, 100.0)
+    assert prices["a"] == pytest.approx(9.0 * 10.0 / 9.0)
+    assert prices["b"] == pytest.approx(4.5 * 10.0 / 9.0)
+    # nothing paid and nothing to pay: prices stay as they are
+    assert balance_demand_prices({"a": 3.0}, {"a": 5.0}, {"a": 0.0},
+                                 0.0) == {"a": 3.0}
 
 
 def test_settlement_symmetric_pair_identity_scale():

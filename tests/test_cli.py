@@ -269,6 +269,7 @@ BAD_FILES = {
     ("demo_clearing.cfg", "segments=0"),
     ("demo_clearing.cfg", "segments=-2"),
     ("demo_dlmp.cfg", "lmp_source=x"),
+    ("demo_dlmp.cfg", "lmp_source=-1"),
     ("demo_dlmp.cfg", "offers={tmp}/far_offers.txt"),
     ("demo_p2p.cfg", "roster={tmp}/far_roster.txt"),
 ])
@@ -291,6 +292,15 @@ def test_dlmp_offer_at_unknown_bus_is_an_error(tmp_path, capsys):
     assert rc == EXIT_RUNTIME
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "999" in captured.err
+    assert captured.out == ""
+
+
+def test_dlmp_negative_source_price_is_an_error(capsys):
+    rc = main(["dlmp", "--case", case("case34.txt"),
+               "--offers", case("offers34.txt"), "--lmp-source", "-1"])
+    assert rc == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "lmp_source" in captured.err
     assert captured.out == ""
 
 

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from gridmarket.curves import (
-    Curve, CurveError, DEMAND, NoIntersection, QuantityOutOfRange, SUPPLY,
-    aggregate_intersection, integral, price_at, quantity_at_price, surplus,
+    Curve, CurveError, DEMAND, QuantityOutOfRange, SUPPLY, integral, price_at,
+)
+from helpers import (
+    NoIntersection, aggregate_intersection, quantity_at_price, surplus,
 )
 
 SUP = Curve(SUPPLY, p_max=3.0, p_min=1.0, q_max=10.0, q_min=0.0)

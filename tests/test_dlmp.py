@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridmarket.dlmp import (
     DlmpError, DrOffer, GenOffer, InfeasibleBaseline, NonConvexCost,
-    ScopfInput, parse_offers, solve_dlmp,
+    ScopfInput, build_scopf, parse_offers, solve_dlmp,
 )
 from gridmarket.network import build_network
-from helpers import random_radial_network
+from gridmarket.optim import solve_lp
+from helpers import dual_objective, ptdf_entries, random_radial_network
 
 INF = float("inf")
 
@@ -85,6 +87,59 @@ def test_mandatory_generation_floor_respected():
     assert res.p_source == pytest.approx(6.0, abs=1e-8)
 
 
+def test_source_import_is_priced_at_lmp_source():
+    # uncongested, and DR at 9 cents is dearer than imports at 4.3
+    si = ScopfInput(lmp_source=4.3, gen_offers=[],
+                    dr_offers=[DrOffer(bus=2, baseline=10.0,
+                                       blocks=[(10.0, 9.0)])],
+                    network=chain())
+    res = solve_dlmp(si)
+    assert res.p_source > 0
+    assert res.p_source == pytest.approx(10.0, abs=1e-9)
+    assert res.lam == pytest.approx(4.3, abs=1e-12)
+    assert res.objective == pytest.approx(4.3 * 10.0, abs=1e-9)
+    problem, _ = build_scopf(si)
+    sol = solve_lp(problem)
+    assert sol.x[0] == pytest.approx(10.0, abs=1e-9)   # import
+    assert sol.x[1] == 0.0                             # export
+
+
+def test_source_import_cost_in_objective():
+    # 1.5 kW imported at 3 cents contributes 4.5
+    si = ScopfInput(lmp_source=3.0, gen_offers=[],
+                    dr_offers=[DrOffer(bus=2, baseline=1.5, blocks=[])],
+                    network=chain())
+    assert solve_dlmp(si).objective == pytest.approx(4.5, abs=1e-12)
+    # with 2 kW of 1-cent local generation, 3 kW are imported at 3 cents
+    si = ScopfInput(lmp_source=3.0,
+                    gen_offers=[GenOffer(bus=1, p_min=0.0, p_max=2.0,
+                                         blocks=[(2.0, 1.0)])],
+                    dr_offers=[DrOffer(bus=2, baseline=5.0, blocks=[])],
+                    network=chain())
+    res = solve_dlmp(si)
+    assert res.p_source == pytest.approx(3.0, abs=1e-9)
+    assert res.objective == pytest.approx(3.0 * 3.0 + 2.0 * 1.0, abs=1e-9)
+
+
+def test_source_export_is_unpaid():
+    # 8 kW of must-run generation behind a 5 kW load: 3 kW flow back to the
+    # source, which neither pays nor charges for them
+    si = ScopfInput(lmp_source=4.3,
+                    gen_offers=[GenOffer(bus=1, p_min=8.0, p_max=12.0,
+                                         blocks=[(4.0, 9.0)])],
+                    dr_offers=[DrOffer(bus=2, baseline=5.0, blocks=[])],
+                    network=chain())
+    res = solve_dlmp(si)
+    assert res.p_source < 0
+    assert res.p_source == pytest.approx(-3.0, abs=1e-9)
+    assert res.lam == pytest.approx(0.0, abs=1e-12)
+    assert res.objective == pytest.approx(0.0, abs=1e-12)
+    problem, _ = build_scopf(si)
+    sol = solve_lp(problem)
+    assert sol.x[0] == 0.0                             # import
+    assert sol.x[1] == pytest.approx(3.0, abs=1e-9)    # export
+
+
 def test_infeasible_baseline_reports_binding_lines():
     net = chain(limits=(INF, 3.0))
     si = ScopfInput(lmp_source=4.3, gen_offers=[],
@@ -106,8 +161,9 @@ def test_decomposition_identity():
     res = solve_dlmp(si)
     from gridmarket.network import ptdf
     H = ptdf(net)
+    E = ptdf_entries(H)
     for i, bus in enumerate(H.bus_order):
-        cong = sum(H.entries[r, i] * (res.mu_plus[lid] - res.mu_minus[lid])
+        cong = sum(E[r, i] * (res.mu_plus[lid] - res.mu_minus[lid])
                    for r, lid in enumerate(H.line_order))
         assert res.dlmp[bus] == pytest.approx(res.lam + cong, abs=1e-12)
 
@@ -175,3 +231,50 @@ def test_parse_offers():
         parse_offers("load 3 4\n")
     with pytest.raises(CaseFileError):
         parse_offers("gen 1 0\n")
+
+
+@st.composite
+def feasible_scopfs(draw):
+    """A random SCOPF that is feasible by construction: every DR offer can
+    shed its whole baseline, and the mandatory generation (at most 5 kW in
+    all) fits through every line limit (at least 5 kW)."""
+    n = draw(st.integers(2, 10))
+    limit = st.one_of(st.just(INF), st.floats(5.0, 50.0))
+    net = build_network(list(range(n)),
+                        [(f"l{b}", draw(st.integers(0, b - 1)), b, draw(limit))
+                         for b in range(1, n)])
+    bus = st.integers(0, n - 1)
+    price = st.floats(0.0, 30.0)
+
+    def blocks(k):
+        prices = sorted(draw(st.lists(price, min_size=k, max_size=k)))
+        return [(draw(st.floats(0.5, 10.0)), p) for p in prices]
+
+    gens = []
+    for _ in range(draw(st.integers(0, 4))):
+        stack = blocks(draw(st.integers(1, 3)))
+        p_min = draw(st.floats(0.0, 1.25))
+        gens.append(GenOffer(bus=draw(bus), p_min=p_min,
+                             p_max=p_min + sum(q for q, _ in stack),
+                             blocks=stack))
+    drs = []
+    for _ in range(draw(st.integers(1, 6))):
+        baseline = draw(st.floats(0.0, 20.0))
+        stack = blocks(draw(st.integers(0, 2)))
+        top = max([p for _, p in stack], default=0.0)
+        drs.append(DrOffer(bus=draw(bus), baseline=baseline,
+                           blocks=stack + [(baseline + 1.0, top + 50.0)]))
+    return ScopfInput(lmp_source=draw(price), gen_offers=gens, dr_offers=drs,
+                      network=net)
+
+
+@settings(max_examples=150, deadline=None)
+@given(feasible_scopfs())
+def test_scopf_strong_duality(si):
+    """The dual objective of the SCOPF LP, from its reported shadow prices,
+    equals solve_dlmp's objective."""
+    res = solve_dlmp(si)
+    problem, _ = build_scopf(si)
+    sol = solve_lp(problem)
+    assert dual_objective(sol, problem) == pytest.approx(
+        res.objective, rel=1e-9, abs=1e-9)

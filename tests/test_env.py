@@ -19,6 +19,7 @@ from gridmarket.env import (
 )
 from gridmarket.network import Grid, build_network
 from gridmarket.p2p import P2pConfig
+from helpers import state_fingerprint
 
 INF = float("inf")
 CASES = os.path.join(os.path.dirname(__file__), "..", "cases")
@@ -116,11 +117,11 @@ def test_different_seed_differs():
 def test_reset_restores_initial_state():
     env = p2p_env(seed=7)
     env.reset()
-    f0 = env.state_fingerprint()
+    f0 = state_fingerprint(env)
     env.run_episode(grid_steps=3)
-    assert env.state_fingerprint() != f0
+    assert state_fingerprint(env) != f0
     env.reset()
-    assert env.state_fingerprint() == f0
+    assert state_fingerprint(env) == f0
     assert sum(env.agent_map["p1"].bandit.counts) == 0
 
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from gridmarket.optim import (
-    INFEASIBLE, LpProblem, OPTIMAL, UNBOUNDED, epigraph_max0, solve_lp,
+    INFEASIBLE, LpProblem, OPTIMAL, UNBOUNDED, solve_lp,
 )
-from helpers import enumerate_lp_optimum, random_feasible_lp
+from helpers import dual_objective, enumerate_lp_optimum, random_feasible_lp
 
 
 def test_single_bound_constraint_dual():
@@ -58,7 +58,7 @@ def test_strong_duality_and_feasibility():
         slack = p.b_ub - p.A_ub @ s.x
         assert np.all(np.abs(s.duals_ub * slack) <= 1e-8)
         # dual objective equals primal objective
-        assert s.dual_objective(p) == pytest.approx(s.objective, abs=1e-8)
+        assert dual_objective(s, p) == pytest.approx(s.objective, abs=1e-8)
 
 
 def test_row_scaling_scales_dual():
@@ -77,31 +77,3 @@ def test_solver_deterministic():
     s1, s2 = solve_lp(p), solve_lp(p)
     np.testing.assert_array_equal(s1.x, s2.x)
     assert s1.objective == s2.objective
-
-
-def test_epigraph_negative_branch():
-    p = LpProblem(c=[0.0], A_eq=[[1.0]], b_eq=[-2.0],
-                  bounds=[(-np.inf, np.inf)])
-    ext, aux = epigraph_max0(p, 0)
-    ext.c[aux] = 3.0
-    s = solve_lp(ext)
-    assert s.x[aux] == pytest.approx(0.0)
-
-
-def test_epigraph_positive_branch():
-    p = LpProblem(c=[0.0], A_eq=[[1.0]], b_eq=[5.0],
-                  bounds=[(-np.inf, np.inf)])
-    ext, aux = epigraph_max0(p, 0)
-    ext.c[aux] = 1.0
-    s = solve_lp(ext)
-    assert s.x[aux] == pytest.approx(5.0)
-
-
-def test_epigraph_priced_contribution():
-    # x pinned to 1.5 elsewhere; minimizing 3s contributes 4.5
-    p = LpProblem(c=[0.0], A_eq=[[1.0]], b_eq=[1.5],
-                  bounds=[(-np.inf, np.inf)])
-    ext, aux = epigraph_max0(p, 0)
-    ext.c[aux] = 3.0
-    s = solve_lp(ext)
-    assert s.objective == pytest.approx(4.5)

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from gridmarket.network import line_limit_rows, ptdf
-from gridmarket.optim import LpProblem, epigraph_max0, solve_lp
-from helpers import random_feasible_lp, random_radial_network
+from gridmarket.network import line_flows, line_limit_rows, ptdf
+from gridmarket.optim import OPTIMAL, LpProblem, dispatch_lp, solve_lp
+from helpers import ptdf_entries, random_feasible_lp, random_radial_network
 
 INF = float("inf")
 
@@ -21,7 +21,7 @@ def dense_limit_rows(net, var_buses, coefs, limits, f_const=None):
     for j, (bus, v) in enumerate(zip(var_buses, coefs)):
         if bus != net.root:
             inj_cols[col[bus], j] = v
-    f_cols = H.entries @ inj_cols
+    f_cols = ptdf_entries(H) @ inj_cols
     f0 = np.zeros(len(H.line_order)) if f_const is None else f_const
     rows, rhs, row_lines = [], [], []
     for r, lid in enumerate(H.line_order):
@@ -89,7 +89,8 @@ def test_ptdf_cached_per_network():
     assert ptdf(net) is ptdf(net)
     other = random_radial_network(np.random.default_rng(9), 12)
     assert ptdf(other) is not ptdf(net)
-    np.testing.assert_array_equal(ptdf(other).entries, ptdf(net).entries)
+    np.testing.assert_array_equal(ptdf_entries(ptdf(other)),
+                                  ptdf_entries(ptdf(net)))
 
 
 def test_ptdf_stores_one_sparse_matrix():
@@ -136,24 +137,46 @@ def test_solve_lp_sparse_equals_dense():
         assert_same_solution(solve_lp(p), solve_lp(q))
 
 
-def test_epigraph_sparse_equals_dense():
+def test_dispatch_lp_sparse_equals_dense():
+    """dispatch_lp's sparse LP against a dense twin assembled here from
+    dense_limit_rows: the same rows, and the same x and duals from HiGHS."""
     rng = np.random.default_rng(29)
     for _ in range(20):
-        p = random_feasible_lp(rng)
-        A_eq = np.zeros((1, p.n))
-        A_eq[0, -1] = 1.0
-        p = LpProblem(c=p.c, A_eq=A_eq, b_eq=[0.0], A_ub=p.A_ub,
-                      b_ub=p.b_ub, bounds=p.bounds)
-        var = int(rng.integers(0, p.n))
-        ext_d, aux_d = epigraph_max0(p, var)
-        ext_s, aux_s = epigraph_max0(sparse_twin(p), var)
-        assert aux_d == aux_s
-        assert sparse.issparse(ext_s.A_ub) and sparse.issparse(ext_s.A_eq)
-        np.testing.assert_array_equal(ext_s.A_ub.toarray(), ext_d.A_ub)
-        np.testing.assert_array_equal(ext_s.A_eq.toarray(), ext_d.A_eq)
-        price = float(rng.uniform(0.5, 3.0))
-        ext_d.c[aux_d] = ext_s.c[aux_s] = price
-        assert_same_solution(solve_lp(ext_d), solve_lp(ext_s))
+        net = random_radial_network(rng, int(rng.integers(2, 15)),
+                                    limit_lo=20.0, limit_hi=60.0)
+        H = ptdf(net)
+        limits = net.line_limits()
+        for lid in list(limits)[1::3]:
+            limits[lid] = INF
+        # a priced import and an unpaid export at the root, then blocks
+        # that consume or produce at random buses
+        k = int(rng.integers(1, 12))
+        buses = [net.root] * 2 + rng.integers(0, net.n_buses, k).tolist()
+        signs = np.append([-1.0, 1.0], rng.choice([-1.0, 1.0], k))
+        prices = np.append([rng.uniform(1.0, 10.0), 0.0],
+                           rng.uniform(0.0, 20.0, k))
+        caps = np.append([INF, INF], rng.uniform(0.5, 30.0, k))
+        f_const = line_flows(net, {b: float(rng.uniform(-1.0, 1.0))
+                                   for b in net.buses})
+        balance = float(rng.uniform(-10.0, 10.0))
+        problem, row_lines = dispatch_lp(H, limits, buses, signs, prices,
+                                         caps, balance, f_const)
+        A_ub, b_ub, dense_lines = dense_limit_rows(
+            net, buses, signs, limits,
+            np.array([f_const[lid] for lid in H.line_order]))
+        twin = LpProblem(c=-signs * prices, A_eq=[signs], b_eq=[balance],
+                         A_ub=A_ub, b_ub=b_ub,
+                         bounds=[(0.0, cap) for cap in caps])
+        assert row_lines == dense_lines
+        assert sparse.issparse(problem.A_ub) and sparse.issparse(problem.A_eq)
+        np.testing.assert_array_equal(problem.A_ub.toarray(), twin.A_ub)
+        np.testing.assert_array_equal(problem.A_eq.toarray(), twin.A_eq)
+        for name in ("c", "b_eq", "b_ub", "bounds"):
+            np.testing.assert_array_equal(getattr(problem, name),
+                                          getattr(twin, name))
+        s_dense, s_sparse = solve_lp(twin), solve_lp(problem)
+        assert s_sparse.status == OPTIMAL
+        assert_same_solution(s_dense, s_sparse)
 
 
 def test_sparse_column_mismatch_rejected():
