@@ -319,3 +319,39 @@ def test_blocks_equal_pointwise_price_at():
         widths, prices = _blocks(curve, segments)
         np.testing.assert_array_equal(widths, ref_w)
         np.testing.assert_array_equal(prices, ref_p)
+
+
+def test_demand_exactly_filling_a_capped_line_pins_its_duals(monkeypatch):
+    # c2 wants exactly the 5 kW line b carries, so its last block sits at
+    # its cap and line b at its limit at once: any mu_plus[b] in [0, 95.605]
+    # prices this vertex. Pin the LP duals HiGHS returns and the settlement.
+    # Blocks: c1, c2 (11 each with the q_min gap), feeder, g2 (10 each).
+    mi = MarketInput(
+        bids=[("c1", 1, Curve(DEMAND, 100.0, 99.9, 10.0, 9.9)),
+              ("c2", 2, Curve(DEMAND, 100.0, 99.9, 5.0, 4.95))],
+        offers=[("feeder", 0, Curve(SUPPLY, 4.3, 4.3, 1000.0, 0.0)),
+                ("g2", 2, Curve(SUPPLY, 12.0, 8.0, 3.0, 0.0))],
+        network=chain(limits=(INF, 5.0)))
+    solved = []
+    solve = clearing.solve_lp
+    monkeypatch.setattr(clearing, "solve_lp",
+                        lambda p: solved.append(solve(p)) or solved[-1])
+    d = clear(mi, segments=10)
+    sol, = solved
+    assert sol.duals_eq.tolist() == [-4.3]
+    assert sol.duals_ub.tolist() == [0.0, 0.0]       # line b, +row and -row
+    # the consumers' blocks sit at their caps, priced at value - 4.3
+    caps = [-95.7] + [-(99.9 + 0.01 * (9.5 - j) - 4.3) for j in range(10)]
+    np.testing.assert_allclose(sol.duals_upper[:22], caps * 2, rtol=0,
+                               atol=1e-12)
+    # the feeder's blocks are free; g2's idle ones cost value + 4.3 more
+    assert not sol.duals_upper[22:].any() and not sol.duals_lower[:32].any()
+    np.testing.assert_allclose(sol.duals_lower[32:],
+                               [8.2 + 0.4 * j - 4.3 for j in range(10)],
+                               rtol=0, atol=1e-12)
+    assert d.binding_lines == ["b"]
+    assert d.quantities == {"c1": 9.999999999999998, "c2": 4.999999999999999,
+                            "feeder": 15.000000000000007, "g2": 0.0}
+    assert d.prices == {"feeder": 4.3, "c1": 4.3000000000000025,
+                        "c2": 4.3000000000000025}
+    assert d.total_surplus == 1435.4924999999996

@@ -278,3 +278,45 @@ def test_scopf_strong_duality(si):
     sol = solve_lp(problem)
     assert dual_objective(sol, problem) == pytest.approx(
         res.objective, rel=1e-9, abs=1e-9)
+
+
+# At a vertex where a line sits exactly at its limit and the offer behind it
+# is at a bound too, every mu in an interval is a valid dual. These pin the
+# one HiGHS returns (the low end, mu = 0), so a solver setting that picks
+# another vertex of the dual face shows here first.
+
+def test_full_line_with_idle_gen_behind_it_pins_zero_mu():
+    # 5 kW load behind a 5 kW line, and a gen at 10 > lmp_source behind it:
+    # any mu_plus[b] in [0, 10 - 4.3] prices this vertex
+    res = solve_dlmp(ScopfInput(
+        lmp_source=4.3,
+        gen_offers=[GenOffer(bus=2, p_min=0.0, p_max=10.0,
+                             blocks=[(10.0, 10.0)])],
+        dr_offers=[DrOffer(bus=2, baseline=5.0, blocks=[])],
+        network=chain(limits=(INF, 5.0))))
+    assert res.flows == {"a": 5.0, "b": 5.0}
+    assert res.dispatch[2] == (0.0, 5.0) and res.p_source == 5.0
+    assert res.lam == 4.3
+    assert res.mu_plus == {"a": 0.0, "b": 0.0}
+    assert res.mu_minus == {"a": 0.0, "b": 0.0}
+    assert res.dlmp == {0: 4.3, 1: 4.3, 2: 4.3}
+    assert res.objective == 21.5
+
+
+def test_full_reverse_line_with_capped_gen_pins_zero_mu():
+    # a 10 kW gen at 1 cent covers its 5 kW bus and exports exactly the
+    # 5 kW line limit upstream: any mu_minus[b] in [0, 4.3 - 1] prices it
+    res = solve_dlmp(ScopfInput(
+        lmp_source=4.3,
+        gen_offers=[GenOffer(bus=2, p_min=0.0, p_max=10.0,
+                             blocks=[(10.0, 1.0)])],
+        dr_offers=[DrOffer(bus=1, baseline=10.0, blocks=[]),
+                   DrOffer(bus=2, baseline=5.0, blocks=[])],
+        network=chain(limits=(INF, 5.0))))
+    assert res.flows == {"a": 5.0, "b": -5.0}
+    assert res.dispatch[2] == (10.0, 5.0) and res.p_source == 5.0
+    assert res.lam == 4.3
+    assert res.mu_plus == {"a": 0.0, "b": 0.0}
+    assert res.mu_minus == {"a": 0.0, "b": 0.0}
+    assert res.dlmp == {0: 4.3, 1: 4.3, 2: 4.3}
+    assert res.objective == 31.5
