@@ -231,19 +231,13 @@ def parse_roster(text, base_dir="."):
         try:
             if strat == "inelastic":
                 agents.append(inelastic_consumer(aid, bus, float(params[0])))
-            elif strat == "elastic":
-                q_min = float(params[3]) if len(params) > 3 else 0.0
-                agents.append(elastic_consumer(
-                    aid, bus, float(params[0]), float(params[1]),
-                    float(params[2]), q_min))
+            elif strat in ("elastic", "supply"):
+                make = elastic_consumer if strat == "elastic" else elastic_supplier
+                p_max, p_min, q_max, *q_min = map(float, params[:4])
+                agents.append(make(aid, bus, p_max, p_min, q_max, *q_min))
             elif strat == "flat_supply":
                 agents.append(flat_supplier(aid, bus, float(params[0]),
                                             float(params[1])))
-            elif strat == "supply":
-                q_min = float(params[3]) if len(params) > 3 else 0.0
-                agents.append(elastic_supplier(
-                    aid, bus, float(params[0]), float(params[1]),
-                    float(params[2]), q_min))
             elif strat == "ucb":
                 agents.append(UcbNegotiator(aid, bus, role,
                                             [float(p) for p in params]))
@@ -254,5 +248,7 @@ def parse_roster(text, base_dir="."):
                 raise CaseFileError(f"line {ln}: unknown strategy {strat!r}")
         except (ValueError, IndexError):
             raise CaseFileError(f"line {ln}: bad strategy parameters") from None
+        except (cv.CurveError, AgentError, OSError) as e:
+            raise CaseFileError(f"line {ln}: {e}") from None
         agents[-1].role = role
     return agents

@@ -48,6 +48,8 @@ class MarketInput:
 
     def __post_init__(self):
         agents = [a for a, _, _ in self.bids] + [a for a, _, _ in self.offers]
+        if not agents:
+            raise ClearingError("no bids or offers to clear")
         if len(set(agents)) != len(agents):
             raise ClearingError("each agent may appear once")
         buses = set(self.network.buses)
@@ -106,74 +108,71 @@ def parse_bids(text):
             raise CaseFileError(
                 f"line {ln}: expected `bid <agent> <bus> <S|D> "
                 "<p_max> <p_min> <q_max> <q_min>`")
+        side = cv.SUPPLY if tok[3] == "S" else cv.DEMAND
         try:
-            p_max, p_min, q_max, q_min = map(float, tok[4:8])
+            curve = cv.Curve(side, *map(float, tok[4:8]))
         except ValueError:
             raise CaseFileError(f"line {ln}: bad numeric field") from None
-        side = cv.SUPPLY if tok[3] == "S" else cv.DEMAND
-        rec = (tok[1], _bus_id(tok[2]),
-               cv.Curve(side, p_max=p_max, p_min=p_min,
-                        q_max=q_max, q_min=q_min))
-        (offers if side == cv.SUPPLY else bids).append(rec)
+        except cv.CurveError as e:
+            raise CaseFileError(f"line {ln}: {e}") from None
+        (offers if side == cv.SUPPLY else bids).append(
+            (tok[1], _bus_id(tok[2]), curve))
     return bids, offers
 
 
-def _blocks(curve, segments):
-    """(width, price) blocks covering [0, q_max] of the extended curve.
-
-    One block for the endpoint-priced gap [0, q_min], then `segments` equal
-    blocks over [q_min, q_max] priced at segment midpoints (exact for affine
-    curves).
-    """
-    w = (curve.q_max - curve.q_min) / segments
-    mid = curve.q_min + (np.arange(segments) + 0.5) * w
+def curve_blocks(curves, segments):
+    """(widths, prices, keep) of the blocks covering [0, q_max] of every
+    extended curve. Row k of the grid `keep` (curves x segments + 1) is
+    curve k: the endpoint-priced gap [0, q_min], kept where q_min > 0, then
+    `segments` equal blocks over [q_min, q_max] priced at their midpoints
+    (exact for affine curves); widths and prices list the kept blocks."""
+    if segments < 1:
+        raise ClearingError(f"segments must be >= 1, got {segments}")
+    q_min, q_max, p0, slope = np.array(
+        [(c.q_min, c.q_max, c.endpoint_price(), c.slope) for c in curves],
+        dtype=float).reshape(-1, 4).T[:, :, None]
+    w = (q_max - q_min) / segments
+    mid = q_min + (np.arange(segments) + 0.5) * w
     # cv.price_at at every midpoint; midpoints lie inside [q_min, q_max]
-    prices = curve.endpoint_price() + curve.slope * (mid - curve.q_min)
-    widths = np.full(segments, w)
-    if curve.q_min > 0:
-        return (np.append(curve.q_min, widths),
-                np.append(curve.endpoint_price(), prices))
-    return widths, prices
+    prices = np.hstack([p0, p0 + slope * (mid - q_min)])
+    widths = np.hstack([q_min, np.broadcast_to(w, mid.shape)])
+    keep = np.hstack([q_min > 0, np.ones(mid.shape, dtype=bool)])
+    return widths[keep], prices[keep], keep
 
 
 def clear(market_input, segments=100):
     """Stage-1 welfare LP + stage-2 price settlement. Returns a Dispatch."""
     net = market_input.network
     bids, offers = market_input.bids, market_input.offers
+    agents = bids + offers
     H = ptdf(net)
     limits = net.line_limits()
 
     # Block variables: demand blocks first, then supply blocks.
-    widths, block_prices, owner_bus, owner_sign = [], [], [], []
-    spans = {}   # agent -> (start, stop) in the variable vector
-    for side, s in ((bids, 1.0), (offers, -1.0)):
-        for agent, bus, curve in side:
-            w, p = _blocks(curve, segments)
-            spans[agent] = (len(widths), len(widths) + len(w))
-            widths.extend(w)
-            block_prices.extend(p)
-            owner_bus.extend([bus] * len(w))
-            owner_sign.extend([s] * len(w))
-
-    problem, _ = dispatch_lp(H, limits, owner_bus, owner_sign, block_prices,
-                             widths)
+    widths, block_prices, keep = curve_blocks([c for _, _, c in agents],
+                                              segments)
+    counts = keep.sum(axis=1)
+    signs = [1.0] * len(bids) + [-1.0] * len(offers)
+    buses = np.array([b for _, b, _ in agents], dtype=object)
+    problem, _ = dispatch_lp(H, limits, np.repeat(buses, counts),
+                             np.repeat(signs, counts), block_prices, widths)
     sol = solve_lp(problem)
     if sol.status != OPTIMAL:
         raise InfeasibleMarket(f"stage-1 LP returned {sol.status}")
 
-    quantities = {}
-    for agent, (lo, hi) in spans.items():
-        q = float(np.sum(sol.x[lo:hi]))
-        quantities[agent] = 0.0 if q <= SETTLE_TOL else q
-
-    sides = {a: cv.DEMAND for a, _, _ in bids}
-    sides.update({a: cv.SUPPLY for a, _, _ in offers})
-    agent_bus = {a: b for a, b, _ in bids + offers}
+    # Each agent's row sum over its blocks laid back on the grid is the same
+    # float as np.sum over its span of x; np.add.reduceat rounds otherwise.
+    x = np.zeros(keep.shape)
+    x[keep] = sol.x
+    q = np.where(keep[:, 0], x.sum(axis=1), x[:, 1:].sum(axis=1)).tolist()
+    quantities = {a: 0.0 if qa <= SETTLE_TOL else qa
+                  for (a, _, _), qa in zip(agents, q)}
+    sides = {a: c.side for a, _, c in agents}
+    agent_bus = {a: b for a, b, _ in agents}
 
     injections = {}
-    for a, q in quantities.items():
-        s = 1.0 if sides[a] == cv.DEMAND else -1.0
-        injections[agent_bus[a]] = injections.get(agent_bus[a], 0.0) + s * q
+    for (a, bus, _), s in zip(agents, signs):
+        injections[bus] = injections.get(bus, 0.0) + s * quantities[a]
     flows = line_flows(net, injections)
     binding = [lid for lid, f in flows.items()
                if np.isfinite(limits[lid]) and abs(f) >= limits[lid] - 1e-7]
@@ -237,6 +236,11 @@ def settle_prices(quantities, market_input, tol=SETTLE_TOL):
     side so that total payment equals total revenue, with cap handling as in
     balance_demand_prices. Each consumer's cap is its average value
     integral(q)/q, so its surplus can never go negative.
+
+    Budget rule: while the consumers' own-curve payment exceeds `tol`, total
+    payment equals total revenue to rounding. Below it there is nothing to
+    scale: if the revenue is at most `tol` too, prices stay on the curves
+    and the two, both dust, need not balance; otherwise SettlementInfeasible.
     """
     supply_prices, revenue = {}, 0.0
     for agent, _, curve in market_input.offers:

@@ -228,4 +228,6 @@ def parse_offers(text):
                 raise CaseFileError(f"line {ln}: unknown directive {tok[0]!r}")
         except (ValueError, IndexError):
             raise CaseFileError(f"line {ln}: malformed offer record") from None
+        except DlmpError as e:
+            raise CaseFileError(f"line {ln}: {e}") from None
     return gens, drs

@@ -153,13 +153,11 @@ class ClearingMarket(MarketBase):
         if self.dispatch is None:
             return None
         for a in self.env.agents:
-            if a.id not in self.dispatch.quantities:
+            curve = getattr(a, "curve", None)
+            if curve is None or a.id not in self.dispatch.quantities:
                 continue
             q = self.dispatch.quantities[a.id]
             p = self.dispatch.prices.get(a.id, 0.0)
-            curve = getattr(a, "curve", None)
-            if curve is None:
-                continue
             # truthful private valuation: the submitted curve's integral
             if curve.side == cv.DEMAND:
                 r = cv.integral(curve, q) - p * q
@@ -392,12 +390,7 @@ class Environment:
 
     def summary_rows(self):
         """Per-grid-step summary rows for the episode CSV."""
-        rows = []
-        for rec in self.log.by_phase("grid_step"):
-            rows.append({
-                "t_grid": rec["t_grid"],
-                "feasible": rec["feasible"],
-                "max_abs_flow": max((abs(v) for v in rec["flows"].values()),
-                                    default=0.0),
-            })
-        return rows
+        return [{"t_grid": rec["t_grid"], "feasible": rec["feasible"],
+                 "max_abs_flow": max((abs(v) for v in rec["flows"].values()),
+                                     default=0.0)}
+                for rec in self.log.by_phase("grid_step")]

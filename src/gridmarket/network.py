@@ -186,7 +186,7 @@ def parse_case(text):
 
 
 def _bus_id(tok):
-    return int(tok) if tok.lstrip("-").isdigit() else tok
+    return int(tok) if tok.removeprefix("-").isdecimal() else tok
 
 
 def load_case(path):
@@ -219,8 +219,8 @@ class PtdfMatrix:
         from scipy import sparse
 
         col = {b: i for i, b in enumerate(self.bus_order)}
-        rows = np.fromiter((col.get(b, -1) for b in var_buses), dtype=np.intp,
-                           count=len(var_buses))
+        rows = np.fromiter(map(col.get, var_buses, [-1] * len(var_buses)),
+                           dtype=np.intp, count=len(var_buses))
         j = np.flatnonzero(rows >= 0)
         j = j[np.argsort(rows[j], kind="stable")]     # CSR order: bus, then j
         counts = np.bincount(rows[j], minlength=len(self.bus_order))

@@ -2,15 +2,16 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import gridmarket.clearing as clearing
 from gridmarket.clearing import (
-    ClearingError, MarketInput, SettlementInfeasible, balance_demand_prices,
-    clear, parse_bids, settle_prices,
+    SETTLE_TOL, ClearingError, MarketInput, SettlementInfeasible,
+    balance_demand_prices, clear, curve_blocks, parse_bids, settle_prices,
 )
 from gridmarket.curves import Curve, DEMAND, SUPPLY, integral, price_at
 from gridmarket.network import build_network
+from gridmarket.optim import OPTIMAL, LpSolution
 from helpers import (
     aggregate_intersection, brute_force_surplus, random_radial_network,
     surplus,
@@ -101,8 +102,22 @@ def random_markets(draw):
                        network=net), segments
 
 
+def dust_market(supply_price, q):
+    """A consumer that values its last kW at 0 takes all q kW (one block,
+    valued at its midpoint) from a flat supplier at `supply_price`: revenue
+    supply_price * q against a payment of 0."""
+    net = build_network([0, 1], [("l1", 0, 1, INF)])
+    return MarketInput(
+        bids=[("d0", 1, Curve(DEMAND, 5.0, 0.0, q, 0.0))],
+        offers=[("s0", 0, Curve(SUPPLY, supply_price, supply_price, 2 * q,
+                                0.0))],
+        network=net), 1
+
+
 @settings(max_examples=200, deadline=None)
 @given(random_markets())
+@example(dust_market(1e-11, 11.0))     # revenue 1.1e-10 against payment 0
+@example(dust_market(4.3e-231, 1.0))   # revenue 4.3e-231 against payment 0
 def test_clearing_balances_the_budget(market):
     market_input, segments = market
     try:
@@ -113,15 +128,26 @@ def test_clearing_balances_the_budget(market):
                   if d.sides[a] == SUPPLY)
     payment = sum(d.prices[a] * d.quantities[a] for a in d.prices
                   if d.sides[a] == DEMAND)
-    # relative, down to the settlement's own absolute tolerance: below it
-    # settle_prices leaves dust of either side unbalanced
-    assert abs(revenue - payment) <= 1e-9 * max(revenue, payment, 1.0)
+    # settle_prices' budget rule: balanced to rounding, relative, unless
+    # both sides are dust (at most SETTLE_TOL), which need not balance
+    if max(revenue, payment) > SETTLE_TOL:
+        assert abs(revenue - payment) <= 1e-9 * max(revenue, payment)
     # no consumer pays more than its average value: surplus >= 0; a consumer
     # without a price pays nothing, as in Dispatch.to_records
     for agent, _, curve in market_input.bids:
         q = d.quantities[agent]
         if q > 0:
             assert d.prices.get(agent, 0.0) <= integral(curve, q) / q + 1e-9
+
+
+@pytest.mark.parametrize("supply_price,q", [(1e-11, 11.0), (4.3e-231, 1.0)])
+def test_dust_budget_stays_unbalanced_on_the_curves(supply_price, q):
+    market_input, segments = dust_market(supply_price, q)
+    d = clear(market_input, segments=segments)
+    assert d.quantities == {"d0": q, "s0": q}
+    # both sides at most SETTLE_TOL: no multiplier, own-curve prices
+    assert d.prices == {"s0": supply_price, "d0": 0.0}
+    assert 0 < supply_price * q <= SETTLE_TOL
 
 
 def test_flat_feeder_pins_exact_price():
@@ -298,27 +324,71 @@ def test_dispatch_jsonl_parses():
 
 
 def test_blocks_equal_pointwise_price_at():
-    # Reference: the per-midpoint loop over the scalar price_at.
-    from gridmarket.clearing import _blocks
-
+    # Reference: per curve, the per-midpoint loop over the scalar price_at,
+    # concatenated in curve order.
     rng = np.random.default_rng(61)
-    for k in range(40):
-        side = (DEMAND, SUPPLY)[k % 2]
-        q_min = 0.0 if k % 4 < 2 else float(rng.uniform(0.1, 5.0))
-        p_min = float(rng.uniform(0.0, 10.0))
-        curve = Curve(side, p_min + float(rng.uniform(0.0, 10.0)), p_min,
-                      q_min + float(rng.uniform(0.5, 50.0)), q_min)
+    for _ in range(8):
         segments = int(rng.integers(1, 120))
-        w = (curve.q_max - curve.q_min) / segments
-        ref_w = [w] * segments
-        ref_p = [price_at(curve, curve.q_min + (j + 0.5) * w)
-                 for j in range(segments)]
-        if q_min > 0:
-            ref_w.insert(0, q_min)
-            ref_p.insert(0, curve.endpoint_price())
-        widths, prices = _blocks(curve, segments)
+        curves = []
+        for k in range(int(rng.integers(1, 12))):
+            side = (DEMAND, SUPPLY)[k % 2]
+            q_min = 0.0 if rng.random() < 0.5 else float(rng.uniform(0.1, 5.0))
+            p_min = float(rng.uniform(0.0, 10.0))
+            curves.append(Curve(side, p_min + float(rng.uniform(0.0, 10.0)),
+                                p_min, q_min + float(rng.uniform(0.5, 50.0)),
+                                q_min))
+        ref_w, ref_p, ref_keep = [], [], []
+        for curve in curves:
+            w = (curve.q_max - curve.q_min) / segments
+            if curve.q_min > 0:
+                ref_w.append(curve.q_min)
+                ref_p.append(curve.endpoint_price())
+            ref_w += [w] * segments
+            ref_p += [price_at(curve, curve.q_min + (j + 0.5) * w)
+                      for j in range(segments)]
+            ref_keep.append([curve.q_min > 0] + [True] * segments)
+        widths, prices, keep = curve_blocks(curves, segments)
         np.testing.assert_array_equal(widths, ref_w)
         np.testing.assert_array_equal(prices, ref_p)
+        np.testing.assert_array_equal(keep, ref_keep)
+
+
+def test_curve_blocks_rejects_fewer_than_one_segment():
+    with pytest.raises(ClearingError, match="segments must be >= 1"):
+        curve_blocks([Curve(DEMAND, 3.0, 1.0, 10.0, 0.0)], 0)
+    with pytest.raises(ClearingError):
+        clear(pair_input(), segments=-2)
+
+
+@pytest.mark.parametrize("segments", [20, 100])
+def test_quantities_are_per_span_sums_on_a_feeder_sized_lp(monkeypatch,
+                                                           segments):
+    # The feeder workload's layout: 1000 buses, 750 curves, half with a
+    # q_min gap block. The stubbed solve fills every block to a random
+    # fraction, so each agent's sum rounds like a sum of arbitrary floats.
+    rng = np.random.default_rng(segments)
+    net = random_radial_network(rng, 1000, limit_lo=INF, limit_hi=INF)
+    agents = []
+    for k in range(750):
+        q_min = float(rng.uniform(0.1, 5.0)) if k % 2 else 0.0
+        side = DEMAND if k < 650 else SUPPLY
+        agents.append((f"a{k}", int(rng.integers(1, 1000)),
+                       Curve(side, 30.0, 2.0, q_min + 10.0, q_min)))
+    market = MarketInput(bids=agents[:650], offers=agents[650:], network=net)
+    solved = []
+
+    def random_fill(problem):
+        solved.append(rng.random(problem.n) * problem.bounds[:, 1])
+        return LpSolution(status=OPTIMAL, x=solved[-1])
+
+    monkeypatch.setattr(clearing, "solve_lp", random_fill)
+    monkeypatch.setattr(clearing, "settle_prices", lambda *args: {})
+    d = clear(market, segments=segments)
+    x, = solved
+    stop = np.cumsum([segments + (c.q_min > 0) for _, _, c in agents])
+    assert stop[-1] == x.size
+    for (a, _, _), lo, hi in zip(agents, np.append(0, stop[:-1]), stop):
+        assert d.quantities[a] == float(np.sum(x[lo:hi]))
 
 
 def test_demand_exactly_filling_a_capped_line_pins_its_duals(monkeypatch):

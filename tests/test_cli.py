@@ -85,6 +85,24 @@ def test_clear_bad_bids_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bids,segments,message", [
+    ("bid a 1 S 1 5 10 0\n", "100", "error: line 1: p_max 1.0 < p_min 5.0"),
+    ("bid a 1 D 3 1 10 0\nbid b 2 D 3 1 4 4\n", "100",
+     "error: line 2: q_max 4.0 <= q_min 4.0"),
+    ("bid a 1 S 3 1 10 0\nbid b 2 D 3 1 10 0\n", "0",
+     "error: segments must be >= 1, got 0"),
+    ("# no bids\n", "100", "error: no bids or offers to clear"),
+], ids=["inverted-prices", "empty-range", "zero-segments", "no-bids"])
+def test_clear_bad_bids_input_prints_error_line(tmp_path, capsys, bids,
+                                                segments, message):
+    p = write(tmp_path, "bids.txt", bids)
+    rc = main(["clear", "--case", case("case3.txt"), "--bids", p,
+               "--segments", segments])
+    assert rc == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and captured.out == ""
+
+
 def test_dlmp_subcommand(capsys):
     rc = main(["dlmp", "--case", case("case34.txt"),
                "--offers", case("offers34.txt"), "--lmp-source", "4.3"])
@@ -248,6 +266,7 @@ BAD_FILES = {
     "binary.txt": b"bus \xff\xfe\n",
     "far_offers.txt": b"gen 999 0 10 10,3\ndr 5 20\n",
     "far_roster.txt": b"agent a1 999 producer ucb 4\n",
+    "inverted_roster.txt": b"agent g8 8 producer supply 5 9 40\n",
 }
 
 
@@ -272,6 +291,7 @@ BAD_FILES = {
     ("demo_dlmp.cfg", "lmp_source=-1"),
     ("demo_dlmp.cfg", "offers={tmp}/far_offers.txt"),
     ("demo_p2p.cfg", "roster={tmp}/far_roster.txt"),
+    ("demo_clearing.cfg", "roster={tmp}/inverted_roster.txt"),
 ])
 def test_run_bad_config_exits_2_before_any_output(tmp_path, capsys, config,
                                                   setting):

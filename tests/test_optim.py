@@ -77,3 +77,52 @@ def test_solver_deterministic():
     s1, s2 = solve_lp(p), solve_lp(p)
     np.testing.assert_array_equal(s1.x, s2.x)
     assert s1.objective == s2.objective
+
+
+def test_bounds_from_list_or_array_are_one_float_array():
+    pairs = [(0.0, 1.0), (-np.inf, 2), (3, np.inf)]
+    from_list = LpProblem(c=[1.0, 2.0, 3.0], bounds=pairs)
+    from_array = LpProblem(c=[1.0, 2.0, 3.0], bounds=np.array(pairs))
+    for p in (from_list, from_array):
+        assert isinstance(p.bounds, np.ndarray) and p.bounds.dtype == float
+        np.testing.assert_array_equal(p.bounds, np.array(pairs, dtype=float))
+    # no bounds: every variable in [0, +inf)
+    np.testing.assert_array_equal(LpProblem(c=[1.0, 2.0]).bounds,
+                                  [[0.0, np.inf], [0.0, np.inf]])
+
+
+@pytest.mark.parametrize("bounds", [
+    [(0.0, 1.0)] * 3,                  # one pair too many
+    [(0.0, 1.0)],                      # one pair too few
+    np.zeros(4),                       # flat, not (n, 2)
+    np.zeros((2, 3)),
+])
+def test_bounds_length_mismatch_rejected(bounds):
+    with pytest.raises(ValueError, match="one \\(lo, hi\\) pair per variable"):
+        LpProblem(c=[1.0, 2.0], bounds=bounds)
+
+
+def test_bounds_lo_above_hi_names_the_first_bad_pair():
+    with pytest.raises(ValueError,
+                       match=r"^variable 1: bound lo 3\.0 > hi 2\.0$"):
+        LpProblem(c=[0.0] * 4,
+                  bounds=[(0, 1), (3, 2), (5, 4), (np.inf, 0)])
+    # equal bounds fix a variable and are fine
+    LpProblem(c=[0.0], bounds=[(2.0, 2.0)])
+
+
+def test_solve_lp_runs_the_dual_simplex_without_presolve(monkeypatch):
+    import gridmarket.optim as optim
+
+    calls = []
+    linprog = optim.linprog
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(optim, "linprog", spy)
+    assert solve_lp(LpProblem(c=[1.0], bounds=[(2.0, 5.0)])).x[0] == 2.0
+    (kwargs,) = calls
+    assert kwargs["method"] == "highs-ds"
+    assert kwargs["options"] == {"presolve": False}
