@@ -118,6 +118,7 @@ class BanditState:
             raise AgentError("at least one arm required")
         if not 0 < self.delta < 1:
             raise AgentError("delta must be in (0, 1)")
+        self.bonus_c = 2.0 * math.log(1.0 / self.delta)   # bonus numerator
         if self.counts is None:
             self.counts = [0] * len(self.arms)
         if self.means is None:
@@ -130,7 +131,7 @@ def ucb_index(state, i):
     n = state.counts[i]
     if n == 0:
         return math.inf
-    return state.means[i] + math.sqrt(2.0 * math.log(1.0 / state.delta) / n)
+    return state.means[i] + math.sqrt(state.bonus_c / n)
 
 
 def ucb_select(state):

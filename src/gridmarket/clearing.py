@@ -196,16 +196,21 @@ def balance_demand_prices(provisional, caps, quantities, target,
 
     Agents pushed over their cap are pinned there and the shortfall is
     redistributed proportionally to the remaining headroom of the others.
-    Returns the price vector; raises SettlementInfeasible when the caps
-    cannot absorb the target.
+    A payment of at most `tol` has nothing to scale: the target is spread
+    over the whole headroom caps * q instead. Returns the price vector;
+    raises SettlementInfeasible when the caps cannot absorb the target.
     """
     agents = list(provisional)
     prices = dict(provisional)
     payment = sum(prices[a] * quantities[a] for a in agents)
     if payment <= tol:
-        if target > tol:
-            raise SettlementInfeasible("no demand payment to scale", agents)
-        return prices
+        if target <= tol:
+            return prices
+        prices = dict(caps)
+        payment = sum(caps[a] * quantities[a] for a in agents)
+        if payment < target - tol:
+            raise SettlementInfeasible(
+                "caps cannot absorb the balanced payment", agents)
     lam = target / payment
     prices = {a: lam * prices[a] for a in agents}
     for _ in range(len(agents) + 1):
@@ -237,10 +242,11 @@ def settle_prices(quantities, market_input, tol=SETTLE_TOL):
     balance_demand_prices. Each consumer's cap is its average value
     integral(q)/q, so its surplus can never go negative.
 
-    Budget rule: while the consumers' own-curve payment exceeds `tol`, total
-    payment equals total revenue to rounding. Below it there is nothing to
-    scale: if the revenue is at most `tol` too, prices stay on the curves
-    and the two, both dust, need not balance; otherwise SettlementInfeasible.
+    Budget rule: total payment equals total revenue to rounding unless both
+    the revenue and the consumers' own-curve payment are at most `tol`; then
+    prices stay on the curves and the two, both dust, need not balance. An
+    own-curve payment of at most `tol` against a larger revenue (consumers
+    dispatched where their curves reach 0) is spread over their caps.
     """
     supply_prices, revenue = {}, 0.0
     for agent, _, curve in market_input.offers:

@@ -10,7 +10,6 @@ import os
 import re
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 
@@ -285,6 +284,8 @@ def _sweep_one(payload):
 
 
 def cmd_sweep(args):
+    from concurrent.futures import ProcessPoolExecutor
+
     m = re.fullmatch(r"(\d+)\.\.(\d+)", args.seeds)
     if m is None or int(m[2]) < int(m[1]):
         raise ConfigError(f"--seeds expects A..B, integers with 0 <= A <= B; "

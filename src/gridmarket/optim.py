@@ -16,13 +16,15 @@ not assumed. HiGHS presolve is always off: a dispatch LP (box-bounded blocks,
 one balance row, PTDF line rows) leaves it nothing to remove, yet on a
 1000-bus feeder it took over 90% of the solve, and the dual simplex needs
 about as many iterations without it.
+
+scipy is imported where an LP is built (scipy.sparse) or solved
+(scipy.optimize, ~0.4 s of a cold start): `validate` loads no scipy, and a
+P2P run, which solves no LP, loads only scipy.sparse for its grid flows.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .network import line_limit_rows
 
@@ -67,6 +69,8 @@ class LpProblem:
 
 def _rows(A, b, n, what):
     """Constraint rows (A with n columns, flat b); sparse A stays sparse."""
+    from scipy import sparse
+
     A = (sparse.csr_array(A, dtype=float) if sparse.issparse(A)
          else np.asarray(A, dtype=float)).reshape(-1, n)
     b = np.asarray(b, dtype=float).ravel()
@@ -85,6 +89,8 @@ def dispatch_lp(H, limits, buses, signs, prices, caps, balance=0.0,
     signs.x = balance and the line limits on the PTDF `H` (`f_const`: flows
     of the constant injections by line id). Returns (problem, row_lines).
     """
+    from scipy import sparse
+
     signs = np.asarray(signs, dtype=float)
     A_ub, b_ub, row_lines = line_limit_rows(
         H, H.injection_map(buses, signs), limits, f_const)
@@ -109,6 +115,8 @@ class LpSolution:
 
 def solve_lp(problem):
     """Solve an LpProblem, returning a certified primal/dual pair."""
+    from scipy.optimize import linprog
+
     res = linprog(
         problem.c,
         A_ub=problem.A_ub, b_ub=problem.b_ub,
@@ -124,16 +132,13 @@ def solve_lp(problem):
     if res.status != 0:
         raise NumericalFailure(res.message)
 
-    n_eq = 0 if problem.A_eq is None else problem.A_eq.shape[0]
-    n_ub = 0 if problem.A_ub is None else problem.A_ub.shape[0]
-    duals_eq = np.asarray(res.eqlin.marginals) if n_eq else np.zeros(0)
-    duals_ub = -np.asarray(res.ineqlin.marginals) if n_ub else np.zeros(0)
+    # HiGHS reports empty marginals for an absent constraint block
     return LpSolution(
         status=OPTIMAL,
         x=np.asarray(res.x),
         objective=float(res.fun),
-        duals_eq=duals_eq,
-        duals_ub=np.maximum(duals_ub, 0.0),
+        duals_eq=np.asarray(res.eqlin.marginals),
+        duals_ub=np.maximum(-np.asarray(res.ineqlin.marginals), 0.0),
         duals_lower=np.asarray(res.lower.marginals),
         duals_upper=np.asarray(res.upper.marginals),
     )

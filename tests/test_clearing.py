@@ -114,10 +114,20 @@ def dust_market(supply_price, q):
         network=net), 1
 
 
+def coarse_market(segments):
+    """A consumer valuing 5 -> 0 c/kWh over 11 kW and a flat supplier at
+    1 c/kWh on one bus. At 1 or 2 segments the LP takes all 11 kW, where the
+    consumer's own price is 0: revenue 11 against a payment of 0."""
+    net = build_network([0, 1], [("l1", 0, 1, INF)])
+    bids, offers = parse_bids("bid c 1 D 5 0 11 0\nbid g 1 S 1 1 100 0\n")
+    return MarketInput(bids=bids, offers=offers, network=net), segments
+
+
 @settings(max_examples=200, deadline=None)
 @given(random_markets())
 @example(dust_market(1e-11, 11.0))     # revenue 1.1e-10 against payment 0
 @example(dust_market(4.3e-231, 1.0))   # revenue 4.3e-231 against payment 0
+@example(coarse_market(1))             # revenue 11 against payment 0
 def test_clearing_balances_the_budget(market):
     market_input, segments = market
     try:
@@ -148,6 +158,19 @@ def test_dust_budget_stays_unbalanced_on_the_curves(supply_price, q):
     # both sides at most SETTLE_TOL: no multiplier, own-curve prices
     assert d.prices == {"s0": supply_price, "d0": 0.0}
     assert 0 < supply_price * q <= SETTLE_TOL
+
+
+@pytest.mark.parametrize("segments", [1, 2])
+def test_zero_own_price_payment_is_spread_over_headroom(segments):
+    market_input, segments = coarse_market(segments)
+    d = clear(market_input, segments=segments)
+    assert d.quantities == {"c": 11.0, "g": 11.0}
+    # nothing to scale: the revenue of 11 is spread over the consumer's
+    # headroom below its cap, integral / q = 2.5
+    assert d.prices == {"c": 1.0, "g": 1.0}       # budget balanced
+    ((_, _, curve),) = market_input.bids
+    cap = integral(curve, 11.0) / 11.0                # average value
+    assert cap == 2.5 and d.prices["c"] <= cap
 
 
 def test_flat_feeder_pins_exact_price():
@@ -280,6 +303,18 @@ def test_budget_scale_ratio():
     # nothing paid and nothing to pay: prices stay as they are
     assert balance_demand_prices({"a": 3.0}, {"a": 5.0}, {"a": 0.0},
                                  0.0) == {"a": 3.0}
+
+
+def test_zero_payment_spreads_the_target_over_the_caps():
+    # nothing to scale: prices proportional to the caps, payment = target
+    q = {"a": 1.0, "b": 3.0}
+    prices = balance_demand_prices({"a": 0.0, "b": 0.0}, {"a": 4.0, "b": 2.0},
+                                   q, 5.0)
+    assert prices == pytest.approx({"a": 2.0, "b": 1.0})
+    # the caps hold 10 in all; more than that cannot be paid
+    with pytest.raises(SettlementInfeasible):
+        balance_demand_prices({"a": 0.0, "b": 0.0}, {"a": 4.0, "b": 2.0},
+                              q, 10.0 + 2 * SETTLE_TOL)
 
 
 def test_settlement_symmetric_pair_identity_scale():

@@ -3,6 +3,8 @@ import math
 import os
 import re
 import stat
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,6 +45,50 @@ def test_validate_ok(capsys):
     out = capsys.readouterr().out
     assert "34 buses, 33 lines" in out
     assert "radial: yes" in out
+
+
+# Runs one command in a fresh interpreter and prints, as its last stdout line,
+# the scipy modules loaded by `import gridmarket.cli` and after the command.
+IMPORT_PROBE = """\
+import json, sys
+import gridmarket.cli
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+at_import = scipy_modules()
+rc = gridmarket.cli.main(sys.argv[1:])
+print(json.dumps({"rc": rc, "at_import": at_import, "after": scipy_modules()}))
+"""
+
+
+def probe_imports(tmp_path, *argv):
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    path = [os.path.abspath(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["rc"] == EXIT_OK, proc.stderr
+    return report
+
+
+def test_commands_import_only_what_they_run(tmp_path):
+    # validate solves nothing and needs no scipy at all
+    report = probe_imports(tmp_path, "validate", case("case34.txt"))
+    assert report["at_import"] == [] and report["after"] == []
+    # a P2P episode computes flows (scipy.sparse) but never builds an LP
+    report = probe_imports(tmp_path, "run", "--config", case("demo_p2p.cfg"),
+                           "--set", "grid_steps=2", "--set", "T=5",
+                           "--out", str(tmp_path / "p2p"))
+    assert report["at_import"] == []
+    assert "scipy.sparse" in report["after"]
+    assert "scipy.optimize" not in report["after"]
+    # a clearing episode solves LPs, so HiGHS is loaded by its end
+    report = probe_imports(tmp_path, "run", "--config",
+                           case("demo_clearing.cfg"),
+                           "--out", str(tmp_path / "clearing"))
+    assert "scipy.optimize" in report["after"]
 
 
 def test_validate_rejects_cycle(tmp_path, capsys):
@@ -220,7 +266,8 @@ def test_sweep_bad_range(tmp_path, capsys):
 
 def test_sweep_clamps_jobs_to_seed_count(tmp_path, monkeypatch):
     # A stand-in pool records its size and maps in-process: no workers start.
-    import gridmarket.cli as cli
+    # cmd_sweep imports the pool at call time, from concurrent.futures.
+    import concurrent.futures
     sizes = []
 
     class InlinePool:
@@ -236,7 +283,7 @@ def test_sweep_clamps_jobs_to_seed_count(tmp_path, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     out = str(tmp_path / "sweep")
     rc = main(["sweep", "--config", case("demo_p2p.cfg"), "--out", out,
                "--seeds", "0..1", "--jobs", "8"])

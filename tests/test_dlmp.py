@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gridmarket.dlmp import (
     DlmpError, DrOffer, GenOffer, InfeasibleBaseline, NonConvexCost,
@@ -168,17 +168,22 @@ def test_decomposition_identity():
         assert res.dlmp[bus] == pytest.approx(res.lam + cong, abs=1e-12)
 
 
+def shifted_load(si, bus, kw):
+    """`si` with the load at `bus` raised by kw: a fixed load of kw >= 0, or
+    for kw < 0 an unpriced mandatory generation of -kw."""
+    gens, drs = list(si.gen_offers), list(si.dr_offers)
+    if kw >= 0:
+        drs.append(DrOffer(bus=bus, baseline=kw, blocks=[]))
+    else:
+        gens.append(GenOffer(bus=bus, p_min=-kw, p_max=-kw, blocks=[]))
+    return ScopfInput(lmp_source=si.lmp_source, gen_offers=gens,
+                      dr_offers=drs, network=si.network, f_max=si.f_max)
+
+
 def finite_difference_dlmp(si, bus, eps=1e-4):
     """Oracle: dlmp_i = d(objective)/d(baseline load at bus i)."""
-    def perturbed(delta):
-        drs = [DrOffer(bus=d.bus, baseline=d.baseline, blocks=list(d.blocks))
-               for d in si.dr_offers]
-        drs.append(DrOffer(bus=bus, baseline=delta, blocks=[]))
-        return ScopfInput(lmp_source=si.lmp_source,
-                          gen_offers=si.gen_offers, dr_offers=drs,
-                          network=si.network, f_max=si.f_max)
-    up = solve_dlmp(perturbed(eps)).objective
-    dn = solve_dlmp(perturbed(0.0)).objective
+    up = solve_dlmp(shifted_load(si, bus, eps)).objective
+    dn = solve_dlmp(shifted_load(si, bus, 0.0)).objective
     return (up - dn) / eps
 
 
@@ -285,15 +290,31 @@ def test_scopf_strong_duality(si):
 # one HiGHS returns (the low end, mu = 0), so a solver setting that picks
 # another vertex of the dual face shows here first.
 
-def test_full_line_with_idle_gen_behind_it_pins_zero_mu():
+def idle_gen_behind_full_line():
     # 5 kW load behind a 5 kW line, and a gen at 10 > lmp_source behind it:
     # any mu_plus[b] in [0, 10 - 4.3] prices this vertex
-    res = solve_dlmp(ScopfInput(
+    return ScopfInput(
         lmp_source=4.3,
         gen_offers=[GenOffer(bus=2, p_min=0.0, p_max=10.0,
                              blocks=[(10.0, 10.0)])],
         dr_offers=[DrOffer(bus=2, baseline=5.0, blocks=[])],
-        network=chain(limits=(INF, 5.0))))
+        network=chain(limits=(INF, 5.0)))
+
+
+def capped_gen_exporting_at_limit():
+    # a 10 kW gen at 1 cent covers its 5 kW bus and exports exactly the
+    # 5 kW line limit upstream: any mu_minus[b] in [0, 4.3 - 1] prices it
+    return ScopfInput(
+        lmp_source=4.3,
+        gen_offers=[GenOffer(bus=2, p_min=0.0, p_max=10.0,
+                             blocks=[(10.0, 1.0)])],
+        dr_offers=[DrOffer(bus=1, baseline=10.0, blocks=[]),
+                   DrOffer(bus=2, baseline=5.0, blocks=[])],
+        network=chain(limits=(INF, 5.0)))
+
+
+def test_full_line_with_idle_gen_behind_it_pins_zero_mu():
+    res = solve_dlmp(idle_gen_behind_full_line())
     assert res.flows == {"a": 5.0, "b": 5.0}
     assert res.dispatch[2] == (0.0, 5.0) and res.p_source == 5.0
     assert res.lam == 4.3
@@ -304,15 +325,7 @@ def test_full_line_with_idle_gen_behind_it_pins_zero_mu():
 
 
 def test_full_reverse_line_with_capped_gen_pins_zero_mu():
-    # a 10 kW gen at 1 cent covers its 5 kW bus and exports exactly the
-    # 5 kW line limit upstream: any mu_minus[b] in [0, 4.3 - 1] prices it
-    res = solve_dlmp(ScopfInput(
-        lmp_source=4.3,
-        gen_offers=[GenOffer(bus=2, p_min=0.0, p_max=10.0,
-                             blocks=[(10.0, 1.0)])],
-        dr_offers=[DrOffer(bus=1, baseline=10.0, blocks=[]),
-                   DrOffer(bus=2, baseline=5.0, blocks=[])],
-        network=chain(limits=(INF, 5.0))))
+    res = solve_dlmp(capped_gen_exporting_at_limit())
     assert res.flows == {"a": 5.0, "b": -5.0}
     assert res.dispatch[2] == (10.0, 5.0) and res.p_source == 5.0
     assert res.lam == 4.3
@@ -320,3 +333,27 @@ def test_full_reverse_line_with_capped_gen_pins_zero_mu():
     assert res.mu_minus == {"a": 0.0, "b": 0.0}
     assert res.dlmp == {0: 4.3, 1: 4.3, 2: 4.3}
     assert res.objective == 31.5
+
+
+@settings(max_examples=60, deadline=None)
+@given(feasible_scopfs())
+@example(idle_gen_behind_full_line())
+@example(capped_gen_exporting_at_limit())
+def test_dlmp_is_a_subgradient_of_the_objective_in_each_load(si):
+    """The objective is convex in each bus's load, so its DLMP lies between
+    the one-sided difference quotients, at a kink (a degenerate vertex) as
+    anywhere. A shift the limits cannot carry leaves that side unbounded."""
+    eps = 1e-3
+    base = solve_dlmp(si)
+
+    def objective(bus, kw):
+        try:
+            return solve_dlmp(shifted_load(si, bus, kw)).objective
+        except InfeasibleBaseline:
+            return None
+
+    for bus in si.network.buses:
+        up, dn = objective(bus, eps), objective(bus, -eps)
+        hi = INF if up is None else (up - base.objective) / eps
+        lo = -INF if dn is None else (base.objective - dn) / eps
+        assert lo - 1e-6 <= base.dlmp[bus] <= hi + 1e-6

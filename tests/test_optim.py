@@ -112,16 +112,17 @@ def test_bounds_lo_above_hi_names_the_first_bad_pair():
 
 
 def test_solve_lp_runs_the_dual_simplex_without_presolve(monkeypatch):
-    import gridmarket.optim as optim
+    # solve_lp imports linprog at call time, so the spy sits on scipy's name.
+    import scipy.optimize
 
     calls = []
-    linprog = optim.linprog
+    linprog = scipy.optimize.linprog
 
     def spy(*args, **kwargs):
         calls.append(kwargs)
         return linprog(*args, **kwargs)
 
-    monkeypatch.setattr(optim, "linprog", spy)
+    monkeypatch.setattr(scipy.optimize, "linprog", spy)
     assert solve_lp(LpProblem(c=[1.0], bounds=[(2.0, 5.0)])).x[0] == 2.0
     (kwargs,) = calls
     assert kwargs["method"] == "highs-ds"
