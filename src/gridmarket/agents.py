@@ -8,9 +8,11 @@ it clears).
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 
 from . import curves as cv
+from .network import CaseFileError, _bus_id, content_lines
 
 PRODUCER = "producer"
 CONSUMER = "consumer"
@@ -217,10 +219,6 @@ def parse_roster(text, base_dir="."):
     flat_supply <price> <capacity>; supply <p_max> <p_min> <q_max> [q_min];
     ucb <arm1> <arm2> ... ; scripted:<csvfile>.
     """
-    import os
-
-    from .network import CaseFileError, _bus_id, content_lines
-
     agents = []
     for ln, stripped in content_lines(text.splitlines()):
         tok = stripped.split()

@@ -5,10 +5,14 @@ blocks priced at the block-midpoint curve value and solves a welfare LP:
 maximize (demand value taken - supply cost incurred) subject to
 supply = demand balance, per-block capacities and PTDF line limits.
 Block prices are monotone along each curve, so blocks fill in curve order.
-Stage 2 settles per-agent prices: everyone starts on their own curve, then a
-single multiplier scales the demand side so total payments equal total
-revenue; any consumer pushed above their curve is capped and the residual is
-reallocated proportionally to the remaining headroom of the others.
+Stage 2 settles per-agent prices in one pass that keeps every consumer at or
+below its cap, its average value integral(q)/q, and every supplier at or
+above its average cost. If the caps can pay the suppliers' own-curve
+revenue, suppliers get their own curve price and one multiplier scales the
+consumers' own-curve prices to that revenue; those pushed over their cap are
+pinned there and the residual goes to the others' headroom. If not,
+consumers pay their caps and supplier prices come down toward average cost
+until revenue equals that payment.
 """
 
 import json
@@ -17,13 +21,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import curves as cv
-from .network import line_flows, ptdf
+from .network import CaseFileError, _bus_id, content_lines, line_flows, ptdf
 from .optim import OPTIMAL, dispatch_lp, solve_lp
 
 
 # Quantities at or below this many kW do not trade: they are zeroed in the
 # dispatch and get no settlement price.
 SETTLE_TOL = 1e-9
+# A line binds when its flow is within this many kW of its limit: HiGHS'
+# default primal feasibility tolerance.
+BINDING_TOL = 1e-7
 
 
 class ClearingError(Exception):
@@ -32,12 +39,6 @@ class ClearingError(Exception):
 
 class InfeasibleMarket(ClearingError):
     pass
-
-
-class SettlementInfeasible(ClearingError):
-    def __init__(self, message, violating_agents=()):
-        super().__init__(message)
-        self.violating_agents = list(violating_agents)
 
 
 @dataclass
@@ -99,8 +100,6 @@ class Dispatch:
 def parse_bids(text):
     """Parse bid/offer records: `bid <agent> <bus> <S|D> <p_max> <p_min>
     <q_max> <q_min>`; `#` starts a comment. Returns (bids, offers)."""
-    from .network import CaseFileError, _bus_id, content_lines
-
     bids, offers = [], []
     for ln, stripped in content_lines(text.splitlines()):
         tok = stripped.split()
@@ -174,8 +173,8 @@ def clear(market_input, segments=100):
     for (a, bus, _), s in zip(agents, signs):
         injections[bus] = injections.get(bus, 0.0) + s * quantities[a]
     flows = line_flows(net, injections)
-    binding = [lid for lid, f in flows.items()
-               if np.isfinite(limits[lid]) and abs(f) >= limits[lid] - 1e-7]
+    binding = [lid for lid, f in flows.items() if np.isfinite(limits[lid])
+               and abs(f) >= limits[lid] - BINDING_TOL]
 
     total_surplus = (
         sum(cv.integral(c_, quantities[a]) for a, _, c_ in bids)
@@ -189,83 +188,76 @@ def clear(market_input, segments=100):
                     binding_lines=binding)
 
 
-def balance_demand_prices(provisional, caps, quantities, target,
-                          tol=SETTLE_TOL):
-    """Scale provisional demand prices so payments hit `target`, never
-    exceeding per-agent caps (the own-curve prices).
+def spread(prices, bounds, quantities, residual):
+    """Move prices toward their bounds in place, each in proportion to its
+    headroom (bound - price) * q, so that the payment sum(price * q) changes
+    by `residual`; nothing moves unless the pooled headroom has its sign."""
+    headroom = {a: (bounds[a] - prices[a]) * quantities[a] for a in prices}
+    free = sum(headroom.values())
+    if free * residual > 0:
+        for a in prices:
+            prices[a] += residual * (headroom[a] / free) / quantities[a]
 
-    Agents pushed over their cap are pinned there and the shortfall is
-    redistributed proportionally to the remaining headroom of the others.
-    A payment of at most `tol` has nothing to scale: the target is spread
-    over the whole headroom caps * q instead. Returns the price vector;
-    raises SettlementInfeasible when the caps cannot absorb the target.
-    """
-    agents = list(provisional)
+
+def balance_demand_prices(provisional, caps, quantities, target):
+    """Scale provisional demand prices so payments hit `target`, for
+    positive quantities and caps that can pay it: sum(caps * q) >= target -
+    SETTLE_TOL. Prices scaled over their cap are pinned there and the
+    residual is spread once over the others' headroom, which is
+    sum(caps * q) - target + residual >= residual, so no cap is exceeded.
+    A payment of at most SETTLE_TOL has nothing to scale: a target above it
+    is spread over caps * q instead, and a dust target changes nothing."""
     prices = dict(provisional)
-    payment = sum(prices[a] * quantities[a] for a in agents)
-    if payment <= tol:
-        if target <= tol:
+    payment = sum(prices[a] * quantities[a] for a in provisional)
+    if payment <= SETTLE_TOL:
+        if target <= SETTLE_TOL:
             return prices
         prices = dict(caps)
-        payment = sum(caps[a] * quantities[a] for a in agents)
-        if payment < target - tol:
-            raise SettlementInfeasible(
-                "caps cannot absorb the balanced payment", agents)
+        payment = sum(caps[a] * quantities[a] for a in provisional)
     lam = target / payment
-    prices = {a: lam * prices[a] for a in agents}
-    for _ in range(len(agents) + 1):
-        over = [a for a in agents if prices[a] > caps[a] + tol]
-        if not over:
-            return prices
+    prices = {a: lam * prices[a] for a in provisional}
+    over = [a for a in provisional if prices[a] > caps[a] + SETTLE_TOL]
+    if over:
         residual = sum((prices[a] - caps[a]) * quantities[a] for a in over)
         for a in over:
             prices[a] = caps[a]
-        headroom = {a: (caps[a] - prices[a]) * quantities[a] for a in agents}
-        free = sum(headroom.values())
-        if free < residual - tol:
-            raise SettlementInfeasible(
-                "caps cannot absorb the balanced payment",
-                [a for a in agents if headroom[a] <= tol])
-        if free > 0:
-            for a in agents:
-                if quantities[a] > 0:
-                    prices[a] += residual * (headroom[a] / free) / quantities[a]
-    raise SettlementInfeasible("price redistribution did not converge", agents)
+        spread(prices, caps, quantities, residual)
+    return prices
 
 
-def settle_prices(quantities, market_input, tol=SETTLE_TOL):
-    """Per-agent settlement prices for fixed stage-1 quantities.
+def on_curves(agents, quantities):
+    """Own-curve prices, average prices integral(q) / q and quantities of
+    the agents that trade more than SETTLE_TOL, as three dicts."""
+    prices, averages, qs = {}, {}, {}
+    for agent, _, curve in agents:
+        q = quantities.get(agent, 0.0)
+        if q > SETTLE_TOL:
+            prices[agent] = cv.price_at_extended(curve, q)
+            averages[agent] = cv.integral(curve, q) / q
+            qs[agent] = q
+    return prices, averages, qs
 
-    Suppliers are paid their own curve price. Consumers start at their own
-    curve price and a single budget-balancing multiplier scales the demand
-    side so that total payment equals total revenue, with cap handling as in
-    balance_demand_prices. Each consumer's cap is its average value
-    integral(q)/q, so its surplus can never go negative.
+
+def settle_prices(quantities, market_input):
+    """Per-agent settlement prices for fixed stage-1 quantities, by the
+    rule in the module docstring.
 
     Budget rule: total payment equals total revenue to rounding unless both
-    the revenue and the consumers' own-curve payment are at most `tol`; then
-    prices stay on the curves and the two, both dust, need not balance. An
-    own-curve payment of at most `tol` against a larger revenue (consumers
-    dispatched where their curves reach 0) is spread over their caps.
+    the revenue and the consumers' own-curve payment are at most SETTLE_TOL;
+    then prices stay on the curves and the two, both dust, need not balance.
     """
-    supply_prices, revenue = {}, 0.0
-    for agent, _, curve in market_input.offers:
-        q = quantities.get(agent, 0.0)
-        if q <= tol:
-            continue
-        p = cv.price_at_extended(curve, q)
-        supply_prices[agent] = p
-        revenue += p * q
-
-    provisional, caps, qd = {}, {}, {}
-    for agent, _, curve in market_input.bids:
-        q = quantities.get(agent, 0.0)
-        if q <= tol:
-            continue
-        p = cv.price_at_extended(curve, q)
-        provisional[agent] = p
-        caps[agent] = cv.integral(curve, q) / q
-        qd[agent] = q
-
-    demand_prices = balance_demand_prices(provisional, caps, qd, revenue, tol)
-    return {**supply_prices, **demand_prices}
+    supply_prices, costs, qs = on_curves(market_input.offers, quantities)
+    provisional, caps, qd = on_curves(market_input.bids, quantities)
+    revenue = sum(supply_prices[a] * qs[a] for a in supply_prices)
+    afford = sum(caps[a] * qd[a] for a in caps)
+    if afford >= revenue - SETTLE_TOL:
+        return {**supply_prices,
+                **balance_demand_prices(provisional, caps, qd, revenue)}
+    # At the LP optimum each curve's blocks fill in price order, priced at
+    # their midpoints (exact for affine curves), so exact consumer value is
+    # at least its LP value and exact supplier cost at most its LP cost:
+    # afford - sum(costs * q) >= LP welfare >= 0. The suppliers' headroom
+    # sum((price - cost) * q) thus covers revenue - afford > SETTLE_TOL, so
+    # `spread` divides by a nonzero sum and keeps prices in [cost, price].
+    spread(supply_prices, costs, qs, afford - revenue)
+    return {**supply_prices, **caps}

@@ -198,14 +198,6 @@ def write_episode(env, rc, out_dir):
     return env
 
 
-def run_from_config(cfg, out_dir):
-    """Run one episode from a key=value mapping; relative paths resolve
-    against its `_base_dir` entry, if any, else the working directory."""
-    cfg = dict(cfg)
-    rc = parse(cfg, base_dir=cfg.pop("_base_dir", "."))
-    return write_episode(build_environment(rc), rc, out_dir)
-
-
 def _load(path, overrides):
     """Read the config file at `path` (if any), apply `key=value` overrides,
     parse it and build its environment: (RunConfig, Environment)."""

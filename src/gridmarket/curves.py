@@ -10,6 +10,9 @@ from dataclasses import dataclass
 
 SUPPLY = "supply"
 DEMAND = "demand"
+# Quantities this far outside a curve's domain are rounding and are clipped
+# to it; farther out they raise QuantityOutOfRange.
+DOMAIN_TOL = 1e-12
 
 
 class CurveError(Exception):
@@ -50,7 +53,7 @@ class Curve:
 
 def price_at(curve, q):
     """Curve price at quantity q, q_min <= q <= q_max."""
-    if q < curve.q_min - 1e-12 or q > curve.q_max + 1e-12:
+    if q < curve.q_min - DOMAIN_TOL or q > curve.q_max + DOMAIN_TOL:
         raise QuantityOutOfRange(
             f"q={q} outside [{curve.q_min}, {curve.q_max}]")
     q = min(max(q, curve.q_min), curve.q_max)
@@ -61,7 +64,7 @@ def price_at_extended(curve, q):
     """price_at extended to [0, q_max]: the gap [0, q_min) takes the
     q_min endpoint price."""
     if q < curve.q_min:
-        if q < -1e-12:
+        if q < -DOMAIN_TOL:
             raise QuantityOutOfRange(f"q={q} < 0")
         return curve.endpoint_price()
     return price_at(curve, q)
@@ -69,7 +72,7 @@ def price_at_extended(curve, q):
 
 def integral(curve, q):
     """Closed-form integral of the extended curve from 0 to q."""
-    if q < -1e-12 or q > curve.q_max + 1e-12:
+    if q < -DOMAIN_TOL or q > curve.q_max + DOMAIN_TOL:
         raise QuantityOutOfRange(f"q={q} outside [0, {curve.q_max}]")
     q = min(max(q, 0.0), curve.q_max)
     p0 = curve.endpoint_price()

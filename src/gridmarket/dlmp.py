@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import line_flows, ptdf
+from .network import (
+    FLOW_TOL, CaseFileError, _bus_id, content_lines, line_flows, ptdf,
+)
 from .optim import INFEASIBLE, OPTIMAL, dispatch_lp, solve_lp
 
 
@@ -165,7 +167,7 @@ def solve_dlmp(scopf_input):
     if sol.status == INFEASIBLE:
         limits = scopf_input.limits()
         binding = [lid for lid, f in maps["f_const"].items()
-                   if abs(f) > limits[lid] + 1e-9]
+                   if abs(f) > limits[lid] + FLOW_TOL]
         raise InfeasibleBaseline(
             f"SCOPF {sol.status}: baseline load violates line limits", binding)
     if sol.status != OPTIMAL:
@@ -210,8 +212,6 @@ def parse_offers(text):
     `gen <bus> <pmin> <pmax> <qty,price> ...` and
     `dr <bus> <baseline> <qty,price> ...`; `#` starts a comment.
     """
-    from .network import CaseFileError, _bus_id, content_lines
-
     gens, drs = [], []
     for ln, stripped in content_lines(text.splitlines()):
         tok = stripped.split()

@@ -63,9 +63,6 @@ class EpisodeLog:
             self._sink.write(json.dumps(record, sort_keys=True) + "\n")
             self._sink.flush()
 
-    def to_jsonl(self):
-        return "\n".join(json.dumps(r, sort_keys=True) for r in self.records)
-
     def by_phase(self, phase):
         return [r for r in self.records if r["phase"] == phase]
 

@@ -12,6 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# A line is overloaded when its flow exceeds its limit by more than this (kW).
+FLOW_TOL = 1e-9
+
 
 class NetworkError(Exception):
     pass
@@ -323,7 +326,7 @@ class Grid:
                 continue  # feeder exchange is implicit in the root flow
             injections[bus] += kw
         flows = line_flows(self.network, injections)
-        feasible = all(abs(flows[lid]) <= self.limits[lid] + 1e-9
+        feasible = all(abs(flows[lid]) <= self.limits[lid] + FLOW_TOL
                        for lid in flows)
         self.state = GridState(t=self.state.t + 1, injections=injections,
                                flows=flows, feasible=feasible)

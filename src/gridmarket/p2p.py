@@ -83,14 +83,3 @@ def settle_deficiency(delivered, demanded, retail_price):
     if delivered > demanded + 1e-12:
         raise ValueError("delivered exceeds demanded")
     return (demanded - delivered) * retail_price
-
-
-def moving_average(values, window=200):
-    """Trailing means over `window` consecutive values (over all of them when
-    fewer), e.g. of `success` or `r_p` along the `negotiations` entries of an
-    episode log."""
-    x = np.asarray(values, dtype=float)
-    if x.size == 0:
-        return x
-    width = min(window, x.size)
-    return np.convolve(x, np.ones(width) / width, mode="valid")

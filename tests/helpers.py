@@ -253,6 +253,22 @@ def state_fingerprint(env):
     }, sort_keys=True)
 
 
+def to_jsonl(log):
+    """An episode log's records as the JSON lines its sink writes."""
+    return "\n".join(json.dumps(r, sort_keys=True) for r in log.records)
+
+
+def moving_average(values, window=200):
+    """Trailing means over `window` consecutive values (over all of them when
+    fewer), e.g. of `success` or `r_p` along the `negotiations` entries of an
+    episode log."""
+    x = np.asarray(values, dtype=float)
+    if x.size == 0:
+        return x
+    width = min(window, x.size)
+    return np.convolve(x, np.ones(width) / width, mode="valid")
+
+
 class NoIntersection(CurveError):
     pass
 

@@ -334,16 +334,14 @@ def test_criterion_9_dlmp_identities():
 
 
 def test_criterion_10_determinism_and_speed(tmp_path):
-    from gridmarket.cli import read_config, run_from_config
-    cfg = read_config(os.path.join(CASES, "demo_p2p.cfg"))
-    cfg["_base_dir"] = CASES
-    cfg["grid_steps"] = "24"
-    cfg["market_steps"] = "50"
+    from gridmarket.cli import EXIT_OK, main
+    run = ["run", "--config", os.path.join(CASES, "demo_p2p.cfg"),
+           "--set", "grid_steps=24", "--set", "market_steps=50"]
     t0 = time.perf_counter()
     logs = []
     for sub in ("a", "b"):
         out = str(tmp_path / sub)
-        run_from_config(dict(cfg), out)
+        assert main(run + ["--out", out]) == EXIT_OK
         with open(os.path.join(out, "episode.jsonl"), "rb") as f:
             logs.append(f.read())
     elapsed = time.perf_counter() - t0

@@ -6,10 +6,12 @@ from hypothesis import example, given, settings, strategies as st
 
 import gridmarket.clearing as clearing
 from gridmarket.clearing import (
-    SETTLE_TOL, ClearingError, MarketInput, SettlementInfeasible,
+    SETTLE_TOL, ClearingError, InfeasibleMarket, MarketInput,
     balance_demand_prices, clear, curve_blocks, parse_bids, settle_prices,
 )
-from gridmarket.curves import Curve, DEMAND, SUPPLY, integral, price_at
+from gridmarket.curves import (
+    Curve, DEMAND, SUPPLY, integral, price_at, price_at_extended,
+)
 from gridmarket.network import build_network
 from gridmarket.optim import OPTIMAL, LpSolution
 from helpers import (
@@ -123,16 +125,27 @@ def coarse_market(segments):
     return MarketInput(bids=bids, offers=offers, network=net), segments
 
 
+def short_caps_market():
+    """At 7 segments the LP takes 2.857 kW from s1, whose own price there
+    (25.57 c/kWh) is above d0's average value (24.55): the caps cannot pay
+    the suppliers' own-curve revenue."""
+    net = build_network([0, 1], [("l1", 0, 1, INF)])
+    bids, offers = parse_bids("bid d0 1 D 26.25 1.25 21 0\n"
+                              "bid s1 1 S 41 23 8 2\n")
+    return MarketInput(bids=bids, offers=offers, network=net), 7
+
+
 @settings(max_examples=200, deadline=None)
 @given(random_markets())
 @example(dust_market(1e-11, 11.0))     # revenue 1.1e-10 against payment 0
 @example(dust_market(4.3e-231, 1.0))   # revenue 4.3e-231 against payment 0
 @example(coarse_market(1))             # revenue 11 against payment 0
+@example(short_caps_market())          # caps pay less than own-curve revenue
 def test_clearing_balances_the_budget(market):
     market_input, segments = market
     try:
         d = clear(market_input, segments=segments)
-    except ClearingError:
+    except InfeasibleMarket:
         return
     revenue = sum(d.prices[a] * d.quantities[a] for a in d.prices
                   if d.sides[a] == SUPPLY)
@@ -148,6 +161,11 @@ def test_clearing_balances_the_budget(market):
         q = d.quantities[agent]
         if q > 0:
             assert d.prices.get(agent, 0.0) <= integral(curve, q) / q + 1e-9
+    # no supplier is paid less than its cost: profit >= 0
+    for agent, _, curve in market_input.offers:
+        q = d.quantities[agent]
+        if q > 0:
+            assert d.prices[agent] * q >= integral(curve, q) - 1e-9
 
 
 @pytest.mark.parametrize("supply_price,q", [(1e-11, 11.0), (4.3e-231, 1.0)])
@@ -241,7 +259,6 @@ def test_dispatch_on_curve_constraints():
             assert abs(f) <= limits[lid] + 1e-6
         # supply settles exactly on-curve; every trading agent keeps a
         # non-negative surplus (demand never pays above its average value)
-        from gridmarket.curves import integral, price_at_extended
         for a, bus, c in offers:
             q = d.quantities[a]
             if q > 1e-9:
@@ -311,10 +328,24 @@ def test_zero_payment_spreads_the_target_over_the_caps():
     prices = balance_demand_prices({"a": 0.0, "b": 0.0}, {"a": 4.0, "b": 2.0},
                                    q, 5.0)
     assert prices == pytest.approx({"a": 2.0, "b": 1.0})
-    # the caps hold 10 in all; more than that cannot be paid
-    with pytest.raises(SettlementInfeasible):
-        balance_demand_prices({"a": 0.0, "b": 0.0}, {"a": 4.0, "b": 2.0},
-                              q, 10.0 + 2 * SETTLE_TOL)
+    # c's own price at 11 kW is 0 and its cap 2.5 holds 27.5 in all, short of
+    # the suppliers' own-curve revenue 2 * 5.5 + 5 * 5.5 = 38.5: c pays its
+    # cap, and g1 and g2 give up the 11 in proportion to their headroom
+    # (price - average cost) * q, 5.5 and 8.25
+    bids, offers = parse_bids("bid c 1 D 5 0 11 0\nbid g1 1 S 4 0 11 0\n"
+                              "bid g2 1 S 8 2 11 0\n")
+    market_input = MarketInput(
+        bids=bids, offers=offers,
+        network=build_network([0, 1], [("l1", 0, 1, INF)]))
+    q = {"c": 11.0, "g1": 5.5, "g2": 5.5}
+    prices = settle_prices(q, market_input)
+    assert prices == pytest.approx({"c": 2.5, "g1": 1.2, "g2": 3.8})
+    assert prices["c"] == integral(bids[0][2], 11.0) / 11.0
+    for a, _, curve in offers:
+        assert (integral(curve, q[a]) / q[a] <= prices[a]
+                <= price_at_extended(curve, q[a]))
+    assert (prices["g1"] + prices["g2"]) * 5.5 == pytest.approx(27.5,
+                                                                rel=1e-12)
 
 
 def test_settlement_symmetric_pair_identity_scale():
@@ -335,13 +366,20 @@ def test_residual_shifts_to_consumers_with_headroom():
     assert sum(prices[k] * q[k] for k in q) == pytest.approx(target)
 
 
-def test_settlement_infeasible_reports_agents():
-    provisional = {"a": 4.0, "b": 4.0}
-    caps = {"a": 4.0, "b": 4.0}
-    q = {"a": 1.0, "b": 1.0}
-    with pytest.raises(SettlementInfeasible) as ei:
-        balance_demand_prices(provisional, caps, q, target=10.0)
-    assert set(ei.value.violating_agents) == {"a", "b"}
+def test_short_caps_bring_supplier_prices_down_to_balance():
+    market_input, segments = short_caps_market()
+    d = clear(market_input, segments=segments)
+    (_, _, demand), (_, _, supply) = market_input.bids + market_input.offers
+    q = d.quantities["s1"]
+    assert d.quantities["d0"] == q == pytest.approx(20 / 7)
+    # d0 pays its cap; s1 comes down from its own price to the same total
+    assert d.prices == {"s1": 24.549319727891156, "d0": 24.549319727891152}
+    assert d.prices == settle_prices(d.quantities, market_input)
+    assert d.prices["d0"] == integral(demand, q) / q
+    cost, own = integral(supply, q) / q, price_at_extended(supply, q)
+    assert (cost, own) == pytest.approx((23.3857142857, 25.5714285714))
+    assert cost < d.prices["s1"] < own
+    assert d.prices["s1"] * q == pytest.approx(d.prices["d0"] * q, rel=1e-15)
 
 
 def test_parse_bids_roundtrip():

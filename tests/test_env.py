@@ -19,7 +19,7 @@ from gridmarket.env import (
 )
 from gridmarket.network import Grid, build_network
 from gridmarket.p2p import P2pConfig
-from helpers import state_fingerprint
+from helpers import state_fingerprint, to_jsonl
 
 INF = float("inf")
 CASES = os.path.join(os.path.dirname(__file__), "..", "cases")
@@ -98,15 +98,15 @@ def test_callbacks_fire_in_order():
 
 
 def test_determinism_same_seed():
-    a = p2p_env(seed=42).reset().run_episode(grid_steps=5).to_jsonl()
-    b = p2p_env(seed=42).reset().run_episode(grid_steps=5).to_jsonl()
+    a = to_jsonl(p2p_env(seed=42).reset().run_episode(grid_steps=5))
+    b = to_jsonl(p2p_env(seed=42).reset().run_episode(grid_steps=5))
     assert a == b
 
 
 def test_different_seed_differs():
     # 5 grid steps x 3 negotiation steps: bid trajectories diverge
-    a = p2p_env(seed=1).reset().run_episode(grid_steps=5).to_jsonl()
-    b = p2p_env(seed=2).reset().run_episode(grid_steps=5).to_jsonl()
+    a = to_jsonl(p2p_env(seed=1).reset().run_episode(grid_steps=5))
+    b = to_jsonl(p2p_env(seed=2).reset().run_episode(grid_steps=5))
     # matching is trivial (1x1) but bandit exploration differs only through
     # rewards; identical rosters may coincide, so just require valid JSON
     for line in a.splitlines():
@@ -194,7 +194,7 @@ def test_incremental_log_sink(tmp_path):
     env.run_episode(grid_steps=2)
     lines = path.read_text().splitlines()
     assert len(lines) == len(env.log.records)
-    assert "\n".join(lines) == env.log.to_jsonl()
+    assert "\n".join(lines) == to_jsonl(env.log)
 
 
 def test_summary_rows():
@@ -335,7 +335,7 @@ def test_log_sink_opens_once_per_episode(tmp_path, monkeypatch):
     env.run_episode(grid_steps=2)
     assert len(opened) == 2 and opened[1].closed
     assert len(env.log.records) == 5 * (3 + 2)
-    assert path.read_text() == env.log.to_jsonl() + "\n"
+    assert path.read_text() == to_jsonl(env.log) + "\n"
 
 
 def test_crashed_episode_keeps_its_prefix_and_closes_the_sink(
@@ -351,7 +351,7 @@ def test_crashed_episode_keeps_its_prefix_and_closes_the_sink(
 
     def crash(e):
         # each record is on disk as soon as it is added
-        assert path.read_text() == e.log.to_jsonl() + "\n"
+        assert path.read_text() == to_jsonl(e.log) + "\n"
         if e.clock == (1, 2):
             raise RuntimeError("agent crashed")
     env.register_callback("post_market_step", crash)
@@ -359,7 +359,7 @@ def test_crashed_episode_keeps_its_prefix_and_closes_the_sink(
         env.run_episode(grid_steps=3)
     # grid step 0 (4 market steps, clear, grid step), then 3 market steps
     assert len(env.log.records) == 6 + 3
-    assert path.read_text() == env.log.to_jsonl() + "\n"
+    assert path.read_text() == to_jsonl(env.log) + "\n"
     assert len(opened) == 1 and opened[0].closed
 
 
@@ -383,7 +383,7 @@ def demo_environment(name, seed):
 def test_seeded_episodes_are_deterministic(seed, grid_steps, market_steps):
     def episode(env):
         env.reset().run_episode(grid_steps, market_steps)
-        return env.log.to_jsonl()
+        return to_jsonl(env.log)
     for name in ("demo_clearing.cfg", "demo_p2p.cfg", "demo_dlmp.cfg"):
         a, b = (demo_environment(name, seed) for _ in range(2))
         assert episode(a) == episode(b)

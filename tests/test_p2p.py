@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from gridmarket.p2p import (
-    MatchRound, P2pConfig, match, moving_average, negotiate, settle_deficiency,
+    MatchRound, P2pConfig, match, negotiate, settle_deficiency,
 )
+from helpers import moving_average
 
 CFG = P2pConfig(c_service=0.5, c_lose=1.0, ub=10.0)
 
