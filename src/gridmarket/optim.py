@@ -5,17 +5,21 @@ A_ub x <= b_ub and per-variable bounds. Duals are reported as shadow
 prices: duals_eq[i] = d objective / d b_eq[i] (unrestricted sign) and
 duals_ub[i] = -d objective / d b_ub[i] >= 0 for <=-rows.
 
-Constraint matrices may be dense arrays or scipy.sparse matrices; either
-kind goes to the solver as given. Clearing and DLMP both build theirs with
-`dispatch_lp`, sparse, from the network's cached sparse PTDF.
+Constraint matrices may be dense arrays or scipy.sparse matrices; the
+solver gets both blocks as one sparse matrix. Clearing and DLMP both build
+theirs with `dispatch_lp`, sparse, from the network's cached sparse PTDF.
 
-The solve itself is delegated to scipy's HiGHS dual simplex, which returns
-exact vertex solutions and the full set of constraint/bound marginals; the
-strong-duality and complementary-slackness guarantees are verified in tests,
-not assumed. HiGHS presolve is always off: a dispatch LP (box-bounded blocks,
-one balance row, PTDF line rows) leaves it nothing to remove, yet on a
-1000-bus feeder it took over 90% of the solve, and the dual simplex needs
-about as many iterations without it.
+The solve is one call into HiGHS' dual simplex (Huangfu & Hall, Math. Prog.
+Comp. 2018) through the binding scipy bundles, `_highspy._core`, not through
+`linprog`: on a 1000-bus feeder's clear LP, linprog's input handling and its
+per-column Python loop over the bound marginals took 35 of the 43 ms per
+call. The model goes in as whole arrays; the checks linprog made stay
+(finite inputs, its status mapping, its post-solve feasibility test), and
+the results equal linprog's bit for bit, which the tests check, as they
+check strong duality and complementary slackness. Presolve is always off:
+a dispatch LP (box-bounded blocks, one balance row, PTDF line rows) leaves
+it nothing to remove, yet on a 1000-bus feeder it took over 90% of the
+solve, and the dual simplex needs about as many iterations without it.
 
 scipy is imported where an LP is built (scipy.sparse) or solved
 (scipy.optimize, ~0.4 s of a cold start): `validate` loads no scipy, and a
@@ -115,30 +119,60 @@ class LpSolution:
 
 def solve_lp(problem):
     """Solve an LpProblem, returning a certified primal/dual pair."""
-    from scipy.optimize import linprog
+    from scipy import sparse
+    from scipy.optimize._highspy._core import (
+        HighsModelStatus, HighsStatus, _Highs)
 
-    res = linprog(
-        problem.c,
-        A_ub=problem.A_ub, b_ub=problem.b_ub,
-        A_eq=problem.A_eq, b_eq=problem.b_eq,
-        bounds=problem.bounds,
-        method="highs-ds",
-        options={"presolve": False},
-    )
-    if res.status == 2:
-        return LpSolution(status=INFEASIBLE, message=res.message)
-    if res.status == 3:
-        return LpSolution(status=UNBOUNDED, message=res.message)
-    if res.status != 0:
-        raise NumericalFailure(res.message)
+    n = problem.n
+    none = (np.zeros((0, n)), np.zeros(0))
+    A_ub, b_ub = none if problem.A_ub is None else (problem.A_ub, problem.b_ub)
+    A_eq, b_eq = none if problem.A_eq is None else (problem.A_eq, problem.b_eq)
+    for name, v in (("c", problem.c), ("A_ub", A_ub), ("b_ub", b_ub),
+                    ("A_eq", A_eq), ("b_eq", b_eq)):
+        if not np.isfinite(v.data if sparse.issparse(v) else v).all():
+            raise ValueError(f"{name} must not contain inf or nan")
+    A = sparse.vstack((sparse.coo_array(A_ub), sparse.coo_array(A_eq)),
+                      format="csc")
+    row_lo = np.concatenate((np.full(b_ub.size, -np.inf), b_eq))
+    row_hi = np.concatenate((b_ub, b_eq))
+    lo, hi = problem.bounds.T.copy()
 
-    # HiGHS reports empty marginals for an absent constraint block
+    highs = _Highs()
+    highs.setOptionValue("output_flag", False)   # first: no banner on stdout
+    highs.setOptionValue("presolve", "off")
+    highs.setOptionValue("solver", "simplex")
+    highs.setOptionValue("simplex_strategy", 1)  # dual
+    if highs.passModel(n, row_lo.size, A.nnz, 1, 1, 0.0, problem.c, lo, hi,
+                       row_lo, row_hi, A.indptr, A.indices, A.data,
+                       np.zeros(n, dtype=np.int32)) == HighsStatus.kError:
+        raise NumericalFailure("HiGHS refused the model")
+    highs.run()
+    model_status = highs.getModelStatus()
+    message = highs.modelStatusToString(model_status)
+    status = {HighsModelStatus.kOptimal: OPTIMAL,
+              HighsModelStatus.kInfeasible: INFEASIBLE,
+              HighsModelStatus.kUnbounded: UNBOUNDED}.get(model_status)
+    if status is None:
+        raise NumericalFailure(f"HiGHS model status: {message}")
+    if status != OPTIMAL:
+        return LpSolution(status=status, message=message)
+
+    sol = highs.getSolution()
+    objective = highs.getInfo().objective_function_value
+    x, rows = np.array(sol.col_value), np.array(sol.row_value)
+    # linprog's post-solve test: bounds and rows met within sqrt(1e-9) * 10
+    off = np.concatenate((lo - x, x - hi, row_lo - rows, rows - row_hi))
+    if np.isnan(objective) or not np.all(off <= np.sqrt(1e-9) * 10):
+        raise NumericalFailure("optimal solution violates its constraints")
+
+    row_dual, col_dual = np.array(sol.row_dual), np.array(sol.col_dual)
+    basis = np.array([s.value for s in highs.getBasis().col_status])
     return LpSolution(
         status=OPTIMAL,
-        x=np.asarray(res.x),
-        objective=float(res.fun),
-        duals_eq=np.asarray(res.eqlin.marginals),
-        duals_ub=np.maximum(-np.asarray(res.ineqlin.marginals), 0.0),
-        duals_lower=np.asarray(res.lower.marginals),
-        duals_upper=np.asarray(res.upper.marginals),
+        x=x,
+        objective=float(objective),
+        duals_eq=row_dual[b_ub.size:],
+        duals_ub=np.maximum(-row_dual[:b_ub.size], 0.0),
+        duals_lower=np.where(basis == 0, col_dual, 0.0),   # kLower
+        duals_upper=np.where(basis == 2, col_dual, 0.0),   # kUpper
     )

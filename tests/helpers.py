@@ -9,8 +9,12 @@ from itertools import combinations
 import numpy as np
 
 from gridmarket.agents import ucb_select, ucb_update
-from gridmarket.curves import CurveError, DEMAND, SUPPLY, integral
+from gridmarket.clearing import MarketInput
+from gridmarket.curves import Curve, CurveError, DEMAND, SUPPLY, integral
+from gridmarket.dlmp import DrOffer, GenOffer, ScopfInput
 from gridmarket.network import build_network
+
+INF = float("inf")
 
 
 def random_radial_network(rng, n_buses, limit_lo=5.0, limit_hi=50.0):
@@ -25,6 +29,53 @@ def random_radial_network(rng, n_buses, limit_lo=5.0, limit_hi=50.0):
             lim = float(rng.uniform(limit_lo, limit_hi))
         lines.append((f"l{parent}_{b}", parent, b, lim))
     return build_network(list(range(n_buses)), lines)
+
+
+def chain(limits=(INF, INF)):
+    """Buses 0 - 1 - 2 joined by lines a and b."""
+    return build_network([0, 1, 2], [("a", 0, 1, limits[0]),
+                                     ("b", 1, 2, limits[1])])
+
+
+# At a vertex where a line sits exactly at its limit and the offer or bid
+# behind it is at a bound too, every mu in an interval is a valid dual. The
+# tests pin the one HiGHS returns (the low end, mu = 0), so a solver setting
+# that picks another vertex of the dual face shows there first.
+
+def idle_gen_behind_full_line():
+    # 5 kW load behind a 5 kW line, and a gen at 10 > lmp_source behind it:
+    # any mu_plus[b] in [0, 10 - 4.3] prices this vertex
+    return ScopfInput(
+        lmp_source=4.3,
+        gen_offers=[GenOffer(bus=2, p_min=0.0, p_max=10.0,
+                             blocks=[(10.0, 10.0)])],
+        dr_offers=[DrOffer(bus=2, baseline=5.0, blocks=[])],
+        network=chain(limits=(INF, 5.0)))
+
+
+def capped_gen_exporting_at_limit():
+    # a 10 kW gen at 1 cent covers its 5 kW bus and exports exactly the
+    # 5 kW line limit upstream: any mu_minus[b] in [0, 4.3 - 1] prices it
+    return ScopfInput(
+        lmp_source=4.3,
+        gen_offers=[GenOffer(bus=2, p_min=0.0, p_max=10.0,
+                             blocks=[(10.0, 1.0)])],
+        dr_offers=[DrOffer(bus=1, baseline=10.0, blocks=[]),
+                   DrOffer(bus=2, baseline=5.0, blocks=[])],
+        network=chain(limits=(INF, 5.0)))
+
+
+def demand_filling_a_capped_line():
+    # c2 wants exactly the 5 kW line b carries, so at 10 segments its last
+    # block sits at its cap and line b at its limit at once: any mu_plus[b]
+    # in [0, 95.605] prices this vertex. Blocks: c1, c2 (11 each with the
+    # q_min gap), feeder, g2 (10 each).
+    return MarketInput(
+        bids=[("c1", 1, Curve(DEMAND, 100.0, 99.9, 10.0, 9.9)),
+              ("c2", 2, Curve(DEMAND, 100.0, 99.9, 5.0, 4.95))],
+        offers=[("feeder", 0, Curve(SUPPLY, 4.3, 4.3, 1000.0, 0.0)),
+                ("g2", 2, Curve(SUPPLY, 12.0, 8.0, 3.0, 0.0))],
+        network=chain(limits=(INF, 5.0)))
 
 
 def subtree_sum_flows(network, injections):

@@ -15,16 +15,9 @@ from gridmarket.curves import (
 from gridmarket.network import build_network
 from gridmarket.optim import OPTIMAL, LpSolution
 from helpers import (
-    aggregate_intersection, brute_force_surplus, random_radial_network,
-    surplus,
+    INF, aggregate_intersection, brute_force_surplus, chain,
+    demand_filling_a_capped_line, random_radial_network, surplus,
 )
-
-INF = float("inf")
-
-
-def chain(limits=(INF, INF)):
-    return build_network([0, 1, 2], [("a", 0, 1, limits[0]),
-                                     ("b", 1, 2, limits[1])])
 
 
 def pair_input(net=None):
@@ -465,16 +458,8 @@ def test_quantities_are_per_span_sums_on_a_feeder_sized_lp(monkeypatch,
 
 
 def test_demand_exactly_filling_a_capped_line_pins_its_duals(monkeypatch):
-    # c2 wants exactly the 5 kW line b carries, so its last block sits at
-    # its cap and line b at its limit at once: any mu_plus[b] in [0, 95.605]
-    # prices this vertex. Pin the LP duals HiGHS returns and the settlement.
-    # Blocks: c1, c2 (11 each with the q_min gap), feeder, g2 (10 each).
-    mi = MarketInput(
-        bids=[("c1", 1, Curve(DEMAND, 100.0, 99.9, 10.0, 9.9)),
-              ("c2", 2, Curve(DEMAND, 100.0, 99.9, 5.0, 4.95))],
-        offers=[("feeder", 0, Curve(SUPPLY, 4.3, 4.3, 1000.0, 0.0)),
-                ("g2", 2, Curve(SUPPLY, 12.0, 8.0, 3.0, 0.0))],
-        network=chain(limits=(INF, 5.0)))
+    # Pin the LP duals HiGHS returns and the settlement.
+    mi = demand_filling_a_capped_line()
     solved = []
     solve = clearing.solve_lp
     monkeypatch.setattr(clearing, "solve_lp",

@@ -8,14 +8,10 @@ from gridmarket.dlmp import (
 )
 from gridmarket.network import build_network
 from gridmarket.optim import solve_lp
-from helpers import dual_objective, ptdf_entries, random_radial_network
-
-INF = float("inf")
-
-
-def chain(limits=(INF, INF)):
-    return build_network([0, 1, 2], [("a", 0, 1, limits[0]),
-                                     ("b", 1, 2, limits[1])])
+from helpers import (
+    INF, capped_gen_exporting_at_limit, chain, dual_objective,
+    idle_gen_behind_full_line, ptdf_entries, random_radial_network,
+)
 
 
 def test_offer_validation():
@@ -283,34 +279,6 @@ def test_scopf_strong_duality(si):
     sol = solve_lp(problem)
     assert dual_objective(sol, problem) == pytest.approx(
         res.objective, rel=1e-9, abs=1e-9)
-
-
-# At a vertex where a line sits exactly at its limit and the offer behind it
-# is at a bound too, every mu in an interval is a valid dual. These pin the
-# one HiGHS returns (the low end, mu = 0), so a solver setting that picks
-# another vertex of the dual face shows here first.
-
-def idle_gen_behind_full_line():
-    # 5 kW load behind a 5 kW line, and a gen at 10 > lmp_source behind it:
-    # any mu_plus[b] in [0, 10 - 4.3] prices this vertex
-    return ScopfInput(
-        lmp_source=4.3,
-        gen_offers=[GenOffer(bus=2, p_min=0.0, p_max=10.0,
-                             blocks=[(10.0, 10.0)])],
-        dr_offers=[DrOffer(bus=2, baseline=5.0, blocks=[])],
-        network=chain(limits=(INF, 5.0)))
-
-
-def capped_gen_exporting_at_limit():
-    # a 10 kW gen at 1 cent covers its 5 kW bus and exports exactly the
-    # 5 kW line limit upstream: any mu_minus[b] in [0, 4.3 - 1] prices it
-    return ScopfInput(
-        lmp_source=4.3,
-        gen_offers=[GenOffer(bus=2, p_min=0.0, p_max=10.0,
-                             blocks=[(10.0, 1.0)])],
-        dr_offers=[DrOffer(bus=1, baseline=10.0, blocks=[]),
-                   DrOffer(bus=2, baseline=5.0, blocks=[])],
-        network=chain(limits=(INF, 5.0)))
 
 
 def test_full_line_with_idle_gen_behind_it_pins_zero_mu():
