@@ -118,6 +118,8 @@ class BanditState:
     def __post_init__(self):
         if not self.arms:
             raise AgentError("at least one arm required")
+        if not all(map(math.isfinite, self.arms)):
+            raise AgentError("arm prices must be finite")
         if not 0 < self.delta < 1:
             raise AgentError("delta must be in (0, 1)")
         self.bonus_c = 2.0 * math.log(1.0 / self.delta)   # bonus numerator
@@ -203,6 +205,8 @@ class ScriptedAgent(Agent):
         if not rows or "kw" not in rows[0]:
             raise AgentError(f"{csv_path}: need a `kw` column")
         self.profile = [float(r["kw"]) for r in rows]
+        if not all(map(math.isfinite, self.profile)):
+            raise AgentError(f"{csv_path}: `kw` must be finite")
 
     def set_market_actions(self, observation=None):
         self.market_action = None   # exogenous: no market participation

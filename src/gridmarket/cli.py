@@ -19,6 +19,7 @@ from .dlmp import DlmpError, InfeasibleBaseline, ScopfInput, parse_offers, solve
 from .env import ClearingMarket, DlmpMarket, EnvError, Environment, P2pMarket
 from .network import (CaseFileError, Grid, NetworkError, UnknownBus,
                       content_lines, load_case)
+from .optim import NumericalFailure
 from .p2p import P2pConfig
 
 EXIT_OK, EXIT_RUNTIME, EXIT_CONFIG = 0, 1, 2
@@ -227,7 +228,7 @@ def cmd_clear(args):
         dispatch = clear_market(
             MarketInput(bids=bids, offers=offers, network=net),
             segments=args.segments)
-    except FILE_ERRORS + (ClearingError,) as e:
+    except FILE_ERRORS + (ClearingError, NumericalFailure) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
     print("agent,bus,side,q_kw,price_c_per_kwh")
@@ -254,7 +255,7 @@ def cmd_dlmp(args):
         print(f"infeasible baseline: {e}; binding lines: {e.binding_lines}",
               file=sys.stderr)
         return EXIT_RUNTIME
-    except FILE_ERRORS + (DlmpError,) as e:
+    except FILE_ERRORS + (DlmpError, NumericalFailure) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
     lines = ["bus,dlmp,P_g,P_d"]

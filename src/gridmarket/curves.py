@@ -6,6 +6,7 @@ q_min to p_min at q_max. Quantities below q_min are admissible for dispatch
 (down to zero trade) and are valued at the q_min endpoint price.
 """
 
+import math
 from dataclasses import dataclass
 
 SUPPLY = "supply"
@@ -34,12 +35,17 @@ class Curve:
     def __post_init__(self):
         if self.side not in (SUPPLY, DEMAND):
             raise CurveError(f"side must be {SUPPLY!r} or {DEMAND!r}")
+        if not all(map(math.isfinite,
+                       (self.p_max, self.p_min, self.q_max, self.q_min))):
+            raise CurveError("prices and quantities must be finite")
         if not self.p_max >= self.p_min:
             raise CurveError(f"p_max {self.p_max} < p_min {self.p_min}")
         if not self.q_max > self.q_min:
             raise CurveError(f"q_max {self.q_max} <= q_min {self.q_min}")
         if self.q_min < 0:
             raise CurveError("q_min must be >= 0")
+        if not math.isfinite(self.slope):
+            raise CurveError("price range over quantity range overflows")
 
     @property
     def slope(self):

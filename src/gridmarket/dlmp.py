@@ -3,7 +3,7 @@
 The dispatch minimizes: source energy cost (positive imports priced at the
 source LMP, exports unpaid), local generation cost and demand-response cost,
 subject to power balance, generator limits, demand-response bounds and PTDF
-line limits. DLMPs come from the duals: the balance dual lambda plus the
+line limits. DLMPs come from the row duals: the balance dual lambda plus the
 congestion components H^T (mu_plus - mu_minus) per bus.
 
 Cost curves are convex piecewise-linear blocks: a generator offer lists
@@ -11,6 +11,7 @@ Cost curves are convex piecewise-linear blocks: a generator offer lists
 reduction blocks below the baseline load.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,9 @@ class GenOffer:
     blocks: list          # (quantity_kw, price_c_per_kwh), convex stack
 
     def __post_init__(self):
-        if not 0 <= self.p_min <= self.p_max:
-            raise DlmpError(f"gen at bus {self.bus}: need 0 <= P_min <= P_max")
+        if not 0 <= self.p_min <= self.p_max < math.inf:
+            raise DlmpError(
+                f"gen at bus {self.bus}: need 0 <= P_min <= P_max < inf")
         _check_convex(self.blocks, f"gen at bus {self.bus}")
         total = sum(q for q, _ in self.blocks)
         if total + 1e-9 < self.p_max - self.p_min:
@@ -60,12 +62,15 @@ class DrOffer:
     blocks: list          # reduction blocks (quantity_kw, price)
 
     def __post_init__(self):
-        if self.baseline < 0:
-            raise DlmpError(f"dr at bus {self.bus}: baseline must be >= 0")
+        if not 0 <= self.baseline < math.inf:
+            raise DlmpError(
+                f"dr at bus {self.bus}: baseline must be finite and >= 0")
         _check_convex(self.blocks, f"dr at bus {self.bus}")
 
 
 def _check_convex(blocks, what):
+    if not all(math.isfinite(v) for block in blocks for v in block):
+        raise DlmpError(f"{what}: block quantities and prices must be finite")
     prices = [p for _, p in blocks]
     if any(b < a - 1e-12 for a, b in zip(prices, prices[1:])):
         raise NonConvexCost(f"{what}: marginal block prices must not decrease")
@@ -87,8 +92,9 @@ class ScopfInput:
             for o in offers:
                 if o.bus not in buses:
                     raise DlmpError(f"{kind} offer at unknown bus {o.bus}")
-        if not self.lmp_source >= 0:
-            raise DlmpError(f"lmp_source must be >= 0, got {self.lmp_source}")
+        if not 0 <= self.lmp_source < math.inf:
+            raise DlmpError(
+                f"lmp_source must be finite and >= 0, got {self.lmp_source}")
 
     def limits(self):
         lims = self.network.line_limits()
@@ -141,7 +147,7 @@ def build_scopf(scopf_input):
     # limits count their flows.
     f_const = line_flows(net, {b: base_load.get(b, 0.0) - gen_floor.get(b, 0.0)
                                for b in base_load | gen_floor})
-    problem, row_lines = dispatch_lp(
+    problem, limited = dispatch_lp(
         H, scopf_input.limits(), [net.root] * 2 + [o.bus for o in offers],
         [-1.0, 1.0] + [-1.0] * len(offers),
         [scopf_input.lmp_source, 0.0] + prices, [np.inf] * 2 + caps,
@@ -150,7 +156,7 @@ def build_scopf(scopf_input):
 
     maps = {
         "offers": offers,            # the offer of each variable from x[2]
-        "row_lines": row_lines,      # per A_ub row
+        "limited": limited,          # line of row pair 2k, 2k + 1
         "H": H,
         "base_load": base_load,
         "gen_floor": gen_floor,
@@ -173,15 +179,18 @@ def solve_dlmp(scopf_input):
     if sol.status != OPTIMAL:
         raise DlmpError(f"SCOPF {sol.status}")
 
-    lam = -float(sol.duals_eq[0])
+    # the balance row is last; each limited line's row pair, the +row then
+    # the -row, comes before it
+    lam = -float(sol.row_duals[-1])
+    mu_line = np.maximum(-sol.row_duals[:-1], 0.0).tolist()
     mu_plus = {lid: 0.0 for lid, _, _, _ in net.lines}
     mu_minus = dict(mu_plus)
-    for (lid, direction), y in zip(maps["row_lines"], sol.duals_ub):
-        (mu_plus if direction > 0 else mu_minus)[lid] = float(y)
+    mu_plus.update(zip(maps["limited"], mu_line[::2]))
+    mu_minus.update(zip(maps["limited"], mu_line[1::2]))
 
     H = maps["H"]
     mu = np.array([mu_plus[lid] - mu_minus[lid] for lid in H.line_order])
-    dlmp = {net.root: lam, **dict(zip(H.bus_order, lam + H.matrix.T @ mu))}
+    dlmp = {net.root: lam, **dict(zip(H.bus_order, lam + H.path_sums(mu)))}
 
     p_g, p_d = dict(maps["gen_floor"]), dict(maps["base_load"])
     for o, x in zip(maps["offers"], sol.x[2:].tolist()):

@@ -3,7 +3,8 @@
 Buses form a tree rooted at the feeder (bus 0). In this lossless radial
 model the flow on the line into bus j equals the net consumption at j plus
 the flows into all of j's children; every line flow is computed as the
-network's cached PTDF applied to the bus injections. Sign convention:
+network's cached PTDF, held as numpy index arrays, applied to the bus
+injections. Sign convention:
 consumption is positive, generation negative; line flow is positive in the
 parent->child direction.
 """
@@ -203,33 +204,34 @@ def line_flows(network, injections):
     network's cached PTDF (root-bus and missing buses inject 0)."""
     H = ptdf(network)
     x = np.array([injections.get(b, 0.0) for b in H.bus_order])
-    return dict(zip(H.line_order, (H.matrix @ x).tolist()))
+    return dict(zip(H.line_order, H.flows(x).tolist()))
 
 
 @dataclass
 class PtdfMatrix:
-    """0/1 path-indicator matrix: H[l, i] = 1 iff line l is on the root path
-    of non-root bus i. Maps net injections to line flows: f = H @ x, with
-    H stored as a sparse CSR `matrix`."""
+    """0/1 path-indicator matrix H, lines x non-root buses: H[l, i] = 1 iff
+    line l is on the root path of bus i. f = H @ x maps net injections to
+    line flows; H^T sums line values along each bus's root path. H is held
+    as its 1-entries (path_rows, path_cols), ordered by bus and then by
+    line, so both products add in the order of a CSR (for H^T, CSC) mat-vec."""
 
-    matrix: object     # scipy.sparse.csr_array, lines x non-root buses
-    line_order: list   # row index -> line_id
-    bus_order: list    # column index -> bus id (non-root buses)
+    path_rows: np.ndarray   # line index of each entry
+    path_cols: np.ndarray   # bus index of each entry, ascending
+    line_order: list        # line index -> line_id
+    bus_order: list         # bus index -> bus id (non-root buses)
 
-    def injection_map(self, var_buses, coefs):
-        """Sparse bus x variable map with one entry per variable: variable j
-        injects coefs[j] at var_buses[j]. Root-bus variables get no entry."""
-        from scipy import sparse
+    def __post_init__(self):
+        self.bus_index = {b: i for i, b in enumerate(self.bus_order)}
 
-        col = {b: i for i, b in enumerate(self.bus_order)}
-        rows = np.fromiter(map(col.get, var_buses, [-1] * len(var_buses)),
-                           dtype=np.intp, count=len(var_buses))
-        j = np.flatnonzero(rows >= 0)
-        j = j[np.argsort(rows[j], kind="stable")]     # CSR order: bus, then j
-        counts = np.bincount(rows[j], minlength=len(self.bus_order))
-        return sparse.csr_array(
-            (np.asarray(coefs, dtype=float)[j], j, np.append(0, np.cumsum(counts))),
-            shape=(len(self.bus_order), len(var_buses)))
+    def flows(self, x):
+        """H @ x: per-line flow of the bus injections x."""
+        return np.bincount(self.path_rows, weights=x[self.path_cols],
+                           minlength=len(self.line_order))
+
+    def path_sums(self, y):
+        """H^T @ y: per-bus sum of the line values y on its root path."""
+        return np.bincount(self.path_cols, weights=y[self.path_rows],
+                           minlength=len(self.bus_order))
 
 
 def ptdf(network):
@@ -238,51 +240,21 @@ def ptdf(network):
     cached = getattr(network, "_ptdf", None)
     if cached is not None:
         return cached
-    from scipy import sparse
-
     non_root = network.non_root_buses()
     line_order = [lid for lid, _, _, _ in network.lines]
     row = {lid: i for i, lid in enumerate(line_order)}
     rows, cols = [], []
     for i, bus in enumerate(non_root):
-        b = bus
+        path, b = [], bus
         while b != network.root:
-            rows.append(row[network.line_into(b)])
-            cols.append(i)
+            path.append(row[network.line_into(b)])
             b = network.parent[b]
-    H = sparse.csr_array((np.ones(len(rows)), (rows, cols)),
-                         shape=(len(line_order), len(non_root)))
-    network._ptdf = PtdfMatrix(matrix=H, line_order=line_order,
-                               bus_order=non_root)
+        rows += sorted(path)
+        cols += [i] * len(path)
+    network._ptdf = PtdfMatrix(path_rows=np.array(rows, dtype=np.intp),
+                               path_cols=np.array(cols, dtype=np.intp),
+                               line_order=line_order, bus_order=non_root)
     return network._ptdf
-
-
-def line_limit_rows(H, inj, limits, f_const=None):
-    """Sparse line-limit rows -lim <= H @ (inj @ x + const) <= lim.
-
-    `inj` is the sparse bus x variable injection map, `f_const` the line
-    flows of the constant injections by line id (None: zero). Emits
-    `+row, -row` per finite-limit line in `H.line_order`. Returns (A_ub,
-    b_ub, row_lines) with row_lines[k] = (line_id, +1 | -1); A_ub and b_ub
-    are None when no line has a finite limit.
-    """
-    from scipy import sparse
-
-    keep = [r for r, lid in enumerate(H.line_order)
-            if np.isfinite(limits[lid])]
-    if not keep:
-        return None, None, []
-    kept = [H.line_order[r] for r in keep]
-    lims = np.array([limits[lid] for lid in kept])
-    f0 = 0.0 if f_const is None else np.array([f_const[lid] for lid in kept])
-    b_ub = np.column_stack([lims - f0, lims + f0]).ravel()
-    # S picks each kept line twice, as +row then -row.
-    S = sparse.csr_array(
-        (np.tile([1.0, -1.0], len(keep)), np.repeat(keep, 2),
-         np.arange(2 * len(keep) + 1)),
-        shape=(2 * len(keep), len(H.line_order)))
-    row_lines = [(lid, s) for lid in kept for s in (+1, -1)]
-    return (S @ H.matrix) @ inj, b_ub, row_lines
 
 
 @dataclass

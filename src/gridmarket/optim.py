@@ -1,13 +1,14 @@
 """Linear-programming core with dual recovery.
 
-Problems are minimizations: min c.x subject to A_eq x = b_eq,
-A_ub x <= b_ub and per-variable bounds. Duals are reported as shadow
-prices: duals_eq[i] = d objective / d b_eq[i] (unrestricted sign) and
-duals_ub[i] = -d objective / d b_ub[i] >= 0 for <=-rows.
+Problems are minimizations in the one form HiGHS' `passModel` takes:
+min c.x subject to row_lo <= A x <= row_hi and lo <= x <= hi, with A held
+column-wise (CSC) as `indptr`, `indices` and `data`. A row with
+row_lo = -inf is a <=-row, one with row_lo == row_hi an equality. The
+solution carries HiGHS' own duals: row_duals[i] = d objective / d (active
+side of row i), and reduced_costs[j] likewise for column j's bounds.
 
-Constraint matrices may be dense arrays or scipy.sparse matrices; the
-solver gets both blocks as one sparse matrix. Clearing and DLMP both build
-theirs with `dispatch_lp`, sparse, from the network's cached sparse PTDF.
+Clearing and DLMP both build their LP with `dispatch_lp`, straight from the
+network's PTDF index arrays with numpy, with no dense or sparse matrix type.
 
 The solve is one call into HiGHS' dual simplex (Huangfu & Hall, Math. Prog.
 Comp. 2018) through the binding scipy bundles, `_highspy._core`, not through
@@ -21,16 +22,13 @@ a dispatch LP (box-bounded blocks, one balance row, PTDF line rows) leaves
 it nothing to remove, yet on a 1000-bus feeder it took over 90% of the
 solve, and the dual simplex needs about as many iterations without it.
 
-scipy is imported where an LP is built (scipy.sparse) or solved
-(scipy.optimize, ~0.4 s of a cold start): `validate` loads no scipy, and a
-P2P run, which solves no LP, loads only scipy.sparse for its grid flows.
+scipy is imported only where an LP is solved (scipy.optimize, ~0.4 s of a
+cold start): `validate` and a P2P run, which solve no LP, load no scipy.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .network import line_limit_rows
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
@@ -44,43 +42,38 @@ class NumericalFailure(Exception):
 @dataclass
 class LpProblem:
     c: np.ndarray
-    A_eq: np.ndarray = None
-    b_eq: np.ndarray = None
-    A_ub: np.ndarray = None
-    b_ub: np.ndarray = None
-    bounds: np.ndarray = None   # (n, 2): per-variable lo, hi; None -> 0, +inf
+    lo: np.ndarray        # column bounds
+    hi: np.ndarray
+    indptr: np.ndarray    # CSC: column j's entries are indptr[j]:indptr[j + 1]
+    indices: np.ndarray   # row of each entry
+    data: np.ndarray
+    row_lo: np.ndarray
+    row_hi: np.ndarray
 
     def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float)
-        n = self.c.size
-        if self.A_eq is not None:
-            self.A_eq, self.b_eq = _rows(self.A_eq, self.b_eq, n, "A_eq/b_eq")
-        if self.A_ub is not None:
-            self.A_ub, self.b_ub = _rows(self.A_ub, self.b_ub, n, "A_ub/b_ub")
-        self.bounds = np.asarray([(0.0, np.inf)] * n if self.bounds is None
-                                 else self.bounds, dtype=float)
-        if self.bounds.shape != (n, 2):
-            raise ValueError("one (lo, hi) pair per variable required")
-        bad = np.flatnonzero(self.bounds[:, 0] > self.bounds[:, 1])
+        for name in ("c", "lo", "hi", "data", "row_lo", "row_hi"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+        for name in ("indptr", "indices"):          # HiGHS' index type
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.int32))
+        n, m = self.c.size, self.row_lo.size
+        if not self.lo.shape == self.hi.shape == (n,) or self.row_hi.shape != (m,):
+            raise ValueError("lo and hi need one entry per column, "
+                             "row_hi one per row")
+        ptr = self.indptr
+        if (ptr.shape != (n + 1,) or ptr[0] != 0 or np.any(np.diff(ptr) < 0)
+                or self.indices.shape != (ptr[-1],)
+                or self.data.shape != (ptr[-1],)
+                or np.any(self.indices < 0) or np.any(self.indices >= m)):
+            raise ValueError("malformed CSC matrix")
+        bad = np.flatnonzero(self.lo > self.hi)
         if bad.size:
-            lo, hi = self.bounds[bad[0]]
-            raise ValueError(f"variable {bad[0]}: bound lo {lo} > hi {hi}")
+            j = bad[0]
+            raise ValueError(
+                f"variable {j}: bound lo {self.lo[j]} > hi {self.hi[j]}")
 
     @property
     def n(self):
         return self.c.size
-
-
-def _rows(A, b, n, what):
-    """Constraint rows (A with n columns, flat b); sparse A stays sparse."""
-    from scipy import sparse
-
-    A = (sparse.csr_array(A, dtype=float) if sparse.issparse(A)
-         else np.asarray(A, dtype=float)).reshape(-1, n)
-    b = np.asarray(b, dtype=float).ravel()
-    if A.shape[0] != b.size:
-        raise ValueError(f"{what} row mismatch")
-    return A, b
 
 
 def dispatch_lp(H, limits, buses, signs, prices, caps, balance=0.0,
@@ -89,20 +82,47 @@ def dispatch_lp(H, limits, buses, signs, prices, caps, balance=0.0,
 
     Variable j is a block of 0..caps[j] kW at buses[j] that consumes
     (signs[j] = +1) or produces (-1) at prices[j]: minimize the cost of
-    production less the value of consumption subject to the balance row
-    signs.x = balance and the line limits on the PTDF `H` (`f_const`: flows
-    of the constant injections by line id). Returns (problem, row_lines).
+    production less the value of consumption subject to the line limits on
+    the PTDF `H` (`f_const`: flows of the constant injections by line id)
+    and the balance row signs.x = balance, which comes last. Rows 2k and
+    2k + 1 cap the flow of `limited[k]`, the k-th finite-limit line, from
+    above and below: column j holds +signs[j], -signs[j] on the pair of each
+    such line on its bus's root path, rows ascending, then signs[j] on the
+    balance row. Returns (problem, limited).
     """
-    from scipy import sparse
-
     signs = np.asarray(signs, dtype=float)
-    A_ub, b_ub, row_lines = line_limit_rows(
-        H, H.injection_map(buses, signs), limits, f_const)
-    problem = LpProblem(c=-signs * prices,
-                        A_eq=sparse.csr_array(signs.reshape(1, -1)),
-                        b_eq=np.array([balance]), A_ub=A_ub, b_ub=b_ub,
-                        bounds=np.column_stack([np.zeros(len(caps)), caps]))
-    return problem, row_lines
+    lims = np.array([limits[lid] for lid in H.line_order], dtype=float)
+    finite = np.isfinite(lims)
+    limited = [lid for lid, f in zip(H.line_order, finite) if f]
+    k = len(limited)
+    # H's entries on limited lines, still by bus and then by line: the pair
+    # of each, and where each bus's run starts (none for the root, bus nb)
+    on = finite[H.path_rows]
+    pair = (np.cumsum(finite) - 1)[H.path_rows[on]]
+    nb = len(H.bus_order)
+    starts = np.searchsorted(H.path_cols[on], np.arange(nb + 2))
+    bus = np.fromiter(map(H.bus_index.get, buses, [nb] * len(signs)),
+                      dtype=np.intp, count=len(signs))
+    first, depth = starts[bus], starts[bus + 1] - starts[bus]
+    # positions in `pair` of each column's lines, column after column
+    at = np.arange(depth.sum()) + np.repeat(first - np.cumsum(depth) + depth,
+                                            depth)
+    indptr = np.append(0, np.cumsum(2 * depth + 1))
+    line = np.ones(indptr[-1], dtype=bool)
+    line[indptr[1:] - 1] = False                   # the balance entries
+    indices = np.full(indptr[-1], 2 * k)
+    indices[line] = ((2 * pair[at])[:, None] + [0, 1]).ravel()
+    data = np.repeat(signs, 2 * depth + 1)
+    data[line] *= np.tile([1.0, -1.0], at.size)
+
+    f0 = 0.0 if f_const is None else np.array([f_const[lid] for lid in limited])
+    row_hi = np.append(np.column_stack([lims[finite] - f0,
+                                        lims[finite] + f0]).ravel(), balance)
+    row_lo = np.append(np.full(2 * k, -np.inf), balance)
+    problem = LpProblem(c=-signs * prices, lo=np.zeros(len(caps)), hi=caps,
+                        indptr=indptr, indices=indices, data=data,
+                        row_lo=row_lo, row_hi=row_hi)
+    return problem, limited
 
 
 @dataclass
@@ -110,69 +130,55 @@ class LpSolution:
     status: str
     x: np.ndarray = None
     objective: float = None
-    duals_eq: np.ndarray = None
-    duals_ub: np.ndarray = None
-    duals_lower: np.ndarray = None   # >= 0, d obj / d lo
-    duals_upper: np.ndarray = None   # <= 0, d obj / d hi
-    message: str = ""
+    row_duals: np.ndarray = None       # HiGHS row_dual
+    reduced_costs: np.ndarray = None   # HiGHS col_dual
 
 
 def solve_lp(problem):
     """Solve an LpProblem, returning a certified primal/dual pair."""
-    from scipy import sparse
     from scipy.optimize._highspy._core import (
         HighsModelStatus, HighsStatus, _Highs)
 
-    n = problem.n
-    none = (np.zeros((0, n)), np.zeros(0))
-    A_ub, b_ub = none if problem.A_ub is None else (problem.A_ub, problem.b_ub)
-    A_eq, b_eq = none if problem.A_eq is None else (problem.A_eq, problem.b_eq)
-    for name, v in (("c", problem.c), ("A_ub", A_ub), ("b_ub", b_ub),
-                    ("A_eq", A_eq), ("b_eq", b_eq)):
-        if not np.isfinite(v.data if sparse.issparse(v) else v).all():
+    p = problem
+    for name in ("c", "data"):
+        if not np.isfinite(getattr(p, name)).all():
             raise ValueError(f"{name} must not contain inf or nan")
-    A = sparse.vstack((sparse.coo_array(A_ub), sparse.coo_array(A_eq)),
-                      format="csc")
-    row_lo = np.concatenate((np.full(b_ub.size, -np.inf), b_eq))
-    row_hi = np.concatenate((b_ub, b_eq))
-    lo, hi = problem.bounds.T.copy()
+    if np.isnan(p.lo).any() or np.isnan(p.hi).any():
+        raise ValueError("lo and hi must not contain nan")
+    if (np.isnan(p.row_lo) | (p.row_lo == np.inf)).any():
+        raise ValueError("row_lo must not contain nan or +inf")
+    if (np.isnan(p.row_hi) | (p.row_hi == -np.inf)).any():
+        raise ValueError("row_hi must not contain nan or -inf")
+    if not (np.isfinite(p.row_lo) | np.isfinite(p.row_hi)).all():
+        raise ValueError("row_hi must be finite where row_lo is -inf")
 
     highs = _Highs()
     highs.setOptionValue("output_flag", False)   # first: no banner on stdout
     highs.setOptionValue("presolve", "off")
     highs.setOptionValue("solver", "simplex")
     highs.setOptionValue("simplex_strategy", 1)  # dual
-    if highs.passModel(n, row_lo.size, A.nnz, 1, 1, 0.0, problem.c, lo, hi,
-                       row_lo, row_hi, A.indptr, A.indices, A.data,
-                       np.zeros(n, dtype=np.int32)) == HighsStatus.kError:
+    if highs.passModel(p.n, p.row_lo.size, p.data.size, 1, 1, 0.0, p.c, p.lo,
+                       p.hi, p.row_lo, p.row_hi, p.indptr, p.indices, p.data,
+                       np.zeros(p.n, dtype=np.int32)) == HighsStatus.kError:
         raise NumericalFailure("HiGHS refused the model")
     highs.run()
     model_status = highs.getModelStatus()
-    message = highs.modelStatusToString(model_status)
     status = {HighsModelStatus.kOptimal: OPTIMAL,
               HighsModelStatus.kInfeasible: INFEASIBLE,
               HighsModelStatus.kUnbounded: UNBOUNDED}.get(model_status)
     if status is None:
-        raise NumericalFailure(f"HiGHS model status: {message}")
+        raise NumericalFailure("HiGHS model status: "
+                               + highs.modelStatusToString(model_status))
     if status != OPTIMAL:
-        return LpSolution(status=status, message=message)
+        return LpSolution(status=status)
 
     sol = highs.getSolution()
     objective = highs.getInfo().objective_function_value
     x, rows = np.array(sol.col_value), np.array(sol.row_value)
     # linprog's post-solve test: bounds and rows met within sqrt(1e-9) * 10
-    off = np.concatenate((lo - x, x - hi, row_lo - rows, rows - row_hi))
+    off = np.concatenate((p.lo - x, x - p.hi, p.row_lo - rows, rows - p.row_hi))
     if np.isnan(objective) or not np.all(off <= np.sqrt(1e-9) * 10):
         raise NumericalFailure("optimal solution violates its constraints")
-
-    row_dual, col_dual = np.array(sol.row_dual), np.array(sol.col_dual)
-    basis = np.array([s.value for s in highs.getBasis().col_status])
-    return LpSolution(
-        status=OPTIMAL,
-        x=x,
-        objective=float(objective),
-        duals_eq=row_dual[b_ub.size:],
-        duals_ub=np.maximum(-row_dual[:b_ub.size], 0.0),
-        duals_lower=np.where(basis == 0, col_dual, 0.0),   # kLower
-        duals_upper=np.where(basis == 2, col_dual, 0.0),   # kUpper
-    )
+    return LpSolution(status=OPTIMAL, x=x, objective=float(objective),
+                      row_duals=np.array(sol.row_dual),
+                      reduced_costs=np.array(sol.col_dual))

@@ -107,8 +107,6 @@ def subtree_sum_flows(network, injections):
 def random_feasible_lp(rng, n=None, m=None, box=3.0):
     """Random bounded-feasible LP: box bounds plus inequality rows built
     around an interior point."""
-    from gridmarket.optim import LpProblem
-
     n = n or int(rng.integers(2, 6))
     m = m or int(rng.integers(2, 13))
     c = rng.normal(size=n)
@@ -117,7 +115,46 @@ def random_feasible_lp(rng, n=None, m=None, box=3.0):
     x0 = rng.uniform(-0.5 * box, 0.5 * box, size=n)
     A = rng.normal(size=(m, n))
     b = A @ x0 + rng.uniform(0.1, 2.0, size=m)
-    return LpProblem(c=c, A_ub=A, b_ub=b, bounds=list(zip(lo, hi)))
+    return lp_problem(c, A_ub=A, b_ub=b, bounds=list(zip(lo, hi)))
+
+
+def lp_problem(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
+    """The LpProblem of an LP in linprog's form: min c.x subject to
+    A_ub x <= b_ub, A_eq x = b_eq and (lo, hi) bounds pairs (None: every
+    variable in [0, +inf)). Matrices are dense or scipy.sparse; the rows are
+    the A_ub rows, then the A_eq rows, and the CSC keeps the nonzeros,
+    rows ascending within each column, as linprog hands them to HiGHS."""
+    from gridmarket.optim import LpProblem
+
+    c = np.asarray(c, dtype=float)
+    n = c.size
+    blocks, row_lo, row_hi = [np.zeros((0, n))], [], []
+    for A, b, eq in ((A_ub, b_ub, False), (A_eq, b_eq, True)):
+        if A is None:
+            continue
+        A = A.toarray() if hasattr(A, "toarray") else A
+        b = np.asarray(b, dtype=float).ravel()
+        blocks.append(np.asarray(A, dtype=float).reshape(b.size, n))
+        row_lo.append(b if eq else np.full(b.size, -np.inf))
+        row_hi.append(b)
+    A = np.concatenate(blocks)
+    cols, rows = np.nonzero(A.T)                  # by column, rows ascending
+    bounds = np.array([(0.0, np.inf)] * n if bounds is None else bounds,
+                      dtype=float).reshape(-1, 2)
+    return LpProblem(c=c, lo=bounds[:, 0], hi=bounds[:, 1],
+                     indptr=np.append(0, np.cumsum(np.bincount(cols,
+                                                               minlength=n))),
+                     indices=rows, data=A[rows, cols],
+                     row_lo=np.concatenate([np.zeros(0)] + row_lo),
+                     row_hi=np.concatenate([np.zeros(0)] + row_hi))
+
+
+def lp_matrix(problem):
+    """Dense constraint matrix of an LpProblem, from its CSC arrays."""
+    A = np.zeros((problem.row_lo.size, problem.n))
+    cols = np.repeat(np.arange(problem.n), np.diff(problem.indptr))
+    A[problem.indices, cols] = problem.data
+    return A
 
 
 def enumerate_lp_optimum(problem, tol=1e-7):
@@ -127,14 +164,19 @@ def enumerate_lp_optimum(problem, tol=1e-7):
     active), keeps the feasible points and returns the minimum objective.
     """
     n = problem.n
-    eq_rows = [] if problem.A_eq is None else list(problem.A_eq)
-    eq_rhs = [] if problem.A_eq is None else list(problem.b_eq)
+    M = lp_matrix(problem)
+    is_eq = problem.row_lo == problem.row_hi
+    eq_rows, eq_rhs = list(M[is_eq]), list(problem.row_hi[is_eq])
     cons, rhs = [], []
-    if problem.A_ub is not None:
-        for row, b in zip(problem.A_ub, problem.b_ub):
+    for row, lo, hi in zip(M[~is_eq], problem.row_lo[~is_eq],
+                           problem.row_hi[~is_eq]):
+        if np.isfinite(hi):
             cons.append(row)
-            rhs.append(b)
-    for j, (lo, hi) in enumerate(problem.bounds):
+            rhs.append(hi)
+        if np.isfinite(lo):
+            cons.append(-row)
+            rhs.append(-lo)
+    for j, (lo, hi) in enumerate(zip(problem.lo, problem.hi)):
         e = np.zeros(n)
         e[j] = 1.0
         if np.isfinite(lo):
@@ -270,27 +312,30 @@ def ucb_select_and_update(state, rewards_feed):
 
 def ptdf_entries(H):
     """Dense view of a PtdfMatrix's path-indicator matrix."""
-    return H.matrix.toarray()
+    E = np.zeros((len(H.line_order), len(H.bus_order)))
+    E[H.path_rows, H.path_cols] = 1.0
+    return E
+
+
+def priced_sides(duals, values, lo, hi):
+    """Sum of duals times the bound side each prices: the side nearer its
+    value, where a nonbasic variable or row sits (a basic one's dual is 0).
+    An infinite side counts 0."""
+    side = np.where(np.abs(values - hi) < np.abs(values - lo), hi, lo)
+    finite = np.isfinite(side)
+    return float(duals[finite] @ side[finite])
 
 
 def dual_objective(solution, problem):
-    """Dual objective of an Optimal LpSolution from its reported shadow
-    prices.
+    """Dual objective of an Optimal LpSolution from its reported row duals
+    and reduced costs.
 
-    Equals the primal objective at every Optimal solve (strong duality);
-    infinite bounds contribute nothing because their duals are zero.
+    Equals the primal objective at every Optimal solve (strong duality).
     """
-    total = 0.0
-    if problem.b_eq is not None:
-        total += float(solution.duals_eq @ problem.b_eq)
-    if problem.b_ub is not None:
-        total -= float(solution.duals_ub @ problem.b_ub)
-    lo = np.array([b[0] for b in problem.bounds])
-    hi = np.array([b[1] for b in problem.bounds])
-    lo_fin, hi_fin = np.isfinite(lo), np.isfinite(hi)
-    total += float(solution.duals_lower[lo_fin] @ lo[lo_fin])
-    total += float(solution.duals_upper[hi_fin] @ hi[hi_fin])
-    return total
+    return (priced_sides(solution.row_duals, lp_matrix(problem) @ solution.x,
+                         problem.row_lo, problem.row_hi)
+            + priced_sides(solution.reduced_costs, solution.x, problem.lo,
+                           problem.hi))
 
 
 def state_fingerprint(env):

@@ -444,7 +444,7 @@ def test_quantities_are_per_span_sums_on_a_feeder_sized_lp(monkeypatch,
     solved = []
 
     def random_fill(problem):
-        solved.append(rng.random(problem.n) * problem.bounds[:, 1])
+        solved.append(rng.random(problem.n) * problem.hi)
         return LpSolution(status=OPTIMAL, x=solved[-1])
 
     monkeypatch.setattr(clearing, "solve_lp", random_fill)
@@ -466,15 +466,15 @@ def test_demand_exactly_filling_a_capped_line_pins_its_duals(monkeypatch):
                         lambda p: solved.append(solve(p)) or solved[-1])
     d = clear(mi, segments=10)
     sol, = solved
-    assert sol.duals_eq.tolist() == [-4.3]
-    assert sol.duals_ub.tolist() == [0.0, 0.0]       # line b, +row and -row
+    # line b's +row and -row, then the balance row
+    assert sol.row_duals.tolist() == [0.0, 0.0, -4.3]
     # the consumers' blocks sit at their caps, priced at value - 4.3
     caps = [-95.7] + [-(99.9 + 0.01 * (9.5 - j) - 4.3) for j in range(10)]
-    np.testing.assert_allclose(sol.duals_upper[:22], caps * 2, rtol=0,
+    np.testing.assert_allclose(sol.reduced_costs[:22], caps * 2, rtol=0,
                                atol=1e-12)
     # the feeder's blocks are free; g2's idle ones cost value + 4.3 more
-    assert not sol.duals_upper[22:].any() and not sol.duals_lower[:32].any()
-    np.testing.assert_allclose(sol.duals_lower[32:],
+    assert not sol.reduced_costs[22:32].any()
+    np.testing.assert_allclose(sol.reduced_costs[32:],
                                [8.2 + 0.4 * j - 4.3 for j in range(10)],
                                rtol=0, atol=1e-12)
     assert d.binding_lines == ["b"]

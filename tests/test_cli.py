@@ -77,13 +77,11 @@ def test_commands_import_only_what_they_run(tmp_path):
     # validate solves nothing and needs no scipy at all
     report = probe_imports(tmp_path, "validate", case("case34.txt"))
     assert report["at_import"] == [] and report["after"] == []
-    # a P2P episode computes flows (scipy.sparse) but never builds an LP
+    # a P2P episode computes flows (numpy only) but never builds an LP
     report = probe_imports(tmp_path, "run", "--config", case("demo_p2p.cfg"),
                            "--set", "grid_steps=2", "--set", "T=5",
                            "--out", str(tmp_path / "p2p"))
-    assert report["at_import"] == []
-    assert "scipy.sparse" in report["after"]
-    assert "scipy.optimize" not in report["after"]
+    assert report["at_import"] == [] and report["after"] == []
     # a clearing episode solves LPs, so HiGHS is loaded by its end
     report = probe_imports(tmp_path, "run", "--config",
                            case("demo_clearing.cfg"),
@@ -369,6 +367,78 @@ def test_dlmp_negative_source_price_is_an_error(capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "lmp_source" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command,name,text,message", [
+    ("clear", "bids", "bid s 0 S 4 4 100 0\nbid c 1 D 5 1 inf 0\n",
+     "error: line 2: prices and quantities must be finite"),
+    ("clear", "bids", "bid s 0 S 4 4 100 0\nbid c 1 D inf 1 4 0\n",
+     "error: line 2: prices and quantities must be finite"),
+    ("clear", "bids", "bid c 1 D 1e308 -1e308 1 0\n",
+     "error: line 1: price range over quantity range overflows"),
+    ("dlmp", "offers", "gen 1 0 10 10,inf\n",
+     "error: line 1: gen at bus 1: block quantities and prices must be finite"),
+    ("dlmp", "offers", "gen 1 0 inf 10,3\n",
+     "error: line 1: gen at bus 1: need 0 <= P_min <= P_max < inf"),
+    ("dlmp", "offers", "dr 1 inf 5,3\n",
+     "error: line 1: dr at bus 1: baseline must be finite and >= 0"),
+], ids=["bid-q_max", "bid-p_max", "bid-slope", "gen-block-price", "gen-p_max",
+        "dr-baseline"])
+def test_non_finite_input_prints_one_error_line(tmp_path, capsys, command,
+                                                name, text, message):
+    path = write(tmp_path, name, text)
+    out = tmp_path / "out"
+    rc = main([command, "--case", case("case34.txt"), f"--{name}", path,
+               "--out", str(out)])
+    assert rc == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and captured.out == ""
+    assert not out.exists()
+
+
+def test_dlmp_infinite_source_price_prints_one_error_line(capsys):
+    rc = main(["dlmp", "--case", case("case34.txt"),
+               "--offers", case("offers34.txt"), "--lmp-source", "inf"])
+    assert rc == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.err == ("error: lmp_source must be finite and >= 0, "
+                            "got inf\n") and captured.out == ""
+
+
+def test_a_model_highs_cannot_take_prints_one_error_line(tmp_path, capsys):
+    # HiGHS reads a cost of 1e20 or more as infinite: a 1 kW load priced at
+    # 1e308 at the source ends in "model status: Unknown"
+    rc = main(["dlmp", "--case", write(tmp_path, "net.txt",
+                                       "bus 0\nbus 1\nline a 0 1 inf\n"),
+               "--offers", write(tmp_path, "off.txt", "dr 0 1.0\n"),
+               "--lmp-source", "1e308"])
+    assert rc == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: HiGHS")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("roster,profile,message", [
+    ("agent cx 5 consumer elastic 5 1 inf", "",
+     "line 2: prices and quantities must be finite"),
+    ("agent sx 5 consumer scripted:profile.csv", "kw\n1\ninf\n",
+     "line 2: {tmp}/profile.csv: `kw` must be finite"),
+    ("agent u1 5 producer ucb nan 5", "", "line 2: arm prices must be finite"),
+], ids=["elastic-q_max", "scripted-kw", "ucb-arm"])
+def test_run_non_finite_roster_exits_2_before_any_output(tmp_path, capsys,
+                                                         roster, profile,
+                                                         message):
+    (tmp_path / "profile.csv").write_text(profile)
+    path = write(tmp_path, "roster.txt",
+                 f"agent feeder 0 producer flat_supply 4.3 500\n{roster}\n")
+    out = tmp_path / "out"
+    rc = main(["run", "--config", case("demo_clearing.cfg"), "--set",
+               f"roster={path}", "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == (f"config error: roster: "
+                            f"{message.format(tmp=tmp_path)}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv,line", [

@@ -12,32 +12,32 @@ from gridmarket.optim import (
 from helpers import (
     capped_gen_exporting_at_limit, demand_filling_a_capped_line,
     dual_objective, enumerate_lp_optimum, idle_gen_behind_full_line,
-    random_feasible_lp, random_radial_network,
+    lp_matrix, lp_problem, random_feasible_lp, random_radial_network,
 )
 
 
 def test_single_bound_constraint_dual():
     # min x s.t. x >= 3 (posed as -x <= -3)
-    p = LpProblem(c=[1.0], A_ub=[[-1.0]], b_ub=[-3.0],
-                  bounds=[(-np.inf, np.inf)])
+    p = lp_problem(c=[1.0], A_ub=[[-1.0]], b_ub=[-3.0],
+                   bounds=[(-np.inf, np.inf)])
     s = solve_lp(p)
     assert s.status == OPTIMAL
     assert s.x[0] == pytest.approx(3.0)
-    assert s.duals_ub[0] == pytest.approx(1.0)
+    assert -s.row_duals[0] == pytest.approx(1.0)
 
 
 def test_textbook_vertex():
-    p = LpProblem(c=[-1.0, -1.0], A_ub=[[1.0, 1.0]], b_ub=[1.0])
+    p = lp_problem(c=[-1.0, -1.0], A_ub=[[1.0, 1.0]], b_ub=[1.0])
     s = solve_lp(p)
     assert s.objective == pytest.approx(-1.0)
-    assert s.duals_ub[0] == pytest.approx(1.0)
+    assert -s.row_duals[0] == pytest.approx(1.0)
 
 
 def test_infeasible_and_unbounded():
-    p = LpProblem(c=[1.0], A_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0],
-                  bounds=[(-np.inf, np.inf)])
+    p = lp_problem(c=[1.0], A_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0],
+                   bounds=[(-np.inf, np.inf)])
     assert solve_lp(p).status == INFEASIBLE
-    p2 = LpProblem(c=[-1.0], bounds=[(0.0, np.inf)])
+    p2 = lp_problem(c=[-1.0], bounds=[(0.0, np.inf)])
     assert solve_lp(p2).status == UNBOUNDED
 
 
@@ -61,23 +61,25 @@ def test_strong_duality_and_feasibility():
         s = solve_lp(p)
         assert s.status == OPTIMAL
         # primal feasibility
-        assert np.all(p.A_ub @ s.x <= p.b_ub + 1e-8)
-        # duals_ub >= 0, complementary slackness on inequality rows
-        assert np.all(s.duals_ub >= -1e-12)
-        slack = p.b_ub - p.A_ub @ s.x
-        assert np.all(np.abs(s.duals_ub * slack) <= 1e-8)
+        A = lp_matrix(p)
+        assert np.all(A @ s.x <= p.row_hi + 1e-8)
+        # the shadow prices -row_duals of the <=-rows are >= 0, and
+        # complementary slackness holds on them
+        assert np.all(-s.row_duals >= -1e-12)
+        slack = p.row_hi - A @ s.x
+        assert np.all(np.abs(np.maximum(-s.row_duals, 0.0) * slack) <= 1e-8)
         # dual objective equals primal objective
         assert dual_objective(s, p) == pytest.approx(s.objective, abs=1e-8)
 
 
 def test_row_scaling_scales_dual():
-    p = LpProblem(c=[-1.0, -1.0], A_ub=[[1.0, 1.0]], b_ub=[1.0])
+    p = lp_problem(c=[-1.0, -1.0], A_ub=[[1.0, 1.0]], b_ub=[1.0])
     base = solve_lp(p)
     k = 5.0
-    scaled = LpProblem(c=[-1.0, -1.0], A_ub=[[k, k]], b_ub=[k])
+    scaled = lp_problem(c=[-1.0, -1.0], A_ub=[[k, k]], b_ub=[k])
     s = solve_lp(scaled)
     np.testing.assert_allclose(s.x, base.x, atol=1e-10)
-    assert s.duals_ub[0] == pytest.approx(base.duals_ub[0] / k)
+    assert s.row_duals[0] == pytest.approx(base.row_duals[0] / k)
 
 
 def test_solver_deterministic():
@@ -88,36 +90,71 @@ def test_solver_deterministic():
     assert s1.objective == s2.objective
 
 
+def one_column(**fields):
+    """A one-column LP with one row, min x s.t. x <= 4 and 0 <= x <= 5,
+    with `fields` replaced."""
+    lp = {"c": [1.0], "lo": [0.0], "hi": [5.0], "indptr": [0, 1],
+          "indices": [0], "data": [1.0], "row_lo": [-np.inf], "row_hi": [4.0]}
+    return LpProblem(**{**lp, **fields})
+
+
 def test_bounds_from_list_or_array_are_one_float_array():
-    pairs = [(0.0, 1.0), (-np.inf, 2), (3, np.inf)]
-    from_list = LpProblem(c=[1.0, 2.0, 3.0], bounds=pairs)
-    from_array = LpProblem(c=[1.0, 2.0, 3.0], bounds=np.array(pairs))
+    lo, hi = [0.0, -np.inf, 3], [1.0, 2, np.inf]
+    ptr, rows, data = [0, 1, 1, 2], [0, 0], [1, 2]
+    from_list = LpProblem(c=[1.0, 2.0, 3.0], lo=lo, hi=hi, indptr=ptr,
+                          indices=rows, data=data, row_lo=[-np.inf],
+                          row_hi=[4])
+    from_array = LpProblem(c=np.array([1.0, 2.0, 3.0]), lo=np.array(lo),
+                           hi=np.array(hi), indptr=np.array(ptr),
+                           indices=np.array(rows), data=np.array(data),
+                           row_lo=np.array([-np.inf]), row_hi=np.array([4]))
     for p in (from_list, from_array):
-        assert isinstance(p.bounds, np.ndarray) and p.bounds.dtype == float
-        np.testing.assert_array_equal(p.bounds, np.array(pairs, dtype=float))
-    # no bounds: every variable in [0, +inf)
-    np.testing.assert_array_equal(LpProblem(c=[1.0, 2.0]).bounds,
-                                  [[0.0, np.inf], [0.0, np.inf]])
+        for name in ("c", "lo", "hi", "data", "row_lo", "row_hi"):
+            assert getattr(p, name).dtype == float
+        for name in ("indptr", "indices"):      # HiGHS' index type
+            assert getattr(p, name).dtype == np.int32
+        np.testing.assert_array_equal(p.lo, np.array(lo, dtype=float))
+        np.testing.assert_array_equal(p.hi, np.array(hi, dtype=float))
+        np.testing.assert_array_equal(p.data, [1.0, 2.0])
 
 
 @pytest.mark.parametrize("bounds", [
-    [(0.0, 1.0)] * 3,                  # one pair too many
-    [(0.0, 1.0)],                      # one pair too few
-    np.zeros(4),                       # flat, not (n, 2)
-    np.zeros((2, 3)),
+    {"lo": [0.0, 0.0], "hi": [1.0, 1.0]},     # one pair too many
+    {"lo": [], "hi": []},                     # one pair too few
+    {"lo": [0.0], "hi": [1.0, 1.0]},          # lo and hi differ in length
+    {"lo": np.zeros((1, 2)), "hi": [1.0]},    # not flat
 ])
 def test_bounds_length_mismatch_rejected(bounds):
-    with pytest.raises(ValueError, match="one \\(lo, hi\\) pair per variable"):
-        LpProblem(c=[1.0, 2.0], bounds=bounds)
+    with pytest.raises(ValueError, match="lo and hi need one entry per column"):
+        one_column(**bounds)
 
 
 def test_bounds_lo_above_hi_names_the_first_bad_pair():
     with pytest.raises(ValueError,
                        match=r"^variable 1: bound lo 3\.0 > hi 2\.0$"):
-        LpProblem(c=[0.0] * 4,
-                  bounds=[(0, 1), (3, 2), (5, 4), (np.inf, 0)])
+        LpProblem(c=[0.0] * 4, lo=[0, 3, 5, np.inf], hi=[1, 2, 4, 0],
+                  indptr=[0] * 5, indices=[], data=[], row_lo=[], row_hi=[])
     # equal bounds fix a variable and are fine
-    LpProblem(c=[0.0], bounds=[(2.0, 2.0)])
+    one_column(lo=[2.0], hi=[2.0])
+
+
+@pytest.mark.parametrize("fields", [
+    {"indptr": [0]},                          # one pointer per column + 1
+    {"indptr": [1, 1]},                       # starts at 0
+    {"indptr": [0, 2], "indices": [0, 0], "data": [1.0]},   # data too short
+    {"indptr": [0, 1], "indices": [1]},       # row out of range
+    {"indptr": [0, 1], "indices": [-1]},
+    {"c": [1.0, 1.0], "lo": [0.0, 0.0], "hi": [1.0, 1.0],
+     "indptr": [0, 1, 0]},                    # decreasing
+])
+def test_malformed_csc_rejected(fields):
+    with pytest.raises(ValueError, match="malformed CSC matrix"):
+        one_column(**fields)
+
+
+def test_row_bounds_length_mismatch_rejected():
+    with pytest.raises(ValueError, match="row_hi one per row"):
+        one_column(row_hi=[4.0, 4.0])
 
 
 def test_solve_lp_runs_the_dual_simplex_without_presolve(monkeypatch):
@@ -134,20 +171,33 @@ def test_solve_lp_runs_the_dual_simplex_without_presolve(monkeypatch):
         return run(highs)
 
     monkeypatch.setattr(_Highs, "run", spy)
-    assert solve_lp(LpProblem(c=[1.0], bounds=[(2.0, 5.0)])).x[0] == 2.0
+    assert solve_lp(lp_problem(c=[1.0], bounds=[(2.0, 5.0)])).x[0] == 2.0
     (seen,) = options
     assert seen == {"output_flag": False, "presolve": "off",
                     "solver": "simplex", "simplex_strategy": 1}   # 1: dual
 
 
+def linprog_form(p):
+    """`p` in linprog's form: its <=-rows (row_lo -inf) as A_ub, b_ub and
+    its equality rows, which come after them, as A_eq, b_eq."""
+    A = lp_matrix(p)
+    eq = p.row_lo == p.row_hi
+    ub = np.isneginf(p.row_lo)
+    assert np.flatnonzero(ub).tolist() + np.flatnonzero(eq).tolist() == list(
+        range(p.row_lo.size))
+    return {"c": p.c, "A_ub": A[ub], "b_ub": p.row_hi[ub], "A_eq": A[eq],
+            "b_eq": p.row_hi[eq], "bounds": np.column_stack([p.lo, p.hi])}
+
+
 def linprog_equals_solve_lp(p):
     """Solve `p` with solve_lp and with scipy's public linprog at the same
-    settings, and require the same result bit for bit."""
+    settings, and require the same result bit for bit: HiGHS' row duals are
+    linprog's constraint marginals, and its reduced costs the sum of
+    linprog's lower- and upper-bound marginals."""
     from scipy.optimize import linprog
 
     s = solve_lp(p)
-    res = linprog(p.c, A_ub=p.A_ub, b_ub=p.b_ub, A_eq=p.A_eq, b_eq=p.b_eq,
-                  bounds=p.bounds, method="highs-ds",
+    res = linprog(**linprog_form(p), method="highs-ds",
                   options={"presolve": False})
     assert s.status == {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}[res.status]
     if s.status != OPTIMAL:
@@ -155,10 +205,10 @@ def linprog_equals_solve_lp(p):
         return s
     assert s.objective == res.fun
     assert np.array_equal(s.x, res.x)
-    assert np.array_equal(s.duals_eq, res.eqlin.marginals)
-    assert np.array_equal(s.duals_ub, np.maximum(-res.ineqlin.marginals, 0.0))
-    assert np.array_equal(s.duals_lower, res.lower.marginals)
-    assert np.array_equal(s.duals_upper, res.upper.marginals)
+    assert np.array_equal(s.row_duals, np.concatenate(
+        [res.ineqlin.marginals, res.eqlin.marginals]))
+    assert np.array_equal(s.reduced_costs,
+                          res.lower.marginals + res.upper.marginals)
     return s
 
 
@@ -177,26 +227,24 @@ def test_solve_lp_equals_linprog_on_random_lps():
     for _ in range(40):
         p = random_feasible_lp(rng)
         x = linprog_equals_solve_lp(p).x
-        as_sparse = LpProblem(c=p.c, A_ub=sparse.csr_array(p.A_ub),
-                              b_ub=p.b_ub, bounds=p.bounds)
-        linprog_equals_solve_lp(as_sparse)
+        lp = linprog_form(p)
         # the first row as an equality through the optimum keeps it feasible
-        with_eq = LpProblem(c=p.c, A_ub=sparse.csr_array(p.A_ub[1:]),
-                            b_ub=p.b_ub[1:], A_eq=p.A_ub[:1],
-                            b_eq=p.A_ub[:1] @ x, bounds=p.bounds)
+        with_eq = lp_problem(c=p.c, A_ub=sparse.csr_array(lp["A_ub"][1:]),
+                             b_ub=lp["b_ub"][1:], A_eq=lp["A_ub"][:1],
+                             b_eq=lp["A_ub"][:1] @ x, bounds=lp["bounds"])
         assert linprog_equals_solve_lp(with_eq).status == OPTIMAL
 
 
 def test_solve_lp_equals_linprog_when_infeasible_or_unbounded():
-    infeasible = LpProblem(c=[1.0], A_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0],
-                           bounds=[(-np.inf, np.inf)])
+    infeasible = lp_problem(c=[1.0], A_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0],
+                            bounds=[(-np.inf, np.inf)])
     assert linprog_equals_solve_lp(infeasible).status == INFEASIBLE
-    unbounded = LpProblem(c=[-1.0, 0.0], A_ub=[[-1.0, 1.0]], b_ub=[1.0],
-                          A_eq=[[0.0, 1.0]], b_eq=[0.0],
-                          bounds=[(0.0, np.inf), (-np.inf, np.inf)])
+    unbounded = lp_problem(c=[-1.0, 0.0], A_ub=[[-1.0, 1.0]], b_ub=[1.0],
+                           A_eq=[[0.0, 1.0]], b_eq=[0.0],
+                           bounds=[(0.0, np.inf), (-np.inf, np.inf)])
     assert linprog_equals_solve_lp(unbounded).status == UNBOUNDED
     assert linprog_equals_solve_lp(
-        LpProblem(c=[-1.0], bounds=[(0.0, np.inf)])).status == UNBOUNDED
+        lp_problem(c=[-1.0], bounds=[(0.0, np.inf)])).status == UNBOUNDED
 
 
 def test_solve_lp_equals_linprog_at_the_pinned_degenerate_vertices(
@@ -204,7 +252,8 @@ def test_solve_lp_equals_linprog_at_the_pinned_degenerate_vertices(
     for si in (idle_gen_behind_full_line(), capped_gen_exporting_at_limit()):
         linprog_equals_solve_lp(build_scopf(si)[0])
     p = lp_of_clear(monkeypatch, demand_filling_a_capped_line(), 10)
-    assert linprog_equals_solve_lp(p).duals_ub.tolist() == [0.0, 0.0]
+    # line b's +row and -row, then the balance row
+    assert linprog_equals_solve_lp(p).row_duals[:-1].tolist() == [0.0, 0.0]
 
 
 def test_solve_lp_equals_linprog_on_a_200_bus_clear(monkeypatch):
@@ -222,7 +271,7 @@ def test_solve_lp_equals_linprog_on_a_200_bus_clear(monkeypatch):
     p = lp_of_clear(monkeypatch, MarketInput(bids=bids, offers=offers,
                                              network=net), 20)
     s = linprog_equals_solve_lp(p)
-    assert s.status == OPTIMAL and s.duals_ub.any()   # some line binds
+    assert s.status == OPTIMAL and (s.row_duals[:-1] < 0).any()   # some line binds
 
 
 NAN, INF = float("nan"), float("inf")
@@ -235,6 +284,9 @@ NAN, INF = float("nan"), float("inf")
 ])
 @pytest.mark.parametrize("as_sparse", [False, True])
 def test_solve_lp_rejects_non_finite_inputs(field, bad, as_sparse):
+    # An LP in linprog's form, built from dense or sparse matrices, with one
+    # bad value; the error names the LpProblem array it lands in. b_ub = inf
+    # leaves its row without a finite side.
     data = {"c": [1.0, 1.0], "A_ub": [[1.0, 1.0]], "b_ub": [4.0],
             "A_eq": [[1.0, -1.0]], "b_eq": [0.0]}
     data[field] = np.array(data[field])
@@ -242,8 +294,26 @@ def test_solve_lp_rejects_non_finite_inputs(field, bad, as_sparse):
     for name in ("A_ub", "A_eq"):
         if as_sparse:
             data[name] = sparse.csr_array(data[name])
-    with pytest.raises(ValueError, match=f"^{field} must not contain"):
-        solve_lp(LpProblem(**data))
+    lands_in = {"c": "c", "A_ub": "data", "A_eq": "data", "b_ub": "row_hi",
+                "b_eq": "row_lo" if np.isnan(bad) else "row_hi"}[field]
+    with pytest.raises(ValueError, match=f"^{lands_in} must"):
+        solve_lp(lp_problem(**data))
+
+
+@pytest.mark.parametrize("fields,name", [
+    ({"lo": [NAN]}, "lo and hi"), ({"hi": [NAN]}, "lo and hi"),
+    ({"row_lo": [INF]}, "row_lo"), ({"row_hi": [-INF]}, "row_hi"),
+])
+def test_solve_lp_rejects_nan_bounds_and_empty_row_sides(fields, name):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        solve_lp(one_column(**fields))
+
+
+def test_solve_lp_takes_infinite_bounds_and_ranged_rows():
+    s = solve_lp(one_column(c=[-1.0], lo=[-INF], hi=[INF], row_lo=[1.0],
+                            row_hi=[4.0]))
+    assert s.status == OPTIMAL and s.x.tolist() == [4.0]
+    assert s.row_duals.tolist() == [-1.0] and s.reduced_costs.tolist() == [0.0]
 
 
 @pytest.mark.parametrize("model_status", [
@@ -256,13 +326,13 @@ def test_other_model_statuses_raise_numerical_failure(monkeypatch,
     monkeypatch.setattr(_Highs, "getModelStatus",
                         lambda highs: getattr(HighsModelStatus, model_status))
     with pytest.raises(NumericalFailure):
-        solve_lp(LpProblem(c=[1.0], bounds=[(2.0, 5.0)]))
+        solve_lp(lp_problem(c=[1.0], bounds=[(2.0, 5.0)]))
 
 
 def test_a_model_highs_refuses_raises_numerical_failure():
     # linprog's wrapper called this (HiGHS kModelError) infeasible
     with pytest.raises(NumericalFailure, match="refused"):
-        solve_lp(LpProblem(c=[1.0], bounds=[(np.inf, np.inf)]))
+        solve_lp(lp_problem(c=[1.0], bounds=[(np.inf, np.inf)]))
 
 
 @pytest.mark.parametrize("col_value,row_value,fails", [
@@ -286,9 +356,9 @@ def test_an_optimal_solution_off_its_constraints_raises(
         return sol
 
     monkeypatch.setattr(_Highs, "getSolution", off)
-    p = LpProblem(c=[1.0, 1.0], A_ub=[[1.0, 1.0]], b_ub=[4.0],
-                  A_eq=[[1.0, 0.0]], b_eq=[2.0],
-                  bounds=[(2.0, 5.0), (0.0, 3.0)])
+    p = lp_problem(c=[1.0, 1.0], A_ub=[[1.0, 1.0]], b_ub=[4.0],
+                   A_eq=[[1.0, 0.0]], b_eq=[2.0],
+                   bounds=[(2.0, 5.0), (0.0, 3.0)])
     if not fails:
         assert solve_lp(p).x.tolist() == col_value
         return

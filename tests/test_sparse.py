@@ -1,13 +1,14 @@
-"""The sparse flow operator and line-limit rows shared by clearing and DLMP,
-checked against dense references built here."""
+"""The PTDF index arrays and the column-wise line-limit rows shared by
+clearing and DLMP, checked against dense and scipy.sparse references built
+here."""
 
 import numpy as np
 import pytest
 from scipy import sparse
 
-from gridmarket.network import line_flows, line_limit_rows, ptdf
+from gridmarket.network import line_flows, ptdf
 from gridmarket.optim import OPTIMAL, LpProblem, dispatch_lp, solve_lp
-from helpers import ptdf_entries, random_feasible_lp, random_radial_network
+from helpers import lp_matrix, lp_problem, ptdf_entries, random_radial_network
 
 INF = float("inf")
 
@@ -33,54 +34,82 @@ def dense_limit_rows(net, var_buses, coefs, limits, f_const=None):
     return np.array(rows), np.array(rhs), row_lines
 
 
-@pytest.mark.parametrize("with_const", [False, True])
-def test_line_limit_rows_match_dense_reference(with_const):
-    rng = np.random.default_rng(41 + with_const)
-    for _ in range(30):
-        net = random_radial_network(rng, int(rng.integers(2, 25)))
+def random_dispatch(rng, net, limits=None):
+    """Random dispatch_lp inputs on `net`: some lines unlimited, a priced
+    import and an unpaid export at the root, blocks that consume or produce
+    at random buses (the root among them) and random constant flows."""
+    if limits is None:
         limits = net.line_limits()
         for lid in limits:
             if rng.random() < 0.3:
                 limits[lid] = INF
-        n_vars = int(rng.integers(1, 40))
-        # bus 0 is the root: those variables inject nothing on any line
-        var_buses = [int(b) for b in rng.integers(0, net.n_buses, n_vars)]
-        coefs = rng.choice([-1.0, 1.0], size=n_vars)
+    k = int(rng.integers(1, 40))
+    buses = [net.root] * 2 + rng.integers(0, net.n_buses, k).tolist()
+    signs = np.append([-1.0, 1.0], rng.choice([-1.0, 1.0], k))
+    prices = np.append([rng.uniform(1.0, 10.0), 0.0], rng.uniform(0.0, 20.0, k))
+    caps = np.append([INF, INF], rng.uniform(0.5, 30.0, k))
+    f_const = line_flows(net, {b: float(rng.uniform(-1.0, 1.0))
+                               for b in net.buses})
+    return limits, buses, signs, prices, caps, f_const
+
+
+@pytest.mark.parametrize("with_const", [False, True])
+def test_line_limit_rows_match_dense_reference(with_const):
+    """dispatch_lp's CSC, made dense, is the dense reference's line rows
+    stacked over the signs row, exactly, with rows ascending in each
+    column."""
+    rng = np.random.default_rng(41 + with_const)
+    for _ in range(30):
+        net = random_radial_network(rng, int(rng.integers(2, 25)))
+        limits, buses, signs, prices, caps, f_const = random_dispatch(rng, net)
+        if not with_const:
+            f_const = None
         H = ptdf(net)
-        f_const = rng.normal(size=net.n_lines) if with_const else None
-        ref_A, ref_b, ref_lines = dense_limit_rows(net, var_buses, coefs,
-                                                   limits, f_const)
-        A, b, row_lines = line_limit_rows(
-            H, H.injection_map(var_buses, coefs), limits,
-            None if f_const is None else dict(zip(H.line_order, f_const)))
-        assert row_lines == ref_lines
-        if not ref_lines:
-            assert A is None and b is None
-            continue
-        assert sparse.issparse(A)
-        np.testing.assert_array_equal(A.toarray(), ref_A)
-        np.testing.assert_array_equal(b, ref_b)
+        ref_A, ref_b, ref_lines = dense_limit_rows(
+            net, buses, signs, limits,
+            None if f_const is None else [f_const[lid] for lid in H.line_order])
+        problem, limited = dispatch_lp(H, limits, buses, signs, prices, caps,
+                                       2.5, f_const)
+        assert [(lid, s) for lid in limited for s in (+1, -1)] == ref_lines
+        np.testing.assert_array_equal(
+            lp_matrix(problem), np.vstack([ref_A.reshape(-1, len(buses)),
+                                           signs]))
+        np.testing.assert_array_equal(problem.row_hi, np.append(ref_b, 2.5))
+        np.testing.assert_array_equal(problem.row_lo,
+                                      [-INF] * len(ref_b) + [2.5])
+        for j in range(len(buses)):
+            rows = problem.indices[problem.indptr[j]:problem.indptr[j + 1]]
+            assert np.all(np.diff(rows) > 0)
+            assert rows[-1] == len(ref_b)             # the balance row
 
 
 def test_line_limit_rows_all_unlimited():
     rng = np.random.default_rng(5)
     net = random_radial_network(rng, 6, limit_lo=INF, limit_hi=INF)
-    H = ptdf(net)
-    inj = H.injection_map([1, 2, 0], [1.0, -1.0, 1.0])
-    assert line_limit_rows(H, inj, net.line_limits()) == (None, None, [])
+    problem, limited = dispatch_lp(ptdf(net), net.line_limits(), [1, 2, 0],
+                                   [1.0, -1.0, 1.0], [3.0, 2.0, 1.0],
+                                   [1.0, 1.0, 1.0])
+    assert limited == []
+    np.testing.assert_array_equal(lp_matrix(problem), [[1.0, -1.0, 1.0]])
+    assert problem.row_lo.tolist() == problem.row_hi.tolist() == [0.0]
 
 
-def test_injection_map_one_entry_per_variable():
+def test_root_bus_variables_hold_only_their_balance_entry():
     rng = np.random.default_rng(8)
     net = random_radial_network(rng, 9)
     H = ptdf(net)
     var_buses = [0, 3, 3, 8, 0, 1]
-    inj = H.injection_map(var_buses, [1.0, -1.0, 2.0, 1.0, 5.0, -3.0])
-    assert inj.shape == (len(H.bus_order), len(var_buses))
-    assert inj.nnz == 4                      # root-bus variables skipped
-    dense = inj.toarray()
-    assert dense[H.bus_order.index(3), 2] == 2.0
-    assert not dense[:, 0].any() and not dense[:, 4].any()
+    coefs = [1.0, -1.0, 2.0, 1.0, 5.0, -3.0]
+    problem, limited = dispatch_lp(H, net.line_limits(), var_buses, coefs,
+                                   [1.0] * 6, [1.0] * 6)
+    depth = {b: int(ptdf_entries(H)[:, H.bus_order.index(b)].sum())
+             for b in (1, 3, 8)}
+    assert np.diff(problem.indptr).tolist() == [
+        1 if b == 0 else 2 * depth[b] + 1 for b in var_buses]
+    # a root-bus variable's one entry is its coefficient on the balance row
+    for j in (0, 4):
+        assert problem.indices[problem.indptr[j]] == 2 * len(limited)
+        assert problem.data[problem.indptr[j]] == coefs[j]
 
 
 def test_ptdf_cached_per_network():
@@ -93,53 +122,59 @@ def test_ptdf_cached_per_network():
                                   ptdf_entries(ptdf(net)))
 
 
-def test_ptdf_stores_one_sparse_matrix():
+def test_ptdf_stores_index_arrays():
     rng = np.random.default_rng(10)
     net = random_radial_network(rng, 15)
     H = ptdf(net)
-    assert sparse.issparse(H.matrix) and H.matrix.format == "csr"
-    # one entry per (bus, line on its root path)
-    depth = 0
-    for b in net.non_root_buses():
+    # one entry per (bus, line on its root path), by bus and then by line
+    expected = []
+    for i, b in enumerate(H.bus_order):
+        path = []
         while b != net.root:
-            depth, b = depth + 1, net.parent[b]
-    assert H.matrix.nnz == depth
+            path.append(H.line_order.index(net.line_into(b)))
+            b = net.parent[b]
+        expected += [(i, r) for r in sorted(path)]
+    assert list(zip(H.path_cols.tolist(), H.path_rows.tolist())) == expected
 
 
-def sparse_twin(problem):
-    def sp(A):
-        return None if A is None else sparse.csr_array(A)
-    return LpProblem(c=problem.c.copy(), A_eq=sp(problem.A_eq),
-                     b_eq=problem.b_eq, A_ub=sp(problem.A_ub),
-                     b_ub=problem.b_ub, bounds=list(problem.bounds))
+def scipy_ptdf(net):
+    """Reference: the PTDF as a scipy CSR matrix, from one entry per (bus,
+    line on its root path), buses in order, each path walked up from the
+    bus."""
+    non_root = net.non_root_buses()
+    row = {lid: i for i, (lid, _, _, _) in enumerate(net.lines)}
+    rows, cols = [], []
+    for i, bus in enumerate(non_root):
+        b = bus
+        while b != net.root:
+            rows.append(row[net.line_into(b)])
+            cols.append(i)
+            b = net.parent[b]
+    return sparse.csr_array((np.ones(len(rows)), (rows, cols)),
+                            shape=(net.n_lines, len(non_root)))
 
 
-def assert_same_solution(s_dense, s_sparse):
-    assert s_dense.status == s_sparse.status
-    np.testing.assert_array_equal(s_sparse.x, s_dense.x)
-    assert s_sparse.objective == s_dense.objective
-    for name in ("duals_eq", "duals_ub", "duals_lower", "duals_upper"):
-        np.testing.assert_array_equal(getattr(s_sparse, name),
-                                      getattr(s_dense, name))
-
-
-def test_solve_lp_sparse_equals_dense():
-    rng = np.random.default_rng(23)
-    for k in range(40):
-        p = random_feasible_lp(rng)
-        if k % 2:
-            x0 = np.zeros(p.n)    # interior of the box and of A_ub x <= b_ub
-            A_eq = rng.normal(size=(1, p.n))
-            p = LpProblem(c=p.c, A_eq=A_eq, b_eq=A_eq @ x0, A_ub=p.A_ub,
-                          b_ub=p.b_ub, bounds=p.bounds)
-        q = sparse_twin(p)
-        assert sparse.issparse(q.A_ub) and not sparse.issparse(p.A_ub)
-        assert_same_solution(solve_lp(p), solve_lp(q))
+def test_flows_and_path_sums_equal_scipy_mat_vecs_bit_for_bit():
+    """On a 1000-bus feeder, line flows (H @ x) and the DLMP congestion
+    term (H^T @ mu) equal scipy's CSR and CSC mat-vecs exactly: bincount
+    adds each sum in the same order."""
+    rng = np.random.default_rng(1000)
+    net = random_radial_network(rng, 1000)
+    H, S = ptdf(net), scipy_ptdf(net)
+    for _ in range(200):
+        x = rng.normal(0.0, 10.0, len(H.bus_order))
+        assert np.array_equal(H.flows(x), S @ x)
+        got = line_flows(net, dict(zip(H.bus_order, x.tolist())))
+        assert list(got.values()) == (S @ x).tolist()
+        mu = np.where(rng.random(len(H.line_order)) < 0.1,
+                      rng.normal(0.0, 5.0, len(H.line_order)), 0.0)
+        assert np.array_equal(H.path_sums(mu), S.T @ mu)
 
 
 def test_dispatch_lp_sparse_equals_dense():
-    """dispatch_lp's sparse LP against a dense twin assembled here from
-    dense_limit_rows: the same rows, and the same x and duals from HiGHS."""
+    """dispatch_lp's LP against a dense twin assembled here from
+    dense_limit_rows: the same arrays, and the same x and duals from
+    HiGHS."""
     rng = np.random.default_rng(29)
     for _ in range(20):
         net = random_radial_network(rng, int(rng.integers(2, 15)),
@@ -148,38 +183,32 @@ def test_dispatch_lp_sparse_equals_dense():
         limits = net.line_limits()
         for lid in list(limits)[1::3]:
             limits[lid] = INF
-        # a priced import and an unpaid export at the root, then blocks
-        # that consume or produce at random buses
-        k = int(rng.integers(1, 12))
-        buses = [net.root] * 2 + rng.integers(0, net.n_buses, k).tolist()
-        signs = np.append([-1.0, 1.0], rng.choice([-1.0, 1.0], k))
-        prices = np.append([rng.uniform(1.0, 10.0), 0.0],
-                           rng.uniform(0.0, 20.0, k))
-        caps = np.append([INF, INF], rng.uniform(0.5, 30.0, k))
-        f_const = line_flows(net, {b: float(rng.uniform(-1.0, 1.0))
-                                   for b in net.buses})
+        _, buses, signs, prices, caps, f_const = random_dispatch(rng, net,
+                                                                 limits)
         balance = float(rng.uniform(-10.0, 10.0))
-        problem, row_lines = dispatch_lp(H, limits, buses, signs, prices,
-                                         caps, balance, f_const)
-        A_ub, b_ub, dense_lines = dense_limit_rows(
+        problem, _ = dispatch_lp(H, limits, buses, signs, prices, caps,
+                                 balance, f_const)
+        A_ub, b_ub, _ = dense_limit_rows(
             net, buses, signs, limits,
             np.array([f_const[lid] for lid in H.line_order]))
-        twin = LpProblem(c=-signs * prices, A_eq=[signs], b_eq=[balance],
-                         A_ub=A_ub, b_ub=b_ub,
-                         bounds=[(0.0, cap) for cap in caps])
-        assert row_lines == dense_lines
-        assert sparse.issparse(problem.A_ub) and sparse.issparse(problem.A_eq)
-        np.testing.assert_array_equal(problem.A_ub.toarray(), twin.A_ub)
-        np.testing.assert_array_equal(problem.A_eq.toarray(), twin.A_eq)
-        for name in ("c", "b_eq", "b_ub", "bounds"):
+        twin = lp_problem(c=-signs * prices, A_eq=[signs], b_eq=[balance],
+                          A_ub=A_ub if len(b_ub) else None, b_ub=b_ub,
+                          bounds=[(0.0, cap) for cap in caps])
+        for name in ("c", "lo", "hi", "indptr", "indices", "data", "row_lo",
+                     "row_hi"):
             np.testing.assert_array_equal(getattr(problem, name),
                                           getattr(twin, name))
-        s_dense, s_sparse = solve_lp(twin), solve_lp(problem)
-        assert s_sparse.status == OPTIMAL
-        assert_same_solution(s_dense, s_sparse)
+        s_twin, s = solve_lp(twin), solve_lp(problem)
+        assert s.status == s_twin.status == OPTIMAL
+        assert s.objective == s_twin.objective
+        for name in ("x", "row_duals", "reduced_costs"):
+            np.testing.assert_array_equal(getattr(s, name),
+                                          getattr(s_twin, name))
 
 
 def test_sparse_column_mismatch_rejected():
-    with pytest.raises(ValueError):
-        LpProblem(c=[1.0, 2.0], A_ub=sparse.csr_array(np.ones((1, 3))),
-                  b_ub=[1.0])
+    # column pointers for 3 columns, but c has 2
+    with pytest.raises(ValueError, match="malformed CSC"):
+        LpProblem(c=[1.0, 2.0], lo=[0.0, 0.0], hi=[1.0, 1.0],
+                  indptr=[0, 1, 2, 3], indices=[0, 0, 0],
+                  data=[1.0, 1.0, 1.0], row_lo=[-INF], row_hi=[1.0])
