@@ -46,7 +46,7 @@ class Agent:
         self.grid_action = None
         self.rewards = []
 
-    def set_market_actions(self, observation=None):
+    def set_market_actions(self):
         raise NotImplementedError
 
     def set_grid_actions(self, dispatch=None):
@@ -70,7 +70,7 @@ class CurveBidder(Agent):
         super().__init__(agent_id, bus, role)
         self.curve = curve
 
-    def set_market_actions(self, observation=None):
+    def set_market_actions(self):
         self.market_action = self.curve
 
     def set_grid_actions(self, dispatch=None):
@@ -158,18 +158,16 @@ def ucb_update(state, i, reward):
 class UcbNegotiator(Agent):
     """P2P participant bidding from a finite price grid via UCB."""
 
-    def __init__(self, agent_id, bus, role, arms, delta=0.01,
-                 availability=None):
+    def __init__(self, agent_id, bus, role, arms, availability=None):
         super().__init__(agent_id, bus, role)
         self._arms = list(arms)
-        self._delta = delta
         self.availability = availability   # per-grid-step PV booleans, or None
-        self.bandit = BanditState(arms=self._arms, delta=delta)
+        self.bandit = BanditState(arms=self._arms)
         self._last_arm = None
 
     def reset(self):
         super().reset()
-        self.bandit = BanditState(arms=self._arms, delta=self._delta)
+        self.bandit = BanditState(arms=self._arms)
         self._last_arm = None
 
     def current_role(self, t):
@@ -178,7 +176,7 @@ class UcbNegotiator(Agent):
             return self.role
         return PRODUCER if self.availability[t % len(self.availability)] else CONSUMER
 
-    def set_market_actions(self, observation=None):
+    def set_market_actions(self):
         self._last_arm = ucb_select(self.bandit)
         self.market_action = self.bandit.arms[self._last_arm]
 
@@ -208,7 +206,7 @@ class ScriptedAgent(Agent):
         if not all(map(math.isfinite, self.profile)):
             raise AgentError(f"{csv_path}: `kw` must be finite")
 
-    def set_market_actions(self, observation=None):
+    def set_market_actions(self):
         self.market_action = None   # exogenous: no market participation
 
     def set_grid_actions(self, dispatch=None):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import curves as cv
 from .network import CaseFileError, _bus_id, content_lines, line_flows, ptdf
-from .optim import OPTIMAL, dispatch_lp, solve_lp
+from .optim import dispatch_lp, solve_lp
 
 
 # Quantities at or below this many kW do not trade: they are zeroed in the
@@ -34,10 +34,6 @@ BINDING_TOL = 1e-7
 
 
 class ClearingError(Exception):
-    pass
-
-
-class InfeasibleMarket(ClearingError):
     pass
 
 
@@ -155,9 +151,8 @@ def clear(market_input, segments=100):
     buses = np.array([b for _, b, _ in agents], dtype=object)
     problem, _ = dispatch_lp(H, limits, np.repeat(buses, counts),
                              np.repeat(signs, counts), block_prices, widths)
+    # x = 0 is feasible and the caps are finite: the LP has an optimum
     sol = solve_lp(problem)
-    if sol.status != OPTIMAL:
-        raise InfeasibleMarket(f"stage-1 LP returned {sol.status}")
 
     # Each agent's row sum over its blocks laid back on the grid is the same
     # float as np.sum over its span of x; np.add.reduceat rounds otherwise.

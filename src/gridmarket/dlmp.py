@@ -19,7 +19,7 @@ import numpy as np
 from .network import (
     FLOW_TOL, CaseFileError, _bus_id, content_lines, line_flows, ptdf,
 )
-from .optim import INFEASIBLE, OPTIMAL, dispatch_lp, solve_lp
+from .optim import InfeasibleLp, dispatch_duals, dispatch_lp, solve_lp
 
 
 class DlmpError(Exception):
@@ -156,7 +156,7 @@ def build_scopf(scopf_input):
 
     maps = {
         "offers": offers,            # the offer of each variable from x[2]
-        "limited": limited,          # line of row pair 2k, 2k + 1
+        "limited": limited,          # the finite-limit lines, for dispatch_duals
         "H": H,
         "base_load": base_load,
         "gen_floor": gen_floor,
@@ -169,26 +169,19 @@ def solve_dlmp(scopf_input):
     """Run SCOPF and extract per-bus DLMPs from the dual solution."""
     net = scopf_input.network
     problem, maps = build_scopf(scopf_input)
-    sol = solve_lp(problem)
-    if sol.status == INFEASIBLE:
+    # bounded: imports cost lmp_source >= 0 and the other blocks are capped
+    try:
+        sol = solve_lp(problem)
+    except InfeasibleLp:
         limits = scopf_input.limits()
         binding = [lid for lid, f in maps["f_const"].items()
                    if abs(f) > limits[lid] + FLOW_TOL]
         raise InfeasibleBaseline(
-            f"SCOPF {sol.status}: baseline load violates line limits", binding)
-    if sol.status != OPTIMAL:
-        raise DlmpError(f"SCOPF {sol.status}")
-
-    # the balance row is last; each limited line's row pair, the +row then
-    # the -row, comes before it
-    lam = -float(sol.row_duals[-1])
-    mu_line = np.maximum(-sol.row_duals[:-1], 0.0).tolist()
-    mu_plus = {lid: 0.0 for lid, _, _, _ in net.lines}
-    mu_minus = dict(mu_plus)
-    mu_plus.update(zip(maps["limited"], mu_line[::2]))
-    mu_minus.update(zip(maps["limited"], mu_line[1::2]))
+            "SCOPF Infeasible: baseline load violates line limits",
+            binding) from None
 
     H = maps["H"]
+    lam, mu_plus, mu_minus = dispatch_duals(sol, maps["limited"], H.line_order)
     mu = np.array([mu_plus[lid] - mu_minus[lid] for lid in H.line_order])
     dlmp = {net.root: lam, **dict(zip(H.bus_order, lam + H.path_sums(mu)))}
 

@@ -43,12 +43,14 @@ class CaseFileError(Exception):
 
 @dataclass
 class Network:
-    """Validated radial network. Bus 0 is the feeder/root."""
+    """Validated radial network. The first bus is the feeder/root; each
+    line runs parent -> child."""
 
     buses: list
     lines: list              # (line_id, from_bus, to_bus, limit_kw)
     parent: dict = field(default_factory=dict)    # bus -> parent bus
-    children: dict = field(default_factory=dict)  # bus -> set of child buses
+    # the PTDF, built by the first `ptdf(network)`
+    _ptdf: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_buses(self):
@@ -61,10 +63,6 @@ class Network:
     def line_limits(self):
         return {lid: lim for lid, _, _, lim in self.lines}
 
-    def line_into(self, bus):
-        """Line id of the (unique) line whose child endpoint is `bus`."""
-        return self._line_into[bus]
-
     def non_root_buses(self):
         return [b for b in self.buses if b != self.root]
 
@@ -74,7 +72,7 @@ class Network:
 
 
 def build_network(buses, lines):
-    """Validate topology and derive parent/children maps.
+    """Validate topology, orient lines parent -> child, derive parent map.
 
     `buses` is a list of bus ids with the feeder first; `lines` is a list of
     (line_id, from_bus, to_bus, limit_kw) tuples. Raises CyclicTopology,
@@ -106,8 +104,8 @@ def build_network(buses, lines):
             raise NetworkError(f"line {lid}: flow limit must be > 0, got {lim}")
         seen_ids.add(lid)
         seen_pairs.add(pair)
-        adj[u].append((v, lid))
-        adj[v].append((u, lid))
+        adj[u].append(v)
+        adj[v].append(u)
 
     if len(lines) >= len(buses):
         raise CyclicTopology(
@@ -119,22 +117,14 @@ def build_network(buses, lines):
     # BFS from the root orients every edge parent->child and detects
     # disconnection (cycle count is already excluded by the edge count).
     parent = {}
-    children = {b: set() for b in buses}
-    line_into = {}
     order = [root]
     visited = {root}
-    qi = 0
-    while qi < len(order):
-        u = order[qi]
-        qi += 1
-        for v, lid in adj[u]:
-            if v in visited:
-                continue
-            visited.add(v)
-            parent[v] = u
-            children[u].add(v)
-            line_into[v] = lid
-            order.append(v)
+    for u in order:                 # visits what the loop appends
+        for v in adj[u]:
+            if v not in visited:
+                visited.add(v)
+                parent[v] = u
+                order.append(v)
     if len(visited) != len(buses):
         missing = sorted(bus_set - visited, key=str)
         raise Disconnected(f"buses unreachable from root {root}: {missing}")
@@ -147,10 +137,7 @@ def build_network(buses, lines):
         else:
             oriented.append((lid, v, u, lim))
 
-    net = Network(buses=list(buses), lines=oriented, parent=parent,
-                  children=children)
-    net._line_into = line_into
-    return net
+    return Network(buses=list(buses), lines=oriented, parent=parent)
 
 
 def content_lines(lines):
@@ -237,17 +224,16 @@ class PtdfMatrix:
 def ptdf(network):
     """Path-indicator PTDF of a radial network, built once per network in
     O(sum of bus depths) and cached on it."""
-    cached = getattr(network, "_ptdf", None)
-    if cached is not None:
-        return cached
+    if network._ptdf is not None:
+        return network._ptdf
     non_root = network.non_root_buses()
     line_order = [lid for lid, _, _, _ in network.lines]
-    row = {lid: i for i, lid in enumerate(line_order)}
+    row_into = {v: i for i, (_, _, v, _) in enumerate(network.lines)}
     rows, cols = [], []
     for i, bus in enumerate(non_root):
         path, b = [], bus
         while b != network.root:
-            path.append(row[network.line_into(b)])
+            path.append(row_into[b])
             b = network.parent[b]
         rows += sorted(path)
         cols += [i] * len(path)

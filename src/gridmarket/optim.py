@@ -3,20 +3,22 @@
 Problems are minimizations in the one form HiGHS' `passModel` takes:
 min c.x subject to row_lo <= A x <= row_hi and lo <= x <= hi, with A held
 column-wise (CSC) as `indptr`, `indices` and `data`. A row with
-row_lo = -inf is a <=-row, one with row_lo == row_hi an equality. The
-solution carries HiGHS' own duals: row_duals[i] = d objective / d (active
-side of row i), and reduced_costs[j] likewise for column j's bounds.
+row_lo = -inf is a <=-row, one with row_lo == row_hi an equality. An
+`LpProblem` is checked once, where it is built, and `solve_lp` returns an
+optimum or raises. The solution carries HiGHS' own duals: row_duals[i] =
+d objective / d (active side of row i), and reduced_costs[j] likewise for
+column j's bounds.
 
 Clearing and DLMP both build their LP with `dispatch_lp`, straight from the
-network's PTDF index arrays with numpy, with no dense or sparse matrix type.
+network's PTDF index arrays with numpy, with no dense or sparse matrix type;
+`dispatch_duals` reads its prices back, so its row layout is known only here.
 
 The solve is one call into HiGHS' dual simplex (Huangfu & Hall, Math. Prog.
 Comp. 2018) through the binding scipy bundles, `_highspy._core`, not through
 `linprog`: on a 1000-bus feeder's clear LP, linprog's input handling and its
 per-column Python loop over the bound marginals took 35 of the 43 ms per
-call. The model goes in as whole arrays; the checks linprog made stay
-(finite inputs, its status mapping, its post-solve feasibility test), and
-the results equal linprog's bit for bit, which the tests check, as they
+call. The model goes in as whole arrays, linprog's post-solve test stays,
+and the results equal linprog's bit for bit, which the tests check, as they
 check strong duality and complementary slackness. Presolve is always off:
 a dispatch LP (box-bounded blocks, one balance row, PTDF line rows) leaves
 it nothing to remove, yet on a 1000-bus feeder it took over 90% of the
@@ -30,13 +32,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-OPTIMAL = "Optimal"
-INFEASIBLE = "Infeasible"
-UNBOUNDED = "Unbounded"
+# HiGHS reads a cost or bound of this magnitude or more as infinite: its
+# options infinite_cost and infinite_bound.
+HIGHS_INF = 1e20
 
 
 class NumericalFailure(Exception):
-    """Solver gave up before reaching a certified status."""
+    """A model HiGHS cannot take, or a solve that ends in no certified
+    status."""
+
+
+class InfeasibleLp(Exception):
+    """HiGHS certified that no point meets the constraints."""
 
 
 @dataclass
@@ -65,11 +72,31 @@ class LpProblem:
                 or self.data.shape != (ptr[-1],)
                 or np.any(self.indices < 0) or np.any(self.indices >= m)):
             raise ValueError("malformed CSC matrix")
+        for name in ("c", "data"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must not contain inf or nan")
+        if np.isnan(self.lo).any() or np.isnan(self.hi).any():
+            raise ValueError("lo and hi must not contain nan")
+        if (np.isnan(self.row_lo) | (self.row_lo == np.inf)).any():
+            raise ValueError("row_lo must not contain nan or +inf")
+        if (np.isnan(self.row_hi) | (self.row_hi == -np.inf)).any():
+            raise ValueError("row_hi must not contain nan or -inf")
+        if not (np.isfinite(self.row_lo) | np.isfinite(self.row_hi)).all():
+            raise ValueError("row_hi must be finite where row_lo is -inf")
         bad = np.flatnonzero(self.lo > self.hi)
         if bad.size:
             j = bad[0]
             raise ValueError(
                 f"variable {j}: bound lo {self.lo[j]} > hi {self.hi[j]}")
+        for name, what in (("c", "cost"), ("lo", "bound lo"),
+                           ("hi", "bound hi")):
+            v = getattr(self, name)
+            big = np.flatnonzero(np.isfinite(v) & (np.abs(v) >= HIGHS_INF))
+            if big.size:
+                j = big[0]
+                raise NumericalFailure(
+                    f"variable {j}: {what} {v[j]:g} is {HIGHS_INF:g} or more "
+                    "in magnitude, which HiGHS reads as infinite")
 
     @property
     def n(self):
@@ -125,33 +152,33 @@ def dispatch_lp(H, limits, buses, signs, prices, caps, balance=0.0,
     return problem, limited
 
 
+def dispatch_duals(solution, limited, lines):
+    """(lam, mu_plus, mu_minus) of a solved `dispatch_lp` that returned
+    `limited`: lam = -d objective / d balance, and as dicts over `lines` the
+    prices >= 0 of each line's flow limit along and against it (0 if none)."""
+    y = solution.row_duals
+    mu = np.maximum(-y[:-1], 0.0).tolist()
+    zero = dict.fromkeys(lines, 0.0)
+    return (-float(y[-1]), zero | dict(zip(limited, mu[::2])),
+            zero | dict(zip(limited, mu[1::2])))
+
+
 @dataclass
 class LpSolution:
-    status: str
-    x: np.ndarray = None
-    objective: float = None
-    row_duals: np.ndarray = None       # HiGHS row_dual
-    reduced_costs: np.ndarray = None   # HiGHS col_dual
+    x: np.ndarray
+    objective: float
+    row_duals: np.ndarray       # HiGHS row_dual
+    reduced_costs: np.ndarray   # HiGHS col_dual
 
 
 def solve_lp(problem):
-    """Solve an LpProblem, returning a certified primal/dual pair."""
+    """Solve an LpProblem to a certified optimum. Raises InfeasibleLp if
+    HiGHS certifies that no point is feasible, else NumericalFailure if it
+    refuses the model or ends at another status or off the constraints."""
     from scipy.optimize._highspy._core import (
         HighsModelStatus, HighsStatus, _Highs)
 
     p = problem
-    for name in ("c", "data"):
-        if not np.isfinite(getattr(p, name)).all():
-            raise ValueError(f"{name} must not contain inf or nan")
-    if np.isnan(p.lo).any() or np.isnan(p.hi).any():
-        raise ValueError("lo and hi must not contain nan")
-    if (np.isnan(p.row_lo) | (p.row_lo == np.inf)).any():
-        raise ValueError("row_lo must not contain nan or +inf")
-    if (np.isnan(p.row_hi) | (p.row_hi == -np.inf)).any():
-        raise ValueError("row_hi must not contain nan or -inf")
-    if not (np.isfinite(p.row_lo) | np.isfinite(p.row_hi)).all():
-        raise ValueError("row_hi must be finite where row_lo is -inf")
-
     highs = _Highs()
     highs.setOptionValue("output_flag", False)   # first: no banner on stdout
     highs.setOptionValue("presolve", "off")
@@ -162,15 +189,12 @@ def solve_lp(problem):
                        np.zeros(p.n, dtype=np.int32)) == HighsStatus.kError:
         raise NumericalFailure("HiGHS refused the model")
     highs.run()
-    model_status = highs.getModelStatus()
-    status = {HighsModelStatus.kOptimal: OPTIMAL,
-              HighsModelStatus.kInfeasible: INFEASIBLE,
-              HighsModelStatus.kUnbounded: UNBOUNDED}.get(model_status)
-    if status is None:
-        raise NumericalFailure("HiGHS model status: "
-                               + highs.modelStatusToString(model_status))
-    if status != OPTIMAL:
-        return LpSolution(status=status)
+    status = highs.getModelStatus()
+    if status != HighsModelStatus.kOptimal:
+        error = (InfeasibleLp if status == HighsModelStatus.kInfeasible
+                 else NumericalFailure)
+        raise error("HiGHS model status: "
+                    + highs.modelStatusToString(status))
 
     sol = highs.getSolution()
     objective = highs.getInfo().objective_function_value
@@ -179,6 +203,6 @@ def solve_lp(problem):
     off = np.concatenate((p.lo - x, x - p.hi, p.row_lo - rows, rows - p.row_hi))
     if np.isnan(objective) or not np.all(off <= np.sqrt(1e-9) * 10):
         raise NumericalFailure("optimal solution violates its constraints")
-    return LpSolution(status=OPTIMAL, x=x, objective=float(objective),
+    return LpSolution(x=x, objective=float(objective),
                       row_duals=np.array(sol.row_dual),
                       reduced_costs=np.array(sol.col_dual))

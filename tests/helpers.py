@@ -17,6 +17,20 @@ from gridmarket.network import build_network
 INF = float("inf")
 
 
+def line_into(network):
+    """The id of the line into each non-root bus, read off the lines, which
+    run parent -> child."""
+    return {v: lid for lid, _, v, _ in network.lines}
+
+
+def children(network):
+    """The set of child buses of every bus, from the parent map."""
+    kids = {b: set() for b in network.buses}
+    for b, p in network.parent.items():
+        kids[p].add(b)
+    return kids
+
+
 def random_radial_network(rng, n_buses, limit_lo=5.0, limit_hi=50.0):
     """Random tree on buses 0..n-1: each bus attaches to a uniformly chosen
     earlier bus."""

@@ -405,17 +405,77 @@ def test_dlmp_infinite_source_price_prints_one_error_line(capsys):
                             "got inf\n") and captured.out == ""
 
 
+HIGHS_READS_AS_INFINITE = ("is 1e+20 or more in magnitude, which HiGHS reads "
+                           "as infinite\n")
+
+
 def test_a_model_highs_cannot_take_prints_one_error_line(tmp_path, capsys):
     # HiGHS reads a cost of 1e20 or more as infinite: a 1 kW load priced at
-    # 1e308 at the source ends in "model status: Unknown"
+    # 1e308 at the source is refused before HiGHS sees it (it used to end
+    # in "HiGHS model status: Unknown")
     rc = main(["dlmp", "--case", write(tmp_path, "net.txt",
                                        "bus 0\nbus 1\nline a 0 1 inf\n"),
                "--offers", write(tmp_path, "off.txt", "dr 0 1.0\n"),
                "--lmp-source", "1e308"])
     assert rc == EXIT_RUNTIME
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: HiGHS")
-    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert captured.err == ("error: variable 0: cost 1e+308 "
+                            + HIGHS_READS_AS_INFINITE)
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("kw,segments,block", [
+    ("1e25", "100", "1e+23"), ("1e21", "10", "1e+20"),
+], ids=["1e25-kW", "1e21-kW-at-10-segments"])
+def test_a_quantity_highs_reads_as_infinite_prints_one_error_line(
+        tmp_path, capsys, kw, segments, block):
+    # a block of 1e20 kW or more: HiGHS would read its cap as infinite and
+    # call the market unbounded
+    out = tmp_path / "out"
+    rc = main(["clear", "--case", write(tmp_path, "net.txt",
+                                        "bus 0\nbus 1\nline a 0 1 inf\n"),
+               "--bids", write(tmp_path, "bids.txt",
+                               f"bid s 0 S 1 1 {kw} 0\nbid c 1 D 5 5 {kw} 0\n"),
+               "--segments", segments, "--out", str(out)])
+    assert rc == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: variable 0: bound hi {block} "
+                            + HIGHS_READS_AS_INFINITE)
+    assert captured.out == "" and not out.exists()
+
+
+def test_the_same_market_in_blocks_below_1e20_kw_clears(tmp_path, capsys):
+    rc = main(["clear", "--case", write(tmp_path, "net.txt",
+                                        "bus 0\nbus 1\nline a 0 1 inf\n"),
+               "--bids", write(tmp_path, "bids.txt",
+                               "bid s 0 S 1 1 1e21 0\nbid c 1 D 5 5 1e21 0\n"),
+               "--segments", "100"])
+    assert rc == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1:3] == [
+        "c,1,demand,1e+21,1", "s,0,supply,1e+21,1"]
+
+
+def test_a_1e25_line_limit_clears_as_no_limit(tmp_path, capsys):
+    bids = write(tmp_path, "bids.txt", "bid s 0 S 3 1 10 0\nbid c 1 D 5 2 8 0\n")
+    outs = []
+    for limit in ("1e25", "inf"):
+        rc = main(["clear", "--case", write(tmp_path, "net.txt",
+                                            f"bus 0\nbus 1\nline a 0 1 {limit}\n"),
+                   "--bids", bids])
+        assert rc == EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert outs[0].endswith(" traded=True binding=[]\n")
+
+
+def test_the_bound_is_highs_own_infinity():
+    from scipy.optimize._highspy._core import _Highs
+
+    from gridmarket.optim import HIGHS_INF
+
+    highs = _Highs()
+    for option in ("infinite_cost", "infinite_bound"):
+        assert highs.getOptionValue(option)[1] == HIGHS_INF == 1e20
 
 
 @pytest.mark.parametrize("roster,profile,message", [

@@ -263,7 +263,7 @@ class AlternatingBidder(CurveBidder):
         super().__init__(agent_id, bus, CONSUMER, curves[0])
         self.curves = curves
 
-    def set_market_actions(self, observation=None):
+    def set_market_actions(self):
         self.curve = self.curves[self.env.clock[1] // 2 % 2]
         self.market_action = self.curve
 

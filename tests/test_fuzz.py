@@ -249,6 +249,8 @@ def test_fuzzed_validate_keeps_the_cli_contract(case):
 @settings(max_examples=100, deadline=None)
 @given(case_text(), bids_text(), st.integers(1, 4))
 @example("bus 0\nbus 1\nline a 0 1 10", "bid c 1 D 5 1 inf 0", 2)
+@example("bus 0\nbus 1\nline a 0 1 inf",
+         "bid s 0 S 1 1 1e25 0\nbid c 1 D 5 5 1e25 0", 4)
 def test_fuzzed_clear_keeps_the_cli_contract(case, bids, segments):
     in_files({"case.txt": case, "bids.txt": bids},
              ["clear", "--case", "{d}/case.txt", "--bids", "{d}/bids.txt",

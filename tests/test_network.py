@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from gridmarket.network import (
-    CyclicTopology, Disconnected, DuplicateLine, Grid, UnknownBus,
+    CyclicTopology, Disconnected, DuplicateLine, Grid, Network, UnknownBus,
     build_network, line_flows, load_case, parse_case, ptdf,
 )
-from helpers import ptdf_entries, random_radial_network, subtree_sum_flows
+from helpers import (
+    children, line_into, ptdf_entries, random_radial_network,
+    subtree_sum_flows,
+)
 
 
 def chain3():
@@ -14,9 +17,30 @@ def chain3():
 
 def test_build_chain():
     net = chain3()
-    assert net.children[1] == {2}
+    assert children(net)[1] == {2}
     assert net.parent[2] == 1
     assert net.root == 0
+
+
+def test_build_orients_lines_parent_to_child():
+    net = build_network([0, 1, 2], [("a", 1, 0, 10.0), ("b", 2, 1, 7.0)])
+    assert net.lines == [("a", 0, 1, 10.0), ("b", 1, 2, 7.0)]
+    assert net.parent == {1: 0, 2: 1}
+
+
+def test_a_network_built_directly_flows_like_build_networks():
+    # Network is whole from its fields: no attribute is added later
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        built = random_radial_network(rng, int(rng.integers(2, 30)))
+        direct = Network(buses=list(built.buses), lines=list(built.lines),
+                         parent=dict(built.parent))
+        inj = {b: float(rng.normal()) for b in built.buses}
+        assert line_flows(direct, inj) == line_flows(built, inj)
+        np.testing.assert_array_equal(ptdf_entries(ptdf(direct)),
+                                      ptdf_entries(ptdf(built)))
+    net = Network(buses=[0, 1], lines=[("a", 0, 1, 5.0)], parent={1: 0})
+    assert line_flows(net, {1: 1.0}) == {"a": 1.0}
 
 
 def test_build_cycle_rejected():
@@ -64,7 +88,8 @@ def test_line_flows_star_matches_dfs_oracle():
     assert flows == {"a": 2.0, "b": -1.0, "c": 0.5}
     assert flows == subtree_sum_flows(net, inj)
     # root export = total net consumption
-    assert sum(flows[net.line_into(b)] for b in net.children[0]) == 1.5
+    into = line_into(net)
+    assert sum(flows[into[b]] for b in children(net)[0]) == 1.5
 
 
 def test_ptdf_chain_and_star():
@@ -102,10 +127,10 @@ def test_flow_recursion_identity_exact():
         net = random_radial_network(rng, int(rng.integers(3, 20)))
         inj = {b: float(rng.normal(scale=5)) for b in net.non_root_buses()}
         flows = line_flows(net, inj)
+        into, kids = line_into(net), children(net)
         for bus in net.non_root_buses():
-            lhs = flows[net.line_into(bus)]
-            rhs = inj[bus] + sum(flows[net.line_into(c)]
-                                 for c in net.children[bus])
+            lhs = flows[into[bus]]
+            rhs = inj[bus] + sum(flows[into[c]] for c in kids[bus])
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
@@ -114,7 +139,8 @@ def test_root_conservation():
     net = random_radial_network(rng, 12)
     inj = {b: float(rng.normal()) for b in net.non_root_buses()}
     flows = line_flows(net, inj)
-    into_tree = sum(flows[net.line_into(c)] for c in net.children[net.root])
+    into = line_into(net)
+    into_tree = sum(flows[into[c]] for c in children(net)[net.root])
     assert abs(into_tree - sum(inj.values())) < 1e-12
 
 

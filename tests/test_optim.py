@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -7,7 +9,7 @@ from gridmarket.clearing import MarketInput, clear
 from gridmarket.curves import Curve, DEMAND, SUPPLY
 from gridmarket.dlmp import build_scopf
 from gridmarket.optim import (
-    INFEASIBLE, LpProblem, NumericalFailure, OPTIMAL, UNBOUNDED, solve_lp,
+    InfeasibleLp, LpProblem, NumericalFailure, solve_lp,
 )
 from helpers import (
     capped_gen_exporting_at_limit, demand_filling_a_capped_line,
@@ -21,7 +23,6 @@ def test_single_bound_constraint_dual():
     p = lp_problem(c=[1.0], A_ub=[[-1.0]], b_ub=[-3.0],
                    bounds=[(-np.inf, np.inf)])
     s = solve_lp(p)
-    assert s.status == OPTIMAL
     assert s.x[0] == pytest.approx(3.0)
     assert -s.row_duals[0] == pytest.approx(1.0)
 
@@ -36,9 +37,12 @@ def test_textbook_vertex():
 def test_infeasible_and_unbounded():
     p = lp_problem(c=[1.0], A_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0],
                    bounds=[(-np.inf, np.inf)])
-    assert solve_lp(p).status == INFEASIBLE
+    with pytest.raises(InfeasibleLp, match="^HiGHS model status: Infeasible$"):
+        solve_lp(p)
     p2 = lp_problem(c=[-1.0], bounds=[(0.0, np.inf)])
-    assert solve_lp(p2).status == UNBOUNDED
+    with pytest.raises(NumericalFailure,
+                       match="^HiGHS model status: Unbounded$"):
+        solve_lp(p2)
 
 
 def test_random_lps_match_vertex_enumeration():
@@ -47,7 +51,6 @@ def test_random_lps_match_vertex_enumeration():
     while checked < 60:
         p = random_feasible_lp(rng)
         s = solve_lp(p)
-        assert s.status == OPTIMAL
         oracle = enumerate_lp_optimum(p)
         assert oracle is not None
         assert s.objective == pytest.approx(oracle, abs=1e-8)
@@ -59,7 +62,6 @@ def test_strong_duality_and_feasibility():
     for _ in range(40):
         p = random_feasible_lp(rng)
         s = solve_lp(p)
-        assert s.status == OPTIMAL
         # primal feasibility
         A = lp_matrix(p)
         assert np.all(A @ s.x <= p.row_hi + 1e-8)
@@ -189,20 +191,21 @@ def linprog_form(p):
             "b_eq": p.row_hi[eq], "bounds": np.column_stack([p.lo, p.hi])}
 
 
-def linprog_equals_solve_lp(p):
-    """Solve `p` with solve_lp and with scipy's public linprog at the same
-    settings, and require the same result bit for bit: HiGHS' row duals are
-    linprog's constraint marginals, and its reduced costs the sum of
-    linprog's lower- and upper-bound marginals."""
+def linprog_result(p):
+    """`p` solved by scipy's public linprog at solve_lp's settings."""
     from scipy.optimize import linprog
 
-    s = solve_lp(p)
-    res = linprog(**linprog_form(p), method="highs-ds",
-                  options={"presolve": False})
-    assert s.status == {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}[res.status]
-    if s.status != OPTIMAL:
-        assert s.x is None and res.x is None
-        return s
+    return linprog(**linprog_form(p), method="highs-ds",
+                   options={"presolve": False})
+
+
+def linprog_equals_solve_lp(p):
+    """Solve `p` with solve_lp and with linprog, and require the same
+    optimum bit for bit: HiGHS' row duals are linprog's constraint
+    marginals, and its reduced costs the sum of linprog's lower- and
+    upper-bound marginals."""
+    s, res = solve_lp(p), linprog_result(p)
+    assert res.status == 0
     assert s.objective == res.fun
     assert np.array_equal(s.x, res.x)
     assert np.array_equal(s.row_duals, np.concatenate(
@@ -232,19 +235,25 @@ def test_solve_lp_equals_linprog_on_random_lps():
         with_eq = lp_problem(c=p.c, A_ub=sparse.csr_array(lp["A_ub"][1:]),
                              b_ub=lp["b_ub"][1:], A_eq=lp["A_ub"][:1],
                              b_eq=lp["A_ub"][:1] @ x, bounds=lp["bounds"])
-        assert linprog_equals_solve_lp(with_eq).status == OPTIMAL
+        linprog_equals_solve_lp(with_eq)
 
 
 def test_solve_lp_equals_linprog_when_infeasible_or_unbounded():
+    # linprog status 2 (infeasible) is InfeasibleLp, 3 (unbounded) is not
+    # an outcome a caller can use: NumericalFailure
     infeasible = lp_problem(c=[1.0], A_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0],
                             bounds=[(-np.inf, np.inf)])
-    assert linprog_equals_solve_lp(infeasible).status == INFEASIBLE
-    unbounded = lp_problem(c=[-1.0, 0.0], A_ub=[[-1.0, 1.0]], b_ub=[1.0],
-                           A_eq=[[0.0, 1.0]], b_eq=[0.0],
-                           bounds=[(0.0, np.inf), (-np.inf, np.inf)])
-    assert linprog_equals_solve_lp(unbounded).status == UNBOUNDED
-    assert linprog_equals_solve_lp(
-        lp_problem(c=[-1.0], bounds=[(0.0, np.inf)])).status == UNBOUNDED
+    assert linprog_result(infeasible).status == 2
+    with pytest.raises(InfeasibleLp):
+        solve_lp(infeasible)
+    for unbounded in (
+            lp_problem(c=[-1.0, 0.0], A_ub=[[-1.0, 1.0]], b_ub=[1.0],
+                       A_eq=[[0.0, 1.0]], b_eq=[0.0],
+                       bounds=[(0.0, np.inf), (-np.inf, np.inf)]),
+            lp_problem(c=[-1.0], bounds=[(0.0, np.inf)])):
+        assert linprog_result(unbounded).status == 3
+        with pytest.raises(NumericalFailure, match="Unbounded$"):
+            solve_lp(unbounded)
 
 
 def test_solve_lp_equals_linprog_at_the_pinned_degenerate_vertices(
@@ -271,7 +280,7 @@ def test_solve_lp_equals_linprog_on_a_200_bus_clear(monkeypatch):
     p = lp_of_clear(monkeypatch, MarketInput(bids=bids, offers=offers,
                                              network=net), 20)
     s = linprog_equals_solve_lp(p)
-    assert s.status == OPTIMAL and (s.row_duals[:-1] < 0).any()   # some line binds
+    assert (s.row_duals[:-1] < 0).any()   # some line binds
 
 
 NAN, INF = float("nan"), float("inf")
@@ -285,7 +294,8 @@ NAN, INF = float("nan"), float("inf")
 @pytest.mark.parametrize("as_sparse", [False, True])
 def test_solve_lp_rejects_non_finite_inputs(field, bad, as_sparse):
     # An LP in linprog's form, built from dense or sparse matrices, with one
-    # bad value; the error names the LpProblem array it lands in. b_ub = inf
+    # bad value, is refused where the LpProblem is built, so no solve_lp
+    # sees it; the error names the array the value lands in. b_ub = inf
     # leaves its row without a finite side.
     data = {"c": [1.0, 1.0], "A_ub": [[1.0, 1.0]], "b_ub": [4.0],
             "A_eq": [[1.0, -1.0]], "b_eq": [0.0]}
@@ -297,7 +307,7 @@ def test_solve_lp_rejects_non_finite_inputs(field, bad, as_sparse):
     lands_in = {"c": "c", "A_ub": "data", "A_eq": "data", "b_ub": "row_hi",
                 "b_eq": "row_lo" if np.isnan(bad) else "row_hi"}[field]
     with pytest.raises(ValueError, match=f"^{lands_in} must"):
-        solve_lp(lp_problem(**data))
+        lp_problem(**data)
 
 
 @pytest.mark.parametrize("fields,name", [
@@ -306,18 +316,19 @@ def test_solve_lp_rejects_non_finite_inputs(field, bad, as_sparse):
 ])
 def test_solve_lp_rejects_nan_bounds_and_empty_row_sides(fields, name):
     with pytest.raises(ValueError, match=f"^{name} must"):
-        solve_lp(one_column(**fields))
+        one_column(**fields)        # refused where it is built
 
 
 def test_solve_lp_takes_infinite_bounds_and_ranged_rows():
     s = solve_lp(one_column(c=[-1.0], lo=[-INF], hi=[INF], row_lo=[1.0],
                             row_hi=[4.0]))
-    assert s.status == OPTIMAL and s.x.tolist() == [4.0]
+    assert s.x.tolist() == [4.0]
     assert s.row_duals.tolist() == [-1.0] and s.reduced_costs.tolist() == [0.0]
 
 
 @pytest.mark.parametrize("model_status", [
     "kUnboundedOrInfeasible", "kIterationLimit", "kSolveError", "kNotset",
+    "kUnbounded",
 ])
 def test_other_model_statuses_raise_numerical_failure(monkeypatch,
                                                       model_status):
@@ -325,8 +336,33 @@ def test_other_model_statuses_raise_numerical_failure(monkeypatch,
 
     monkeypatch.setattr(_Highs, "getModelStatus",
                         lambda highs: getattr(HighsModelStatus, model_status))
-    with pytest.raises(NumericalFailure):
+    with pytest.raises(NumericalFailure, match="^HiGHS model status: "):
         solve_lp(lp_problem(c=[1.0], bounds=[(2.0, 5.0)]))
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"c": [1e20]}, "variable 0: cost 1e+20 "),
+    ({"c": [-3e25]}, "variable 0: cost -3e+25 "),
+    ({"hi": [1e21]}, "variable 0: bound hi 1e+21 "),
+    ({"lo": [-1e20]}, "variable 0: bound lo -1e+20 "),
+    ({"c": [1.0, 2e20], "lo": [0.0, 0.0], "hi": [5.0, 1e30],
+      "indptr": [0, 1, 1]}, "variable 1: cost 2e+20 "),
+], ids=["cost-at", "cost-negative", "hi", "lo", "first-array-first"])
+def test_a_cost_or_bound_highs_reads_as_infinite_is_refused(fields, message):
+    with pytest.raises(NumericalFailure, match=re.escape(
+            f"{message}is 1e+20 or more in magnitude, "
+            "which HiGHS reads as infinite")):
+        one_column(**fields)
+
+
+def test_costs_and_bounds_below_highs_infinity_solve():
+    # infinite column bounds mean no bound, and row sides are not limited:
+    # a line limit of 1e25 is as good as none
+    s = solve_lp(one_column(c=[-9.99e19], lo=[-INF], hi=[9.99e19],
+                            row_lo=[-1e25], row_hi=[1e25]))
+    assert s.x.tolist() == [9.99e19]
+    assert solve_lp(one_column(lo=[-INF], hi=[INF], row_lo=[0.0],
+                               row_hi=[1e25])).x.tolist() == [0.0]
 
 
 def test_a_model_highs_refuses_raises_numerical_failure():
