@@ -12,7 +12,9 @@ revenue, suppliers get their own curve price and one multiplier scales the
 consumers' own-curve prices to that revenue; those pushed over their cap are
 pinned there and the residual goes to the others' headroom. If not,
 consumers pay their caps and supplier prices come down toward average cost
-until revenue equals that payment.
+until revenue equals that payment. Both stages take all agents' curves as
+arrays at once, with the IEEE operations of `curves`' scalar functions in
+the same order, so each value equals theirs bit for bit.
 """
 
 import json
@@ -115,17 +117,38 @@ def parse_bids(text):
     return bids, offers
 
 
-def curve_blocks(curves, segments):
+def curve_params(curves):
+    """(q_min, q_max, endpoint price, slope) of every curve, as four arrays."""
+    return np.array([v for c in curves for v in (
+        c.q_min, c.q_max, c.endpoint_price(), c.slope)]).reshape(-1, 4).T
+
+
+def on_curve(params, q):
+    """(cv.price_at_extended, cv.integral) of each curve at its entry of q,
+    by the same IEEE operations in the same order; a quantity out of
+    [0, q_max] by more than DOMAIN_TOL raises QuantityOutOfRange."""
+    q_min, q_max, p0, slope = params
+    out = np.flatnonzero((q < -cv.DOMAIN_TOL) | (q > q_max + cv.DOMAIN_TOL))
+    if out.size:
+        k = out[0]
+        raise cv.QuantityOutOfRange(f"q={q[k]} outside [0, {q_max[k]}]")
+    price = np.where(q < q_min, p0, p0 + slope * (np.minimum(q, q_max) - q_min))
+    q = np.minimum(np.where(q < 0.0, 0.0, q), q_max)   # keeps -0.0 as max()
+    dq = q - q_min
+    return price, np.where(q <= q_min, p0 * q,
+                           p0 * q_min + p0 * dq + 0.5 * slope * dq * dq)
+
+
+def curve_blocks(params, segments):
     """(widths, prices, keep) of the blocks covering [0, q_max] of every
-    extended curve. Row k of the grid `keep` (curves x segments + 1) is
-    curve k: the endpoint-priced gap [0, q_min], kept where q_min > 0, then
-    `segments` equal blocks over [q_min, q_max] priced at their midpoints
-    (exact for affine curves); widths and prices list the kept blocks."""
+    extended curve, given by its `curve_params`. Row k of the grid `keep`
+    (curves x segments + 1) is curve k: the endpoint-priced gap [0, q_min],
+    kept where q_min > 0, then `segments` equal blocks over [q_min, q_max]
+    priced at their midpoints (exact for affine curves); widths and prices
+    list the kept blocks."""
     if segments < 1:
         raise ClearingError(f"segments must be >= 1, got {segments}")
-    q_min, q_max, p0, slope = np.array(
-        [(c.q_min, c.q_max, c.endpoint_price(), c.slope) for c in curves],
-        dtype=float).reshape(-1, 4).T[:, :, None]
+    q_min, q_max, p0, slope = params[:, :, None]
     w = (q_max - q_min) / segments
     mid = q_min + (np.arange(segments) + 0.5) * w
     # cv.price_at at every midpoint; midpoints lie inside [q_min, q_max]
@@ -144,13 +167,14 @@ def clear(market_input, segments=100):
     limits = net.line_limits()
 
     # Block variables: demand blocks first, then supply blocks.
-    widths, block_prices, keep = curve_blocks([c for _, _, c in agents],
-                                              segments)
+    params = curve_params([c for _, _, c in agents])
+    widths, block_prices, keep = curve_blocks(params, segments)
     counts = keep.sum(axis=1)
-    signs = [1.0] * len(bids) + [-1.0] * len(offers)
-    buses = np.array([b for _, b, _ in agents], dtype=object)
-    problem, _ = dispatch_lp(H, limits, np.repeat(buses, counts),
-                             np.repeat(signs, counts), block_prices, widths)
+    signs = np.repeat([1.0, -1.0], [len(bids), len(offers)])
+    buses = H.positions([b for _, b, _ in agents])
+    problem, limited = dispatch_lp(H, limits, np.repeat(buses, counts),
+                                   np.repeat(signs, counts), block_prices,
+                                   widths)
     # x = 0 is feasible and the caps are finite: the LP has an optimum
     sol = solve_lp(problem)
 
@@ -158,24 +182,25 @@ def clear(market_input, segments=100):
     # float as np.sum over its span of x; np.add.reduceat rounds otherwise.
     x = np.zeros(keep.shape)
     x[keep] = sol.x
-    q = np.where(keep[:, 0], x.sum(axis=1), x[:, 1:].sum(axis=1)).tolist()
-    quantities = {a: 0.0 if qa <= SETTLE_TOL else qa
-                  for (a, _, _), qa in zip(agents, q)}
+    q = np.where(keep[:, 0], x.sum(axis=1), x[:, 1:].sum(axis=1))
+    q[q <= SETTLE_TOL] = 0.0
+    quantities = dict(zip([a for a, _, _ in agents], q.tolist()))
     sides = {a: c.side for a, _, c in agents}
     agent_bus = {a: b for a, b, _ in agents}
 
-    injections = {}
-    for (a, bus, _), s in zip(agents, signs):
-        injections[bus] = injections.get(bus, 0.0) + s * quantities[a]
-    flows = line_flows(net, injections)
-    binding = [lid for lid, f in flows.items() if np.isfinite(limits[lid])
-               and abs(f) >= limits[lid] - BINDING_TOL]
+    # np.bincount adds each bus's injections in agent order, from 0.0
+    injections = np.bincount(buses, weights=signs * q,
+                             minlength=len(net.buses))
+    flows = line_flows(net, dict(zip(net.buses, injections.tolist())))
+    lims = np.array([limits[lid] for lid in H.line_order])
+    f = np.fromiter(flows.values(), dtype=float, count=len(flows))
+    binding = [H.line_order[i] for i in np.flatnonzero(
+        limited & (np.abs(f) >= lims - BINDING_TOL))]
 
-    total_surplus = (
-        sum(cv.integral(c_, quantities[a]) for a, _, c_ in bids)
-        - sum(cv.integral(c_, quantities[a]) for a, _, c_ in offers))
+    value = on_curve(params, q)[1].tolist()
+    total_surplus = sum(value[:len(bids)]) - sum(value[len(bids):])
 
-    traded = any(q > SETTLE_TOL for q in quantities.values())
+    traded = bool((q > SETTLE_TOL).any())
     prices = settle_prices(quantities, market_input) if traded else {}
     return Dispatch(quantities=quantities, prices=prices, sides=sides,
                     buses=agent_bus, line_flows=flows,
@@ -223,14 +248,13 @@ def balance_demand_prices(provisional, caps, quantities, target):
 def on_curves(agents, quantities):
     """Own-curve prices, average prices integral(q) / q and quantities of
     the agents that trade more than SETTLE_TOL, as three dicts."""
-    prices, averages, qs = {}, {}, {}
-    for agent, _, curve in agents:
-        q = quantities.get(agent, 0.0)
-        if q > SETTLE_TOL:
-            prices[agent] = cv.price_at_extended(curve, q)
-            averages[agent] = cv.integral(curve, q) / q
-            qs[agent] = q
-    return prices, averages, qs
+    trading = [(a, c) for a, _, c in agents
+               if quantities.get(a, 0.0) > SETTLE_TOL]
+    names = [a for a, _ in trading]
+    q = np.array([quantities[a] for a in names], dtype=float)
+    prices, value = on_curve(curve_params([c for _, c in trading]), q)
+    return (dict(zip(names, prices.tolist())),
+            dict(zip(names, (value / q).tolist())), dict(zip(names, q.tolist())))
 
 
 def settle_prices(quantities, market_input):

@@ -8,7 +8,8 @@ congestion components H^T (mu_plus - mu_minus) per bus.
 
 Cost curves are convex piecewise-linear blocks: a generator offer lists
 (quantity, marginal price) blocks stacked above P_min; a DR offer lists
-reduction blocks below the baseline load.
+reduction blocks below the baseline load. The blocks, the per-bus sums and
+the result are built from whole arrays, with no loop over blocks or buses.
 """
 
 import math
@@ -120,46 +121,57 @@ def build_scopf(scopf_input):
     carries the variable/row bookkeeping used for dual extraction."""
     net = scopf_input.network
     H = ptdf(net)
+    gens, drs = scopf_input.gen_offers, scopf_input.dr_offers
+    offers, n = gens + drs, len(net.buses)
 
-    # Blocks, all producing: gen blocks, then DR reduction blocks.
-    offers, caps, prices = [], [], []
-    for o in scopf_input.gen_offers + scopf_input.dr_offers:
-        # DR cannot cut below zero load
-        avail = o.baseline if isinstance(o, DrOffer) else np.inf
-        for qty, price in o.blocks:
-            qty = min(qty, avail)
-            if qty > 0:
-                offers.append(o)
-                caps.append(qty)
-                prices.append(price)
-                avail -= qty
+    # Blocks, all producing: gen blocks, then DR reduction blocks. DR cannot
+    # cut below zero load: a block takes at most what its offer's baseline
+    # (a gen's is inf) has left, subtracted block by block along the offer's
+    # row of `left`, for all offers with as many blocks at once.
+    counts = np.array([len(o.blocks) for o in offers], dtype=np.intp)
+    qty, prices = np.array([v for o in offers for b in o.blocks for v in b],
+                           dtype=float).reshape(-1, 2).T
+    owner = np.repeat(np.arange(len(offers)), counts)
+    after = np.arange(qty.size) + owner + 1       # a block's slot in `left`
+    start = np.cumsum(counts + 1) - counts - 1
+    left = np.empty(qty.size + len(offers))
+    left[start] = [np.inf] * len(gens) + [d.baseline for d in drs]
+    left[after] = qty
+    for c in np.unique(counts):
+        run = start[counts == c][:, None] + np.arange(c + 1)
+        left[run] = np.subtract.accumulate(left[run], axis=1)
+    caps = np.minimum(qty, left[after - 1])       # < 0 once all is taken
+    kept = caps > 0
 
-    base_load = {d.bus: 0.0 for d in scopf_input.dr_offers}
-    for d in scopf_input.dr_offers:
-        base_load[d.bus] += d.baseline
-    gen_floor = {g.bus: 0.0 for g in scopf_input.gen_offers}
-    for g in scopf_input.gen_offers:
-        gen_floor[g.bus] += g.p_min
+    # Gen floors and DR baselines are constant injections, summed per bus
+    # in offer order: `sums` holds the floors by bus position, then the
+    # baselines. The line limits count their flows, and the variables
+    # balance their total, which adds the buses in their first offers' order.
+    at = H.positions([o.bus for o in offers])
+    slot = at + np.repeat([0, n], [len(gens), len(drs)])
+    fixed = [g.p_min for g in gens] + [d.baseline for d in drs]
+    sums = np.bincount(slot, fixed, 2 * n)
+    f_const = line_flows(net, dict(zip(net.buses,
+                                       (sums[n:] - sums[:n]).tolist())))
+    first = slot[np.sort(np.unique(slot, return_index=True)[1])]
 
     # The source is a priced import and an unpaid export at the root, so
-    # P_source = x[0] - x[1]. Baseline loads less mandatory generation are
-    # constant injections: the variables balance their total, and the line
-    # limits count their flows.
-    f_const = line_flows(net, {b: base_load.get(b, 0.0) - gen_floor.get(b, 0.0)
-                               for b in base_load | gen_floor})
+    # P_source = x[0] - x[1].
     problem, limited = dispatch_lp(
-        H, scopf_input.limits(), [net.root] * 2 + [o.bus for o in offers],
-        [-1.0, 1.0] + [-1.0] * len(offers),
-        [scopf_input.lmp_source, 0.0] + prices, [np.inf] * 2 + caps,
-        balance=sum(gen_floor.values()) - sum(base_load.values()),
+        H, scopf_input.limits(), np.append([0, 0], at[owner[kept]]),
+        np.append([-1.0, 1.0], -np.ones(kept.sum())),
+        np.append([scopf_input.lmp_source, 0.0], prices[kept]),
+        np.append([np.inf, np.inf], caps[kept]),
+        balance=(sum(sums[first[first < n]].tolist())
+                 - sum(sums[first[first >= n]].tolist())),
         f_const=f_const)
 
     maps = {
-        "offers": offers,            # the offer of each variable from x[2]
+        "slot": slot,                # each offer's entry in the bus sums
+        "fixed": fixed,              # and its floor or baseline
+        "owner": owner[kept],        # the offer of each variable from x[2]
         "limited": limited,          # the finite-limit lines, for dispatch_duals
         "H": H,
-        "base_load": base_load,
-        "gen_floor": gen_floor,
         "f_const": f_const,          # line -> flow of the constant injections
     }
     return problem, maps
@@ -181,27 +193,23 @@ def solve_dlmp(scopf_input):
             binding) from None
 
     H = maps["H"]
-    lam, mu_plus, mu_minus = dispatch_duals(sol, maps["limited"], H.line_order)
-    mu = np.array([mu_plus[lid] - mu_minus[lid] for lid in H.line_order])
-    dlmp = {net.root: lam, **dict(zip(H.bus_order, lam + H.path_sums(mu)))}
+    lam, mu_plus, mu_minus = dispatch_duals(sol, maps["limited"])
+    dlmp = {net.root: lam,
+            **dict(zip(H.bus_order, lam + H.path_sums(mu_plus - mu_minus)))}
 
-    p_g, p_d = dict(maps["gen_floor"]), dict(maps["base_load"])
-    for o, x in zip(maps["offers"], sol.x[2:].tolist()):
-        if isinstance(o, GenOffer):
-            p_g[o.bus] = p_g.get(o.bus, 0.0) + x
-        else:
-            p_d[o.bus] = p_d.get(o.bus, 0.0) - x
-
-    dispatch = {bus: (p_g.get(bus, 0.0), p_d.get(bus, 0.0))
-                for bus in net.buses}
-    flows = line_flows(net, {bus: p_d - p_g
-                             for bus, (p_g, p_d) in dispatch.items()})
+    # Each bus's generation is its floors plus its gen blocks, and its load
+    # its baselines less its DR blocks, added in offer and then block order.
+    slot, owner, x, n = maps["slot"], maps["owner"], sol.x[2:], len(net.buses)
+    p_g, p_d = np.bincount(np.append(slot, slot[owner]), np.append(
+        maps["fixed"], np.where(owner < len(scopf_input.gen_offers), x, -x)),
+        2 * n).reshape(2, n)
+    flows = line_flows(net, dict(zip(net.buses, (p_d - p_g).tolist())))
     return DlmpResult(
-        dispatch=dispatch,
+        dispatch=dict(zip(net.buses, zip(p_g.tolist(), p_d.tolist()))),
         p_source=float(sol.x[0] - sol.x[1]),
         lam=lam,
-        mu_plus=mu_plus,
-        mu_minus=mu_minus,
+        mu_plus=dict(zip(H.line_order, mu_plus.tolist())),
+        mu_minus=dict(zip(H.line_order, mu_minus.tolist())),
         dlmp=dlmp,
         objective=float(sol.objective),
         flows=flows,

@@ -210,6 +210,11 @@ class PtdfMatrix:
     def __post_init__(self):
         self.bus_index = {b: i for i, b in enumerate(self.bus_order)}
 
+    def positions(self, buses):
+        """Each bus's position in the network's bus list: 0 for the root."""
+        return np.array([self.bus_index.get(b, -1) + 1 for b in buses],
+                        dtype=np.intp)
+
     def flows(self, x):
         """H @ x: per-line flow of the bus injections x."""
         return np.bincount(self.path_rows, weights=x[self.path_cols],

@@ -9,23 +9,19 @@ optimum or raises. The solution carries HiGHS' own duals: row_duals[i] =
 d objective / d (active side of row i), and reduced_costs[j] likewise for
 column j's bounds.
 
-Clearing and DLMP both build their LP with `dispatch_lp`, straight from the
-network's PTDF index arrays with numpy, with no dense or sparse matrix type;
-`dispatch_duals` reads its prices back, so its row layout is known only here.
+Clearing and DLMP both build their LP with `dispatch_lp`, from the PTDF
+index arrays in whole-array numpy: each bus's column is laid out once and
+gathered for every block at that bus, as the int32 arrays HiGHS takes.
+`dispatch_duals` reads the prices back, so the row layout lives here alone.
 
 The solve is one call into HiGHS' dual simplex (Huangfu & Hall, Math. Prog.
-Comp. 2018) through the binding scipy bundles, `_highspy._core`, not through
-`linprog`: on a 1000-bus feeder's clear LP, linprog's input handling and its
-per-column Python loop over the bound marginals took 35 of the 43 ms per
-call. The model goes in as whole arrays, linprog's post-solve test stays,
-and the results equal linprog's bit for bit, which the tests check, as they
-check strong duality and complementary slackness. Presolve is always off:
-a dispatch LP (box-bounded blocks, one balance row, PTDF line rows) leaves
-it nothing to remove, yet on a 1000-bus feeder it took over 90% of the
-solve, and the dual simplex needs about as many iterations without it.
-
-scipy is imported only where an LP is solved (scipy.optimize, ~0.4 s of a
-cold start): `validate` and a P2P run, which solve no LP, load no scipy.
+Comp. 2018) through the binding scipy bundles, `_highspy._core`, not
+through `linprog`, whose per-column Python took most of a large solve; the
+results equal linprog's bit for bit, as the tests check, with strong
+duality and complementary slackness. Presolve is always off: a dispatch LP
+leaves it nothing to remove, yet on a 1000-bus feeder it took over 90% of
+the solve. scipy is imported only where an LP is solved (scipy.optimize,
+~0.4 s of a cold start), so `validate` and a P2P run load no scipy.
 """
 
 from dataclasses import dataclass
@@ -88,15 +84,22 @@ class LpProblem:
             j = bad[0]
             raise ValueError(
                 f"variable {j}: bound lo {self.lo[j]} > hi {self.hi[j]}")
-        for name, what in (("c", "cost"), ("lo", "bound lo"),
-                           ("hi", "bound hi")):
-            v = getattr(self, name)
-            big = np.flatnonzero(np.isfinite(v) & (np.abs(v) >= HIGHS_INF))
-            if big.size:
-                j = big[0]
+        # HiGHS reads a cost, bound or row side of 1e20 or more in magnitude
+        # as infinite. A row side is refused only on the side that empties
+        # its row: a line limit of 1e20 or more still means no limit.
+        for what, v, far in (
+                ("variable {}: cost", self.c, np.abs(self.c) >= HIGHS_INF),
+                ("variable {}: bound lo", self.lo, np.isfinite(self.lo)
+                 & (np.abs(self.lo) >= HIGHS_INF)),
+                ("variable {}: bound hi", self.hi, np.isfinite(self.hi)
+                 & (np.abs(self.hi) >= HIGHS_INF)),
+                ("row {}: row_lo", self.row_lo, self.row_lo >= HIGHS_INF),
+                ("row {}: row_hi", self.row_hi, self.row_hi <= -HIGHS_INF)):
+            if far.any():
+                j = far.argmax()
                 raise NumericalFailure(
-                    f"variable {j}: {what} {v[j]:g} is {HIGHS_INF:g} or more "
-                    "in magnitude, which HiGHS reads as infinite")
+                    f"{what.format(j)} {v[j]:g} is {HIGHS_INF:g} or more in "
+                    "magnitude, which HiGHS reads as infinite")
 
     @property
     def n(self):
@@ -107,44 +110,49 @@ def dispatch_lp(H, limits, buses, signs, prices, caps, balance=0.0,
                 f_const=None):
     """The dispatch LP of clearing and DLMP over priced blocks.
 
-    Variable j is a block of 0..caps[j] kW at buses[j] that consumes
+    Variable j is a block of 0..caps[j] kW at the bus at position buses[j]
+    of the network's bus list (`H.positions`: 0 is the root) that consumes
     (signs[j] = +1) or produces (-1) at prices[j]: minimize the cost of
     production less the value of consumption subject to the line limits on
     the PTDF `H` (`f_const`: flows of the constant injections by line id)
     and the balance row signs.x = balance, which comes last. Rows 2k and
-    2k + 1 cap the flow of `limited[k]`, the k-th finite-limit line, from
-    above and below: column j holds +signs[j], -signs[j] on the pair of each
-    such line on its bus's root path, rows ascending, then signs[j] on the
-    balance row. Returns (problem, limited).
+    2k + 1 cap the flow of the k-th finite-limit line from above and below:
+    column j holds +signs[j], -signs[j] on the pair of each such line on its
+    bus's root path, rows ascending, then signs[j] on the balance row.
+    Returns (problem, limited), `limited` marking the finite-limit lines of
+    H.line_order.
     """
     signs = np.asarray(signs, dtype=float)
     lims = np.array([limits[lid] for lid in H.line_order], dtype=float)
-    finite = np.isfinite(lims)
-    limited = [lid for lid, f in zip(H.line_order, finite) if f]
-    k = len(limited)
-    # H's entries on limited lines, still by bus and then by line: the pair
-    # of each, and where each bus's run starts (none for the root, bus nb)
-    on = finite[H.path_rows]
-    pair = (np.cumsum(finite) - 1)[H.path_rows[on]]
-    nb = len(H.bus_order)
-    starts = np.searchsorted(H.path_cols[on], np.arange(nb + 2))
-    bus = np.fromiter(map(H.bus_index.get, buses, [nb] * len(signs)),
-                      dtype=np.intp, count=len(signs))
-    first, depth = starts[bus], starts[bus + 1] - starts[bus]
-    # positions in `pair` of each column's lines, column after column
-    at = np.arange(depth.sum()) + np.repeat(first - np.cumsum(depth) + depth,
-                                            depth)
-    indptr = np.append(0, np.cumsum(2 * depth + 1))
-    line = np.ones(indptr[-1], dtype=bool)
-    line[indptr[1:] - 1] = False                   # the balance entries
-    indices = np.full(indptr[-1], 2 * k)
-    indices[line] = ((2 * pair[at])[:, None] + [0, 1]).ravel()
-    data = np.repeat(signs, 2 * depth + 1)
-    data[line] *= np.tile([1.0, -1.0], at.size)
-
-    f0 = 0.0 if f_const is None else np.array([f_const[lid] for lid in limited])
-    row_hi = np.append(np.column_stack([lims[finite] - f0,
-                                        lims[finite] + f0]).ravel(), balance)
+    limited = np.isfinite(lims)
+    k = int(limited.sum())
+    # A column at the bus at position p repeats column p of `bus_rows` (CSC,
+    # `bus_ptr`): the +row and -row of each limited line on p's root path,
+    # rows ascending, then the balance row 2k. H's entries on limited lines
+    # keep their order, by bus and then by line, so the t-th, at position p,
+    # fills entries 2t + p and 2t + p + 1.
+    on = limited[H.path_rows]
+    row = 2 * (np.cumsum(limited, dtype=np.int32) - 1)[H.path_rows[on]]
+    at = H.path_cols[on] + 1
+    bus_ptr = np.cumsum(np.append(0, 2 * np.bincount(
+        at, minlength=len(H.bus_order) + 1) + 1))
+    at += 2 * np.arange(at.size)
+    bus_rows = np.full(bus_ptr[-1], 2 * k, dtype=np.int32)
+    bus_rows[at], bus_rows[at + 1] = row, row + 1
+    length = bus_ptr[buses + 1] - bus_ptr[buses]
+    indptr = np.cumsum(np.append(0, length), dtype=np.int32)
+    indices = bus_rows[np.repeat(bus_ptr[buses] - indptr[:-1], length)
+                       + np.arange(indptr[-1])]
+    # Every column has odd length, so column j starts at an entry of j's
+    # parity: negating the odd columns and then the odd entries alternates
+    # +signs[j] and -signs[j] down each.
+    data = np.repeat(np.where(np.arange(length.size) & 1, -signs, signs),
+                     length)
+    data[1::2] *= -1
+    f0 = 0.0 if f_const is None else np.array(
+        [f_const[lid] for lid, f in zip(H.line_order, limited) if f])
+    row_hi = np.append(np.column_stack([lims[limited] - f0,
+                                        lims[limited] + f0]).ravel(), balance)
     row_lo = np.append(np.full(2 * k, -np.inf), balance)
     problem = LpProblem(c=-signs * prices, lo=np.zeros(len(caps)), hi=caps,
                         indptr=indptr, indices=indices, data=data,
@@ -152,15 +160,16 @@ def dispatch_lp(H, limits, buses, signs, prices, caps, balance=0.0,
     return problem, limited
 
 
-def dispatch_duals(solution, limited, lines):
+def dispatch_duals(solution, limited):
     """(lam, mu_plus, mu_minus) of a solved `dispatch_lp` that returned
-    `limited`: lam = -d objective / d balance, and as dicts over `lines` the
-    prices >= 0 of each line's flow limit along and against it (0 if none)."""
+    `limited`: lam = -d objective / d balance, and as arrays over H's lines
+    the prices >= 0 of each line's flow limit along and against it (0 if
+    none)."""
     y = solution.row_duals
-    mu = np.maximum(-y[:-1], 0.0).tolist()
-    zero = dict.fromkeys(lines, 0.0)
-    return (-float(y[-1]), zero | dict(zip(limited, mu[::2])),
-            zero | dict(zip(limited, mu[1::2])))
+    mu = np.maximum(-y[:-1], 0.0)
+    mu_plus, mu_minus = np.zeros((2, limited.size))
+    mu_plus[limited], mu_minus[limited] = mu[::2], mu[1::2]
+    return -float(y[-1]), mu_plus, mu_minus
 
 
 @dataclass
@@ -190,19 +199,23 @@ def solve_lp(problem):
         raise NumericalFailure("HiGHS refused the model")
     highs.run()
     status = highs.getModelStatus()
+    if status == HighsModelStatus.kInfeasible:
+        raise InfeasibleLp("HiGHS model status: Infeasible")
     if status != HighsModelStatus.kOptimal:
-        error = (InfeasibleLp if status == HighsModelStatus.kInfeasible
-                 else NumericalFailure)
-        raise error("HiGHS model status: "
-                    + highs.modelStatusToString(status))
+        b = np.abs(np.append(p.lo, p.hi))
+        raise NumericalFailure(
+            f"HiGHS model status: {highs.modelStatusToString(status)}; largest "
+            f"finite |cost| {np.abs(p.c).max(initial=0):g}, largest finite "
+            f"|column bound| {b[np.isfinite(b)].max(initial=0):g}")
 
     sol = highs.getSolution()
     objective = highs.getInfo().objective_function_value
-    x, rows = np.array(sol.col_value), np.array(sol.row_value)
+    # with their dtype given, numpy reads HiGHS' lists of floats faster
+    x, rows = (np.array(v, dtype=float) for v in (sol.col_value, sol.row_value))
     # linprog's post-solve test: bounds and rows met within sqrt(1e-9) * 10
     off = np.concatenate((p.lo - x, x - p.hi, p.row_lo - rows, rows - p.row_hi))
     if np.isnan(objective) or not np.all(off <= np.sqrt(1e-9) * 10):
         raise NumericalFailure("optimal solution violates its constraints")
     return LpSolution(x=x, objective=float(objective),
-                      row_duals=np.array(sol.row_dual),
-                      reduced_costs=np.array(sol.col_dual))
+                      row_duals=np.array(sol.row_dual, dtype=float),
+                      reduced_costs=np.array(sol.col_dual, dtype=float))

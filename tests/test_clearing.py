@@ -7,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 import gridmarket.clearing as clearing
 from gridmarket.clearing import (
     SETTLE_TOL, ClearingError, MarketInput,
-    balance_demand_prices, clear, curve_blocks, parse_bids, settle_prices,
+    balance_demand_prices, clear, curve_blocks, curve_params, parse_bids,
+    settle_prices,
 )
 from gridmarket.curves import (
     Curve, DEMAND, SUPPLY, integral, price_at, price_at_extended,
@@ -410,7 +411,7 @@ def test_blocks_equal_pointwise_price_at():
             ref_p += [price_at(curve, curve.q_min + (j + 0.5) * w)
                       for j in range(segments)]
             ref_keep.append([curve.q_min > 0] + [True] * segments)
-        widths, prices, keep = curve_blocks(curves, segments)
+        widths, prices, keep = curve_blocks(curve_params(curves), segments)
         np.testing.assert_array_equal(widths, ref_w)
         np.testing.assert_array_equal(prices, ref_p)
         np.testing.assert_array_equal(keep, ref_keep)
@@ -418,7 +419,7 @@ def test_blocks_equal_pointwise_price_at():
 
 def test_curve_blocks_rejects_fewer_than_one_segment():
     with pytest.raises(ClearingError, match="segments must be >= 1"):
-        curve_blocks([Curve(DEMAND, 3.0, 1.0, 10.0, 0.0)], 0)
+        curve_blocks(curve_params([Curve(DEMAND, 3.0, 1.0, 10.0, 0.0)]), 0)
     with pytest.raises(ClearingError):
         clear(pair_input(), segments=-2)
 

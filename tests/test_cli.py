@@ -424,6 +424,39 @@ def test_a_model_highs_cannot_take_prints_one_error_line(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_a_row_side_highs_reads_as_infinite_prints_one_error_line(tmp_path,
+                                                                  capsys):
+    # a fixed 1e25 kW load: the balance row's sides are -1e25, which HiGHS
+    # reads as -infinity (it used to end in "HiGHS refused the model")
+    out = tmp_path / "out"
+    rc = main(["dlmp", "--case", write(tmp_path, "net.txt",
+                                       "bus 0\nbus 1\nline a 0 1 inf\n"),
+               "--offers", write(tmp_path, "off.txt", "dr 1 1e25\n"),
+               "--out", str(out)])
+    assert rc == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.err == ("error: row 0: row_hi -1e+25 "
+                            + HIGHS_READS_AS_INFINITE)
+    assert captured.out == "" and not out.exists()
+
+
+def test_a_solve_that_fails_names_the_largest_cost_and_bound(tmp_path,
+                                                            capsys):
+    # costs of 1e18 and more, below HiGHS' infinity, end in a status that is
+    # neither optimal nor infeasible: the one error line names the numbers
+    rc = main(["clear", "--case", write(tmp_path, "net.txt",
+                                        "bus 0\nbus 1\nline a 0 1 inf\n"),
+               "--bids", write(tmp_path, "bids.txt",
+                               "bid s 0 S 1e18 1e18 10 0\n"
+                               "bid c 1 D 21e18 21e18 10 0\n")])
+    assert rc == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: HiGHS model status: ")
+    assert captured.err.endswith("; largest finite |cost| 2.1e+19, largest "
+                                 "finite |column bound| 0.1\n")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 @pytest.mark.parametrize("kw,segments,block", [
     ("1e25", "100", "1e+23"), ("1e21", "10", "1e+20"),
 ], ids=["1e25-kW", "1e21-kW-at-10-segments"])

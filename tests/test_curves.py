@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from gridmarket.clearing import curve_params, on_curve
 from gridmarket.curves import (
-    Curve, CurveError, DEMAND, QuantityOutOfRange, SUPPLY, integral, price_at,
+    DOMAIN_TOL, Curve, CurveError, DEMAND, QuantityOutOfRange, SUPPLY,
+    integral, price_at, price_at_extended,
 )
 from helpers import (
     NoIntersection, aggregate_intersection, quantity_at_price, surplus,
@@ -121,3 +124,55 @@ def test_no_intersection():
     pricey_sup = Curve(SUPPLY, p_max=9.0, p_min=5.0, q_max=5.0, q_min=1.0)
     with pytest.raises(NoIntersection):
         aggregate_intersection([pricey_sup], [cheap_dem])
+
+
+@st.composite
+def curves_and_quantities(draw):
+    """Curves with q_min = 0 and q_min > 0, some flat, each with a quantity
+    at 0 or -0, in the gap [0, q_min), at q_min or q_max, within DOMAIN_TOL
+    of an end, anywhere in [0, q_max] or out of range."""
+    curves, qs = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        p_min = draw(st.floats(-100.0, 100.0))
+        p_max = p_min + draw(st.just(0.0) | st.floats(1e-6, 100.0))
+        q_min = draw(st.just(0.0) | st.floats(1e-6, 100.0))
+        c = Curve(draw(st.sampled_from([SUPPLY, DEMAND])), p_max, p_min,
+                  q_min + draw(st.floats(1e-3, 1000.0)), q_min)
+        near = [st.floats(end - DOMAIN_TOL, end + DOMAIN_TOL)
+                for end in (0.0, c.q_min, c.q_max)]
+        qs.append(draw(st.one_of(
+            st.sampled_from([0.0, -0.0, c.q_min, c.q_max]),
+            st.floats(0.0, c.q_min, exclude_max=c.q_min > 0),
+            st.floats(0.0, c.q_max), *near,
+            st.floats(c.q_max, 2 * c.q_max + 1.0),
+            st.floats(-1e3, 0.0))))
+        curves.append(c)
+    return curves, qs
+
+
+@given(curves_and_quantities())
+@example(([Curve(SUPPLY, 3.0, 1.0, 10.0, 2.0), Curve(DEMAND, 5.0, 5.0, 4.0, 0.0)],
+          [1.0, -0.0]))
+@example(([Curve(DEMAND, 3.0, 1.0, 10.0, 2.0)] * 3,
+          [10.0 + DOMAIN_TOL, 2.0 - DOMAIN_TOL, -DOMAIN_TOL]))
+@example(([Curve(SUPPLY, 3.0, 1.0, 10.0, 2.0)] * 2, [5.0, 10.0 + 1e-9]))
+@example(([Curve(DEMAND, 3.0, 1.0, 10.0, 0.0)] * 2, [4.0, -1e-9]))
+@settings(max_examples=300, deadline=None)
+def test_array_curve_math_equals_the_scalar_forms_bit_for_bit(case):
+    # `clear` and its settlement evaluate every curve at once with
+    # curve_params and on_curve: each price and integral is the float
+    # price_at_extended and integral return, -0.0 included, and a quantity
+    # either of them refuses makes on_curve raise QuantityOutOfRange too
+    curves, qs = case
+    params = curve_params(curves)
+    try:
+        expect = [(price_at_extended(c, q), integral(c, q))
+                  for c, q in zip(curves, qs)]
+    except QuantityOutOfRange:
+        with pytest.raises(QuantityOutOfRange):
+            on_curve(params, np.array(qs))
+        return
+    prices, values = on_curve(params, np.array(qs))
+    assert [(p.hex(), v.hex()) for p, v in zip(prices.tolist(),
+                                               values.tolist())] == [
+        (p.hex(), v.hex()) for p, v in expect]

@@ -220,6 +220,43 @@ def test_f_max_override():
     assert res.dlmp[2] == pytest.approx(15.0, abs=1e-8)
 
 
+def test_blocks_take_what_the_baseline_has_left():
+    # Reference: the block-by-block loop over the offers. DR cannot cut
+    # below zero load, so a DR block takes at most what its baseline has
+    # left after the blocks before it, and a block that finds nothing left
+    # is no variable; gen blocks are taken whole.
+    rng = np.random.default_rng(23)
+    net = random_radial_network(rng, 8)
+    fixed = [DrOffer(bus=3, baseline=3.0,
+                     blocks=[(1.0, 5.0), (2.0, 6.0), (1.0, 7.0)]),
+             DrOffer(bus=0, baseline=0.0, blocks=[(1.0, 5.0)])]
+    for _ in range(40):
+        gens = []
+        for _ in range(int(rng.integers(0, 3))):
+            q = float(rng.uniform(1.0, 5.0))
+            gens.append(GenOffer(bus=int(rng.integers(0, 8)), p_min=0.0,
+                                 p_max=2 * q, blocks=[(q, 2.0), (q, 3.0)]))
+        drs = fixed + [
+            DrOffer(bus=int(rng.integers(0, 8)),
+                    baseline=float(rng.uniform(0.0, 4.0)),
+                    blocks=[(float(rng.uniform(0.1, 2.0)), 4.0 + j)
+                            for j in range(int(rng.integers(0, 5)))])
+            for _ in range(int(rng.integers(0, 6)))]
+        caps, prices = [], []
+        for o in gens + drs:
+            avail = o.baseline if isinstance(o, DrOffer) else INF
+            for qty, price in o.blocks:
+                qty = min(qty, avail)
+                if qty > 0:
+                    caps.append(qty)
+                    prices.append(price)
+                    avail -= qty
+        problem, _ = build_scopf(ScopfInput(lmp_source=5.0, gen_offers=gens,
+                                            dr_offers=drs, network=net))
+        assert problem.hi[2:].tolist() == caps
+        assert problem.c[2:].tolist() == prices
+
+
 def test_parse_offers():
     text = ("# offers\n"
             "gen 14 0 20 10,6.0 10,9.5\n"

@@ -1,0 +1,95 @@
+"""Bit-identity golden for the market layers.
+
+One seeded 300-bus feeder is cleared at 20 segments and its SCOPF solved;
+a sha256 over float.hex of every quantity, price, line flow, DLMP, line
+price and objective must equal the digest below. It was recorded before
+`clear`, `dispatch_lp` and `build_scopf` computed their blocks, bus sums and
+results as whole arrays, and a change that only makes them faster must
+leave it as it is. The feeder puts several agents and offers at one bus, in
+no bus order, DR blocks that overdraw their baseline, curves with and
+without a q_min gap, flat curves and lines without a limit.
+"""
+
+import hashlib
+
+import numpy as np
+
+from gridmarket.clearing import MarketInput, clear
+from gridmarket.curves import Curve, DEMAND, SUPPLY
+from gridmarket.dlmp import DrOffer, GenOffer, ScopfInput, solve_dlmp
+from gridmarket.network import build_network
+from helpers import random_radial_network
+
+GOLDEN = "7c3fdbf931a8d505d96d66977fe39e215e3fb696518caa8cb72cecad737a5980"
+
+
+def feeder():
+    rng = np.random.default_rng(2024)
+    n = 300
+    net = random_radial_network(rng, n, limit_lo=20.0, limit_hi=200.0)
+    net = build_network(net.buses, [
+        (lid, u, v, float("inf") if rng.random() < 0.2 else lim)
+        for lid, u, v, lim in net.lines])
+
+    def curve(side, lo, hi):
+        p_min = float(rng.uniform(lo, hi))
+        p_max = p_min if rng.random() < 0.1 else p_min + float(rng.uniform(0, 8))
+        q_min = 0.0 if rng.random() < 0.5 else float(rng.uniform(0.5, 3.0))
+        return Curve(side, p_max, p_min, q_min + float(rng.uniform(2, 20)),
+                     q_min)
+
+    buses = rng.integers(1, n, size=260).tolist()
+    bids = [(f"c{k}", b, curve(DEMAND, 6, 25)) for k, b in enumerate(buses)]
+    offers = [("feeder", 0, Curve(SUPPLY, 5.0, 5.0, 1e4, 0.0))] + [
+        (f"g{k}", b, curve(SUPPLY, 4, 12))
+        for k, b in enumerate(rng.integers(1, n, size=40).tolist())]
+    market = MarketInput(bids=bids, offers=offers, network=net)
+
+    gens = []
+    for b in rng.integers(0, n, size=40).tolist():
+        p_min = 0.0 if rng.random() < 0.7 else float(rng.uniform(0, 2))
+        q = float(rng.uniform(5, 30))
+        p1 = float(rng.uniform(3, 10))
+        gens.append(GenOffer(bus=b, p_min=p_min, p_max=p_min + q,
+                             blocks=[(q / 2, p1), (q / 2, p1 + 2.0)]))
+    drs = []
+    for b in buses[:200]:
+        base = float(rng.uniform(0.2, 3.0))
+        k = int(rng.integers(0, 4))          # 0: a fixed load
+        cut = base * float(rng.uniform(0.3, 0.6))
+        drs.append(DrOffer(bus=b, baseline=base,
+                           blocks=[(cut, 8.0 + j) for j in range(k)]))
+    scopf = ScopfInput(lmp_source=5.0, gen_offers=gens, dr_offers=drs,
+                       network=net)
+    return market, scopf
+
+
+def digest(dispatch, result):
+    h = hashlib.sha256()
+
+    def put(name, values):
+        for key, v in values.items():
+            h.update(f"{name} {key!r} {float(v).hex()}\n".encode())
+
+    put("q", dispatch.quantities)
+    put("price", dispatch.prices)
+    put("flow", dispatch.line_flows)
+    put("surplus", {"": dispatch.total_surplus})
+    put("p_g", {b: g for b, (g, _) in result.dispatch.items()})
+    put("p_d", {b: d for b, (_, d) in result.dispatch.items()})
+    put("dlmp", result.dlmp)
+    put("mu_plus", result.mu_plus)
+    put("mu_minus", result.mu_minus)
+    put("dlmp_flow", result.flows)
+    put("scalars", {"lam": result.lam, "p_source": result.p_source,
+                    "objective": result.objective})
+    return h.hexdigest()
+
+
+def test_clear_and_dlmp_on_a_seeded_feeder_are_bit_identical():
+    market, scopf = feeder()
+    dispatch, result = clear(market, segments=20), solve_dlmp(scopf)
+    # the feeder exercises what it claims to
+    assert dispatch.binding_lines and dispatch.traded
+    assert any(v > 0 for v in result.mu_plus.values())
+    assert digest(dispatch, result) == GOLDEN

@@ -40,8 +40,9 @@ def test_infeasible_and_unbounded():
     with pytest.raises(InfeasibleLp, match="^HiGHS model status: Infeasible$"):
         solve_lp(p)
     p2 = lp_problem(c=[-1.0], bounds=[(0.0, np.inf)])
-    with pytest.raises(NumericalFailure,
-                       match="^HiGHS model status: Unbounded$"):
+    with pytest.raises(NumericalFailure, match=re.escape(
+            "HiGHS model status: Unbounded; largest finite |cost| 1, "
+            "largest finite |column bound| 0") + "$"):
         solve_lp(p2)
 
 
@@ -252,7 +253,9 @@ def test_solve_lp_equals_linprog_when_infeasible_or_unbounded():
                        bounds=[(0.0, np.inf), (-np.inf, np.inf)]),
             lp_problem(c=[-1.0], bounds=[(0.0, np.inf)])):
         assert linprog_result(unbounded).status == 3
-        with pytest.raises(NumericalFailure, match="Unbounded$"):
+        with pytest.raises(NumericalFailure, match=re.escape(
+                "HiGHS model status: Unbounded; largest finite |cost| 1, "
+                "largest finite |column bound| 0") + "$"):
             solve_lp(unbounded)
 
 
@@ -334,10 +337,16 @@ def test_other_model_statuses_raise_numerical_failure(monkeypatch,
                                                       model_status):
     from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
-    monkeypatch.setattr(_Highs, "getModelStatus",
-                        lambda highs: getattr(HighsModelStatus, model_status))
-    with pytest.raises(NumericalFailure, match="^HiGHS model status: "):
-        solve_lp(lp_problem(c=[1.0], bounds=[(2.0, 5.0)]))
+    status = getattr(HighsModelStatus, model_status)
+    monkeypatch.setattr(_Highs, "getModelStatus", lambda highs: status)
+    # the message names the largest finite cost and column bound, in
+    # magnitude, where a too large one is the likely cause
+    with pytest.raises(NumericalFailure, match=re.escape(
+            f"HiGHS model status: {_Highs().modelStatusToString(status)}; "
+            "largest finite |cost| 7e+18, largest finite |column bound| "
+            "2.5e+19") + "$"):
+        solve_lp(lp_problem(c=[1.0, -7e18], A_ub=[[1.0, 1.0]], b_ub=[3e19],
+                            bounds=[(-2.5e19, 5.0), (-np.inf, np.inf)]))
 
 
 @pytest.mark.parametrize("fields,message", [
@@ -352,6 +361,24 @@ def test_a_cost_or_bound_highs_reads_as_infinite_is_refused(fields, message):
     with pytest.raises(NumericalFailure, match=re.escape(
             f"{message}is 1e+20 or more in magnitude, "
             "which HiGHS reads as infinite")):
+        one_column(**fields)
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"row_lo": [1e20], "row_hi": [INF]}, "row 0: row_lo 1e+20 "),
+    ({"row_hi": [-3e25]}, "row 0: row_hi -3e+25 "),
+    ({"row_lo": [-1e25], "row_hi": [-1e25]}, "row 0: row_hi -1e+25 "),
+    ({"indices": [1], "row_lo": [-INF, 2e20], "row_hi": [4.0, 3e20]},
+     "row 1: row_lo 2e+20 "),
+], ids=["lo-at", "hi", "equality", "second-row"])
+def test_a_row_side_highs_reads_as_infinite_on_the_wrong_side_is_refused(
+        fields, message):
+    # A row side of 1e20 or more in magnitude that HiGHS reads as an infinite
+    # bound on the side that leaves the row no point: before, HiGHS refused
+    # the model without naming the row or the value.
+    with pytest.raises(NumericalFailure, match=re.escape(
+            f"{message}is 1e+20 or more in magnitude, which HiGHS reads "
+            "as infinite") + "$"):
         one_column(**fields)
 
 

@@ -70,9 +70,10 @@ def test_line_limit_rows_match_dense_reference(with_const):
         ref_A, ref_b, ref_lines = dense_limit_rows(
             net, buses, signs, limits,
             None if f_const is None else [f_const[lid] for lid in H.line_order])
-        problem, limited = dispatch_lp(H, limits, buses, signs, prices, caps,
-                                       2.5, f_const)
-        assert [(lid, s) for lid in limited for s in (+1, -1)] == ref_lines
+        problem, limited = dispatch_lp(H, limits, H.positions(buses), signs,
+                                       prices, caps, 2.5, f_const)
+        assert [(lid, s) for lid, lim in zip(H.line_order, limited) if lim
+                for s in (+1, -1)] == ref_lines
         np.testing.assert_array_equal(
             lp_matrix(problem), np.vstack([ref_A.reshape(-1, len(buses)),
                                            signs]))
@@ -88,10 +89,11 @@ def test_line_limit_rows_match_dense_reference(with_const):
 def test_line_limit_rows_all_unlimited():
     rng = np.random.default_rng(5)
     net = random_radial_network(rng, 6, limit_lo=INF, limit_hi=INF)
-    problem, limited = dispatch_lp(ptdf(net), net.line_limits(), [1, 2, 0],
+    H = ptdf(net)
+    problem, limited = dispatch_lp(H, net.line_limits(), H.positions([1, 2, 0]),
                                    [1.0, -1.0, 1.0], [3.0, 2.0, 1.0],
                                    [1.0, 1.0, 1.0])
-    assert limited == []
+    assert not limited.any()
     np.testing.assert_array_equal(lp_matrix(problem), [[1.0, -1.0, 1.0]])
     assert problem.row_lo.tolist() == problem.row_hi.tolist() == [0.0]
 
@@ -102,15 +104,16 @@ def test_root_bus_variables_hold_only_their_balance_entry():
     H = ptdf(net)
     var_buses = [0, 3, 3, 8, 0, 1]
     coefs = [1.0, -1.0, 2.0, 1.0, 5.0, -3.0]
-    problem, limited = dispatch_lp(H, net.line_limits(), var_buses, coefs,
-                                   [1.0] * 6, [1.0] * 6)
+    problem, limited = dispatch_lp(H, net.line_limits(),
+                                   H.positions(var_buses), coefs, [1.0] * 6,
+                                   [1.0] * 6)
     depth = {b: int(ptdf_entries(H)[:, H.bus_order.index(b)].sum())
              for b in (1, 3, 8)}
     assert np.diff(problem.indptr).tolist() == [
         1 if b == 0 else 2 * depth[b] + 1 for b in var_buses]
     # a root-bus variable's one entry is its coefficient on the balance row
     for j in (0, 4):
-        assert problem.indices[problem.indptr[j]] == 2 * len(limited)
+        assert problem.indices[problem.indptr[j]] == 2 * limited.sum()
         assert problem.data[problem.indptr[j]] == coefs[j]
 
 
@@ -189,8 +192,8 @@ def test_dispatch_lp_sparse_equals_dense():
         _, buses, signs, prices, caps, f_const = random_dispatch(rng, net,
                                                                  limits)
         balance = float(rng.uniform(-10.0, 10.0))
-        problem, _ = dispatch_lp(H, limits, buses, signs, prices, caps,
-                                 balance, f_const)
+        problem, _ = dispatch_lp(H, limits, H.positions(buses), signs, prices,
+                                 caps, balance, f_const)
         A_ub, b_ub, _ = dense_limit_rows(
             net, buses, signs, limits,
             np.array([f_const[lid] for lid in H.line_order]))
