@@ -110,8 +110,8 @@ def dispatch_lp(H, limits, buses, signs, prices, caps, balance=0.0,
                 f_const=None):
     """The dispatch LP of clearing and DLMP over priced blocks.
 
-    Variable j is a block of 0..caps[j] kW at the bus at position buses[j]
-    of the network's bus list (`H.positions`: 0 is the root) that consumes
+    Variable j is a block of 0..caps[j] kW at the bus whose position in the
+    network's bus list is buses[j] (an int array, `H.positions`) that consumes
     (signs[j] = +1) or produces (-1) at prices[j]: minimize the cost of
     production less the value of consumption subject to the line limits on
     the PTDF `H` (`f_const`: flows of the constant injections by line id)
