@@ -17,9 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import (
-    FLOW_TOL, CaseFileError, _bus_id, content_lines, line_flows, ptdf,
-)
+from .network import FLOW_TOL, CaseFileError, _bus_id, content_lines, ptdf
 from .optim import InfeasibleLp, dispatch_duals, dispatch_lp, solve_lp
 
 
@@ -151,8 +149,7 @@ def build_scopf(scopf_input):
     slot = at + np.repeat([0, n], [len(gens), len(drs)])
     fixed = [g.p_min for g in gens] + [d.baseline for d in drs]
     sums = np.bincount(slot, fixed, 2 * n)
-    f_const = line_flows(net, dict(zip(net.buses,
-                                       (sums[n:] - sums[:n]).tolist())))
+    f_const = H.flows((sums[n:] - sums[:n])[1:])
     first = slot[np.sort(np.unique(slot, return_index=True)[1])]
 
     # The source is a priced import and an unpaid export at the root, so
@@ -172,7 +169,7 @@ def build_scopf(scopf_input):
         "owner": owner[kept],        # the offer of each variable from x[2]
         "limited": limited,          # the finite-limit lines, for dispatch_duals
         "H": H,
-        "f_const": f_const,          # line -> flow of the constant injections
+        "f_const": f_const,          # flows of the constant injections
     }
     return problem, maps
 
@@ -181,18 +178,18 @@ def solve_dlmp(scopf_input):
     """Run SCOPF and extract per-bus DLMPs from the dual solution."""
     net = scopf_input.network
     problem, maps = build_scopf(scopf_input)
+    H = maps["H"]
     # bounded: imports cost lmp_source >= 0 and the other blocks are capped
     try:
         sol = solve_lp(problem)
     except InfeasibleLp:
         limits = scopf_input.limits()
-        binding = [lid for lid, f in maps["f_const"].items()
+        binding = [lid for lid, f in zip(H.line_order, maps["f_const"])
                    if abs(f) > limits[lid] + FLOW_TOL]
         raise InfeasibleBaseline(
             "SCOPF Infeasible: baseline load violates line limits",
             binding) from None
 
-    H = maps["H"]
     lam, mu_plus, mu_minus = dispatch_duals(sol, maps["limited"])
     dlmp = {net.root: lam,
             **dict(zip(H.bus_order, lam + H.path_sums(mu_plus - mu_minus)))}
@@ -203,7 +200,6 @@ def solve_dlmp(scopf_input):
     p_g, p_d = np.bincount(np.append(slot, slot[owner]), np.append(
         maps["fixed"], np.where(owner < len(scopf_input.gen_offers), x, -x)),
         2 * n).reshape(2, n)
-    flows = line_flows(net, dict(zip(net.buses, (p_d - p_g).tolist())))
     return DlmpResult(
         dispatch=dict(zip(net.buses, zip(p_g.tolist(), p_d.tolist()))),
         p_source=float(sol.x[0] - sol.x[1]),
@@ -212,7 +208,7 @@ def solve_dlmp(scopf_input):
         mu_minus=dict(zip(H.line_order, mu_minus.tolist())),
         dlmp=dlmp,
         objective=float(sol.objective),
-        flows=flows,
+        flows=dict(zip(H.line_order, H.flows((p_d - p_g)[1:]).tolist())),
     )
 
 

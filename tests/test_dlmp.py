@@ -146,6 +146,27 @@ def test_infeasible_baseline_reports_binding_lines():
     assert "b" in ei.value.binding_lines
 
 
+def test_an_overloaded_baseline_is_named_beside_emptied_rows():
+    """Lines a and b carry more baseline than DR and the gen can relieve;
+    line c's rows, which no block can load, are empty. The SCOPF is still
+    infeasible and names a and b, in line order."""
+    net = build_network([0, 1, 2, 3], [("a", 0, 1, 11.5), ("b", 1, 2, 5.0),
+                                       ("c", 1, 3, 100.0)])
+    si = ScopfInput(lmp_source=4.3,
+                    gen_offers=[GenOffer(bus=3, p_min=0.0, p_max=2.0,
+                                         blocks=[(2.0, 1.0)])],
+                    dr_offers=[DrOffer(bus=1, baseline=5.0, blocks=[]),
+                               DrOffer(bus=2, baseline=10.0,
+                                       blocks=[(1.0, 20.0)])],
+                    network=net)
+    problem, _ = build_scopf(si)
+    assert np.bincount(problem.indices, minlength=7).tolist()[:6] == [
+        2, 0, 1, 0, 0, 0]
+    with pytest.raises(InfeasibleBaseline) as ei:
+        solve_dlmp(si)
+    assert ei.value.binding_lines == ["a", "b"]
+
+
 def test_decomposition_identity():
     net = chain(limits=(8.0, 6.0))
     si = ScopfInput(
