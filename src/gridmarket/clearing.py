@@ -14,7 +14,8 @@ pinned there and the residual goes to the others' headroom. If not,
 consumers pay their caps and supplier prices come down toward average cost
 until revenue equals that payment. Both stages take all agents' curves as
 arrays at once, with the IEEE operations of `curves`' scalar functions in
-the same order, so each value equals theirs bit for bit.
+the same order, so each value equals theirs bit for bit; stage 2 settles
+on the own-curve prices and integrals stage 1 computed for its surplus.
 """
 
 import json
@@ -187,7 +188,8 @@ def clear(market_input, segments=100):
     x[keep] = sol.x
     q = np.where(keep[:, 0], x.sum(axis=1), x[:, 1:].sum(axis=1))
     q[q <= SETTLE_TOL] = 0.0
-    quantities = dict(zip([a for a, _, _ in agents], q.tolist()))
+    names = [a for a, _, _ in agents]
+    quantities = dict(zip(names, q.tolist()))
     sides = {a: c.side for a, _, c in agents}
     agent_bus = {a: b for a, b, _ in agents}
 
@@ -199,87 +201,81 @@ def clear(market_input, segments=100):
     binding = [H.line_order[i] for i in np.flatnonzero(
         limited & (np.abs(f) >= lims - BINDING_TOL))]
 
-    value = on_curve(params, q)[1].tolist()
-    total_surplus = sum(value[:len(bids)]) - sum(value[len(bids):])
+    price, value = on_curve(params, q)
+    v = value.tolist()
+    total_surplus = sum(v[:len(bids)]) - sum(v[len(bids):])
 
-    traded = bool((q > SETTLE_TOL).any())
-    prices = settle_prices(quantities, market_input) if traded else {}
-    return Dispatch(quantities=quantities, prices=prices, sides=sides,
-                    buses=agent_bus,
+    # the trading agents, suppliers in offer order, then consumers
+    order = np.append(np.arange(len(bids), len(agents)), np.arange(len(bids)))
+    t = order[q[order] > SETTLE_TOL]
+    settled = settle_prices(price[t], value[t] / q[t], q[t],
+                            int((t >= len(bids)).sum()))
+    return Dispatch(quantities=quantities,
+                    prices=dict(zip([names[i] for i in t], settled.tolist())),
+                    sides=sides, buses=agent_bus,
                     line_flows=dict(zip(H.line_order, f.tolist())),
-                    total_surplus=total_surplus, traded=traded,
+                    total_surplus=total_surplus, traded=bool(t.size),
                     binding_lines=binding)
 
 
-def spread(prices, bounds, quantities, residual):
-    """Move prices toward their bounds in place, each in proportion to its
-    headroom (bound - price) * q, so that the payment sum(price * q) changes
-    by `residual`; nothing moves unless the pooled headroom has its sign."""
-    headroom = {a: (bounds[a] - prices[a]) * quantities[a] for a in prices}
-    free = sum(headroom.values())
+def spread(prices, bounds, q, residual):
+    """Move the array `prices` toward `bounds` in place, each in proportion
+    to its headroom (bound - price) * q, so that the payment sum(prices * q)
+    changes by `residual`; nothing moves unless the pooled headroom has its
+    sign."""
+    headroom = (bounds - prices) * q
+    free = sum(headroom.tolist())
     if free * residual > 0:
-        for a in prices:
-            prices[a] += residual * (headroom[a] / free) / quantities[a]
+        prices += residual * (headroom / free) / q
 
 
-def balance_demand_prices(provisional, caps, quantities, target):
-    """Scale provisional demand prices so payments hit `target`, for
-    positive quantities and caps that can pay it: sum(caps * q) >= target -
-    SETTLE_TOL. Prices scaled over their cap are pinned there and the
-    residual is spread once over the others' headroom, which is
+def balance_demand_prices(prices, caps, q, target):
+    """Scale the array of demand prices in place so payments hit `target`,
+    for positive quantities and caps that can pay it: sum(caps * q) >=
+    target - SETTLE_TOL. Prices scaled over their cap are pinned there and
+    the residual is spread once over the others' headroom, which is
     sum(caps * q) - target + residual >= residual, so no cap is exceeded.
     A payment of at most SETTLE_TOL has nothing to scale: a target above it
     is spread over caps * q instead, and a dust target changes nothing."""
-    prices = dict(provisional)
-    payment = sum(prices[a] * quantities[a] for a in provisional)
+    payment = sum((prices * q).tolist())
     if payment <= SETTLE_TOL:
         if target <= SETTLE_TOL:
-            return prices
-        prices = dict(caps)
-        payment = sum(caps[a] * quantities[a] for a in provisional)
-    lam = target / payment
-    prices = {a: lam * prices[a] for a in provisional}
-    over = [a for a in provisional if prices[a] > caps[a] + SETTLE_TOL]
-    if over:
-        residual = sum((prices[a] - caps[a]) * quantities[a] for a in over)
-        for a in over:
-            prices[a] = caps[a]
-        spread(prices, caps, quantities, residual)
-    return prices
+            return
+        prices[:] = caps
+        payment = sum((caps * q).tolist())
+    prices *= target / payment
+    over = prices > caps + SETTLE_TOL
+    if over.any():
+        residual = sum(((prices - caps) * q)[over].tolist())
+        prices[over] = caps[over]
+        spread(prices, caps, q, residual)
 
 
-def on_curves(agents, quantities):
-    """Own-curve prices, average prices integral(q) / q and quantities of
-    the agents that trade more than SETTLE_TOL, as three dicts."""
-    trading = [(a, c) for a, _, c in agents
-               if quantities.get(a, 0.0) > SETTLE_TOL]
-    names = [a for a, _ in trading]
-    q = np.array([quantities[a] for a in names], dtype=float)
-    prices, value = on_curve(curve_params([c for _, c in trading]), q)
-    return (dict(zip(names, prices.tolist())),
-            dict(zip(names, (value / q).tolist())), dict(zip(names, q.tolist())))
-
-
-def settle_prices(quantities, market_input):
-    """Per-agent settlement prices for fixed stage-1 quantities, by the
-    rule in the module docstring.
+def settle_prices(price, average, q, n_supply):
+    """Settlement prices of the trading agents, by the rule in the module
+    docstring, from their own-curve prices, average values integral(q) / q
+    and quantities: arrays over the agents, the n_supply suppliers first.
+    Returns a new array in that order.
 
     Budget rule: total payment equals total revenue to rounding unless both
     the revenue and the consumers' own-curve payment are at most SETTLE_TOL;
     then prices stay on the curves and the two, both dust, need not balance.
     """
-    supply_prices, costs, qs = on_curves(market_input.offers, quantities)
-    provisional, caps, qd = on_curves(market_input.bids, quantities)
-    revenue = sum(supply_prices[a] * qs[a] for a in supply_prices)
-    afford = sum(caps[a] * qd[a] for a in caps)
+    prices = price.copy()
+    supply, demand = prices[:n_supply], prices[n_supply:]      # views
+    costs, caps = average[:n_supply], average[n_supply:]
+    qs, qd = q[:n_supply], q[n_supply:]
+    revenue = sum((supply * qs).tolist())
+    afford = sum((caps * qd).tolist())
     if afford >= revenue - SETTLE_TOL:
-        return {**supply_prices,
-                **balance_demand_prices(provisional, caps, qd, revenue)}
+        balance_demand_prices(demand, caps, qd, revenue)
+        return prices
     # At the LP optimum each curve's blocks fill in price order, priced at
     # their midpoints (exact for affine curves), so exact consumer value is
     # at least its LP value and exact supplier cost at most its LP cost:
     # afford - sum(costs * q) >= LP welfare >= 0. The suppliers' headroom
     # sum((price - cost) * q) thus covers revenue - afford > SETTLE_TOL, so
     # `spread` divides by a nonzero sum and keeps prices in [cost, price].
-    spread(supply_prices, costs, qs, afford - revenue)
-    return {**supply_prices, **caps}
+    spread(supply, costs, qs, afford - revenue)
+    demand[:] = caps
+    return prices

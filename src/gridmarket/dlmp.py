@@ -83,7 +83,6 @@ class ScopfInput:
     gen_offers: list          # GenOffer
     dr_offers: list           # DrOffer; also carries fixed loads (no blocks)
     network: object
-    f_max: dict = None        # optional per-line overrides of network limits
 
     def __post_init__(self):
         buses = set(self.network.buses)
@@ -96,10 +95,7 @@ class ScopfInput:
                 f"lmp_source must be finite and >= 0, got {self.lmp_source}")
 
     def limits(self):
-        lims = self.network.line_limits()
-        if self.f_max:
-            lims.update(self.f_max)
-        return lims
+        return self.network.line_limits()
 
 
 @dataclass
@@ -122,10 +118,11 @@ def build_scopf(scopf_input):
     gens, drs = scopf_input.gen_offers, scopf_input.dr_offers
     offers, n = gens + drs, len(net.buses)
 
-    # Blocks, all producing: gen blocks, then DR reduction blocks. DR cannot
-    # cut below zero load: a block takes at most what its offer's baseline
-    # (a gen's is inf) has left, subtracted block by block along the offer's
-    # row of `left`, for all offers with as many blocks at once.
+    # Blocks, all producing: gen blocks, then DR reduction blocks. A gen
+    # cannot run above P_max, nor DR cut below zero load: a block takes at
+    # most what its offer's P_max - P_min or baseline has left, subtracted
+    # block by block along the offer's row of `left`, for all offers with as
+    # many blocks at once.
     counts = np.array([len(o.blocks) for o in offers], dtype=np.intp)
     qty, prices = np.array([v for o in offers for b in o.blocks for v in b],
                            dtype=float).reshape(-1, 2).T
@@ -133,7 +130,7 @@ def build_scopf(scopf_input):
     after = np.arange(qty.size) + owner + 1       # a block's slot in `left`
     start = np.cumsum(counts + 1) - counts - 1
     left = np.empty(qty.size + len(offers))
-    left[start] = [np.inf] * len(gens) + [d.baseline for d in drs]
+    left[start] = [g.p_max - g.p_min for g in gens] + [d.baseline for d in drs]
     left[after] = qty
     for c in np.unique(counts):
         run = start[counts == c][:, None] + np.arange(c + 1)

@@ -5,9 +5,9 @@ min c.x subject to row_lo <= A x <= row_hi and lo <= x <= hi, with A held
 column-wise (CSC) as `indptr`, `indices` and `data`. A row with
 row_lo = -inf is a <=-row, one with row_lo == row_hi an equality. An
 `LpProblem` is checked once, where it is built, and `solve_lp` returns an
-optimum or raises. The solution carries HiGHS' own duals: row_duals[i] =
-d objective / d (active side of row i), and reduced_costs[j] likewise for
-column j's bounds.
+optimum or raises. The solution carries the primal point, the objective and
+HiGHS' row duals, row_duals[i] = d objective / d (active side of row i):
+the prices the callers read. A column's reduced cost is c - A^T row_duals.
 
 Clearing and DLMP both build their LP with `dispatch_lp`, from the PTDF
 index arrays in whole-array numpy: each bus's column is laid out once and
@@ -194,7 +194,6 @@ class LpSolution:
     x: np.ndarray
     objective: float
     row_duals: np.ndarray       # HiGHS row_dual
-    reduced_costs: np.ndarray   # HiGHS col_dual
 
 
 def solve_lp(problem):
@@ -234,5 +233,4 @@ def solve_lp(problem):
     if np.isnan(objective) or not np.all(off <= np.sqrt(1e-9) * 10):
         raise NumericalFailure("optimal solution violates its constraints")
     return LpSolution(x=x, objective=float(objective),
-                      row_duals=np.array(sol.row_dual, dtype=float),
-                      reduced_costs=np.array(sol.col_dual, dtype=float))
+                      row_duals=np.array(sol.row_dual, dtype=float))

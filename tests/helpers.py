@@ -340,16 +340,42 @@ def priced_sides(duals, values, lo, hi):
     return float(duals[finite] @ side[finite])
 
 
+def reduced_costs(solution, problem):
+    """Reduced costs c - A^T y of an LpSolution's row duals y."""
+    return problem.c - lp_matrix(problem).T @ solution.row_duals
+
+
 def dual_objective(solution, problem):
     """Dual objective of an Optimal LpSolution from its reported row duals
-    and reduced costs.
+    and the reduced costs they give.
 
     Equals the primal objective at every Optimal solve (strong duality).
     """
     return (priced_sides(solution.row_duals, lp_matrix(problem) @ solution.x,
                          problem.row_lo, problem.row_hi)
-            + priced_sides(solution.reduced_costs, solution.x, problem.lo,
-                           problem.hi))
+            + priced_sides(reduced_costs(solution, problem), solution.x,
+                           problem.lo, problem.hi))
+
+
+def dual_infeasibility(solution, problem, tol=1e-9):
+    """Largest sign violation of an LpSolution's row duals and reduced
+    costs (0.0 for an optimality certificate). A dual is d objective / d
+    side: >= 0 where only the lower side is active (within tol), <= 0 where
+    only the upper one is, 0 where neither is, and free where both are (an
+    equality row or a fixed column)."""
+    worst = 0.0
+    for duals, values, lo, hi in (
+            (solution.row_duals, lp_matrix(problem) @ solution.x,
+             problem.row_lo, problem.row_hi),
+            (reduced_costs(solution, problem), solution.x, problem.lo,
+             problem.hi)):
+        at_lo = np.isclose(values, lo, rtol=tol, atol=tol)
+        at_hi = np.isclose(values, hi, rtol=tol, atol=tol)
+        wrong = np.where(at_lo, np.maximum(-duals, 0.0), np.abs(duals))
+        wrong = np.where(at_hi, np.maximum(duals, 0.0), wrong)
+        worst = max(worst, float(np.where(at_lo & at_hi, 0.0, wrong)
+                                 .max(initial=0.0)))
+    return worst
 
 
 def state_fingerprint(env):

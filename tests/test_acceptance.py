@@ -16,12 +16,12 @@ from gridmarket.agents import BanditState, ucb_select, ucb_update
 from gridmarket.clearing import MarketInput, clear, parse_bids
 from gridmarket.curves import Curve, DEMAND, SUPPLY
 from gridmarket.dlmp import DrOffer, GenOffer, ScopfInput, solve_dlmp
-from gridmarket.network import line_flows, load_case, ptdf
+from gridmarket.network import build_network, line_flows, load_case, ptdf
 from gridmarket.optim import solve_lp
 from gridmarket.p2p import P2pConfig, negotiate
 from helpers import (
-    aggregate_intersection, brute_force_surplus, dual_objective,
-    enumerate_lp_optimum, ptdf_entries, random_feasible_lp,
+    aggregate_intersection, brute_force_surplus, dual_infeasibility,
+    dual_objective, enumerate_lp_optimum, ptdf_entries, random_feasible_lp,
     random_radial_network, subtree_sum_flows,
 )
 
@@ -61,7 +61,7 @@ def test_criterion_1_flow_oracle():
 def test_criterion_2_lp_vs_enumeration():
     rng = np.random.default_rng(202)
     t0 = time.perf_counter()
-    worst_obj, worst_dual = 0.0, 0.0
+    worst_obj, worst_dual, worst_sign = 0.0, 0.0, 0.0
     checked = 0
     while checked < 500:
         p = random_feasible_lp(rng)
@@ -70,11 +70,14 @@ def test_criterion_2_lp_vs_enumeration():
         assert oracle is not None
         worst_obj = max(worst_obj, abs(s.objective - oracle))
         worst_dual = max(worst_dual, abs(dual_objective(s, p) - s.objective))
+        worst_sign = max(worst_sign, dual_infeasibility(s, p))
         checked += 1
     elapsed = time.perf_counter() - t0
     report(2, f"500 random LPs match vertex enumeration (obj err "
-              f"{worst_obj:.2e}, duality gap {worst_dual:.2e}, {elapsed:.1f}s)",
-           worst_obj <= 1e-8 and worst_dual <= 1e-8 and elapsed < 30.0)
+              f"{worst_obj:.2e}, duality gap {worst_dual:.2e}, dual "
+              f"infeasibility {worst_sign:.2e}, {elapsed:.1f}s)",
+           worst_obj <= 1e-8 and worst_dual <= 1e-8 and worst_sign <= 1e-12
+           and elapsed < 30.0)
 
 
 def test_criterion_3_uncongested_uniform_price():
@@ -265,7 +268,6 @@ def _random_scopf(rng, tight=False):
         gens.append(GenOffer(bus=int(rng.integers(1, n)), p_min=0.0,
                              p_max=cap,
                              blocks=[(cap, float(rng.uniform(7, 11)))]))
-    f_max = None
     if tight:
         # cap one or two lines below their baseline flow; DR can always
         # restore feasibility since it covers every baseline entirely
@@ -277,15 +279,18 @@ def _random_scopf(rng, tight=False):
                                replace=False)
             f_max = {lids[i]: flows[lids[i]] * float(rng.uniform(0.5, 0.9))
                      for i in np.atleast_1d(picks)}
+            net = build_network(net.buses, [
+                (lid, u, v, f_max.get(lid, lim))
+                for lid, u, v, lim in net.lines])
     return ScopfInput(lmp_source=lmp, gen_offers=gens, dr_offers=drs,
-                      network=net, f_max=f_max)
+                      network=net)
 
 
 def _objective_with_extra_load(si, bus, delta):
     drs = list(si.dr_offers) + [DrOffer(bus=bus, baseline=delta, blocks=[])]
     return solve_dlmp(ScopfInput(
         lmp_source=si.lmp_source, gen_offers=si.gen_offers, dr_offers=drs,
-        network=si.network, f_max=si.f_max)).objective
+        network=si.network)).objective
 
 
 def test_criterion_9_dlmp_identities():

@@ -17,7 +17,8 @@ from gridmarket.network import build_network
 from gridmarket.optim import LpSolution
 from helpers import (
     INF, aggregate_intersection, brute_force_surplus, chain,
-    demand_filling_a_capped_line, random_radial_network, surplus,
+    demand_filling_a_capped_line, random_radial_network, reduced_costs,
+    surplus,
 )
 
 
@@ -27,6 +28,19 @@ def pair_input(net=None):
         bids=[("d1", 2, Curve(DEMAND, 3.0, 1.0, 10.0, 0.0))],
         offers=[("s1", 1, Curve(SUPPLY, 3.0, 1.0, 10.0, 0.0))],
         network=net)
+
+
+def settle(quantities, market_input):
+    """settle_prices on the agents of `quantities` that trade, suppliers
+    first, from the scalar curve functions; as a dict by agent."""
+    trading = [(a, c) for a, _, c in market_input.offers + market_input.bids
+               if quantities[a] > SETTLE_TOL]
+    q = [quantities[a] for a, _ in trading]
+    prices = settle_prices(
+        np.array([price_at_extended(c, x) for (_, c), x in zip(trading, q)]),
+        np.array([integral(c, x) / x for (_, c), x in zip(trading, q)]),
+        np.array(q), sum(c.side == SUPPLY for _, c in trading))
+    return dict(zip([a for a, _ in trading], prices.tolist()))
 
 
 def test_single_pair_matches_intersection():
@@ -303,22 +317,23 @@ def test_brute_force_small_instance():
 
 def test_budget_scale_ratio():
     # one multiplier, revenue / payment, scales every demand price
-    prices = balance_demand_prices({"a": 9.0, "b": 4.5},
-                                   {"a": 100.0, "b": 100.0},
-                                   {"a": 5.0, "b": 10.0}, 100.0)
-    assert prices["a"] == pytest.approx(9.0 * 10.0 / 9.0)
-    assert prices["b"] == pytest.approx(4.5 * 10.0 / 9.0)
+    prices = np.array([9.0, 4.5])
+    balance_demand_prices(prices, np.array([100.0, 100.0]),
+                          np.array([5.0, 10.0]), 100.0)
+    assert prices[0] == pytest.approx(9.0 * 10.0 / 9.0)
+    assert prices[1] == pytest.approx(4.5 * 10.0 / 9.0)
     # nothing paid and nothing to pay: prices stay as they are
-    assert balance_demand_prices({"a": 3.0}, {"a": 5.0}, {"a": 0.0},
-                                 0.0) == {"a": 3.0}
+    prices = np.array([3.0])
+    balance_demand_prices(prices, np.array([5.0]), np.array([0.0]), 0.0)
+    assert prices.tolist() == [3.0]
 
 
 def test_zero_payment_spreads_the_target_over_the_caps():
     # nothing to scale: prices proportional to the caps, payment = target
-    q = {"a": 1.0, "b": 3.0}
-    prices = balance_demand_prices({"a": 0.0, "b": 0.0}, {"a": 4.0, "b": 2.0},
-                                   q, 5.0)
-    assert prices == pytest.approx({"a": 2.0, "b": 1.0})
+    prices = np.array([0.0, 0.0])
+    balance_demand_prices(prices, np.array([4.0, 2.0]), np.array([1.0, 3.0]),
+                          5.0)
+    assert prices == pytest.approx([2.0, 1.0])
     # c's own price at 11 kW is 0 and its cap 2.5 holds 27.5 in all, short of
     # the suppliers' own-curve revenue 2 * 5.5 + 5 * 5.5 = 38.5: c pays its
     # cap, and g1 and g2 give up the 11 in proportion to their headroom
@@ -329,7 +344,7 @@ def test_zero_payment_spreads_the_target_over_the_caps():
         bids=bids, offers=offers,
         network=build_network([0, 1], [("l1", 0, 1, INF)]))
     q = {"c": 11.0, "g1": 5.5, "g2": 5.5}
-    prices = settle_prices(q, market_input)
+    prices = settle(q, market_input)
     assert prices == pytest.approx({"c": 2.5, "g1": 1.2, "g2": 3.8})
     assert prices["c"] == integral(bids[0][2], 11.0) / 11.0
     for a, _, curve in offers:
@@ -341,20 +356,20 @@ def test_zero_payment_spreads_the_target_over_the_caps():
 
 def test_settlement_symmetric_pair_identity_scale():
     d = clear(pair_input())
-    prices = settle_prices(d.quantities, pair_input())
+    prices = settle(d.quantities, pair_input())
     assert prices["d1"] == pytest.approx(prices["s1"], rel=1e-9)
 
 
 def test_residual_shifts_to_consumers_with_headroom():
     # one consumer pinned at its cap: the whole residual lands on the other
-    provisional = {"a": 4.0, "b": 4.0}
-    caps = {"a": 4.0, "b": 8.0}
-    q = {"a": 1.0, "b": 1.0}
+    prices = np.array([4.0, 4.0])
+    caps = np.array([4.0, 8.0])
+    q = np.array([1.0, 1.0])
     target = 10.0   # lam = 1.25 -> a violates its cap
-    prices = balance_demand_prices(provisional, caps, q, target)
-    assert prices["a"] == pytest.approx(4.0)
-    assert prices["b"] == pytest.approx(6.0)
-    assert sum(prices[k] * q[k] for k in q) == pytest.approx(target)
+    balance_demand_prices(prices, caps, q, target)
+    assert prices[0] == pytest.approx(4.0)
+    assert prices[1] == pytest.approx(6.0)
+    assert prices @ q == pytest.approx(target)
 
 
 def test_short_caps_bring_supplier_prices_down_to_balance():
@@ -365,7 +380,7 @@ def test_short_caps_bring_supplier_prices_down_to_balance():
     assert d.quantities["d0"] == q == pytest.approx(20 / 7)
     # d0 pays its cap; s1 comes down from its own price to the same total
     assert d.prices == {"s1": 24.549319727891156, "d0": 24.549319727891152}
-    assert d.prices == settle_prices(d.quantities, market_input)
+    assert d.prices == settle(d.quantities, market_input)
     assert d.prices["d0"] == integral(demand, q) / q
     cost, own = integral(supply, q) / q, price_at_extended(supply, q)
     assert (cost, own) == pytest.approx((23.3857142857, 25.5714285714))
@@ -443,11 +458,10 @@ def test_quantities_are_per_span_sums_on_a_feeder_sized_lp(monkeypatch,
 
     def random_fill(problem):
         solved.append(rng.random(problem.n) * problem.hi)
-        return LpSolution(x=solved[-1], objective=None, row_duals=None,
-                          reduced_costs=None)
+        return LpSolution(x=solved[-1], objective=None, row_duals=None)
 
     monkeypatch.setattr(clearing, "solve_lp", random_fill)
-    monkeypatch.setattr(clearing, "settle_prices", lambda *args: {})
+    monkeypatch.setattr(clearing, "settle_prices", lambda price, *args: price)
     d = clear(market, segments=segments)
     x, = solved
     stop = np.cumsum([segments + (c.q_min > 0) for _, _, c in agents])
@@ -462,18 +476,18 @@ def test_demand_exactly_filling_a_capped_line_pins_its_duals(monkeypatch):
     solved = []
     solve = clearing.solve_lp
     monkeypatch.setattr(clearing, "solve_lp",
-                        lambda p: solved.append(solve(p)) or solved[-1])
+                        lambda p: solved.append((p, solve(p))) or solved[-1][1])
     d = clear(mi, segments=10)
-    sol, = solved
+    (problem, sol), = solved
     # line b's +row and -row, then the balance row
     assert sol.row_duals.tolist() == [0.0, 0.0, -4.3]
     # the consumers' blocks sit at their caps, priced at value - 4.3
     caps = [-95.7] + [-(99.9 + 0.01 * (9.5 - j) - 4.3) for j in range(10)]
-    np.testing.assert_allclose(sol.reduced_costs[:22], caps * 2, rtol=0,
-                               atol=1e-12)
+    costs = reduced_costs(sol, problem)
+    np.testing.assert_allclose(costs[:22], caps * 2, rtol=0, atol=1e-12)
     # the feeder's blocks are free; g2's idle ones cost value + 4.3 more
-    assert not sol.reduced_costs[22:32].any()
-    np.testing.assert_allclose(sol.reduced_costs[32:],
+    assert not costs[22:32].any()
+    np.testing.assert_allclose(costs[32:],
                                [8.2 + 0.4 * j - 4.3 for j in range(10)],
                                rtol=0, atol=1e-12)
     assert d.binding_lines == ["b"]

@@ -194,7 +194,7 @@ def shifted_load(si, bus, kw):
     else:
         gens.append(GenOffer(bus=bus, p_min=-kw, p_max=-kw, blocks=[]))
     return ScopfInput(lmp_source=si.lmp_source, gen_offers=gens,
-                      dr_offers=drs, network=si.network, f_max=si.f_max)
+                      dr_offers=drs, network=si.network)
 
 
 def finite_difference_dlmp(si, bus, eps=1e-4):
@@ -229,16 +229,17 @@ def test_random_instances_uniform_when_uncongested():
             assert res.dlmp[bus] == pytest.approx(4.3, abs=1e-8)
 
 
-def test_f_max_override():
-    net = chain()
+def test_gen_runs_no_higher_than_p_max():
+    # the blocks cover 20 kW, but P_max is 10: the source imports the rest
     si = ScopfInput(
-        lmp_source=4.3, gen_offers=[],
-        dr_offers=[DrOffer(bus=2, baseline=10.0,
-                           blocks=[(10.0, 15.0)])],
-        network=net, f_max={"b": 6.0})
+        lmp_source=4.3,
+        gen_offers=[GenOffer(bus=1, p_min=0.0, p_max=10.0,
+                             blocks=[(20.0, 1.0)])],
+        dr_offers=[DrOffer(bus=1, baseline=15.0, blocks=[])],
+        network=build_network([0, 1], [("a", 0, 1, INF)]))
     res = solve_dlmp(si)
-    assert res.flows["b"] == pytest.approx(6.0, abs=1e-8)
-    assert res.dlmp[2] == pytest.approx(15.0, abs=1e-8)
+    assert res.dispatch[1] == (10.0, 15.0)
+    assert res.p_source == 5.0
 
 
 def test_blocks_take_what_the_baseline_has_left():

@@ -13,8 +13,9 @@ from gridmarket.optim import (
 )
 from helpers import (
     capped_gen_exporting_at_limit, demand_filling_a_capped_line,
-    dual_objective, enumerate_lp_optimum, idle_gen_behind_full_line,
-    lp_matrix, lp_problem, random_feasible_lp, random_radial_network,
+    dual_infeasibility, dual_objective, enumerate_lp_optimum,
+    idle_gen_behind_full_line, lp_matrix, lp_problem, random_feasible_lp,
+    random_radial_network, reduced_costs,
 )
 
 
@@ -73,6 +74,8 @@ def test_strong_duality_and_feasibility():
         assert np.all(np.abs(np.maximum(-s.row_duals, 0.0) * slack) <= 1e-8)
         # dual objective equals primal objective
         assert dual_objective(s, p) == pytest.approx(s.objective, abs=1e-8)
+        # and the duals are feasible: each has its side's sign
+        assert dual_infeasibility(s, p) <= 1e-12
 
 
 def test_row_scaling_scales_dual():
@@ -203,16 +206,13 @@ def linprog_result(p):
 def linprog_equals_solve_lp(p):
     """Solve `p` with solve_lp and with linprog, and require the same
     optimum bit for bit: HiGHS' row duals are linprog's constraint
-    marginals, and its reduced costs the sum of linprog's lower- and
-    upper-bound marginals."""
+    marginals."""
     s, res = solve_lp(p), linprog_result(p)
     assert res.status == 0
     assert s.objective == res.fun
     assert np.array_equal(s.x, res.x)
     assert np.array_equal(s.row_duals, np.concatenate(
         [res.ineqlin.marginals, res.eqlin.marginals]))
-    assert np.array_equal(s.reduced_costs,
-                          res.lower.marginals + res.upper.marginals)
     return s
 
 
@@ -323,10 +323,11 @@ def test_solve_lp_rejects_nan_bounds_and_empty_row_sides(fields, name):
 
 
 def test_solve_lp_takes_infinite_bounds_and_ranged_rows():
-    s = solve_lp(one_column(c=[-1.0], lo=[-INF], hi=[INF], row_lo=[1.0],
-                            row_hi=[4.0]))
+    p = one_column(c=[-1.0], lo=[-INF], hi=[INF], row_lo=[1.0], row_hi=[4.0])
+    s = solve_lp(p)
     assert s.x.tolist() == [4.0]
-    assert s.row_duals.tolist() == [-1.0] and s.reduced_costs.tolist() == [0.0]
+    assert s.row_duals.tolist() == [-1.0]
+    assert reduced_costs(s, p).tolist() == [0.0]
 
 
 @pytest.mark.parametrize("model_status", [
