@@ -20,16 +20,16 @@ such rows. Dropping them instead would change the row count and, where
 block prices tie, the optimal vertex HiGHS returns.
 
 The solve is one call into HiGHS' dual simplex (Huangfu & Hall, Math. Prog.
-Comp. 2018) through the binding scipy bundles, `_highspy._core`, not
-through `linprog`, whose per-column Python took most of a large solve; the
-results equal linprog's bit for bit, as the tests check, with strong
-duality and complementary slackness. Presolve is always off: a dispatch LP
-leaves it nothing to remove, yet on a 1000-bus feeder it took over 90% of
-the solve. scipy is imported only where an LP is solved (scipy.optimize,
-~0.4 s of a cold start), so `validate` and a P2P run load no scipy.
+Comp. 2018) with presolve off, which finds nothing to remove in a dispatch
+LP yet took over 90% of a 1000-bus solve. It calls scipy's HiGHS extension,
+loaded from its file without scipy.optimize's __init__ (~0.5 s of a cold
+start), and equals `linprog` bit for bit without its per-column Python.
 """
 
+import os
+import sys
 from dataclasses import dataclass
+from importlib import machinery, util
 
 import numpy as np
 
@@ -42,8 +42,7 @@ REACH_TOL = 1e-6
 
 
 class NumericalFailure(Exception):
-    """A model HiGHS cannot take, or a solve that ends in no certified
-    status."""
+    """HiGHS missing, a model it refuses or a solve in no certified status."""
 
 
 class InfeasibleLp(Exception):
@@ -196,28 +195,44 @@ class LpSolution:
     row_duals: np.ndarray       # HiGHS row_dual
 
 
+def highs_binding():
+    """scipy's HiGHS extension, from sys.modules or else loaded from its file
+    and registered there, for a later `import scipy.optimize` to reuse."""
+    name = "scipy.optimize._highspy._core"
+    if name not in sys.modules:
+        scipy_dir = os.path.dirname(util.find_spec("scipy").origin)
+        stem = os.path.join(scipy_dir, "optimize", "_highspy", "_core")
+        found = [stem + suffix for suffix in machinery.EXTENSION_SUFFIXES
+                 if os.path.isfile(stem + suffix)]
+        if not found:
+            from importlib.metadata import version
+            raise NumericalFailure(f"scipy {version('scipy')}: HiGHS not found")
+        spec = util.spec_from_file_location(name, found[0])
+        sys.modules[name] = util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
 def solve_lp(problem):
     """Solve an LpProblem to a certified optimum. Raises InfeasibleLp if
-    HiGHS certifies that no point is feasible, else NumericalFailure if it
-    refuses the model or ends at another status or off the constraints."""
-    from scipy.optimize._highspy._core import (
-        HighsModelStatus, HighsStatus, _Highs)
-
+    HiGHS certifies that no point is feasible, else NumericalFailure if it is
+    missing, refuses the model or ends at another status or off constraints."""
+    core = highs_binding()
     p = problem
-    highs = _Highs()
+    highs = core._Highs()
     highs.setOptionValue("output_flag", False)   # first: no banner on stdout
     highs.setOptionValue("presolve", "off")
     highs.setOptionValue("solver", "simplex")
     highs.setOptionValue("simplex_strategy", 1)  # dual
     if highs.passModel(p.n, p.row_lo.size, p.data.size, 1, 1, 0.0, p.c, p.lo,
                        p.hi, p.row_lo, p.row_hi, p.indptr, p.indices, p.data,
-                       np.zeros(p.n, dtype=np.int32)) == HighsStatus.kError:
+                       np.zeros(p.n, np.int32)) == core.HighsStatus.kError:
         raise NumericalFailure("HiGHS refused the model")
     highs.run()
     status = highs.getModelStatus()
-    if status == HighsModelStatus.kInfeasible:
+    if status == core.HighsModelStatus.kInfeasible:
         raise InfeasibleLp("HiGHS model status: Infeasible")
-    if status != HighsModelStatus.kOptimal:
+    if status != core.HighsModelStatus.kOptimal:
         b = np.abs(np.append(p.lo, p.hi))
         raise NumericalFailure(
             f"HiGHS model status: {highs.modelStatusToString(status)}; largest "

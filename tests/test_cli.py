@@ -60,17 +60,25 @@ print(json.dumps({"rc": rc, "at_import": at_import, "after": scipy_modules()}))
 """
 
 
-def probe_imports(tmp_path, *argv):
+def probe_imports(tmp_path, *argv, prelude="", rc=EXIT_OK):
+    """The IMPORT_PROBE report of one command, after `prelude`, with the
+    command's stderr under "stderr"."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     path = [os.path.abspath(src), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv],
-                          cwd=tmp_path, env=env, capture_output=True,
-                          text=True, timeout=120)
+    proc = subprocess.run(
+        [sys.executable, "-c", prelude + IMPORT_PROBE, *argv], cwd=tmp_path,
+        env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report["rc"] == EXIT_OK, proc.stderr
-    return report
+    assert report["rc"] == rc, proc.stderr
+    return dict(report, stderr=proc.stderr)
+
+
+HIGHS = "scipy.optimize._highspy._core"
+CLEAR34 = ("clear", "--case", case("case34.txt"), "--bids", case("bids34.txt"))
+DLMP34 = ("dlmp", "--case", case("case34.txt"), "--offers",
+          case("offers34.txt"), "--lmp-source", "4.3")
 
 
 def test_commands_import_only_what_they_run(tmp_path):
@@ -82,11 +90,36 @@ def test_commands_import_only_what_they_run(tmp_path):
                            "--set", "grid_steps=2", "--set", "T=5",
                            "--out", str(tmp_path / "p2p"))
     assert report["at_import"] == [] and report["after"] == []
-    # a clearing episode solves LPs, so HiGHS is loaded by its end
-    report = probe_imports(tmp_path, "run", "--config",
-                           case("demo_clearing.cfg"),
-                           "--out", str(tmp_path / "clearing"))
-    assert "scipy.optimize" in report["after"]
+    # commands that solve LPs load HiGHS' extension by their end, but not
+    # scipy.optimize, whose __init__ takes ~0.5 s
+    for argv in (CLEAR34, DLMP34, ("run", "--config", case("demo_clearing.cfg"),
+                                   "--out", str(tmp_path / "clearing"))):
+        report = probe_imports(tmp_path, *argv)
+        assert report["at_import"] == []
+        assert HIGHS in report["after"]
+        assert "scipy.optimize" not in report["after"]
+
+
+# The loader looks for HiGHS' extension under these suffixes only.
+NO_HIGHS = ("import importlib.machinery\n"
+            "importlib.machinery.EXTENSION_SUFFIXES = ['.no-such-suffix']\n")
+
+
+@pytest.mark.parametrize("argv,line", [
+    (CLEAR34, "error:"), (DLMP34, "error:"),
+    (("run", "--config", case("demo_clearing.cfg")), "runtime error:")],
+    ids=["clear", "dlmp", "run"])
+def test_missing_highs_is_one_error_line(tmp_path, argv, line):
+    from importlib.metadata import version
+
+    # a scipy whose layout moved HiGHS' extension fails cleanly, without
+    # falling back to loading it through scipy.optimize
+    report = probe_imports(tmp_path, *argv, prelude=NO_HIGHS,
+                           rc=EXIT_RUNTIME)
+    assert report["stderr"].splitlines() == [
+        f"{line} scipy {version('scipy')}: HiGHS not found"]
+    assert "scipy.optimize" not in report["after"]
+    assert HIGHS not in report["after"]
 
 
 def test_validate_rejects_cycle(tmp_path, capsys):

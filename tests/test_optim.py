@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -214,6 +217,41 @@ def linprog_equals_solve_lp(p):
     assert np.array_equal(s.row_duals, np.concatenate(
         [res.ineqlin.marginals, res.eqlin.marginals]))
     return s
+
+
+# Solves one dispatch LP in a fresh interpreter with scipy.optimize imported
+# first, or only after solve_lp, by linprog_equals_solve_lp: either way
+# solve_lp and linprog share one HiGHS module.
+LOAD_ORDER_PROBE = """\
+import sys
+first = sys.argv[1]
+if first == "scipy.optimize":
+    import scipy.optimize
+from gridmarket import optim
+from gridmarket.dlmp import build_scopf
+from helpers import idle_gen_behind_full_line
+from test_optim import linprog_equals_solve_lp
+p = build_scopf(idle_gen_behind_full_line())[0]
+optim.solve_lp(p)
+core = sys.modules["scipy.optimize._highspy._core"]
+assert ("scipy.optimize" in sys.modules) == (first == "scipy.optimize")
+linprog_equals_solve_lp(p)
+import scipy.optimize._highspy._highs_wrapper as wrapper
+assert sys.modules["scipy.optimize._highspy._core"] is core is wrapper._h
+assert optim.highs_binding()._Highs is core._Highs
+"""
+
+
+@pytest.mark.parametrize("order", ["solve_lp", "scipy.optimize"])
+def test_solve_lp_and_scipy_share_one_highs_module(tmp_path, order):
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = [os.path.join(tests, "..", "src"), tests,
+            os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", LOAD_ORDER_PROBE, order],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def lp_of_clear(monkeypatch, market_input, segments):
