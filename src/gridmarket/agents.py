@@ -110,6 +110,10 @@ def elastic_supplier(agent_id, bus, p_max, p_min, q_max, q_min=0.0):
 
 @dataclass
 class BanditState:
+    """A UCB bandit over a finite price grid. `counts` and `means` change
+    only through `ucb_update`, which also refreshes that arm's entry of
+    `index`, the per-arm UCB indices `ucb_select` takes the argmax of."""
+
     arms: list                       # bid prices, cents/kWh
     delta: float = 0.01              # fixed error probability
     counts: list = None
@@ -127,25 +131,26 @@ class BanditState:
             self.counts = [0] * len(self.arms)
         if self.means is None:
             self.means = [0.0] * len(self.arms)
+        if not len(self.counts) == len(self.means) == len(self.arms):
+            raise AgentError("need one count and one mean per arm")
+        self.index = [ucb_index(self, i) for i in range(len(self.arms))]
 
 
 def ucb_index(state, i):
     """Upper confidence index of arm i: infinite while unsampled, otherwise
-    empirical mean plus the sqrt(2 log(1/delta) / count) bonus."""
+    empirical mean plus the sqrt(2 log(1/delta) / count) bonus. A mean that
+    overflowed to nan ranks the arm last, below every number."""
     n = state.counts[i]
     if n == 0:
         return math.inf
-    return state.means[i] + math.sqrt(state.bonus_c / n)
+    v = state.means[i] + math.sqrt(state.bonus_c / n)
+    return v if v == v else -math.inf
 
 
 def ucb_select(state):
-    """Argmax of the indices; ties break to the lowest arm index."""
-    best, best_val = 0, -math.inf
-    for i in range(len(state.arms)):
-        v = ucb_index(state, i)
-        if v > best_val:
-            best, best_val = i, v
-    return best
+    """Argmax of the kept indices; ties break to the lowest arm index."""
+    index = state.index
+    return index.index(max(index))
 
 
 def ucb_update(state, i, reward):
@@ -153,6 +158,7 @@ def ucb_update(state, i, reward):
     state.counts[i] += 1
     n = state.counts[i]
     state.means[i] += (reward - state.means[i]) / n
+    state.index[i] = ucb_index(state, i)
 
 
 class UcbNegotiator(Agent):

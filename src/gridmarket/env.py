@@ -11,7 +11,12 @@ statistics) persists across the episode.
 Each piece of episode work is done once. The clearing market reuses its last
 `Dispatch` while the submitted curves do not change, and the DLMP market
 solves its fixed SCOPF on the first step only; both memos last until the
-market's `reset()`. The episode log opens its file once per `run_episode`.
+market's `reset()`, and each keeps the log records of its result, built
+once, so a step that reuses the result logs those same records. The P2P
+market sorts a round's pairs for its log once, when it matches them, and
+the UCB agents keep one index per arm, refreshed only when that arm is
+updated. The episode log opens its file once per `run_episode` and encodes
+every record with one JSON encoder.
 """
 
 import json
@@ -28,6 +33,8 @@ from .dlmp import solve_dlmp
 from .p2p import negotiate, settle_deficiency
 
 PHASES = ("post_market_step", "post_clear", "post_grid_step")
+# json.dumps(record, sort_keys=True) without building an encoder per record
+_encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 
 
 class EnvError(Exception):
@@ -60,7 +67,7 @@ class EpisodeLog:
     def add(self, record):
         self.records.append(record)
         if self._sink is not None:
-            self._sink.write(json.dumps(record, sort_keys=True) + "\n")
+            self._sink.write(_encode(record) + "\n")
             self._sink.flush()
 
     def by_phase(self, phase):
@@ -109,9 +116,10 @@ class ClearingMarket(MarketBase):
     the last step's dispatch binds.
 
     A step whose bids and offers equal the last cleared ones returns that
-    clear's `Dispatch` again; `reset()` forgets it, so the memo lasts one
-    episode. The same `Dispatch` object is shared by those steps: treat it
-    as read-only."""
+    clear's `Dispatch` again, and logs the records built from it once;
+    `reset()` forgets both, so the memo lasts one episode. The same
+    `Dispatch` and records are shared by those steps: treat them as
+    read-only."""
 
     def __init__(self, network, segments=100):
         self.network = network
@@ -120,7 +128,8 @@ class ClearingMarket(MarketBase):
 
     def reset(self):
         self.dispatch = None
-        self._last = (None, None)     # (submitted bids and offers, Dispatch)
+        # (submitted bids and offers, their Dispatch, its log records)
+        self._last = (None, None, None)
 
     def reset_round(self, t_grid):
         self.dispatch = None
@@ -140,9 +149,10 @@ class ClearingMarket(MarketBase):
             return None
         key = (tuple(bids), tuple(offers))
         if key != self._last[0]:
-            self._last = (key, clear(
+            dispatch = clear(
                 MarketInput(bids=bids, offers=offers, network=self.network),
-                segments=self.segments))
+                segments=self.segments)
+            self._last = (key, dispatch, dispatch.to_records())
         self.dispatch = self._last[1]
         return self.dispatch
 
@@ -164,7 +174,11 @@ class ClearingMarket(MarketBase):
         return self.dispatch
 
     def step_record(self, dispatch):
-        return {} if dispatch is None else {"dispatch": dispatch.to_records()}
+        if dispatch is None:
+            return {}
+        _, memo, records = self._last
+        return {"dispatch": records if dispatch is memo
+                else dispatch.to_records()}
 
     def clear_record(self, dispatch):
         return {**super().clear_record(dispatch), **self.step_record(dispatch)}
@@ -188,6 +202,7 @@ class P2pMarket(MarketBase):
 
     def reset(self):
         self.round = None
+        self._order = []        # the round's pairs, sorted for the log
         self.outcomes = {}
         self.result = None
         self._t_grid = None
@@ -205,6 +220,7 @@ class P2pMarket(MarketBase):
         self._t_grid = t_grid
         producers, consumers = self._split_roles(t_grid)
         self.round = p2p_mod.match(producers, consumers, self.env.rng)
+        self._order = sorted(self.round.pairs, key=str)
         self.outcomes = {}
         self.result = None
 
@@ -243,11 +259,14 @@ class P2pMarket(MarketBase):
         return self.config.T
 
     def step_record(self, outcomes):
-        return {"negotiations": [
-            {"producer": p, "consumer": c, "b_p": o.b_p, "b_c": o.b_c,
-             "success": o.success, "r_p": round(o.r_p, 9),
-             "r_c": round(o.r_c, 9)}
-            for (p, c), o in sorted(outcomes.items(), key=lambda kv: str(kv[0]))]}
+        negotiations = []
+        for p, c in self._order:
+            o = outcomes[p, c]
+            negotiations.append(
+                {"producer": p, "consumer": c, "b_p": o.b_p, "b_c": o.b_c,
+                 "success": o.success, "r_p": round(o.r_p, 9),
+                 "r_c": round(o.r_c, 9)})
+        return {"negotiations": negotiations}
 
     def clear_record(self, result):
         return {
@@ -262,19 +281,22 @@ class DlmpMarket(MarketBase):
     """Use Case 3 mechanism: single-shot SCOPF solve; DLMP-based rewards.
 
     The SCOPF input is fixed, so the first step of an episode solves it and
-    later steps return that same `DlmpResult` (treat it as read-only);
-    `reset()` drops it."""
+    builds its `{"dlmp": ...}` log field; later steps return that same
+    `DlmpResult` and log that same field (treat both as read-only).
+    `reset()` drops them."""
 
     def __init__(self, scopf_input):
         self.scopf_input = scopf_input
-        self.result = None
+        self.reset()
 
     def reset(self):
         self.result = None
+        self._record = None     # the result's log field
 
     def step(self, t_market):
         if self.result is None:
             self.result = solve_dlmp(self.scopf_input)
+            self._record = _dlmp_record(self.result)
         return self.result
 
     def finalize(self):
@@ -294,11 +316,16 @@ class DlmpMarket(MarketBase):
         return actions
 
     def step_record(self, result):
-        return {"dlmp": {str(b): round(v, 9) for b, v in result.dlmp.items()}}
+        return self._record if result is self.result else _dlmp_record(result)
 
     def clear_record(self, result):
         return {**super().clear_record(result), **self.step_record(result),
                 "objective": round(result.objective, 9)}
+
+
+def _dlmp_record(result):
+    """The `{"dlmp": ...}` log field of a SCOPF result."""
+    return {"dlmp": {str(b): round(v, 9) for b, v in result.dlmp.items()}}
 
 
 class Environment:

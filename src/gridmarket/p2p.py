@@ -8,7 +8,8 @@ pay a fixed service fee; on failure both take a fixed penalty. Energy a
 consumer fails to secure is drawn from the substation at the retail price.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,6 +24,9 @@ class P2pConfig:
     retail_price: float = 12.0  # cents/kWh for deficiency from the grid
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if not self.ub > self.c_service >= 0:
             raise ValueError("need ub > c_service >= 0")
         if self.c_lose < 0 or self.T < 1 or self.trade_quantity <= 0:

@@ -3,6 +3,7 @@ library, deliberately written against different machinery than the code
 under test."""
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -312,6 +313,20 @@ def reward_supply(p, q, cost_fn):
 
 def reward_demand(p, q, utility_fn):
     return utility_fn(q) - p * q
+
+
+def ucb_select_oracle(state):
+    """The argmax loop `ucb_select` ran before the bandit kept its indices:
+    every index recomputed from `counts` and `means`, a strict `>` so that
+    ties break to the lowest arm and a nan index is never taken."""
+    best, best_val = 0, -math.inf
+    for i in range(len(state.arms)):
+        n = state.counts[i]
+        v = (math.inf if n == 0
+             else state.means[i] + math.sqrt(state.bonus_c / n))
+        if v > best_val:
+            best, best_val = i, v
+    return best
 
 
 def ucb_select_and_update(state, rewards_feed):

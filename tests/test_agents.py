@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridmarket.agents import (
     AgentError, BanditState, CONSUMER, CurveBidder, PhaseViolation,
@@ -12,6 +13,7 @@ from gridmarket.agents import (
 from gridmarket.curves import DEMAND, SUPPLY
 from helpers import (
     PiecewiseLinear, reward_demand, reward_supply, ucb_select_and_update,
+    ucb_select_oracle,
 )
 
 
@@ -74,6 +76,10 @@ def test_bandit_state_validation():
         BanditState(arms=[])
     with pytest.raises(AgentError):
         BanditState(arms=[1.0], delta=0.0)
+    with pytest.raises(AgentError):
+        BanditState(arms=[1.0, 2.0], counts=[0], means=[0.0, 0.0])
+    with pytest.raises(AgentError):
+        BanditState(arms=[1.0], counts=[0], means=[0.0, 0.0])
 
 
 def test_ucb_unsampled_arms_first():
@@ -93,6 +99,38 @@ def test_ucb_index_formula():
     ucb_update(st, 0, 4.0)
     expected = 3.0 + math.sqrt(2.0 * math.log(1.0 / 0.01) / 2)
     assert ucb_index(st, 0) == pytest.approx(expected)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# a few repeated values make tied means (and so tied indices) common
+REWARDS = st.one_of(st.sampled_from([-1.0, 0.0, 2.5]), FINITE)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6), stats=st.booleans())
+def test_cached_ucb_selection_equals_the_argmax_loop(data, n, stats):
+    arms = data.draw(st.lists(FINITE, min_size=n, max_size=n))
+    kwargs = {}
+    if stats:
+        kwargs = {"counts": data.draw(st.lists(st.integers(0, 5),
+                                               min_size=n, max_size=n)),
+                  "means": data.draw(st.lists(REWARDS, min_size=n,
+                                              max_size=n))}
+    state = BanditState(arms=arms, **kwargs)
+    for r in data.draw(st.lists(REWARDS, max_size=40)):
+        i = ucb_select(state)
+        assert i == ucb_select_oracle(state)
+        ucb_update(state, i, r)
+    assert ucb_select(state) == ucb_select_oracle(state)
+    assert state.index == [ucb_index(state, i) for i in range(n)]
+
+
+def test_ucb_never_takes_an_arm_whose_mean_overflowed_to_nan():
+    st = BanditState(arms=[1.0, 2.0], counts=[1, 1], means=[-1e308, -1.5e308])
+    ucb_update(st, ucb_select(st), 1e308)    # arm 0's mean: -1e308 -> inf
+    ucb_update(st, ucb_select(st), 0.0)      # inf + (0 - inf) / 3 -> nan
+    assert math.isnan(st.means[0])
+    assert ucb_select(st) == ucb_select_oracle(st) == 1
 
 
 def test_ucb_mean_update_incremental():

@@ -268,14 +268,34 @@ class AlternatingBidder(CurveBidder):
         self.market_action = self.curve
 
 
+def logged_against_fresh(env):
+    """After each market step and each clear, pair the `dispatch` field just
+    logged with `to_records()` of a new clear on the curves the agents
+    submit then; returns the list those pairs go to."""
+    pairs = []
+
+    def compare(e):
+        curves = [(a.id, a.bus, a.market_action) for a in e.agents]
+        ref = clear(MarketInput(
+            bids=[b for b in curves if b[2].side == DEMAND],
+            offers=[b for b in curves if b[2].side == SUPPLY],
+            network=e.market.network), segments=e.market.segments)
+        pairs.append((e.log.records[-1]["dispatch"], ref.to_records()))
+    env.register_callback("post_market_step", compare)
+    env.register_callback("post_clear", compare)
+    return pairs
+
+
 def test_unchanged_bids_are_cleared_once(monkeypatch):
     calls = counted(monkeypatch, env_mod, "clear")
     env = clearing_env().reset()
+    pairs = logged_against_fresh(env)
     log = env.run_episode(grid_steps=3, market_steps_per_grid=4)
     assert len(calls) == 1
     steps = log.by_phase("market_step")
     assert len(steps) == 12
     assert all(r["dispatch"] == steps[0]["dispatch"] for r in steps)
+    assert len(pairs) == 15 and all(got == want for got, want in pairs)
     env.reset()
     env.run_episode(grid_steps=3, market_steps_per_grid=4)
     assert len(calls) == 2
@@ -299,11 +319,18 @@ def test_changed_bids_are_cleared_again(monkeypatch):
         ref = clear(MarketInput(bids=bids, offers=offers, network=net))
         seen.append((e.market.dispatch.to_jsonl(), ref.to_jsonl()))
     env.register_callback("post_market_step", fresh_clear)
+    pairs = logged_against_fresh(env)
     env.run_episode(grid_steps=3, market_steps_per_grid=4)
     # a a b b | a a b b | a a b b: every change of curve clears again
     assert len(calls) == 6
     assert all(got == want for got, want in seen)
     assert len(seen) == 12 and seen[0] != seen[2]
+    # market steps a a b b and the clear (b) of each grid step: the logged
+    # records follow the bids both ways
+    assert len(pairs) == 15 and all(got == want for got, want in pairs)
+    logged = [got for got, _ in pairs]
+    assert logged[0] == logged[1] != logged[2] == logged[3] == logged[4]
+    assert logged[4] != logged[5]
 
 
 def test_fixed_scopf_is_solved_once_per_episode(monkeypatch):

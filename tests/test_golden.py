@@ -8,19 +8,28 @@ results as whole arrays, and a change that only makes them faster must
 leave it as it is. The feeder puts several agents and offers at one bus, in
 no bus order, DR blocks that overdraw their baseline, curves with and
 without a q_min gap, flat curves and lines without a limit.
+
+The episode logs `gridmarket run` writes for the three demo configs must
+also equal the digests in `golden_episodes.sha256`, which were recorded
+before the episode loop reused log records and bandit indices.
 """
 
 import hashlib
+import os
 
 import numpy as np
 
 from gridmarket.clearing import MarketInput, clear
+from gridmarket.cli import EXIT_OK, main
 from gridmarket.curves import Curve, DEMAND, SUPPLY
 from gridmarket.dlmp import DrOffer, GenOffer, ScopfInput, solve_dlmp
 from gridmarket.network import build_network
 from helpers import random_radial_network
 
 GOLDEN = "7c3fdbf931a8d505d96d66977fe39e215e3fb696518caa8cb72cecad737a5980"
+
+HERE = os.path.dirname(__file__)
+EPISODE_DIGESTS = os.path.join(HERE, "golden_episodes.sha256")
 
 
 def feeder():
@@ -93,3 +102,34 @@ def test_clear_and_dlmp_on_a_seeded_feeder_are_bit_identical():
     assert dispatch.binding_lines and dispatch.traded
     assert any(v > 0 for v in result.mu_plus.values())
     assert digest(dispatch, result) == GOLDEN
+
+
+def episode_runs():
+    """(out, config, overrides) of each `# run` line of the digests file,
+    and the digests as {relative path: sha256}."""
+    runs, digests = [], {}
+    with open(EPISODE_DIGESTS, encoding="utf-8") as f:
+        for line in f:
+            if line.startswith("# run "):
+                out, config, *overrides = line.split()[2:]
+                runs.append((out, config, overrides))
+            elif not line.startswith("#"):
+                digest, path = line.split()
+                digests[path] = digest
+    return runs, digests
+
+
+def test_demo_episode_logs_equal_their_recorded_digests(tmp_path, capsys):
+    runs, digests = episode_runs()
+    assert [out for out, _, _ in runs] == ["clearing", "p2p", "dlmp"]
+    got = {}
+    for out, config, overrides in runs:
+        argv = ["run", "--config", os.path.join(HERE, "..", "cases", config),
+                "--out", str(tmp_path / out)]
+        for kv in overrides:
+            argv += ["--set", kv]
+        assert main(argv) == EXIT_OK
+        for name in ("episode.jsonl", "summary.csv"):
+            data = (tmp_path / out / name).read_bytes()
+            got[f"{out}/{name}"] = hashlib.sha256(data).hexdigest()
+    assert got == digests

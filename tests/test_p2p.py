@@ -20,6 +20,14 @@ def test_config_validation():
         P2pConfig(T=0)
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("name", ["c_service", "c_lose", "ub",
+                                  "trade_quantity", "retail_price"])
+def test_config_refuses_non_finite_fields(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        P2pConfig(**{name: value})
+
+
 def test_success_rewards():
     out = negotiate(4.0, 6.0, CFG)
     assert out.success
