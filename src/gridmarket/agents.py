@@ -39,12 +39,10 @@ class Agent:
         self.env = None            # set by the environment on attach
         self.market_action = None
         self.grid_action = None    # (bus, kW)
-        self.rewards = []
 
     def reset(self):
         self.market_action = None
         self.grid_action = None
-        self.rewards = []
 
     def set_market_actions(self):
         raise NotImplementedError
@@ -59,7 +57,7 @@ class Agent:
         self.grid_action = (bus, kw)
 
     def observe_reward(self, r):
-        self.rewards.append(r)
+        """Hook: the market reports the reward of the agent's last action."""
 
 
 class CurveBidder(Agent):
@@ -187,7 +185,6 @@ class UcbNegotiator(Agent):
         self.market_action = self.bandit.arms[self._last_arm]
 
     def observe_reward(self, r):
-        super().observe_reward(r)
         if self._last_arm is not None:
             ucb_update(self.bandit, self._last_arm, r)
 

@@ -9,14 +9,12 @@ mechanism state is reset every grid step; agent memory (e.g. bandit
 statistics) persists across the episode.
 
 Each piece of episode work is done once. The clearing market reuses its last
-`Dispatch` while the submitted curves do not change, and the DLMP market
-solves its fixed SCOPF on the first step only; both memos last until the
-market's `reset()`, and each keeps the log records of its result, built
-once, so a step that reuses the result logs those same records. The P2P
-market sorts a round's pairs for its log once, when it matches them, and
-the UCB agents keep one index per arm, refreshed only when that arm is
-updated. The episode log opens its file once per `run_episode` and encodes
-every record with one JSON encoder.
+`Dispatch` while the submitted curves do not change, the DLMP market solves
+its fixed SCOPF once per episode, and the P2P market negotiates a pair at a
+pair of prices once per round. A reused result's log text is encoded once
+(`Encoded`). The episode log keeps the lines it wrote, each flushed as it is
+added; `records` decodes them. UCB agents refresh only the updated arm's
+index.
 """
 
 import json
@@ -33,8 +31,20 @@ from .dlmp import solve_dlmp
 from .p2p import negotiate, settle_deficiency
 
 PHASES = ("post_market_step", "post_clear", "post_grid_step")
-# json.dumps(record, sort_keys=True) without building an encoder per record
+# json.dumps(value, sort_keys=True) without building an encoder per value
 _encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+
+
+class Encoded(str):
+    """JSON text of a log value, encoded once by the market that reuses it."""
+
+
+def _line(record):
+    """json.dumps(record, sort_keys=True) for a record with str keys, writing
+    each `Encoded` value as it is."""
+    return "{" + ", ".join([
+        f"{_encode(k)}: {v if type(v) is Encoded else _encode(v)}"
+        for k, v in sorted(record.items())]) + "}"
 
 
 class EnvError(Exception):
@@ -43,11 +53,11 @@ class EnvError(Exception):
 
 @dataclass
 class EpisodeLog:
-    """Episode records in memory and, while `writing()` holds it open, in
-    the file at `sink_path`: each record is written and flushed as it is
-    added, so a crashed run keeps its prefix."""
+    """Episode log lines, as `(phase, JSON line)`, and, while `writing()`
+    holds it open, the file at `sink_path`: each line is written and flushed
+    as it is added, so a crashed run keeps its prefix."""
 
-    records: list = field(default_factory=list)
+    lines: list = field(default_factory=list)
     sink_path: str = None
     _sink: object = field(default=None, init=False, repr=False, compare=False)
 
@@ -65,13 +75,18 @@ class EpisodeLog:
             self._sink = None
 
     def add(self, record):
-        self.records.append(record)
+        line = _line(record)
+        self.lines.append((record["phase"], line))
         if self._sink is not None:
-            self._sink.write(_encode(record) + "\n")
+            self._sink.write(line + "\n")
             self._sink.flush()
 
+    @property
+    def records(self):
+        return [json.loads(line) for _, line in self.lines]
+
     def by_phase(self, phase):
-        return [r for r in self.records if r["phase"] == phase]
+        return [json.loads(line) for p, line in self.lines if p == phase]
 
 
 class MarketBase:
@@ -116,10 +131,9 @@ class ClearingMarket(MarketBase):
     the last step's dispatch binds.
 
     A step whose bids and offers equal the last cleared ones returns that
-    clear's `Dispatch` again, and logs the records built from it once;
-    `reset()` forgets both, so the memo lasts one episode. The same
-    `Dispatch` and records are shared by those steps: treat them as
-    read-only."""
+    clear's `Dispatch` again, and logs the text of its records, encoded
+    once; `reset()` forgets both, so the memo lasts one episode. The same
+    `Dispatch` is shared by those steps: treat it as read-only."""
 
     def __init__(self, network, segments=100):
         self.network = network
@@ -128,7 +142,7 @@ class ClearingMarket(MarketBase):
 
     def reset(self):
         self.dispatch = None
-        # (submitted bids and offers, their Dispatch, its log records)
+        # (submitted bids and offers, their Dispatch, its records' text)
         self._last = (None, None, None)
 
     def reset_round(self, t_grid):
@@ -152,7 +166,8 @@ class ClearingMarket(MarketBase):
             dispatch = clear(
                 MarketInput(bids=bids, offers=offers, network=self.network),
                 segments=self.segments)
-            self._last = (key, dispatch, dispatch.to_records())
+            self._last = (key, dispatch,
+                          Encoded(_encode(dispatch.to_records())))
         self.dispatch = self._last[1]
         return self.dispatch
 
@@ -176,8 +191,8 @@ class ClearingMarket(MarketBase):
     def step_record(self, dispatch):
         if dispatch is None:
             return {}
-        _, memo, records = self._last
-        return {"dispatch": records if dispatch is memo
+        _, memo, text = self._last
+        return {"dispatch": text if dispatch is memo
                 else dispatch.to_records()}
 
     def clear_record(self, dispatch):
@@ -194,7 +209,12 @@ class P2pRoundResult:
 
 class P2pMarket(MarketBase):
     """Use Case 2 mechanism: random matching then T bandit negotiation steps;
-    the final step's outcome binds physically."""
+    the final step's outcome binds physically.
+
+    `negotiate` is pure, so within a round a pair that bids the very price
+    objects of an outcome again (`is` tells `-0.0` from `0.0`, `1` from
+    `1.0`) reuses that outcome (treat it as read-only) and its entry's text.
+    `step_record` logs the last step's entries in sorted pair order."""
 
     def __init__(self, config):
         self.config = config
@@ -202,7 +222,6 @@ class P2pMarket(MarketBase):
 
     def reset(self):
         self.round = None
-        self._order = []        # the round's pairs, sorted for the log
         self.outcomes = {}
         self.result = None
         self._t_grid = None
@@ -220,16 +239,27 @@ class P2pMarket(MarketBase):
         self._t_grid = t_grid
         producers, consumers = self._split_roles(t_grid)
         self.round = p2p_mod.match(producers, consumers, self.env.rng)
-        self._order = sorted(self.round.pairs, key=str)
+        self._order = sorted(self.round.pairs, key=str)   # for the log
+        self._memo = {}      # (pair, b_p, b_c) -> (outcome, its log entry)
+        self._entries = {}   # pair -> its log entry of the last step
         self.outcomes = {}
         self.result = None
 
     def step(self, t_market):
         agents = self.env.agent_map
-        for producer, consumer in self.round.pairs:
-            out = negotiate(agents[producer].market_action,
-                            agents[consumer].market_action, self.config)
-            self.outcomes[(producer, consumer)] = out
+        for pair in self.round.pairs:
+            producer, consumer = pair
+            b_p = agents[producer].market_action
+            b_c = agents[consumer].market_action
+            out, entry = self._memo.get((pair, b_p, b_c), (None, None))
+            if out is None or out.b_p is not b_p or out.b_c is not b_c:
+                out = negotiate(b_p, b_c, self.config)
+                entry = Encoded(_encode(
+                    {"producer": producer, "consumer": consumer,
+                     "b_p": b_p, "b_c": b_c, "success": out.success,
+                     "r_p": round(out.r_p, 9), "r_c": round(out.r_c, 9)}))
+                self._memo[pair, b_p, b_c] = out, entry
+            self.outcomes[pair], self._entries[pair] = out, entry
             agents[producer].observe_reward(out.r_p)
             agents[consumer].observe_reward(out.r_c)
         return self.outcomes
@@ -259,14 +289,8 @@ class P2pMarket(MarketBase):
         return self.config.T
 
     def step_record(self, outcomes):
-        negotiations = []
-        for p, c in self._order:
-            o = outcomes[p, c]
-            negotiations.append(
-                {"producer": p, "consumer": c, "b_p": o.b_p, "b_c": o.b_c,
-                 "success": o.success, "r_p": round(o.r_p, 9),
-                 "r_c": round(o.r_c, 9)})
-        return {"negotiations": negotiations}
+        entries = ", ".join([self._entries[pair] for pair in self._order])
+        return {"negotiations": Encoded(f"[{entries}]")}
 
     def clear_record(self, result):
         return {
@@ -280,10 +304,9 @@ class P2pMarket(MarketBase):
 class DlmpMarket(MarketBase):
     """Use Case 3 mechanism: single-shot SCOPF solve; DLMP-based rewards.
 
-    The SCOPF input is fixed, so the first step of an episode solves it and
-    builds its `{"dlmp": ...}` log field; later steps return that same
-    `DlmpResult` and log that same field (treat both as read-only).
-    `reset()` drops them."""
+    The SCOPF input is fixed: the first step of an episode solves it, and
+    later steps reuse that `DlmpResult` (treat it as read-only) until
+    `reset()`. A result's `dlmp` log field is encoded once."""
 
     def __init__(self, scopf_input):
         self.scopf_input = scopf_input
@@ -291,12 +314,11 @@ class DlmpMarket(MarketBase):
 
     def reset(self):
         self.result = None
-        self._record = None     # the result's log field
+        self._logged = (None, None)     # (a result, its log field)
 
     def step(self, t_market):
         if self.result is None:
             self.result = solve_dlmp(self.scopf_input)
-            self._record = _dlmp_record(self.result)
         return self.result
 
     def finalize(self):
@@ -316,16 +338,14 @@ class DlmpMarket(MarketBase):
         return actions
 
     def step_record(self, result):
-        return self._record if result is self.result else _dlmp_record(result)
+        if result is not self._logged[0]:
+            self._logged = (result, {"dlmp": Encoded(_encode(
+                {str(b): round(v, 9) for b, v in result.dlmp.items()}))})
+        return self._logged[1]
 
     def clear_record(self, result):
         return {**super().clear_record(result), **self.step_record(result),
                 "objective": round(result.objective, 9)}
-
-
-def _dlmp_record(result):
-    """The `{"dlmp": ...}` log field of a SCOPF result."""
-    return {"dlmp": {str(b): round(v, 9) for b, v in result.dlmp.items()}}
 
 
 class Environment:
@@ -376,17 +396,20 @@ class Environment:
                  else self.market.default_market_steps())
         if grid_steps < 1 or steps < 1:
             raise EnvError("need grid_steps >= 1 and market steps >= 1")
+        # the market steps' numbers as log text, encoded once
+        ticks = [Encoded(_encode(t)) for t in range(steps)]
         with self.log.writing():
             for t_grid in range(grid_steps):
                 self.phase = "market"
                 self.market.reset_round(t_grid)
+                tick = Encoded(_encode(t_grid))
                 for t_market in range(steps):
                     self.clock = (t_grid, t_market)
                     for a in self.agents:
                         a.set_market_actions()
                     result = self.market.step(t_market)
-                    self.log.add({"phase": "market_step", "t_grid": t_grid,
-                                  "t_market": t_market,
+                    self.log.add({"phase": "market_step", "t_grid": tick,
+                                  "t_market": ticks[t_market],
                                   **self.market.step_record(result)})
                     self._fire("post_market_step")
                 cleared = self.market.finalize()

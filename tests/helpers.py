@@ -404,6 +404,23 @@ def state_fingerprint(env):
     }, sort_keys=True)
 
 
+class Recording:
+    """Agent mixin that keeps every reward the agent observes in `rewards`,
+    emptied by `reset()`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.rewards = []
+
+    def reset(self):
+        super().reset()
+        self.rewards = []
+
+    def observe_reward(self, r):
+        super().observe_reward(r)
+        self.rewards.append(r)
+
+
 def to_jsonl(log):
     """An episode log's records as the JSON lines its sink writes."""
     return "\n".join(json.dumps(r, sort_keys=True) for r in log.records)

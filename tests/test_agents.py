@@ -12,8 +12,8 @@ from gridmarket.agents import (
 )
 from gridmarket.curves import DEMAND, SUPPLY
 from helpers import (
-    PiecewiseLinear, reward_demand, reward_supply, ucb_select_and_update,
-    ucb_select_oracle,
+    PiecewiseLinear, Recording, reward_demand, reward_supply,
+    ucb_select_and_update, ucb_select_oracle,
 )
 
 
@@ -153,11 +153,15 @@ def test_ucb_converges_to_best_arm():
     assert picks[-500:].count(1) / 500 > 0.9
 
 
+class RecordingNegotiator(Recording, UcbNegotiator):
+    pass
+
+
 def test_negotiator_reset_clears_learning():
-    a = UcbNegotiator("p", 3, PRODUCER, arms=[3.0, 4.0, 5.0])
+    a = RecordingNegotiator("p", 3, PRODUCER, arms=[3.0, 4.0, 5.0])
     a.set_market_actions()
     a.observe_reward(2.0)
-    assert sum(a.bandit.counts) == 1
+    assert sum(a.bandit.counts) == 1 and a.rewards == [2.0]
     a.reset()
     assert sum(a.bandit.counts) == 0
     assert a.rewards == []

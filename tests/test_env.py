@@ -1,9 +1,10 @@
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import gridmarket.env as env_mod
 from gridmarket.agents import (
@@ -18,8 +19,8 @@ from gridmarket.env import (
     ClearingMarket, DlmpMarket, EnvError, Environment, P2pMarket,
 )
 from gridmarket.network import Grid, build_network
-from gridmarket.p2p import P2pConfig
-from helpers import state_fingerprint, to_jsonl
+from gridmarket.p2p import P2pConfig, negotiate
+from helpers import Recording, state_fingerprint, to_jsonl
 
 INF = float("inf")
 CASES = os.path.join(os.path.dirname(__file__), "..", "cases")
@@ -77,10 +78,17 @@ def test_clearing_episode_runs_and_logs():
     assert grid0["feasible"]
 
 
+class RecordingBidder(Recording, CurveBidder):
+    pass
+
+
 def test_agent_rewards_accumulate():
-    env = clearing_env().reset()
-    env.run_episode(grid_steps=4)
-    d1 = env.agent_map["d1"]
+    net = chain()
+    d1 = RecordingBidder("d1", 2, CONSUMER, Curve(
+        DEMAND, p_max=8.0, p_min=1.0, q_max=10.0, q_min=0.0))
+    env = Environment(grid=Grid(net), market=ClearingMarket(net),
+                      agents=[flat_supplier("feeder", 0, 4.3, 500.0), d1])
+    env.reset().run_episode(grid_steps=4)
     assert len(d1.rewards) == 4
     assert all(r >= -1e-9 for r in d1.rewards)   # truthful bidding: no loss
 
@@ -195,6 +203,10 @@ def test_incremental_log_sink(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == len(env.log.records)
     assert "\n".join(lines) == to_jsonl(env.log)
+    # the file is the log's lines, and a run without a sink keeps the same
+    assert lines == [line for _, line in env.log.lines]
+    unsunk = clearing_env().reset().run_episode(grid_steps=2)
+    assert unsunk.lines == env.log.lines
 
 
 def test_summary_rows():
@@ -419,3 +431,93 @@ def test_seeded_episodes_are_deterministic(seed, grid_steps, market_steps):
     market = ClearEveryStep(env.market.network, env.market.segments)
     ref = Environment(env.grid, market, env.agents, seed=seed)
     assert episode(memo) == episode(ref)
+
+
+# JSON values as the log writes them: nested lists and dicts, -0.0 and the
+# int/float twins, ints past 64 bits, non-ASCII strings and keys.
+JSON_KEYS = (st.text(max_size=4)
+             | st.sampled_from(["b_p", "ü", "北京", "\u2028"]))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from([-0.0, 0.0, 1, 1.0, 2**70, -2**64]) | JSON_KEYS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(JSON_KEYS, inner, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(record=st.dictionaries(JSON_KEYS, st.tuples(JSON_VALUES, st.booleans()),
+                              max_size=6))
+def test_log_line_equals_sorted_json_dumps(record):
+    # each value flagged True is handed over already encoded
+    mixed = {k: env_mod.Encoded(json.dumps(v, sort_keys=True)) if pre else v
+             for k, (v, pre) in record.items()}
+    plain = {k: v for k, (v, _) in record.items()}
+    assert env_mod._line(mixed) == json.dumps(plain, sort_keys=True)
+
+
+class NegotiateEveryStep(P2pMarket):
+    """Reference market: negotiates every pair at every step and logs its
+    entries as plain records."""
+
+    def step(self, t_market):
+        agents = self.env.agent_map
+        for p, c in self.round.pairs:
+            out = negotiate(agents[p].market_action, agents[c].market_action,
+                            self.config)
+            self.outcomes[p, c] = out
+            agents[p].observe_reward(out.r_p)
+            agents[c].observe_reward(out.r_c)
+        return self.outcomes
+
+    def step_record(self, outcomes):
+        return {"negotiations": [
+            {"producer": p, "consumer": c, "b_p": o.b_p, "b_c": o.b_c,
+             "success": o.success, "r_p": round(o.r_p, 9),
+             "r_c": round(o.r_c, 9)}
+            for (p, c), o in sorted(outcomes.items(),
+                                    key=lambda kv: str(kv[0]))]}
+
+
+# Prices that compare equal but encode differently, and plain ones.
+TWINS = [(-0.0, 0.0), (0.0, -0.0), (1, 1.0), (1.0, 1)]
+ARMS = st.tuples(st.sampled_from(TWINS),
+                 st.lists(st.sampled_from([0.0, 1, 2.5, 4.0]), max_size=2)
+                 ).flatmap(lambda t: st.permutations(list(t[0]) + t[1]))
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), T=st.integers(4, 12),
+       grid_steps=st.integers(1, 3),
+       producers=st.lists(ARMS, min_size=1, max_size=3),
+       consumers=st.lists(ARMS, min_size=1, max_size=3))
+@example(seed=0, T=6, grid_steps=2, producers=[[-0.0, 0.0]],
+         consumers=[[1, 1.0]])
+def test_p2p_log_equals_a_market_that_negotiates_every_step(
+        seed, T, grid_steps, producers, consumers):
+    def episode(market_class, path):
+        agents = ([UcbNegotiator(f"p{k}", 1, PRODUCER, arms)
+                   for k, arms in enumerate(producers)]
+                  + [UcbNegotiator(f"c{k}", 2, CONSUMER, arms)
+                     for k, arms in enumerate(consumers)])
+        # no service fee: a signed zero price reaches the rewards too
+        env = Environment(grid=Grid(chain()), market=market_class(
+            P2pConfig(T=T, c_service=0.0)), agents=agents, seed=seed)
+        env.reset(log_path=path).run_episode(grid_steps)
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    with tempfile.TemporaryDirectory() as tmp:
+        got = episode(P2pMarket, os.path.join(tmp, "memo.jsonl"))
+        want = episode(NegotiateEveryStep, os.path.join(tmp, "ref.jsonl"))
+    assert got == want
+
+
+def test_p2p_negotiates_each_pair_at_each_price_pair_once_per_round(
+        monkeypatch):
+    calls = counted(monkeypatch, env_mod, "negotiate")
+    log = p2p_env(T=40).reset().run_episode(grid_steps=3)
+    bids = [(r["t_grid"], n["producer"], n["consumer"], n["b_p"], n["b_c"])
+            for r in log.by_phase("market_step") for n in r["negotiations"]]
+    assert len(bids) == 3 * 40
+    # at most 3 x 3 arm pairs in each of the 3 rounds
+    assert len(calls) == len(set(bids)) <= 3 * 9

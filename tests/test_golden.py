@@ -10,8 +10,10 @@ no bus order, DR blocks that overdraw their baseline, curves with and
 without a q_min gap, flat curves and lines without a limit.
 
 The episode logs `gridmarket run` writes for the three demo configs must
-also equal the digests in `golden_episodes.sha256`, which were recorded
-before the episode loop reused log records and bandit indices.
+also equal the digests in `golden_episodes.sha256`. The first three runs
+were recorded before the episode loop reused log records and bandit
+indices; `p2p_seed3`, a longer seeded P2P round, before each market result's
+log text was encoded once.
 """
 
 import hashlib
@@ -121,7 +123,8 @@ def episode_runs():
 
 def test_demo_episode_logs_equal_their_recorded_digests(tmp_path, capsys):
     runs, digests = episode_runs()
-    assert [out for out, _, _ in runs] == ["clearing", "p2p", "dlmp"]
+    assert [out for out, _, _ in runs] == ["clearing", "p2p", "dlmp",
+                                           "p2p_seed3"]
     got = {}
     for out, config, overrides in runs:
         argv = ["run", "--config", os.path.join(HERE, "..", "cases", config),
