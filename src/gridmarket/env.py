@@ -8,11 +8,12 @@ clears, agents submit grid actions and the grid state advances. Market
 mechanism state is reset every grid step; agent memory (e.g. bandit
 statistics) persists across the episode.
 
-Each piece of episode work is done once. The clearing market reuses its last
-`Dispatch` while the submitted curves do not change, the DLMP market solves
-its fixed SCOPF once per episode, and the P2P market negotiates a pair at a
-pair of prices once per round. A reused result's log text is encoded once
-(`Encoded`). The episode log keeps the lines it wrote, each flushed as it is
+A market step returns the fields of its `market_step` log record. Each
+piece of episode work is done once, and its log text is encoded with it
+(`Encoded`): the clearing market reuses its last `Dispatch` while the
+submitted curves do not change, the DLMP market solves its fixed SCOPF once
+per episode, and the P2P market negotiates a pair at a pair of prices once
+per round. The episode log keeps the lines it wrote, each flushed as it is
 added; `records` decodes them. UCB agents refresh only the updated arm's
 index.
 """
@@ -31,8 +32,10 @@ from .dlmp import solve_dlmp
 from .p2p import negotiate, settle_deficiency
 
 PHASES = ("post_market_step", "post_clear", "post_grid_step")
-# json.dumps(value, sort_keys=True) without building an encoder per value
-_encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+# json.dumps(value, sort_keys=True, allow_nan=False) without building an
+# encoder per value: a non-finite number raises ValueError, not bad JSON
+_encode = json.JSONEncoder(sort_keys=True, check_circular=False,
+                           allow_nan=False).encode
 
 
 class Encoded(str):
@@ -40,8 +43,8 @@ class Encoded(str):
 
 
 def _line(record):
-    """json.dumps(record, sort_keys=True) for a record with str keys, writing
-    each `Encoded` value as it is."""
+    """json.dumps(record, sort_keys=True, allow_nan=False) for a record with
+    str keys, writing each `Encoded` value as it is."""
     return "{" + ", ".join([
         f"{_encode(k)}: {v if type(v) is Encoded else _encode(v)}"
         for k, v in sorted(record.items())]) + "}"
@@ -90,7 +93,7 @@ class EpisodeLog:
 
 
 class MarketBase:
-    """Market mechanism interface: reset once per episode, reset_round once
+    """Market mechanism template: reset once per episode, reset_round once
     per grid step, step once per market step, finalize at clearing."""
 
     env = None
@@ -102,6 +105,7 @@ class MarketBase:
         pass
 
     def step(self, t_market):
+        """One market step; returns its `market_step` log record's fields."""
         raise NotImplementedError
 
     def finalize(self):
@@ -115,11 +119,6 @@ class MarketBase:
     def default_market_steps(self):
         return 1
 
-    def step_record(self, result):
-        """Fields the market adds to the `market_step` log record of a step
-        that returned `result`."""
-        return {}
-
     def clear_record(self, result):
         """Fields the market adds to the `clear` log record of the clearing
         result `result`."""
@@ -130,9 +129,9 @@ class ClearingMarket(MarketBase):
     """Use Case 1 mechanism: affine-curve surplus clearing each market step;
     the last step's dispatch binds.
 
-    A step whose bids and offers equal the last cleared ones returns that
-    clear's `Dispatch` again, and logs the text of its records, encoded
-    once; `reset()` forgets both, so the memo lasts one episode. The same
+    A step whose bids and offers equal the last cleared ones reuses that
+    clear's `Dispatch` and its `dispatch` log field, encoded once when it
+    cleared; `reset()` forgets both, so the memo lasts one episode. The same
     `Dispatch` is shared by those steps: treat it as read-only."""
 
     def __init__(self, network, segments=100):
@@ -142,8 +141,8 @@ class ClearingMarket(MarketBase):
 
     def reset(self):
         self.dispatch = None
-        # (submitted bids and offers, their Dispatch, its records' text)
-        self._last = (None, None, None)
+        # (submitted bids and offers, their Dispatch, its log fields)
+        self._last = (None, None, {})
 
     def reset_round(self, t_grid):
         self.dispatch = None
@@ -160,16 +159,16 @@ class ClearingMarket(MarketBase):
                 offers.append((a.id, a.bus, curve))
         if not bids or not offers:
             self.dispatch = None
-            return None
+            return {}
         key = (tuple(bids), tuple(offers))
         if key != self._last[0]:
             dispatch = clear(
                 MarketInput(bids=bids, offers=offers, network=self.network),
                 segments=self.segments)
-            self._last = (key, dispatch,
-                          Encoded(_encode(dispatch.to_records())))
-        self.dispatch = self._last[1]
-        return self.dispatch
+            self._last = (key, dispatch, {
+                "dispatch": Encoded(_encode(dispatch.to_records()))})
+        _, self.dispatch, fields = self._last
+        return fields
 
     def finalize(self):
         if self.dispatch is None:
@@ -188,15 +187,9 @@ class ClearingMarket(MarketBase):
             a.observe_reward(r)
         return self.dispatch
 
-    def step_record(self, dispatch):
-        if dispatch is None:
-            return {}
-        _, memo, text = self._last
-        return {"dispatch": text if dispatch is memo
-                else dispatch.to_records()}
-
     def clear_record(self, dispatch):
-        return {**super().clear_record(dispatch), **self.step_record(dispatch)}
+        fields = {} if dispatch is None else self._last[2]
+        return {**super().clear_record(dispatch), **fields}
 
 
 @dataclass
@@ -213,8 +206,9 @@ class P2pMarket(MarketBase):
 
     `negotiate` is pure, so within a round a pair that bids the very price
     objects of an outcome again (`is` tells `-0.0` from `0.0`, `1` from
-    `1.0`) reuses that outcome (treat it as read-only) and its entry's text.
-    `step_record` logs the last step's entries in sorted pair order."""
+    `1.0`) reuses that outcome (treat it as read-only) and its log entry,
+    encoded once. A step negotiates the pairs in the log's order (by `str`):
+    an agent sits in at most one pair, so the order changes no reward."""
 
     def __init__(self, config):
         self.config = config
@@ -239,14 +233,14 @@ class P2pMarket(MarketBase):
         self._t_grid = t_grid
         producers, consumers = self._split_roles(t_grid)
         self.round = p2p_mod.match(producers, consumers, self.env.rng)
-        self._order = sorted(self.round.pairs, key=str)   # for the log
+        self.round.pairs.sort(key=str)      # the log's order
         self._memo = {}      # (pair, b_p, b_c) -> (outcome, its log entry)
-        self._entries = {}   # pair -> its log entry of the last step
         self.outcomes = {}
         self.result = None
 
     def step(self, t_market):
         agents = self.env.agent_map
+        entries = []
         for pair in self.round.pairs:
             producer, consumer = pair
             b_p = agents[producer].market_action
@@ -259,10 +253,11 @@ class P2pMarket(MarketBase):
                      "b_p": b_p, "b_c": b_c, "success": out.success,
                      "r_p": round(out.r_p, 9), "r_c": round(out.r_c, 9)}))
                 self._memo[pair, b_p, b_c] = out, entry
-            self.outcomes[pair], self._entries[pair] = out, entry
+            self.outcomes[pair] = out
+            entries.append(entry)
             agents[producer].observe_reward(out.r_p)
             agents[consumer].observe_reward(out.r_c)
-        return self.outcomes
+        return {"negotiations": Encoded(f"[{', '.join(entries)}]")}
 
     def finalize(self):
         q = self.config.trade_quantity
@@ -288,10 +283,6 @@ class P2pMarket(MarketBase):
     def default_market_steps(self):
         return self.config.T
 
-    def step_record(self, outcomes):
-        entries = ", ".join([self._entries[pair] for pair in self._order])
-        return {"negotiations": Encoded(f"[{entries}]")}
-
     def clear_record(self, result):
         return {
             **super().clear_record(result),
@@ -304,9 +295,9 @@ class P2pMarket(MarketBase):
 class DlmpMarket(MarketBase):
     """Use Case 3 mechanism: single-shot SCOPF solve; DLMP-based rewards.
 
-    The SCOPF input is fixed: the first step of an episode solves it, and
-    later steps reuse that `DlmpResult` (treat it as read-only) until
-    `reset()`. A result's `dlmp` log field is encoded once."""
+    The SCOPF input is fixed: the first step of an episode solves it and
+    encodes the result's `dlmp` log field, and later steps reuse both (treat
+    the `DlmpResult` as read-only) until `reset()`."""
 
     def __init__(self, scopf_input):
         self.scopf_input = scopf_input
@@ -314,12 +305,14 @@ class DlmpMarket(MarketBase):
 
     def reset(self):
         self.result = None
-        self._logged = (None, None)     # (a result, its log field)
+        self._fields = {}       # the result's log fields
 
     def step(self, t_market):
         if self.result is None:
             self.result = solve_dlmp(self.scopf_input)
-        return self.result
+            self._fields = {"dlmp": Encoded(_encode(
+                {str(b): round(v, 9) for b, v in self.result.dlmp.items()}))}
+        return self._fields
 
     def finalize(self):
         return self.result
@@ -337,14 +330,8 @@ class DlmpMarket(MarketBase):
                 actions[f"dso@{bus}"] = (bus, net_kw)
         return actions
 
-    def step_record(self, result):
-        if result is not self._logged[0]:
-            self._logged = (result, {"dlmp": Encoded(_encode(
-                {str(b): round(v, 9) for b, v in result.dlmp.items()}))})
-        return self._logged[1]
-
     def clear_record(self, result):
-        return {**super().clear_record(result), **self.step_record(result),
+        return {**super().clear_record(result), **self._fields,
                 "objective": round(result.objective, 9)}
 
 
@@ -407,10 +394,9 @@ class Environment:
                     self.clock = (t_grid, t_market)
                     for a in self.agents:
                         a.set_market_actions()
-                    result = self.market.step(t_market)
                     self.log.add({"phase": "market_step", "t_grid": tick,
                                   "t_market": ticks[t_market],
-                                  **self.market.step_record(result)})
+                                  **self.market.step(t_market)})
                     self._fire("post_market_step")
                 cleared = self.market.finalize()
                 self.log.add({"phase": "clear", "t_grid": t_grid,

@@ -280,6 +280,31 @@ def test_run_seed_reproducible(tmp_path):
     assert outs[0] == outs[1]
 
 
+def strict_json(line):
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+    return json.loads(line, parse_constant=reject)
+
+
+@pytest.mark.parametrize("overrides", [
+    ["retail_price=1e308", "trade_quantity=10"], ["trade_quantity=1e308"],
+], ids=["deficiency-charge", "flows"])
+def test_run_whose_log_would_overflow_is_one_runtime_error(tmp_path, capsys,
+                                                          overrides):
+    # each value is finite; their products overflow to inf in the log
+    out = tmp_path / "out"
+    sets = [arg for kv in ["grid_steps=1"] + overrides for arg in ("--set", kv)]
+    rc = main(["run", "--config", case("demo_p2p.cfg"), "--out", str(out)]
+              + sets)
+    assert rc == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.err.startswith("runtime error: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    lines = (out / "episode.jsonl").read_text().splitlines()
+    assert lines and all(strict_json(line) for line in lines)
+    assert not (out / "summary.csv").exists()
+
+
 def test_sweep_serial(tmp_path, capsys):
     out = str(tmp_path / "sweep")
     rc = main(["sweep", "--config", case("demo_p2p.cfg"), "--out", out,

@@ -16,7 +16,7 @@ from gridmarket.cli import build_environment, parse, read_config
 from gridmarket.curves import DEMAND, SUPPLY, Curve
 from gridmarket.dlmp import DrOffer, ScopfInput
 from gridmarket.env import (
-    ClearingMarket, DlmpMarket, EnvError, Environment, P2pMarket,
+    ClearingMarket, DlmpMarket, EnvError, Environment, MarketBase, P2pMarket,
 )
 from gridmarket.network import Grid, build_network
 from gridmarket.p2p import P2pConfig, negotiate
@@ -410,6 +410,14 @@ class ClearEveryStep(ClearingMarket):
         return super().step(t_market)
 
 
+class SolveEveryStep(DlmpMarket):
+    """Reference market: forgets the last solve before every step."""
+
+    def step(self, t_market):
+        self.reset()
+        return super().step(t_market)
+
+
 def demo_environment(name, seed):
     path = os.path.join(CASES, name)
     cfg = {**read_config(path), "seed": str(seed)}
@@ -426,11 +434,35 @@ def test_seeded_episodes_are_deterministic(seed, grid_steps, market_steps):
     for name in ("demo_clearing.cfg", "demo_p2p.cfg", "demo_dlmp.cfg"):
         a, b = (demo_environment(name, seed) for _ in range(2))
         assert episode(a) == episode(b)
-    memo = demo_environment("demo_clearing.cfg", seed)
-    env = demo_environment("demo_clearing.cfg", seed)
-    market = ClearEveryStep(env.market.network, env.market.segments)
-    ref = Environment(env.grid, market, env.agents, seed=seed)
-    assert episode(memo) == episode(ref)
+    for name, reference in (
+            ("demo_clearing.cfg",
+             lambda m: ClearEveryStep(m.network, m.segments)),
+            ("demo_dlmp.cfg", lambda m: SolveEveryStep(m.scopf_input))):
+        memo = demo_environment(name, seed)
+        env = demo_environment(name, seed)
+        ref = Environment(env.grid, reference(env.market), env.agents,
+                          seed=seed)
+        assert episode(memo) == episode(ref)
+
+
+class PlainFieldsMarket(MarketBase):
+    """A market built on the bare template: only `step`, logging plain
+    (not `Encoded`) fields."""
+
+    def step(self, t_market):
+        return {"note": f"step {t_market}", "bids": [t_market, 1.5]}
+
+
+def test_a_template_market_logs_the_fields_its_step_returns():
+    env = Environment(grid=Grid(chain()), market=PlainFieldsMarket(),
+                      agents=[flat_supplier("feeder", 0, 4.3, 500.0)])
+    log = env.reset().run_episode(grid_steps=2, market_steps_per_grid=3)
+    assert log.by_phase("market_step") == [
+        {"phase": "market_step", "t_grid": g, "t_market": m,
+         "note": f"step {m}", "bids": [m, 1.5]}
+        for g in range(2) for m in range(3)]
+    assert log.by_phase("clear") == [
+        {"phase": "clear", "t_grid": g, "cleared": False} for g in range(2)]
 
 
 # JSON values as the log writes them: nested lists and dicts, -0.0 and the
@@ -445,15 +477,32 @@ JSON_VALUES = st.recursive(
     max_leaves=12)
 
 
+def strict_dumps(value):
+    return json.dumps(value, sort_keys=True, allow_nan=False)
+
+
 @settings(max_examples=200, deadline=None)
 @given(record=st.dictionaries(JSON_KEYS, st.tuples(JSON_VALUES, st.booleans()),
                               max_size=6))
+@example(record={"a": (INF, False), "b": (1.0, True)})
+@example(record={"a": ([0.0, float("nan")], True), "b": ("x", True)})
 def test_log_line_equals_sorted_json_dumps(record):
+    def encoded(v):
+        # a value strict JSON cannot hold is handed over as it is
+        try:
+            return env_mod.Encoded(strict_dumps(v))
+        except ValueError:
+            return v
     # each value flagged True is handed over already encoded
-    mixed = {k: env_mod.Encoded(json.dumps(v, sort_keys=True)) if pre else v
-             for k, (v, pre) in record.items()}
+    mixed = {k: encoded(v) if pre else v for k, (v, pre) in record.items()}
     plain = {k: v for k, (v, _) in record.items()}
-    assert env_mod._line(mixed) == json.dumps(plain, sort_keys=True)
+    try:
+        want = strict_dumps(plain)
+    except ValueError:
+        with pytest.raises(ValueError):
+            env_mod._line(mixed)
+    else:
+        assert env_mod._line(mixed) == want
 
 
 class NegotiateEveryStep(P2pMarket):
@@ -468,14 +517,11 @@ class NegotiateEveryStep(P2pMarket):
             self.outcomes[p, c] = out
             agents[p].observe_reward(out.r_p)
             agents[c].observe_reward(out.r_c)
-        return self.outcomes
-
-    def step_record(self, outcomes):
         return {"negotiations": [
             {"producer": p, "consumer": c, "b_p": o.b_p, "b_c": o.b_c,
              "success": o.success, "r_p": round(o.r_p, 9),
              "r_c": round(o.r_c, 9)}
-            for (p, c), o in sorted(outcomes.items(),
+            for (p, c), o in sorted(self.outcomes.items(),
                                     key=lambda kv: str(kv[0]))]}
 
 
