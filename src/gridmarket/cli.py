@@ -10,7 +10,7 @@ import os
 import re
 import sys
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields, replace
 
 from . import agents as ag
@@ -189,13 +189,16 @@ def build_environment(rc):
 def write_episode(env, rc, out_dir):
     """Run `rc`'s episode on a built environment; write its logs to out_dir."""
     os.makedirs(out_dir, exist_ok=True)
+    summary = os.path.join(out_dir, "summary.csv")
+    with suppress(FileNotFoundError):
+        os.remove(summary)      # a failed episode leaves no summary
     env.reset(log_path=os.path.join(out_dir, "episode.jsonl"))
     env.run_episode(rc.grid_steps, rc.market_steps)
     rows = env.summary_rows()
     lines = ["t_grid,feasible,max_abs_flow"]
     for r in rows:
         lines.append(f"{r['t_grid']},{int(r['feasible'])},{r['max_abs_flow']:.9g}")
-    atomic_write(os.path.join(out_dir, "summary.csv"), "\n".join(lines) + "\n")
+    atomic_write(summary, "\n".join(lines) + "\n")
     return env
 
 
@@ -279,6 +282,8 @@ def _sweep_one(payload):
 def cmd_sweep(args):
     from concurrent.futures import ProcessPoolExecutor
 
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1; got {args.jobs}")
     m = re.fullmatch(r"(\d+)\.\.(\d+)", args.seeds)
     if m is None or int(m[2]) < int(m[1]):
         raise ConfigError(f"--seeds expects A..B, integers with 0 <= A <= B; "

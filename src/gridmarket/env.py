@@ -8,14 +8,15 @@ clears, agents submit grid actions and the grid state advances. Market
 mechanism state is reset every grid step; agent memory (e.g. bandit
 statistics) persists across the episode.
 
-A market step returns the fields of its `market_step` log record. Each
-piece of episode work is done once, and its log text is encoded with it
-(`Encoded`): the clearing market reuses its last `Dispatch` while the
-submitted curves do not change, the DLMP market solves its fixed SCOPF once
-per episode, and the P2P market negotiates a pair at a pair of prices once
-per round. The episode log keeps the lines it wrote, each flushed as it is
-added; `records` decodes them. UCB agents refresh only the updated arm's
-index.
+A market step returns the fields of its `market_step` log record, and
+`finalize` returns the clearing result, the fields of its `clear` record and
+the market's own grid actions. Each piece of episode work is done once, and
+its log text is encoded with it (`Encoded`): the clearing market reuses its
+last `Dispatch` while the submitted curves do not change, the DLMP market
+solves its fixed SCOPF once per episode, and the P2P market negotiates a
+pair at a pair of prices once per round. The episode log keeps the lines it
+wrote, each flushed as it is added; `records` decodes them. UCB agents
+refresh only the updated arm's index.
 """
 
 import json
@@ -50,6 +51,17 @@ def _line(record):
         for k, v in sorted(record.items())]) + "}"
 
 
+def _unencodable(record):
+    """The first field of `record`, in the log's order, that strict JSON
+    cannot hold."""
+    for k, v in sorted(record.items()):
+        if type(v) is not Encoded:
+            try:
+                _encode(v)
+            except ValueError:
+                return k
+
+
 class EnvError(Exception):
     pass
 
@@ -78,7 +90,14 @@ class EpisodeLog:
             self._sink = None
 
     def add(self, record):
-        line = _line(record)
+        try:
+            line = _line(record)
+        except ValueError as e:
+            where = f"t_grid {record['t_grid']}"
+            if "t_market" in record:
+                where += f", t_market {record['t_market']}"
+            raise ValueError(f"{record['phase']} record at {where}, field "
+                             f"{_unencodable(record)!r}: {e}") from None
         self.lines.append((record["phase"], line))
         if self._sink is not None:
             self._sink.write(line + "\n")
@@ -94,9 +113,11 @@ class EpisodeLog:
 
 class MarketBase:
     """Market mechanism template: reset once per episode, reset_round once
-    per grid step, step once per market step, finalize at clearing."""
+    per grid step, step once per market step, finalize at clearing. A grid
+    step runs `market_steps` market steps unless the run sets a count."""
 
     env = None
+    market_steps = 1
 
     def reset(self):
         pass
@@ -109,20 +130,11 @@ class MarketBase:
         raise NotImplementedError
 
     def finalize(self):
-        """Called when the market clears; returns the clearing result."""
-        return None
-
-    def extra_grid_actions(self):
-        """Grid actions contributed by the market itself (not by agents)."""
-        return {}
-
-    def default_market_steps(self):
-        return 1
-
-    def clear_record(self, result):
-        """Fields the market adds to the `clear` log record of the clearing
-        result `result`."""
-        return {"cleared": result is not None}
+        """Called when the market clears; returns `(result, fields,
+        actions)`: the result agents act on in `set_grid_actions`, the
+        fields of the `clear` log record and the market's own grid actions
+        as `{id: (bus, kW)}`."""
+        return None, {}, {}
 
 
 class ClearingMarket(MarketBase):
@@ -172,7 +184,7 @@ class ClearingMarket(MarketBase):
 
     def finalize(self):
         if self.dispatch is None:
-            return None
+            return None, {}, {}
         for a in self.env.agents:
             curve = getattr(a, "curve", None)
             if curve is None or a.id not in self.dispatch.quantities:
@@ -185,11 +197,7 @@ class ClearingMarket(MarketBase):
             else:
                 r = p * q - cv.integral(curve, q)
             a.observe_reward(r)
-        return self.dispatch
-
-    def clear_record(self, dispatch):
-        fields = {} if dispatch is None else self._last[2]
-        return {**super().clear_record(dispatch), **fields}
+        return self.dispatch, self._last[2], {}
 
 
 @dataclass
@@ -212,6 +220,7 @@ class P2pMarket(MarketBase):
 
     def __init__(self, config):
         self.config = config
+        self.market_steps = config.T
         self.reset()
 
     def reset(self):
@@ -278,18 +287,12 @@ class P2pMarket(MarketBase):
         self.result = P2pRoundResult(outcomes=dict(self.outcomes),
                                      grid_kw=grid_kw, deficiency=deficiency,
                                      unmatched=list(self.round.unmatched))
-        return self.result
-
-    def default_market_steps(self):
-        return self.config.T
-
-    def clear_record(self, result):
-        return {
-            **super().clear_record(result),
+        fields = {
             "deficiency": {str(k): round(v, 9) for k, v in sorted(
-                result.deficiency.items(), key=lambda kv: str(kv[0]))},
-            "successes": sum(1 for o in result.outcomes.values() if o.success),
+                deficiency.items(), key=lambda kv: str(kv[0]))},
+            "successes": sum(1 for o in self.outcomes.values() if o.success),
         }
+        return self.result, fields, {}
 
 
 class DlmpMarket(MarketBase):
@@ -315,24 +318,14 @@ class DlmpMarket(MarketBase):
         return self._fields
 
     def finalize(self):
-        return self.result
-
-    def extra_grid_actions(self):
-        if self.result is None:
-            return {}
-        actions = {}
         root = self.scopf_input.network.root
+        actions = {}
         for bus, (p_g, p_d) in self.result.dispatch.items():
-            if bus == root:
-                continue
             net_kw = p_d - p_g
-            if net_kw != 0.0:
+            if bus != root and net_kw != 0.0:
                 actions[f"dso@{bus}"] = (bus, net_kw)
-        return actions
-
-    def clear_record(self, result):
-        return {**super().clear_record(result), **self._fields,
-                "objective": round(result.objective, 9)}
+        fields = {**self._fields, "objective": round(self.result.objective, 9)}
+        return self.result, fields, actions
 
 
 class Environment:
@@ -380,7 +373,7 @@ class Environment:
     def run_episode(self, grid_steps, market_steps_per_grid=None):
         """Algorithm: outer grid loop, nested market loop, clear, grid step."""
         steps = (market_steps_per_grid if market_steps_per_grid is not None
-                 else self.market.default_market_steps())
+                 else self.market.market_steps)
         if grid_steps < 1 or steps < 1:
             raise EnvError("need grid_steps >= 1 and market steps >= 1")
         # the market steps' numbers as log text, encoded once
@@ -398,13 +391,13 @@ class Environment:
                                   "t_market": ticks[t_market],
                                   **self.market.step(t_market)})
                     self._fire("post_market_step")
-                cleared = self.market.finalize()
+                cleared, fields, actions = self.market.finalize()
                 self.log.add({"phase": "clear", "t_grid": t_grid,
-                              **self.market.clear_record(cleared)})
+                              "cleared": cleared is not None, **fields})
                 self._fire("post_clear")
 
                 self.phase = "grid"
-                actions = dict(self.market.extra_grid_actions())
+                actions = dict(actions)
                 for a in self.agents:
                     a.grid_action = None
                     a.set_grid_actions(cleared)

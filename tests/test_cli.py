@@ -286,11 +286,15 @@ def strict_json(line):
     return json.loads(line, parse_constant=reject)
 
 
-@pytest.mark.parametrize("overrides", [
-    ["retail_price=1e308", "trade_quantity=10"], ["trade_quantity=1e308"],
-], ids=["deficiency-charge", "flows"])
+@pytest.mark.parametrize("overrides, where", [
+    (["retail_price=1e308", "trade_quantity=10"],
+     "clear record at t_grid 0, field 'deficiency'"),
+    (["trade_quantity=1e308"], "clear record at t_grid 0, field 'deficiency'"),
+    (["trade_quantity=1e308", "retail_price=1e-300"],
+     "grid_step record at t_grid 0, field 'flows'"),
+], ids=["deficiency-charge", "quantity-charge", "flows"])
 def test_run_whose_log_would_overflow_is_one_runtime_error(tmp_path, capsys,
-                                                          overrides):
+                                                          overrides, where):
     # each value is finite; their products overflow to inf in the log
     out = tmp_path / "out"
     sets = [arg for kv in ["grid_steps=1"] + overrides for arg in ("--set", kv)]
@@ -298,11 +302,35 @@ def test_run_whose_log_would_overflow_is_one_runtime_error(tmp_path, capsys,
               + sets)
     assert rc == EXIT_RUNTIME
     captured = capsys.readouterr()
-    assert captured.err.startswith("runtime error: ")
+    assert captured.err.startswith(f"runtime error: {where}: ")
     assert captured.err.count("\n") == 1 and captured.out == ""
     lines = (out / "episode.jsonl").read_text().splitlines()
     assert lines and all(strict_json(line) for line in lines)
     assert not (out / "summary.csv").exists()
+
+
+def test_failed_run_leaves_no_summary_of_an_earlier_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    run = ["run", "--config", case("demo_p2p.cfg"), "--out", str(out)]
+    assert main(run + ["--set", "grid_steps=2"]) == EXIT_OK
+    assert (out / "summary.csv").exists()
+    rc = main(run + ["--set", "grid_steps=1", "--set", "trade_quantity=1e308"])
+    assert rc == EXIT_RUNTIME
+    phases = [json.loads(line)["phase"]
+              for line in (out / "episode.jsonl").read_text().splitlines()]
+    assert phases == ["market_step"] * 5      # the failed run's lines only
+    assert not (out / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_refuses_fewer_than_one_job(tmp_path, capsys, jobs):
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--config", case("demo_p2p.cfg"), "--out", str(out),
+               "--seeds", "0..1", "--jobs", jobs])
+    assert rc == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: --jobs must be >= 1; got {jobs}\n"
+    assert captured.out == "" and not out.exists()
 
 
 def test_sweep_serial(tmp_path, capsys):

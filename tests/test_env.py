@@ -465,6 +465,32 @@ def test_a_template_market_logs_the_fields_its_step_returns():
         {"phase": "clear", "t_grid": g, "cleared": False} for g in range(2)]
 
 
+class ClearsWithActionsMarket(MarketBase):
+    """A template market with its own step count whose `finalize` returns a
+    result, one `clear` field and one grid action of its own."""
+
+    market_steps = 2
+
+    def step(self, t_market):
+        return {}
+
+    def finalize(self):
+        return "result", {"price": 4.5}, {"dso@1": (1, 5.0)}
+
+
+def test_a_template_market_clears_with_its_fields_and_grid_actions():
+    env = Environment(grid=Grid(chain()), market=ClearsWithActionsMarket(),
+                      agents=[])
+    log = env.reset().run_episode(grid_steps=2)
+    assert [(r["t_grid"], r["t_market"]) for r in log.by_phase("market_step")
+            ] == [(g, m) for g in range(2) for m in range(2)]
+    assert log.by_phase("clear") == [
+        {"phase": "clear", "t_grid": g, "cleared": True, "price": 4.5}
+        for g in range(2)]
+    assert [r["flows"] for r in log.by_phase("grid_step")] == [
+        {"a": 5.0, "b": 0.0}] * 2
+
+
 # JSON values as the log writes them: nested lists and dicts, -0.0 and the
 # int/float twins, ints past 64 bits, non-ASCII strings and keys.
 JSON_KEYS = (st.text(max_size=4)
