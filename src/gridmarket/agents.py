@@ -1,9 +1,9 @@
 """Agent behaviors: scripted loads, parametrized bid/offer strategies and
 the UCB bandit negotiator.
 
-Agents hold their actions locally; the environment pulls them in the
-matching phase (market actions while the market iterates, grid actions after
-it clears).
+An agent returns its actions from its hooks: the environment asks for its
+market action at each market step and for its grid action after the market
+clears, handing it the market's result.
 """
 
 import csv
@@ -12,52 +12,48 @@ import os
 from dataclasses import dataclass
 
 from . import curves as cv
+from .clearing import Dispatch
 from .network import CaseFileError, _bus_id, content_lines
+from .p2p import P2pRoundResult
 
 PRODUCER = "producer"
 CONSUMER = "consumer"
 PROSUMER = "prosumer"
 
 P_CAP = 100.0   # price cap used by inelastic (near-vertical) demand bids
+# the roles a roster strategy takes: a curve's side fixes its role
+CURVE_ROLES = {"inelastic": (CONSUMER,), "elastic": (CONSUMER,),
+               "flat_supply": (PRODUCER,), "supply": (PRODUCER,)}
 
 
 class AgentError(Exception):
     pass
 
 
-class PhaseViolation(AgentError):
-    """Grid action submitted while the market is still negotiating."""
-
-
 class Agent:
-    """Base agent: owns its bus, role and pending actions."""
+    """Agent template: owns its bus and role. `reset()` runs once per
+    episode; `market_action(t_grid, t_market)` returns the agent's action
+    for one market step and `grid_action(t_grid, result)` its `(bus, kW)`
+    for the grid step, given the result the market cleared to (either may
+    return None: no action); `observe_reward(r)` receives the reward of its
+    last market action."""
 
     def __init__(self, agent_id, bus, role):
         self.id = agent_id
         self.bus = bus
         self.role = role
-        self.env = None            # set by the environment on attach
-        self.market_action = None
-        self.grid_action = None    # (bus, kW)
 
     def reset(self):
-        self.market_action = None
-        self.grid_action = None
+        pass
 
-    def set_market_actions(self):
-        raise NotImplementedError
+    def market_action(self, t_grid, t_market):
+        return None
 
-    def set_grid_actions(self, dispatch=None):
-        raise NotImplementedError
-
-    def submit_grid_action(self, bus, kw):
-        if self.env is not None and self.env.phase == "market":
-            raise PhaseViolation(
-                f"agent {self.id}: grid action submitted mid-negotiation")
-        self.grid_action = (bus, kw)
+    def grid_action(self, t_grid, result):
+        return None
 
     def observe_reward(self, r):
-        """Hook: the market reports the reward of the agent's last action."""
+        pass
 
 
 class CurveBidder(Agent):
@@ -68,15 +64,14 @@ class CurveBidder(Agent):
         super().__init__(agent_id, bus, role)
         self.curve = curve
 
-    def set_market_actions(self):
-        self.market_action = self.curve
+    def market_action(self, t_grid, t_market):
+        return self.curve
 
-    def set_grid_actions(self, dispatch=None):
+    def grid_action(self, t_grid, result):
         q = 0.0
-        if dispatch is not None and hasattr(dispatch, "quantities"):
-            q = dispatch.quantities.get(self.id, 0.0)
-        sign = 1.0 if self.curve.side == cv.DEMAND else -1.0
-        self.submit_grid_action(self.bus, sign * q)
+        if isinstance(result, Dispatch):
+            q = result.quantities.get(self.id, 0.0)
+        return self.bus, (q if self.curve.side == cv.DEMAND else -q)
 
 
 def inelastic_consumer(agent_id, bus, demand_kw, cap=P_CAP):
@@ -170,7 +165,6 @@ class UcbNegotiator(Agent):
         self._last_arm = None
 
     def reset(self):
-        super().reset()
         self.bandit = BanditState(arms=self._arms)
         self._last_arm = None
 
@@ -180,27 +174,27 @@ class UcbNegotiator(Agent):
             return self.role
         return PRODUCER if self.availability[t % len(self.availability)] else CONSUMER
 
-    def set_market_actions(self):
+    def market_action(self, t_grid, t_market):
         self._last_arm = ucb_select(self.bandit)
-        self.market_action = self.bandit.arms[self._last_arm]
+        return self.bandit.arms[self._last_arm]
 
     def observe_reward(self, r):
         if self._last_arm is not None:
             ucb_update(self.bandit, self._last_arm, r)
 
-    def set_grid_actions(self, dispatch=None):
+    def grid_action(self, t_grid, result):
         kw = 0.0
-        if dispatch is not None and hasattr(dispatch, "grid_kw"):
-            kw = dispatch.grid_kw.get(self.id, 0.0)
-        self.submit_grid_action(self.bus, kw)
+        if isinstance(result, P2pRoundResult):
+            kw = result.grid_kw.get(self.id, 0.0)
+        return self.bus, kw
 
 
 class ScriptedAgent(Agent):
     """Exogenous load/generation driven by a scenario CSV (column `kw`,
     one row per grid step, cycled)."""
 
-    def __init__(self, agent_id, bus, csv_path):
-        super().__init__(agent_id, bus, CONSUMER)
+    def __init__(self, agent_id, bus, csv_path, role=CONSUMER):
+        super().__init__(agent_id, bus, role)
         with open(csv_path, newline="", encoding="utf-8") as f:
             rows = list(csv.DictReader(f))
         if not rows or "kw" not in rows[0]:
@@ -209,12 +203,8 @@ class ScriptedAgent(Agent):
         if not all(map(math.isfinite, self.profile)):
             raise AgentError(f"{csv_path}: `kw` must be finite")
 
-    def set_market_actions(self):
-        self.market_action = None   # exogenous: no market participation
-
-    def set_grid_actions(self, dispatch=None):
-        t = 0 if self.env is None else max(self.env.grid.state.t + 1, 0)
-        self.submit_grid_action(self.bus, self.profile[t % len(self.profile)])
+    def grid_action(self, t_grid, result):
+        return self.bus, self.profile[t_grid % len(self.profile)]
 
 
 def parse_roster(text, base_dir="."):
@@ -222,7 +212,8 @@ def parse_roster(text, base_dir="."):
 
     Strategies: inelastic <kw>; elastic <p_max> <p_min> <q_max> [q_min];
     flat_supply <price> <capacity>; supply <p_max> <p_min> <q_max> [q_min];
-    ucb <arm1> <arm2> ... ; scripted:<csvfile>.
+    ucb <arm1> <arm2> ... ; scripted:<csvfile>. A curve strategy takes the
+    role of its side, the others `producer` or `consumer`.
     """
     agents = []
     for ln, stripped in content_lines(text.splitlines()):
@@ -232,6 +223,10 @@ def parse_roster(text, base_dir="."):
                 f"line {ln}: expected `agent <id> <bus> <role> <strategy> ...`")
         aid, bus, role, strat = tok[1], _bus_id(tok[2]), tok[3], tok[4]
         params = tok[5:]
+        roles = CURVE_ROLES.get(strat, (PRODUCER, CONSUMER))
+        if role not in roles:
+            raise CaseFileError(f"line {ln}: strategy {strat} takes role "
+                                f"{' or '.join(roles)}; got {role!r}")
         try:
             if strat == "inelastic":
                 agents.append(inelastic_consumer(aid, bus, float(params[0])))
@@ -247,12 +242,11 @@ def parse_roster(text, base_dir="."):
                                             [float(p) for p in params]))
             elif strat.startswith("scripted:"):
                 path = os.path.join(base_dir, strat.split(":", 1)[1])
-                agents.append(ScriptedAgent(aid, bus, path))
+                agents.append(ScriptedAgent(aid, bus, path, role))
             else:
                 raise CaseFileError(f"line {ln}: unknown strategy {strat!r}")
         except (ValueError, IndexError):
             raise CaseFileError(f"line {ln}: bad strategy parameters") from None
         except (cv.CurveError, AgentError, OSError) as e:
             raise CaseFileError(f"line {ln}: {e}") from None
-        agents[-1].role = role
     return agents

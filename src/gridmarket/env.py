@@ -1,12 +1,12 @@
 """Episode driver: two-timescale loop tying grid, market and agents.
 
-The environment is the hub: every attached object holds a reference to it
-and reaches the others through it. One episode runs an outer loop of grid
-steps; inside each, the market is reset and iterated for a number of market
-steps (agents submit market actions, the market dispatches), then the market
-clears, agents submit grid actions and the grid state advances. Market
-mechanism state is reset every grid step; agent memory (e.g. bandit
-statistics) persists across the episode.
+One episode runs an outer loop of grid steps; inside each, the market is
+reset and iterated for a number of market steps (each agent returns its
+market action and the market steps on them all), then the market clears,
+each agent returns its grid action for the cleared result and the grid state
+advances. Market mechanism state is reset every grid step; agent memory
+(e.g. bandit statistics) persists across the episode. The market reaches the
+agents and the seeded `rng` through its `env`.
 
 A market step returns the fields of its `market_step` log record, and
 `finalize` returns the clearing result, the fields of its `clear` record and
@@ -30,7 +30,7 @@ from . import p2p as p2p_mod
 from .agents import CONSUMER, PRODUCER, UcbNegotiator
 from .clearing import MarketInput, clear
 from .dlmp import solve_dlmp
-from .p2p import negotiate, settle_deficiency
+from .p2p import P2pRoundResult, negotiate, settle_deficiency
 
 PHASES = ("post_market_step", "post_clear", "post_grid_step")
 # json.dumps(value, sort_keys=True, allow_nan=False) without building an
@@ -51,15 +51,15 @@ def _line(record):
         for k, v in sorted(record.items())]) + "}"
 
 
-def _unencodable(record):
-    """The first field of `record`, in the log's order, that strict JSON
-    cannot hold."""
+def _overflow(where, record, e):
+    """The ValueError for a log record that strict JSON cannot hold: `where`
+    the record is, then its first such field in the log's order."""
     for k, v in sorted(record.items()):
         if type(v) is not Encoded:
             try:
                 _encode(v)
             except ValueError:
-                return k
+                return ValueError(f"{where}, field {k!r}: {e}")
 
 
 class EnvError(Exception):
@@ -93,11 +93,10 @@ class EpisodeLog:
         try:
             line = _line(record)
         except ValueError as e:
-            where = f"t_grid {record['t_grid']}"
+            where = f"{record['phase']} record at t_grid {record['t_grid']}"
             if "t_market" in record:
                 where += f", t_market {record['t_market']}"
-            raise ValueError(f"{record['phase']} record at {where}, field "
-                             f"{_unencodable(record)!r}: {e}") from None
+            raise _overflow(where, record, e) from None
         self.lines.append((record["phase"], line))
         if self._sink is not None:
             self._sink.write(line + "\n")
@@ -125,13 +124,14 @@ class MarketBase:
     def reset_round(self, t_grid):
         pass
 
-    def step(self, t_market):
-        """One market step; returns its `market_step` log record's fields."""
+    def step(self, t_market, actions):
+        """One market step on the agents' actions, `{agent id: action}` in
+        agent order; returns its `market_step` log record's fields."""
         raise NotImplementedError
 
     def finalize(self):
         """Called when the market clears; returns `(result, fields,
-        actions)`: the result agents act on in `set_grid_actions`, the
+        actions)`: the result each agent's `grid_action` receives, the
         fields of the `clear` log record and the market's own grid actions
         as `{id: (bus, kW)}`."""
         return None, {}, {}
@@ -141,10 +141,11 @@ class ClearingMarket(MarketBase):
     """Use Case 1 mechanism: affine-curve surplus clearing each market step;
     the last step's dispatch binds.
 
-    A step whose bids and offers equal the last cleared ones reuses that
-    clear's `Dispatch` and its `dispatch` log field, encoded once when it
-    cleared; `reset()` forgets both, so the memo lasts one episode. The same
-    `Dispatch` is shared by those steps: treat it as read-only."""
+    A step whose actions, or else whose submitted curves, equal the last
+    step's reuses that step's `Dispatch` (None while a side is empty) and
+    its `dispatch` log field, encoded once when it cleared; `reset()`
+    forgets them, so the memo lasts one episode. The same `Dispatch` is
+    shared by those steps: treat it as read-only."""
 
     def __init__(self, network, segments=100):
         self.network = network
@@ -152,60 +153,47 @@ class ClearingMarket(MarketBase):
         self.reset()
 
     def reset(self):
+        self._actions = None        # the last step's actions, as a tuple
+        self._submitted = []        # their curves, as (id, bus, curve)
         self.dispatch = None
-        # (submitted bids and offers, their Dispatch, its log fields)
-        self._last = (None, None, {})
+        self._fields = {}           # the dispatch's log fields
 
-    def reset_round(self, t_grid):
-        self.dispatch = None
-
-    def step(self, t_market):
-        bids, offers = [], []
-        for a in self.env.agents:
-            curve = a.market_action
-            if not isinstance(curve, cv.Curve):
-                continue
-            if curve.side == cv.DEMAND:
-                bids.append((a.id, a.bus, curve))
-            else:
-                offers.append((a.id, a.bus, curve))
-        if not bids or not offers:
-            self.dispatch = None
-            return {}
-        key = (tuple(bids), tuple(offers))
-        if key != self._last[0]:
-            dispatch = clear(
-                MarketInput(bids=bids, offers=offers, network=self.network),
-                segments=self.segments)
-            self._last = (key, dispatch, {
-                "dispatch": Encoded(_encode(dispatch.to_records()))})
-        _, self.dispatch, fields = self._last
-        return fields
+    def step(self, t_market, actions):
+        key = tuple(actions.values())
+        if key != self._actions:
+            agents = self.env.agent_map
+            self._actions = key
+            submitted = [(aid, agents[aid].bus, curve)
+                         for aid, curve in actions.items()
+                         if isinstance(curve, cv.Curve)]
+            if submitted == self._submitted:
+                return self._fields
+            self._submitted = submitted
+            bids = [s for s in submitted if s[2].side == cv.DEMAND]
+            offers = [s for s in submitted if s[2].side != cv.DEMAND]
+            self.dispatch, self._fields = None, {}
+            if bids and offers:
+                self.dispatch = clear(MarketInput(
+                    bids=bids, offers=offers, network=self.network),
+                    segments=self.segments)
+                self._fields = {"dispatch": Encoded(_encode(
+                    self.dispatch.to_records()))}
+        return self._fields
 
     def finalize(self):
         if self.dispatch is None:
             return None, {}, {}
-        for a in self.env.agents:
-            curve = getattr(a, "curve", None)
-            if curve is None or a.id not in self.dispatch.quantities:
-                continue
-            q = self.dispatch.quantities[a.id]
-            p = self.dispatch.prices.get(a.id, 0.0)
+        agents = self.env.agent_map
+        for aid, _, curve in self._submitted:
+            q = self.dispatch.quantities[aid]
+            p = self.dispatch.prices.get(aid, 0.0)
             # truthful private valuation: the submitted curve's integral
             if curve.side == cv.DEMAND:
                 r = cv.integral(curve, q) - p * q
             else:
                 r = p * q - cv.integral(curve, q)
-            a.observe_reward(r)
-        return self.dispatch, self._last[2], {}
-
-
-@dataclass
-class P2pRoundResult:
-    outcomes: dict           # (producer, consumer) -> NegotiationOutcome
-    grid_kw: dict            # agent -> signed kW for the grid step
-    deficiency: dict         # consumer -> retail charge
-    unmatched: list
+            agents[aid].observe_reward(r)
+        return self.dispatch, self._fields, {}
 
 
 class P2pMarket(MarketBase):
@@ -229,38 +217,38 @@ class P2pMarket(MarketBase):
         self.result = None
         self._t_grid = None
 
-    def _split_roles(self, t_grid):
-        producers, consumers = [], []
-        for a in self.env.agents:
-            if not isinstance(a, UcbNegotiator):
-                continue
-            role = a.current_role(t_grid)
-            (producers if role == PRODUCER else consumers).append(a.id)
-        return producers, consumers
-
     def reset_round(self, t_grid):
         self._t_grid = t_grid
-        producers, consumers = self._split_roles(t_grid)
+        producers, consumers = [], []
+        for a in self.env.agents:
+            if isinstance(a, UcbNegotiator):
+                role = a.current_role(t_grid)
+                (producers if role == PRODUCER else consumers).append(a.id)
         self.round = p2p_mod.match(producers, consumers, self.env.rng)
         self.round.pairs.sort(key=str)      # the log's order
         self._memo = {}      # (pair, b_p, b_c) -> (outcome, its log entry)
         self.outcomes = {}
         self.result = None
 
-    def step(self, t_market):
+    def step(self, t_market, actions):
         agents = self.env.agent_map
         entries = []
         for pair in self.round.pairs:
             producer, consumer = pair
-            b_p = agents[producer].market_action
-            b_c = agents[consumer].market_action
+            b_p, b_c = actions[producer], actions[consumer]
             out, entry = self._memo.get((pair, b_p, b_c), (None, None))
             if out is None or out.b_p is not b_p or out.b_c is not b_c:
                 out = negotiate(b_p, b_c, self.config)
-                entry = Encoded(_encode(
-                    {"producer": producer, "consumer": consumer,
-                     "b_p": b_p, "b_c": b_c, "success": out.success,
-                     "r_p": round(out.r_p, 9), "r_c": round(out.r_c, 9)}))
+                record = {"producer": producer, "consumer": consumer,
+                          "b_p": b_p, "b_c": b_c, "success": out.success,
+                          "r_p": round(out.r_p, 9), "r_c": round(out.r_c, 9)}
+                try:
+                    entry = Encoded(_encode(record))
+                except ValueError as e:
+                    raise _overflow(
+                        f"market_step record at t_grid {self._t_grid}, "
+                        f"t_market {t_market}, pair ({producer}, {consumer})",
+                        record, e) from None
                 self._memo[pair, b_p, b_c] = out, entry
             self.outcomes[pair] = out
             entries.append(entry)
@@ -310,7 +298,7 @@ class DlmpMarket(MarketBase):
         self.result = None
         self._fields = {}       # the result's log fields
 
-    def step(self, t_market):
+    def step(self, t_market, actions):
         if self.result is None:
             self.result = solve_dlmp(self.scopf_input)
             self._fields = {"dlmp": Encoded(_encode(
@@ -329,7 +317,8 @@ class DlmpMarket(MarketBase):
 
 
 class Environment:
-    """Hub object: every grid/market/agent reaches the others through it."""
+    """Runs episodes of a grid, a market and agents; the market reaches the
+    agents and the seeded `rng` through it."""
 
     def __init__(self, grid, market, agents, seed=0):
         self.grid = grid
@@ -340,13 +329,10 @@ class Environment:
             raise EnvError("duplicate agent ids")
         self.seed = seed
         self.rng = np.random.default_rng(seed)
-        self.phase = "idle"
         self.clock = (-1, -1)       # (grid_step, market_step)
         self.callbacks = {p: [] for p in PHASES}
         self.log = EpisodeLog()
         market.env = self
-        for a in self.agents:
-            a.env = self
 
     def register_callback(self, phase, sink):
         if phase not in PHASES:
@@ -363,7 +349,6 @@ class Environment:
         self.market.reset()
         for a in self.agents:
             a.reset()
-        self.phase = "idle"
         self.clock = (-1, -1)
         self.log = EpisodeLog(sink_path=log_path)
         if log_path:
@@ -378,31 +363,35 @@ class Environment:
             raise EnvError("need grid_steps >= 1 and market steps >= 1")
         # the market steps' numbers as log text, encoded once
         ticks = [Encoded(_encode(t)) for t in range(steps)]
+        hooks = [(a.id, a.market_action) for a in self.agents]
         with self.log.writing():
             for t_grid in range(grid_steps):
-                self.phase = "market"
                 self.market.reset_round(t_grid)
                 tick = Encoded(_encode(t_grid))
                 for t_market in range(steps):
                     self.clock = (t_grid, t_market)
-                    for a in self.agents:
-                        a.set_market_actions()
-                    self.log.add({"phase": "market_step", "t_grid": tick,
-                                  "t_market": ticks[t_market],
-                                  **self.market.step(t_market)})
+                    actions = {}
+                    for aid, act in hooks:
+                        actions[aid] = act(t_grid, t_market)
+                    fields = self.market.step(t_market, actions)
+                    record = {"phase": "market_step", "t_grid": tick,
+                              "t_market": ticks[t_market], **fields}
+                    if len(record) != len(fields) + 3:
+                        self._refuse("step", fields)
+                    self.log.add(record)
                     self._fire("post_market_step")
                 cleared, fields, actions = self.market.finalize()
+                if "phase" in fields or "t_grid" in fields:
+                    self._refuse("finalize", fields)
                 self.log.add({"phase": "clear", "t_grid": t_grid,
                               "cleared": cleared is not None, **fields})
                 self._fire("post_clear")
 
-                self.phase = "grid"
                 actions = dict(actions)
                 for a in self.agents:
-                    a.grid_action = None
-                    a.set_grid_actions(cleared)
-                    if a.grid_action is not None:
-                        actions[a.id] = a.grid_action
+                    action = a.grid_action(t_grid, cleared)
+                    if action is not None:
+                        actions[a.id] = action
                 state = self.grid.step(actions)
                 self.log.add({
                     "phase": "grid_step", "t_grid": t_grid,
@@ -411,8 +400,14 @@ class Environment:
                         state.flows.items(), key=lambda kv: str(kv[0]))},
                 })
                 self._fire("post_grid_step")
-                self.phase = "idle"
         return self.log
+
+    def _refuse(self, hook, fields):
+        """Raise EnvError: a market hook's log fields hold a key the
+        environment writes (not `cleared`, which a clear's may replace)."""
+        key = next(k for k in ("phase", "t_grid", "t_market") if k in fields)
+        raise EnvError(f"{type(self.market).__name__}.{hook} returned log "
+                       f"field {key!r}, which the environment writes")
 
     def summary_rows(self):
         """Per-grid-step summary rows for the episode CSV."""

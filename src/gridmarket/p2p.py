@@ -49,6 +49,14 @@ class NegotiationOutcome:
     r_c: float = 0.0
 
 
+@dataclass
+class P2pRoundResult:
+    outcomes: dict           # (producer, consumer) -> NegotiationOutcome
+    grid_kw: dict            # agent -> signed kW for the grid step
+    deficiency: dict         # consumer -> retail charge
+    unmatched: list
+
+
 def match(producers, consumers, rng):
     """Uniform random pairing of min(|P|, |C|) pairs, without replacement.
 

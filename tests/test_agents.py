@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridmarket.agents import (
-    AgentError, BanditState, CONSUMER, CurveBidder, PhaseViolation,
-    PRODUCER, PROSUMER, ScriptedAgent, UcbNegotiator, elastic_consumer,
-    flat_supplier, inelastic_consumer, parse_roster, ucb_index, ucb_select,
-    ucb_update,
+    AgentError, BanditState, CONSUMER, CurveBidder, PRODUCER, PROSUMER,
+    ScriptedAgent, UcbNegotiator, elastic_consumer, flat_supplier,
+    inelastic_consumer, parse_roster, ucb_index, ucb_select, ucb_update,
 )
+from gridmarket.clearing import Dispatch
 from gridmarket.curves import DEMAND, SUPPLY
+from gridmarket.network import CaseFileError
+from gridmarket.p2p import P2pRoundResult
 from helpers import (
     PiecewiseLinear, Recording, reward_demand, reward_supply,
     ucb_select_and_update, ucb_select_oracle,
@@ -45,30 +47,17 @@ def test_curve_factories():
 
 def test_curve_bidder_actions():
     a = elastic_consumer("d1", 2, p_max=8.0, p_min=1.0, q_max=10.0)
-    a.set_market_actions()
-    assert a.market_action is a.curve
-
-    class FakeDispatch:
-        quantities = {"d1": 7.5}
-    a.set_grid_actions(FakeDispatch())
-    assert a.grid_action == (2, 7.5)   # consumption positive
-
+    assert a.market_action(0, 0) is a.curve
+    dispatch = Dispatch(quantities={"d1": 7.5, "s1": 7.5}, prices={},
+                        sides={}, buses={}, line_flows={}, total_surplus=0.0)
+    assert a.grid_action(0, dispatch) == (2, 7.5)   # consumption positive
     s = flat_supplier("s1", 1, 4.3, 100.0)
-    s.set_grid_actions(FakeDispatch())
-    assert s.grid_action == (1, 0.0)
-
-
-def test_phase_violation():
-    a = elastic_consumer("d1", 2, 8.0, 1.0, 10.0)
-
-    class Env:
-        phase = "market"
-    a.env = Env()
-    with pytest.raises(PhaseViolation):
-        a.submit_grid_action(2, 1.0)
-    a.env.phase = "grid"
-    a.submit_grid_action(2, 1.0)
-    assert a.grid_action == (2, 1.0)
+    assert s.grid_action(0, dispatch) == (1, -7.5)
+    # a result of another market, or none, dispatches nothing
+    assert a.grid_action(0, None) == (2, 0.0)
+    p2p = P2pRoundResult(outcomes={}, grid_kw={"d1": 3.0}, deficiency={},
+                         unmatched=[])
+    assert a.grid_action(0, p2p) == (2, 0.0)
 
 
 def test_bandit_state_validation():
@@ -159,7 +148,7 @@ class RecordingNegotiator(Recording, UcbNegotiator):
 
 def test_negotiator_reset_clears_learning():
     a = RecordingNegotiator("p", 3, PRODUCER, arms=[3.0, 4.0, 5.0])
-    a.set_market_actions()
+    a.market_action(0, 0)
     a.observe_reward(2.0)
     assert sum(a.bandit.counts) == 1 and a.rewards == [2.0]
     a.reset()
@@ -169,10 +158,13 @@ def test_negotiator_reset_clears_learning():
 
 def test_negotiator_bids_from_arms():
     a = UcbNegotiator("p", 3, PRODUCER, arms=[3.0, 4.0, 5.0])
-    for _ in range(6):
-        a.set_market_actions()
-        assert a.market_action in (3.0, 4.0, 5.0)
+    for t in range(6):
+        assert a.market_action(0, t) in (3.0, 4.0, 5.0)
         a.observe_reward(1.0)
+    result = P2pRoundResult(outcomes={}, grid_kw={"p": -3.0}, deficiency={},
+                            unmatched=[])
+    assert a.grid_action(0, result) == (3, -3.0)
+    assert a.grid_action(0, None) == (3, 0.0)
 
 
 def test_prosumer_availability_switch():
@@ -189,8 +181,9 @@ def test_scripted_agent(tmp_path):
     p = tmp_path / "profile.csv"
     p.write_text("kw\n1.5\n2.5\n")
     a = ScriptedAgent("load", 4, str(p))
-    a.set_grid_actions()
-    assert a.grid_action == (4, 1.5)
+    assert a.market_action(0, 0) is None
+    assert [a.grid_action(t, None) for t in range(3)] == [
+        (4, 1.5), (4, 2.5), (4, 1.5)]
     with pytest.raises(AgentError):
         bad = tmp_path / "bad.csv"
         bad.write_text("watts\n3\n")
@@ -207,8 +200,42 @@ def test_parse_roster(tmp_path):
     assert [a.id for a in agents] == ["c1", "s1", "p1", "l1"]
     assert isinstance(agents[2], UcbNegotiator)
     assert agents[2].bandit.arms == [3.0, 4.0, 5.0, 6.0]
-    from gridmarket.network import CaseFileError
+    assert [a.role for a in agents] == [CONSUMER, PRODUCER, PRODUCER,
+                                        CONSUMER]
     with pytest.raises(CaseFileError):
         parse_roster("agent a 1 consumer juggle 3\n")
     with pytest.raises(CaseFileError):
         parse_roster("agent a 1 consumer inelastic\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("agent x1 6 banana ucb 4 6",
+     "line 2: strategy ucb takes role producer or consumer; "
+     "got 'banana'"),
+    # no roster syntax sets a prosumer's availability
+    ("agent x1 6 prosumer ucb 4 6",
+     "line 2: strategy ucb takes role producer or consumer; "
+     "got 'prosumer'"),
+    ("agent g1 14 consumer flat_supply 3 10",
+     "line 2: strategy flat_supply takes role producer; got 'consumer'"),
+    ("agent g1 14 consumer supply 9 5 40",
+     "line 2: strategy supply takes role producer; got 'consumer'"),
+    ("agent c1 3 producer inelastic 8",
+     "line 2: strategy inelastic takes role consumer; got 'producer'"),
+    ("agent c1 3 producer elastic 8 1 10",
+     "line 2: strategy elastic takes role consumer; got 'producer'"),
+])
+def test_roster_refuses_a_role_its_strategy_cannot_take(line, message):
+    with pytest.raises(CaseFileError) as e:
+        parse_roster(f"agent feeder 0 producer flat_supply 4.3 500\n{line}\n")
+    assert str(e.value) == message
+
+
+def test_roster_role_reaches_ucb_and_scripted_agents(tmp_path):
+    (tmp_path / "prof.csv").write_text("kw\n-2\n")
+    agents = parse_roster("agent p1 7 producer ucb 3 4\n"
+                          "agent c1 8 consumer ucb 3 4\n"
+                          "agent g1 8 producer scripted:prof.csv\n",
+                          base_dir=str(tmp_path))
+    assert [a.role for a in agents] == [PRODUCER, CONSUMER, PRODUCER]
+    assert [a.current_role(0) for a in agents[:2]] == [PRODUCER, CONSUMER]

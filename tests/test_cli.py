@@ -286,26 +286,35 @@ def strict_json(line):
     return json.loads(line, parse_constant=reject)
 
 
-@pytest.mark.parametrize("overrides, where", [
+@pytest.mark.parametrize("overrides, where, kept", [
     (["retail_price=1e308", "trade_quantity=10"],
-     "clear record at t_grid 0, field 'deficiency'"),
-    (["trade_quantity=1e308"], "clear record at t_grid 0, field 'deficiency'"),
+     "clear record at t_grid 0, field 'deficiency'", 5),
+    (["trade_quantity=1e308"], "clear record at t_grid 0, field 'deficiency'",
+     5),
     (["trade_quantity=1e308", "retail_price=1e-300"],
-     "grid_step record at t_grid 0, field 'flows'"),
-], ids=["deficiency-charge", "quantity-charge", "flows"])
-def test_run_whose_log_would_overflow_is_one_runtime_error(tmp_path, capsys,
-                                                          overrides, where):
+     "grid_step record at t_grid 0, field 'flows'", 6),
+    # r_c = ub - b_p - c_service, in the first negotiation entry
+    (["ub=1e308", "roster={tmp}/roster.txt"],
+     "market_step record at t_grid 0, t_market 0, pair (p1, c1), "
+     "field 'r_c'", 0),
+], ids=["deficiency-charge", "quantity-charge", "flows", "negotiation"])
+def test_run_whose_log_would_overflow_is_one_runtime_error(
+        tmp_path, capsys, overrides, where, kept):
     # each value is finite; their products overflow to inf in the log
+    write(tmp_path, "roster.txt", "agent p1 14 producer ucb -1e308\n"
+                                  "agent c1 6 consumer ucb 1e308\n")
     out = tmp_path / "out"
-    sets = [arg for kv in ["grid_steps=1"] + overrides for arg in ("--set", kv)]
+    sets = [arg for kv in ["grid_steps=1"] + overrides
+            for arg in ("--set", kv.format(tmp=tmp_path))]
     rc = main(["run", "--config", case("demo_p2p.cfg"), "--out", str(out)]
               + sets)
     assert rc == EXIT_RUNTIME
     captured = capsys.readouterr()
     assert captured.err.startswith(f"runtime error: {where}: ")
     assert captured.err.count("\n") == 1 and captured.out == ""
+    # the records before the one that overflowed, each strict JSON
     lines = (out / "episode.jsonl").read_text().splitlines()
-    assert lines and all(strict_json(line) for line in lines)
+    assert len(lines) == kept and all(strict_json(line) for line in lines)
     assert not (out / "summary.csv").exists()
 
 
@@ -398,6 +407,9 @@ BAD_FILES = {
     "far_offers.txt": b"gen 999 0 10 10,3\ndr 5 20\n",
     "far_roster.txt": b"agent a1 999 producer ucb 4\n",
     "inverted_roster.txt": b"agent g8 8 producer supply 5 9 40\n",
+    "banana_roster.txt": b"agent x1 6 banana ucb 4 6\n",
+    "prosumer_roster.txt": b"agent x1 6 prosumer ucb 4 6\n",
+    "consumer_supply_roster.txt": b"agent g1 14 consumer flat_supply 3 10\n",
 }
 
 
@@ -423,6 +435,9 @@ BAD_FILES = {
     ("demo_dlmp.cfg", "offers={tmp}/far_offers.txt"),
     ("demo_p2p.cfg", "roster={tmp}/far_roster.txt"),
     ("demo_clearing.cfg", "roster={tmp}/inverted_roster.txt"),
+    ("demo_p2p.cfg", "roster={tmp}/banana_roster.txt"),
+    ("demo_p2p.cfg", "roster={tmp}/prosumer_roster.txt"),
+    ("demo_clearing.cfg", "roster={tmp}/consumer_supply_roster.txt"),
 ])
 def test_run_bad_config_exits_2_before_any_output(tmp_path, capsys, config,
                                                   setting):

@@ -1,6 +1,7 @@
 import json
 import os
 import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import gridmarket.env as env_mod
 from gridmarket.agents import (
-    CONSUMER, PRODUCER, CurveBidder, UcbNegotiator, elastic_consumer,
-    flat_supplier,
+    CONSUMER, PRODUCER, Agent, CurveBidder, ScriptedAgent, UcbNegotiator,
+    elastic_consumer, flat_supplier,
 )
 from gridmarket.clearing import MarketInput, clear
 from gridmarket.cli import build_environment, parse, read_config
@@ -57,9 +58,11 @@ def test_duplicate_agent_ids_rejected():
 
 
 def test_hub_references():
+    # only the market holds the environment; agents get their inputs as
+    # hook arguments
     env = clearing_env()
     assert env.market.env is env
-    assert all(a.env is env for a in env.agents)
+    assert not any(hasattr(a, "env") for a in env.agents)
     assert env.agent_map["d1"].bus == 2
 
 
@@ -169,17 +172,6 @@ def test_p2p_unmatched_consumer_pays_retail():
     assert result.grid_kw[loser] == pytest.approx(3.0)
 
 
-def test_grid_phase_guard():
-    env = clearing_env().reset()
-    captured = {}
-
-    def probe(e):
-        captured["phase"] = e.phase
-    env.register_callback("post_market_step", probe)
-    env.run_episode(grid_steps=1)
-    assert captured["phase"] == "market"
-
-
 def test_dlmp_market_moves_grid():
     net = chain(limits=(INF, 6.0))
     si = ScopfInput(lmp_source=4.3, gen_offers=[],
@@ -275,9 +267,9 @@ class AlternatingBidder(CurveBidder):
         super().__init__(agent_id, bus, CONSUMER, curves[0])
         self.curves = curves
 
-    def set_market_actions(self):
-        self.curve = self.curves[self.env.clock[1] // 2 % 2]
-        self.market_action = self.curve
+    def market_action(self, t_grid, t_market):
+        self.curve = self.curves[t_market // 2 % 2]
+        return self.curve
 
 
 def logged_against_fresh(env):
@@ -287,7 +279,8 @@ def logged_against_fresh(env):
     pairs = []
 
     def compare(e):
-        curves = [(a.id, a.bus, a.market_action) for a in e.agents]
+        curves = [(a.id, a.bus, a.market_action(*e.clock))
+                  for a in e.agents]
         ref = clear(MarketInput(
             bids=[b for b in curves if b[2].side == DEMAND],
             offers=[b for b in curves if b[2].side == SUPPLY],
@@ -313,6 +306,26 @@ def test_unchanged_bids_are_cleared_once(monkeypatch):
     assert len(calls) == 2
 
 
+class StepCounter(Agent):
+    """Takes a new non-curve market action at every market step."""
+
+    def market_action(self, t_grid, t_market):
+        return t_market
+
+
+def test_unchanged_curves_beside_other_changing_actions_clear_once(
+        monkeypatch):
+    calls = counted(monkeypatch, env_mod, "clear")
+    net = chain()
+    env = Environment(grid=Grid(net), market=ClearingMarket(net), agents=[
+        flat_supplier("feeder", 0, 4.3, 500.0), StepCounter("n1", 1, CONSUMER),
+        elastic_consumer("d1", 2, p_max=8.0, p_min=1.0, q_max=10.0)]).reset()
+    log = env.run_episode(grid_steps=2, market_steps_per_grid=3)
+    assert len(calls) == 1
+    assert log.lines == clearing_env().reset().run_episode(
+        grid_steps=2, market_steps_per_grid=3).lines
+
+
 def test_changed_bids_are_cleared_again(monkeypatch):
     calls = counted(monkeypatch, env_mod, "clear")
     net = chain()
@@ -324,10 +337,10 @@ def test_changed_bids_are_cleared_again(monkeypatch):
     seen = []
 
     def fresh_clear(e):
-        bids = [(a.id, a.bus, a.market_action) for a in e.agents
-                if a.market_action.side == DEMAND]
-        offers = [(a.id, a.bus, a.market_action) for a in e.agents
-                  if a.market_action.side == SUPPLY]
+        curves = [(a.id, a.bus, a.market_action(*e.clock))
+                  for a in e.agents]
+        bids = [b for b in curves if b[2].side == DEMAND]
+        offers = [b for b in curves if b[2].side == SUPPLY]
         ref = clear(MarketInput(bids=bids, offers=offers, network=net))
         seen.append((e.market.dispatch.to_jsonl(), ref.to_jsonl()))
     env.register_callback("post_market_step", fresh_clear)
@@ -405,17 +418,17 @@ def test_crashed_episode_keeps_its_prefix_and_closes_the_sink(
 class ClearEveryStep(ClearingMarket):
     """Reference market: forgets the last clear before every step."""
 
-    def step(self, t_market):
+    def step(self, t_market, actions):
         self.reset()
-        return super().step(t_market)
+        return super().step(t_market, actions)
 
 
 class SolveEveryStep(DlmpMarket):
     """Reference market: forgets the last solve before every step."""
 
-    def step(self, t_market):
+    def step(self, t_market, actions):
         self.reset()
-        return super().step(t_market)
+        return super().step(t_market, actions)
 
 
 def demo_environment(name, seed):
@@ -449,7 +462,7 @@ class PlainFieldsMarket(MarketBase):
     """A market built on the bare template: only `step`, logging plain
     (not `Encoded`) fields."""
 
-    def step(self, t_market):
+    def step(self, t_market, actions):
         return {"note": f"step {t_market}", "bids": [t_market, 1.5]}
 
 
@@ -471,7 +484,7 @@ class ClearsWithActionsMarket(MarketBase):
 
     market_steps = 2
 
-    def step(self, t_market):
+    def step(self, t_market, actions):
         return {}
 
     def finalize(self):
@@ -489,6 +502,115 @@ def test_a_template_market_clears_with_its_fields_and_grid_actions():
         for g in range(2)]
     assert [r["flows"] for r in log.by_phase("grid_step")] == [
         {"a": 5.0, "b": 0.0}] * 2
+
+
+class OverwritingMarket(MarketBase):
+    """A template market whose hooks return the given log fields."""
+
+    def __init__(self, step_fields, clear_fields):
+        self.step_fields, self.clear_fields = step_fields, clear_fields
+
+    def step(self, t_market, actions):
+        return self.step_fields
+
+    def finalize(self):
+        return None, self.clear_fields, {}
+
+
+@pytest.mark.parametrize("step_fields, clear_fields, where", [
+    ({"phase": "grid_step", "t_grid": 99}, {}, "step returned log field "
+     "'phase'"),
+    ({"note": 1, "t_market": 7}, {}, "step returned log field 't_market'"),
+    ({}, {"t_grid": 5}, "finalize returned log field 't_grid'"),
+    ({}, {"cleared": 1, "phase": "grid_step"},
+     "finalize returned log field 'phase'"),
+], ids=["step-phase", "step-t_market", "finalize-t_grid", "finalize-phase"])
+def test_a_market_cannot_overwrite_the_environments_log_keys(
+        step_fields, clear_fields, where):
+    env = Environment(grid=Grid(chain()), market=OverwritingMarket(
+        step_fields, clear_fields), agents=[]).reset()
+    with pytest.raises(EnvError) as e:
+        env.run_episode(grid_steps=1)
+    assert str(e.value) == (f"OverwritingMarket.{where}, which the "
+                            f"environment writes")
+    assert all(r["phase"] == "market_step" for r in env.log.records)
+
+
+def test_a_clear_record_field_may_replace_cleared():
+    env = Environment(grid=Grid(chain()), market=OverwritingMarket(
+        {}, {"cleared": "partly"}), agents=[]).reset()
+    env.run_episode(grid_steps=1)
+    assert env.log.by_phase("clear") == [
+        {"phase": "clear", "t_grid": 0, "cleared": "partly"}]
+    assert env.summary_rows()[0]["feasible"] is True
+
+
+class CurveOnly(Agent):
+    """A template agent with only a market action: a demand curve."""
+
+    def market_action(self, t_grid, t_market):
+        return Curve(DEMAND, p_max=8.0, p_min=1.0, q_max=10.0, q_min=0.0)
+
+
+class LoadOnly(Agent):
+    """A template agent with only a grid action: 2 kW more each grid step."""
+
+    def grid_action(self, t_grid, result):
+        return self.bus, 2.0 * (t_grid + 1)
+
+
+def test_template_agents_act_through_the_hooks_they_define():
+    agents = [flat_supplier("feeder", 0, 4.3, 500.0),
+              CurveOnly("d1", 2, CONSUMER), LoadOnly("l1", 1, CONSUMER)]
+    net = chain()
+    env = Environment(grid=Grid(net), market=ClearingMarket(net),
+                      agents=agents).reset()
+    log = env.run_episode(grid_steps=2, market_steps_per_grid=2)
+    for rec in log.by_phase("market_step") + log.by_phase("clear"):
+        # the curve clears; the agent without a market action is not in it
+        qs = {r["agent"]: r["q_kw"] for r in rec["dispatch"] if "agent" in r}
+        assert set(qs) == {"feeder", "d1"} and qs["d1"] > 0
+    # the curve's agent returns no grid action: only the load moves the grid
+    assert [r["flows"] for r in log.by_phase("grid_step")] == [
+        {"a": 2.0, "b": 0.0}, {"a": 4.0, "b": 0.0}]
+
+
+class BareGrid:
+    """A grid with only `reset` and `step`: flows as the summed kW."""
+
+    def reset(self):
+        pass
+
+    def step(self, actions):
+        total = sum(kw for _, kw in actions.values())
+        return SimpleNamespace(flows={"total": total}, feasible=total < 5.0)
+
+
+def test_a_grid_with_only_reset_and_step_drives_an_episode(tmp_path):
+    (tmp_path / "load.csv").write_text("kw\n1\n4\n6\n")
+    env = Environment(grid=BareGrid(), market=P2pMarket(P2pConfig(T=2)),
+                      agents=[ScriptedAgent("load", 1, tmp_path / "load.csv"),
+                              LoadOnly("l1", 2, CONSUMER)]).reset()
+    log = env.run_episode(grid_steps=3)
+    assert [r["flows"] for r in log.by_phase("grid_step")] == [
+        {"total": 3.0}, {"total": 8.0}, {"total": 12.0}]
+    assert env.summary_rows() == [
+        {"t_grid": 0, "feasible": True, "max_abs_flow": 3.0},
+        {"t_grid": 1, "feasible": False, "max_abs_flow": 8.0},
+        {"t_grid": 2, "feasible": False, "max_abs_flow": 12.0}]
+
+
+def test_scripted_profile_row_follows_t_grid_across_episodes(tmp_path):
+    # two episodes without a reset: each restarts at the profile's first
+    # row, as t_grid does
+    (tmp_path / "load.csv").write_text("kw\n1\n2\n3\n")
+    net = chain()
+    env = Environment(grid=Grid(net), market=ClearingMarket(net), agents=[
+        ScriptedAgent("load", 2, tmp_path / "load.csv")]).reset()
+    env.run_episode(grid_steps=2)
+    env.run_episode(grid_steps=2)
+    assert [r["flows"]["b"] for r in env.log.by_phase("grid_step")] == [
+        1.0, 2.0, 1.0, 2.0]
 
 
 # JSON values as the log writes them: nested lists and dicts, -0.0 and the
@@ -535,11 +657,10 @@ class NegotiateEveryStep(P2pMarket):
     """Reference market: negotiates every pair at every step and logs its
     entries as plain records."""
 
-    def step(self, t_market):
+    def step(self, t_market, actions):
         agents = self.env.agent_map
         for p, c in self.round.pairs:
-            out = negotiate(agents[p].market_action, agents[c].market_action,
-                            self.config)
+            out = negotiate(actions[p], actions[c], self.config)
             self.outcomes[p, c] = out
             agents[p].observe_reward(out.r_p)
             agents[c].observe_reward(out.r_c)

@@ -192,9 +192,12 @@ def roster_text(draw):
     lines = [["agent", "feeder", 0, "producer", "flat_supply", 5.0, 100.0]]
     for i in range(draw(st.integers(1, 4))):
         strategy = draw(st.sampled_from(sorted(strategies)))
-        lines.append(["agent", f"a{i}", draw(st.integers(0, 4)),
-                      draw(st.sampled_from(["producer", "consumer",
-                                            "prosumer"])),
+        # a curve strategy takes the role of its side; the free-form files
+        # draw any role for any strategy
+        role = {"inelastic": "consumer", "elastic": "consumer",
+                "supply": "producer", "flat_supply": "producer"}.get(
+            strategy) or draw(st.sampled_from(["producer", "consumer"]))
+        lines.append(["agent", f"a{i}", draw(st.integers(0, 4)), role,
                       strategy, *strategies[strategy]()])
     return free_form(draw, ["agent"]) or spoilt(draw, lines)
 
