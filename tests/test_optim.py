@@ -2,15 +2,19 @@ import os
 import re
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy import sparse
 
 import gridmarket.clearing as clearing
-from gridmarket.clearing import MarketInput, clear
+from gridmarket import optim
+from gridmarket.clearing import MarketInput, clear, parse_bids
 from gridmarket.curves import Curve, DEMAND, SUPPLY
-from gridmarket.dlmp import build_scopf
+from gridmarket.dlmp import ScopfInput, build_scopf, parse_offers
+from gridmarket.network import load_case
 from gridmarket.optim import (
     InfeasibleLp, LpProblem, NumericalFailure, solve_lp,
 )
@@ -20,6 +24,8 @@ from helpers import (
     idle_gen_behind_full_line, lp_matrix, lp_problem, random_feasible_lp,
     random_radial_network, reduced_costs,
 )
+
+CASES = os.path.join(os.path.dirname(__file__), "..", "cases")
 
 
 def test_single_bound_constraint_dual():
@@ -180,10 +186,114 @@ def test_solve_lp_runs_the_dual_simplex_without_presolve(monkeypatch):
         return run(highs)
 
     monkeypatch.setattr(_Highs, "run", spy)
+    # a thread's HiGHS object gets its options when it is made, at its first
+    # solve, and keeps them when it is cleared for the next model
+    monkeypatch.setattr(optim, "_solver", threading.local())
     assert solve_lp(lp_problem(c=[1.0], bounds=[(2.0, 5.0)])).x[0] == 2.0
-    (seen,) = options
-    assert seen == {"output_flag": False, "presolve": "off",
-                    "solver": "simplex", "simplex_strategy": 1}   # 1: dual
+    assert solve_lp(lp_problem(c=[-1.0], bounds=[(2.0, 5.0)])).x[0] == 5.0
+    # simplex_strategy 1: the dual simplex
+    assert options == 2 * [{"output_flag": False, "presolve": "off",
+                            "solver": "simplex", "simplex_strategy": 1}]
+
+
+@pytest.fixture
+def iterations(monkeypatch):
+    """The simplex iteration count of each HiGHS run, in order."""
+    from scipy.optimize._highspy._core import _Highs
+
+    counts = []
+    run = _Highs.run
+
+    def spy(highs):
+        status = run(highs)
+        counts.append(highs.getInfo().simplex_iteration_count)
+        return status
+
+    monkeypatch.setattr(_Highs, "run", spy)
+    return counts
+
+
+def outcome(p, iterations):
+    """solve_lp(p) bit for bit: x, objective, row duals and the simplex
+    iterations it took."""
+    s = solve_lp(p)
+    return (s.x.tobytes(), s.objective.hex(), s.row_duals.tobytes(),
+            iterations[-1])
+
+
+def fresh_outcome(monkeypatch, p, iterations):
+    """`outcome` of p on a HiGHS object made for it alone."""
+    with monkeypatch.context() as m:
+        m.setattr(optim, "_solver", threading.local())
+        return outcome(p, iterations)
+
+
+def case34_lps(monkeypatch):
+    """case34's clear LP (bids34.txt, 10 segments) and its SCOPF LP
+    (offers34.txt, imports at 4.3)."""
+    net = load_case(os.path.join(CASES, "case34.txt"))
+    with open(os.path.join(CASES, "bids34.txt")) as f:
+        bids, offers = parse_bids(f.read())
+    with open(os.path.join(CASES, "offers34.txt")) as f:
+        gens, drs = parse_offers(f.read())
+    return (lp_of_clear(monkeypatch, MarketInput(bids, offers, net), 10),
+            build_scopf(ScopfInput(4.3, gens, drs, net))[0])
+
+
+@pytest.mark.parametrize("failing,error", [
+    (lp_problem(c=[1.0], A_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0],
+                bounds=[(-np.inf, np.inf)]), InfeasibleLp),
+    (LpProblem(c=[1.0], lo=[0.0], hi=[5.0], indptr=[0, 2], indices=[0, 0],
+               data=[1.0, 1.0], row_lo=[-np.inf], row_hi=[4.0]),
+     NumericalFailure),                                 # refused
+    (lp_problem(c=[-1.0], bounds=[(0.0, np.inf)]), NumericalFailure),
+], ids=["infeasible", "refused", "unbounded"])
+def test_a_failed_solve_leaves_no_state_behind(monkeypatch, iterations,
+                                               failing, error):
+    a, b = case34_lps(monkeypatch)
+    fresh = fresh_outcome(monkeypatch, a, iterations)
+    solve_lp(b)
+    with pytest.raises(error):
+        solve_lp(failing)
+    assert outcome(a, iterations) == fresh
+
+
+def test_no_solve_warm_starts_from_an_earlier_one(monkeypatch, iterations):
+    a, b = case34_lps(monkeypatch)
+    fresh = fresh_outcome(monkeypatch, a, iterations)
+    assert fresh[3] > 0
+    first = outcome(a, iterations)
+    outcome(b, iterations)
+    assert outcome(a, iterations) == first == fresh
+    assert outcome(a, iterations) == fresh      # nor from the same LP
+
+
+def test_threads_solve_at_once_each_on_its_own_highs(monkeypatch):
+    # two threads on each of two LPs, switching as often as they can
+    lps = 2 * case34_lps(monkeypatch)
+
+    def bits(s):
+        return s.x.tobytes(), s.objective.hex(), s.row_duals.tobytes()
+
+    alone = [bits(solve_lp(p)) for p in lps]
+    start = threading.Barrier(len(lps), timeout=60)
+
+    def solve_20(p):
+        start.wait()
+        results = [bits(solve_lp(p)) for _ in range(20)]
+        return results, optim._solver.highs
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(lps)) as pool:
+            done = [f.result(timeout=120) for f in
+                    [pool.submit(solve_20, p) for p in lps]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert [results for results, _ in done] == [20 * [r] for r in alone]
+    highs = [h for _, h in done] + [optim._solver.highs]
+    assert len({id(h) for h in highs}) == len(lps) + 1
 
 
 def linprog_form(p):
@@ -433,8 +543,19 @@ def test_costs_and_bounds_below_highs_infinity_solve():
 
 def test_a_model_highs_refuses_raises_numerical_failure():
     # linprog's wrapper called this (HiGHS kModelError) infeasible
-    with pytest.raises(NumericalFailure, match="refused"):
+    with pytest.raises(NumericalFailure, match="^HiGHS refused the model$"):
         solve_lp(lp_problem(c=[1.0], bounds=[(np.inf, np.inf)]))
+
+
+def test_a_refused_model_names_the_row_a_column_repeats():
+    # LpProblem admits a column that gives one row twice: column 2 gives
+    # rows 1, 0, 1
+    p = LpProblem(c=[1.0, 1.0, 1.0], lo=[0.0] * 3, hi=[5.0] * 3,
+                  indptr=[0, 1, 3, 6], indices=[0, 0, 1, 1, 0, 1],
+                  data=[1.0] * 6, row_lo=[-np.inf] * 2, row_hi=[4.0] * 2)
+    with pytest.raises(NumericalFailure, match="^HiGHS refused the model: "
+                       "column 2 repeats row 1$"):
+        solve_lp(p)
 
 
 @pytest.mark.parametrize("col_value,row_value,fails", [
