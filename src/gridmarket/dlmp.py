@@ -132,9 +132,10 @@ def build_scopf(scopf_input):
     left = np.empty(qty.size + len(offers))
     left[start] = [g.p_max - g.p_min for g in gens] + [d.baseline for d in drs]
     left[after] = qty
-    for c in np.unique(counts):
-        run = start[counts == c][:, None] + np.arange(c + 1)
-        left[run] = np.subtract.accumulate(left[run], axis=1)
+    with np.errstate(over="ignore"):        # -inf: all taken, as any < 0
+        for c in np.unique(counts):
+            run = start[counts == c][:, None] + np.arange(c + 1)
+            left[run] = np.subtract.accumulate(left[run], axis=1)
     caps = np.minimum(qty, left[after - 1])       # < 0 once all is taken
     kept = caps > 0
 
@@ -145,6 +146,8 @@ def build_scopf(scopf_input):
     at = H.positions([o.bus for o in offers])
     slot = at + np.repeat([0, n], [len(gens), len(drs)])
     fixed = [g.p_min for g in gens] + [d.baseline for d in drs]
+    if not math.isfinite(sum(fixed)):     # then no sum of them overflows
+        raise DlmpError("gen P_min and dr baselines sum beyond the float range")
     sums = np.bincount(slot, fixed, 2 * n)
     f_const = H.flows((sums[n:] - sums[:n])[1:])
     first = slot[np.sort(np.unique(slot, return_index=True)[1])]

@@ -172,9 +172,11 @@ def dispatch_lp(H, limits, buses, signs, prices, caps, balance=0.0,
                        + np.arange(indptr[-1])]
     # +rows and the balance row are even, -rows odd
     data = np.where(indices & 1, -1.0, 1.0) * np.repeat(signs, length)
-    row_hi = np.append(np.column_stack([lims[limited] - f0[limited],
-                                        lims[limited] + f0[limited]]).ravel(),
-                       balance)
+    # a side beyond the float range is no limit, as one of 1e20+ is to HiGHS
+    with np.errstate(over="ignore"):
+        sides = np.column_stack([lims[limited] - f0[limited],
+                                 lims[limited] + f0[limited]]).ravel()
+    row_hi = np.append(np.minimum(sides, np.finfo(float).max), balance)
     row_lo = np.append(np.full(2 * k, -np.inf), balance)
     problem = LpProblem(c=-signs * prices, lo=np.zeros(len(caps)), hi=caps,
                         indptr=indptr, indices=indices, data=data,

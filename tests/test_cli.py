@@ -5,6 +5,7 @@ import re
 import stat
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -539,6 +540,30 @@ def test_a_row_side_highs_reads_as_infinite_prints_one_error_line(tmp_path,
     assert captured.err == ("error: row 0: row_hi -1e+25 "
                             + HIGHS_READS_AS_INFINITE)
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("offers,rc,out", [
+    # two 1e308 kW loads at one bus: their sum, the bus's load, overflows
+    ("dr 1 1e308\ndr 1 1e308\n", EXIT_RUNTIME, ""),
+    # blocks whose running total overflows: -inf left, so none is kept; no
+    # net import, so lambda is the unpaid export's price, 0
+    ("dr 1 0 1e308,1 1e308,2\n", EXIT_OK, "bus,dlmp,P_g,P_d\n0,0,0,0\n1,0,0,0\n"),
+    # line a's side against the 8e307 kW flow overflows: no limit that way
+    ("gen 1 8e307 8e307\ndr 0 8e307\n", EXIT_OK,
+     "bus,dlmp,P_g,P_d\n0,0,0,8e+307\n1,0,8e+307,0\n"),
+], ids=["baselines", "blocks", "row-side"])
+def test_offers_whose_sums_overflow_raise_no_warning(tmp_path, capsys, offers,
+                                                     rc, out):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["dlmp", "--case", write(tmp_path, "net.txt",
+                                             "bus 0\nbus 1\nline a 0 1 1e308\n"),
+                     "--offers", write(tmp_path, "off.txt", offers),
+                     "--lmp-source", "5"]) == rc
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert captured.err == ("" if rc == EXIT_OK else "error: gen P_min and dr "
+                            "baselines sum beyond the float range\n")
 
 
 def test_a_solve_that_fails_names_the_largest_cost_and_bound(tmp_path,

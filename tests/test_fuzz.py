@@ -264,6 +264,9 @@ def test_fuzzed_clear_keeps_the_cli_contract(case, bids, segments):
 @given(case_text(), offers_text(), VALUE)
 @example("bus 0\nbus 1\nline a 0 1 10", "gen 1 0 10 10,inf", "5")
 @example("bus 0\nbus 1\nline a 0 1 10", "dr 1 inf 5,3", "5")
+@example("bus 0\nbus 1\nbus 2\nbus 3\nbus 4\nline l1 0 1 inf\n"
+         "line l2 0 2 1e308\nline l3 0 3 inf\nline l4 0 4 inf",
+         "dr 2 1e308", "0.0")
 def test_fuzzed_dlmp_keeps_the_cli_contract(case, offers, lmp_source):
     in_files({"case.txt": case, "offers.txt": offers},
              ["dlmp", "--case", "{d}/case.txt", "--offers", "{d}/offers.txt",
