@@ -26,10 +26,15 @@ loaded from its file without scipy.optimize's __init__ (~0.5 s of a cold
 start), and equals `linprog` bit for bit without its per-column Python.
 Each thread has one HiGHS object, made with its options at its first solve
 and cleared before each model: it keeps only its options and never warm-
-starts. A new object per LP set up and freed its workspace each time, ~1,700
-minor page faults per 1000-bus clear and SCOPF against ~750 with one reused.
+starts. The first object in a process pins glibc's malloc thresholds at
+their 64-bit ceilings (mmap 32 MiB, trim 64 MiB; setting one stops both
+adapting), so free no longer trims HiGHS' workspace for the next solve to
+fault in again: a 1000-bus clear and SCOPF took ~1,500 minor page faults
+with an object per LP, ~850 with one reused and under 50 pinned. Other
+libcs are left as they are.
 """
 
+import ctypes
 import os
 import sys
 import threading
@@ -45,6 +50,7 @@ HIGHS_INF = 1e20
 # that way reaches its limit less this share of it and this many kW.
 REACH_TOL = 1e-6
 _solver = threading.local()
+_pin_once = threading.Lock()
 
 
 class NumericalFailure(Exception):
@@ -229,6 +235,12 @@ def solve_lp(problem):
     p = problem
     highs = getattr(_solver, "highs", None)
     if highs is None:
+        if _pin_once.acquire(blocking=False):   # never released: once a process
+            mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+            if mallopt:
+                mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+                mallopt(-1, 64 << 20)       # M_TRIM_THRESHOLD
+                mallopt(-3, 32 << 20)       # M_MMAP_THRESHOLD
         highs = _solver.highs = core._Highs()
         highs.setOptionValue("output_flag", False)  # first: no stdout banner
         highs.setOptionValue("presolve", "off")

@@ -14,6 +14,11 @@ also equal the digests in `golden_episodes.sha256`. The first three runs
 were recorded before the episode loop reused log records and bandit
 indices; `p2p_seed3`, a longer seeded P2P round, before each market result's
 log text was encoded once.
+
+What `gridmarket clear` and `gridmarket dlmp` print on case34 must equal the
+digests in `golden_cli.sha256`: at those segment counts tied blocks leave
+the clear's vertex to HiGHS, so a change to the model or the solver must
+not move them unnoticed.
 """
 
 import hashlib
@@ -32,6 +37,7 @@ GOLDEN = "7c3fdbf931a8d505d96d66977fe39e215e3fb696518caa8cb72cecad737a5980"
 
 HERE = os.path.dirname(__file__)
 EPISODE_DIGESTS = os.path.join(HERE, "golden_episodes.sha256")
+CLI_DIGESTS = os.path.join(HERE, "golden_cli.sha256")
 
 
 def feeder():
@@ -135,4 +141,26 @@ def test_demo_episode_logs_equal_their_recorded_digests(tmp_path, capsys):
         for name in ("episode.jsonl", "summary.csv"):
             data = (tmp_path / out / name).read_bytes()
             got[f"{out}/{name}"] = hashlib.sha256(data).hexdigest()
+    assert got == digests
+
+
+def test_case34_clear_and_dlmp_print_their_recorded_digests(monkeypatch,
+                                                            capsys):
+    # each `# stdout <out> <argv>...` line is one command, run from cases/
+    commands, digests = [], {}
+    with open(CLI_DIGESTS, encoding="utf-8") as f:
+        for line in f:
+            if line.startswith("# stdout "):
+                out, *argv = line.split()[2:]
+                commands.append((out, argv))
+            elif not line.startswith("#"):
+                digest, out = line.split()
+                digests[out] = digest
+    assert [argv[0] for _, argv in commands] == 4 * ["clear"] + ["dlmp"]
+    monkeypatch.chdir(os.path.join(HERE, "..", "cases"))
+    got = {}
+    for out, argv in commands:
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK
+        got[out] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert got == digests

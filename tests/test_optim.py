@@ -1,4 +1,6 @@
+import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -352,16 +354,111 @@ assert optim.highs_binding()._Highs is core._Highs
 """
 
 
-@pytest.mark.parametrize("order", ["solve_lp", "scipy.optimize"])
-def test_solve_lp_and_scipy_share_one_highs_module(tmp_path, order):
+def run_probe(tmp_path, source, *argv):
+    """Runs `source` in a fresh interpreter that imports from src/ and
+    tests/; returns its last stdout line, after checking that it exited 0."""
     tests = os.path.dirname(os.path.abspath(__file__))
     path = [os.path.join(tests, "..", "src"), tests,
             os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    proc = subprocess.run([sys.executable, "-c", LOAD_ORDER_PROBE, order],
+    proc = subprocess.run([sys.executable, "-c", source, *argv],
                           cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return (proc.stdout.splitlines() or [""])[-1]
+
+
+@pytest.mark.parametrize("order", ["solve_lp", "scipy.optimize"])
+def test_solve_lp_and_scipy_share_one_highs_module(tmp_path, order):
+    run_probe(tmp_path, LOAD_ORDER_PROBE, order)
+
+
+glibc_only = pytest.mark.skipif(
+    sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+    reason="solve_lp pins malloc's thresholds only where glibc's mallopt is")
+
+# Clears a seeded 1000-bus feeder at 20 segments four times in a fresh
+# interpreter and prints the minor page faults each clear took.
+FAULT_PROBE = """\
+import json, resource
+import numpy as np
+from gridmarket.clearing import MarketInput, clear
+from gridmarket.curves import Curve, DEMAND, SUPPLY
+from helpers import random_radial_network
+rng = np.random.default_rng(1000)
+net = random_radial_network(rng, 1000, limit_lo=1e4, limit_hi=1e5)
+def curve(side, p_max, p_min, q_max):
+    return Curve(side, float(rng.uniform(*p_max)), float(rng.uniform(*p_min)),
+                 float(rng.uniform(*q_max)), 0.0)
+bids = [(f"c{b}", int(b), curve(DEMAND, (15, 30), (6, 10), (5, 25)))
+        for b in rng.choice(np.arange(1, 1000), size=650, replace=False)]
+offers = [("feeder", 0, Curve(SUPPLY, 5.0, 5.0, 1e5, 0.0))] + [
+    (f"g{b}", int(b), curve(SUPPLY, (10, 16), (6, 9), (10, 40)))
+    for b in rng.choice(np.arange(1, 1000), size=100, replace=False)]
+market = MarketInput(bids=bids, offers=offers, network=net)
+faults = []
+for _ in range(4):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert clear(market, segments=20).traded
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+@glibc_only
+def test_a_repeated_feeder_clear_faults_in_no_new_heap(tmp_path):
+    # HiGHS frees its workspace after each solve. With glibc's thresholds
+    # left adaptive, free trimmed the heap top back to the kernel and each
+    # clear after the first faulted ~500 pages back in, inside HiGHS' run.
+    # A fresh process, since earlier frees move those thresholds.
+    warm_up, *faults = json.loads(run_probe(tmp_path, FAULT_PROBE))
+    assert max(faults) < 50, faults
+
+
+# Spies on mallopt in a fresh interpreter: `validate` after importing the
+# CLI, then four threads' first solves at once. Prints the calls of each.
+PIN_PROBE = """\
+import ctypes, json, sys, threading
+calls, real = [], ctypes.CDLL
+
+class Libc:
+    def __init__(self, *args, **kwargs):
+        self.lib = real(*args, **kwargs)
+    def __getattr__(self, name):
+        fn = getattr(self.lib, name)
+        if name != "mallopt":
+            return fn
+        return lambda param, value: calls.append([param, value, fn(param, value)])
+
+ctypes.CDLL = Libc
+import gridmarket.cli
+assert gridmarket.cli.main(["validate", sys.argv[1]]) == 0
+at_validate = list(calls)
+from gridmarket import optim
+from gridmarket.dlmp import build_scopf
+from helpers import idle_gen_behind_full_line
+p = build_scopf(idle_gen_behind_full_line())[0]
+start, solved = threading.Barrier(4, timeout=60), []
+def solve():
+    start.wait()
+    solved.append(optim.solve_lp(p).objective)
+threads = [threading.Thread(target=solve) for _ in range(4)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+assert len(solved) == 4 and not any(t.is_alive() for t in threads)
+print(json.dumps({"validate": at_validate, "solves": calls}))
+"""
+
+
+@glibc_only
+def test_malloc_is_pinned_once_per_process_at_its_first_solve(tmp_path):
+    report = json.loads(run_probe(tmp_path, PIN_PROBE,
+                                  os.path.join(CASES, "case34.txt")))
+    assert report["validate"] == []
+    # M_TRIM_THRESHOLD 64 MiB and M_MMAP_THRESHOLD 32 MiB, each set (1) once
+    assert report["solves"] == [[-1, 64 << 20, 1], [-3, 32 << 20, 1]]
 
 
 def lp_of_clear(monkeypatch, market_input, segments):
