@@ -20,6 +20,8 @@ on the own-curve prices and integrals stage 1 computed for its surplus.
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -37,6 +39,7 @@ SETTLE_TOL = 1e-9
 # A line binds when its flow is within this many kW of its limit: HiGHS'
 # default primal feasibility tolerance.
 BINDING_TOL = 1e-7
+_fields, _side = attrgetter("p_max", "p_min", "q_max", "q_min"), attrgetter("side")
 
 
 class ClearingError(Exception):
@@ -122,9 +125,14 @@ def parse_bids(text):
 
 
 def curve_params(curves):
-    """(q_min, q_max, endpoint price, slope) of every curve, as four arrays."""
-    return np.array([v for c in curves for v in (
-        c.q_min, c.q_max, c.endpoint_price(), c.slope)]).reshape(-1, 4).T
+    """(q_min, q_max, endpoint price, slope) of every curve, as four arrays,
+    computed from its four fields by `curves.Curve`'s IEEE operations."""
+    p_max, p_min, q_max, q_min = np.fromiter(chain.from_iterable(map(
+        _fields, curves)), float).reshape(-1, 4).T
+    demand = np.fromiter(map(cv.DEMAND.__eq__, map(_side, curves)), bool)
+    s = (p_max - p_min) / (q_max - q_min)
+    return np.array([q_min, q_max, np.where(demand, p_max, p_min),
+                     np.where(demand, -s, s)])
 
 
 def on_curve(params, q):
@@ -152,13 +160,14 @@ def curve_blocks(params, segments):
     list the kept blocks."""
     if segments < 1:
         raise ClearingError(f"segments must be >= 1, got {segments}")
-    q_min, q_max, p0, slope = params[:, :, None]
+    # built segments x curves, so each operation runs along the curves
+    q_min, q_max, p0, slope = params
     w = (q_max - q_min) / segments
-    mid = q_min + (np.arange(segments) + 0.5) * w
+    mid = q_min + (np.arange(segments) + 0.5)[:, None] * w
     # cv.price_at at every midpoint; midpoints lie inside [q_min, q_max]
-    prices = np.hstack([p0, p0 + slope * (mid - q_min)])
-    widths = np.hstack([q_min, np.broadcast_to(w, mid.shape)])
-    keep = np.hstack([q_min > 0, np.ones(mid.shape, dtype=bool)])
+    prices = np.vstack([p0, p0 + slope * (mid - q_min)]).T
+    widths = np.vstack([q_min, np.broadcast_to(w, mid.shape)]).T
+    keep = np.vstack([q_min > 0, np.ones(mid.shape, dtype=bool)]).T
     return widths[keep], prices[keep], keep
 
 
@@ -166,19 +175,17 @@ def clear(market_input, segments=100):
     """Stage-1 welfare LP + stage-2 price settlement. Returns a Dispatch."""
     net = market_input.network
     bids, offers = market_input.bids, market_input.offers
-    agents = bids + offers
+    names, agent_buses, curves = zip(*bids, *offers)
     H = ptdf(net)
-    limits = net.line_limits()
 
     # Block variables: demand blocks first, then supply blocks.
-    params = curve_params([c for _, _, c in agents])
+    params = curve_params(curves)
     widths, block_prices, keep = curve_blocks(params, segments)
     counts = keep.sum(axis=1)
     signs = np.repeat([1.0, -1.0], [len(bids), len(offers)])
-    buses = H.positions([b for _, b, _ in agents])
-    problem, limited = dispatch_lp(H, limits, np.repeat(buses, counts),
-                                   np.repeat(signs, counts), block_prices,
-                                   widths)
+    buses = H.positions(agent_buses)
+    problem = dispatch_lp(H, np.repeat(buses, counts), np.repeat(signs, counts),
+                          block_prices, widths)
     # x = 0 is feasible and the caps are finite: the LP has an optimum
     sol = solve_lp(problem)
 
@@ -188,31 +195,28 @@ def clear(market_input, segments=100):
     x[keep] = sol.x
     q = np.where(keep[:, 0], x.sum(axis=1), x[:, 1:].sum(axis=1))
     q[q <= SETTLE_TOL] = 0.0
-    names = [a for a, _, _ in agents]
-    quantities = dict(zip(names, q.tolist()))
-    sides = {a: c.side for a, _, c in agents}
-    agent_bus = {a: b for a, b, _ in agents}
 
     # np.bincount adds each bus's injections in agent order, from 0.0
     injections = np.bincount(buses, weights=signs * q,
                              minlength=len(net.buses))
     f = H.flows(injections[1:])
-    lims = np.array([limits[lid] for lid in H.line_order])
     binding = [H.line_order[i] for i in np.flatnonzero(
-        limited & (np.abs(f) >= lims - BINDING_TOL))]
+        H.limited & (np.abs(f) >= H.limits - BINDING_TOL)).tolist()]
 
     price, value = on_curve(params, q)
     v = value.tolist()
     total_surplus = sum(v[:len(bids)]) - sum(v[len(bids):])
 
     # the trading agents, suppliers in offer order, then consumers
-    order = np.append(np.arange(len(bids), len(agents)), np.arange(len(bids)))
+    order = np.append(np.arange(len(bids), len(names)), np.arange(len(bids)))
     t = order[q[order] > SETTLE_TOL]
     settled = settle_prices(price[t], value[t] / q[t], q[t],
                             int((t >= len(bids)).sum()))
-    return Dispatch(quantities=quantities,
-                    prices=dict(zip([names[i] for i in t], settled.tolist())),
-                    sides=sides, buses=agent_bus,
+    return Dispatch(quantities=dict(zip(names, q.tolist())),
+                    prices=dict(zip(map(names.__getitem__, t.tolist()),
+                                    settled.tolist())),
+                    sides=dict(zip(names, map(_side, curves))),
+                    buses=dict(zip(names, agent_buses)),
                     line_flows=dict(zip(H.line_order, f.tolist())),
                     total_surplus=total_surplus, traded=bool(t.size),
                     binding_lines=binding)

@@ -14,6 +14,7 @@ the result are built from whole arrays, with no loop over blocks or buses.
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -95,6 +96,7 @@ class ScopfInput:
                 f"lmp_source must be finite and >= 0, got {self.lmp_source}")
 
     def limits(self):
+        """Line limits by id: only perfbench/checks.py calls it (ROADMAP 1)."""
         return self.network.line_limits()
 
 
@@ -123,9 +125,10 @@ def build_scopf(scopf_input):
     # most what its offer's P_max - P_min or baseline has left, subtracted
     # block by block along the offer's row of `left`, for all offers with as
     # many blocks at once.
-    counts = np.array([len(o.blocks) for o in offers], dtype=np.intp)
-    qty, prices = np.array([v for o in offers for b in o.blocks for v in b],
-                           dtype=float).reshape(-1, 2).T
+    blocks = [o.blocks for o in offers]
+    counts = np.fromiter(map(len, blocks), np.intp, len(offers))
+    qty, prices = np.fromiter(chain.from_iterable(chain.from_iterable(
+        blocks)), float, 2 * counts.sum()).reshape(-1, 2).T
     owner = np.repeat(np.arange(len(offers)), counts)
     after = np.arange(qty.size) + owner + 1       # a block's slot in `left`
     start = np.cumsum(counts + 1) - counts - 1
@@ -154,8 +157,8 @@ def build_scopf(scopf_input):
 
     # The source is a priced import and an unpaid export at the root, so
     # P_source = x[0] - x[1].
-    problem, limited = dispatch_lp(
-        H, scopf_input.limits(), np.append([0, 0], at[owner[kept]]),
+    problem = dispatch_lp(
+        H, np.append([0, 0], at[owner[kept]]),
         np.append([-1.0, 1.0], -np.ones(kept.sum())),
         np.append([scopf_input.lmp_source, 0.0], prices[kept]),
         np.append([np.inf, np.inf], caps[kept]),
@@ -167,7 +170,6 @@ def build_scopf(scopf_input):
         "slot": slot,                # each offer's entry in the bus sums
         "fixed": fixed,              # and its floor or baseline
         "owner": owner[kept],        # the offer of each variable from x[2]
-        "limited": limited,          # the finite-limit lines, for dispatch_duals
         "H": H,
         "f_const": f_const,          # flows of the constant injections
     }
@@ -183,31 +185,29 @@ def solve_dlmp(scopf_input):
     try:
         sol = solve_lp(problem)
     except InfeasibleLp:
-        limits = scopf_input.limits()
-        binding = [lid for lid, f in zip(H.line_order, maps["f_const"])
-                   if abs(f) > limits[lid] + FLOW_TOL]
+        binding = [H.line_order[i] for i in np.flatnonzero(
+            np.abs(maps["f_const"]) > H.limits + FLOW_TOL).tolist()]
         raise InfeasibleBaseline(
             "SCOPF Infeasible: baseline load violates line limits",
             binding) from None
 
-    lam, mu_plus, mu_minus = dispatch_duals(sol, maps["limited"])
-    dlmp = {net.root: lam,
-            **dict(zip(H.bus_order, lam + H.path_sums(mu_plus - mu_minus)))}
-
+    lam, mu_plus, mu_minus = dispatch_duals(sol, H.limited)
     # Each bus's generation is its floors plus its gen blocks, and its load
-    # its baselines less its DR blocks, added in offer and then block order.
+    # its baselines less its DR blocks, added in offer and then block order
+    # (in floats: np.bincount counts no offers at all in ints).
     slot, owner, x, n = maps["slot"], maps["owner"], sol.x[2:], len(net.buses)
     p_g, p_d = np.bincount(np.append(slot, slot[owner]), np.append(
         maps["fixed"], np.where(owner < len(scopf_input.gen_offers), x, -x)),
-        2 * n).reshape(2, n)
+        2 * n).astype(float, copy=False).reshape(2, n)
     return DlmpResult(
         dispatch=dict(zip(net.buses, zip(p_g.tolist(), p_d.tolist()))),
         p_source=float(sol.x[0] - sol.x[1]),
         lam=lam,
         mu_plus=dict(zip(H.line_order, mu_plus.tolist())),
         mu_minus=dict(zip(H.line_order, mu_minus.tolist())),
-        dlmp=dlmp,
-        objective=float(sol.objective),
+        dlmp=dict(zip(net.buses, np.append(
+            lam, lam + H.path_sums(mu_plus - mu_minus)).tolist())),
+        objective=sol.objective,
         flows=dict(zip(H.line_order, H.flows((p_d - p_g)[1:]).tolist())),
     )
 

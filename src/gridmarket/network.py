@@ -10,6 +10,7 @@ parent->child direction.
 """
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -200,20 +201,27 @@ class PtdfMatrix:
     line l is on the root path of bus i. f = H @ x maps net injections to
     line flows; H^T sums line values along each bus's root path. H is held
     as its 1-entries (path_rows, path_cols), ordered by bus and then by
-    line, so both products add in the order of a CSR (for H^T, CSC) mat-vec."""
+    line, so both products add in the order of a CSR (for H^T, CSC) mat-vec.
+    Beside H it holds the line layout of `optim.dispatch_lp`: the limits,
+    `limited` marking the finite ones and `entry_rows`, each entry's rows
+    2k, 2k + 1 if its line is the k-th finite-limit line."""
 
     path_rows: np.ndarray   # line index of each entry
     path_cols: np.ndarray   # bus index of each entry, ascending
     line_order: list        # line index -> line_id
     bus_order: list         # bus index -> bus id (non-root buses)
+    limits: np.ndarray      # line index -> flow limit, kW
 
     def __post_init__(self):
         self.bus_index = {b: i for i, b in enumerate(self.bus_order)}
+        self.limited = np.isfinite(self.limits)
+        row = 2 * (np.cumsum(self.limited, dtype=np.int32) - 1)[self.path_rows]
+        self.entry_rows = np.column_stack([row, row + 1]).ravel()
 
     def positions(self, buses):
         """Each bus's position in the network's bus list: 0 for the root."""
-        return np.array([self.bus_index.get(b, -1) + 1 for b in buses],
-                        dtype=np.intp)
+        return np.fromiter(map(self.bus_index.get, buses, repeat(-1)),
+                           np.intp, len(buses)) + 1
 
     def flows(self, x):
         """H @ x: per-line flow of the bus injections x."""
@@ -227,8 +235,9 @@ class PtdfMatrix:
 
 
 def ptdf(network):
-    """Path-indicator PTDF of a radial network, built once per network in
-    O(sum of bus depths) and cached on it."""
+    """Path-indicator PTDF of a radial network, with its line layout, built
+    once per network in O(sum of bus depths) and cached on it: a network's
+    lines must not change after its first `ptdf`."""
     if network._ptdf is not None:
         return network._ptdf
     non_root = network.non_root_buses()
@@ -242,9 +251,9 @@ def ptdf(network):
             b = network.parent[b]
         rows += sorted(path)
         cols += [i] * len(path)
-    network._ptdf = PtdfMatrix(path_rows=np.array(rows, dtype=np.intp),
-                               path_cols=np.array(cols, dtype=np.intp),
-                               line_order=line_order, bus_order=non_root)
+    network._ptdf = PtdfMatrix(
+        np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+        line_order, non_root, np.array([lim for *_, lim in network.lines], float))
     return network._ptdf
 
 

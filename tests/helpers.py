@@ -14,6 +14,7 @@ from gridmarket.clearing import MarketInput
 from gridmarket.curves import Curve, CurveError, DEMAND, SUPPLY, integral
 from gridmarket.dlmp import DrOffer, GenOffer, ScopfInput
 from gridmarket.network import build_network
+from gridmarket.optim import REACH_TOL, LpProblem
 
 INF = float("inf")
 
@@ -93,6 +94,74 @@ def demand_filling_a_capped_line():
         network=chain(limits=(INF, 5.0)))
 
 
+# `optim.dispatch_lp` as it was before the line layout was cached beside the
+# PTDF, kept verbatim but for its name: the oracle that the cached layout
+# assembles the same LP, array for array and bit for bit.
+def dispatch_lp_twin(H, limits, buses, signs, prices, caps, balance=0.0,
+                f_const=None):
+    """The dispatch LP of clearing and DLMP over priced blocks.
+
+    Variable j is a block of 0..caps[j] kW at the bus whose position in the
+    network's bus list is buses[j] (an int array, `H.positions`) that consumes
+    (signs[j] = +1) or produces (-1) at prices[j]: minimize the cost of
+    production less the value of consumption subject to the line limits on
+    the PTDF `H` (`f_const`: flows of the constant injections, an array over
+    H.line_order) and the balance row signs.x = balance, which comes last.
+    Rows 2k and 2k + 1 cap the flow of the k-th finite-limit line from above
+    and below: column j holds +signs[j] on the +row and -signs[j] on the
+    -row of each such line on its bus's root path, rows ascending, then
+    signs[j] on the balance row; a row the blocks cannot bring to its limit
+    has no entries. Returns (problem, limited), `limited` marking the
+    finite-limit lines of H.line_order.
+    """
+    signs = np.asarray(signs, dtype=float)
+    lims = np.array([limits[lid] for lid in H.line_order], dtype=float)
+    f0 = np.zeros(lims.size) if f_const is None else f_const
+    limited = np.isfinite(lims)
+    k = int(limited.sum())
+    # A row binds when the blocks can bring its side of the line's flow
+    # within REACH_TOL of the limit: the +row with every consuming block
+    # behind the line at its cap, the -row with every producing one. A row
+    # that cannot bind gets no entries but keeps its side, which is then
+    # positive (the blocks only add to f0 or -f0), so its activity 0 lies
+    # strictly inside, its slack is basic and its dual exactly 0.
+    n = len(H.bus_order) + 1
+    along, against = (H.flows(np.bincount(
+        buses, np.where(side, caps, 0.0) * np.abs(signs), n)[1:])
+        for side in (signs > 0, signs < 0))
+    near = lims * (1.0 - REACH_TOL) - REACH_TOL
+    binds = np.column_stack([limited & (f0 + along >= near),
+                             limited & (against - f0 >= near)])
+    # A column at the bus at position p repeats column p of `bus_rows` (CSC,
+    # `bus_ptr`): the binding rows of the limited lines on p's root path,
+    # ascending, then the balance row 2k. H's entries keep their order, by
+    # bus and then by line, so the t-th binding row, at position p, is entry
+    # t + p.
+    on = binds[H.path_rows].ravel()
+    row = 2 * (np.cumsum(limited, dtype=np.int32) - 1)[H.path_rows]
+    at = np.repeat(H.path_cols + 1, 2)[on]
+    bus_ptr = np.cumsum(np.append(0, np.bincount(at, minlength=n) + 1))
+    at += np.arange(at.size)
+    bus_rows = np.full(bus_ptr[-1], 2 * k, dtype=np.int32)
+    bus_rows[at] = np.column_stack([row, row + 1]).ravel()[on]
+    length = bus_ptr[buses + 1] - bus_ptr[buses]
+    indptr = np.cumsum(np.append(0, length), dtype=np.int32)
+    indices = bus_rows[np.repeat(bus_ptr[buses] - indptr[:-1], length)
+                       + np.arange(indptr[-1])]
+    # +rows and the balance row are even, -rows odd
+    data = np.where(indices & 1, -1.0, 1.0) * np.repeat(signs, length)
+    # a side beyond the float range is no limit, as one of 1e20+ is to HiGHS
+    with np.errstate(over="ignore"):
+        sides = np.column_stack([lims[limited] - f0[limited],
+                                 lims[limited] + f0[limited]]).ravel()
+    row_hi = np.append(np.minimum(sides, np.finfo(float).max), balance)
+    row_lo = np.append(np.full(2 * k, -np.inf), balance)
+    problem = LpProblem(c=-signs * prices, lo=np.zeros(len(caps)), hi=caps,
+                        indptr=indptr, indices=indices, data=data,
+                        row_lo=row_lo, row_hi=row_hi)
+    return problem, limited
+
+
 def subtree_sum_flows(network, injections):
     """Oracle for line flows: for every line, sum the injections of the
     buses in the child-side subtree, found by DFS over the raw line list."""
@@ -139,8 +208,6 @@ def lp_problem(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
     variable in [0, +inf)). Matrices are dense or scipy.sparse; the rows are
     the A_ub rows, then the A_eq rows, and the CSC keeps the nonzeros,
     rows ascending within each column, as linprog hands them to HiGHS."""
-    from gridmarket.optim import LpProblem
-
     c = np.asarray(c, dtype=float)
     n = c.size
     blocks, row_lo, row_hi = [np.zeros((0, n))], [], []

@@ -13,13 +13,13 @@ from scipy import sparse
 
 from gridmarket import clearing
 from gridmarket.clearing import MarketInput, clear, parse_bids
-from gridmarket.network import line_flows, load_case, ptdf
+from gridmarket.network import build_network, line_flows, load_case, ptdf
 from gridmarket.optim import (
     REACH_TOL, InfeasibleLp, LpProblem, NumericalFailure, dispatch_duals,
     dispatch_lp, solve_lp,
 )
 from helpers import (
-    chain, line_into, lp_matrix, lp_problem, ptdf_entries,
+    chain, dispatch_lp_twin, line_into, lp_matrix, lp_problem, ptdf_entries,
     random_radial_network,
 )
 
@@ -73,22 +73,27 @@ def full_twin(net, buses, signs, prices, caps, limits, balance, f_const):
                       bounds=[(0.0, cap) for cap in caps])
 
 
-def random_dispatch(rng, net, limits=None):
-    """Random dispatch_lp inputs on `net`: some lines unlimited, a priced
-    import and an unpaid export at the root, blocks that consume or produce
-    at random buses (the root among them) and random constant flows."""
-    if limits is None:
-        limits = net.line_limits()
-        for lid in limits:
-            if rng.random() < 0.3:
-                limits[lid] = INF
+def with_limits(net, limits):
+    """`net` with its lines' limits replaced by `limits`, line id -> kW."""
+    return build_network(net.buses, [(lid, u, v, limits[lid])
+                                     for lid, u, v, _ in net.lines])
+
+
+def random_dispatch(rng, net, unlimited=True):
+    """Random dispatch_lp inputs on `net`, with some lines made unlimited
+    unless `unlimited` is False: the network, a priced import and an unpaid
+    export at the root, blocks that consume or produce at random buses (the
+    root among them) and random constant flows."""
+    if unlimited:
+        net = with_limits(net, {lid: INF if rng.random() < 0.3 else lim
+                                for lid, lim in net.line_limits().items()})
     k = int(rng.integers(1, 40))
     buses = [net.root] * 2 + rng.integers(0, net.n_buses, k).tolist()
     signs = np.append([-1.0, 1.0], rng.choice([-1.0, 1.0], k))
     prices = np.append([rng.uniform(1.0, 10.0), 0.0], rng.uniform(0.0, 20.0, k))
     caps = np.append([INF, INF], rng.uniform(0.5, 30.0, k))
     f_const = ptdf(net).flows(rng.uniform(-1.0, 1.0, net.n_buses)[1:])
-    return limits, buses, signs, prices, caps, f_const
+    return net, buses, signs, prices, caps, f_const
 
 
 @pytest.mark.parametrize("with_const", [False, True])
@@ -100,10 +105,10 @@ def test_line_limit_rows_match_dense_reference(with_const):
     kept = emptied = 0
     for _ in range(30):
         net = random_radial_network(rng, int(rng.integers(2, 25)))
-        limits, buses, signs, prices, caps, f_const = random_dispatch(rng, net)
+        net, buses, signs, prices, caps, f_const = random_dispatch(rng, net)
         if not with_const:
             f_const = None
-        H = ptdf(net)
+        H, limits = ptdf(net), net.line_limits()
         ref_A, ref_b, ref_lines = dense_limit_rows(net, buses, signs, limits,
                                                    f_const, caps)
         if len(ref_b):      # count the rows with entries in the full twin
@@ -111,9 +116,9 @@ def test_line_limit_rows_match_dense_reference(with_const):
             live, has = (full_A != 0).any(axis=1), (ref_A != 0).any(axis=1)
             kept += np.count_nonzero(live & has)
             emptied += np.count_nonzero(live & ~has)
-        problem, limited = dispatch_lp(H, limits, H.positions(buses), signs,
-                                       prices, caps, 2.5, f_const)
-        assert [(lid, s) for lid, lim in zip(H.line_order, limited) if lim
+        problem = dispatch_lp(H, H.positions(buses), signs, prices, caps, 2.5,
+                              f_const)
+        assert [(lid, s) for lid, lim in zip(H.line_order, H.limited) if lim
                 for s in (+1, -1)] == ref_lines
         np.testing.assert_array_equal(
             lp_matrix(problem), np.vstack([ref_A.reshape(-1, len(buses)),
@@ -132,10 +137,9 @@ def test_line_limit_rows_all_unlimited():
     rng = np.random.default_rng(5)
     net = random_radial_network(rng, 6, limit_lo=INF, limit_hi=INF)
     H = ptdf(net)
-    problem, limited = dispatch_lp(H, net.line_limits(), H.positions([1, 2, 0]),
-                                   [1.0, -1.0, 1.0], [3.0, 2.0, 1.0],
-                                   [1.0, 1.0, 1.0])
-    assert not limited.any()
+    problem = dispatch_lp(H, H.positions([1, 2, 0]), [1.0, -1.0, 1.0],
+                          [3.0, 2.0, 1.0], [1.0, 1.0, 1.0])
+    assert not H.limited.any()
     np.testing.assert_array_equal(lp_matrix(problem), [[1.0, -1.0, 1.0]])
     assert problem.row_lo.tolist() == problem.row_hi.tolist() == [0.0]
 
@@ -147,9 +151,7 @@ def test_root_bus_variables_hold_only_their_balance_entry():
     var_buses = [0, 3, 3, 8, 0, 1]
     coefs = [1.0, -1.0, 2.0, 1.0, 5.0, -3.0]
     caps = [1.0, 40.0, 40.0, 40.0, 1.0, 40.0]
-    problem, limited = dispatch_lp(H, net.line_limits(),
-                                   H.positions(var_buses), coefs, [1.0] * 6,
-                                   caps)
+    problem = dispatch_lp(H, H.positions(var_buses), coefs, [1.0] * 6, caps)
     ref_A = dense_limit_rows(net, var_buses, coefs, net.line_limits(),
                              caps=caps)[0]
     assert np.diff(problem.indptr).tolist() == [
@@ -158,7 +160,7 @@ def test_root_bus_variables_hold_only_their_balance_entry():
     assert np.diff(problem.indptr).max() > 1
     # a root-bus variable's one entry is its coefficient on the balance row
     for j in (0, 4):
-        assert problem.indices[problem.indptr[j]] == 2 * limited.sum()
+        assert problem.indices[problem.indptr[j]] == 2 * H.limited.sum()
         assert problem.data[problem.indptr[j]] == coefs[j]
 
 
@@ -230,15 +232,16 @@ def test_dispatch_lp_sparse_equals_dense():
     for _ in range(20):
         net = random_radial_network(rng, int(rng.integers(2, 15)),
                                     limit_lo=20.0, limit_hi=60.0)
-        H = ptdf(net)
         limits = net.line_limits()
         for lid in list(limits)[1::3]:
             limits[lid] = INF
-        _, buses, signs, prices, caps, f_const = random_dispatch(rng, net,
-                                                                 limits)
+        net = with_limits(net, limits)
+        H = ptdf(net)
+        _, buses, signs, prices, caps, f_const = random_dispatch(
+            rng, net, unlimited=False)
         balance = float(rng.uniform(-10.0, 10.0))
-        problem, _ = dispatch_lp(H, limits, H.positions(buses), signs, prices,
-                                 caps, balance, f_const)
+        problem = dispatch_lp(H, H.positions(buses), signs, prices, caps,
+                              balance, f_const)
         A_ub, b_ub, _ = dense_limit_rows(net, buses, signs, limits, f_const,
                                          caps)
         twin = lp_problem(c=-signs * prices, A_eq=[signs], b_eq=[balance],
@@ -253,6 +256,49 @@ def test_dispatch_lp_sparse_equals_dense():
         for name in ("x", "row_duals"):
             np.testing.assert_array_equal(getattr(s, name),
                                           getattr(s_twin, name))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), unlimited=st.floats(0.0, 1.0),
+       huge=st.booleans(), with_const=st.booleans(),
+       balance=st.sampled_from([0.0, 2.5, -1e3]))
+def test_dispatch_lp_assembles_its_twins_arrays_bit_for_bit(
+        seed, unlimited, huge, with_const, balance):
+    """On random radial networks, dispatch_lp, which reads the line layout
+    built with the PTDF, returns the arrays of the twin that builds it from a
+    limits dict on every call (`helpers.dispatch_lp_twin`), equal in value
+    and dtype. Lines may be unlimited; signs need not be +-1 or nonzero;
+    caps may be 0 or infinite; and with `huge`, limits and constant flows
+    of 1e308 make line-row sides overflow to the clamp."""
+    rng = np.random.default_rng(seed)
+    net = random_radial_network(rng, int(rng.integers(2, 30)))
+    big = 1e308 if huge else 50.0
+    net = with_limits(net, {
+        lid: INF if rng.random() < unlimited else
+        float(rng.choice([lim, big])) for lid, lim in net.line_limits().items()})
+    H = ptdf(net)
+    k = int(rng.integers(0, 40))
+    buses = [net.root] * 2 + rng.integers(0, net.n_buses, k).tolist()
+    signs = np.append([-1.0, 1.0], rng.choice([-3.0, -1.0, -0.5, 0.0, 1.0,
+                                               2.0], k))
+    prices = np.append([rng.uniform(1.0, 10.0), 0.0], rng.uniform(0.0, 20.0, k))
+    caps = np.append([INF, INF], rng.choice([0.0, 1.0, 7.5, 30.0, INF], k))
+    # a constant flow of +-0.9e308 on a 1e308 line overflows one side
+    limits = net.line_limits()
+    f_const = (rng.choice([-0.9, -0.5, 0.0, 0.5, 0.9], net.n_lines) * np.array(
+        [big if limits[lid] == big else 10.0 for lid in H.line_order])
+        if with_const else None)
+    new = dispatch_lp(H, H.positions(buses), signs, prices, caps, balance,
+                      f_const), H.limited
+    twin = dispatch_lp_twin(H, limits, H.positions(buses), signs, prices, caps,
+                            balance, f_const)
+    for name in ("c", "lo", "hi", "indptr", "indices", "data", "row_lo",
+                 "row_hi"):
+        a, b = getattr(new[0], name), getattr(twin[0], name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    assert new[1].dtype == twin[1].dtype
+    np.testing.assert_array_equal(new[1], twin[1])
 
 
 def test_sparse_column_mismatch_rejected():
@@ -274,17 +320,19 @@ def test_emptied_rows_change_neither_the_optimum_nor_a_price(seed, at_reach,
     prices of its full-matrix twin, and each emptied row's dual is 0."""
     rng = np.random.default_rng(seed)
     net = random_radial_network(rng, int(rng.integers(2, 20)))
-    H = ptdf(net)
-    limits, buses, signs, prices, caps, f_const = random_dispatch(rng, net)
-    every = dict.fromkeys(H.line_order, 1.0)
+    net, buses, signs, prices, caps, f_const = random_dispatch(rng, net)
+    limits, line_order = net.line_limits(), ptdf(net).line_order
+    every = dict.fromkeys(line_order, 1.0)
     flows = dense_limit_rows(net, buses, signs, every, f_const)[0][::2]
-    for lid, a, f in zip(H.line_order, flows, f_const):
+    for lid, a, f in zip(line_order, flows, f_const):
         most, least = box_flows(a, caps, f)
         reach = max(most, -least)
         if 0.0 < reach < INF and rng.random() < at_reach:
             limits[lid] = float(reach * rng.choice([1.0, 1.0 - 1e-4]))
-    problem, limited = dispatch_lp(H, limits, H.positions(buses), signs,
-                                   prices, caps, balance, f_const)
+    net = with_limits(net, limits)
+    H = ptdf(net)
+    problem = dispatch_lp(H, H.positions(buses), signs, prices, caps, balance,
+                          f_const)
     twin = full_twin(net, buses, signs, prices, caps, limits, balance, f_const)
     solutions = []
     for lp in (problem, twin):
@@ -298,7 +346,8 @@ def test_emptied_rows_change_neither_the_optimum_nor_a_price(seed, at_reach,
         return
     assert abs(got.objective - ref.objective) <= 1e-9 * max(
         1.0, abs(ref.objective))
-    for a, b in zip(dispatch_duals(got, limited), dispatch_duals(ref, limited)):
+    for a, b in zip(dispatch_duals(got, H.limited),
+                    dispatch_duals(ref, H.limited)):
         np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-9)
     empty = np.bincount(problem.indices, minlength=problem.row_lo.size) == 0
     assert np.all(got.row_duals[empty] == 0.0)
@@ -309,11 +358,9 @@ def test_a_limit_at_the_reachable_maximum_keeps_its_entries():
     with the constant flow, reaches the limit exactly or within REACH_TOL,
     and loses it beyond; with nothing producing behind b, its -row is
     empty."""
-    H = ptdf(chain(limits=(INF, 5.0)))
-
     def b_rows(limit, cap, f0):
-        problem, _ = dispatch_lp(H, {"a": INF, "b": limit},
-                                 H.positions([0, 2]), [-1.0, 1.0],
+        H = ptdf(chain(limits=(INF, limit)))
+        problem = dispatch_lp(H, H.positions([0, 2]), [-1.0, 1.0],
                                  [1.0, 9.0], [INF, cap],
                                  f_const=np.array([f0, f0]))
         return lp_matrix(problem)[:, 1].tolist()
@@ -333,8 +380,8 @@ def test_an_infinite_cap_off_the_root_keeps_every_row_on_its_path():
     deep = H.bus_order[int(E.sum(axis=0).argmax())]
     buses, signs = [0, deep, deep, 0], np.array([-1.0, 1.0, -1.0, 1.0])
     caps = [INF, INF, INF, INF]
-    problem, limited = dispatch_lp(H, net.line_limits(), H.positions(buses),
-                                   signs, [1.0, 5.0, 2.0, 0.0], caps)
+    problem = dispatch_lp(H, H.positions(buses), signs, [1.0, 5.0, 2.0, 0.0],
+                          caps)
     ref_A = dense_limit_rows(net, buses, signs, net.line_limits())[0]
     assert np.count_nonzero(ref_A) == 2 * 2 * E[:, H.bus_index[deep]].sum()
     np.testing.assert_array_equal(lp_matrix(problem),
@@ -344,17 +391,15 @@ def test_an_infinite_cap_off_the_root_keeps_every_row_on_its_path():
 def test_the_reach_rule_raises_no_runtime_warning():
     """Unlimited lines under infinite caps, caps whose sum overflows to inf
     and constant flows far beyond the limits raise no RuntimeWarning."""
-    net = chain(limits=(INF, 5.0))
-    H = ptdf(net)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for caps, f0 in (([INF, INF, INF], 0.0), ([INF, 1e308, 1e308], 0.0),
                          ([INF, 1.0, 1.0], 1e300), ([INF, 1e25, 0.0], -1e25)):
-            for limits in ({"a": INF, "b": 5.0}, {"a": INF, "b": INF},
-                           {"a": 1e25, "b": 5.0}):
+            for limits in ((INF, 5.0), (INF, INF), (1e25, 5.0)):
+                H = ptdf(chain(limits))
                 try:
-                    dispatch_lp(H, limits, H.positions([0, 2, 2]),
-                                [-1.0, 1.0, 1.0], [1.0, 2.0, 3.0], caps,
+                    dispatch_lp(H, H.positions([0, 2, 2]), [-1.0, 1.0, 1.0],
+                                [1.0, 2.0, 3.0], caps,
                                 f_const=np.array([f0, f0]))
                 except NumericalFailure:    # a cap or row side of 1e20+
                     pass
@@ -373,13 +418,13 @@ def test_case34_clears_as_with_every_row_entry(segments, monkeypatch):
     pruned = clear(market, segments)
     emptied = []
 
-    def with_every_entry(H, limits, buses, signs, prices, caps):
-        problem, limited = dispatch_lp(H, limits, buses, signs, prices, caps)
+    def with_every_entry(H, buses, signs, prices, caps):
+        problem = dispatch_lp(H, buses, signs, prices, caps)
         emptied.append(np.count_nonzero(np.bincount(
             problem.indices, minlength=problem.row_lo.size) == 0))
         twin = full_twin(net, [net.buses[p] for p in buses], signs, prices,
-                         caps, limits, 0.0, None)
-        return twin, limited
+                         caps, net.line_limits(), 0.0, None)
+        return twin
 
     monkeypatch.setattr(clearing, "dispatch_lp", with_every_entry)
     assert repr(clear(market, segments)) == repr(pruned)
