@@ -92,7 +92,7 @@ class RunConfig:
     roster: str = None
     offers: str = None
     grid_steps: int = 1
-    market_steps: int = None     # None: the market's own default
+    market_steps: int = 1        # per grid step; for P2P the paper's T
     seed: int = 0
     segments: int = 100
     out_dir: str = None          # None: the subcommand's default

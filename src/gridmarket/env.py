@@ -30,6 +30,7 @@ from . import p2p as p2p_mod
 from .agents import CONSUMER, PRODUCER, UcbNegotiator
 from .clearing import MarketInput, clear
 from .dlmp import solve_dlmp
+from .network import str_clash
 from .p2p import P2pRoundResult, negotiate, settle_deficiency
 
 PHASES = ("post_market_step", "post_clear", "post_grid_step")
@@ -112,11 +113,9 @@ class EpisodeLog:
 
 class MarketBase:
     """Market mechanism template: reset once per episode, reset_round once
-    per grid step, step once per market step, finalize at clearing. A grid
-    step runs `market_steps` market steps unless the run sets a count."""
+    per grid step, step once per market step, finalize at clearing."""
 
     env = None
-    market_steps = 1
 
     def reset(self):
         pass
@@ -197,8 +196,8 @@ class ClearingMarket(MarketBase):
 
 
 class P2pMarket(MarketBase):
-    """Use Case 2 mechanism: random matching then T bandit negotiation steps;
-    the final step's outcome binds physically.
+    """Use Case 2 mechanism: random matching, then a bandit negotiation per
+    market step (the paper's T per grid step); the last one binds physically.
 
     `negotiate` is pure, so within a round a pair that bids the very price
     objects of an outcome again (`is` tells `-0.0` from `0.0`, `1` from
@@ -208,7 +207,6 @@ class P2pMarket(MarketBase):
 
     def __init__(self, config):
         self.config = config
-        self.market_steps = config.T
         self.reset()
 
     def reset(self):
@@ -276,8 +274,7 @@ class P2pMarket(MarketBase):
                                      grid_kw=grid_kw, deficiency=deficiency,
                                      unmatched=list(self.round.unmatched))
         fields = {
-            "deficiency": {str(k): round(v, 9) for k, v in sorted(
-                deficiency.items(), key=lambda kv: str(kv[0]))},
+            "deficiency": {str(k): round(v, 9) for k, v in deficiency.items()},
             "successes": sum(1 for o in self.outcomes.values() if o.success),
         }
         return self.result, fields, {}
@@ -327,6 +324,8 @@ class Environment:
         self.agent_map = {a.id: a for a in self.agents}
         if len(self.agent_map) != len(self.agents):
             raise EnvError("duplicate agent ids")
+        if clash := str_clash(self.agent_map):
+            raise EnvError(f"agent {clash}")
         self.seed = seed
         self.rng = np.random.default_rng(seed)
         self.clock = (-1, -1)       # (grid_step, market_step)
@@ -355,20 +354,18 @@ class Environment:
             open(log_path, "w", encoding="utf-8").close()
         return self
 
-    def run_episode(self, grid_steps, market_steps_per_grid=None):
+    def run_episode(self, grid_steps, market_steps_per_grid=1):
         """Algorithm: outer grid loop, nested market loop, clear, grid step."""
-        steps = (market_steps_per_grid if market_steps_per_grid is not None
-                 else self.market.market_steps)
-        if grid_steps < 1 or steps < 1:
+        if grid_steps < 1 or market_steps_per_grid < 1:
             raise EnvError("need grid_steps >= 1 and market steps >= 1")
         # the market steps' numbers as log text, encoded once
-        ticks = [Encoded(_encode(t)) for t in range(steps)]
+        ticks = [Encoded(_encode(t)) for t in range(market_steps_per_grid)]
         hooks = [(a.id, a.market_action) for a in self.agents]
         with self.log.writing():
             for t_grid in range(grid_steps):
                 self.market.reset_round(t_grid)
                 tick = Encoded(_encode(t_grid))
-                for t_market in range(steps):
+                for t_market in range(market_steps_per_grid):
                     self.clock = (t_grid, t_market)
                     actions = {}
                     for aid, act in hooks:
@@ -396,8 +393,8 @@ class Environment:
                 self.log.add({
                     "phase": "grid_step", "t_grid": t_grid,
                     "feasible": state.feasible,
-                    "flows": {str(k): round(v, 9) for k, v in sorted(
-                        state.flows.items(), key=lambda kv: str(kv[0]))},
+                    "flows": {str(k): round(v, 9)
+                              for k, v in state.flows.items()},
                 })
                 self._fire("post_grid_step")
         return self.log

@@ -84,6 +84,8 @@ def build_network(buses, lines):
     bus_set = set(buses)
     if len(bus_set) != len(buses):
         raise NetworkError("duplicate bus ids")
+    if clash := str_clash(buses):
+        raise NetworkError(f"bus {clash}")
     root = buses[0]
 
     seen_ids = set()
@@ -108,6 +110,8 @@ def build_network(buses, lines):
         adj[u].append(v)
         adj[v].append(u)
 
+    if clash := str_clash([lid for lid, _, _, _ in lines]):
+        raise DuplicateLine(f"line {clash}")
     if len(lines) >= len(buses):
         raise CyclicTopology(
             f"{len(lines)} lines for {len(buses)} buses: a radial tree needs |buses|-1")
@@ -139,6 +143,15 @@ def build_network(buses, lines):
             oriented.append((lid, v, u, lim))
 
     return Network(buses=list(buses), lines=oriented, parent=parent)
+
+
+def str_clash(ids):
+    """The first two distinct `ids` whose `str`, the key the logs give them,
+    is the same, as "ids A and B both log as S"; else None."""
+    first = {}
+    for i in ids:
+        if first.setdefault(str(i), i) is not i:
+            return f"ids {first[str(i)]!r} and {i!r} both log as {str(i)!r}"
 
 
 def content_lines(lines):
@@ -202,9 +215,8 @@ class PtdfMatrix:
     line flows; H^T sums line values along each bus's root path. H is held
     as its 1-entries (path_rows, path_cols), ordered by bus and then by
     line, so both products add in the order of a CSR (for H^T, CSC) mat-vec.
-    Beside H it holds the line layout of `optim.dispatch_lp`: the limits,
-    `limited` marking the finite ones and `entry_rows`, each entry's rows
-    2k, 2k + 1 if its line is the k-th finite-limit line."""
+    Beside H it holds the line limits, with `limited` marking the finite
+    ones."""
 
     path_rows: np.ndarray   # line index of each entry
     path_cols: np.ndarray   # bus index of each entry, ascending
@@ -215,8 +227,6 @@ class PtdfMatrix:
     def __post_init__(self):
         self.bus_index = {b: i for i, b in enumerate(self.bus_order)}
         self.limited = np.isfinite(self.limits)
-        row = 2 * (np.cumsum(self.limited, dtype=np.int32) - 1)[self.path_rows]
-        self.entry_rows = np.column_stack([row, row + 1]).ravel()
 
     def positions(self, buses):
         """Each bus's position in the network's bus list: 0 for the root."""
@@ -235,7 +245,7 @@ class PtdfMatrix:
 
 
 def ptdf(network):
-    """Path-indicator PTDF of a radial network, with its line layout, built
+    """Path-indicator PTDF of a radial network, with its line limits, built
     once per network in O(sum of bus depths) and cached on it: a network's
     lines must not change after its first `ptdf`."""
     if network._ptdf is not None:
@@ -270,36 +280,31 @@ class Grid:
 
     def __init__(self, network):
         self.network = network
-        self.limits = network.line_limits()
-        self.state = None
         self.reset()
 
     def reset(self):
-        self.state = GridState(
-            t=-1,
-            injections={b: 0.0 for b in self.network.non_root_buses()},
-            flows={lid: 0.0 for lid, _, _, _ in self.network.lines},
-            feasible=True,
-        )
-        return self.state
+        """The state of no actions, at t = -1."""
+        self.state = None
+        return self.step({})
 
     def step(self, grid_actions):
         """Apply per-agent (bus, kW) actions, recompute flows and feasibility.
 
-        Actions at the same bus superpose. Infeasible states are recorded,
-        not rejected: market trades can overload lines.
+        Actions at the same bus superpose, added in action order. Infeasible
+        states are recorded, not rejected: market trades can overload lines.
         """
-        injections = {b: 0.0 for b in self.network.non_root_buses()}
-        bus_set = set(self.network.buses)
+        H = ptdf(self.network)
+        x = [0.0] * len(H.bus_order)
         for agent_id, (bus, kw) in grid_actions.items():
-            if bus not in bus_set:
+            i = H.bus_index.get(bus)
+            if i is not None:
+                x[i] += kw
+            elif bus != self.network.root:  # the root's is the feeder's flow
                 raise UnknownBus(f"agent {agent_id}: unknown bus {bus}")
-            if bus == self.network.root:
-                continue  # feeder exchange is implicit in the root flow
-            injections[bus] += kw
-        flows = line_flows(self.network, injections)
-        feasible = all(abs(flows[lid]) <= self.limits[lid] + FLOW_TOL
-                       for lid in flows)
-        self.state = GridState(t=self.state.t + 1, injections=injections,
-                               flows=flows, feasible=feasible)
+        f = H.flows(np.array(x))
+        self.state = GridState(
+            t=-1 if self.state is None else self.state.t + 1,
+            injections=dict(zip(H.bus_order, x)),
+            flows=dict(zip(H.line_order, f.tolist())),
+            feasible=bool((np.abs(f) <= H.limits + FLOW_TOL).all()))
         return self.state

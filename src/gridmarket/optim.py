@@ -10,17 +10,14 @@ HiGHS' row duals, row_duals[i] = d objective / d (active side of row i):
 the prices the callers read. A column's reduced cost is c - A^T row_duals.
 
 Clearing and DLMP both build their LP with `dispatch_lp`, in whole-array
-numpy from the PTDF and the line layout `network.ptdf` builds beside it,
-once per network (a network's lines must not change after its first
-`ptdf`): each bus's column is laid out once and gathered for every block
-at that bus, as the int32 arrays HiGHS takes; `dispatch_duals` reads the
-prices back. A line-limit row that no dispatch within the blocks' caps can
-bring to its limit keeps its place and its side but gets no matrix
-entries: its dual is 0 either way, and on a 1000-bus feeder 1,940 of the
-1,998 line rows are such rows. Dropping them instead would change the row
-count and, where block prices tie, the optimal vertex HiGHS returns. Of a
-1000-bus clear and SCOPF, HiGHS' passModel and run take ~7 ms and the
-Python around them ~3.6 ms (~4.6 ms before the layout was cached).
+numpy from the PTDF and the line limits `network.ptdf` holds beside it:
+each bus's column is laid out once and gathered for every block at that
+bus, as the int32 arrays HiGHS takes; `dispatch_duals` reads the prices
+back. A line-limit row that no dispatch within the blocks' caps can bring
+to its limit keeps its place and its side but gets no matrix entries: its
+dual is 0 either way, and on a 1000-bus feeder 1,940 of the 1,998 line rows
+are such rows. Dropping them instead would change the row count and, where
+block prices tie, the optimal vertex HiGHS returns.
 
 The solve is one call into HiGHS' dual simplex (Huangfu & Hall, Math. Prog.
 Comp. 2018) with presolve off, which finds nothing to remove in a dispatch
@@ -32,9 +29,8 @@ and cleared before each model: it keeps only its options and never warm-
 starts. The first object in a process pins glibc's malloc thresholds at
 their 64-bit ceilings (mmap 32 MiB, trim 64 MiB; setting one stops both
 adapting), so free no longer trims HiGHS' workspace for the next solve to
-fault in again: a 1000-bus clear and SCOPF took ~1,500 minor page faults
-with an object per LP, ~850 with one reused and under 50 pinned. Other
-libcs are left as they are.
+fault in again (README gives the fault counts). Other libcs are left as
+they are.
 """
 
 import ctypes
@@ -138,8 +134,8 @@ def dispatch_lp(H, buses, signs, prices, caps, balance=0.0, f_const=None):
     production less the value of consumption subject to the line limits on
     the PTDF `H` (`f_const`: flows of the constant injections, an array over
     H.line_order) and the balance row signs.x = balance, which comes last.
-    Rows 2k and 2k + 1 cap the flow of the k-th finite-limit line from above
-    and below, as H's line layout sets them: column j holds +signs[j] on the
+    Rows 2k and 2k + 1 cap the flow of the k-th finite-limit line
+    (`H.limited`) from above and below: column j holds +signs[j] on the
     +row and -signs[j] on the -row of each such line on its bus's root path,
     rows ascending, then signs[j] on the balance row; a row the blocks cannot
     bring to its limit has no entries. Returns the LpProblem.
@@ -170,7 +166,8 @@ def dispatch_lp(H, buses, signs, prices, caps, balance=0.0, f_const=None):
     size = np.bincount(at, minlength=n).astype(np.int32) + 1
     bus_ptr = np.cumsum(size, dtype=np.int32) - size
     bus_rows = np.full(bus_ptr[-1] + size[-1], 2 * k, dtype=np.int32)
-    bus_rows[at + np.arange(at.size)] = H.entry_rows[on]
+    plus = 2 * np.cumsum(limited, dtype=np.int32) - 2    # limited lines' +rows
+    bus_rows[at + np.arange(at.size)] = plus[H.path_rows[on >> 1]] + (on & 1)
     length = size[buses]
     indptr = np.cumsum(np.append(0, length), dtype=np.int32)
     indices = bus_rows[np.repeat(bus_ptr[buses] - indptr[:-1], length)

@@ -1,11 +1,12 @@
 """Peer-to-peer market: random matching and bilateral price negotiation.
 
 The market maker pairs producers and consumers uniformly at random, without
-regard to location or quantity. A matched pair runs T negotiation steps; a
-step succeeds when the producer's ask does not exceed the consumer's bid
-(inclusive). On success the trade executes at the producer's ask, both sides
-pay a fixed service fee; on failure both take a fixed penalty. Energy a
-consumer fails to secure is drawn from the substation at the retail price.
+regard to location or quantity. A matched pair negotiates once per market
+step, the paper's T steps per round; a step succeeds when the producer's ask
+does not exceed the consumer's bid (inclusive). On success the trade
+executes at the producer's ask, both sides pay a fixed service fee; on
+failure both take a fixed penalty. Energy a consumer fails to secure is
+drawn from the substation at the retail price.
 """
 
 import math
@@ -19,7 +20,6 @@ class P2pConfig:
     c_service: float = 0.5      # cents/kWh, charged on success only
     c_lose: float = 1.0         # penalty on failed negotiation
     ub: float = 10.0            # utility fallback price in the reward rule
-    T: int = 1                  # negotiation steps per round
     trade_quantity: float = 3.0  # kW, homogeneous trades
     retail_price: float = 12.0  # cents/kWh for deficiency from the grid
 
@@ -29,8 +29,8 @@ class P2pConfig:
                 raise ValueError(f"{f.name} must be finite")
         if not self.ub > self.c_service >= 0:
             raise ValueError("need ub > c_service >= 0")
-        if self.c_lose < 0 or self.T < 1 or self.trade_quantity <= 0:
-            raise ValueError("need c_lose >= 0, T >= 1 and trade_quantity > 0")
+        if self.c_lose < 0 or self.trade_quantity <= 0:
+            raise ValueError("need c_lose >= 0 and trade_quantity > 0")
 
 
 @dataclass

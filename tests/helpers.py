@@ -13,7 +13,9 @@ from gridmarket.agents import ucb_select, ucb_update
 from gridmarket.clearing import MarketInput
 from gridmarket.curves import Curve, CurveError, DEMAND, SUPPLY, integral
 from gridmarket.dlmp import DrOffer, GenOffer, ScopfInput
-from gridmarket.network import build_network
+from gridmarket.network import (
+    FLOW_TOL, GridState, UnknownBus, build_network, line_flows,
+)
 from gridmarket.optim import REACH_TOL, LpProblem
 
 INF = float("inf")
@@ -458,6 +460,43 @@ def dual_infeasibility(solution, problem, tol=1e-9):
         worst = max(worst, float(np.where(at_lo & at_hi, 0.0, wrong)
                                  .max(initial=0.0)))
     return worst
+
+
+class DictGrid:
+    """`network.Grid` as it stepped on dicts: an injection per non-root bus,
+    the line limits read from the network and feasibility line by line. The
+    reference the array `Grid` must match bit for bit."""
+
+    def __init__(self, network):
+        self.network = network
+        self.limits = network.line_limits()
+        self.state = None
+        self.reset()
+
+    def reset(self):
+        self.state = GridState(
+            t=-1,
+            injections={b: 0.0 for b in self.network.non_root_buses()},
+            flows={lid: 0.0 for lid, _, _, _ in self.network.lines},
+            feasible=True,
+        )
+        return self.state
+
+    def step(self, grid_actions):
+        injections = {b: 0.0 for b in self.network.non_root_buses()}
+        bus_set = set(self.network.buses)
+        for agent_id, (bus, kw) in grid_actions.items():
+            if bus not in bus_set:
+                raise UnknownBus(f"agent {agent_id}: unknown bus {bus}")
+            if bus == self.network.root:
+                continue  # feeder exchange is implicit in the root flow
+            injections[bus] += kw
+        flows = line_flows(self.network, injections)
+        feasible = all(abs(flows[lid]) <= self.limits[lid] + FLOW_TOL
+                       for lid in flows)
+        self.state = GridState(t=self.state.t + 1, injections=injections,
+                               flows=flows, feasible=feasible)
+        return self.state
 
 
 def state_fingerprint(env):

@@ -88,7 +88,7 @@ def test_commands_import_only_what_they_run(tmp_path):
     assert report["at_import"] == [] and report["after"] == []
     # a P2P episode computes flows (numpy only) but never builds an LP
     report = probe_imports(tmp_path, "run", "--config", case("demo_p2p.cfg"),
-                           "--set", "grid_steps=2", "--set", "T=5",
+                           "--set", "grid_steps=2", "--set", "market_steps=5",
                            "--out", str(tmp_path / "p2p"))
     assert report["at_import"] == [] and report["after"] == []
     # commands that solve LPs load HiGHS' extension by their end, but not
@@ -680,9 +680,19 @@ EVERY_KEY = {
     "case": "net.txt", "mechanism": "dlmp", "roster": "r.txt",
     "offers": "o.txt", "grid_steps": "2", "market_steps": "3",
     "seed": "4", "segments": "5", "out_dir": "out", "lmp_source": "4.3",
-    "T": "2", "c_service": "0.5", "c_lose": "1", "ub": "10",
+    "c_service": "0.5", "c_lose": "1", "ub": "10",
     "trade_quantity": "3", "retail_price": "12",
 }
+
+
+def test_the_retired_key_T_is_an_unknown_config_key(tmp_path, capsys):
+    # for P2P, market_steps is the paper's T
+    out = tmp_path / "out"
+    rc = main(["run", "--config", case("demo_p2p.cfg"), "--set", "T=5",
+               "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: unknown config key 'T'\n"
+    assert not out.exists()
 
 
 def test_readme_config_keys_are_the_parsed_keys():
@@ -694,7 +704,7 @@ def test_readme_config_keys_are_the_parsed_keys():
     rc = parse(EVERY_KEY, base_dir="base")
     assert rc.case == os.path.join("base", "net.txt")
     assert (rc.grid_steps, rc.market_steps, rc.seed, rc.segments) == (2, 3, 4, 5)
-    assert rc.p2p.T == 2 and rc.p2p.ub == 10.0 and rc.lmp_source == 4.3
+    assert rc.p2p.ub == 10.0 and rc.lmp_source == 4.3
 
 
 CONFIG_VALUES = st.one_of(
@@ -721,12 +731,12 @@ def test_parse_returns_valid_config_or_config_error(dropped, changed):
     assert rc.mechanism in ("clearing", "p2p", "dlmp")
     assert rc.mechanism != "dlmp" or rc.offers is not None
     assert rc.grid_steps >= 1 and rc.segments >= 1 and rc.seed >= 0
-    assert rc.market_steps is None or rc.market_steps >= 1
+    assert rc.market_steps >= 1
     p2p = rc.p2p
-    assert p2p.T >= 1 and p2p.c_lose >= 0 and p2p.trade_quantity > 0
+    assert p2p.c_lose >= 0 and p2p.trade_quantity > 0
     assert p2p.ub > p2p.c_service >= 0
     for value in (rc.lmp_source, p2p.c_service, p2p.c_lose, p2p.ub,
                   p2p.trade_quantity, p2p.retail_price):
         assert isinstance(value, float) and math.isfinite(value)
-    for value in (rc.grid_steps, rc.seed, rc.segments, p2p.T):
+    for value in (rc.grid_steps, rc.market_steps, rc.seed, rc.segments):
         assert type(value) is int

@@ -209,7 +209,7 @@ def config_text(draw):
            ["mechanism", draw(st.sampled_from(["clearing", "p2p", "dlmp"]))],
            ["grid_steps", draw(st.integers(1, 2))],
            ["market_steps", draw(st.integers(1, 3))],
-           ["segments", draw(st.integers(1, 4))], ["T", 2],
+           ["segments", draw(st.integers(1, 4))],
            ["lmp_source", num(draw, 0.0, 10.0)],
            ["trade_quantity", num(draw, 0.1, 10.0)]]
     return spoilt(draw, cfg, sep=" = ")

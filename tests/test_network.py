@@ -1,12 +1,15 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gridmarket.network import (
-    CyclicTopology, Disconnected, DuplicateLine, Grid, Network, UnknownBus,
-    build_network, line_flows, load_case, parse_case, ptdf,
+    CyclicTopology, Disconnected, DuplicateLine, Grid, Network, NetworkError,
+    UnknownBus, build_network, line_flows, load_case, parse_case, ptdf,
 )
 from helpers import (
-    children, line_into, ptdf_entries, random_radial_network,
+    DictGrid, children, line_into, ptdf_entries, random_radial_network,
     subtree_sum_flows,
 )
 
@@ -63,6 +66,16 @@ def test_build_unknown_bus_and_duplicates():
     with pytest.raises(DuplicateLine):
         build_network([0, 1, 2],
                       [("a", 0, 1, 1.0), ("b", 1, 0, 1.0)])
+
+
+def test_ids_that_log_as_one_key_are_refused():
+    # the logs key buses and lines by str(id): 1 and "1" would merge
+    with pytest.raises(DuplicateLine,
+                       match=r"^line ids 1 and '1' both log as '1'$"):
+        build_network([0, 1, 2], [(1, 0, 1, 5.0), ("1", 0, 2, 5.0)])
+    with pytest.raises(NetworkError,
+                       match=r"^bus ids 2 and '2' both log as '2'$"):
+        build_network([0, 2, "2"], [("a", 0, 2, 5.0), ("b", 0, "2", 5.0)])
 
 
 def test_parse_case_rejects_unknown_directive():
@@ -177,6 +190,56 @@ def test_grid_step_deterministic():
             grid.step(act)
         states.append((grid.state.t, grid.state.injections, grid.state.flows))
     assert states[0] == states[1]
+
+
+def bits(state):
+    """A grid state with every float as its IEEE bytes, dict order kept."""
+    def exact(d):
+        return [(k, type(v), struct.pack("<d", v)) for k, v in d.items()]
+    return (state.t, exact(state.injections), exact(state.flows),
+            state.feasible)
+
+
+KW = st.one_of(st.sampled_from([-0.0, 0.0, 1, -3]),
+               st.floats(-80.0, 80.0), st.floats())
+
+
+@st.composite
+def feeder_and_steps(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    net = random_radial_network(rng, draw(st.integers(1, 12)))
+    # some lines without a limit
+    net = build_network(net.buses, [
+        (lid, u, v, float("inf") if draw(st.booleans()) else lim)
+        for lid, u, v, lim in net.lines])
+    # the root, repeated buses and, now and then, a bus the case lacks
+    bus = st.sampled_from(net.buses) | st.sampled_from([99, "x"])
+    steps = draw(st.lists(st.lists(st.tuples(bus, KW), max_size=8),
+                          min_size=1, max_size=4))
+    return net, [{f"a{k}": a for k, a in enumerate(step)} for step in steps]
+
+
+def step_or_error(grid, actions):
+    try:
+        return bits(grid.step(actions))
+    except UnknownBus as e:
+        return str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(feeder_and_steps())
+@example((build_network([0, 1, 2], [("a", 0, 1, 5.0), ("b", 1, 2, 1.0)]),
+          [{"r": (0, 7.0), "p": (2, -0.0), "q": (2, 1.0 + 1e-9)},
+           {"n": (1, float("inf")), "m": (1, float("-inf"))},
+           {"u": (2, 0.5), "v": (3, 1.0)}]))
+def test_grid_matches_the_dict_grid_bit_for_bit(case):
+    net, steps = case
+    grid, ref = Grid(net), DictGrid(net)
+    assert bits(grid.state) == bits(ref.state)
+    for actions in steps:
+        assert step_or_error(grid, actions) == step_or_error(ref, actions)
+        assert bits(grid.state) == bits(ref.state)
+    assert bits(grid.reset()) == bits(ref.reset())
 
 
 def test_load_shipped_case(tmp_path):

@@ -16,8 +16,6 @@ def test_config_validation():
         P2pConfig(c_service=11.0, ub=10.0)
     with pytest.raises(ValueError):
         P2pConfig(c_lose=-1.0)
-    with pytest.raises(ValueError):
-        P2pConfig(T=0)
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
