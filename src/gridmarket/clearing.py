@@ -184,15 +184,15 @@ def clear(market_input, segments=100):
     counts = keep.sum(axis=1)
     signs = np.repeat([1.0, -1.0], [len(bids), len(offers)])
     buses = H.positions(agent_buses)
-    problem = dispatch_lp(H, np.repeat(buses, counts), np.repeat(signs, counts),
-                          block_prices, widths)
+    problem, _ = dispatch_lp(H, np.repeat(buses, counts),
+                             np.repeat(signs, counts), block_prices, widths)
     # x = 0 is feasible and the caps are finite: the LP has an optimum
     sol = solve_lp(problem)
 
     # Each agent's row sum over its blocks laid back on the grid is the same
     # float as np.sum over its span of x; np.add.reduceat rounds otherwise.
     x = np.zeros(keep.shape)
-    x[keep] = sol.x
+    x[keep] = sol.x[:widths.size]
     q = np.where(keep[:, 0], x.sum(axis=1), x[:, 1:].sum(axis=1))
     q[q <= SETTLE_TOL] = 0.0
 

@@ -2,9 +2,9 @@
 
 The dispatch minimizes: source energy cost (positive imports priced at the
 source LMP, exports unpaid), local generation cost and demand-response cost,
-subject to power balance, generator limits, demand-response bounds and PTDF
-line limits. DLMPs come from the row duals: the balance dual lambda plus the
-congestion components H^T (mu_plus - mu_minus) per bus.
+subject to power balance, generator limits, demand-response bounds and line
+limits. Each bus's DLMP is the negated dual of its zone's balance row in
+`optim.dispatch_lp`, and a line's mu_plus - mu_minus the step across it.
 
 Cost curves are convex piecewise-linear blocks: a generator offer lists
 (quantity, marginal price) blocks stacked above P_min; a DR offer lists
@@ -157,7 +157,7 @@ def build_scopf(scopf_input):
 
     # The source is a priced import and an unpaid export at the root, so
     # P_source = x[0] - x[1].
-    problem = dispatch_lp(
+    problem, zone = dispatch_lp(
         H, np.append([0, 0], at[owner[kept]]),
         np.append([-1.0, 1.0], -np.ones(kept.sum())),
         np.append([scopf_input.lmp_source, 0.0], prices[kept]),
@@ -172,6 +172,7 @@ def build_scopf(scopf_input):
         "owner": owner[kept],        # the offer of each variable from x[2]
         "H": H,
         "f_const": f_const,          # flows of the constant injections
+        "zone": zone,                # each bus position's row
     }
     return problem, maps
 
@@ -191,22 +192,22 @@ def solve_dlmp(scopf_input):
             "SCOPF Infeasible: baseline load violates line limits",
             binding) from None
 
-    lam, mu_plus, mu_minus = dispatch_duals(sol, H.limited)
+    dlmp, mu_plus, mu_minus = dispatch_duals(sol, H, maps["zone"])
     # Each bus's generation is its floors plus its gen blocks, and its load
     # its baselines less its DR blocks, added in offer and then block order
     # (in floats: np.bincount counts no offers at all in ints).
-    slot, owner, x, n = maps["slot"], maps["owner"], sol.x[2:], len(net.buses)
+    slot, owner, n = maps["slot"], maps["owner"], len(net.buses)
+    x = sol.x[2:2 + owner.size]
     p_g, p_d = np.bincount(np.append(slot, slot[owner]), np.append(
         maps["fixed"], np.where(owner < len(scopf_input.gen_offers), x, -x)),
         2 * n).astype(float, copy=False).reshape(2, n)
     return DlmpResult(
         dispatch=dict(zip(net.buses, zip(p_g.tolist(), p_d.tolist()))),
         p_source=float(sol.x[0] - sol.x[1]),
-        lam=lam,
+        lam=float(dlmp[0]),
         mu_plus=dict(zip(H.line_order, mu_plus.tolist())),
         mu_minus=dict(zip(H.line_order, mu_minus.tolist())),
-        dlmp=dict(zip(net.buses, np.append(
-            lam, lam + H.path_sums(mu_plus - mu_minus)).tolist())),
+        dlmp=dict(zip(net.buses, dlmp.tolist())),
         objective=sol.objective,
         flows=dict(zip(H.line_order, H.flows((p_d - p_g)[1:]).tolist())),
     )

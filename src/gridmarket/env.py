@@ -281,8 +281,8 @@ class P2pMarket(MarketBase):
 
 
 class DlmpMarket(MarketBase):
-    """Use Case 3 mechanism: single-shot SCOPF solve; DLMP-based rewards.
-
+    """Use Case 3 mechanism: one SCOPF solve sets the DLMPs and the DSO's
+    `dso@<bus>` grid actions; agents' actions are ignored and no rewards paid.
     The SCOPF input is fixed: the first step of an episode solves it and
     encodes the result's `dlmp` log field, and later steps reuse both (treat
     the `DlmpResult` as read-only) until `reset()`."""

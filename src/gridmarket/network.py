@@ -212,21 +212,29 @@ def line_flows(network, injections):
 class PtdfMatrix:
     """0/1 path-indicator matrix H, lines x non-root buses: H[l, i] = 1 iff
     line l is on the root path of bus i. f = H @ x maps net injections to
-    line flows; H^T sums line values along each bus's root path. H is held
-    as its 1-entries (path_rows, path_cols), ordered by bus and then by
-    line, so both products add in the order of a CSR (for H^T, CSC) mat-vec.
-    Beside H it holds the line limits, with `limited` marking the finite
-    ones."""
+    line flows. H is held as its 1-entries (path_rows, path_cols), ordered
+    by bus and then by line, so f adds in the order of a CSR mat-vec. Beside
+    H it holds the line limits (`limited`: the finite ones) and each line's
+    ends, also as bus positions (the root's is 0)."""
 
     path_rows: np.ndarray   # line index of each entry
     path_cols: np.ndarray   # bus index of each entry, ascending
     line_order: list        # line index -> line_id
     bus_order: list         # bus index -> bus id (non-root buses)
     limits: np.ndarray      # line index -> flow limit, kW
+    line_ends: list         # line index -> (parent bus id, child bus id)
 
     def __post_init__(self):
         self.bus_index = {b: i for i, b in enumerate(self.bus_order)}
         self.limited = np.isfinite(self.limits)
+        self.line_from = self.positions([u for u, _ in self.line_ends])
+        self.line_to = self.positions([v for _, v in self.line_ends])
+        # For `dispatch_lp`'s zones: the lines by depth, then index; each
+        # entry's line's place in that order, from 1; each bus's first entry.
+        depth = np.bincount(self.path_cols, minlength=len(self.bus_order))
+        self.by_depth = np.argsort(depth[self.line_to - 1], kind="stable")
+        self.path_rank = (np.argsort(self.by_depth) + 1)[self.path_rows]
+        self.path_start = np.cumsum(depth) - depth
 
     def positions(self, buses):
         """Each bus's position in the network's bus list: 0 for the root."""
@@ -237,11 +245,6 @@ class PtdfMatrix:
         """H @ x: per-line flow of the bus injections x."""
         return np.bincount(self.path_rows, weights=x[self.path_cols],
                            minlength=len(self.line_order))
-
-    def path_sums(self, y):
-        """H^T @ y: per-bus sum of the line values y on its root path."""
-        return np.bincount(self.path_cols, weights=y[self.path_rows],
-                           minlength=len(self.bus_order))
 
 
 def ptdf(network):
@@ -263,7 +266,8 @@ def ptdf(network):
         cols += [i] * len(path)
     network._ptdf = PtdfMatrix(
         np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
-        line_order, non_root, np.array([lim for *_, lim in network.lines], float))
+        line_order, non_root, np.array([lim for *_, lim in network.lines], float),
+        [(u, v) for _, u, v, _ in network.lines])
     return network._ptdf
 
 

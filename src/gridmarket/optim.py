@@ -10,14 +10,11 @@ HiGHS' row duals, row_duals[i] = d objective / d (active side of row i):
 the prices the callers read. A column's reduced cost is c - A^T row_duals.
 
 Clearing and DLMP both build their LP with `dispatch_lp`, in whole-array
-numpy from the PTDF and the line limits `network.ptdf` holds beside it:
-each bus's column is laid out once and gathered for every block at that
-bus, as the int32 arrays HiGHS takes; `dispatch_duals` reads the prices
-back. A line-limit row that no dispatch within the blocks' caps can bring
-to its limit keeps its place and its side but gets no matrix entries: its
-dual is 0 either way, and on a 1000-bus feeder 1,940 of the 1,998 line rows
-are such rows. Dropping them instead would change the row count and, where
-block prices tie, the optimal vertex HiGHS returns.
+numpy from the PTDF and the line layout `network.ptdf` holds beside it:
+lines no dispatch within the blocks' caps can load are contracted, leaving
+the lossless branch flow (Baran & Wu, IEEE Trans. Power Delivery, 1989) on
+a tree of zones, 52 rows on a 1000-bus feeder where one row per line side
+took 1,999 (README gives timings); `dispatch_duals` reads prices back.
 
 The solve is one call into HiGHS' dual simplex (Huangfu & Hall, Math. Prog.
 Comp. 2018) with presolve off, which finds nothing to remove in a dispatch
@@ -29,8 +26,10 @@ and cleared before each model: it keeps only its options and never warm-
 starts. The first object in a process pins glibc's malloc thresholds at
 their 64-bit ceilings (mmap 32 MiB, trim 64 MiB; setting one stops both
 adapting), so free no longer trims HiGHS' workspace for the next solve to
-fault in again (README gives the fault counts). Other libcs are left as
-they are.
+fault in again, and runs its first model once before solving it, so the
+caller's arrays made before the second solve cannot take that workspace's
+heap holes (README gives the fault counts). Other libcs are left as they
+are.
 """
 
 import ctypes
@@ -46,8 +45,8 @@ import numpy as np
 # HiGHS reads a cost or bound of this magnitude or more as infinite: its
 # options infinite_cost and infinite_bound.
 HIGHS_INF = 1e20
-# A line-limit row gets matrix entries when the flow the blocks can push
-# that way reaches its limit less this share of it and this many kW.
+# A line is loadable when the flow the blocks can push along or against it
+# reaches its limit less this share of it and this many kW.
 REACH_TOL = 1e-6
 _solver = threading.local()
 _pin_once = threading.Lock()
@@ -105,7 +104,7 @@ class LpProblem:
                 f"variable {j}: bound lo {self.lo[j]} > hi {self.hi[j]}")
         # HiGHS reads a cost, bound or row side of 1e20 or more in magnitude
         # as infinite. A row side is refused only on the side that empties
-        # its row: a line limit of 1e20 or more still means no limit.
+        # its row.
         for what, v, far in (
                 ("variable {}: cost", self.c, np.abs(self.c) >= HIGHS_INF),
                 ("variable {}: bound lo", self.lo, np.isfinite(self.lo)
@@ -126,75 +125,66 @@ class LpProblem:
 
 
 def dispatch_lp(H, buses, signs, prices, caps, balance=0.0, f_const=None):
-    """The dispatch LP of clearing and DLMP over priced blocks.
+    """(LpProblem, each bus position's row) of clearing's and DLMP's LP.
 
-    Variable j is a block of 0..caps[j] kW at the bus whose position in the
-    network's bus list is buses[j] (an int array, `H.positions`) that consumes
-    (signs[j] = +1) or produces (-1) at prices[j]: minimize the cost of
-    production less the value of consumption subject to the line limits on
-    the PTDF `H` (`f_const`: flows of the constant injections, an array over
-    H.line_order) and the balance row signs.x = balance, which comes last.
-    Rows 2k and 2k + 1 cap the flow of the k-th finite-limit line
-    (`H.limited`) from above and below: column j holds +signs[j] on the
-    +row and -signs[j] on the -row of each such line on its bus's root path,
-    rows ascending, then signs[j] on the balance row; a row the blocks cannot
-    bring to its limit has no entries. Returns the LpProblem.
+    Variable j is a block of 0..caps[j] kW at the bus at position buses[j]
+    (`H.positions`) that consumes (signs[j] = +1) or produces (-1) at
+    prices[j]: minimize the cost of production less the value of consumption
+    subject to balance and the line limits on the PTDF `H` (`f_const`: flows
+    of the constant injections, over H.line_order). Row z balances zone z,
+    signs.x of its blocks plus the flows out of it less the flow in, to 0;
+    row 0, the root zone's, to `balance`. The loadable lines' flows follow
+    the blocks in line order, each within -limit - f_const, limit - f_const.
     """
     signs = np.asarray(signs, dtype=float)
-    lims, limited = H.limits, H.limited
+    lims = H.limits
     f0 = np.zeros(lims.size) if f_const is None else f_const
-    k = int(limited.sum())
-    # A row binds when the blocks can bring its side of the line's flow
-    # within REACH_TOL of the limit: the +row with every consuming block
-    # behind the line at its cap, the -row with every producing one. A row
-    # that cannot bind gets no entries but keeps its side, which is then
-    # positive (the blocks only add to f0 or -f0), so its activity 0 lies
-    # strictly inside, its slack is basic and its dual exactly 0. One bincount
-    # sums the caps of both sides, the producing blocks' n positions on.
+    # A line is loadable when the blocks can bring its flow within REACH_TOL
+    # of the limit: along it with every consuming block behind it at its
+    # cap, or against it with every producing one (one bincount sums both,
+    # the producing blocks' n positions on). Dropping the other lines'
+    # limits is exact (Andersen & Andersen, Math. Prog. 71, 1995).
     n = len(H.bus_order) + 1
     reach = np.bincount(buses + n * (signs < 0),
                         np.where(signs != 0.0, caps, 0.0) * np.abs(signs), 2 * n)
     near = lims * (1.0 - REACH_TOL) - REACH_TOL
-    binds = np.column_stack([limited & (f0 + H.flows(reach[1:n]) >= near),
-                             limited & (H.flows(reach[n + 1:]) - f0 >= near)])
-    # A column at the bus at position p repeats column p of `bus_rows` (CSC,
-    # `bus_ptr` and `size`): the binding rows of the limited lines on p's root
-    # path, ascending, then the balance row 2k. H's entries keep their order,
-    # by bus and then by line, so the t-th binding row, at p, is entry t + p.
-    on = np.flatnonzero(binds.take(H.path_rows, axis=0))
-    at = H.path_cols[on >> 1] + 1
-    size = np.bincount(at, minlength=n).astype(np.int32) + 1
-    bus_ptr = np.cumsum(size, dtype=np.int32) - size
-    bus_rows = np.full(bus_ptr[-1] + size[-1], 2 * k, dtype=np.int32)
-    plus = 2 * np.cumsum(limited, dtype=np.int32) - 2    # limited lines' +rows
-    bus_rows[at + np.arange(at.size)] = plus[H.path_rows[on >> 1]] + (on & 1)
-    length = size[buses]
-    indptr = np.cumsum(np.append(0, length), dtype=np.int32)
-    indices = bus_rows[np.repeat(bus_ptr[buses] - indptr[:-1], length)
-                       + np.arange(indptr[-1], dtype=np.int32)]
-    # +rows and the balance row are even, -rows odd
-    data = np.repeat(signs, length) * (1 - 2 * (indices & 1))
-    # a side beyond the float range is no limit, as one of 1e20+ is to HiGHS
-    with np.errstate(over="ignore"):
-        sides = np.column_stack([lims[limited] - f0[limited],
-                                 lims[limited] + f0[limited]]).ravel()
-    row_hi = np.append(np.minimum(sides, np.finfo(float).max), balance)
-    row_lo = np.append(np.full(2 * k, -np.inf), balance)
-    return LpProblem(c=-signs * prices, lo=np.zeros(len(caps)), hi=caps,
-                     indptr=indptr, indices=indices, data=data, row_lo=row_lo,
-                     row_hi=row_hi)
+    loadable = H.limited & ((f0 + H.flows(reach[1:n]) >= near)
+                            | (H.flows(reach[n + 1:]) - f0 >= near))
+    # A bus's zone is headed by the deepest loadable line on its root path;
+    # row r is the r-th such line's zone by depth, row 0 the root's.
+    head = np.maximum.reduceat(np.where(loadable[H.path_rows], H.path_rank, 0),
+                               H.path_start)
+    zone = np.append(0, np.cumsum(np.append(0, loadable[H.by_depth]))[head])
+    lines = np.flatnonzero(loadable)
+    m, k = len(caps), lines.size
+    with np.errstate(over="ignore"):        # beyond the float range: no limit
+        bounds = np.array([-lims[lines] - f0[lines], lims[lines] - f0[lines]])
+    far = np.argwhere(np.isfinite(bounds.T) & (np.abs(bounds.T) >= HIGHS_INF))
+    if far.size:
+        i, side = far[0]
+        raise NumericalFailure(
+            f"line {H.line_order[lines[i]]} (limit {lims[lines[i]]:g} kW): "
+            f"flow bound {bounds[side, i]:g} is {HIGHS_INF:g} or more in "
+            "magnitude, which HiGHS reads as infinite")
+    sides = np.append(balance, np.zeros(k))
+    return LpProblem(
+        c=np.append(-signs * prices, np.zeros(k)),
+        lo=np.append(np.zeros(m), bounds[0]), hi=np.append(caps, bounds[1]),
+        indptr=np.append(np.arange(m), m + 2 * np.arange(k + 1)),
+        indices=np.append(zone[buses], np.column_stack(
+            [zone[H.line_from[lines]], zone[H.line_to[lines]]])),
+        data=np.append(signs, np.tile([1.0, -1.0], k)),
+        row_lo=sides, row_hi=sides), zone
 
 
-def dispatch_duals(solution, limited):
-    """(lam, mu_plus, mu_minus) of a solved `dispatch_lp` on the PTDF H
-    whose `limited` is given: lam = -d objective / d balance, and as arrays
-    over H's lines the prices >= 0 of each line's flow limit along and
-    against it (0 if none)."""
-    y = solution.row_duals
-    mu = np.maximum(-y[:-1], 0.0)
-    mu_plus, mu_minus = np.zeros((2, limited.size))
-    mu_plus[limited], mu_minus[limited] = mu[::2], mu[1::2]
-    return -float(y[-1]), mu_plus, mu_minus
+def dispatch_duals(solution, H, zone):
+    """(prices, mu_plus, mu_minus) of a solved `dispatch_lp` on the PTDF H
+    with bus rows `zone`: each bus position's price, its zone row's negated
+    dual, and per line the prices >= 0 of its limit along and against it,
+    the price step across it (0 on a contracted line)."""
+    price = -solution.row_duals[zone]
+    step = price[H.line_to] - price[H.line_from]
+    return price, np.maximum(step, 0.0), np.maximum(-step, 0.0)
 
 
 @dataclass
@@ -228,6 +218,9 @@ def solve_lp(problem):
     missing, refuses the model or ends at another status or off constraints."""
     core = highs_binding()
     p = problem
+    model = (p.n, p.row_lo.size, p.data.size, 1, 1, 0.0, p.c, p.lo, p.hi,
+             p.row_lo, p.row_hi, p.indptr, p.indices, p.data,
+             np.zeros(p.n, np.int32))
     highs = getattr(_solver, "highs", None)
     if highs is None:
         if _pin_once.acquire(blocking=False):   # never released: once a process
@@ -241,10 +234,10 @@ def solve_lp(problem):
         highs.setOptionValue("presolve", "off")
         highs.setOptionValue("solver", "simplex")
         highs.setOptionValue("simplex_strategy", 1)  # dual
+        if highs.passModel(*model) != core.HighsStatus.kError:
+            highs.run()     # lays HiGHS' workspace out; see the docstring
     highs.clearModel()      # keeps the options; drops model, basis, solution
-    if highs.passModel(p.n, p.row_lo.size, p.data.size, 1, 1, 0.0, p.c, p.lo,
-                       p.hi, p.row_lo, p.row_hi, p.indptr, p.indices, p.data,
-                       np.zeros(p.n, np.int32)) == core.HighsStatus.kError:
+    if highs.passModel(*model) == core.HighsStatus.kError:
         pairs, count = np.unique(np.column_stack(
             [np.repeat(np.arange(p.n), np.diff(p.indptr)), p.indices]),
             axis=0, return_counts=True)

@@ -14,7 +14,7 @@ from gridmarket.clearing import MarketInput
 from gridmarket.curves import Curve, CurveError, DEMAND, SUPPLY, integral
 from gridmarket.dlmp import DrOffer, GenOffer, ScopfInput
 from gridmarket.network import (
-    FLOW_TOL, GridState, UnknownBus, build_network, line_flows,
+    FLOW_TOL, GridState, UnknownBus, build_network, line_flows, ptdf,
 )
 from gridmarket.optim import REACH_TOL, LpProblem
 
@@ -49,6 +49,90 @@ def random_radial_network(rng, n_buses, limit_lo=5.0, limit_hi=50.0):
     return build_network(list(range(n_buses)), lines)
 
 
+def box_flows(a, caps, f):
+    """The largest and the smallest of f + a.x over 0 <= x <= caps."""
+    return (f + sum(v * cap for v, cap in zip(a, caps) if v > 0),
+            f + sum(v * cap for v, cap in zip(a, caps) if v < 0))
+
+
+def with_limits(net, limits):
+    """`net` with its lines' limits replaced by `limits`, line id -> kW."""
+    return build_network(net.buses, [(lid, u, v, limits[lid])
+                                     for lid, u, v, _ in net.lines])
+
+
+def random_dispatch(rng, net, unlimited=True):
+    """Random dispatch LP inputs on `net`, with some lines made unlimited
+    unless `unlimited` is False: the network, a priced import and an unpaid
+    export at the root, blocks that consume or produce at random buses (the
+    root among them) and random constant flows."""
+    if unlimited:
+        net = with_limits(net, {lid: INF if rng.random() < 0.3 else lim
+                                for lid, lim in net.line_limits().items()})
+    k = int(rng.integers(1, 40))
+    buses = [net.root] * 2 + rng.integers(0, net.n_buses, k).tolist()
+    signs = np.append([-1.0, 1.0], rng.choice([-1.0, 1.0], k))
+    prices = np.append([rng.uniform(1.0, 10.0), 0.0], rng.uniform(0.0, 20.0, k))
+    caps = np.append([INF, INF], rng.uniform(0.5, 30.0, k))
+    f_const = ptdf(net).flows(rng.uniform(-1.0, 1.0, net.n_buses)[1:])
+    return net, buses, signs, prices, caps, f_const
+
+
+def feeder_markets(rng, net):
+    """A seeded clearing market and SCOPF on `net`, whose buses are 0..n-1:
+    260 consumers and 40 suppliers beside a flat 5-cent feeder, several at
+    one bus and in no bus order, curves with and without a q_min gap, some
+    flat; 40 gens and 200 DR offers, some of them fixed loads and some with
+    blocks that overdraw their baseline. Returns (MarketInput, ScopfInput)."""
+    n = net.n_buses
+
+    def curve(side, lo, hi):
+        p_min = float(rng.uniform(lo, hi))
+        p_max = p_min if rng.random() < 0.1 else p_min + float(rng.uniform(0, 8))
+        q_min = 0.0 if rng.random() < 0.5 else float(rng.uniform(0.5, 3.0))
+        return Curve(side, p_max, p_min, q_min + float(rng.uniform(2, 20)),
+                     q_min)
+
+    buses = rng.integers(1, n, size=260).tolist()
+    bids = [(f"c{k}", b, curve(DEMAND, 6, 25)) for k, b in enumerate(buses)]
+    offers = [("feeder", 0, Curve(SUPPLY, 5.0, 5.0, 1e4, 0.0))] + [
+        (f"g{k}", b, curve(SUPPLY, 4, 12))
+        for k, b in enumerate(rng.integers(1, n, size=40).tolist())]
+    market = MarketInput(bids=bids, offers=offers, network=net)
+
+    gens = []
+    for b in rng.integers(0, n, size=40).tolist():
+        p_min = 0.0 if rng.random() < 0.7 else float(rng.uniform(0, 2))
+        q = float(rng.uniform(5, 30))
+        p1 = float(rng.uniform(3, 10))
+        gens.append(GenOffer(bus=b, p_min=p_min, p_max=p_min + q,
+                             blocks=[(q / 2, p1), (q / 2, p1 + 2.0)]))
+    drs = []
+    for b in buses[:200]:
+        base = float(rng.uniform(0.2, 3.0))
+        k = int(rng.integers(0, 4))          # 0: a fixed load
+        cut = base * float(rng.uniform(0.3, 0.6))
+        drs.append(DrOffer(bus=b, baseline=base,
+                           blocks=[(cut, 8.0 + j) for j in range(k)]))
+    scopf = ScopfInput(lmp_source=5.0, gen_offers=gens, dr_offers=drs,
+                       network=net)
+    return market, scopf
+
+
+def deep_feeder(seed, window, n_buses=300):
+    """`feeder_markets` on a seeded radial feeder of `n_buses` in which each
+    bus's parent is drawn from the `window` buses before it, so a small
+    window makes long paths on which loadable lines nest deep. A fifth of
+    the lines have no limit, the others 20-200 kW."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for b in range(1, n_buses):
+        parent = int(rng.integers(max(0, b - window), b))
+        lim = INF if rng.random() < 0.2 else float(rng.uniform(20.0, 200.0))
+        lines.append((f"l{parent}_{b}", parent, b, lim))
+    return feeder_markets(rng, build_network(list(range(n_buses)), lines))
+
+
 def chain(limits=(INF, INF)):
     """Buses 0 - 1 - 2 joined by lines a and b."""
     return build_network([0, 1, 2], [("a", 0, 1, limits[0]),
@@ -57,8 +141,10 @@ def chain(limits=(INF, INF)):
 
 # At a vertex where a line sits exactly at its limit and the offer or bid
 # behind it is at a bound too, every mu in an interval is a valid dual. The
-# tests pin the one HiGHS returns (the low end, mu = 0), so a solver setting
-# that picks another vertex of the dual face shows there first.
+# tests pin the one HiGHS returns, so a solver setting or an LP form that
+# picks another vertex of the dual face shows there first. The PTDF twin
+# returns the low end, mu = 0, on all three; the zone form does on two, and
+# on `capped_gen_exporting_at_limit` returns the high end.
 
 def idle_gen_behind_full_line():
     # 5 kW load behind a 5 kW line, and a gen at 10 > lmp_source behind it:
@@ -162,6 +248,108 @@ def dispatch_lp_twin(H, limits, buses, signs, prices, caps, balance=0.0,
                         indptr=indptr, indices=indices, data=data,
                         row_lo=row_lo, row_hi=row_hi)
     return problem, limited
+
+
+# `optim.dispatch_lp` and `dispatch_duals` in their PTDF form, before the
+# LP was contracted to one row per zone, kept verbatim but for their names:
+# the twin every zone-form equality test compares against. Rows 2k and
+# 2k + 1 cap the k-th finite-limit line; the balance row comes last.
+def ptdf_dispatch_lp(H, buses, signs, prices, caps, balance=0.0, f_const=None):
+    """The dispatch LP of clearing and DLMP over priced blocks.
+
+    Variable j is a block of 0..caps[j] kW at the bus whose position in the
+    network's bus list is buses[j] (an int array, `H.positions`) that consumes
+    (signs[j] = +1) or produces (-1) at prices[j]: minimize the cost of
+    production less the value of consumption subject to the line limits on
+    the PTDF `H` (`f_const`: flows of the constant injections, an array over
+    H.line_order) and the balance row signs.x = balance, which comes last.
+    Rows 2k and 2k + 1 cap the flow of the k-th finite-limit line
+    (`H.limited`) from above and below: column j holds +signs[j] on the
+    +row and -signs[j] on the -row of each such line on its bus's root path,
+    rows ascending, then signs[j] on the balance row; a row the blocks cannot
+    bring to its limit has no entries. Returns the LpProblem.
+    """
+    signs = np.asarray(signs, dtype=float)
+    lims, limited = H.limits, H.limited
+    f0 = np.zeros(lims.size) if f_const is None else f_const
+    k = int(limited.sum())
+    # A row binds when the blocks can bring its side of the line's flow
+    # within REACH_TOL of the limit: the +row with every consuming block
+    # behind the line at its cap, the -row with every producing one. A row
+    # that cannot bind gets no entries but keeps its side, which is then
+    # positive (the blocks only add to f0 or -f0), so its activity 0 lies
+    # strictly inside, its slack is basic and its dual exactly 0. One bincount
+    # sums the caps of both sides, the producing blocks' n positions on.
+    n = len(H.bus_order) + 1
+    reach = np.bincount(buses + n * (signs < 0),
+                        np.where(signs != 0.0, caps, 0.0) * np.abs(signs), 2 * n)
+    near = lims * (1.0 - REACH_TOL) - REACH_TOL
+    binds = np.column_stack([limited & (f0 + H.flows(reach[1:n]) >= near),
+                             limited & (H.flows(reach[n + 1:]) - f0 >= near)])
+    # A column at the bus at position p repeats column p of `bus_rows` (CSC,
+    # `bus_ptr` and `size`): the binding rows of the limited lines on p's root
+    # path, ascending, then the balance row 2k. H's entries keep their order,
+    # by bus and then by line, so the t-th binding row, at p, is entry t + p.
+    on = np.flatnonzero(binds.take(H.path_rows, axis=0))
+    at = H.path_cols[on >> 1] + 1
+    size = np.bincount(at, minlength=n).astype(np.int32) + 1
+    bus_ptr = np.cumsum(size, dtype=np.int32) - size
+    bus_rows = np.full(bus_ptr[-1] + size[-1], 2 * k, dtype=np.int32)
+    plus = 2 * np.cumsum(limited, dtype=np.int32) - 2    # limited lines' +rows
+    bus_rows[at + np.arange(at.size)] = plus[H.path_rows[on >> 1]] + (on & 1)
+    length = size[buses]
+    indptr = np.cumsum(np.append(0, length), dtype=np.int32)
+    indices = bus_rows[np.repeat(bus_ptr[buses] - indptr[:-1], length)
+                       + np.arange(indptr[-1], dtype=np.int32)]
+    # +rows and the balance row are even, -rows odd
+    data = np.repeat(signs, length) * (1 - 2 * (indices & 1))
+    # a side beyond the float range is no limit, as one of 1e20+ is to HiGHS
+    with np.errstate(over="ignore"):
+        sides = np.column_stack([lims[limited] - f0[limited],
+                                 lims[limited] + f0[limited]]).ravel()
+    row_hi = np.append(np.minimum(sides, np.finfo(float).max), balance)
+    row_lo = np.append(np.full(2 * k, -np.inf), balance)
+    return LpProblem(c=-signs * prices, lo=np.zeros(len(caps)), hi=caps,
+                     indptr=indptr, indices=indices, data=data, row_lo=row_lo,
+                     row_hi=row_hi)
+
+
+def ptdf_dispatch_duals(solution, limited):
+    """(lam, mu_plus, mu_minus) of a solved `dispatch_lp` on the PTDF H
+    whose `limited` is given: lam = -d objective / d balance, and as arrays
+    over H's lines the prices >= 0 of each line's flow limit along and
+    against it (0 if none)."""
+    y = solution.row_duals
+    mu = np.maximum(-y[:-1], 0.0)
+    mu_plus, mu_minus = np.zeros((2, limited.size))
+    mu_plus[limited], mu_minus[limited] = mu[::2], mu[1::2]
+    return -float(y[-1]), mu_plus, mu_minus
+
+
+def path_sums(H, y):
+    """H^T @ y: per-bus sum of the line values y on its root path."""
+    return np.bincount(H.path_cols, weights=y[H.path_rows],
+                       minlength=len(H.bus_order))
+
+
+def use_ptdf_twin(monkeypatch):
+    """Make `clear` and `solve_dlmp` solve the PTDF form: the LP of
+    `ptdf_dispatch_lp`, with the prices of `ptdf_dispatch_duals` and each
+    bus's DLMP as lam plus the path sum of mu_plus - mu_minus."""
+    from gridmarket import clearing, dlmp
+
+    def lp(H, buses, signs, prices, caps, balance=0.0, f_const=None):
+        return ptdf_dispatch_lp(H, buses, signs, prices, caps, balance,
+                                f_const), None
+
+    def duals(solution, H, _):
+        lam, mu_plus, mu_minus = ptdf_dispatch_duals(solution, H.limited)
+        return (np.append(lam, lam + path_sums(H, mu_plus - mu_minus)),
+                mu_plus, mu_minus)
+
+    for module in (clearing, dlmp):
+        monkeypatch.setattr(module, "dispatch_lp", lp)
+    monkeypatch.setattr(dlmp, "dispatch_duals", duals)
 
 
 def subtree_sum_flows(network, injections):
@@ -310,8 +498,6 @@ def vec_integral(curve, q):
 def brute_force_surplus(bids, offers, network, points=200):
     """Exhaustive welfare search on a quantity lattice, for <= 3 agents with
     a single agent on one side (that side balances the lattice side)."""
-    from gridmarket.network import ptdf
-
     if len(offers) == 1:
         lattice_side, single = bids, offers[0]
         single_is_supply = True

@@ -18,7 +18,7 @@ from gridmarket.optim import LpSolution
 from helpers import (
     INF, aggregate_intersection, brute_force_surplus, chain,
     demand_filling_a_capped_line, random_radial_network, reduced_costs,
-    surplus,
+    surplus, use_ptdf_twin,
 )
 
 
@@ -471,7 +471,10 @@ def test_quantities_are_per_span_sums_on_a_feeder_sized_lp(monkeypatch,
 
 
 def test_demand_exactly_filling_a_capped_line_pins_its_duals(monkeypatch):
-    # Pin the LP duals HiGHS returns and the settlement.
+    # Pin the LP duals HiGHS returns and the settlement, first of the zone
+    # form, whose rows are the root zone and line b's zone, then of its PTDF
+    # twin, whose rows are line b's +row and -row, then the balance row.
+    # Both price bus 2 at 4.3: line b's price is 0, the low end of its range.
     mi = demand_filling_a_capped_line()
     solved = []
     solve = clearing.solve_lp
@@ -479,13 +482,30 @@ def test_demand_exactly_filling_a_capped_line_pins_its_duals(monkeypatch):
                         lambda p: solved.append((p, solve(p))) or solved[-1][1])
     d = clear(mi, segments=10)
     (problem, sol), = solved
-    # line b's +row and -row, then the balance row
-    assert sol.row_duals.tolist() == [0.0, 0.0, -4.3]
+    assert sol.row_duals.tolist() == [-4.3, -4.3]
     # the consumers' blocks sit at their caps, priced at value - 4.3
     caps = [-95.7] + [-(99.9 + 0.01 * (9.5 - j) - 4.3) for j in range(10)]
     costs = reduced_costs(sol, problem)
     np.testing.assert_allclose(costs[:22], caps * 2, rtol=0, atol=1e-12)
-    # the feeder's blocks are free; g2's idle ones cost value + 4.3 more
+    # the feeder's blocks are free; g2's idle ones cost value + 4.3 more;
+    # line b's flow, at its limit, is free too
+    assert not costs[22:32].any() and costs[42] == 0.0
+    np.testing.assert_allclose(costs[32:42],
+                               [8.2 + 0.4 * j - 4.3 for j in range(10)],
+                               rtol=0, atol=1e-12)
+    assert d.binding_lines == ["b"]
+    assert d.quantities == {"c1": 9.999999999999998, "c2": 4.999999999999999,
+                            "feeder": 14.999999999999996, "g2": 0.0}
+    assert d.prices == {"feeder": 4.3, "c1": 4.3, "c2": 4.3}
+    assert d.total_surplus == 1435.4924999999996
+
+    solved.clear()
+    use_ptdf_twin(monkeypatch)
+    d = clear(mi, segments=10)
+    (problem, sol), = solved
+    assert sol.row_duals.tolist() == [0.0, 0.0, -4.3]
+    costs = reduced_costs(sol, problem)
+    np.testing.assert_allclose(costs[:22], caps * 2, rtol=0, atol=1e-12)
     assert not costs[22:32].any()
     np.testing.assert_allclose(costs[32:],
                                [8.2 + 0.4 * j - 4.3 for j in range(10)],

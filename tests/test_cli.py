@@ -627,6 +627,24 @@ def test_a_1e25_line_limit_clears_as_no_limit(tmp_path, capsys):
     assert outs[0].endswith(" traded=True binding=[]\n")
 
 
+def test_a_reachable_line_limit_highs_reads_as_infinite_prints_one_error_line(
+        tmp_path, capsys):
+    # 1e21 kW on each side can load line a's 5e20 kW limit, which becomes
+    # the bounds of a's flow column: HiGHS would read them as no bounds
+    # (this used to end in "optimal solution violates its constraints")
+    out = tmp_path / "out"
+    rc = main(["clear", "--case", write(tmp_path, "net.txt",
+                                        "bus 0\nbus 1\nline a 0 1 5e20\n"),
+               "--bids", write(tmp_path, "bids.txt",
+                               "bid s 0 S 1 1 1e21 0\nbid c 1 D 5 5 1e21 0\n"),
+               "--segments", "100", "--out", str(out)])
+    assert rc == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.err == ("error: line a (limit 5e+20 kW): flow bound -5e+20 "
+                            + HIGHS_READS_AS_INFINITE)
+    assert captured.out == "" and not out.exists()
+
+
 def test_the_bound_is_highs_own_infinity():
     from scipy.optimize._highspy._core import _Highs
 

@@ -11,6 +11,7 @@ from gridmarket.optim import solve_lp
 from helpers import (
     INF, capped_gen_exporting_at_limit, chain, dual_objective,
     idle_gen_behind_full_line, ptdf_entries, random_radial_network,
+    use_ptdf_twin,
 )
 
 
@@ -146,10 +147,11 @@ def test_infeasible_baseline_reports_binding_lines():
     assert "b" in ei.value.binding_lines
 
 
-def test_an_overloaded_baseline_is_named_beside_emptied_rows():
+def test_an_overloaded_baseline_is_named_beside_emptied_rows(monkeypatch):
     """Lines a and b carry more baseline than DR and the gen can relieve;
-    line c's rows, which no block can load, are empty. The SCOPF is still
-    infeasible and names a and b, in line order."""
+    line c, which no block can load, is contracted: bus 3 joins line a's
+    zone, and in the PTDF twin line c's rows are empty. Either way the SCOPF
+    is infeasible and names a and b, in line order."""
     net = build_network([0, 1, 2, 3], [("a", 0, 1, 11.5), ("b", 1, 2, 5.0),
                                        ("c", 1, 3, 100.0)])
     si = ScopfInput(lmp_source=4.3,
@@ -159,6 +161,16 @@ def test_an_overloaded_baseline_is_named_beside_emptied_rows():
                                DrOffer(bus=2, baseline=10.0,
                                        blocks=[(1.0, 20.0)])],
                     network=net)
+    problem, maps = build_scopf(si)
+    # rows: the root zone, line a's zone (buses 1 and 3), line b's zone;
+    # columns: the import, the export, the gen block, the DR block and the
+    # flows of a and b
+    assert maps["zone"].tolist() == [0, 1, 2, 1]
+    assert problem.indices.tolist() == [0, 0, 1, 2, 0, 1, 1, 2]
+    with pytest.raises(InfeasibleBaseline) as ei:
+        solve_dlmp(si)
+    assert ei.value.binding_lines == ["a", "b"]
+    use_ptdf_twin(monkeypatch)
     problem, _ = build_scopf(si)
     assert np.bincount(problem.indices, minlength=7).tolist()[:6] == [
         2, 0, 1, 0, 0, 0]
@@ -275,8 +287,13 @@ def test_blocks_take_what_the_baseline_has_left():
                     avail -= qty
         problem, _ = build_scopf(ScopfInput(lmp_source=5.0, gen_offers=gens,
                                             dr_offers=drs, network=net))
-        assert problem.hi[2:].tolist() == caps
-        assert problem.c[2:].tolist() == prices
+        # the blocks follow the import and the export; the loadable lines'
+        # flows, free and with two entries each, come last
+        blocks = slice(2, 2 + len(caps))
+        assert problem.hi[blocks].tolist() == caps
+        assert problem.c[blocks].tolist() == prices
+        assert not problem.c[blocks.stop:].any()
+        assert (np.diff(problem.indptr)[blocks.stop:] == 2).all()
 
 
 def test_parse_offers():
@@ -351,7 +368,19 @@ def test_full_line_with_idle_gen_behind_it_pins_zero_mu():
     assert res.objective == 21.5
 
 
-def test_full_reverse_line_with_capped_gen_pins_zero_mu():
+def test_full_reverse_line_with_capped_gen_pins_zero_mu(monkeypatch):
+    # Any mu_minus[b] in [0, 3.3] prices this vertex. The zone form returns
+    # the high end, the gen's own price at bus 2, and its PTDF twin the low
+    # end, mu = 0.
+    res = solve_dlmp(capped_gen_exporting_at_limit())
+    assert res.flows == {"a": 5.0, "b": -5.0}
+    assert res.dispatch[2] == (10.0, 5.0) and res.p_source == 5.0
+    assert res.lam == 4.3
+    assert res.mu_plus == {"a": 0.0, "b": 0.0}
+    assert res.mu_minus == {"a": 0.0, "b": 3.3}
+    assert res.dlmp == {0: 4.3, 1: 4.3, 2: 1.0}
+    assert res.objective == 31.5
+    use_ptdf_twin(monkeypatch)
     res = solve_dlmp(capped_gen_exporting_at_limit())
     assert res.flows == {"a": 5.0, "b": -5.0}
     assert res.dispatch[2] == (10.0, 5.0) and res.p_source == 5.0

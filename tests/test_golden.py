@@ -2,18 +2,19 @@
 
 One seeded 300-bus feeder is cleared at 20 segments and its SCOPF solved;
 a sha256 over float.hex of every quantity, price, line flow, DLMP, line
-price and objective must equal the digest below. It was recorded before
-`clear`, `dispatch_lp` and `build_scopf` computed their blocks, bus sums and
-results as whole arrays, and a change that only makes them faster must
-leave it as it is. The feeder puts several agents and offers at one bus, in
-no bus order, DR blocks that overdraw their baseline, curves with and
-without a q_min gap, flat curves and lines without a limit. The
-benchmark's 1000-bus feeder (pool instance 0, written by
-`perfbench/feeder.py`), cleared at 20 segments and its SCOPF solved, must
-equal `FEEDER_GOLDEN` by the same digest; it was recorded before the line
-layout was cached beside the PTDF and the LPs were gathered in fewer
-passes, as were the digests of what `gridmarket clear` and `gridmarket dlmp`
-print on it, in `golden_feeder_cli.sha256`.
+price and objective must equal the digest below, and a change that only
+makes them faster must leave it as it is. The feeder puts several agents
+and offers at one bus, in no bus order, DR blocks that overdraw their
+baseline, curves with and without a q_min gap, flat curves and lines
+without a limit. The benchmark's 1000-bus feeder (pool instance 0, written
+by `perfbench/feeder.py`), cleared at 20 segments and its SCOPF solved, must
+equal `FEEDER_GOLDEN` by the same digest. Both were re-recorded when the
+dispatch LP went from one row per line side (the PTDF form) to one row per
+zone, after `test_zone_lp.py` had found the two forms equal within 1e-9 on
+both feeders; the PTDF form, kept in the tests as `helpers.ptdf_dispatch_lp`,
+must still give the digests recorded before, `PTDF_GOLDEN` and
+`PTDF_FEEDER_GOLDEN`. What `gridmarket clear` and `gridmarket dlmp` print on
+the benchmark feeder, in `golden_feeder_cli.sha256`, did not move.
 
 The episode logs `gridmarket run` writes for the three demo configs must
 also equal the digests in `golden_episodes.sha256`. The first three runs
@@ -24,7 +25,9 @@ log text was encoded once.
 What `gridmarket clear` and `gridmarket dlmp` print on case34 must equal the
 digests in `golden_cli.sha256`: at those segment counts tied blocks leave
 the clear's vertex to HiGHS, so a change to the model or the solver must
-not move them unnoticed.
+not move them unnoticed. The clears at 2, 20 and 100 segments moved with
+the zone form and were re-recorded; `test_zone_lp.py` checks case34's
+welfare, prices and flows against the PTDF twin.
 """
 
 import hashlib
@@ -36,15 +39,17 @@ import pytest
 
 from gridmarket.clearing import MarketInput, clear, parse_bids
 from gridmarket.cli import EXIT_OK, main
-from gridmarket.curves import Curve, DEMAND, SUPPLY
-from gridmarket.dlmp import (
-    DrOffer, GenOffer, ScopfInput, parse_offers, solve_dlmp,
-)
+from gridmarket.curves import Curve, DEMAND
+from gridmarket.dlmp import ScopfInput, parse_offers, solve_dlmp
 from gridmarket.network import build_network, load_case
-from helpers import random_radial_network
+from helpers import feeder_markets, random_radial_network, use_ptdf_twin
 
-GOLDEN = "7c3fdbf931a8d505d96d66977fe39e215e3fb696518caa8cb72cecad737a5980"
+GOLDEN = "14455b092c53f2e57b18f339ebfdbfe93a46bfd37fec7b8e6c85f0d9d1a28aaa"
 FEEDER_GOLDEN = (
+    "b105891f87f5127cb294c07e5c1f58b3cb1f54e092661ef9aa7d0bd93332347c")
+PTDF_GOLDEN = (
+    "7c3fdbf931a8d505d96d66977fe39e215e3fb696518caa8cb72cecad737a5980")
+PTDF_FEEDER_GOLDEN = (
     "f0b081c20a16266019df2a875b7b12f3e8694fc579c5b654b8c57503b97550d2")
 
 HERE = os.path.dirname(__file__)
@@ -60,38 +65,7 @@ def feeder():
     net = build_network(net.buses, [
         (lid, u, v, float("inf") if rng.random() < 0.2 else lim)
         for lid, u, v, lim in net.lines])
-
-    def curve(side, lo, hi):
-        p_min = float(rng.uniform(lo, hi))
-        p_max = p_min if rng.random() < 0.1 else p_min + float(rng.uniform(0, 8))
-        q_min = 0.0 if rng.random() < 0.5 else float(rng.uniform(0.5, 3.0))
-        return Curve(side, p_max, p_min, q_min + float(rng.uniform(2, 20)),
-                     q_min)
-
-    buses = rng.integers(1, n, size=260).tolist()
-    bids = [(f"c{k}", b, curve(DEMAND, 6, 25)) for k, b in enumerate(buses)]
-    offers = [("feeder", 0, Curve(SUPPLY, 5.0, 5.0, 1e4, 0.0))] + [
-        (f"g{k}", b, curve(SUPPLY, 4, 12))
-        for k, b in enumerate(rng.integers(1, n, size=40).tolist())]
-    market = MarketInput(bids=bids, offers=offers, network=net)
-
-    gens = []
-    for b in rng.integers(0, n, size=40).tolist():
-        p_min = 0.0 if rng.random() < 0.7 else float(rng.uniform(0, 2))
-        q = float(rng.uniform(5, 30))
-        p1 = float(rng.uniform(3, 10))
-        gens.append(GenOffer(bus=b, p_min=p_min, p_max=p_min + q,
-                             blocks=[(q / 2, p1), (q / 2, p1 + 2.0)]))
-    drs = []
-    for b in buses[:200]:
-        base = float(rng.uniform(0.2, 3.0))
-        k = int(rng.integers(0, 4))          # 0: a fixed load
-        cut = base * float(rng.uniform(0.3, 0.6))
-        drs.append(DrOffer(bus=b, baseline=base,
-                           blocks=[(cut, 8.0 + j) for j in range(k)]))
-    scopf = ScopfInput(lmp_source=5.0, gen_offers=gens, dr_offers=drs,
-                       network=net)
-    return market, scopf
+    return feeder_markets(rng, net)
 
 
 def digest(dispatch, result):
@@ -142,6 +116,16 @@ def test_clear_and_dlmp_on_the_benchmark_feeder_are_bit_identical(tmp_path):
     assert dispatch.binding_lines and dispatch.traded
     assert any(v > 0 for v in result.mu_plus.values())
     assert digest(dispatch, result) == FEEDER_GOLDEN
+
+
+def test_the_ptdf_twin_gives_the_digests_recorded_before_it(monkeypatch,
+                                                           tmp_path):
+    use_ptdf_twin(monkeypatch)
+    for inputs, golden in ((feeder(), PTDF_GOLDEN),
+                           (bench_feeder_inputs(tmp_path), PTDF_FEEDER_GOLDEN)):
+        market, scopf = inputs
+        assert digest(clear(market, segments=20),
+                      solve_dlmp(scopf)) == golden
 
 
 def case34_inputs():

@@ -24,7 +24,7 @@ from helpers import (
     capped_gen_exporting_at_limit, demand_filling_a_capped_line,
     dual_infeasibility, dual_objective, enumerate_lp_optimum,
     idle_gen_behind_full_line, lp_matrix, lp_problem, random_feasible_lp,
-    random_radial_network, reduced_costs,
+    random_radial_network, reduced_costs, use_ptdf_twin,
 )
 
 CASES = os.path.join(os.path.dirname(__file__), "..", "cases")
@@ -189,12 +189,13 @@ def test_solve_lp_runs_the_dual_simplex_without_presolve(monkeypatch):
 
     monkeypatch.setattr(_Highs, "run", spy)
     # a thread's HiGHS object gets its options when it is made, at its first
-    # solve, and keeps them when it is cleared for the next model
+    # solve, and keeps them when it is cleared for the next model; it runs
+    # its first model twice, once before the solve
     monkeypatch.setattr(optim, "_solver", threading.local())
     assert solve_lp(lp_problem(c=[1.0], bounds=[(2.0, 5.0)])).x[0] == 2.0
     assert solve_lp(lp_problem(c=[-1.0], bounds=[(2.0, 5.0)])).x[0] == 5.0
     # simplex_strategy 1: the dual simplex
-    assert options == 2 * [{"output_flag": False, "presolve": "off",
+    assert options == 3 * [{"output_flag": False, "presolve": "off",
                             "solver": "simplex", "simplex_strategy": 1}]
 
 
@@ -506,6 +507,13 @@ def test_solve_lp_equals_linprog_when_infeasible_or_unbounded():
 
 def test_solve_lp_equals_linprog_at_the_pinned_degenerate_vertices(
         monkeypatch):
+    for si in (idle_gen_behind_full_line(), capped_gen_exporting_at_limit()):
+        linprog_equals_solve_lp(build_scopf(si)[0])
+    p = lp_of_clear(monkeypatch, demand_filling_a_capped_line(), 10)
+    # the root zone's row, then line b's zone's
+    assert linprog_equals_solve_lp(p).row_duals.tolist() == [-4.3, -4.3]
+    # and in the PTDF twin
+    use_ptdf_twin(monkeypatch)
     for si in (idle_gen_behind_full_line(), capped_gen_exporting_at_limit()):
         linprog_equals_solve_lp(build_scopf(si)[0])
     p = lp_of_clear(monkeypatch, demand_filling_a_capped_line(), 10)

@@ -1,7 +1,9 @@
-"""The PTDF index arrays and `dispatch_lp`'s column-wise (CSC) matrix, its
-line-limit rows and its balance row, checked against dense and scipy.sparse
-references built here; and the rows it leaves empty, checked against a twin
-LP that has every row's entries."""
+"""The PTDF index arrays, and the PTDF form of the dispatch LP that
+`helpers.ptdf_dispatch_lp` keeps as the zone form's twin: its column-wise
+(CSC) matrix, its line-limit rows and its balance row, checked against dense
+and scipy.sparse references built here, and the rows it leaves empty,
+checked against a twin LP that has every row's entries. The zone form
+itself is checked against this twin in `test_zone_lp.py`."""
 
 import os
 import warnings
@@ -13,24 +15,19 @@ from scipy import sparse
 
 from gridmarket import clearing
 from gridmarket.clearing import MarketInput, clear, parse_bids
-from gridmarket.network import build_network, line_flows, load_case, ptdf
+from gridmarket.network import line_flows, load_case, ptdf
 from gridmarket.optim import (
-    REACH_TOL, InfeasibleLp, LpProblem, NumericalFailure, dispatch_duals,
-    dispatch_lp, solve_lp,
+    REACH_TOL, InfeasibleLp, LpProblem, NumericalFailure, dispatch_lp,
+    solve_lp,
 )
 from helpers import (
-    chain, dispatch_lp_twin, line_into, lp_matrix, lp_problem, ptdf_entries,
-    random_radial_network,
+    box_flows, chain, dispatch_lp_twin, line_into, lp_matrix, lp_problem,
+    path_sums, ptdf_dispatch_duals, ptdf_dispatch_lp, ptdf_entries,
+    random_dispatch, random_radial_network, with_limits,
 )
 
 INF = float("inf")
 CASES = os.path.join(os.path.dirname(__file__), "..", "cases")
-
-
-def box_flows(a, caps, f):
-    """The largest and the smallest of f + a.x over 0 <= x <= caps."""
-    return (f + sum(v * cap for v, cap in zip(a, caps) if v > 0),
-            f + sum(v * cap for v, cap in zip(a, caps) if v < 0))
 
 
 def dense_limit_rows(net, var_buses, coefs, limits, f_const=None, caps=None):
@@ -73,32 +70,9 @@ def full_twin(net, buses, signs, prices, caps, limits, balance, f_const):
                       bounds=[(0.0, cap) for cap in caps])
 
 
-def with_limits(net, limits):
-    """`net` with its lines' limits replaced by `limits`, line id -> kW."""
-    return build_network(net.buses, [(lid, u, v, limits[lid])
-                                     for lid, u, v, _ in net.lines])
-
-
-def random_dispatch(rng, net, unlimited=True):
-    """Random dispatch_lp inputs on `net`, with some lines made unlimited
-    unless `unlimited` is False: the network, a priced import and an unpaid
-    export at the root, blocks that consume or produce at random buses (the
-    root among them) and random constant flows."""
-    if unlimited:
-        net = with_limits(net, {lid: INF if rng.random() < 0.3 else lim
-                                for lid, lim in net.line_limits().items()})
-    k = int(rng.integers(1, 40))
-    buses = [net.root] * 2 + rng.integers(0, net.n_buses, k).tolist()
-    signs = np.append([-1.0, 1.0], rng.choice([-1.0, 1.0], k))
-    prices = np.append([rng.uniform(1.0, 10.0), 0.0], rng.uniform(0.0, 20.0, k))
-    caps = np.append([INF, INF], rng.uniform(0.5, 30.0, k))
-    f_const = ptdf(net).flows(rng.uniform(-1.0, 1.0, net.n_buses)[1:])
-    return net, buses, signs, prices, caps, f_const
-
-
 @pytest.mark.parametrize("with_const", [False, True])
 def test_line_limit_rows_match_dense_reference(with_const):
-    """dispatch_lp's CSC, made dense, is the dense reference's line rows,
+    """ptdf_dispatch_lp's CSC, made dense, is the dense reference's line rows,
     those no dispatch within the caps can load zeroed, stacked over the
     signs row, exactly, with rows ascending in each column."""
     rng = np.random.default_rng(41 + with_const)
@@ -116,8 +90,8 @@ def test_line_limit_rows_match_dense_reference(with_const):
             live, has = (full_A != 0).any(axis=1), (ref_A != 0).any(axis=1)
             kept += np.count_nonzero(live & has)
             emptied += np.count_nonzero(live & ~has)
-        problem = dispatch_lp(H, H.positions(buses), signs, prices, caps, 2.5,
-                              f_const)
+        problem = ptdf_dispatch_lp(H, H.positions(buses), signs, prices, caps,
+                                   2.5, f_const)
         assert [(lid, s) for lid, lim in zip(H.line_order, H.limited) if lim
                 for s in (+1, -1)] == ref_lines
         np.testing.assert_array_equal(
@@ -137,7 +111,7 @@ def test_line_limit_rows_all_unlimited():
     rng = np.random.default_rng(5)
     net = random_radial_network(rng, 6, limit_lo=INF, limit_hi=INF)
     H = ptdf(net)
-    problem = dispatch_lp(H, H.positions([1, 2, 0]), [1.0, -1.0, 1.0],
+    problem = ptdf_dispatch_lp(H, H.positions([1, 2, 0]), [1.0, -1.0, 1.0],
                           [3.0, 2.0, 1.0], [1.0, 1.0, 1.0])
     assert not H.limited.any()
     np.testing.assert_array_equal(lp_matrix(problem), [[1.0, -1.0, 1.0]])
@@ -151,7 +125,7 @@ def test_root_bus_variables_hold_only_their_balance_entry():
     var_buses = [0, 3, 3, 8, 0, 1]
     coefs = [1.0, -1.0, 2.0, 1.0, 5.0, -3.0]
     caps = [1.0, 40.0, 40.0, 40.0, 1.0, 40.0]
-    problem = dispatch_lp(H, H.positions(var_buses), coefs, [1.0] * 6, caps)
+    problem = ptdf_dispatch_lp(H, H.positions(var_buses), coefs, [1.0] * 6, caps)
     ref_A = dense_limit_rows(net, var_buses, coefs, net.line_limits(),
                              caps=caps)[0]
     assert np.diff(problem.indptr).tolist() == [
@@ -221,11 +195,11 @@ def test_flows_and_path_sums_equal_scipy_mat_vecs_bit_for_bit():
         assert list(got.values()) == (S @ x).tolist()
         mu = np.where(rng.random(len(H.line_order)) < 0.1,
                       rng.normal(0.0, 5.0, len(H.line_order)), 0.0)
-        assert np.array_equal(H.path_sums(mu), S.T @ mu)
+        assert np.array_equal(path_sums(H, mu), S.T @ mu)
 
 
 def test_dispatch_lp_sparse_equals_dense():
-    """dispatch_lp's LP against a dense twin assembled here from
+    """ptdf_dispatch_lp's LP against a dense twin assembled here from
     dense_limit_rows, unloadable rows zeroed: the same arrays, and the same
     x and duals from HiGHS."""
     rng = np.random.default_rng(29)
@@ -240,7 +214,7 @@ def test_dispatch_lp_sparse_equals_dense():
         _, buses, signs, prices, caps, f_const = random_dispatch(
             rng, net, unlimited=False)
         balance = float(rng.uniform(-10.0, 10.0))
-        problem = dispatch_lp(H, H.positions(buses), signs, prices, caps,
+        problem = ptdf_dispatch_lp(H, H.positions(buses), signs, prices, caps,
                               balance, f_const)
         A_ub, b_ub, _ = dense_limit_rows(net, buses, signs, limits, f_const,
                                          caps)
@@ -264,7 +238,7 @@ def test_dispatch_lp_sparse_equals_dense():
        balance=st.sampled_from([0.0, 2.5, -1e3]))
 def test_dispatch_lp_assembles_its_twins_arrays_bit_for_bit(
         seed, unlimited, huge, with_const, balance):
-    """On random radial networks, dispatch_lp, which reads the line layout
+    """On random radial networks, ptdf_dispatch_lp, which reads the line layout
     built with the PTDF, returns the arrays of the twin that builds it from a
     limits dict on every call (`helpers.dispatch_lp_twin`), equal in value
     and dtype. Lines may be unlimited; signs need not be +-1 or nonzero;
@@ -288,7 +262,7 @@ def test_dispatch_lp_assembles_its_twins_arrays_bit_for_bit(
     f_const = (rng.choice([-0.9, -0.5, 0.0, 0.5, 0.9], net.n_lines) * np.array(
         [big if limits[lid] == big else 10.0 for lid in H.line_order])
         if with_const else None)
-    new = dispatch_lp(H, H.positions(buses), signs, prices, caps, balance,
+    new = ptdf_dispatch_lp(H, H.positions(buses), signs, prices, caps, balance,
                       f_const), H.limited
     twin = dispatch_lp_twin(H, limits, H.positions(buses), signs, prices, caps,
                             balance, f_const)
@@ -331,7 +305,7 @@ def test_emptied_rows_change_neither_the_optimum_nor_a_price(seed, at_reach,
             limits[lid] = float(reach * rng.choice([1.0, 1.0 - 1e-4]))
     net = with_limits(net, limits)
     H = ptdf(net)
-    problem = dispatch_lp(H, H.positions(buses), signs, prices, caps, balance,
+    problem = ptdf_dispatch_lp(H, H.positions(buses), signs, prices, caps, balance,
                           f_const)
     twin = full_twin(net, buses, signs, prices, caps, limits, balance, f_const)
     solutions = []
@@ -346,8 +320,8 @@ def test_emptied_rows_change_neither_the_optimum_nor_a_price(seed, at_reach,
         return
     assert abs(got.objective - ref.objective) <= 1e-9 * max(
         1.0, abs(ref.objective))
-    for a, b in zip(dispatch_duals(got, H.limited),
-                    dispatch_duals(ref, H.limited)):
+    for a, b in zip(ptdf_dispatch_duals(got, H.limited),
+                    ptdf_dispatch_duals(ref, H.limited)):
         np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-9)
     empty = np.bincount(problem.indices, minlength=problem.row_lo.size) == 0
     assert np.all(got.row_duals[empty] == 0.0)
@@ -360,7 +334,7 @@ def test_a_limit_at_the_reachable_maximum_keeps_its_entries():
     empty."""
     def b_rows(limit, cap, f0):
         H = ptdf(chain(limits=(INF, limit)))
-        problem = dispatch_lp(H, H.positions([0, 2]), [-1.0, 1.0],
+        problem = ptdf_dispatch_lp(H, H.positions([0, 2]), [-1.0, 1.0],
                                  [1.0, 9.0], [INF, cap],
                                  f_const=np.array([f0, f0]))
         return lp_matrix(problem)[:, 1].tolist()
@@ -380,7 +354,7 @@ def test_an_infinite_cap_off_the_root_keeps_every_row_on_its_path():
     deep = H.bus_order[int(E.sum(axis=0).argmax())]
     buses, signs = [0, deep, deep, 0], np.array([-1.0, 1.0, -1.0, 1.0])
     caps = [INF, INF, INF, INF]
-    problem = dispatch_lp(H, H.positions(buses), signs, [1.0, 5.0, 2.0, 0.0],
+    problem = ptdf_dispatch_lp(H, H.positions(buses), signs, [1.0, 5.0, 2.0, 0.0],
                           caps)
     ref_A = dense_limit_rows(net, buses, signs, net.line_limits())[0]
     assert np.count_nonzero(ref_A) == 2 * 2 * E[:, H.bus_index[deep]].sum()
@@ -390,42 +364,46 @@ def test_an_infinite_cap_off_the_root_keeps_every_row_on_its_path():
 
 def test_the_reach_rule_raises_no_runtime_warning():
     """Unlimited lines under infinite caps, caps whose sum overflows to inf
-    and constant flows far beyond the limits raise no RuntimeWarning."""
+    and constant flows far beyond the limits raise no RuntimeWarning, in the
+    zone form or in its PTDF twin."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for caps, f0 in (([INF, INF, INF], 0.0), ([INF, 1e308, 1e308], 0.0),
                          ([INF, 1.0, 1.0], 1e300), ([INF, 1e25, 0.0], -1e25)):
             for limits in ((INF, 5.0), (INF, INF), (1e25, 5.0)):
                 H = ptdf(chain(limits))
-                try:
-                    dispatch_lp(H, H.positions([0, 2, 2]), [-1.0, 1.0, 1.0],
-                                [1.0, 2.0, 3.0], caps,
-                                f_const=np.array([f0, f0]))
-                except NumericalFailure:    # a cap or row side of 1e20+
-                    pass
+                for form in (dispatch_lp, ptdf_dispatch_lp):
+                    try:
+                        form(H, H.positions([0, 2, 2]), [-1.0, 1.0, 1.0],
+                             [1.0, 2.0, 3.0], caps, f_const=np.array([f0, f0]))
+                    except NumericalFailure:    # a bound or side of 1e20+
+                        pass
 
 
 @pytest.mark.parametrize("segments", [2, 7, 10, 20, 100])
 def test_case34_clears_as_with_every_row_entry(segments, monkeypatch):
     """On case34, where 65 of the 66 line rows are emptied and block prices
-    tie (c19 and c21), `clear` returns bit for bit the Dispatch it returns
-    from the full-matrix twin: emptied rows, unlike dropped ones, leave the
-    vertex HiGHS returns as it was."""
+    tie (c19 and c21), `clear` on the PTDF twin returns bit for bit the
+    Dispatch it returns from the full-matrix twin: emptied rows, unlike
+    dropped ones, leave the vertex HiGHS returns as it was."""
     net = load_case(os.path.join(CASES, "case34.txt"))
     with open(os.path.join(CASES, "bids34.txt"), encoding="utf-8") as f:
         bids, offers = parse_bids(f.read())
     market = MarketInput(bids=bids, offers=offers, network=net)
-    pruned = clear(market, segments)
     emptied = []
 
-    def with_every_entry(H, buses, signs, prices, caps):
-        problem = dispatch_lp(H, buses, signs, prices, caps)
+    def pruned_twin(H, buses, signs, prices, caps):
+        problem = ptdf_dispatch_lp(H, buses, signs, prices, caps)
         emptied.append(np.count_nonzero(np.bincount(
             problem.indices, minlength=problem.row_lo.size) == 0))
-        twin = full_twin(net, [net.buses[p] for p in buses], signs, prices,
-                         caps, net.line_limits(), 0.0, None)
-        return twin
+        return problem, None
 
+    def with_every_entry(H, buses, signs, prices, caps):
+        return full_twin(net, [net.buses[p] for p in buses], signs, prices,
+                         caps, net.line_limits(), 0.0, None), None
+
+    monkeypatch.setattr(clearing, "dispatch_lp", pruned_twin)
+    pruned = clear(market, segments)
     monkeypatch.setattr(clearing, "dispatch_lp", with_every_entry)
     assert repr(clear(market, segments)) == repr(pruned)
     assert emptied == [65]
