@@ -215,20 +215,19 @@ class PtdfMatrix:
     line flows. H is held as its 1-entries (path_rows, path_cols), ordered
     by bus and then by line, so f adds in the order of a CSR mat-vec. Beside
     H it holds the line limits (`limited`: the finite ones) and each line's
-    ends, also as bus positions (the root's is 0)."""
+    ends as bus positions (`positions`: the root's is 0)."""
 
     path_rows: np.ndarray   # line index of each entry
     path_cols: np.ndarray   # bus index of each entry, ascending
     line_order: list        # line index -> line_id
     bus_order: list         # bus index -> bus id (non-root buses)
     limits: np.ndarray      # line index -> flow limit, kW
-    line_ends: list         # line index -> (parent bus id, child bus id)
+    line_from: np.ndarray   # line index -> its parent bus's position
+    line_to: np.ndarray     # line index -> its child bus's position
 
     def __post_init__(self):
         self.bus_index = {b: i for i, b in enumerate(self.bus_order)}
         self.limited = np.isfinite(self.limits)
-        self.line_from = self.positions([u for u, _ in self.line_ends])
-        self.line_to = self.positions([v for _, v in self.line_ends])
         # For `dispatch_lp`'s zones: the lines by depth, then index; each
         # entry's line's place in that order, from 1; each bus's first entry.
         depth = np.bincount(self.path_cols, minlength=len(self.bus_order))
@@ -256,6 +255,7 @@ def ptdf(network):
     non_root = network.non_root_buses()
     line_order = [lid for lid, _, _, _ in network.lines]
     row_into = {v: i for i, (_, _, v, _) in enumerate(network.lines)}
+    position = {b: i for i, b in enumerate([network.root, *non_root])}
     rows, cols = [], []
     for i, bus in enumerate(non_root):
         path, b = [], bus
@@ -267,7 +267,8 @@ def ptdf(network):
     network._ptdf = PtdfMatrix(
         np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
         line_order, non_root, np.array([lim for *_, lim in network.lines], float),
-        [(u, v) for _, u, v, _ in network.lines])
+        *np.array([[position[u], position[v]] for _, u, v, _ in network.lines],
+                  np.intp).reshape(-1, 2).T)
     return network._ptdf
 
 

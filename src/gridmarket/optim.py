@@ -13,8 +13,8 @@ Clearing and DLMP both build their LP with `dispatch_lp`, in whole-array
 numpy from the PTDF and the line layout `network.ptdf` holds beside it:
 lines no dispatch within the blocks' caps can load are contracted, leaving
 the lossless branch flow (Baran & Wu, IEEE Trans. Power Delivery, 1989) on
-a tree of zones, 52 rows on a 1000-bus feeder where one row per line side
-took 1,999 (README gives timings); `dispatch_duals` reads prices back.
+a tree of zones: 52 rows on the benchmark's 1000-bus feeder (README gives
+timings). `dispatch_duals` reads prices back.
 
 The solve is one call into HiGHS' dual simplex (Huangfu & Hall, Math. Prog.
 Comp. 2018) with presolve off, which finds nothing to remove in a dispatch
@@ -22,14 +22,13 @@ LP yet took over 90% of a 1000-bus solve. It calls scipy's HiGHS extension,
 loaded from its file without scipy.optimize's __init__ (~0.5 s of a cold
 start), and equals `linprog` bit for bit without its per-column Python.
 Each thread has one HiGHS object, made with its options at its first solve
-and cleared before each model: it keeps only its options and never warm-
-starts. The first object in a process pins glibc's malloc thresholds at
-their 64-bit ceilings (mmap 32 MiB, trim 64 MiB; setting one stops both
-adapting), so free no longer trims HiGHS' workspace for the next solve to
-fault in again, and runs its first model once before solving it, so the
-caller's arrays made before the second solve cannot take that workspace's
-heap holes (README gives the fault counts). Other libcs are left as they
-are.
+and cleared before each model: it keeps only its options, never warm-
+starts, and once a solution is read an empty model frees its copy of the
+solved one, for the next model's copy to reuse. The first object in a
+process pins glibc's malloc thresholds at their 64-bit ceilings (mmap
+32 MiB, trim 64 MiB; setting one stops both adapting), so free no longer
+trims HiGHS' workspace for the next solve to fault in again (README gives
+the fault counts). Other libcs are left as they are.
 """
 
 import ctypes
@@ -154,7 +153,9 @@ def dispatch_lp(H, buses, signs, prices, caps, balance=0.0, f_const=None):
     # row r is the r-th such line's zone by depth, row 0 the root's.
     head = np.maximum.reduceat(np.where(loadable[H.path_rows], H.path_rank, 0),
                                H.path_start)
-    zone = np.append(0, np.cumsum(np.append(0, loadable[H.by_depth]))[head])
+    # in HiGHS' index type, so the LP's row indices are gathered, not copied
+    zone = np.append(0, np.cumsum(np.append(0, loadable[H.by_depth]))[head]
+                     ).astype(np.int32)
     lines = np.flatnonzero(loadable)
     m, k = len(caps), lines.size
     with np.errstate(over="ignore"):        # beyond the float range: no limit
@@ -234,8 +235,6 @@ def solve_lp(problem):
         highs.setOptionValue("presolve", "off")
         highs.setOptionValue("solver", "simplex")
         highs.setOptionValue("simplex_strategy", 1)  # dual
-        if highs.passModel(*model) != core.HighsStatus.kError:
-            highs.run()     # lays HiGHS' workspace out; see the docstring
     highs.clearModel()      # keeps the options; drops model, basis, solution
     if highs.passModel(*model) == core.HighsStatus.kError:
         pairs, count = np.unique(np.column_stack(
@@ -257,6 +256,7 @@ def solve_lp(problem):
 
     sol = highs.getSolution()
     objective = highs.getInfo().objective_function_value
+    highs.passModel(core.HighsLp())     # frees HiGHS' copy; see the docstring
     # struct packs HiGHS' lists of floats in half the time np.fromiter takes
     got = (sol.col_value, sol.row_value, sol.row_dual)
     x, rows, duals = out = [np.empty(len(v)) for v in got]

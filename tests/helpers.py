@@ -2,23 +2,26 @@
 library, deliberately written against different machinery than the code
 under test."""
 
+import importlib.util
 import json
 import math
+import os
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from gridmarket.agents import ucb_select, ucb_update
-from gridmarket.clearing import MarketInput
+from gridmarket.clearing import MarketInput, parse_bids
 from gridmarket.curves import Curve, CurveError, DEMAND, SUPPLY, integral
-from gridmarket.dlmp import DrOffer, GenOffer, ScopfInput
+from gridmarket.dlmp import DrOffer, GenOffer, ScopfInput, parse_offers
 from gridmarket.network import (
-    FLOW_TOL, GridState, UnknownBus, build_network, line_flows, ptdf,
+    FLOW_TOL, GridState, UnknownBus, build_network, line_flows, load_case, ptdf,
 )
 from gridmarket.optim import REACH_TOL, LpProblem
 
 INF = float("inf")
+HERE = os.path.dirname(__file__)
 
 
 def line_into(network):
@@ -117,6 +120,57 @@ def feeder_markets(rng, net):
     scopf = ScopfInput(lmp_source=5.0, gen_offers=gens, dr_offers=drs,
                        network=net)
     return market, scopf
+
+
+def feeder():
+    """(MarketInput, ScopfInput) of a seeded 300-bus feeder, a fifth of its
+    lines without a limit: `test_golden`'s `GOLDEN`."""
+    rng = np.random.default_rng(2024)
+    n = 300
+    net = random_radial_network(rng, n, limit_lo=20.0, limit_hi=200.0)
+    net = build_network(net.buses, [
+        (lid, u, v, float("inf") if rng.random() < 0.2 else lim)
+        for lid, u, v, lim in net.lines])
+    return feeder_markets(rng, net)
+
+
+def write_bench_feeder(out_dir):
+    """The benchmark's 1000-bus feeder, pool instance 0, written into
+    `out_dir` by `perfbench/feeder.py`. Returns its files' paths and its
+    SCOPF source price."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_feeder", os.path.join(HERE, "..", "perfbench", "feeder.py"))
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.write(0, str(out_dir))[0], gen.LMP_SOURCE
+
+
+def case34_inputs():
+    """(MarketInput, ScopfInput) of the shipped case34 files."""
+    net = load_case(os.path.join(HERE, "..", "cases", "case34.txt"))
+    with open(os.path.join(HERE, "..", "cases", "bids34.txt"),
+              encoding="utf-8") as f:
+        bids, offers = parse_bids(f.read())
+    with open(os.path.join(HERE, "..", "cases", "offers34.txt"),
+              encoding="utf-8") as f:
+        gens, drs = parse_offers(f.read())
+    return (MarketInput(bids=bids, offers=offers, network=net),
+            ScopfInput(lmp_source=4.3, gen_offers=gens, dr_offers=drs,
+                       network=net))
+
+
+def bench_feeder_inputs(out_dir):
+    """(MarketInput, ScopfInput) of the benchmark's 1000-bus feeder, written
+    into `out_dir`."""
+    paths, lmp_source = write_bench_feeder(out_dir)
+    net = load_case(paths["case"])
+    with open(paths["bids"], encoding="utf-8") as f:
+        bids, offers = parse_bids(f.read())
+    with open(paths["offers"], encoding="utf-8") as f:
+        gens, drs = parse_offers(f.read())
+    return (MarketInput(bids=bids, offers=offers, network=net),
+            ScopfInput(lmp_source=lmp_source, gen_offers=gens, dr_offers=drs,
+                       network=net))
 
 
 def deep_feeder(seed, window, n_buses=300):

@@ -31,18 +31,19 @@ welfare, prices and flows against the PTDF twin.
 """
 
 import hashlib
-import importlib.util
 import os
 
-import numpy as np
 import pytest
 
-from gridmarket.clearing import MarketInput, clear, parse_bids
+from gridmarket.clearing import MarketInput, clear
 from gridmarket.cli import EXIT_OK, main
 from gridmarket.curves import Curve, DEMAND
-from gridmarket.dlmp import ScopfInput, parse_offers, solve_dlmp
-from gridmarket.network import build_network, load_case
-from helpers import feeder_markets, random_radial_network, use_ptdf_twin
+from gridmarket.dlmp import ScopfInput, solve_dlmp
+from gridmarket.network import build_network
+from helpers import (
+    bench_feeder_inputs, case34_inputs, feeder, use_ptdf_twin,
+    write_bench_feeder,
+)
 
 GOLDEN = "14455b092c53f2e57b18f339ebfdbfe93a46bfd37fec7b8e6c85f0d9d1a28aaa"
 FEEDER_GOLDEN = (
@@ -56,16 +57,6 @@ HERE = os.path.dirname(__file__)
 EPISODE_DIGESTS = os.path.join(HERE, "golden_episodes.sha256")
 CLI_DIGESTS = os.path.join(HERE, "golden_cli.sha256")
 FEEDER_CLI_DIGESTS = os.path.join(HERE, "golden_feeder_cli.sha256")
-
-
-def feeder():
-    rng = np.random.default_rng(2024)
-    n = 300
-    net = random_radial_network(rng, n, limit_lo=20.0, limit_hi=200.0)
-    net = build_network(net.buses, [
-        (lid, u, v, float("inf") if rng.random() < 0.2 else lim)
-        for lid, u, v, lim in net.lines])
-    return feeder_markets(rng, net)
 
 
 def digest(dispatch, result):
@@ -99,17 +90,6 @@ def test_clear_and_dlmp_on_a_seeded_feeder_are_bit_identical():
     assert digest(dispatch, result) == GOLDEN
 
 
-def write_bench_feeder(out_dir):
-    """The benchmark's 1000-bus feeder, pool instance 0, written into
-    `out_dir` by `perfbench/feeder.py`. Returns its files' paths and its
-    SCOPF source price."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_feeder", os.path.join(HERE, "..", "perfbench", "feeder.py"))
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen.write(0, str(out_dir))[0], gen.LMP_SOURCE
-
-
 def test_clear_and_dlmp_on_the_benchmark_feeder_are_bit_identical(tmp_path):
     market, scopf = bench_feeder_inputs(tmp_path)
     dispatch, result = clear(market, segments=20), solve_dlmp(scopf)
@@ -126,31 +106,6 @@ def test_the_ptdf_twin_gives_the_digests_recorded_before_it(monkeypatch,
         market, scopf = inputs
         assert digest(clear(market, segments=20),
                       solve_dlmp(scopf)) == golden
-
-
-def case34_inputs():
-    net = load_case(os.path.join(HERE, "..", "cases", "case34.txt"))
-    with open(os.path.join(HERE, "..", "cases", "bids34.txt"),
-              encoding="utf-8") as f:
-        bids, offers = parse_bids(f.read())
-    with open(os.path.join(HERE, "..", "cases", "offers34.txt"),
-              encoding="utf-8") as f:
-        gens, drs = parse_offers(f.read())
-    return (MarketInput(bids=bids, offers=offers, network=net),
-            ScopfInput(lmp_source=4.3, gen_offers=gens, dr_offers=drs,
-                       network=net))
-
-
-def bench_feeder_inputs(out_dir):
-    paths, lmp_source = write_bench_feeder(out_dir)
-    net = load_case(paths["case"])
-    with open(paths["bids"], encoding="utf-8") as f:
-        bids, offers = parse_bids(f.read())
-    with open(paths["offers"], encoding="utf-8") as f:
-        gens, drs = parse_offers(f.read())
-    return (MarketInput(bids=bids, offers=offers, network=net),
-            ScopfInput(lmp_source=lmp_source, gen_offers=gens, dr_offers=drs,
-                       network=net))
 
 
 def no_offers_inputs():

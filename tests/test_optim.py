@@ -189,13 +189,12 @@ def test_solve_lp_runs_the_dual_simplex_without_presolve(monkeypatch):
 
     monkeypatch.setattr(_Highs, "run", spy)
     # a thread's HiGHS object gets its options when it is made, at its first
-    # solve, and keeps them when it is cleared for the next model; it runs
-    # its first model twice, once before the solve
+    # solve, and keeps them when it is cleared for the next model
     monkeypatch.setattr(optim, "_solver", threading.local())
     assert solve_lp(lp_problem(c=[1.0], bounds=[(2.0, 5.0)])).x[0] == 2.0
     assert solve_lp(lp_problem(c=[-1.0], bounds=[(2.0, 5.0)])).x[0] == 5.0
     # simplex_strategy 1: the dual simplex
-    assert options == 3 * [{"output_flag": False, "presolve": "off",
+    assert options == 2 * [{"output_flag": False, "presolve": "off",
                             "solver": "simplex", "simplex_strategy": 1}]
 
 

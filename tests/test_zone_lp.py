@@ -17,11 +17,11 @@ from gridmarket.optim import (
     REACH_TOL, InfeasibleLp, dispatch_duals, dispatch_lp, solve_lp,
 )
 from helpers import (
-    INF, box_flows, chain, deep_feeder, line_into, lp_matrix, path_sums,
-    ptdf_dispatch_duals, ptdf_dispatch_lp, ptdf_entries, random_dispatch,
-    random_radial_network, use_ptdf_twin,
+    INF, bench_feeder_inputs, box_flows, case34_inputs, chain, deep_feeder,
+    feeder, line_into, lp_matrix, path_sums, ptdf_dispatch_duals,
+    ptdf_dispatch_lp, ptdf_entries, random_dispatch, random_radial_network,
+    use_ptdf_twin,
 )
-from test_golden import bench_feeder_inputs, case34_inputs, feeder
 
 
 def loadable_lines(net, buses, signs, caps, f_const):
