@@ -2,7 +2,6 @@
 
 from .curves import Curve, DEMAND, SUPPLY, price_at
 from .network import Grid, Network, build_network, line_flows, load_case, ptdf
-from .optim import LpProblem, LpSolution, solve_lp
 from .clearing import Dispatch, MarketInput, clear, settle_prices
 from .p2p import MatchRound, NegotiationOutcome, P2pConfig, match, negotiate
 from .dlmp import DlmpResult, DrOffer, GenOffer, ScopfInput, solve_dlmp

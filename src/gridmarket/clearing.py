@@ -36,8 +36,8 @@ from .optim import dispatch_lp, solve_lp
 # Quantities at or below this many kW do not trade: they are zeroed in the
 # dispatch and get no settlement price.
 SETTLE_TOL = 1e-9
-# A line binds when its flow is within this many kW of its limit: HiGHS'
-# default primal feasibility tolerance.
+# A line binds when its flow is within this many kW of its limit: the usual
+# primal feasibility tolerance of LP solvers.
 BINDING_TOL = 1e-7
 _fields, _side = attrgetter("p_max", "p_min", "q_max", "q_min"), attrgetter("side")
 

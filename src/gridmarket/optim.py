@@ -1,130 +1,80 @@
-"""Linear-programming core with dual recovery.
-
-Problems are minimizations in the one form HiGHS' `passModel` takes:
-min c.x subject to row_lo <= A x <= row_hi and lo <= x <= hi, with A held
-column-wise (CSC) as `indptr`, `indices` and `data`. A row with
-row_lo = -inf is a <=-row, one with row_lo == row_hi an equality. An
-`LpProblem` is checked once, where it is built, and `solve_lp` returns an
-optimum or raises. The solution carries the primal point, the objective and
-HiGHS' row duals, row_duals[i] = d objective / d (active side of row i):
-the prices the callers read. A column's reduced cost is c - A^T row_duals.
+"""The dispatch LP of clearing and DLMP, and its exact solve.
 
 Clearing and DLMP both build their LP with `dispatch_lp`, in whole-array
 numpy from the PTDF and the line layout `network.ptdf` holds beside it:
 lines no dispatch within the blocks' caps can load are contracted, leaving
 the lossless branch flow (Baran & Wu, IEEE Trans. Power Delivery, 1989) on
-a tree of zones: 52 rows on the benchmark's 1000-bus feeder (README gives
-timings). `dispatch_duals` reads prices back.
+a tree of zones, one balance row each: 52 rows on the benchmark's 1000-bus
+feeder. `dispatch_duals` reads prices back.
 
-The solve is one call into HiGHS' dual simplex (Huangfu & Hall, Math. Prog.
-Comp. 2018) with presolve off, which finds nothing to remove in a dispatch
-LP yet took over 90% of a 1000-bus solve. It calls scipy's HiGHS extension,
-loaded from its file without scipy.optimize's __init__ (~0.5 s of a cold
-start), and equals `linprog` bit for bit without its per-column Python.
-Each thread has one HiGHS object, made with its options at its first solve
-and cleared before each model: it keeps only its options, never warm-
-starts, and once a solution is read an empty model frees its copy of the
-solved one, for the next model's copy to reuse. The first object in a
-process pins glibc's malloc thresholds at their 64-bit ceilings (mmap
-32 MiB, trim 64 MiB; setting one stops both adapting), so free no longer
-trims HiGHS' workspace for the next solve to fault in again (README gives
-the fault counts). Other libcs are left as they are.
+With one row per zone, the LP allocates blocks under bounds nested along
+the zone tree, which a greedy solves exactly (Ibaraki & Katoh, *Resource
+Allocation Problems*, 1988; Dvijotham et al., "Graphical models for optimal
+power flow", *Constraints* 22, 2017). A block's take is what it consumes,
+or what it withholds of its cap if it produces; each is a segment of its
+cap's length, ranked by price, highest first, ties in input order (the
+lower block index first). `solve_lp` walks the rows from the deepest up:
+each zone ranks its own blocks with what its children left free, and its
+line's flow bounds fix the top-ranked segments as taken and cut the lowest
+ones off, each cut splitting at most one block. The root cuts at the
+balance, or lower, where an uncapped producer (the SCOPF's import) ranks,
+which then imports the difference; an uncapped consumer (its export) is a
+segment of infinite length. Going back down, a zone's cut is its parent's,
+held between its own two cuts, and its price is that of the block its cut
+splits.
+
+On the benchmark feeder a clear takes ~2.5 ms and a SCOPF ~1.2 ms, where
+HiGHS' dual simplex on the same LP took ~5.8 and ~1.7 ms (medians of 300
+in-process steps).
 """
 
-import ctypes
-import os
-import struct
-import sys
-import threading
 from dataclasses import dataclass
-from importlib import machinery, util
 
 import numpy as np
 
-# HiGHS reads a cost or bound of this magnitude or more as infinite: its
-# options infinite_cost and infinite_bound.
-HIGHS_INF = 1e20
+# A cost, cap, balance or reachable flow bound of this magnitude or more is
+# refused: the solve adds caps and bounds in running sums, where it would
+# swamp kW-scale blocks.
+TOO_LARGE = 1e20
 # A line is loadable when the flow the blocks can push along or against it
 # reaches its limit less this share of it and this many kW.
 REACH_TOL = 1e-6
-_solver = threading.local()
-_pin_once = threading.Lock()
+# Rounding in the running sums: a bound closer to the take than this share
+# of the zone's producing kW (plus 1 kW) reads as met, its cut as unbound.
+FEAS_TOL = 1e-9
 
 
 class NumericalFailure(Exception):
-    """HiGHS missing, a model it refuses or a solve in no certified status."""
+    """A dispatch too large to solve exactly, or an unbounded one."""
 
 
 class InfeasibleLp(Exception):
-    """HiGHS certified that no point meets the constraints."""
+    """No dispatch meets the balance rows within the line limits."""
 
 
 @dataclass
-class LpProblem:
-    c: np.ndarray
-    lo: np.ndarray        # column bounds
+class ZoneLp:
+    """Blocks (`zone` row, sign +1 consuming or -1 producing, price, cap)
+    and loadable lines in line order (`child` row, the row of its `parent`
+    zone, flow bounds `lo` and `hi`), with row 0's `balance`."""
+    zone: np.ndarray
+    signs: np.ndarray
+    prices: np.ndarray
+    caps: np.ndarray
+    child: np.ndarray
+    parent: np.ndarray
+    lo: np.ndarray
     hi: np.ndarray
-    indptr: np.ndarray    # CSC: column j's entries are indptr[j]:indptr[j + 1]
-    indices: np.ndarray   # row of each entry
-    data: np.ndarray
-    row_lo: np.ndarray
-    row_hi: np.ndarray
+    balance: float
 
-    def __post_init__(self):
-        for name in ("c", "lo", "hi", "data", "row_lo", "row_hi"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-        for name in ("indptr", "indices"):          # HiGHS' index type
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.int32))
-        n, m = self.c.size, self.row_lo.size
-        if not self.lo.shape == self.hi.shape == (n,) or self.row_hi.shape != (m,):
-            raise ValueError("lo and hi need one entry per column, "
-                             "row_hi one per row")
-        ptr = self.indptr
-        if (ptr.shape != (n + 1,) or ptr[0] != 0 or (ptr[1:] < ptr[:-1]).any()
-                or self.indices.shape != (ptr[-1],)
-                or self.data.shape != (ptr[-1],) or self.indices.size and (
-                    self.indices.min() < 0 or self.indices.max() >= m)):
-            raise ValueError("malformed CSC matrix")
-        for name in ("c", "data"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name} must not contain inf or nan")
-        if np.isnan(self.lo).any() or np.isnan(self.hi).any():
-            raise ValueError("lo and hi must not contain nan")
-        if not (self.row_lo < np.inf).all():         # false for nan too
-            raise ValueError("row_lo must not contain nan or +inf")
-        if not (self.row_hi > -np.inf).all():
-            raise ValueError("row_hi must not contain nan or -inf")
-        if not (np.isfinite(self.row_lo) | np.isfinite(self.row_hi)).all():
-            raise ValueError("row_hi must be finite where row_lo is -inf")
-        bad = np.flatnonzero(self.lo > self.hi)
-        if bad.size:
-            j = bad[0]
-            raise ValueError(
-                f"variable {j}: bound lo {self.lo[j]} > hi {self.hi[j]}")
-        # HiGHS reads a cost, bound or row side of 1e20 or more in magnitude
-        # as infinite. A row side is refused only on the side that empties
-        # its row.
-        for what, v, far in (
-                ("variable {}: cost", self.c, np.abs(self.c) >= HIGHS_INF),
-                ("variable {}: bound lo", self.lo, np.isfinite(self.lo)
-                 & (np.abs(self.lo) >= HIGHS_INF)),
-                ("variable {}: bound hi", self.hi, np.isfinite(self.hi)
-                 & (np.abs(self.hi) >= HIGHS_INF)),
-                ("row {}: row_lo", self.row_lo, self.row_lo >= HIGHS_INF),
-                ("row {}: row_hi", self.row_hi, self.row_hi <= -HIGHS_INF)):
-            if far.any():
-                j = far.argmax()
-                raise NumericalFailure(
-                    f"{what.format(j)} {v[j]:g} is {HIGHS_INF:g} or more in "
-                    "magnitude, which HiGHS reads as infinite")
 
-    @property
-    def n(self):
-        return self.c.size
+def refuse(what, value):
+    raise NumericalFailure(f"{what} {value:g} is {TOO_LARGE:g} or more in "
+                           "magnitude: too large beside kW-scale blocks")
 
 
 def dispatch_lp(H, buses, signs, prices, caps, balance=0.0, f_const=None):
-    """(LpProblem, each bus position's row) of clearing's and DLMP's LP.
+    """(ZoneLp, each bus position's row) of clearing's and DLMP's LP.
 
     Variable j is a block of 0..caps[j] kW at the bus at position buses[j]
     (`H.positions`) that consumes (signs[j] = +1) or produces (-1) at
@@ -136,6 +86,7 @@ def dispatch_lp(H, buses, signs, prices, caps, balance=0.0, f_const=None):
     the blocks in line order, each within -limit - f_const, limit - f_const.
     """
     signs = np.asarray(signs, dtype=float)
+    prices, caps = np.asarray(prices, dtype=float), np.asarray(caps, float)
     lims = H.limits
     f0 = np.zeros(lims.size) if f_const is None else f_const
     # A line is loadable when the blocks can bring its flow within REACH_TOL
@@ -144,8 +95,7 @@ def dispatch_lp(H, buses, signs, prices, caps, balance=0.0, f_const=None):
     # the producing blocks' n positions on). Dropping the other lines'
     # limits is exact (Andersen & Andersen, Math. Prog. 71, 1995).
     n = len(H.bus_order) + 1
-    reach = np.bincount(buses + n * (signs < 0),
-                        np.where(signs != 0.0, caps, 0.0) * np.abs(signs), 2 * n)
+    reach = np.bincount(buses + n * (signs < 0), caps, 2 * n)
     near = lims * (1.0 - REACH_TOL) - REACH_TOL
     loadable = H.limited & ((f0 + H.flows(reach[1:n]) >= near)
                             | (H.flows(reach[n + 1:]) - f0 >= near))
@@ -153,29 +103,25 @@ def dispatch_lp(H, buses, signs, prices, caps, balance=0.0, f_const=None):
     # row r is the r-th such line's zone by depth, row 0 the root's.
     head = np.maximum.reduceat(np.where(loadable[H.path_rows], H.path_rank, 0),
                                H.path_start)
-    # in HiGHS' index type, so the LP's row indices are gathered, not copied
-    zone = np.append(0, np.cumsum(np.append(0, loadable[H.by_depth]))[head]
-                     ).astype(np.int32)
+    zone = np.append(0, np.cumsum(np.append(0, loadable[H.by_depth]))[head])
     lines = np.flatnonzero(loadable)
-    m, k = len(caps), lines.size
     with np.errstate(over="ignore"):        # beyond the float range: no limit
         bounds = np.array([-lims[lines] - f0[lines], lims[lines] - f0[lines]])
-    far = np.argwhere(np.isfinite(bounds.T) & (np.abs(bounds.T) >= HIGHS_INF))
+    far = np.argwhere(np.isfinite(bounds.T) & (np.abs(bounds.T) >= TOO_LARGE))
     if far.size:
         i, side = far[0]
-        raise NumericalFailure(
-            f"line {H.line_order[lines[i]]} (limit {lims[lines[i]]:g} kW): "
-            f"flow bound {bounds[side, i]:g} is {HIGHS_INF:g} or more in "
-            "magnitude, which HiGHS reads as infinite")
-    sides = np.append(balance, np.zeros(k))
-    return LpProblem(
-        c=np.append(-signs * prices, np.zeros(k)),
-        lo=np.append(np.zeros(m), bounds[0]), hi=np.append(caps, bounds[1]),
-        indptr=np.append(np.arange(m), m + 2 * np.arange(k + 1)),
-        indices=np.append(zone[buses], np.column_stack(
-            [zone[H.line_from[lines]], zone[H.line_to[lines]]])),
-        data=np.append(signs, np.tile([1.0, -1.0], k)),
-        row_lo=sides, row_hi=sides), zone
+        refuse(f"line {H.line_order[lines[i]]} (limit {lims[lines[i]]:g} kW): "
+               "flow bound", bounds[side, i])
+    for what, v in (("cost", -signs * prices),
+                    ("bound hi", np.where(np.isinf(caps), 0.0, caps))):
+        far = np.flatnonzero(np.abs(v) >= TOO_LARGE)
+        if far.size:
+            refuse(f"variable {far[0]}: {what}", v[far[0]])
+    if abs(balance) >= TOO_LARGE:
+        refuse(f"row 0: row_{'lo' if balance > 0 else 'hi'}", balance)
+    return ZoneLp(zone[buses], signs, prices, caps,
+                  zone[H.line_to[lines]], zone[H.line_from[lines]],
+                  bounds[0], bounds[1], balance), zone
 
 
 def dispatch_duals(solution, H, zone):
@@ -190,80 +136,134 @@ def dispatch_duals(solution, H, zone):
 
 @dataclass
 class LpSolution:
-    x: np.ndarray
+    x: np.ndarray               # the blocks, then the flows in line order
     objective: float
-    row_duals: np.ndarray       # HiGHS row_dual
+    row_duals: np.ndarray       # d objective / d row side: -price
 
 
-def highs_binding():
-    """scipy's HiGHS extension, from sys.modules or else loaded from its file
-    and registered there, for a later `import scipy.optimize` to reuse."""
-    name = "scipy.optimize._highspy._core"
-    if name not in sys.modules:
-        scipy_dir = os.path.dirname(util.find_spec("scipy").origin)
-        stem = os.path.join(scipy_dir, "optimize", "_highspy", "_core")
-        found = [stem + suffix for suffix in machinery.EXTENSION_SUFFIXES
-                 if os.path.isfile(stem + suffix)]
-        if not found:
-            from importlib.metadata import version
-            raise NumericalFailure(f"scipy {version('scipy')}: HiGHS not found")
-        spec = util.spec_from_file_location(name, found[0])
-        sys.modules[name] = util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name]
+def cut_at(cum, a, side):
+    """(index, how far in) of position a along the segments whose running
+    lengths are `cum`: side "left" splits the segment ending at a, "right"
+    the one starting there."""
+    i = int(cum.searchsorted(a, side))
+    return i, a - (cum[i - 1] if i else 0.0)
 
 
-def solve_lp(problem):
-    """Solve an LpProblem to a certified optimum. Raises InfeasibleLp if
-    HiGHS certifies that no point is feasible, else NumericalFailure if it is
-    missing, refuses the model or ends at another status or off constraints."""
-    core = highs_binding()
-    p = problem
-    model = (p.n, p.row_lo.size, p.data.size, 1, 1, 0.0, p.c, p.lo, p.hi,
-             p.row_lo, p.row_hi, p.indptr, p.indices, p.data,
-             np.zeros(p.n, np.int32))
-    highs = getattr(_solver, "highs", None)
-    if highs is None:
-        if _pin_once.acquire(blocking=False):   # never released: once a process
-            mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-            if mallopt:
-                mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-                mallopt(-1, 64 << 20)       # M_TRIM_THRESHOLD
-                mallopt(-3, 32 << 20)       # M_MMAP_THRESHOLD
-        highs = _solver.highs = core._Highs()
-        highs.setOptionValue("output_flag", False)  # first: no stdout banner
-        highs.setOptionValue("presolve", "off")
-        highs.setOptionValue("solver", "simplex")
-        highs.setOptionValue("simplex_strategy", 1)  # dual
-    highs.clearModel()      # keeps the options; drops model, basis, solution
-    if highs.passModel(*model) == core.HighsStatus.kError:
-        pairs, count = np.unique(np.column_stack(
-            [np.repeat(np.arange(p.n), np.diff(p.indptr)), p.indices]),
-            axis=0, return_counts=True)
-        dup = pairs[count > 1]
-        why = f": column {dup[0, 0]} repeats row {dup[0, 1]}" if len(dup) else ""
-        raise NumericalFailure(f"HiGHS refused the model{why}")
-    highs.run()
-    status = highs.getModelStatus()
-    if status == core.HighsModelStatus.kInfeasible:
-        raise InfeasibleLp("HiGHS model status: Infeasible")
-    if status != core.HighsModelStatus.kOptimal:
-        b = np.abs(np.append(p.lo, p.hi))
-        raise NumericalFailure(
-            f"HiGHS model status: {highs.modelStatusToString(status)}; largest "
-            f"finite |cost| {np.abs(p.c).max(initial=0):g}, largest finite "
-            f"|column bound| {b[np.isfinite(b)].max(initial=0):g}")
+def merged(parts):
+    """One ascending rank array of a zone's sorted parts."""
+    return parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts))
 
-    sol = highs.getSolution()
-    objective = highs.getInfo().objective_function_value
-    highs.passModel(core.HighsLp())     # frees HiGHS' copy; see the docstring
-    # struct packs HiGHS' lists of floats in half the time np.fromiter takes
-    got = (sol.col_value, sol.row_value, sol.row_dual)
-    x, rows, duals = out = [np.empty(len(v)) for v in got]
-    for a, v in zip(out, got):
-        struct.pack_into(f"{len(v)}d", a, 0, *v)
-    # linprog's post-solve test: bounds and rows met within sqrt(1e-9) * 10
-    off = (p.lo - x, x - p.hi, p.row_lo - rows, rows - p.row_hi)
-    if np.isnan(objective) or not all((d <= np.sqrt(1e-9) * 10).all() for d in off):
-        raise NumericalFailure("optimal solution violates its constraints")
-    return LpSolution(x=x, objective=float(objective), row_duals=duals)
+
+def solve_lp(p):
+    """Solve a ZoneLp exactly (see the module docstring). Raises InfeasibleLp
+    if a zone's line bounds or the balance cannot be met, NumericalFailure
+    if the optimum is unbounded or an uncapped producer sits off the root."""
+    m, k = p.caps.size, p.child.size
+    if (np.abs(p.signs) != 1.0).any():
+        raise ValueError("signs must be +1 or -1")
+    consumes = p.signs > 0
+    uncapped = ~consumes & np.isinf(p.caps)
+    if uncapped[p.zone > 0].any():
+        raise NumericalFailure("an uncapped producer outside the root zone")
+    cap = np.where(uncapped, 0.0, p.caps)
+    # rank the blocks: quicksort on price, then each tie in block order by
+    # a stable sort of a nearly sorted integer key (one of the float prices
+    # takes ~5 times the quicksort)
+    order = np.argsort(-p.prices)
+    price = p.prices[order]
+    tie = price[1:] == price[:-1]
+    if tie.any():
+        run = np.append(0, np.cumsum(~tie))
+        order = np.sort(run * m + order, kind="stable") - run * m
+    free, t0 = cap[order], np.zeros(m)
+    # each row's own ranks, ascending: a stable sort on the narrowest keys
+    zr = p.zone[order]
+    grouped = np.argsort(zr.astype(np.min_scalar_type(k)), kind="stable")
+    ends = np.cumsum(np.bincount(zr, minlength=k + 1)).tolist()
+    parts = [[grouped[a:b]] for a, b in zip([0] + ends, ends)]
+    imports = np.flatnonzero(uncapped[order])
+    if imports.size:            # ranked, but with no segment to cut
+        parts[0][0] = parts[0][0][~uncapped[order[parts[0][0]]]]
+    up = np.zeros(k + 1, np.intp)
+    up[p.child] = p.parent
+    up = up.tolist()
+    lo, hi = np.zeros((2, k + 1))
+    lo[p.child], hi[p.child] = p.lo, p.hi
+    lo, hi = lo.tolist(), hi.tolist()
+    # A zone's take T runs from `offset` over its free segments; its line's
+    # flow is T less its subtree's producing caps, so the flow bounds cut
+    # the segments at lo + offset and hi + offset.
+    offset = np.bincount(p.zone, np.where(consumes, 0.0, cap), k + 1).tolist()
+    low, high = [(-1, 0.0)] * (k + 1), [(m, 0.0)] * (k + 1)
+    for z in range(k, 0, -1):
+        ranks = merged(parts[z])
+        cum = free[ranks].cumsum()
+        width = float(cum[-1]) if ranks.size else 0.0
+        a, b = lo[z] + offset[z], hi[z] + offset[z]
+        tol = FEAS_TOL * (1.0 + abs(offset[z]))
+        if a > width + tol or b < -tol:
+            raise InfeasibleLp(f"row {z}: its line's flow bounds leave no "
+                               "take between them")
+        start, stop = 0, ranks.size
+        if b < width - tol:
+            stop, keep = cut_at(cum, max(b, 0.0), "right")
+            r = ranks[stop]
+            high[z], free[r], stop = (int(r), t0[r] + keep), keep, stop + 1
+        if a > tol:
+            a = min(a, width)
+            start, fix = cut_at(cum, a, "left")
+            r = ranks[start]
+            low[z] = (int(r), t0[r] + fix)
+            t0[r] += fix
+            free[r] -= fix
+            offset[z] -= a
+        parts[up[z]].append(ranks[start:stop])
+        offset[up[z]] += offset[z]
+
+    # The root cuts at the balance, unless taking more is worth importing:
+    # then at the last-ranked uncapped producer, which imports the rest.
+    ranks = merged(parts[0])
+    cum = free[ranks].cumsum()
+    width = float(cum[-1]) if ranks.size else 0.0
+    a = p.balance + offset[0]
+    take, floor = a, -np.inf
+    if imports.size:
+        imp = int(imports[-1])
+        before = int(ranks.searchsorted(imp))
+        floor = float(cum[before - 1]) if before else 0.0
+        take = max(a, floor)
+        if np.isinf(take):
+            raise NumericalFailure("unbounded: an uncapped consumer outbids "
+                                   "an uncapped producer")
+    tol = FEAS_TOL * (1.0 + abs(offset[0]))
+    if take > width + tol or take < -tol:
+        raise InfeasibleLp("row 0: the balance leaves no take")
+    # at a tie of take with the import, the price of the segment after it
+    i, t = cut_at(cum, min(max(take, 0.0), width), "right")
+    if floor > a + tol or i == ranks.size and floor >= width - tol:
+        cut = (imp, 0.0)
+    elif i == ranks.size:           # at the end: the last segment, if any
+        i, t = cut_at(cum, width, "left")
+        cut = (int(ranks[i]), t0[ranks[i]] + t) if ranks.size else (m, 0.0)
+    else:
+        cut = (int(ranks[i]), t0[ranks[i]] + t)
+    # going down, each zone's cut is its parent's, held within its own
+    cuts = [cut] + [None] * k
+    for z in range(1, k + 1):
+        cuts[z] = min(max(cuts[up[z]], low[z]), high[z])
+    at, part = np.array(cuts).T
+    at = at.astype(np.intp)
+    rank = np.empty(m, np.intp)
+    rank[order] = np.arange(m)
+    own = at[p.zone]
+    taken = np.where(rank < own, cap,
+                     np.where(rank == own, part[p.zone], 0.0))
+    x = np.where(consumes, taken, cap - taken)
+    if imports.size:
+        x[order[imp]] = take - a
+    net = np.bincount(p.zone, p.signs * x, k + 1).tolist()
+    for z in range(k, 0, -1):
+        net[up[z]] += net[z]
+    return LpSolution(x=np.append(x, np.array(net)[p.child]),
+                      objective=float(-(p.signs * p.prices) @ x),
+                      row_duals=-np.append(price, price[-1:])[at])

@@ -2,11 +2,16 @@
 library, deliberately written against different machinery than the code
 under test."""
 
+import ctypes
 import importlib.util
 import json
 import math
 import os
+import struct
+import sys
+import threading
 from dataclasses import dataclass
+from importlib import machinery, util
 from itertools import combinations
 
 import numpy as np
@@ -18,7 +23,9 @@ from gridmarket.dlmp import DrOffer, GenOffer, ScopfInput, parse_offers
 from gridmarket.network import (
     FLOW_TOL, GridState, UnknownBus, build_network, line_flows, load_case, ptdf,
 )
-from gridmarket.optim import REACH_TOL, LpProblem
+from gridmarket.optim import (
+    REACH_TOL, InfeasibleLp, LpSolution, NumericalFailure,
+)
 
 INF = float("inf")
 HERE = os.path.dirname(__file__)
@@ -236,72 +243,176 @@ def demand_filling_a_capped_line():
         network=chain(limits=(INF, 5.0)))
 
 
-# `optim.dispatch_lp` as it was before the line layout was cached beside the
-# PTDF, kept verbatim but for its name: the oracle that the cached layout
-# assembles the same LP, array for array and bit for bit.
-def dispatch_lp_twin(H, limits, buses, signs, prices, caps, balance=0.0,
-                f_const=None):
-    """The dispatch LP of clearing and DLMP over priced blocks.
+# The HiGHS solve `optim.solve_lp` ran before the zone LP was solved by its
+# recursion, kept verbatim but for this comment: the twin's solver, which
+# every equality test of the recursion compares against. Problems are
+# minimizations in the one form HiGHS' `passModel` takes: min c.x subject to
+# row_lo <= A x <= row_hi and lo <= x <= hi, with A held column-wise (CSC)
+# as `indptr`, `indices` and `data`; row_duals[i] = d objective / d (active
+# side of row i). It calls scipy's HiGHS extension, loaded from its file
+# without scipy.optimize's __init__, in HiGHS' dual simplex with presolve
+# off. Each thread has one HiGHS object, cleared before each model, and the
+# first object in a process pins glibc's malloc thresholds.
 
-    Variable j is a block of 0..caps[j] kW at the bus whose position in the
-    network's bus list is buses[j] (an int array, `H.positions`) that consumes
-    (signs[j] = +1) or produces (-1) at prices[j]: minimize the cost of
-    production less the value of consumption subject to the line limits on
-    the PTDF `H` (`f_const`: flows of the constant injections, an array over
-    H.line_order) and the balance row signs.x = balance, which comes last.
-    Rows 2k and 2k + 1 cap the flow of the k-th finite-limit line from above
-    and below: column j holds +signs[j] on the +row and -signs[j] on the
-    -row of each such line on its bus's root path, rows ascending, then
-    signs[j] on the balance row; a row the blocks cannot bring to its limit
-    has no entries. Returns (problem, limited), `limited` marking the
-    finite-limit lines of H.line_order.
-    """
-    signs = np.asarray(signs, dtype=float)
-    lims = np.array([limits[lid] for lid in H.line_order], dtype=float)
-    f0 = np.zeros(lims.size) if f_const is None else f_const
-    limited = np.isfinite(lims)
-    k = int(limited.sum())
-    # A row binds when the blocks can bring its side of the line's flow
-    # within REACH_TOL of the limit: the +row with every consuming block
-    # behind the line at its cap, the -row with every producing one. A row
-    # that cannot bind gets no entries but keeps its side, which is then
-    # positive (the blocks only add to f0 or -f0), so its activity 0 lies
-    # strictly inside, its slack is basic and its dual exactly 0.
-    n = len(H.bus_order) + 1
-    along, against = (H.flows(np.bincount(
-        buses, np.where(side, caps, 0.0) * np.abs(signs), n)[1:])
-        for side in (signs > 0, signs < 0))
-    near = lims * (1.0 - REACH_TOL) - REACH_TOL
-    binds = np.column_stack([limited & (f0 + along >= near),
-                             limited & (against - f0 >= near)])
-    # A column at the bus at position p repeats column p of `bus_rows` (CSC,
-    # `bus_ptr`): the binding rows of the limited lines on p's root path,
-    # ascending, then the balance row 2k. H's entries keep their order, by
-    # bus and then by line, so the t-th binding row, at position p, is entry
-    # t + p.
-    on = binds[H.path_rows].ravel()
-    row = 2 * (np.cumsum(limited, dtype=np.int32) - 1)[H.path_rows]
-    at = np.repeat(H.path_cols + 1, 2)[on]
-    bus_ptr = np.cumsum(np.append(0, np.bincount(at, minlength=n) + 1))
-    at += np.arange(at.size)
-    bus_rows = np.full(bus_ptr[-1], 2 * k, dtype=np.int32)
-    bus_rows[at] = np.column_stack([row, row + 1]).ravel()[on]
-    length = bus_ptr[buses + 1] - bus_ptr[buses]
-    indptr = np.cumsum(np.append(0, length), dtype=np.int32)
-    indices = bus_rows[np.repeat(bus_ptr[buses] - indptr[:-1], length)
-                       + np.arange(indptr[-1])]
-    # +rows and the balance row are even, -rows odd
-    data = np.where(indices & 1, -1.0, 1.0) * np.repeat(signs, length)
-    # a side beyond the float range is no limit, as one of 1e20+ is to HiGHS
-    with np.errstate(over="ignore"):
-        sides = np.column_stack([lims[limited] - f0[limited],
-                                 lims[limited] + f0[limited]]).ravel()
-    row_hi = np.append(np.minimum(sides, np.finfo(float).max), balance)
-    row_lo = np.append(np.full(2 * k, -np.inf), balance)
-    problem = LpProblem(c=-signs * prices, lo=np.zeros(len(caps)), hi=caps,
-                        indptr=indptr, indices=indices, data=data,
-                        row_lo=row_lo, row_hi=row_hi)
-    return problem, limited
+# HiGHS reads a cost or bound of this magnitude or more as infinite: its
+# options infinite_cost and infinite_bound.
+HIGHS_INF = 1e20
+_solver = threading.local()
+_pin_once = threading.Lock()
+
+
+@dataclass
+class LpProblem:
+    c: np.ndarray
+    lo: np.ndarray        # column bounds
+    hi: np.ndarray
+    indptr: np.ndarray    # CSC: column j's entries are indptr[j]:indptr[j + 1]
+    indices: np.ndarray   # row of each entry
+    data: np.ndarray
+    row_lo: np.ndarray
+    row_hi: np.ndarray
+
+    def __post_init__(self):
+        for name in ("c", "lo", "hi", "data", "row_lo", "row_hi"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+        for name in ("indptr", "indices"):          # HiGHS' index type
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.int32))
+        n, m = self.c.size, self.row_lo.size
+        if not self.lo.shape == self.hi.shape == (n,) or self.row_hi.shape != (m,):
+            raise ValueError("lo and hi need one entry per column, "
+                             "row_hi one per row")
+        ptr = self.indptr
+        if (ptr.shape != (n + 1,) or ptr[0] != 0 or (ptr[1:] < ptr[:-1]).any()
+                or self.indices.shape != (ptr[-1],)
+                or self.data.shape != (ptr[-1],) or self.indices.size and (
+                    self.indices.min() < 0 or self.indices.max() >= m)):
+            raise ValueError("malformed CSC matrix")
+        for name in ("c", "data"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must not contain inf or nan")
+        if np.isnan(self.lo).any() or np.isnan(self.hi).any():
+            raise ValueError("lo and hi must not contain nan")
+        if not (self.row_lo < np.inf).all():         # false for nan too
+            raise ValueError("row_lo must not contain nan or +inf")
+        if not (self.row_hi > -np.inf).all():
+            raise ValueError("row_hi must not contain nan or -inf")
+        if not (np.isfinite(self.row_lo) | np.isfinite(self.row_hi)).all():
+            raise ValueError("row_hi must be finite where row_lo is -inf")
+        bad = np.flatnonzero(self.lo > self.hi)
+        if bad.size:
+            j = bad[0]
+            raise ValueError(
+                f"variable {j}: bound lo {self.lo[j]} > hi {self.hi[j]}")
+        # HiGHS reads a cost, bound or row side of 1e20 or more in magnitude
+        # as infinite. A row side is refused only on the side that empties
+        # its row.
+        for what, v, far in (
+                ("variable {}: cost", self.c, np.abs(self.c) >= HIGHS_INF),
+                ("variable {}: bound lo", self.lo, np.isfinite(self.lo)
+                 & (np.abs(self.lo) >= HIGHS_INF)),
+                ("variable {}: bound hi", self.hi, np.isfinite(self.hi)
+                 & (np.abs(self.hi) >= HIGHS_INF)),
+                ("row {}: row_lo", self.row_lo, self.row_lo >= HIGHS_INF),
+                ("row {}: row_hi", self.row_hi, self.row_hi <= -HIGHS_INF)):
+            if far.any():
+                j = far.argmax()
+                raise NumericalFailure(
+                    f"{what.format(j)} {v[j]:g} is {HIGHS_INF:g} or more in "
+                    "magnitude, which HiGHS reads as infinite")
+
+    @property
+    def n(self):
+        return self.c.size
+
+
+def highs_binding():
+    """scipy's HiGHS extension, from sys.modules or else loaded from its file
+    and registered there, for a later `import scipy.optimize` to reuse."""
+    name = "scipy.optimize._highspy._core"
+    if name not in sys.modules:
+        scipy_dir = os.path.dirname(util.find_spec("scipy").origin)
+        stem = os.path.join(scipy_dir, "optimize", "_highspy", "_core")
+        found = [stem + suffix for suffix in machinery.EXTENSION_SUFFIXES
+                 if os.path.isfile(stem + suffix)]
+        if not found:
+            from importlib.metadata import version
+            raise NumericalFailure(f"scipy {version('scipy')}: HiGHS not found")
+        spec = util.spec_from_file_location(name, found[0])
+        sys.modules[name] = util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+def solve_lp(problem):
+    """Solve an LpProblem to a certified optimum. Raises InfeasibleLp if
+    HiGHS certifies that no point is feasible, else NumericalFailure if it is
+    missing, refuses the model or ends at another status or off constraints."""
+    core = highs_binding()
+    p = problem
+    model = (p.n, p.row_lo.size, p.data.size, 1, 1, 0.0, p.c, p.lo, p.hi,
+             p.row_lo, p.row_hi, p.indptr, p.indices, p.data,
+             np.zeros(p.n, np.int32))
+    highs = getattr(_solver, "highs", None)
+    if highs is None:
+        if _pin_once.acquire(blocking=False):   # never released: once a process
+            mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+            if mallopt:
+                mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+                mallopt(-1, 64 << 20)       # M_TRIM_THRESHOLD
+                mallopt(-3, 32 << 20)       # M_MMAP_THRESHOLD
+        highs = _solver.highs = core._Highs()
+        highs.setOptionValue("output_flag", False)  # first: no stdout banner
+        highs.setOptionValue("presolve", "off")
+        highs.setOptionValue("solver", "simplex")
+        highs.setOptionValue("simplex_strategy", 1)  # dual
+    highs.clearModel()      # keeps the options; drops model, basis, solution
+    if highs.passModel(*model) == core.HighsStatus.kError:
+        pairs, count = np.unique(np.column_stack(
+            [np.repeat(np.arange(p.n), np.diff(p.indptr)), p.indices]),
+            axis=0, return_counts=True)
+        dup = pairs[count > 1]
+        why = f": column {dup[0, 0]} repeats row {dup[0, 1]}" if len(dup) else ""
+        raise NumericalFailure(f"HiGHS refused the model{why}")
+    highs.run()
+    status = highs.getModelStatus()
+    if status == core.HighsModelStatus.kInfeasible:
+        raise InfeasibleLp("HiGHS model status: Infeasible")
+    if status != core.HighsModelStatus.kOptimal:
+        b = np.abs(np.append(p.lo, p.hi))
+        raise NumericalFailure(
+            f"HiGHS model status: {highs.modelStatusToString(status)}; largest "
+            f"finite |cost| {np.abs(p.c).max(initial=0):g}, largest finite "
+            f"|column bound| {b[np.isfinite(b)].max(initial=0):g}")
+
+    sol = highs.getSolution()
+    objective = highs.getInfo().objective_function_value
+    highs.passModel(core.HighsLp())     # frees HiGHS' copy; see the docstring
+    # struct packs HiGHS' lists of floats in half the time np.fromiter takes
+    got = (sol.col_value, sol.row_value, sol.row_dual)
+    x, rows, duals = out = [np.empty(len(v)) for v in got]
+    for a, v in zip(out, got):
+        struct.pack_into(f"{len(v)}d", a, 0, *v)
+    # linprog's post-solve test: bounds and rows met within sqrt(1e-9) * 10
+    off = (p.lo - x, x - p.hi, p.row_lo - rows, rows - p.row_hi)
+    if np.isnan(objective) or not all((d <= np.sqrt(1e-9) * 10).all() for d in off):
+        raise NumericalFailure("optimal solution violates its constraints")
+    return LpSolution(x=x, objective=float(objective), row_duals=duals)
+
+
+def zone_lp_problem(z):
+    """The LpProblem of a `ZoneLp`, laid out as `optim.dispatch_lp` laid it
+    out before the recursion: the blocks, then one flow column per loadable
+    line in line order with +1 on its parent zone's row and -1 on its own;
+    row 0 balances to `balance`, the other rows to 0."""
+    m, k = z.caps.size, z.child.size
+    sides = np.append(z.balance, np.zeros(k))
+    return LpProblem(
+        c=np.append(-z.signs * z.prices, np.zeros(k)),
+        lo=np.append(np.zeros(m), z.lo), hi=np.append(z.caps, z.hi),
+        indptr=np.append(np.arange(m), m + 2 * np.arange(k + 1)),
+        indices=np.append(z.zone, np.column_stack([z.parent, z.child])),
+        data=np.append(z.signs, np.tile([1.0, -1.0], k)),
+        row_lo=sides, row_hi=sides)
 
 
 # `optim.dispatch_lp` and `dispatch_duals` in their PTDF form, before the
@@ -388,8 +499,9 @@ def path_sums(H, y):
 
 def use_ptdf_twin(monkeypatch):
     """Make `clear` and `solve_dlmp` solve the PTDF form: the LP of
-    `ptdf_dispatch_lp`, with the prices of `ptdf_dispatch_duals` and each
-    bus's DLMP as lam plus the path sum of mu_plus - mu_minus."""
+    `ptdf_dispatch_lp`, solved by HiGHS (`solve_lp` here), with the prices
+    of `ptdf_dispatch_duals` and each bus's DLMP as lam plus the path sum of
+    mu_plus - mu_minus."""
     from gridmarket import clearing, dlmp
 
     def lp(H, buses, signs, prices, caps, balance=0.0, f_const=None):
@@ -403,7 +515,41 @@ def use_ptdf_twin(monkeypatch):
 
     for module in (clearing, dlmp):
         monkeypatch.setattr(module, "dispatch_lp", lp)
+        monkeypatch.setattr(module, "solve_lp", solve_lp)
     monkeypatch.setattr(dlmp, "dispatch_duals", duals)
+
+
+def certify(problem, solution, tol=1e-9):
+    """Assert that `solution` is an optimum of the ZoneLp `problem`, by the
+    KKT conditions within tol (kW relative to the largest value of x and
+    the balance, prices relative to each price), with its zone prices
+    -row_duals: every balance row and bound met; each block at its cap
+    where its reduced cost -sign * (price - its zone's price) is negative,
+    at 0 where it is positive; each line whose price step, child zone less
+    parent zone, is positive at its upper flow bound, negative at its
+    lower."""
+    z = problem
+    m, k = z.caps.size, z.child.size
+    x, f = solution.x[:m], solution.x[m:]
+    price = -solution.row_duals
+    assert solution.x.shape == (m + k,) and price.shape == (k + 1,)
+    assert np.isfinite(solution.x).all() and np.isfinite(price).all()
+    kw = tol * (1.0 + np.abs(solution.x).max(initial=0.0) + abs(z.balance))
+    rows = (np.bincount(z.zone, z.signs * x, k + 1)
+            + np.bincount(z.parent, f, k + 1) - np.bincount(z.child, f, k + 1))
+    assert np.abs(rows - np.append(z.balance, np.zeros(k))).max() <= kw
+    assert (x >= -kw).all() and (x <= z.caps + kw).all()
+    assert (f >= z.lo - kw).all() and (f <= z.hi + kw).all()
+    rc = -z.signs * (z.prices - price[z.zone])
+    off = tol * (1.0 + np.abs(z.prices))
+    assert (np.abs(x - z.caps)[rc < -off] <= kw).all()
+    assert (np.abs(x)[rc > off] <= kw).all()
+    step = price[z.child] - price[z.parent]
+    off = tol * (1.0 + np.abs(price[z.child]))
+    assert (np.abs(f - z.hi)[step > off] <= kw).all()
+    assert (np.abs(f - z.lo)[step < -off] <= kw).all()
+    assert abs(solution.objective + (z.signs * z.prices) @ x) <= tol * (
+        1.0 + abs(solution.objective))
 
 
 def subtree_sum_flows(network, injections):

@@ -17,12 +17,11 @@ from gridmarket.clearing import MarketInput, clear, parse_bids
 from gridmarket.curves import Curve, DEMAND, SUPPLY
 from gridmarket.dlmp import DrOffer, GenOffer, ScopfInput, solve_dlmp
 from gridmarket.network import build_network, line_flows, load_case, ptdf
-from gridmarket.optim import solve_lp
 from gridmarket.p2p import P2pConfig, negotiate
 from helpers import (
     aggregate_intersection, brute_force_surplus, dual_infeasibility,
     dual_objective, enumerate_lp_optimum, ptdf_entries, random_feasible_lp,
-    random_radial_network, subtree_sum_flows,
+    random_radial_network, solve_lp, subtree_sum_flows,
 )
 
 CASES = os.path.join(os.path.dirname(__file__), "..", "cases")

@@ -16,10 +16,11 @@ from gridmarket.curves import (
 from gridmarket.network import build_network
 from gridmarket.optim import LpSolution
 from helpers import (
-    INF, aggregate_intersection, brute_force_surplus, chain,
+    INF, aggregate_intersection, brute_force_surplus, certify, chain,
     demand_filling_a_capped_line, random_radial_network, reduced_costs,
-    surplus, use_ptdf_twin,
+    surplus, use_ptdf_twin, zone_lp_problem,
 )
+from helpers import solve_lp as highs_solve_lp
 
 
 def pair_input(net=None):
@@ -376,16 +377,18 @@ def test_short_caps_bring_supplier_prices_down_to_balance():
     market_input, segments = short_caps_market()
     d = clear(market_input, segments=segments)
     (_, _, demand), (_, _, supply) = market_input.bids + market_input.offers
-    q = d.quantities["s1"]
-    assert d.quantities["d0"] == q == pytest.approx(20 / 7)
+    q, qd = d.quantities["s1"], d.quantities["d0"]
+    # 20/7 kW each, d0's split block one ulp short of s1's blocks' sum
+    assert (qd, q) == (2.857142857142856, 2.857142857142857)
+    assert q == pytest.approx(20 / 7)
     # d0 pays its cap; s1 comes down from its own price to the same total
-    assert d.prices == {"s1": 24.549319727891156, "d0": 24.549319727891152}
+    assert d.prices == {"s1": 24.54931972789115, "d0": 24.54931972789116}
     assert d.prices == settle(d.quantities, market_input)
-    assert d.prices["d0"] == integral(demand, q) / q
+    assert d.prices["d0"] == integral(demand, qd) / qd
     cost, own = integral(supply, q) / q, price_at_extended(supply, q)
     assert (cost, own) == pytest.approx((23.3857142857, 25.5714285714))
     assert cost < d.prices["s1"] < own
-    assert d.prices["s1"] * q == pytest.approx(d.prices["d0"] * q, rel=1e-15)
+    assert d.prices["s1"] * q == pytest.approx(d.prices["d0"] * qd, rel=1e-15)
 
 
 def test_parse_bids_roundtrip():
@@ -457,7 +460,7 @@ def test_quantities_are_per_span_sums_on_a_feeder_sized_lp(monkeypatch,
     solved = []
 
     def random_fill(problem):
-        solved.append(rng.random(problem.n) * problem.hi)
+        solved.append(rng.random(problem.caps.size) * problem.caps)
         return LpSolution(x=solved[-1], objective=None, row_duals=None)
 
     monkeypatch.setattr(clearing, "solve_lp", random_fill)
@@ -471,18 +474,22 @@ def test_quantities_are_per_span_sums_on_a_feeder_sized_lp(monkeypatch,
 
 
 def test_demand_exactly_filling_a_capped_line_pins_its_duals(monkeypatch):
-    # Pin the LP duals HiGHS returns and the settlement, first of the zone
-    # form, whose rows are the root zone and line b's zone, then of its PTDF
-    # twin, whose rows are line b's +row and -row, then the balance row.
-    # Both price bus 2 at 4.3: line b's price is 0, the low end of its range.
+    # Pin the duals and the settlement, first of the zone form, whose rows
+    # are the root zone and line b's zone, solved by the recursion and, for
+    # its duals, by HiGHS; then of its PTDF twin in HiGHS, whose rows are
+    # line b's +row and -row, then the balance row. All price bus 2 at 4.3:
+    # line b's price is 0, the low end of its range.
     mi = demand_filling_a_capped_line()
     solved = []
     solve = clearing.solve_lp
     monkeypatch.setattr(clearing, "solve_lp",
                         lambda p: solved.append((p, solve(p))) or solved[-1][1])
     d = clear(mi, segments=10)
-    (problem, sol), = solved
+    (zone_lp, sol), = solved
+    certify(zone_lp, sol)
     assert sol.row_duals.tolist() == [-4.3, -4.3]
+    problem = zone_lp_problem(zone_lp)
+    assert highs_solve_lp(problem).row_duals.tolist() == [-4.3, -4.3]
     # the consumers' blocks sit at their caps, priced at value - 4.3
     caps = [-95.7] + [-(99.9 + 0.01 * (9.5 - j) - 4.3) for j in range(10)]
     costs = reduced_costs(sol, problem)
@@ -495,12 +502,16 @@ def test_demand_exactly_filling_a_capped_line_pins_its_duals(monkeypatch):
                                rtol=0, atol=1e-12)
     assert d.binding_lines == ["b"]
     assert d.quantities == {"c1": 9.999999999999998, "c2": 4.999999999999999,
-                            "feeder": 14.999999999999996, "g2": 0.0}
-    assert d.prices == {"feeder": 4.3, "c1": 4.3, "c2": 4.3}
+                            "feeder": 15.0, "g2": 0.0}
+    assert d.prices == {"feeder": 4.3, "c1": 4.300000000000001,
+                        "c2": 4.300000000000001}
     assert d.total_surplus == 1435.4924999999996
 
     solved.clear()
+    spy = clearing.solve_lp
     use_ptdf_twin(monkeypatch)
+    solve = clearing.solve_lp
+    monkeypatch.setattr(clearing, "solve_lp", spy)
     d = clear(mi, segments=10)
     (problem, sol), = solved
     assert sol.row_duals.tolist() == [0.0, 0.0, -4.3]

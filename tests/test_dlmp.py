@@ -9,9 +9,9 @@ from gridmarket.dlmp import (
 from gridmarket.network import build_network
 from gridmarket.optim import solve_lp
 from helpers import (
-    INF, capped_gen_exporting_at_limit, chain, dual_objective,
+    INF, capped_gen_exporting_at_limit, certify, chain, dual_objective,
     idle_gen_behind_full_line, ptdf_entries, random_radial_network,
-    use_ptdf_twin,
+    use_ptdf_twin, zone_lp_problem,
 )
 
 
@@ -166,7 +166,8 @@ def test_an_overloaded_baseline_is_named_beside_emptied_rows(monkeypatch):
     # columns: the import, the export, the gen block, the DR block and the
     # flows of a and b
     assert maps["zone"].tolist() == [0, 1, 2, 1]
-    assert problem.indices.tolist() == [0, 0, 1, 2, 0, 1, 1, 2]
+    assert zone_lp_problem(problem).indices.tolist() == [0, 0, 1, 2, 0, 1, 1,
+                                                         2]
     with pytest.raises(InfeasibleBaseline) as ei:
         solve_dlmp(si)
     assert ei.value.binding_lines == ["a", "b"]
@@ -285,8 +286,8 @@ def test_blocks_take_what_the_baseline_has_left():
                     caps.append(qty)
                     prices.append(price)
                     avail -= qty
-        problem, _ = build_scopf(ScopfInput(lmp_source=5.0, gen_offers=gens,
-                                            dr_offers=drs, network=net))
+        problem = zone_lp_problem(build_scopf(ScopfInput(
+            lmp_source=5.0, gen_offers=gens, dr_offers=drs, network=net))[0])
         # the blocks follow the import and the export; the loadable lines'
         # flows, free and with two entries each, come last
         blocks = slice(2, 2 + len(caps))
@@ -349,11 +350,12 @@ def feasible_scopfs(draw):
 @given(feasible_scopfs())
 def test_scopf_strong_duality(si):
     """The dual objective of the SCOPF LP, from its reported shadow prices,
-    equals solve_dlmp's objective."""
+    equals solve_dlmp's objective, and the prices certify the optimum."""
     res = solve_dlmp(si)
     problem, _ = build_scopf(si)
     sol = solve_lp(problem)
-    assert dual_objective(sol, problem) == pytest.approx(
+    certify(problem, sol)
+    assert dual_objective(sol, zone_lp_problem(problem)) == pytest.approx(
         res.objective, rel=1e-9, abs=1e-9)
 
 
@@ -369,17 +371,21 @@ def test_full_line_with_idle_gen_behind_it_pins_zero_mu():
 
 
 def test_full_reverse_line_with_capped_gen_pins_zero_mu(monkeypatch):
-    # Any mu_minus[b] in [0, 3.3] prices this vertex. The zone form returns
-    # the high end, the gen's own price at bus 2, and its PTDF twin the low
-    # end, mu = 0.
-    res = solve_dlmp(capped_gen_exporting_at_limit())
+    # Any mu_minus[b] in [0, 3.3] prices this vertex. The recursion returns
+    # the low end, mu = 0, as the PTDF twin does; HiGHS on the zone form
+    # returned the high end, the gen's own price at bus 2 (test_optim pins
+    # it).
+    si = capped_gen_exporting_at_limit()
+    res = solve_dlmp(si)
     assert res.flows == {"a": 5.0, "b": -5.0}
     assert res.dispatch[2] == (10.0, 5.0) and res.p_source == 5.0
     assert res.lam == 4.3
     assert res.mu_plus == {"a": 0.0, "b": 0.0}
-    assert res.mu_minus == {"a": 0.0, "b": 3.3}
-    assert res.dlmp == {0: 4.3, 1: 4.3, 2: 1.0}
+    assert res.mu_minus == {"a": 0.0, "b": 0.0}
+    assert res.dlmp == {0: 4.3, 1: 4.3, 2: 4.3}
     assert res.objective == 31.5
+    problem, _ = build_scopf(si)
+    certify(problem, solve_lp(problem))
     use_ptdf_twin(monkeypatch)
     res = solve_dlmp(capped_gen_exporting_at_limit())
     assert res.flows == {"a": 5.0, "b": -5.0}

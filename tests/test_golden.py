@@ -10,9 +10,12 @@ without a limit. The benchmark's 1000-bus feeder (pool instance 0, written
 by `perfbench/feeder.py`), cleared at 20 segments and its SCOPF solved, must
 equal `FEEDER_GOLDEN` by the same digest. Both were re-recorded when the
 dispatch LP went from one row per line side (the PTDF form) to one row per
-zone, after `test_zone_lp.py` had found the two forms equal within 1e-9 on
-both feeders; the PTDF form, kept in the tests as `helpers.ptdf_dispatch_lp`,
-must still give the digests recorded before, `PTDF_GOLDEN` and
+zone, and again when the recursion replaced HiGHS in solving it, each time
+after `test_zone_lp.py` had found the new form equal within 1e-9 on both
+feeders (the recursion left every DLMP and line price as it was and moved
+the other values by rounding). The PTDF form, kept in the tests as
+`helpers.ptdf_dispatch_lp` and solved by HiGHS (`helpers.solve_lp`), must
+still give the digests recorded before it, `PTDF_GOLDEN` and
 `PTDF_FEEDER_GOLDEN`. What `gridmarket clear` and `gridmarket dlmp` print on
 the benchmark feeder, in `golden_feeder_cli.sha256`, did not move.
 
@@ -23,11 +26,12 @@ indices; `p2p_seed3`, a longer seeded P2P round, before each market result's
 log text was encoded once.
 
 What `gridmarket clear` and `gridmarket dlmp` print on case34 must equal the
-digests in `golden_cli.sha256`: at those segment counts tied blocks leave
-the clear's vertex to HiGHS, so a change to the model or the solver must
-not move them unnoticed. The clears at 2, 20 and 100 segments moved with
-the zone form and were re-recorded; `test_zone_lp.py` checks case34's
-welfare, prices and flows against the PTDF twin.
+digests in `golden_cli.sha256`: at those segment counts blocks tie, so the
+clear's dispatch follows the solver's tie rule and a change to the model or
+the solver must not move them unnoticed. The clears at 2, 20 and 100
+segments moved with the zone form, and those at 2, 7 and 20 with the
+recursion's input-order tie rule, and were re-recorded; `test_zone_lp.py`
+checks case34's welfare, prices and flows against the PTDF twin.
 """
 
 import hashlib
@@ -45,9 +49,9 @@ from helpers import (
     write_bench_feeder,
 )
 
-GOLDEN = "14455b092c53f2e57b18f339ebfdbfe93a46bfd37fec7b8e6c85f0d9d1a28aaa"
+GOLDEN = "dbbdadc8966cd4a1d674159b77c4cd9e968986119bd10e3fd48c2ca889e4e7f3"
 FEEDER_GOLDEN = (
-    "b105891f87f5127cb294c07e5c1f58b3cb1f54e092661ef9aa7d0bd93332347c")
+    "667c1175c767dda720893586f62ec7e1fe7bdb53743c174570c8f3c8d0e8cf55")
 PTDF_GOLDEN = (
     "7c3fdbf931a8d505d96d66977fe39e215e3fb696518caa8cb72cecad737a5980")
 PTDF_FEEDER_GOLDEN = (

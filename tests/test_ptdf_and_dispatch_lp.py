@@ -17,13 +17,12 @@ from gridmarket import clearing
 from gridmarket.clearing import MarketInput, clear, parse_bids
 from gridmarket.network import line_flows, load_case, ptdf
 from gridmarket.optim import (
-    REACH_TOL, InfeasibleLp, LpProblem, NumericalFailure, dispatch_lp,
-    solve_lp,
+    REACH_TOL, InfeasibleLp, NumericalFailure, dispatch_lp,
 )
 from helpers import (
-    box_flows, chain, dispatch_lp_twin, line_into, lp_matrix, lp_problem,
-    path_sums, ptdf_dispatch_duals, ptdf_dispatch_lp, ptdf_entries,
-    random_dispatch, random_radial_network, with_limits,
+    LpProblem, box_flows, chain, line_into, lp_matrix, lp_problem, path_sums,
+    ptdf_dispatch_duals, ptdf_dispatch_lp, ptdf_entries, random_dispatch,
+    random_radial_network, solve_lp, with_limits,
 )
 
 INF = float("inf")
@@ -232,49 +231,6 @@ def test_dispatch_lp_sparse_equals_dense():
                                           getattr(s_twin, name))
 
 
-@settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), unlimited=st.floats(0.0, 1.0),
-       huge=st.booleans(), with_const=st.booleans(),
-       balance=st.sampled_from([0.0, 2.5, -1e3]))
-def test_dispatch_lp_assembles_its_twins_arrays_bit_for_bit(
-        seed, unlimited, huge, with_const, balance):
-    """On random radial networks, ptdf_dispatch_lp, which reads the line layout
-    built with the PTDF, returns the arrays of the twin that builds it from a
-    limits dict on every call (`helpers.dispatch_lp_twin`), equal in value
-    and dtype. Lines may be unlimited; signs need not be +-1 or nonzero;
-    caps may be 0 or infinite; and with `huge`, limits and constant flows
-    of 1e308 make line-row sides overflow to the clamp."""
-    rng = np.random.default_rng(seed)
-    net = random_radial_network(rng, int(rng.integers(2, 30)))
-    big = 1e308 if huge else 50.0
-    net = with_limits(net, {
-        lid: INF if rng.random() < unlimited else
-        float(rng.choice([lim, big])) for lid, lim in net.line_limits().items()})
-    H = ptdf(net)
-    k = int(rng.integers(0, 40))
-    buses = [net.root] * 2 + rng.integers(0, net.n_buses, k).tolist()
-    signs = np.append([-1.0, 1.0], rng.choice([-3.0, -1.0, -0.5, 0.0, 1.0,
-                                               2.0], k))
-    prices = np.append([rng.uniform(1.0, 10.0), 0.0], rng.uniform(0.0, 20.0, k))
-    caps = np.append([INF, INF], rng.choice([0.0, 1.0, 7.5, 30.0, INF], k))
-    # a constant flow of +-0.9e308 on a 1e308 line overflows one side
-    limits = net.line_limits()
-    f_const = (rng.choice([-0.9, -0.5, 0.0, 0.5, 0.9], net.n_lines) * np.array(
-        [big if limits[lid] == big else 10.0 for lid in H.line_order])
-        if with_const else None)
-    new = ptdf_dispatch_lp(H, H.positions(buses), signs, prices, caps, balance,
-                      f_const), H.limited
-    twin = dispatch_lp_twin(H, limits, H.positions(buses), signs, prices, caps,
-                            balance, f_const)
-    for name in ("c", "lo", "hi", "indptr", "indices", "data", "row_lo",
-                 "row_hi"):
-        a, b = getattr(new[0], name), getattr(twin[0], name)
-        assert a.dtype == b.dtype, name
-        np.testing.assert_array_equal(a, b, err_msg=name)
-    assert new[1].dtype == twin[1].dtype
-    np.testing.assert_array_equal(new[1], twin[1])
-
-
 def test_sparse_column_mismatch_rejected():
     # column pointers for 3 columns, but c has 2
     with pytest.raises(ValueError, match="malformed CSC"):
@@ -402,6 +358,7 @@ def test_case34_clears_as_with_every_row_entry(segments, monkeypatch):
         return full_twin(net, [net.buses[p] for p in buses], signs, prices,
                          caps, net.line_limits(), 0.0, None), None
 
+    monkeypatch.setattr(clearing, "solve_lp", solve_lp)
     monkeypatch.setattr(clearing, "dispatch_lp", pruned_twin)
     pruned = clear(market, segments)
     monkeypatch.setattr(clearing, "dispatch_lp", with_every_entry)

@@ -1,13 +1,16 @@
 """The dispatch LP in its zone form (`optim.dispatch_lp`): one balance row
 per zone of buses that lines no dispatch within the caps can load join, and
-one flow column per loadable line. Its arrays are checked against a zone map
-built here by walking each bus's root path, and its optimum, its prices and
-the markets built on it against the PTDF twin (`helpers.ptdf_dispatch_lp`).
+one flow column per loadable line. Its arrays, laid out as an LpProblem by
+`helpers.zone_lp_problem`, are checked against a zone map built here by
+walking each bus's root path. The recursion that solves it (`optim.solve_lp`)
+is checked by an optimality certificate (`helpers.certify`), and its optimum,
+its prices and the markets built on it against the PTDF twin
+(`helpers.ptdf_dispatch_lp`) solved by HiGHS (`helpers.solve_lp`).
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gridmarket import clearing, dlmp
 from gridmarket.clearing import MarketInput, clear, curve_blocks, curve_params
@@ -17,11 +20,12 @@ from gridmarket.optim import (
     REACH_TOL, InfeasibleLp, dispatch_duals, dispatch_lp, solve_lp,
 )
 from helpers import (
-    INF, bench_feeder_inputs, box_flows, case34_inputs, chain, deep_feeder,
-    feeder, line_into, lp_matrix, path_sums, ptdf_dispatch_duals,
+    INF, bench_feeder_inputs, box_flows, case34_inputs, certify, chain,
+    deep_feeder, feeder, line_into, lp_matrix, path_sums, ptdf_dispatch_duals,
     ptdf_dispatch_lp, ptdf_entries, random_dispatch, random_radial_network,
-    use_ptdf_twin,
+    use_ptdf_twin, with_limits, zone_lp_problem,
 )
+from helpers import solve_lp as highs_solve_lp
 
 
 def loadable_lines(net, buses, signs, caps, f_const):
@@ -68,8 +72,9 @@ def check_zone_lp(net, buses, signs, prices, caps, balance, f_const):
     zone row, the flows' +1 in the parent zone's row and -1 in their own.
     Returns the problem, its bus rows and the loadable map."""
     H = ptdf(net)
-    problem, zone = dispatch_lp(H, H.positions(buses), signs, prices, caps,
+    zone_lp, zone = dispatch_lp(H, H.positions(buses), signs, prices, caps,
                                 balance, f_const)
+    problem = zone_lp_problem(zone_lp)
     loadable = loadable_lines(net, buses, signs, caps, f_const)
     lines = [(lid, u, v) for lid, u, v, _ in net.lines if loadable[lid]]
     order = sorted(range(len(lines)), key=lambda i: depth(net, lines[i][2]))
@@ -98,7 +103,7 @@ def check_zone_lp(net, buses, signs, prices, caps, balance, f_const):
         -np.asarray(signs) * prices, np.zeros(k)))
     assert problem.row_lo.tolist() == problem.row_hi.tolist() == (
         [balance] + [0.0] * k)
-    return problem, zone, loadable
+    return zone_lp, zone, loadable
 
 
 @settings(max_examples=150, deadline=None)
@@ -128,7 +133,7 @@ def test_zone_lp_matches_the_path_walk_and_the_ptdf_twins_prices(
     except InfeasibleLp:
         got = None
     try:
-        ref = solve_lp(twin)
+        ref = highs_solve_lp(twin)
     except InfeasibleLp:
         ref = None
     assert (got is None) == (ref is None)
@@ -144,6 +149,61 @@ def test_zone_lp_matches_the_path_walk_and_the_ptdf_twins_prices(
     np.testing.assert_allclose(mu_minus, ref_minus, rtol=0, atol=1e-9)
 
 
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), window=st.sampled_from([2, 5, 1000]),
+       balance=st.sampled_from([0.0, 3.0, -7.5]),
+       root=st.sampled_from(["import+export", "import", "export", "neither"]),
+       huge=st.sampled_from([None, 1e25, 1e308]))
+# the balance falls where the import ranks, with nothing ranked after it
+# (seed 8) or only the export (seed 720): the import's price, or the
+# export's, must price the root
+@example(seed=8, window=1000, balance=0.0, root="import", huge=None)
+@example(seed=720, window=5, balance=0.0, root="import+export", huge=None)
+def test_the_recursion_meets_an_optimality_certificate(seed, window, balance,
+                                                       root, huge):
+    """On random radial dispatches in the style of `random_dispatch`, some
+    of them deep, with unlimited lines, constant flows, the root's uncapped
+    import and unpaid export or only one or neither of them, and with
+    `huge`, some limits of 1e25 or 1e308 kW under constant flows of 0.9 of
+    them, which overflow the PTDF twin's row sides and which no block can
+    load: solve_lp's blocks, flows and zone prices meet the KKT conditions
+    within 1e-9 (`helpers.certify`), its objective is the PTDF twin's in
+    HiGHS within 1e-9 relative, and it raises InfeasibleLp exactly when the
+    twin does."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 25))
+    net = random_radial_network(rng, n)
+    if window < n:                      # each parent among the last few
+        net = build_network(net.buses, [
+            (lid, int(rng.integers(max(0, v - window), v)), v, lim)
+            for lid, _, v, lim in net.lines])
+    net, buses, signs, prices, caps, f_const = random_dispatch(rng, net)
+    if huge:
+        net = with_limits(net, {lid: huge if rng.random() < 0.3 else lim
+                                for lid, lim in net.line_limits().items()})
+        f_const = np.where(ptdf(net).limits == huge, rng.choice(
+            [-0.9, 0.9], f_const.size) * huge, f_const)
+    keep = {"import+export": [0, 1], "import": [0], "export": [1],
+            "neither": []}[root] + list(range(2, len(buses)))
+    buses = [buses[j] for j in keep]
+    signs, prices, caps = signs[keep], prices[keep], caps[keep]
+    H = ptdf(net)
+    problem, _ = dispatch_lp(H, H.positions(buses), signs, prices, caps,
+                             balance, f_const)
+    twin = ptdf_dispatch_lp(H, H.positions(buses), signs, prices, caps,
+                            balance, f_const)
+    try:
+        ref = highs_solve_lp(twin)
+    except InfeasibleLp:
+        with pytest.raises(InfeasibleLp):
+            solve_lp(problem)
+        return
+    got = solve_lp(problem)
+    certify(problem, got)
+    assert abs(got.objective - ref.objective) <= 1e-9 * max(
+        1.0, abs(ref.objective))
+
+
 def test_a_contracted_line_has_no_column_and_no_price():
     """Line b can carry all the blocks behind it, so bus 2 joins the root
     zone: one row, no flow column, and b's prices are exactly 0; with a
@@ -153,17 +213,44 @@ def test_a_contracted_line_has_no_column_and_no_price():
         H = ptdf(net)
         problem, zone = dispatch_lp(H, H.positions([0, 2]), [-1.0, 1.0],
                                     [1.0, 9.0], [INF, 5.0])
-        assert problem.row_lo.size == rows and problem.n == 1 + rows
+        lp = zone_lp_problem(problem)
+        assert lp.row_lo.size == rows and lp.n == 1 + rows
         price, mu_plus, mu_minus = dispatch_duals(solve_lp(problem), H, zone)
         assert price.tolist() == ([1.0] * 3 if rows == 1 else [1.0, 1.0, 9.0])
         assert mu_plus.tolist() == [0.0, 0.0 if rows == 1 else 8.0]
         assert mu_minus.tolist() == [0.0, 0.0]
 
 
+def test_tied_blocks_are_taken_in_input_order():
+    """Blocks tied in price are ranked by block index: of two tied
+    consumers the first consumes first, and of two tied producers the first
+    withholds first, so the second produces first."""
+    H = ptdf(chain())
+    # (signs, prices, caps) of three blocks, and the x they solve to
+    for blocks, x in (
+            (([1, 1, -1], [3, 3, 1], [4, 4, 5]), [4.0, 1.0, 5.0]),
+            (([1, -1, -1], [5, 2, 2], [5, 4, 4]), [5.0, 1.0, 4.0])):
+        for buses in ([1, 2, 0], [2, 1, 0], [0, 1, 2]):
+            problem, _ = dispatch_lp(H, H.positions(buses), *blocks)
+            s = solve_lp(problem)
+            certify(problem, s)
+            assert s.x.tolist() == x
+
+
+def test_a_sign_other_than_one_is_refused():
+    """The recursion ranks takes of whole kW: a block weighted 0.5 on its
+    row, which it would solve wrongly, is refused."""
+    H = ptdf(chain())
+    problem, _ = dispatch_lp(H, H.positions([0, 2]), [-1.0, 0.5], [1.0, 9.0],
+                             [INF, 4.0])
+    with pytest.raises(ValueError, match="^signs must be"):
+        solve_lp(problem)
+
+
 def tied_agents(market, segments):
     """Agents one of whose LP block prices equals a block price of another
-    agent: where they tie, the vertex HiGHS returns may split the quantity
-    between them either way at the same welfare."""
+    agent: where they tie, the recursion and HiGHS may split the quantity
+    between them differently at the same welfare."""
     names = [a for a, _, _ in market.bids + market.offers]
     curves = [c for _, _, c in market.bids + market.offers]
     _, prices, keep = curve_blocks(curve_params(curves), segments)
@@ -177,14 +264,23 @@ def tied_agents(market, segments):
 
 def solved(monkeypatch, market, scopf, twin):
     """clear at 20 segments and solve_dlmp, in the zone form or its PTDF
-    twin, and the objectives of their LPs."""
+    twin, and the objectives of their LPs; the zone form's optima are
+    certified."""
     with monkeypatch.context() as m:
         if twin:
             use_ptdf_twin(m)
         objectives = []
+
+        def spy(solve):
+            def solve_and_keep(p):
+                objectives.append(solve(p))
+                if not twin:
+                    certify(p, objectives[-1])
+                return objectives[-1]
+            return solve_and_keep
+
         for module in (clearing, dlmp):
-            m.setattr(module, "solve_lp", lambda p: (
-                objectives.append(solve_lp(p)) or objectives[-1]))
+            m.setattr(module, "solve_lp", spy(module.solve_lp))
         d, r = clear(market, segments=20), solve_dlmp(scopf)
     return d, r, [s.objective for s in objectives]
 
@@ -256,7 +352,8 @@ def test_deep_feeders_nest_loadable_lines_and_keep_their_shape(window):
                 laid.append(dispatch_lp(*a, **kw)) or laid[-1]))
         clear(market, segments=20)
         solve_dlmp(scopf)
-    for problem, zone in laid:
+    for zone_lp, zone in laid:
+        problem = zone_lp_problem(zone_lp)
         assert np.unique(zone).tolist() == list(range(problem.row_lo.size))
         k = problem.row_lo.size - 1
         assert problem.data.size == (problem.n - k) + 2 * k
@@ -300,6 +397,6 @@ def test_a_market_with_every_line_unloadable_is_one_row():
                   lambda p: problems.append(p) or solve(p))
         d = clear(MarketInput(bids=market.bids, offers=market.offers,
                               network=net), segments=20)
-    (problem,) = problems
+    problem = zone_lp_problem(*problems)
     assert problem.row_lo.size == 1 and d.binding_lines == []
     assert np.diff(problem.indptr).tolist() == [1] * problem.n
