@@ -1,16 +1,26 @@
 """The HiGHS solve that `tests/helpers.py` keeps as the twins' solver
 (`helpers.solve_lp` on an `LpProblem`), checked against vertex enumeration,
-strong duality and scipy's public `linprog`; and at the pinned degenerate
-vertices, the end of the dual interval that the recursion `optim.solve_lp`
-returns, against the end HiGHS returns."""
+strong duality and scipy's public `linprog`, with its per-thread HiGHS
+object, its options, its malloc pin and the HiGHS module it shares with
+scipy; and at the pinned degenerate vertices, the end of the dual interval
+that the recursion `optim.solve_lp` returns, against the end HiGHS
+returns."""
 
+import json
+import os
+import platform
 import re
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy import sparse
 
 import gridmarket.clearing as clearing
+import helpers
 from gridmarket import optim
 from gridmarket.clearing import MarketInput, clear
 from gridmarket.curves import Curve, DEMAND, SUPPLY
@@ -23,6 +33,8 @@ from helpers import (
     random_feasible_lp, random_radial_network, reduced_costs, solve_lp,
     use_ptdf_twin, zone_lp_problem,
 )
+
+CASES = os.path.join(os.path.dirname(__file__), "..", "cases")
 
 
 def test_single_bound_constraint_dual():
@@ -169,6 +181,126 @@ def test_row_bounds_length_mismatch_rejected():
         one_column(row_hi=[4.0, 4.0])
 
 
+def test_solve_lp_runs_the_dual_simplex_without_presolve(monkeypatch):
+    # Read back the options of the HiGHS object solve_lp runs.
+    from scipy.optimize._highspy._core import _Highs
+
+    options = []
+    run = _Highs.run
+
+    def spy(highs):
+        options.append({name: highs.getOptionValue(name)[1] for name in
+                        ("output_flag", "presolve", "solver",
+                         "simplex_strategy")})
+        return run(highs)
+
+    monkeypatch.setattr(_Highs, "run", spy)
+    # a thread's HiGHS object gets its options when it is made, at its first
+    # solve, and keeps them when it is cleared for the next model
+    monkeypatch.setattr(helpers, "_solver", threading.local())
+    assert solve_lp(lp_problem(c=[1.0], bounds=[(2.0, 5.0)])).x[0] == 2.0
+    assert solve_lp(lp_problem(c=[-1.0], bounds=[(2.0, 5.0)])).x[0] == 5.0
+    # simplex_strategy 1: the dual simplex
+    assert options == 2 * [{"output_flag": False, "presolve": "off",
+                            "solver": "simplex", "simplex_strategy": 1}]
+
+
+@pytest.fixture
+def iterations(monkeypatch):
+    """The simplex iteration count of each HiGHS run, in order."""
+    from scipy.optimize._highspy._core import _Highs
+
+    counts = []
+    run = _Highs.run
+
+    def spy(highs):
+        status = run(highs)
+        counts.append(highs.getInfo().simplex_iteration_count)
+        return status
+
+    monkeypatch.setattr(_Highs, "run", spy)
+    return counts
+
+
+def outcome(p, iterations):
+    """solve_lp(p) bit for bit: x, objective, row duals and the simplex
+    iterations it took."""
+    s = solve_lp(p)
+    return (s.x.tobytes(), s.objective.hex(), s.row_duals.tobytes(),
+            iterations[-1])
+
+
+def fresh_outcome(monkeypatch, p, iterations):
+    """`outcome` of p on a HiGHS object made for it alone."""
+    with monkeypatch.context() as m:
+        m.setattr(helpers, "_solver", threading.local())
+        return outcome(p, iterations)
+
+
+def case34_lps(monkeypatch):
+    """case34's clear LP (bids34.txt, 10 segments) and its SCOPF LP
+    (offers34.txt, imports at 4.3), each as the LpProblem of its zone LP."""
+    market, scopf = helpers.case34_inputs()
+    return (zone_lp_problem(lp_of_clear(monkeypatch, market, 10)),
+            zone_lp_problem(build_scopf(scopf)[0]))
+
+
+@pytest.mark.parametrize("failing,error", [
+    (lp_problem(c=[1.0], A_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0],
+                bounds=[(-np.inf, np.inf)]), InfeasibleLp),
+    (LpProblem(c=[1.0], lo=[0.0], hi=[5.0], indptr=[0, 2], indices=[0, 0],
+               data=[1.0, 1.0], row_lo=[-np.inf], row_hi=[4.0]),
+     NumericalFailure),                                 # refused
+    (lp_problem(c=[-1.0], bounds=[(0.0, np.inf)]), NumericalFailure),
+], ids=["infeasible", "refused", "unbounded"])
+def test_a_failed_solve_leaves_no_state_behind(monkeypatch, iterations,
+                                               failing, error):
+    a, b = case34_lps(monkeypatch)
+    fresh = fresh_outcome(monkeypatch, a, iterations)
+    solve_lp(b)
+    with pytest.raises(error):
+        solve_lp(failing)
+    assert outcome(a, iterations) == fresh
+
+
+def test_no_solve_warm_starts_from_an_earlier_one(monkeypatch, iterations):
+    a, b = case34_lps(monkeypatch)
+    fresh = fresh_outcome(monkeypatch, a, iterations)
+    assert fresh[3] > 0
+    first = outcome(a, iterations)
+    outcome(b, iterations)
+    assert outcome(a, iterations) == first == fresh
+    assert outcome(a, iterations) == fresh      # nor from the same LP
+
+
+def test_threads_solve_at_once_each_on_its_own_highs(monkeypatch):
+    # two threads on each of two LPs, switching as often as they can
+    lps = 2 * case34_lps(monkeypatch)
+
+    def bits(s):
+        return s.x.tobytes(), s.objective.hex(), s.row_duals.tobytes()
+
+    alone = [bits(solve_lp(p)) for p in lps]
+    start = threading.Barrier(len(lps), timeout=60)
+
+    def solve_20(p):
+        start.wait()
+        results = [bits(solve_lp(p)) for _ in range(20)]
+        return results, helpers._solver.highs
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(lps)) as pool:
+            done = [f.result(timeout=120) for f in
+                    [pool.submit(solve_20, p) for p in lps]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert [results for results, _ in done] == [20 * [r] for r in alone]
+    highs = [h for _, h in done] + [helpers._solver.highs]
+    assert len({id(h) for h in highs}) == len(lps) + 1
+
+
 def linprog_form(p):
     """`p` in linprog's form: its <=-rows (row_lo -inf) as A_ub, b_ub and
     its equality rows, which come after them, as A_eq, b_eq."""
@@ -200,6 +332,98 @@ def linprog_equals_solve_lp(p):
     assert np.array_equal(s.row_duals, np.concatenate(
         [res.ineqlin.marginals, res.eqlin.marginals]))
     return s
+
+
+# Solves one zone LP in a fresh interpreter with scipy.optimize imported
+# first, or only after solve_lp, by linprog_equals_solve_lp: either way
+# solve_lp and linprog share one HiGHS module.
+LOAD_ORDER_PROBE = """\
+import sys
+first = sys.argv[1]
+if first == "scipy.optimize":
+    import scipy.optimize
+import helpers
+from gridmarket.dlmp import build_scopf
+from helpers import idle_gen_behind_full_line, zone_lp_problem
+from test_optim import linprog_equals_solve_lp
+p = zone_lp_problem(build_scopf(idle_gen_behind_full_line())[0])
+helpers.solve_lp(p)
+core = sys.modules["scipy.optimize._highspy._core"]
+assert ("scipy.optimize" in sys.modules) == (first == "scipy.optimize")
+linprog_equals_solve_lp(p)
+import scipy.optimize._highspy._highs_wrapper as wrapper
+assert sys.modules["scipy.optimize._highspy._core"] is core is wrapper._h
+assert helpers.highs_binding()._Highs is core._Highs
+"""
+
+
+def run_probe(tmp_path, source, *argv):
+    """Runs `source` in a fresh interpreter that imports from src/ and
+    tests/; returns its last stdout line, after checking that it exited 0."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = [os.path.join(tests, "..", "src"), tests,
+            os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", source, *argv],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return (proc.stdout.splitlines() or [""])[-1]
+
+
+@pytest.mark.parametrize("order", ["solve_lp", "scipy.optimize"])
+def test_solve_lp_and_scipy_share_one_highs_module(tmp_path, order):
+    run_probe(tmp_path, LOAD_ORDER_PROBE, order)
+
+
+glibc_only = pytest.mark.skipif(
+    sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+    reason="solve_lp pins malloc's thresholds only where glibc's mallopt is")
+
+# Spies on mallopt in a fresh interpreter: `validate` after importing the
+# CLI, then four threads' first solves at once. Prints the calls of each.
+PIN_PROBE = """\
+import ctypes, json, sys, threading
+calls, real = [], ctypes.CDLL
+
+class Libc:
+    def __init__(self, *args, **kwargs):
+        self.lib = real(*args, **kwargs)
+    def __getattr__(self, name):
+        fn = getattr(self.lib, name)
+        if name != "mallopt":
+            return fn
+        return lambda param, value: calls.append([param, value, fn(param, value)])
+
+ctypes.CDLL = Libc
+import gridmarket.cli
+assert gridmarket.cli.main(["validate", sys.argv[1]]) == 0
+at_validate = list(calls)
+import helpers
+from gridmarket.dlmp import build_scopf
+from helpers import idle_gen_behind_full_line, zone_lp_problem
+p = zone_lp_problem(build_scopf(idle_gen_behind_full_line())[0])
+start, solved = threading.Barrier(4, timeout=60), []
+def solve():
+    start.wait()
+    solved.append(helpers.solve_lp(p).objective)
+threads = [threading.Thread(target=solve) for _ in range(4)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+assert len(solved) == 4 and not any(t.is_alive() for t in threads)
+print(json.dumps({"validate": at_validate, "solves": calls}))
+"""
+
+
+@glibc_only
+def test_malloc_is_pinned_once_per_process_at_its_first_solve(tmp_path):
+    report = json.loads(run_probe(tmp_path, PIN_PROBE,
+                                  os.path.join(CASES, "case34.txt")))
+    assert report["validate"] == []
+    # M_TRIM_THRESHOLD 64 MiB and M_MMAP_THRESHOLD 32 MiB, each set (1) once
+    assert report["solves"] == [[-1, 64 << 20, 1], [-3, 32 << 20, 1]]
 
 
 def lp_of_clear(monkeypatch, market_input, segments):
