@@ -21,13 +21,22 @@ balance, or lower, where an uncapped producer (the SCOPF's import) ranks,
 which then imports the difference; an uncapped consumer (its export) is a
 segment of infinite length. Going back down, a zone's cut is its parent's,
 held between its own two cuts, and its price is that of the block its cut
-splits.
+splits. A cut within rounding of a segment's end cuts at that end. Ties
+are put in input order by re-sorting only the runs of tied prices after
+one quicksort.
 
-On the benchmark feeder a clear takes ~2.5 ms and a SCOPF ~1.2 ms, where
-HiGHS' dual simplex on the same LP took ~5.8 and ~1.7 ms (medians of 300
-in-process steps).
+The first `solve_lp` in a process, and nothing before it, pins glibc's
+malloc thresholds (`pin_malloc`): left adaptive, they let each free of a
+clear's ~120 kB block arrays trim the heap top, and each step on the
+benchmark feeder faulted ~575 pages back in; pinned, the median step faults
+none. There a clear takes ~2.0 ms and a SCOPF ~1.2 ms, a step ~3.2 ms
+(~3.85 ms unpinned with every rank key stable-sorted), where HiGHS' dual
+simplex on the same LP took ~5.8 and ~1.7 ms (medians of 300 in-process
+steps).
 """
 
+import ctypes
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +51,8 @@ REACH_TOL = 1e-6
 # Rounding in the running sums: a bound closer to the take than this share
 # of the zone's producing kW (plus 1 kW) reads as met, its cut as unbound.
 FEAS_TOL = 1e-9
+# held from the first solve on, never released: malloc is pinned once
+_pinned = threading.Lock()
 
 
 class NumericalFailure(Exception):
@@ -141,11 +152,31 @@ class LpSolution:
     row_duals: np.ndarray       # d objective / d row side: -price
 
 
-def cut_at(cum, a, side):
+def pin_malloc():
+    """Sets glibc's M_TRIM_THRESHOLD to 64 MiB and M_MMAP_THRESHOLD to 32 MiB
+    at its first call in a process, and does nothing at any later call or
+    where libc has no `mallopt`. Setting either turns off glibc's adaptive
+    thresholds, under which each free of a solve's arrays trimmed the heap
+    top and the next solve faulted its pages back in."""
+    if _pinned.acquire(blocking=False):
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+        if mallopt:
+            mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+            mallopt.restype = ctypes.c_int
+            mallopt(-1, 64 << 20)       # M_TRIM_THRESHOLD
+            mallopt(-3, 32 << 20)       # M_MMAP_THRESHOLD
+
+
+def cut_at(cum, a, side, tol=0.0):
     """(index, how far in) of position a along the segments whose running
     lengths are `cum`: side "left" splits the segment ending at a, "right"
-    the one starting there."""
+    the one starting there. A position within `tol` of a segment's end
+    reads as that end."""
     i = int(cum.searchsorted(a, side))
+    end = i if side == "right" else i - 1   # the end a may fall short of / pass
+    if 0 <= end < cum.size and abs(cum[end] - a) <= tol:
+        a = float(cum[end])
+        i = int(cum.searchsorted(a, side))
     return i, a - (cum[i - 1] if i else 0.0)
 
 
@@ -158,6 +189,7 @@ def solve_lp(p):
     """Solve a ZoneLp exactly (see the module docstring). Raises InfeasibleLp
     if a zone's line bounds or the balance cannot be met, NumericalFailure
     if the optimum is unbounded or an uncapped producer sits off the root."""
+    pin_malloc()
     m, k = p.caps.size, p.child.size
     if (np.abs(p.signs) != 1.0).any():
         raise ValueError("signs must be +1 or -1")
@@ -166,15 +198,17 @@ def solve_lp(p):
     if uncapped[p.zone > 0].any():
         raise NumericalFailure("an uncapped producer outside the root zone")
     cap = np.where(uncapped, 0.0, p.caps)
-    # rank the blocks: quicksort on price, then each tie in block order by
-    # a stable sort of a nearly sorted integer key (one of the float prices
-    # takes ~5 times the quicksort)
+    # rank the blocks: quicksort on price, then each run of tied prices in
+    # block order, by sorting only the tied ranks' (run, block) keys, a run
+    # starting where the rank before differs in price (a stable sort of the
+    # float prices takes ~5 times the quicksort)
     order = np.argsort(-p.prices)
     price = p.prices[order]
-    tie = price[1:] == price[:-1]
-    if tie.any():
-        run = np.append(0, np.cumsum(~tie))
-        order = np.sort(run * m + order, kind="stable") - run * m
+    tie = np.flatnonzero(price[1:] == price[:-1])
+    if tie.size:
+        tied = np.union1d(tie, tie + 1)
+        run = np.cumsum(price[tied] != price[tied - 1])
+        order[tied] = np.sort(run * m + order[tied]) - run * m
     free, t0 = cap[order], np.zeros(m)
     # each row's own ranks, ascending: a stable sort on the narrowest keys
     zr = p.zone[order]
@@ -206,12 +240,12 @@ def solve_lp(p):
                                "take between them")
         start, stop = 0, ranks.size
         if b < width - tol:
-            stop, keep = cut_at(cum, max(b, 0.0), "right")
+            stop, keep = cut_at(cum, max(b, 0.0), "right", tol)
             r = ranks[stop]
             high[z], free[r], stop = (int(r), t0[r] + keep), keep, stop + 1
         if a > tol:
             a = min(a, width)
-            start, fix = cut_at(cum, a, "left")
+            start, fix = cut_at(cum, a, "left", tol)
             r = ranks[start]
             low[z] = (int(r), t0[r] + fix)
             t0[r] += fix
@@ -239,7 +273,7 @@ def solve_lp(p):
     if take > width + tol or take < -tol:
         raise InfeasibleLp("row 0: the balance leaves no take")
     # at a tie of take with the import, the price of the segment after it
-    i, t = cut_at(cum, min(max(take, 0.0), width), "right")
+    i, t = cut_at(cum, min(max(take, 0.0), width), "right", tol)
     if floor > a + tol or i == ranks.size and floor >= width - tol:
         cut = (imp, 0.0)
     elif i == ranks.size:           # at the end: the last segment, if any
@@ -255,9 +289,12 @@ def solve_lp(p):
     at = at.astype(np.intp)
     rank = np.empty(m, np.intp)
     rank[order] = np.arange(m)
-    own = at[p.zone]
-    taken = np.where(rank < own, cap,
-                     np.where(rank == own, part[p.zone], 0.0))
+    taken = np.where(rank < at[p.zone], cap, 0.0)
+    # the block each zone's cut splits, where it is the zone's own
+    rows = np.flatnonzero((at >= 0) & (at < m))
+    split = order[at[rows]]
+    own = p.zone[split] == rows
+    taken[split[own]] = part[rows[own]]
     x = np.where(consumes, taken, cap - taken)
     if imports.size:
         x[order[imp]] = take - a

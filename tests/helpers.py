@@ -2,7 +2,6 @@
 library, deliberately written against different machinery than the code
 under test."""
 
-import ctypes
 import importlib.util
 import json
 import math
@@ -24,7 +23,7 @@ from gridmarket.network import (
     FLOW_TOL, GridState, UnknownBus, build_network, line_flows, load_case, ptdf,
 )
 from gridmarket.optim import (
-    REACH_TOL, InfeasibleLp, LpSolution, NumericalFailure,
+    REACH_TOL, InfeasibleLp, LpSolution, NumericalFailure, pin_malloc,
 )
 
 INF = float("inf")
@@ -244,21 +243,21 @@ def demand_filling_a_capped_line():
 
 
 # The HiGHS solve `optim.solve_lp` ran before the zone LP was solved by its
-# recursion, kept verbatim but for this comment: the twin's solver, which
-# every equality test of the recursion compares against. Problems are
-# minimizations in the one form HiGHS' `passModel` takes: min c.x subject to
-# row_lo <= A x <= row_hi and lo <= x <= hi, with A held column-wise (CSC)
-# as `indptr`, `indices` and `data`; row_duals[i] = d objective / d (active
-# side of row i). It calls scipy's HiGHS extension, loaded from its file
-# without scipy.optimize's __init__, in HiGHS' dual simplex with presolve
-# off. Each thread has one HiGHS object, cleared before each model, and the
-# first object in a process pins glibc's malloc thresholds.
+# recursion, kept verbatim but for this comment and its malloc pin, now
+# `optim.pin_malloc`: the twin's solver, which every equality test of the
+# recursion compares against. Problems are minimizations in the one form
+# HiGHS' `passModel` takes: min c.x subject to row_lo <= A x <= row_hi and
+# lo <= x <= hi, with A held column-wise (CSC) as `indptr`, `indices` and
+# `data`; row_duals[i] = d objective / d (active side of row i). It calls
+# scipy's HiGHS extension, loaded from its file without scipy.optimize's
+# __init__, in HiGHS' dual simplex with presolve off. Each thread has one
+# HiGHS object, cleared before each model, and each new object calls
+# `optim.pin_malloc`, which pins glibc's malloc thresholds once a process.
 
 # HiGHS reads a cost or bound of this magnitude or more as infinite: its
 # options infinite_cost and infinite_bound.
 HIGHS_INF = 1e20
 _solver = threading.local()
-_pin_once = threading.Lock()
 
 
 @dataclass
@@ -354,12 +353,7 @@ def solve_lp(problem):
              np.zeros(p.n, np.int32))
     highs = getattr(_solver, "highs", None)
     if highs is None:
-        if _pin_once.acquire(blocking=False):   # never released: once a process
-            mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-            if mallopt:
-                mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-                mallopt(-1, 64 << 20)       # M_TRIM_THRESHOLD
-                mallopt(-3, 32 << 20)       # M_MMAP_THRESHOLD
+        pin_malloc()
         highs = _solver.highs = core._Highs()
         highs.setOptionValue("output_flag", False)  # first: no stdout banner
         highs.setOptionValue("presolve", "off")

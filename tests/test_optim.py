@@ -1,10 +1,11 @@
 """The HiGHS solve that `tests/helpers.py` keeps as the twins' solver
 (`helpers.solve_lp` on an `LpProblem`), checked against vertex enumeration,
 strong duality and scipy's public `linprog`, with its per-thread HiGHS
-object, its options, its malloc pin and the HiGHS module it shares with
-scipy; and at the pinned degenerate vertices, the end of the dual interval
-that the recursion `optim.solve_lp` returns, against the end HiGHS
-returns."""
+object, its options, the malloc pin it shares with the recursion
+`optim.solve_lp` and the HiGHS module it shares with scipy; and at the
+pinned degenerate vertices, the end of the dual interval that the recursion
+returns, against the end HiGHS returns. The recursion's own malloc pin and
+the page faults it saves are checked here too."""
 
 import json
 import os
@@ -380,10 +381,39 @@ glibc_only = pytest.mark.skipif(
     sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
     reason="solve_lp pins malloc's thresholds only where glibc's mallopt is")
 
-# Spies on mallopt in a fresh interpreter: `validate` after importing the
-# CLI, then four threads' first solves at once. Prints the calls of each.
+# Clears the benchmark's 1000-bus feeder at 20 segments four times in a
+# fresh interpreter and prints the minor page faults each clear took.
+FAULT_PROBE = """\
+import json, resource, sys
+from gridmarket.clearing import clear
+from helpers import bench_feeder_inputs
+market, _ = bench_feeder_inputs(sys.argv[1])
+faults = []
+for _ in range(4):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert clear(market, segments=20).traded
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+@glibc_only
+def test_a_repeated_feeder_clear_faults_in_no_new_heap(tmp_path):
+    # A clear frees ~120 kB block arrays and numpy temporaries. With glibc's
+    # thresholds left adaptive, free trimmed them off the heap top and each
+    # clear after the first faulted ~580 pages back in. A fresh process,
+    # since earlier frees move those thresholds.
+    warm_up, *faults = json.loads(run_probe(tmp_path, FAULT_PROBE,
+                                            str(tmp_path)))
+    assert max(faults) < 50, faults
+
+
+# Spies on mallopt in a fresh interpreter: `validate` and a P2P `run` after
+# importing the CLI, then four threads' first solves at once, of `clear` in
+# src/ or of the HiGHS twin (argv[2]), then one solve of the other. Prints
+# the calls before the solves, at the four and at the last.
 PIN_PROBE = """\
-import ctypes, json, sys, threading
+import ctypes, json, os, sys, threading
 calls, real = [], ctypes.CDLL
 
 class Libc:
@@ -397,33 +427,53 @@ class Libc:
 
 ctypes.CDLL = Libc
 import gridmarket.cli
-assert gridmarket.cli.main(["validate", sys.argv[1]]) == 0
-at_validate = list(calls)
+cases = sys.argv[1]
+assert gridmarket.cli.main(["validate", os.path.join(cases, "case34.txt")]) == 0
+assert gridmarket.cli.main(["run", "--config", os.path.join(
+    cases, "demo_p2p.cfg"), "--out", "p2p"]) == 0
+before = list(calls)
 import helpers
+from gridmarket.clearing import clear
 from gridmarket.dlmp import build_scopf
-from helpers import idle_gen_behind_full_line, zone_lp_problem
-p = zone_lp_problem(build_scopf(idle_gen_behind_full_line())[0])
+market, _ = helpers.case34_inputs()
+p = helpers.zone_lp_problem(build_scopf(helpers.idle_gen_behind_full_line())[0])
+solvers = {"clear": lambda: clear(market, segments=10).traded,
+           "highs": lambda: helpers.solve_lp(p).objective}
+first = solvers.pop(sys.argv[2])
 start, solved = threading.Barrier(4, timeout=60), []
 def solve():
     start.wait()
-    solved.append(helpers.solve_lp(p).objective)
+    solved.append(first())
 threads = [threading.Thread(target=solve) for _ in range(4)]
 for t in threads:
     t.start()
 for t in threads:
     t.join(timeout=60)
 assert len(solved) == 4 and not any(t.is_alive() for t in threads)
-print(json.dumps({"validate": at_validate, "solves": calls}))
+solves = calls[len(before):]
+(then,) = solvers.values()
+then()
+print(json.dumps({"before": before, "solves": solves,
+                  "then": calls[len(before) + len(solves):]}))
 """
+
+
+def assert_pinned_once_at_the_first_solve(tmp_path, first):
+    report = json.loads(run_probe(tmp_path, PIN_PROBE, CASES, first))
+    assert report["before"] == []
+    # M_TRIM_THRESHOLD 64 MiB and M_MMAP_THRESHOLD 32 MiB, each set (1) once
+    assert report["solves"] == [[-1, 64 << 20, 1], [-3, 32 << 20, 1]]
+    assert report["then"] == []
 
 
 @glibc_only
 def test_malloc_is_pinned_once_per_process_at_its_first_solve(tmp_path):
-    report = json.loads(run_probe(tmp_path, PIN_PROBE,
-                                  os.path.join(CASES, "case34.txt")))
-    assert report["validate"] == []
-    # M_TRIM_THRESHOLD 64 MiB and M_MMAP_THRESHOLD 32 MiB, each set (1) once
-    assert report["solves"] == [[-1, 64 << 20, 1], [-3, 32 << 20, 1]]
+    assert_pinned_once_at_the_first_solve(tmp_path, "clear")
+
+
+@glibc_only
+def test_the_highs_twin_pins_malloc_through_the_same_owner(tmp_path):
+    assert_pinned_once_at_the_first_solve(tmp_path, "highs")
 
 
 def lp_of_clear(monkeypatch, market_input, segments):

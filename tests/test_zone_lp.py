@@ -109,6 +109,9 @@ def check_zone_lp(net, buses, signs, prices, caps, balance, f_const):
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), window=st.sampled_from([2, 5, 1000]),
        balance=st.sampled_from([0.0, 3.0, -7.5]))
+# the root's take rounds to 2 ulp short of the end of an idle producer's
+# segment: the price is that of the segment after it, 0, not the producer's
+@example(seed=290209, window=2, balance=0.0)
 def test_zone_lp_matches_the_path_walk_and_the_ptdf_twins_prices(
         seed, window, balance):
     """On random radial markets, some of them deep, the zone LP is laid out
@@ -235,6 +238,56 @@ def test_tied_blocks_are_taken_in_input_order():
             s = solve_lp(problem)
             certify(problem, s)
             assert s.x.tolist() == x
+
+
+@pytest.mark.parametrize("signs, prices, caps, limit", [
+    # line b's hi bound, 0.7 kW plus the producer's 0.1, rounds to 1 ulp
+    # short of the end of the consumer's 0.8 kW segment
+    ([-1, 1, -1], [5.0, 10.0, 1.0], [INF, 0.8, 0.1], 0.7),
+    # its lo bound, the producer's 0.4 kW less 0.3, rounds to 1 ulp past
+    # the end of the consumer's 0.1 kW segment
+    ([1, 1, -1], [3.0, 10.0, 1.0], [INF, 0.1, 0.4], 0.3)])
+def test_a_zone_cut_a_rounding_off_a_segment_end_cuts_at_that_end(
+        signs, prices, caps, limit):
+    """A zone's line bound within rounding of the end of a segment cuts at
+    that end, as it would have unrounded: line b, exactly full, is not
+    priced, and bus 2 has the root's price, as in the PTDF twin."""
+    H = ptdf(chain(limits=(INF, limit)))
+    buses = H.positions([0, 2, 2])
+    problem, zone = dispatch_lp(H, buses, signs, prices, caps)
+    s = solve_lp(problem)
+    certify(problem, s)
+    price, mu_plus, mu_minus = dispatch_duals(s, H, zone)
+    assert price.tolist() == [prices[0]] * 3
+    assert mu_plus.tolist() == mu_minus.tolist() == [0.0, 0.0]
+    ref = highs_solve_lp(ptdf_dispatch_lp(H, buses, signs, prices, caps))
+    assert ptdf_dispatch_duals(ref, H.limited)[0] == prices[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(prices=st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=2,
+                       max_size=40),
+       data=st.data())
+def test_tied_runs_are_taken_in_input_order_like_a_stable_argsort(prices,
+                                                                  data):
+    """One zone of consumers with prices in {0, 1, 2}, so several tied runs
+    of different lengths, caps > 0, and a balance that cuts mid-ranking:
+    the fully taken blocks are exactly the leading ones in a stable
+    argsort's order of the prices, highest first, and the split block is
+    the next one."""
+    m = len(prices)
+    caps = data.draw(st.lists(st.integers(1, 9), min_size=m, max_size=m))
+    k = data.draw(st.integers(0, m - 1))         # the block the cut splits
+    rank = np.argsort(-np.array(prices), kind="stable")
+    cum = np.cumsum(np.array(caps, float)[rank])
+    balance = cum[k] - 0.5
+    H = ptdf(chain())
+    problem, _ = dispatch_lp(H, H.positions([0] * m), [1] * m, prices, caps,
+                             balance)
+    x = solve_lp(problem).x
+    assert x[rank[:k]].tolist() == np.array(caps)[rank[:k]].tolist()
+    assert x[rank[k]] == caps[rank[k]] - 0.5
+    assert not x[rank[k + 1:]].any()
 
 
 def test_a_sign_other_than_one_is_refused():
