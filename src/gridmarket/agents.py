@@ -32,11 +32,13 @@ class AgentError(Exception):
 
 class Agent:
     """Agent template: owns its bus and role. `reset()` runs once per
-    episode; `market_action(t_grid, t_market)` returns the agent's action
-    for one market step and `grid_action(t_grid, result)` its `(bus, kW)`
-    for the grid step, given the result the market cleared to (either may
-    return None: no action); `observe_reward(r)` receives the reward of its
-    last market action."""
+    episode; `current_role(t_grid)` returns the side the agent trades on in
+    P2P this grid step, or None (the default) for no part in P2P;
+    `market_action(t_grid, t_market)` returns the agent's action for one
+    market step and `grid_action(t_grid, result)` its `(bus, kW)` for the
+    grid step, given the result the market cleared to (either may return
+    None: no action); `observe_reward(r)` receives the reward of its last
+    market action."""
 
     def __init__(self, agent_id, bus, role):
         self.id = agent_id
@@ -45,6 +47,9 @@ class Agent:
 
     def reset(self):
         pass
+
+    def current_role(self, t_grid):
+        return None
 
     def market_action(self, t_grid, t_market):
         return None
@@ -168,11 +173,12 @@ class UcbNegotiator(Agent):
         self.bandit = BanditState(arms=self._arms)
         self._last_arm = None
 
-    def current_role(self, t):
+    def current_role(self, t_grid):
         """Prosumers without generation this step act as consumers."""
         if self.role != PROSUMER or self.availability is None:
             return self.role
-        return PRODUCER if self.availability[t % len(self.availability)] else CONSUMER
+        available = self.availability[t_grid % len(self.availability)]
+        return PRODUCER if available else CONSUMER
 
     def market_action(self, t_grid, t_market):
         self._last_arm = ucb_select(self.bandit)

@@ -15,8 +15,8 @@ its log text is encoded with it (`Encoded`): the clearing market reuses its
 last `Dispatch` while the submitted curves do not change, the DLMP market
 solves its fixed SCOPF once per episode, and the P2P market negotiates a
 pair at a pair of prices once per round. The episode log keeps the lines it
-wrote, each flushed as it is added; `records` decodes them. UCB agents
-refresh only the updated arm's index.
+wrote, each in one unbuffered write as it is added; `records` decodes them.
+UCB agents refresh only the updated arm's index.
 """
 
 import json
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import curves as cv
 from . import p2p as p2p_mod
-from .agents import CONSUMER, PRODUCER, UcbNegotiator
+from .agents import CONSUMER, PRODUCER
 from .clearing import MarketInput, clear
 from .dlmp import solve_dlmp
 from .network import str_clash
@@ -44,12 +44,23 @@ class Encoded(str):
     """JSON text of a log value, encoded once by the market that reuses it."""
 
 
-def _line(record):
+def _line(record, shapes):
     """json.dumps(record, sort_keys=True, allow_nan=False) for a record with
-    str keys, writing each `Encoded` value as it is."""
-    return "{" + ", ".join([
-        f"{_encode(k)}: {v if type(v) is Encoded else _encode(v)}"
-        for k, v in sorted(record.items())]) + "}"
+    str keys, writing each `Encoded` value as it is. `shapes` maps a record
+    shape, its keys in insertion order, to its template: the keys sorted,
+    each encoded once, with a `%s` slot per value."""
+    try:
+        template, keys = shapes[tuple(record)]
+    except KeyError:
+        keys = sorted(record)
+        template = "{%s}" % ", ".join(
+            [_encode(k).replace("%", "%%") + ": %s" for k in keys])
+        shapes[tuple(record)] = template, keys
+    values = []
+    for k in keys:
+        v = record[k]
+        values.append(v if type(v) is Encoded else _encode(v))
+    return template % tuple(values)
 
 
 def _overflow(where, record, e):
@@ -70,12 +81,15 @@ class EnvError(Exception):
 @dataclass
 class EpisodeLog:
     """Episode log lines, as `(phase, JSON line)`, and, while `writing()`
-    holds it open, the file at `sink_path`: each line is written and flushed
-    as it is added, so a crashed run keeps its prefix."""
+    holds it open, the file at `sink_path`: each line is on disk as soon as
+    it is added, in one unbuffered write, so a crashed run keeps its prefix.
+    Lines end in `\n` on every platform."""
 
     lines: list = field(default_factory=list)
     sink_path: str = None
     _sink: object = field(default=None, init=False, repr=False, compare=False)
+    _shapes: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     @contextmanager
     def writing(self):
@@ -83,7 +97,7 @@ class EpisodeLog:
         if not self.sink_path:
             yield
             return
-        self._sink = open(self.sink_path, "a", encoding="utf-8")
+        self._sink = open(self.sink_path, "ab", buffering=0)
         try:
             yield
         finally:
@@ -92,7 +106,7 @@ class EpisodeLog:
 
     def add(self, record):
         try:
-            line = _line(record)
+            line = _line(record, self._shapes)
         except ValueError as e:
             where = f"{record['phase']} record at t_grid {record['t_grid']}"
             if "t_market" in record:
@@ -100,8 +114,9 @@ class EpisodeLog:
             raise _overflow(where, record, e) from None
         self.lines.append((record["phase"], line))
         if self._sink is not None:
-            self._sink.write(line + "\n")
-            self._sink.flush()
+            data = (line + "\n").encode()
+            while data:     # a short write leaves the rest to write
+                data = data[self._sink.write(data):]
 
     @property
     def records(self):
@@ -198,6 +213,8 @@ class ClearingMarket(MarketBase):
 class P2pMarket(MarketBase):
     """Use Case 2 mechanism: random matching, then a bandit negotiation per
     market step (the paper's T per grid step); the last one binds physically.
+    Each round matches every agent whose `current_role` is not None: its
+    producers against the rest.
 
     `negotiate` is pure, so within a round a pair that bids the very price
     objects of an outcome again (`is` tells `-0.0` from `0.0`, `1` from
@@ -219,8 +236,8 @@ class P2pMarket(MarketBase):
         self._t_grid = t_grid
         producers, consumers = [], []
         for a in self.env.agents:
-            if isinstance(a, UcbNegotiator):
-                role = a.current_role(t_grid)
+            role = a.current_role(t_grid)
+            if role is not None:
                 (producers if role == PRODUCER else consumers).append(a.id)
         self.round = p2p_mod.match(producers, consumers, self.env.rng)
         self.round.pairs.sort(key=str)      # the log's order

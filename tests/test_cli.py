@@ -2,9 +2,11 @@ import json
 import math
 import os
 import re
+import signal
 import stat
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -26,6 +28,11 @@ def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def read(path):
+    with open(path, encoding="utf-8") as f:
+        return f.read()
 
 
 def test_read_config(tmp_path):
@@ -124,7 +131,7 @@ def test_clear_writes_jsonl(tmp_path, capsys):
     rc = main(["clear", "--case", case("case3.txt"),
                "--bids", case("bids_demo.txt"), "--out", out_file])
     assert rc == EXIT_OK
-    lines = open(out_file).read().splitlines()
+    lines = read(out_file).splitlines()
     assert lines
     for line in lines:
         json.loads(line)
@@ -201,11 +208,11 @@ def test_run_clearing_end_to_end(tmp_path, capsys):
     out = str(tmp_path / "out")
     rc = main(["run", "--config", case("demo_clearing.cfg"), "--out", out])
     assert rc == EXIT_OK
-    log = open(os.path.join(out, "episode.jsonl")).read().splitlines()
+    log = read(os.path.join(out, "episode.jsonl")).splitlines()
     assert log
     for line in log:
         json.loads(line)
-    summary = open(os.path.join(out, "summary.csv")).read().splitlines()
+    summary = read(os.path.join(out, "summary.csv")).splitlines()
     assert summary[0] == "t_grid,feasible,max_abs_flow"
     assert len(summary) > 1
 
@@ -239,8 +246,8 @@ def test_run_set_override(tmp_path):
           "--set", "grid_steps=2"])
     main(["run", "--config", case("demo_p2p.cfg"), "--out", out2,
           "--set", "grid_steps=3"])
-    n1 = len(open(os.path.join(out1, "episode.jsonl")).read().splitlines())
-    n2 = len(open(os.path.join(out2, "episode.jsonl")).read().splitlines())
+    n1 = len(read(os.path.join(out1, "episode.jsonl")).splitlines())
+    n2 = len(read(os.path.join(out2, "episode.jsonl")).splitlines())
     assert n2 > n1
 
 
@@ -251,8 +258,44 @@ def test_run_seed_reproducible(tmp_path):
         rc = main(["run", "--config", case("demo_p2p.cfg"), "--out", out,
                    "--seed", "5", "--set", "grid_steps=4"])
         assert rc == EXIT_OK
-        outs.append(open(os.path.join(out, "episode.jsonl")).read())
+        outs.append(read(os.path.join(out, "episode.jsonl")))
     assert outs[0] == outs[1]
+
+
+@pytest.mark.skipif(os.name != "posix",
+                    reason="needs POSIX SIGKILL to kill the run mid-write")
+def test_a_killed_run_leaves_whole_lines_that_a_shorter_run_begins_with(
+        tmp_path, capsys):
+    # a run far too long to finish, killed once 50 records are on disk
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    path = [os.path.abspath(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    killed = tmp_path / "killed"
+    log = killed / "episode.jsonl"
+    child = subprocess.Popen(
+        [sys.executable, "-m", "gridmarket.cli", "run",
+         "--config", case("demo_p2p.cfg"), "--out", str(killed),
+         "--set", "grid_steps=1", "--set", "market_steps=200000"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not (log.exists() and log.read_bytes().count(b"\n") >= 50):
+            assert child.poll() is None, "the run ended before it was killed"
+            assert time.monotonic() < deadline, "no 50 records within 60 s"
+            time.sleep(0.001)
+    finally:
+        child.kill()
+        child.wait()
+    assert child.returncode == -signal.SIGKILL
+    data = log.read_bytes()
+    assert data.endswith(b"\n")
+    lines = data.splitlines()
+    whole = tmp_path / "whole"
+    assert main(["run", "--config", case("demo_p2p.cfg"), "--out", str(whole),
+                 "--set", "grid_steps=1",
+                 "--set", f"market_steps={len(lines)}"]) == EXIT_OK
+    assert lines == (whole / "episode.jsonl").read_bytes().splitlines()[
+        :len(lines)]
 
 
 def strict_json(line):

@@ -419,6 +419,74 @@ def test_crashed_episode_keeps_its_prefix_and_closes_the_sink(
     assert len(opened) == 1 and opened[0].closed
 
 
+def test_a_sink_that_writes_short_still_gets_every_line_whole(
+        tmp_path, monkeypatch):
+    path = tmp_path / "episode.jsonl"
+    env = p2p_env().reset(log_path=str(path))
+    writes = []
+
+    class Trickle:
+        """A sink that takes at most 7 bytes per write."""
+
+        def __init__(self, sink):
+            self.sink = sink
+
+        def write(self, data):
+            writes.append(len(data))
+            return self.sink.write(data[:7])
+
+        def close(self):
+            self.sink.close()
+    monkeypatch.setattr(env_mod, "open", lambda *args, **kwargs: Trickle(
+        open(*args, **kwargs)), raising=False)
+
+    def on_disk(e):
+        assert path.read_bytes() == (to_jsonl(e.log) + "\n").encode()
+    for phase in env_mod.PHASES:
+        env.register_callback(phase, on_disk)
+    env.run_episode(grid_steps=2, market_steps_per_grid=3)
+    assert len(env.log.lines) == 2 * (3 + 2)
+    assert max(writes) > 7
+
+
+class PriceBidder(Agent):
+    """An agent outside the library's: it takes part in P2P under its own
+    role and bids one price."""
+
+    def current_role(self, t_grid):
+        return self.role
+
+    def market_action(self, t_grid, t_market):
+        return 6.0
+
+
+def test_p2p_matches_any_agent_that_returns_a_role():
+    net = chain()
+    rewards = []
+    bidder = PriceBidder("c1", 2, CONSUMER)
+    bidder.observe_reward = rewards.append
+    agents = [UcbNegotiator("p1", 1, PRODUCER, arms=[3.0, 4.0]), bidder,
+              Agent("idle", 2, CONSUMER)]     # no role: stays out
+    env = Environment(grid=Grid(net), market=P2pMarket(P2pConfig()),
+                      agents=agents, seed=0).reset()
+    log = env.run_episode(grid_steps=2, market_steps_per_grid=3)
+    steps = log.by_phase("market_step")
+    assert len(steps) == 6
+    for rec in steps:
+        assert [(n["producer"], n["consumer"], n["b_c"])
+                for n in rec["negotiations"]] == [("p1", "c1", 6.0)]
+    assert len(rewards) == 6
+    assert env.market.result.unmatched == []
+    # a role other than producer buys
+    agents = [UcbNegotiator("p1", 1, PRODUCER, arms=[3.0]),
+              PriceBidder("b1", 2, "buyer")]
+    env = Environment(grid=Grid(net), market=P2pMarket(P2pConfig()),
+                      agents=agents, seed=0).reset()
+    rec = env.run_episode(grid_steps=1).by_phase("market_step")[0]
+    assert [(n["producer"], n["consumer"]) for n in rec["negotiations"]] == [
+        ("p1", "b1")]
+
+
 class ClearEveryStep(ClearingMarket):
     """Reference market: forgets the last clear before every step."""
 
@@ -636,6 +704,9 @@ def strict_dumps(value):
                               max_size=6))
 @example(record={"a": (INF, False), "b": (1.0, True)})
 @example(record={"a": ([0.0, float("nan")], True), "b": ("x", True)})
+@example(record={"%": (1, False), "%s": ("%s", True),
+                 "%%": ({"%": 2.5}, False)})
+@example(record={})
 def test_log_line_equals_sorted_json_dumps(record):
     def encoded(v):
         # a value strict JSON cannot hold is handed over as it is
@@ -649,10 +720,17 @@ def test_log_line_equals_sorted_json_dumps(record):
     try:
         want = strict_dumps(plain)
     except ValueError:
-        with pytest.raises(ValueError):
-            env_mod._line(mixed)
-    else:
-        assert env_mod._line(mixed) == want
+        want = None
+    # one cache: the record's keys in two insertion orders, the first twice
+    backwards = dict(reversed(mixed.items()))
+    shapes = {}
+    for rec in (mixed, backwards, mixed):
+        if want is None:
+            with pytest.raises(ValueError):
+                env_mod._line(rec, shapes)
+        else:
+            assert env_mod._line(rec, shapes) == want
+    assert set(shapes) == {tuple(mixed), tuple(backwards)}
 
 
 class NegotiateEveryStep(P2pMarket):
