@@ -1,6 +1,6 @@
 """Distribution-level electricity market simulation on radial networks."""
 
-from .curves import Curve, DEMAND, SUPPLY, price_at
+from .curves import Curve, DEMAND, SUPPLY
 from .network import Grid, Network, build_network, line_flows, load_case, ptdf
 from .clearing import Dispatch, MarketInput, clear, settle_prices
 from .p2p import MatchRound, NegotiationOutcome, P2pConfig, match, negotiate

@@ -18,7 +18,6 @@ from .p2p import P2pRoundResult
 
 PRODUCER = "producer"
 CONSUMER = "consumer"
-PROSUMER = "prosumer"
 
 P_CAP = 100.0   # price cap used by inelastic (near-vertical) demand bids
 # the roles a roster strategy takes: a curve's side fixes its role
@@ -160,12 +159,12 @@ def ucb_update(state, i, reward):
 
 
 class UcbNegotiator(Agent):
-    """P2P participant bidding from a finite price grid via UCB."""
+    """P2P participant bidding from a finite price grid via UCB, on its
+    role's side every grid step."""
 
-    def __init__(self, agent_id, bus, role, arms, availability=None):
+    def __init__(self, agent_id, bus, role, arms):
         super().__init__(agent_id, bus, role)
         self._arms = list(arms)
-        self.availability = availability   # per-grid-step PV booleans, or None
         self.bandit = BanditState(arms=self._arms)
         self._last_arm = None
 
@@ -174,11 +173,7 @@ class UcbNegotiator(Agent):
         self._last_arm = None
 
     def current_role(self, t_grid):
-        """Prosumers without generation this step act as consumers."""
-        if self.role != PROSUMER or self.availability is None:
-            return self.role
-        available = self.availability[t_grid % len(self.availability)]
-        return PRODUCER if available else CONSUMER
+        return self.role
 
     def market_action(self, t_grid, t_market):
         self._last_arm = ucb_select(self.bandit)

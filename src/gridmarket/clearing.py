@@ -13,8 +13,8 @@ consumers' own-curve prices to that revenue; those pushed over their cap are
 pinned there and the residual goes to the others' headroom. If not,
 consumers pay their caps and supplier prices come down toward average cost
 until revenue equals that payment. Both stages take all agents' curves as
-arrays at once, with the IEEE operations of `curves`' scalar functions in
-the same order, so each value equals theirs bit for bit; stage 2 settles
+arrays at once, by the IEEE operations of the scalar test oracle in
+`tests/helpers.py`, so each value equals its bit for bit; stage 2 settles
 on the own-curve prices and integrals stage 1 computed for its surplus.
 """
 
@@ -73,6 +73,7 @@ class MarketInput:
 @dataclass
 class Dispatch:
     quantities: dict          # agent -> kW
+    values: dict              # agent -> integral of its curve from 0 to its kW
     prices: dict              # agent -> cents/kWh (trading agents only)
     sides: dict               # agent -> "supply" | "demand"
     buses: dict               # agent -> bus
@@ -126,7 +127,7 @@ def parse_bids(text):
 
 def curve_params(curves):
     """(q_min, q_max, endpoint price, slope) of every curve, as four arrays,
-    computed from its four fields by `curves.Curve`'s IEEE operations."""
+    computed from its four fields by `Curve.slope`'s IEEE operations."""
     p_max, p_min, q_max, q_min = np.fromiter(chain.from_iterable(map(
         _fields, curves)), float).reshape(-1, 4).T
     demand = np.fromiter(map(cv.DEMAND.__eq__, map(_side, curves)), bool)
@@ -136,9 +137,10 @@ def curve_params(curves):
 
 
 def on_curve(params, q):
-    """(cv.price_at_extended, cv.integral) of each curve at its entry of q,
-    by the same IEEE operations in the same order; a quantity out of
-    [0, q_max] by more than DOMAIN_TOL raises QuantityOutOfRange."""
+    """Price and integral from 0 of each extended curve at its entry of q,
+    by the IEEE operations of `price_at_extended` and `integral` in
+    `tests/helpers.py`, in their order; a quantity out of [0, q_max] by more
+    than DOMAIN_TOL raises QuantityOutOfRange."""
     q_min, q_max, p0, slope = params
     out = np.flatnonzero((q < -cv.DOMAIN_TOL) | (q > q_max + cv.DOMAIN_TOL))
     if out.size:
@@ -164,7 +166,7 @@ def curve_blocks(params, segments):
     q_min, q_max, p0, slope = params
     w = (q_max - q_min) / segments
     mid = q_min + (np.arange(segments) + 0.5)[:, None] * w
-    # cv.price_at at every midpoint; midpoints lie inside [q_min, q_max]
+    # the curve price at every midpoint, which lies inside [q_min, q_max]
     prices = np.vstack([p0, p0 + slope * (mid - q_min)]).T
     widths = np.vstack([q_min, np.broadcast_to(w, mid.shape)]).T
     keep = np.vstack([q_min > 0, np.ones(mid.shape, dtype=bool)]).T
@@ -213,6 +215,7 @@ def clear(market_input, segments=100):
     settled = settle_prices(price[t], value[t] / q[t], q[t],
                             int((t >= len(bids)).sum()))
     return Dispatch(quantities=dict(zip(names, q.tolist())),
+                    values=dict(zip(names, v)),
                     prices=dict(zip(map(names.__getitem__, t.tolist()),
                                     settled.tolist())),
                     sides=dict(zip(names, map(_side, curves))),

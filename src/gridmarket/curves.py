@@ -4,6 +4,7 @@ A curve is the quadruple (p_max, p_min, q_max, q_min): supply price rises
 from p_min at q_min to p_max at q_max, demand price falls from p_max at
 q_min to p_min at q_max. Quantities below q_min are admissible for dispatch
 (down to zero trade) and are valued at the q_min endpoint price.
+`clearing.curve_params` and `on_curve` compute prices and integrals.
 """
 
 import math
@@ -51,38 +52,3 @@ class Curve:
     def slope(self):
         s = (self.p_max - self.p_min) / (self.q_max - self.q_min)
         return s if self.side == SUPPLY else -s
-
-    def endpoint_price(self):
-        """Price at q_min: p_min for supply, p_max for demand."""
-        return self.p_min if self.side == SUPPLY else self.p_max
-
-
-def price_at(curve, q):
-    """Curve price at quantity q, q_min <= q <= q_max."""
-    if q < curve.q_min - DOMAIN_TOL or q > curve.q_max + DOMAIN_TOL:
-        raise QuantityOutOfRange(
-            f"q={q} outside [{curve.q_min}, {curve.q_max}]")
-    q = min(max(q, curve.q_min), curve.q_max)
-    return curve.endpoint_price() + curve.slope * (q - curve.q_min)
-
-
-def price_at_extended(curve, q):
-    """price_at extended to [0, q_max]: the gap [0, q_min) takes the
-    q_min endpoint price."""
-    if q < curve.q_min:
-        if q < -DOMAIN_TOL:
-            raise QuantityOutOfRange(f"q={q} < 0")
-        return curve.endpoint_price()
-    return price_at(curve, q)
-
-
-def integral(curve, q):
-    """Closed-form integral of the extended curve from 0 to q."""
-    if q < -DOMAIN_TOL or q > curve.q_max + DOMAIN_TOL:
-        raise QuantityOutOfRange(f"q={q} outside [0, {curve.q_max}]")
-    q = min(max(q, 0.0), curve.q_max)
-    p0 = curve.endpoint_price()
-    if q <= curve.q_min:
-        return p0 * q
-    dq = q - curve.q_min
-    return p0 * curve.q_min + p0 * dq + 0.5 * curve.slope * dq * dq

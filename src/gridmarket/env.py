@@ -27,7 +27,7 @@ import numpy as np
 
 from . import curves as cv
 from . import p2p as p2p_mod
-from .agents import CONSUMER, PRODUCER
+from .agents import PRODUCER
 from .clearing import MarketInput, clear
 from .dlmp import solve_dlmp
 from .network import str_clash
@@ -198,14 +198,15 @@ class ClearingMarket(MarketBase):
         if self.dispatch is None:
             return None, {}, {}
         agents = self.env.agent_map
+        values = self.dispatch.values
         for aid, _, curve in self._submitted:
             q = self.dispatch.quantities[aid]
             p = self.dispatch.prices.get(aid, 0.0)
             # truthful private valuation: the submitted curve's integral
             if curve.side == cv.DEMAND:
-                r = cv.integral(curve, q) - p * q
+                r = values[aid] - p * q
             else:
-                r = p * q - cv.integral(curve, q)
+                r = p * q - values[aid]
             agents[aid].observe_reward(r)
         return self.dispatch, self._fields, {}
 
@@ -214,7 +215,8 @@ class P2pMarket(MarketBase):
     """Use Case 2 mechanism: random matching, then a bandit negotiation per
     market step (the paper's T per grid step); the last one binds physically.
     Each round matches every agent whose `current_role` is not None: its
-    producers against the rest.
+    producers against the rest, who buy; an unmatched buyer draws its trade
+    quantity from the feeder at the retail price.
 
     `negotiate` is pure, so within a round a pair that bids the very price
     objects of an outcome again (`is` tells `-0.0` from `0.0`, `1` from
@@ -239,6 +241,7 @@ class P2pMarket(MarketBase):
             role = a.current_role(t_grid)
             if role is not None:
                 (producers if role == PRODUCER else consumers).append(a.id)
+        self._consumers = set(consumers)
         self.round = p2p_mod.match(producers, consumers, self.env.rng)
         self.round.pairs.sort(key=str)      # the log's order
         self._memo = {}      # (pair, b_p, b_c) -> (outcome, its log entry)
@@ -273,7 +276,6 @@ class P2pMarket(MarketBase):
 
     def finalize(self):
         q = self.config.trade_quantity
-        agents = self.env.agent_map
         grid_kw, deficiency = {}, {}
         for (producer, consumer), out in self.outcomes.items():
             delivered = q if out.success else 0.0
@@ -283,7 +285,7 @@ class P2pMarket(MarketBase):
             if charge:
                 deficiency[consumer] = charge
         for aid in self.round.unmatched:
-            if agents[aid].current_role(self._t_grid) == CONSUMER:
+            if aid in self._consumers:
                 grid_kw[aid] = q
                 deficiency[aid] = settle_deficiency(
                     0.0, q, self.config.retail_price)
@@ -375,14 +377,17 @@ class Environment:
         """Algorithm: outer grid loop, nested market loop, clear, grid step."""
         if grid_steps < 1 or market_steps_per_grid < 1:
             raise EnvError("need grid_steps >= 1 and market steps >= 1")
-        # the market steps' numbers as log text, encoded once
-        ticks = [Encoded(_encode(t)) for t in range(market_steps_per_grid)]
+        # the market steps' numbers as log text, encoded once as the first
+        # grid step reaches them
+        ticks = []
         hooks = [(a.id, a.market_action) for a in self.agents]
         with self.log.writing():
             for t_grid in range(grid_steps):
                 self.market.reset_round(t_grid)
                 tick = Encoded(_encode(t_grid))
                 for t_market in range(market_steps_per_grid):
+                    if t_grid == 0:
+                        ticks.append(Encoded(_encode(t_market)))
                     self.clock = (t_grid, t_market)
                     actions = {}
                     for aid, act in hooks:

@@ -63,7 +63,7 @@ def match(producers, consumers, rng):
     `rng` is a seed or numpy Generator; identical seeds give identical
     pairings.
     """
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     producers, consumers = list(producers), list(consumers)
     k = min(len(producers), len(consumers))
     p_idx = rng.permutation(len(producers))[:k]

@@ -17,7 +17,9 @@ import numpy as np
 
 from gridmarket.agents import ucb_select, ucb_update
 from gridmarket.clearing import MarketInput, parse_bids
-from gridmarket.curves import Curve, CurveError, DEMAND, SUPPLY, integral
+from gridmarket.curves import (
+    DOMAIN_TOL, Curve, CurveError, DEMAND, QuantityOutOfRange, SUPPLY,
+)
 from gridmarket.dlmp import DrOffer, GenOffer, ScopfInput, parse_offers
 from gridmarket.network import (
     FLOW_TOL, GridState, UnknownBus, build_network, line_flows, load_case, ptdf,
@@ -683,7 +685,7 @@ def enumerate_lp_optimum(problem, tol=1e-7):
 def vec_integral(curve, q):
     """Vectorized closed-form integral of the extended curve from 0 to q."""
     q = np.asarray(q, dtype=float)
-    p0 = curve.endpoint_price()
+    p0 = endpoint_price(curve)
     below = np.minimum(q, curve.q_min)
     dq = np.maximum(q - curve.q_min, 0.0)
     return p0 * below + p0 * dq + 0.5 * curve.slope * dq * dq
@@ -927,6 +929,44 @@ class NoIntersection(CurveError):
     pass
 
 
+# The scalar curve formulas: `clearing.curve_params` and `on_curve` must
+# equal them bit for bit.
+def endpoint_price(curve):
+    """Price at q_min: p_min for supply, p_max for demand."""
+    return curve.p_min if curve.side == SUPPLY else curve.p_max
+
+
+def price_at(curve, q):
+    """Curve price at quantity q, q_min <= q <= q_max."""
+    if q < curve.q_min - DOMAIN_TOL or q > curve.q_max + DOMAIN_TOL:
+        raise QuantityOutOfRange(
+            f"q={q} outside [{curve.q_min}, {curve.q_max}]")
+    q = min(max(q, curve.q_min), curve.q_max)
+    return endpoint_price(curve) + curve.slope * (q - curve.q_min)
+
+
+def price_at_extended(curve, q):
+    """price_at extended to [0, q_max]: the gap [0, q_min) takes the
+    q_min endpoint price."""
+    if q < curve.q_min:
+        if q < -DOMAIN_TOL:
+            raise QuantityOutOfRange(f"q={q} < 0")
+        return endpoint_price(curve)
+    return price_at(curve, q)
+
+
+def integral(curve, q):
+    """Closed-form integral of the extended curve from 0 to q."""
+    if q < -DOMAIN_TOL or q > curve.q_max + DOMAIN_TOL:
+        raise QuantityOutOfRange(f"q={q} outside [0, {curve.q_max}]")
+    q = min(max(q, 0.0), curve.q_max)
+    p0 = endpoint_price(curve)
+    if q <= curve.q_min:
+        return p0 * q
+    dq = q - curve.q_min
+    return p0 * curve.q_min + p0 * dq + 0.5 * curve.slope * dq * dq
+
+
 def surplus(curve, q, p):
     """Surplus at dispatch (q, p): value minus payment for demand, revenue
     minus cost for supply."""
@@ -953,7 +993,7 @@ def quantity_at_price(curve, p):
             return 0.0
         if curve.p_max == curve.p_min or p <= curve.p_min:
             return curve.q_max
-    q = curve.q_min + (p - curve.endpoint_price()) / curve.slope
+    q = curve.q_min + (p - endpoint_price(curve)) / curve.slope
     return min(max(q, curve.q_min), curve.q_max)
 
 

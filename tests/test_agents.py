@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridmarket.agents import (
-    AgentError, BanditState, CONSUMER, CurveBidder, PRODUCER, PROSUMER,
+    AgentError, BanditState, CONSUMER, CurveBidder, PRODUCER,
     ScriptedAgent, UcbNegotiator, elastic_consumer, flat_supplier,
     inelastic_consumer, parse_roster, ucb_index, ucb_select, ucb_update,
 )
@@ -48,8 +48,9 @@ def test_curve_factories():
 def test_curve_bidder_actions():
     a = elastic_consumer("d1", 2, p_max=8.0, p_min=1.0, q_max=10.0)
     assert a.market_action(0, 0) is a.curve
-    dispatch = Dispatch(quantities={"d1": 7.5, "s1": 7.5}, prices={},
-                        sides={}, buses={}, line_flows={}, total_surplus=0.0)
+    dispatch = Dispatch(quantities={"d1": 7.5, "s1": 7.5}, values={},
+                        prices={}, sides={}, buses={}, line_flows={},
+                        total_surplus=0.0)
     assert a.grid_action(0, dispatch) == (2, 7.5)   # consumption positive
     s = flat_supplier("s1", 1, 4.3, 100.0)
     assert s.grid_action(0, dispatch) == (1, -7.5)
@@ -165,16 +166,6 @@ def test_negotiator_bids_from_arms():
                             unmatched=[])
     assert a.grid_action(0, result) == (3, -3.0)
     assert a.grid_action(0, None) == (3, 0.0)
-
-
-def test_prosumer_availability_switch():
-    a = UcbNegotiator("x", 3, PROSUMER, arms=[4.0],
-                      availability=[True, False])
-    assert a.current_role(0) == PRODUCER
-    assert a.current_role(1) == CONSUMER
-    assert a.current_role(2) == PRODUCER
-    b = UcbNegotiator("y", 3, CONSUMER, arms=[4.0])
-    assert b.current_role(5) == CONSUMER
 
 
 def test_scripted_agent(tmp_path):

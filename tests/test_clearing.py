@@ -10,15 +10,14 @@ from gridmarket.clearing import (
     balance_demand_prices, clear, curve_blocks, curve_params, parse_bids,
     settle_prices,
 )
-from gridmarket.curves import (
-    Curve, DEMAND, SUPPLY, integral, price_at, price_at_extended,
-)
+from gridmarket.curves import Curve, DEMAND, SUPPLY
 from gridmarket.network import build_network
 from gridmarket.optim import LpSolution
 from helpers import (
     INF, aggregate_intersection, brute_force_surplus, certify, chain,
-    demand_filling_a_capped_line, random_radial_network, reduced_costs,
-    surplus, use_ptdf_twin, zone_lp_problem,
+    demand_filling_a_capped_line, endpoint_price, integral, price_at,
+    price_at_extended, random_radial_network, reduced_costs, surplus,
+    use_ptdf_twin, zone_lp_problem,
 )
 from helpers import solve_lp as highs_solve_lp
 
@@ -424,7 +423,7 @@ def test_blocks_equal_pointwise_price_at():
             w = (curve.q_max - curve.q_min) / segments
             if curve.q_min > 0:
                 ref_w.append(curve.q_min)
-                ref_p.append(curve.endpoint_price())
+                ref_p.append(endpoint_price(curve))
             ref_w += [w] * segments
             ref_p += [price_at(curve, curve.q_min + (j + 0.5) * w)
                       for j in range(segments)]

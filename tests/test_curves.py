@@ -5,10 +5,10 @@ from hypothesis import example, given, settings, strategies as st
 from gridmarket.clearing import curve_params, on_curve
 from gridmarket.curves import (
     DOMAIN_TOL, Curve, CurveError, DEMAND, QuantityOutOfRange, SUPPLY,
-    integral, price_at, price_at_extended,
 )
 from helpers import (
-    NoIntersection, aggregate_intersection, quantity_at_price, surplus,
+    NoIntersection, aggregate_intersection, integral, price_at,
+    price_at_extended, quantity_at_price, surplus,
 )
 
 SUP = Curve(SUPPLY, p_max=3.0, p_min=1.0, q_max=10.0, q_min=0.0)

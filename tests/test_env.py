@@ -21,7 +21,7 @@ from gridmarket.env import (
 )
 from gridmarket.network import Grid, build_network
 from gridmarket.p2p import P2pConfig, negotiate
-from helpers import Recording, state_fingerprint, to_jsonl
+from helpers import Recording, state_fingerprint, surplus, to_jsonl
 
 INF = float("inf")
 CASES = os.path.join(os.path.dirname(__file__), "..", "cases")
@@ -214,18 +214,25 @@ def test_summary_rows():
     assert rows[0]["max_abs_flow"] > 0
 
 
+class AlternatingProsumer(Agent):
+    """A prosumer outside the library's: it sells on even grid steps and
+    buys on odd ones, at one price."""
+
+    def current_role(self, t_grid):
+        return PRODUCER if t_grid % 2 == 0 else CONSUMER
+
+    def market_action(self, t_grid, t_market):
+        return 4.0
+
+
 def test_p2p_deficiency_follows_grid_step_role_across_episodes():
     # Two episodes without reset: the market's round counter keeps
     # counting while t_grid restarts, so only t_grid gives the prosumers'
     # role at settlement.
-    from gridmarket.agents import PROSUMER
-
     net = chain()
     agents = [UcbNegotiator("p1", 1, PRODUCER, arms=[4.0]),
-              UcbNegotiator("x1", 1, PROSUMER, arms=[4.0],
-                            availability=[True, False, False]),
-              UcbNegotiator("x2", 2, PROSUMER, arms=[4.0],
-                            availability=[True, False, True]),
+              AlternatingProsumer("x1", 1, None),
+              AlternatingProsumer("x2", 2, None),
               UcbNegotiator("c1", 2, CONSUMER, arms=[5.0])]
     env = Environment(grid=Grid(net), market=P2pMarket(P2pConfig()),
                       agents=agents, seed=4).reset()
@@ -242,6 +249,24 @@ def test_p2p_deficiency_follows_grid_step_role_across_episodes():
             assert (aid in result.deficiency) == consumer
             charged_unmatched += consumer
     assert charged_unmatched > 0
+
+
+def test_clearing_rewards_equal_the_surplus_oracle_bit_for_bit():
+    env = demo_environment("demo_clearing.cfg", 0).reset()
+    rewards = {a.id: [] for a in env.agents}
+    for a in env.agents:
+        a.observe_reward = rewards[a.id].append
+    dispatches = []
+    env.register_callback("post_clear",
+                          lambda e: dispatches.append(e.market.dispatch))
+    env.run_episode(grid_steps=2, market_steps_per_grid=2)
+    expect = {a.id: [] for a in env.agents}
+    for d in dispatches:
+        for a in env.agents:
+            expect[a.id].append(surplus(a.curve, d.quantities[a.id],
+                                        d.prices.get(a.id, 0.0)).hex())
+    assert {a: [r.hex() for r in rs] for a, rs in rewards.items()} == expect
+    assert sum(q > 0 for q in dispatches[0].quantities.values()) > 2
 
 
 @pytest.mark.parametrize("grid_steps", [0, -1])
@@ -485,6 +510,46 @@ def test_p2p_matches_any_agent_that_returns_a_role():
     rec = env.run_episode(grid_steps=1).by_phase("market_step")[0]
     assert [(n["producer"], n["consumer"]) for n in rec["negotiations"]] == [
         ("p1", "b1")]
+
+
+@pytest.mark.parametrize("role", [CONSUMER, "buyer"])
+def test_p2p_settles_every_unmatched_buyer(role):
+    # the market sends every role but producer to the buyers' side, and
+    # settles an unmatched buyer from the feeder whatever its role's name
+    agents = [UcbNegotiator("p1", 1, PRODUCER, arms=[3.0]),
+              PriceBidder("c1", 2, role), PriceBidder("c2", 2, role)]
+    env = Environment(grid=Grid(chain()), market=P2pMarket(P2pConfig()),
+                      agents=agents, seed=0).reset()
+    log = env.run_episode(grid_steps=1)
+    result = env.market.result
+    [unmatched] = result.unmatched
+    assert result.grid_kw[unmatched] == 3.0
+    assert result.deficiency[unmatched] == 36.0
+    assert log.by_phase("clear")[0]["deficiency"] == {unmatched: 36.0}
+
+
+class StopEpisode(Exception):
+    pass
+
+
+def stop_episode(env):
+    raise StopEpisode
+
+
+def test_market_step_numbers_are_encoded_as_the_loop_reaches_them(
+        monkeypatch):
+    # an episode stopped after its first market step encodes as many values
+    # for a round of 100,000 steps as for one of 10
+    counts = []
+    for market_steps in (10, 10**5):
+        calls = counted(monkeypatch, env_mod, "_encode")
+        env = p2p_env().reset()
+        env.register_callback("post_market_step", stop_episode)
+        with pytest.raises(StopEpisode):
+            env.run_episode(grid_steps=1, market_steps_per_grid=market_steps)
+        counts.append(len(calls))
+        monkeypatch.undo()
+    assert counts[0] == counts[1]
 
 
 class ClearEveryStep(ClearingMarket):
