@@ -1,10 +1,10 @@
 """Episode driver: two-timescale loop tying grid, market and agents.
 
-One episode runs an outer loop of grid steps; inside each, the market is
-reset and iterated for a number of market steps (each agent returns its
-market action and the market steps on them all), then the market clears,
-each agent returns its grid action for the cleared result and the grid state
-advances. Market mechanism state is reset every grid step; agent memory
+`Environment.episode` is the loop, a generator: an outer loop of grid steps;
+in each, the market is reset and iterated for a number of market steps (each
+agent returns its market action and the market steps on them all), then the
+market clears, each agent returns its grid action for the cleared result and
+the grid state advances. Market state is reset every grid step; agent memory
 (e.g. bandit statistics) persists across the episode. The market reaches the
 agents and the seeded `rng` through its `env`.
 
@@ -333,8 +333,7 @@ class DlmpMarket(MarketBase):
 
 
 class Environment:
-    """Runs episodes of a grid, a market and agents; the market reaches the
-    agents and the seeded `rng` through it."""
+    """Runs episodes of a grid, a market and agents (the market's `env`)."""
 
     def __init__(self, grid, market, agents, seed=0):
         self.grid = grid
@@ -347,19 +346,14 @@ class Environment:
             raise EnvError(f"agent {clash}")
         self.seed = seed
         self.rng = np.random.default_rng(seed)
-        self.clock = (-1, -1)       # (grid_step, market_step)
-        self.callbacks = {p: [] for p in PHASES}
+        self.callbacks = {p.removeprefix("post_"): [] for p in PHASES}
         self.log = EpisodeLog()
         market.env = self
 
     def register_callback(self, phase, sink):
         if phase not in PHASES:
             raise EnvError(f"unknown phase {phase!r}; one of {PHASES}")
-        self.callbacks[phase].append(sink)
-
-    def _fire(self, phase):
-        for sink in self.callbacks[phase]:
-            sink(self)
+        self.callbacks[phase.removeprefix("post_")].append(sink)
 
     def reset(self, log_path=None):
         self.rng = np.random.default_rng(self.seed)
@@ -367,14 +361,22 @@ class Environment:
         self.market.reset()
         for a in self.agents:
             a.reset()
-        self.clock = (-1, -1)
         self.log = EpisodeLog(sink_path=log_path)
         if log_path:
             open(log_path, "w", encoding="utf-8").close()
         return self
 
     def run_episode(self, grid_steps, market_steps_per_grid=1):
-        """Algorithm: outer grid loop, nested market loop, clear, grid step."""
+        """Run `episode` through, calling each record's phase callbacks."""
+        for phase, _, _ in self.episode(grid_steps, market_steps_per_grid):
+            for sink in self.callbacks[phase]:
+                sink(self)
+        return self.log
+
+    def episode(self, grid_steps, market_steps_per_grid=1):
+        """Yield `(phase, t_grid, t_market)` once each record is on disk (a
+        round's last `t_market` for `clear` and `grid_step`); the caller may
+        act between yields, and closing or dropping it closes the sink."""
         if grid_steps < 1 or market_steps_per_grid < 1:
             raise EnvError("need grid_steps >= 1 and market steps >= 1")
         # the market steps' numbers as log text, encoded once as the first
@@ -388,7 +390,6 @@ class Environment:
                 for t_market in range(market_steps_per_grid):
                     if t_grid == 0:
                         ticks.append(Encoded(_encode(t_market)))
-                    self.clock = (t_grid, t_market)
                     actions = {}
                     for aid, act in hooks:
                         actions[aid] = act(t_grid, t_market)
@@ -398,13 +399,13 @@ class Environment:
                     if len(record) != len(fields) + 3:
                         self._refuse("step", fields)
                     self.log.add(record)
-                    self._fire("post_market_step")
+                    yield "market_step", t_grid, t_market
                 cleared, fields, actions = self.market.finalize()
                 if "phase" in fields or "t_grid" in fields:
                     self._refuse("finalize", fields)
                 self.log.add({"phase": "clear", "t_grid": t_grid,
                               "cleared": cleared is not None, **fields})
-                self._fire("post_clear")
+                yield "clear", t_grid, t_market
 
                 actions = dict(actions)
                 for a in self.agents:
@@ -418,8 +419,7 @@ class Environment:
                     "flows": {str(k): round(v, 9)
                               for k, v in state.flows.items()},
                 })
-                self._fire("post_grid_step")
-        return self.log
+                yield "grid_step", t_grid, t_market
 
     def _refuse(self, hook, fields):
         """Raise EnvError: a market hook's log fields hold a key the

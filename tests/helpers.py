@@ -881,14 +881,15 @@ class DictGrid:
         return self.state
 
 
-def state_fingerprint(env):
-    """JSON fingerprint of the environment's grid state and clock."""
+def state_fingerprint(env, position=None):
+    """JSON fingerprint of the environment's grid state and of `position`,
+    the `(t_grid, t_market)` its episode last yielded (None before one)."""
     g = env.grid.state
     return json.dumps({
         "t": g.t,
         "injections": {str(k): round(v, 12) for k, v in g.injections.items()},
         "feasible": g.feasible,
-        "clock": list(env.clock),
+        "position": position,
     }, sort_keys=True)
 
 

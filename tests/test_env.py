@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import tempfile
 from types import SimpleNamespace
 
@@ -139,11 +140,14 @@ def test_reset_restores_initial_state():
     env = p2p_env(seed=7)
     env.reset()
     f0 = state_fingerprint(env)
-    env.run_episode(grid_steps=3, market_steps_per_grid=3)
-    assert state_fingerprint(env) != f0
+    *_, (_, t_grid, t_market) = env.episode(grid_steps=3,
+                                            market_steps_per_grid=3)
+    assert state_fingerprint(env, (t_grid, t_market)) != f0
     env.reset()
     assert state_fingerprint(env) == f0
     assert sum(env.agent_map["p1"].bandit.counts) == 0
+    # the next episode starts at the first market step
+    assert next(env.episode(grid_steps=1)) == ("market_step", 0, 0)
 
 
 def test_p2p_physical_binding_and_deficiency():
@@ -237,10 +241,10 @@ def test_p2p_deficiency_follows_grid_step_role_across_episodes():
     env = Environment(grid=Grid(net), market=P2pMarket(P2pConfig()),
                       agents=agents, seed=4).reset()
     seen = []
-    env.register_callback("post_clear", lambda e: seen.append(
-        (e.clock[0], e.market.result)))
-    env.run_episode(grid_steps=2)
-    env.run_episode(grid_steps=2)
+    for _ in range(2):
+        for phase, t_grid, _ in env.episode(grid_steps=2):
+            if phase == "clear":
+                seen.append((t_grid, env.market.result))
     assert [t for t, _ in seen] == [0, 1, 0, 1]
     charged_unmatched = 0
     for t_grid, result in seen:
@@ -301,30 +305,34 @@ class AlternatingBidder(CurveBidder):
         return self.curve
 
 
-def logged_against_fresh(env):
-    """After each market step and each clear, pair the `dispatch` field just
-    logged with `to_records()` of a new clear on the curves the agents
-    submit then; returns the list those pairs go to."""
-    pairs = []
-
-    def compare(e):
-        curves = [(a.id, a.bus, a.market_action(*e.clock))
-                  for a in e.agents]
+def logged_against_fresh(env, grid_steps, market_steps):
+    """Run an episode; at each market step and each clear it yields, clear
+    anew the curves the agents submit at that `(t_grid, t_market)`. Returns
+    the `dispatch` field just logged paired with the new clear's
+    `to_records()`, and, at each market step, the market's `Dispatch` paired
+    with the new one, as JSON lines."""
+    pairs, dispatches = [], []
+    for phase, t_grid, t_market in env.episode(grid_steps, market_steps):
+        if phase == "grid_step":
+            continue
+        curves = [(a.id, a.bus, a.market_action(t_grid, t_market))
+                  for a in env.agents]
         ref = clear(MarketInput(
             bids=[b for b in curves if b[2].side == DEMAND],
             offers=[b for b in curves if b[2].side == SUPPLY],
-            network=e.market.network), segments=e.market.segments)
-        pairs.append((e.log.records[-1]["dispatch"], ref.to_records()))
-    env.register_callback("post_market_step", compare)
-    env.register_callback("post_clear", compare)
-    return pairs
+            network=env.market.network), segments=env.market.segments)
+        pairs.append((env.log.records[-1]["dispatch"], ref.to_records()))
+        if phase == "market_step":
+            dispatches.append((env.market.dispatch.to_jsonl(),
+                               ref.to_jsonl()))
+    return pairs, dispatches
 
 
 def test_unchanged_bids_are_cleared_once(monkeypatch):
     calls = counted(monkeypatch, env_mod, "clear")
     env = clearing_env().reset()
-    pairs = logged_against_fresh(env)
-    log = env.run_episode(grid_steps=3, market_steps_per_grid=4)
+    pairs, _ = logged_against_fresh(env, grid_steps=3, market_steps=4)
+    log = env.log
     assert len(calls) == 1
     steps = log.by_phase("market_step")
     assert len(steps) == 12
@@ -363,18 +371,7 @@ def test_changed_bids_are_cleared_again(monkeypatch):
     env = Environment(grid=Grid(net), market=ClearingMarket(net),
                       agents=[flat_supplier("feeder", 0, 4.3, 500.0),
                               AlternatingBidder("d1", 2, curves)]).reset()
-    seen = []
-
-    def fresh_clear(e):
-        curves = [(a.id, a.bus, a.market_action(*e.clock))
-                  for a in e.agents]
-        bids = [b for b in curves if b[2].side == DEMAND]
-        offers = [b for b in curves if b[2].side == SUPPLY]
-        ref = clear(MarketInput(bids=bids, offers=offers, network=net))
-        seen.append((e.market.dispatch.to_jsonl(), ref.to_jsonl()))
-    env.register_callback("post_market_step", fresh_clear)
-    pairs = logged_against_fresh(env)
-    env.run_episode(grid_steps=3, market_steps_per_grid=4)
+    pairs, seen = logged_against_fresh(env, grid_steps=3, market_steps=4)
     # a a b b | a a b b | a a b b: every change of curve clears again
     assert len(calls) == 6
     assert all(got == want for got, want in seen)
@@ -433,7 +430,8 @@ def test_crashed_episode_keeps_its_prefix_and_closes_the_sink(
     def crash(e):
         # each record is on disk as soon as it is added
         assert path.read_text() == to_jsonl(e.log) + "\n"
-        if e.clock == (1, 2):
+        last = e.log.records[-1]
+        if (last["t_grid"], last["t_market"]) == (1, 2):
             raise RuntimeError("agent crashed")
     env.register_callback("post_market_step", crash)
     with pytest.raises(RuntimeError):
@@ -526,6 +524,104 @@ def test_p2p_settles_every_unmatched_buyer(role):
     assert result.grid_kw[unmatched] == 3.0
     assert result.deficiency[unmatched] == 36.0
     assert log.by_phase("clear")[0]["deficiency"] == {unmatched: 36.0}
+
+
+class SteeredBidder(PriceBidder):
+    """Bids the price its caller set since its last bid, once: a bid not
+    set again before the next market step is None."""
+
+    price = None
+
+    def market_action(self, t_grid, t_market):
+        price, self.price = self.price, None
+        return price
+
+
+def test_a_bid_set_between_yields_logs_as_a_fixed_bid():
+    def p2p_with(bidder):
+        agents = [UcbNegotiator("p1", 1, PRODUCER, arms=[3.0, 5.0, 7.0]),
+                  bidder]
+        return Environment(grid=Grid(chain()), market=P2pMarket(P2pConfig()),
+                           agents=agents, seed=5).reset()
+    want = to_jsonl(p2p_with(PriceBidder("c1", 2, CONSUMER)).run_episode(
+        grid_steps=3, market_steps_per_grid=4))
+    steered = SteeredBidder("c1", 2, CONSUMER)
+    env = p2p_with(steered)
+    steered.price = 6.0
+    for _ in env.episode(grid_steps=3, market_steps_per_grid=4):
+        steered.price = 6.0     # the bid of the next market step
+    assert to_jsonl(env.log) == want
+    assert '"success": false' in want and '"success": true' in want
+
+
+@pytest.mark.parametrize("name", ["demo_clearing.cfg", "demo_p2p.cfg",
+                                  "demo_dlmp.cfg"])
+def test_an_episode_stepped_record_by_record_writes_run_episodes_bytes(
+        tmp_path, name):
+    rc = parse(read_config(os.path.join(CASES, name)), base_dir=CASES)
+    ran, stepped = tmp_path / "ran.jsonl", tmp_path / "stepped.jsonl"
+    build_environment(rc).reset(log_path=str(ran)).run_episode(
+        rc.grid_steps, rc.market_steps)
+    env = build_environment(rc).reset(log_path=str(stepped))
+    m = rc.market_steps
+    want = [step for g in range(rc.grid_steps) for step in (
+        [("market_step", g, t) for t in range(m)]
+        + [("clear", g, m - 1), ("grid_step", g, m - 1)])]
+    episode = env.episode(rc.grid_steps, m)
+    got = []
+    for _ in want:
+        got.append(next(episode))
+        # each record is on disk when it is yielded
+        assert stepped.read_bytes().count(b"\n") == len(got)
+    assert got == want
+    with pytest.raises(StopIteration):
+        next(episode)
+    assert stepped.read_bytes() == ran.read_bytes()
+    # each yield names the record just logged
+    assert [(r["phase"], r["t_grid"], r.get("t_market", m - 1))
+            for r in env.log.records] == want
+
+
+@pytest.mark.parametrize("how", ["close", "drop"])
+@pytest.mark.parametrize("k", [1, 5, 6, 7, 18])
+def test_a_caller_that_stops_early_keeps_exactly_the_records_it_saw(
+        tmp_path, monkeypatch, how, k):
+    path = tmp_path / "episode.jsonl"
+    env = p2p_env().reset(log_path=str(path))
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+    monkeypatch.setattr(env_mod, "open", counting_open, raising=False)
+    # 3 grid steps of 4 market steps, a clear and a grid step: 18 records
+    episode = env.episode(grid_steps=3, market_steps_per_grid=4)
+    for n, _ in enumerate(episode, 1):
+        if n == k:
+            break
+    assert not opened[0].closed
+    if how == "close":
+        episode.close()
+    else:
+        del episode
+    assert len(opened) == 1 and opened[0].closed
+    lines = path.read_text().splitlines(keepends=True)
+    full = to_jsonl(p2p_env().reset().run_episode(3, 4)).split("\n")
+    assert lines == [line + "\n" for line in full[:k]]
+    assert [json.loads(line) for line in lines] == env.log.records
+
+
+def test_the_readme_driving_example_runs_on_the_shipped_cases(
+        monkeypatch, capsys):
+    with open(os.path.join(CASES, "..", "README.md"), encoding="utf-8") as f:
+        section = f.read().split("\n## Driving an episode\n")[1]
+    code = re.search(r"```python\n(.*?)```", section.split("\n## ")[0],
+                     re.S).group(1)
+    assert len(code.splitlines()) <= 15
+    monkeypatch.chdir(os.path.join(CASES, ".."))
+    exec(compile(code, "README.md", "exec"), {})
+    # the bid the example raised after failed negotiations
+    assert float(capsys.readouterr().out.split()[0]) > 4.0
 
 
 class StopEpisode(Exception):
