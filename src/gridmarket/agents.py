@@ -99,12 +99,6 @@ def flat_supplier(agent_id, bus, price, capacity):
     return CurveBidder(agent_id, bus, PRODUCER, curve)
 
 
-def elastic_supplier(agent_id, bus, p_max, p_min, q_max, q_min=0.0):
-    curve = cv.Curve(cv.SUPPLY, p_max=p_max, p_min=p_min,
-                     q_max=q_max, q_min=q_min)
-    return CurveBidder(agent_id, bus, PRODUCER, curve)
-
-
 @dataclass
 class BanditState:
     """A UCB bandit over a finite price grid. `counts` and `means` change
@@ -165,8 +159,7 @@ class UcbNegotiator(Agent):
     def __init__(self, agent_id, bus, role, arms):
         super().__init__(agent_id, bus, role)
         self._arms = list(arms)
-        self.bandit = BanditState(arms=self._arms)
-        self._last_arm = None
+        self.reset()
 
     def reset(self):
         self.bandit = BanditState(arms=self._arms)
@@ -232,9 +225,10 @@ def parse_roster(text, base_dir="."):
             if strat == "inelastic":
                 agents.append(inelastic_consumer(aid, bus, float(params[0])))
             elif strat in ("elastic", "supply"):
-                make = elastic_consumer if strat == "elastic" else elastic_supplier
+                side = cv.DEMAND if strat == "elastic" else cv.SUPPLY
                 p_max, p_min, q_max, *q_min = map(float, params[:4])
-                agents.append(make(aid, bus, p_max, p_min, q_max, *q_min))
+                agents.append(CurveBidder(aid, bus, role, cv.Curve(
+                    side, p_max, p_min, q_max, *q_min or [0.0])))
             elif strat == "flat_supply":
                 agents.append(flat_supplier(aid, bus, float(params[0]),
                                             float(params[1])))

@@ -39,6 +39,8 @@ SETTLE_TOL = 1e-9
 # A line binds when its flow is within this many kW of its limit: the usual
 # primal feasibility tolerance of LP solvers.
 BINDING_TOL = 1e-7
+# blocks per curve: `clear`'s, the clearing market's and the CLI's default
+DEFAULT_SEGMENTS = 100
 _fields, _side = attrgetter("p_max", "p_min", "q_max", "q_min"), attrgetter("side")
 
 
@@ -84,13 +86,10 @@ class Dispatch:
 
     def to_records(self):
         """JSON-lines records: one per agent plus a summary."""
-        recs = []
-        for a in sorted(self.quantities, key=str):
-            recs.append({
-                "agent": a, "bus": self.buses[a], "side": self.sides[a],
-                "q_kw": round(self.quantities[a], 9),
-                "price_c_per_kwh": round(self.prices.get(a, 0.0), 9),
-            })
+        recs = [{"agent": a, "bus": self.buses[a], "side": self.sides[a],
+                 "q_kw": round(self.quantities[a], 9),
+                 "price_c_per_kwh": round(self.prices.get(a, 0.0), 9)}
+                for a in sorted(self.quantities, key=str)]
         recs.append({
             "summary": True,
             "total_surplus": round(self.total_surplus, 9),
@@ -173,7 +172,7 @@ def curve_blocks(params, segments):
     return widths[keep], prices[keep], keep
 
 
-def clear(market_input, segments=100):
+def clear(market_input, segments=DEFAULT_SEGMENTS):
     """Stage-1 welfare LP + stage-2 price settlement. Returns a Dispatch."""
     net = market_input.network
     bids, offers = market_input.bids, market_input.offers

@@ -14,7 +14,8 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields, replace
 
 from . import agents as ag
-from .clearing import ClearingError, MarketInput, clear as clear_market, parse_bids
+from .clearing import (DEFAULT_SEGMENTS, ClearingError, MarketInput,
+                       clear as clear_market, parse_bids)
 from .dlmp import DlmpError, InfeasibleBaseline, ScopfInput, parse_offers, solve_dlmp
 from .env import ClearingMarket, DlmpMarket, EnvError, Environment, P2pMarket
 from .network import (CaseFileError, Grid, NetworkError, UnknownBus,
@@ -94,7 +95,7 @@ class RunConfig:
     grid_steps: int = 1
     market_steps: int = 1        # per grid step; for P2P the paper's T
     seed: int = 0
-    segments: int = 100
+    segments: int = DEFAULT_SEGMENTS
     out_dir: str = None          # None: the subcommand's default
     lmp_source: float = 5.0
     p2p: P2pConfig = field(default_factory=P2pConfig)
@@ -194,11 +195,9 @@ def write_episode(env, rc, out_dir):
         os.remove(summary)      # a failed episode leaves no summary
     env.reset(log_path=os.path.join(out_dir, "episode.jsonl"))
     env.run_episode(rc.grid_steps, rc.market_steps)
-    rows = env.summary_rows()
-    lines = ["t_grid,feasible,max_abs_flow"]
-    for r in rows:
-        lines.append(f"{r['t_grid']},{int(r['feasible'])},{r['max_abs_flow']:.9g}")
-    atomic_write(summary, "\n".join(lines) + "\n")
+    rows = [f"{r['t_grid']},{int(r['feasible'])},{r['max_abs_flow']:.9g}\n"
+            for r in env.summary_rows()]
+    atomic_write(summary, "t_grid,feasible,max_abs_flow\n" + "".join(rows))
     return env
 
 
@@ -328,7 +327,7 @@ def build_parser():
     c = sub.add_parser("clear", help="single-shot market clearing")
     c.add_argument("--case", required=True)
     c.add_argument("--bids", required=True)
-    c.add_argument("--segments", type=int, default=100)
+    c.add_argument("--segments", type=int, default=DEFAULT_SEGMENTS)
     c.add_argument("--out", help="write dispatch JSONL here")
     c.set_defaults(func=cmd_clear)
 

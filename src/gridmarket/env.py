@@ -14,21 +14,23 @@ the market's own grid actions. Each piece of episode work is done once, and
 its log text is encoded with it (`Encoded`): the clearing market reuses its
 last `Dispatch` while the submitted curves do not change, the DLMP market
 solves its fixed SCOPF once per episode, and the P2P market negotiates a
-pair at a pair of prices once per round. The episode log keeps the lines it
-wrote, each in one unbuffered write as it is added; `records` decodes them.
-UCB agents refresh only the updated arm's index.
+pair at a pair of prices once per round. The episode log's file, or else
+its byte buffer, is its only copy of a record. UCB agents refresh only the
+updated arm's index.
 """
 
+import io
 import json
+import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from . import curves as cv
 from . import p2p as p2p_mod
 from .agents import PRODUCER
-from .clearing import MarketInput, clear
+from .clearing import DEFAULT_SEGMENTS, MarketInput, clear
 from .dlmp import solve_dlmp
 from .network import str_clash
 from .p2p import P2pRoundResult, negotiate, settle_deficiency
@@ -78,18 +80,16 @@ class EnvError(Exception):
     pass
 
 
-@dataclass
 class EpisodeLog:
-    """Episode log lines, as `(phase, JSON line)`, and, while `writing()`
-    holds it open, the file at `sink_path`: each line is on disk as soon as
-    it is added, in one unbuffered write, so a crashed run keeps its prefix.
-    Lines end in `\n` on every platform."""
+    """An episode's JSON lines, each written once as it is added, in one
+    unbuffered write: to the file at `sink_path`, held open by `writing()`,
+    so a crashed run keeps its prefix, or else to an in-memory buffer, the
+    log's only store. `\n` ends each line on every platform."""
 
-    lines: list = field(default_factory=list)
-    sink_path: str = None
-    _sink: object = field(default=None, init=False, repr=False, compare=False)
-    _shapes: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
+    def __init__(self, sink_path=None):
+        self.sink_path = sink_path
+        self._sink = None if sink_path else io.BytesIO()
+        self._shapes = {}
 
     @contextmanager
     def writing(self):
@@ -112,18 +112,18 @@ class EpisodeLog:
             if "t_market" in record:
                 where += f", t_market {record['t_market']}"
             raise _overflow(where, record, e) from None
-        self.lines.append((record["phase"], line))
-        if self._sink is not None:
-            data = (line + "\n").encode()
-            while data:     # a short write leaves the rest to write
-                data = data[self._sink.write(data):]
+        data = (line + "\n").encode()
+        while data:     # a short write leaves the rest to write
+            data = data[self._sink.write(data):]
 
     @property
     def records(self):
-        return [json.loads(line) for _, line in self.lines]
+        data = (Path(self.sink_path).read_bytes() if self.sink_path
+                else self._sink.getvalue())
+        return [json.loads(line) for line in data.splitlines()]
 
     def by_phase(self, phase):
-        return [json.loads(line) for p, line in self.lines if p == phase]
+        return [r for r in self.records if r["phase"] == phase]
 
 
 class MarketBase:
@@ -161,7 +161,7 @@ class ClearingMarket(MarketBase):
     forgets them, so the memo lasts one episode. The same `Dispatch` is
     shared by those steps: treat it as read-only."""
 
-    def __init__(self, network, segments=100):
+    def __init__(self, network, segments=DEFAULT_SEGMENTS):
         self.network = network
         self.segments = segments
         self.reset()
@@ -348,6 +348,8 @@ class Environment:
         self.rng = np.random.default_rng(seed)
         self.callbacks = {p.removeprefix("post_"): [] for p in PHASES}
         self.log = EpisodeLog()
+        self._rows = []         # summary rows, one per grid step logged
+        self._live = None       # a weak reference to the latest episode
         market.env = self
 
     def register_callback(self, phase, sink):
@@ -356,12 +358,14 @@ class Environment:
         self.callbacks[phase.removeprefix("post_")].append(sink)
 
     def reset(self, log_path=None):
+        self._close_live()
         self.rng = np.random.default_rng(self.seed)
         self.grid.reset()
         self.market.reset()
         for a in self.agents:
             a.reset()
         self.log = EpisodeLog(sink_path=log_path)
+        self._rows = []
         if log_path:
             open(log_path, "w", encoding="utf-8").close()
         return self
@@ -374,11 +378,23 @@ class Environment:
         return self.log
 
     def episode(self, grid_steps, market_steps_per_grid=1):
-        """Yield `(phase, t_grid, t_market)` once each record is on disk (a
-        round's last `t_market` for `clear` and `grid_step`); the caller may
-        act between yields, and closing or dropping it closes the sink."""
+        """Close the live episode, as `reset()` does, and start one: a
+        generator yielding `(phase, t_grid, t_market)` once each record is on
+        disk (a round's last `t_market` for `clear` and `grid_step`)."""
         if grid_steps < 1 or market_steps_per_grid < 1:
             raise EnvError("need grid_steps >= 1 and market steps >= 1")
+        self._close_live()
+        live = self._loop(grid_steps, market_steps_per_grid)
+        self._live = weakref.ref(live)
+        return live
+
+    def _close_live(self):
+        """Close the latest episode's generator, and so its sink, if live."""
+        live = self._live and self._live()
+        if live is not None:
+            live.close()
+
+    def _loop(self, grid_steps, market_steps_per_grid):
         # the market steps' numbers as log text, encoded once as the first
         # grid step reaches them
         ticks = []
@@ -413,12 +429,12 @@ class Environment:
                     if action is not None:
                         actions[a.id] = action
                 state = self.grid.step(actions)
-                self.log.add({
-                    "phase": "grid_step", "t_grid": t_grid,
-                    "feasible": state.feasible,
-                    "flows": {str(k): round(v, 9)
-                              for k, v in state.flows.items()},
-                })
+                flows = {str(k): round(v, 9) for k, v in state.flows.items()}
+                self.log.add({"phase": "grid_step", "t_grid": t_grid,
+                              "feasible": state.feasible, "flows": flows})
+                self._rows.append({
+                    "t_grid": t_grid, "feasible": state.feasible,
+                    "max_abs_flow": max(map(abs, flows.values()), default=0.0)})
                 yield "grid_step", t_grid, t_market
 
     def _refuse(self, hook, fields):
@@ -429,8 +445,6 @@ class Environment:
                        f"field {key!r}, which the environment writes")
 
     def summary_rows(self):
-        """Per-grid-step summary rows for the episode CSV."""
-        return [{"t_grid": rec["t_grid"], "feasible": rec["feasible"],
-                 "max_abs_flow": max((abs(v) for v in rec["flows"].values()),
-                                     default=0.0)}
-                for rec in self.log.by_phase("grid_step")]
+        """The episode CSV's rows, one per `grid_step` logged since `reset()`:
+        `t_grid`, `feasible` and the largest logged flow's magnitude."""
+        return list(self._rows)

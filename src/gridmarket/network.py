@@ -88,8 +88,7 @@ def build_network(buses, lines):
         raise NetworkError(f"bus {clash}")
     root = buses[0]
 
-    seen_ids = set()
-    seen_pairs = set()
+    seen_ids, seen_pairs = set(), set()
     adj = {b: [] for b in buses}
     for lid, u, v, lim in lines:
         if u not in bus_set:
@@ -135,13 +134,8 @@ def build_network(buses, lines):
         raise Disconnected(f"buses unreachable from root {root}: {missing}")
 
     # Reorder lines parent->child so the stored direction matches flow signs.
-    oriented = []
-    for lid, u, v, lim in lines:
-        if parent.get(v) == u:
-            oriented.append((lid, u, v, lim))
-        else:
-            oriented.append((lid, v, u, lim))
-
+    oriented = [(lid, u, v, lim) if parent.get(v) == u else (lid, v, u, lim)
+                for lid, u, v, lim in lines]
     return Network(buses=list(buses), lines=oriented, parent=parent)
 
 

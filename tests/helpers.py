@@ -7,6 +7,7 @@ import json
 import math
 import os
 import struct
+import subprocess
 import sys
 import threading
 from dataclasses import dataclass
@@ -1035,3 +1036,17 @@ def aggregate_intersection(supplies, demands, tol=1e-10, iters=200):
     if q_star <= tol:
         raise NoIntersection("aggregate curves only meet at zero trade")
     return p_star, q_star
+
+
+def run_probe(tmp_path, source, *argv):
+    """Runs `source` in a fresh interpreter that imports from src/ and
+    tests/; returns its last stdout line, after checking that it exited 0."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = [os.path.join(tests, "..", "src"), tests,
+            os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", source, *argv],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return (proc.stdout.splitlines() or [""])[-1]

@@ -16,6 +16,7 @@ from gridmarket.cli import (
     EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, KEYS, ConfigError, RunConfig, main,
     parse, read_config,
 )
+from helpers import run_probe
 
 CASES = os.path.join(os.path.dirname(__file__), "..", "cases")
 
@@ -260,6 +261,33 @@ def test_run_seed_reproducible(tmp_path):
         assert rc == EXIT_OK
         outs.append(read(os.path.join(out, "episode.jsonl")))
     assert outs[0] == outs[1]
+
+
+# Runs demo_p2p for 24 grid steps of argv[2] market steps each, in a fresh
+# interpreter, and prints its peak RSS in kB.
+RSS_PROBE = """\
+import resource, sys
+from gridmarket.cli import main
+assert main(["run", "--config", sys.argv[1], "--out", "out", "--set",
+             "grid_steps=24", "--set", f"market_steps={sys.argv[2]}"]) == 0
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(rss // 1024 if sys.platform == "darwin" else rss)
+"""
+
+
+@pytest.mark.skipif(os.name != "posix", reason="reads ru_maxrss")
+def test_a_file_backed_runs_memory_is_flat_in_its_length(tmp_path):
+    peak_kb = {}
+    for steps in (500, 5000):
+        run_dir = tmp_path / str(steps)
+        run_dir.mkdir()
+        peak_kb[steps] = int(run_probe(run_dir, RSS_PROBE, os.path.abspath(
+            case("demo_p2p.cfg")), str(steps)))
+        with open(run_dir / "out" / "episode.jsonl", "rb") as f:
+            assert sum(1 for _ in f) == 24 * (steps + 2)
+    # the log holds no record in memory: ten times the records, 108,000
+    # more lines, may not cost 4 MB more
+    assert peak_kb[5000] - peak_kb[500] < 4 * 1024, peak_kb
 
 
 @pytest.mark.skipif(os.name != "posix",

@@ -203,10 +203,12 @@ def test_incremental_log_sink(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == len(env.log.records)
     assert "\n".join(lines) == to_jsonl(env.log)
-    # the file is the log's lines, and a run without a sink keeps the same
-    assert lines == [line for _, line in env.log.lines]
+    # the file is the log's store, and a run without a sink keeps the same
+    # bytes in its buffer
+    assert [json.loads(line) for line in lines] == env.log.records
     unsunk = clearing_env().reset().run_episode(grid_steps=2)
-    assert unsunk.lines == env.log.lines
+    assert unsunk._sink.getvalue() == path.read_bytes()
+    assert unsunk.records == env.log.records
 
 
 def test_summary_rows():
@@ -359,8 +361,8 @@ def test_unchanged_curves_beside_other_changing_actions_clear_once(
         elastic_consumer("d1", 2, p_max=8.0, p_min=1.0, q_max=10.0)]).reset()
     log = env.run_episode(grid_steps=2, market_steps_per_grid=3)
     assert len(calls) == 1
-    assert log.lines == clearing_env().reset().run_episode(
-        grid_steps=2, market_steps_per_grid=3).lines
+    assert log.records == clearing_env().reset().run_episode(
+        grid_steps=2, market_steps_per_grid=3).records
 
 
 def test_changed_bids_are_cleared_again(monkeypatch):
@@ -468,7 +470,7 @@ def test_a_sink_that_writes_short_still_gets_every_line_whole(
     for phase in env_mod.PHASES:
         env.register_callback(phase, on_disk)
     env.run_episode(grid_steps=2, market_steps_per_grid=3)
-    assert len(env.log.lines) == 2 * (3 + 2)
+    assert len(env.log.records) == 2 * (3 + 2)
     assert max(writes) > 7
 
 
@@ -609,6 +611,54 @@ def test_a_caller_that_stops_early_keeps_exactly_the_records_it_saw(
     full = to_jsonl(p2p_env().reset().run_episode(3, 4)).split("\n")
     assert lines == [line + "\n" for line in full[:k]]
     assert [json.loads(line) for line in lines] == env.log.records
+
+
+def test_reset_closes_a_suspended_episode(tmp_path):
+    # resumed, the old generator would run on the reset market, which has
+    # no round to finalize
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    env = p2p_env().reset(log_path=str(a))
+    old = env.episode(grid_steps=2, market_steps_per_grid=3)
+    next(old), next(old)
+    env.reset(log_path=str(b))
+    assert list(old) == []
+    assert a.read_bytes().count(b"\n") == 2 and b.read_bytes() == b""
+
+
+def test_a_reset_episode_logs_only_the_new_episodes_records(tmp_path):
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    env = clearing_env().reset(log_path=str(a))
+    old = env.episode(grid_steps=2)
+    next(old), next(old)
+    env.reset(log_path=str(b))
+    assert list(old) == []
+    env.run_episode(grid_steps=2)
+    fresh = to_jsonl(clearing_env().reset().run_episode(grid_steps=2))
+    assert a.read_text() == "\n".join(fresh.split("\n")[:2]) + "\n"
+    assert b.read_text() == fresh + "\n"
+    assert to_jsonl(env.log) == fresh
+
+
+def test_a_new_episode_closes_the_live_one(tmp_path, monkeypatch):
+    path = tmp_path / "episode.jsonl"
+    env = p2p_env().reset(log_path=str(path))
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+    monkeypatch.setattr(env_mod, "open", counting_open, raising=False)
+    old = env.episode(grid_steps=2, market_steps_per_grid=3)
+    next(old), next(old)
+    new = env.episode(grid_steps=1, market_steps_per_grid=3)
+    # the old sink is closed with the 2 records it yielded; the new episode
+    # has not started
+    assert len(opened) == 1 and opened[0].closed
+    assert path.read_bytes().count(b"\n") == 2
+    assert list(old) == []
+    assert len(list(new)) == 3 + 2
+    assert len(opened) == 2 and opened[1].closed
+    assert len(env.log.records) == 2 + 3 + 2
 
 
 def test_the_readme_driving_example_runs_on_the_shipped_cases(

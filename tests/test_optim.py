@@ -11,7 +11,6 @@ import json
 import os
 import platform
 import re
-import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -31,8 +30,8 @@ from helpers import (
     LpProblem, capped_gen_exporting_at_limit, certify,
     demand_filling_a_capped_line, dual_infeasibility, dual_objective,
     enumerate_lp_optimum, idle_gen_behind_full_line, lp_matrix, lp_problem,
-    random_feasible_lp, random_radial_network, reduced_costs, solve_lp,
-    use_ptdf_twin, zone_lp_problem,
+    random_feasible_lp, random_radial_network, reduced_costs, run_probe,
+    solve_lp, use_ptdf_twin, zone_lp_problem,
 )
 
 CASES = os.path.join(os.path.dirname(__file__), "..", "cases")
@@ -356,20 +355,6 @@ import scipy.optimize._highspy._highs_wrapper as wrapper
 assert sys.modules["scipy.optimize._highspy._core"] is core is wrapper._h
 assert helpers.highs_binding()._Highs is core._Highs
 """
-
-
-def run_probe(tmp_path, source, *argv):
-    """Runs `source` in a fresh interpreter that imports from src/ and
-    tests/; returns its last stdout line, after checking that it exited 0."""
-    tests = os.path.dirname(os.path.abspath(__file__))
-    path = [os.path.join(tests, "..", "src"), tests,
-            os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    proc = subprocess.run([sys.executable, "-c", source, *argv],
-                          cwd=tmp_path, env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return (proc.stdout.splitlines() or [""])[-1]
 
 
 @pytest.mark.parametrize("order", ["solve_lp", "scipy.optimize"])
