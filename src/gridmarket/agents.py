@@ -2,8 +2,8 @@
 the UCB bandit negotiator.
 
 An agent returns its actions from its hooks: the environment asks for its
-market action at each market step and for its grid action after the market
-clears, handing it the market's result.
+market action at each market step and, after the market clears, for a grid
+action that replaces what the market cleared for it.
 """
 
 import csv
@@ -12,9 +12,7 @@ import os
 from dataclasses import dataclass
 
 from . import curves as cv
-from .clearing import Dispatch
 from .network import CaseFileError, _bus_id, content_lines
-from .p2p import P2pRoundResult
 
 PRODUCER = "producer"
 CONSUMER = "consumer"
@@ -34,10 +32,10 @@ class Agent:
     episode; `current_role(t_grid)` returns the side the agent trades on in
     P2P this grid step, or None (the default) for no part in P2P;
     `market_action(t_grid, t_market)` returns the agent's action for one
-    market step and `grid_action(t_grid, result)` its `(bus, kW)` for the
-    grid step, given the result the market cleared to (either may return
-    None: no action); `observe_reward(r)` receives the reward of its last
-    market action."""
+    market step (None: no action) and `grid_action(t_grid, result)` its
+    `(bus, kW)` for the grid step, given the result the market cleared to,
+    in place of what the market cleared for it (None, the default, takes
+    that); `observe_reward(r)` receives its last market action's reward."""
 
     def __init__(self, agent_id, bus, role):
         self.id = agent_id
@@ -61,8 +59,7 @@ class Agent:
 
 
 class CurveBidder(Agent):
-    """Submits a fixed parametrized curve to the clearing market and passes
-    the dispatched quantity through as its grid action."""
+    """Submits a fixed parametrized curve to the clearing market."""
 
     def __init__(self, agent_id, bus, role, curve):
         super().__init__(agent_id, bus, role)
@@ -70,12 +67,6 @@ class CurveBidder(Agent):
 
     def market_action(self, t_grid, t_market):
         return self.curve
-
-    def grid_action(self, t_grid, result):
-        q = 0.0
-        if isinstance(result, Dispatch):
-            q = result.quantities.get(self.id, 0.0)
-        return self.bus, (q if self.curve.side == cv.DEMAND else -q)
 
 
 def inelastic_consumer(agent_id, bus, demand_kw, cap=P_CAP):
@@ -175,12 +166,6 @@ class UcbNegotiator(Agent):
     def observe_reward(self, r):
         if self._last_arm is not None:
             ucb_update(self.bandit, self._last_arm, r)
-
-    def grid_action(self, t_grid, result):
-        kw = 0.0
-        if isinstance(result, P2pRoundResult):
-            kw = result.grid_kw.get(self.id, 0.0)
-        return self.bus, kw
 
 
 class ScriptedAgent(Agent):

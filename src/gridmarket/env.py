@@ -3,20 +3,20 @@
 `Environment.episode` is the loop, a generator: an outer loop of grid steps;
 in each, the market is reset and iterated for a number of market steps (each
 agent returns its market action and the market steps on them all), then the
-market clears, each agent returns its grid action for the cleared result and
-the grid state advances. Market state is reset every grid step; agent memory
-(e.g. bandit statistics) persists across the episode. The market reaches the
-agents and the seeded `rng` through its `env`.
+market clears and puts what it cleared on the grid, where an agent's own
+grid action replaces the market's for it. Market state is reset every grid
+step; agent memory (e.g. bandit statistics) persists across the episode.
+The market reaches the agents and the seeded `rng` through its `env`.
 
 A market step returns the fields of its `market_step` log record, and
 `finalize` returns the clearing result, the fields of its `clear` record and
-the market's own grid actions. Each piece of episode work is done once, and
-its log text is encoded with it (`Encoded`): the clearing market reuses its
-last `Dispatch` while the submitted curves do not change, the DLMP market
-solves its fixed SCOPF once per episode, and the P2P market negotiates a
-pair at a pair of prices once per round. The episode log's file, or else
-its byte buffer, is its only copy of a record. UCB agents refresh only the
-updated arm's index.
+the grid actions of what it cleared. Each piece of episode work is done
+once, and its log text is encoded with it (`Encoded`): the clearing market
+reuses its last `Dispatch` while the submitted curves do not change, the
+DLMP market solves its fixed SCOPF once per episode, and the P2P market
+negotiates a pair at a pair of prices once per round. The episode log's
+file, or else its byte buffer, is its only copy of a record. UCB agents
+refresh only the updated arm's index.
 """
 
 import io
@@ -146,8 +146,9 @@ class MarketBase:
     def finalize(self):
         """Called when the market clears; returns `(result, fields,
         actions)`: the result each agent's `grid_action` receives, the
-        fields of the `clear` log record and the market's own grid actions
-        as `{id: (bus, kW)}`."""
+        fields of the `clear` log record and the grid actions of what it
+        cleared, `{id: (bus, kW)}`, which an agent's own grid action
+        replaces."""
         return None, {}, {}
 
 
@@ -199,16 +200,18 @@ class ClearingMarket(MarketBase):
             return None, {}, {}
         agents = self.env.agent_map
         values = self.dispatch.values
-        for aid, _, curve in self._submitted:
+        actions = {}
+        for aid, bus, curve in self._submitted:
             q = self.dispatch.quantities[aid]
             p = self.dispatch.prices.get(aid, 0.0)
             # truthful private valuation: the submitted curve's integral
             if curve.side == cv.DEMAND:
                 r = values[aid] - p * q
             else:
-                r = p * q - values[aid]
+                r, q = p * q - values[aid], -q     # a supplier injects
+            actions[aid] = bus, q
             agents[aid].observe_reward(r)
-        return self.dispatch, self._fields, {}
+        return self.dispatch, self._fields, actions
 
 
 class P2pMarket(MarketBase):
@@ -256,6 +259,11 @@ class P2pMarket(MarketBase):
             b_p, b_c = actions[producer], actions[consumer]
             out, entry = self._memo.get((pair, b_p, b_c), (None, None))
             if out is None or out.b_p is not b_p or out.b_c is not b_c:
+                for aid, bid in ((producer, b_p), (consumer, b_c)):
+                    if not isinstance(bid, (int, float)):
+                        raise EnvError(f"agent {aid!r} bid {bid!r} at t_grid "
+                                       f"{self._t_grid}, t_market {t_market}"
+                                       ": a P2P participant must bid a number")
                 out = negotiate(b_p, b_c, self.config)
                 record = {"producer": producer, "consumer": consumer,
                           "b_p": b_p, "b_c": b_c, "success": out.success,
@@ -296,7 +304,9 @@ class P2pMarket(MarketBase):
             "deficiency": {str(k): round(v, 9) for k, v in deficiency.items()},
             "successes": sum(1 for o in self.outcomes.values() if o.success),
         }
-        return self.result, fields, {}
+        return self.result, fields, {a.id: (a.bus, grid_kw[a.id])
+                                     for a in self.env.agents
+                                     if a.id in grid_kw}
 
 
 class DlmpMarket(MarketBase):
@@ -323,11 +333,9 @@ class DlmpMarket(MarketBase):
 
     def finalize(self):
         root = self.scopf_input.network.root
-        actions = {}
-        for bus, (p_g, p_d) in self.result.dispatch.items():
-            net_kw = p_d - p_g
-            if bus != root and net_kw != 0.0:
-                actions[f"dso@{bus}"] = (bus, net_kw)
+        actions = {f"dso@{bus}": (bus, p_d - p_g)
+                   for bus, (p_g, p_d) in self.result.dispatch.items()
+                   if bus != root and p_d != p_g}
         fields = {**self._fields, "objective": round(self.result.objective, 9)}
         return self.result, fields, actions
 
@@ -416,16 +424,19 @@ class Environment:
                         self._refuse("step", fields)
                     self.log.add(record)
                     yield "market_step", t_grid, t_market
-                cleared, fields, actions = self.market.finalize()
+                cleared, fields, market_actions = self.market.finalize()
                 if "phase" in fields or "t_grid" in fields:
                     self._refuse("finalize", fields)
                 self.log.add({"phase": "clear", "t_grid": t_grid,
                               "cleared": cleared is not None, **fields})
                 yield "clear", t_grid, t_market
 
-                actions = dict(actions)
+                # non-agent ids first, then each agent's own or market action
+                actions = {k: v for k, v in market_actions.items()
+                           if k not in self.agent_map}
                 for a in self.agents:
-                    action = a.grid_action(t_grid, cleared)
+                    if (action := a.grid_action(t_grid, cleared)) is None:
+                        action = market_actions.get(a.id)
                     if action is not None:
                         actions[a.id] = action
                 state = self.grid.step(actions)

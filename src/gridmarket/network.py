@@ -196,8 +196,11 @@ def load_case(path):
 
 def line_flows(network, injections):
     """Directed kW flow per line from net bus consumption, f = H @ x on the
-    network's cached PTDF (root-bus and missing buses inject 0)."""
+    network's cached PTDF (the root and buses not given inject 0; a bus the
+    network lacks raises UnknownBus)."""
     H = ptdf(network)
+    for b in injections.keys() - H.bus_index.keys() - {network.root}:
+        raise UnknownBus(f"unknown bus {b}")
     x = np.array([injections.get(b, 0.0) for b in H.bus_order])
     return dict(zip(H.line_order, H.flows(x).tolist()))
 

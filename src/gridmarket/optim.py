@@ -27,12 +27,10 @@ one quicksort.
 
 The first `solve_lp` in a process, and nothing before it, pins glibc's
 malloc thresholds (`pin_malloc`): left adaptive, they let each free of a
-clear's ~120 kB block arrays trim the heap top, and each step on the
-benchmark feeder faulted ~575 pages back in; pinned, the median step faults
-none. There a clear takes ~2.0 ms and a SCOPF ~1.2 ms, a step ~3.2 ms
-(~3.85 ms unpinned with every rank key stable-sorted), where HiGHS' dual
-simplex on the same LP took ~5.8 and ~1.7 ms (medians of 300 in-process
-steps).
+clear's ~120 kB block arrays trim the heap top, and each clear on the
+benchmark feeder faulted hundreds of pages back in (a SCOPF none); pinned,
+the median step faults none. CHANGES.md records the solve's times there
+against HiGHS' dual simplex on the same LP.
 """
 
 import ctypes
@@ -272,9 +270,9 @@ def solve_lp(p):
     tol = FEAS_TOL * (1.0 + abs(offset[0]))
     if take > width + tol or take < -tol:
         raise InfeasibleLp("row 0: the balance leaves no take")
-    # at a tie of take with the import, the price of the segment after it
+    # any import prices the root; at a tie, the segment after the import
     i, t = cut_at(cum, min(max(take, 0.0), width), "right", tol)
-    if floor > a + tol or i == ranks.size and floor >= width - tol:
+    if floor > a or i == ranks.size and floor >= width - tol:
         cut = (imp, 0.0)
     elif i == ranks.size:           # at the end: the last segment, if any
         i, t = cut_at(cum, width, "left")

@@ -9,10 +9,10 @@ from gridmarket.agents import (
     ScriptedAgent, UcbNegotiator, elastic_consumer, flat_supplier,
     inelastic_consumer, parse_roster, ucb_index, ucb_select, ucb_update,
 )
-from gridmarket.clearing import Dispatch
 from gridmarket.curves import DEMAND, SUPPLY
-from gridmarket.network import CaseFileError
-from gridmarket.p2p import P2pRoundResult
+from gridmarket.env import ClearingMarket, Environment, P2pMarket
+from gridmarket.network import CaseFileError, Grid, build_network
+from gridmarket.p2p import P2pConfig
 from helpers import (
     PiecewiseLinear, Recording, reward_demand, reward_supply,
     ucb_select_and_update, ucb_select_oracle,
@@ -45,20 +45,26 @@ def test_curve_factories():
     assert s.curve.p_max == s.curve.p_min == 4.3
 
 
+def chain(n):
+    return build_network(list(range(n)), [
+        (f"l{b}", b - 1, b, float("inf")) for b in range(1, n)])
+
+
 def test_curve_bidder_actions():
     a = elastic_consumer("d1", 2, p_max=8.0, p_min=1.0, q_max=10.0)
     assert a.market_action(0, 0) is a.curve
-    dispatch = Dispatch(quantities={"d1": 7.5, "s1": 7.5}, values={},
-                        prices={}, sides={}, buses={}, line_flows={},
-                        total_surplus=0.0)
-    assert a.grid_action(0, dispatch) == (2, 7.5)   # consumption positive
-    s = flat_supplier("s1", 1, 4.3, 100.0)
-    assert s.grid_action(0, dispatch) == (1, -7.5)
-    # a result of another market, or none, dispatches nothing
-    assert a.grid_action(0, None) == (2, 0.0)
-    p2p = P2pRoundResult(outcomes={}, grid_kw={"d1": 3.0}, deficiency={},
-                         unmatched=[])
-    assert a.grid_action(0, p2p) == (2, 0.0)
+    s = flat_supplier("s1", 1, 0.5, 7.5)
+    market = ClearingMarket(chain(3), segments=10)
+    Environment(Grid(chain(3)), market, [a, s]).reset()
+    market.step(0, {"d1": a.curve, "s1": s.curve})
+    # the market puts what it dispatched on the grid, consumption positive;
+    # the bidders take it, returning no grid action of their own
+    assert market.finalize()[2] == {"d1": (2, 7.5), "s1": (1, -7.5)}
+    assert a.grid_action(0, market.dispatch) is None
+    assert s.grid_action(0, market.dispatch) is None
+    # a clear with one side empty dispatches nothing
+    market.step(1, {"d1": a.curve, "s1": None})
+    assert market.finalize() == (None, {}, {})
 
 
 def test_bandit_state_validation():
@@ -162,10 +168,14 @@ def test_negotiator_bids_from_arms():
     for t in range(6):
         assert a.market_action(0, t) in (3.0, 4.0, 5.0)
         a.observe_reward(1.0)
-    result = P2pRoundResult(outcomes={}, grid_kw={"p": -3.0}, deficiency={},
-                            unmatched=[])
-    assert a.grid_action(0, result) == (3, -3.0)
-    assert a.grid_action(0, None) == (3, 0.0)
+    # the market puts what the producer sold on the grid; it takes that
+    c = UcbNegotiator("c", 1, CONSUMER, arms=[6.0])
+    market = P2pMarket(P2pConfig())
+    Environment(Grid(chain(4)), market, [a, c]).reset()
+    market.reset_round(0)
+    market.step(0, {"p": a.market_action(0, 0), "c": c.market_action(0, 0)})
+    assert market.finalize()[2] == {"p": (3, -3.0), "c": (1, 3.0)}
+    assert a.grid_action(0, market.result) is None
 
 
 def test_scripted_agent(tmp_path):

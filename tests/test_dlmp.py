@@ -397,10 +397,27 @@ def test_full_reverse_line_with_capped_gen_pins_zero_mu(monkeypatch):
     assert res.objective == 31.5
 
 
+def tiny_root_import():
+    # a 1e-9 kW load at the root, within the solve's rounding tolerance of
+    # the balance: the source still imports it, so prices it
+    return ScopfInput(
+        lmp_source=2.0, gen_offers=[],
+        dr_offers=[DrOffer(bus=0, baseline=1e-9, blocks=[(1.000000001, 50.0)])],
+        network=build_network([0, 1], [("l1", 0, 1, INF)]))
+
+
+def test_an_import_within_rounding_is_priced_at_the_source():
+    res = solve_dlmp(tiny_root_import())
+    assert res.p_source == 1e-9 and res.objective == 2e-9
+    assert res.lam == 2.0
+    assert res.dlmp == {0: 2.0, 1: 2.0}
+
+
 @settings(max_examples=60, deadline=None)
 @given(feasible_scopfs())
 @example(idle_gen_behind_full_line())
 @example(capped_gen_exporting_at_limit())
+@example(tiny_root_import())
 def test_dlmp_is_a_subgradient_of_the_objective_in_each_load(si):
     """The objective is convex in each bus's load, so its DLMP lies between
     the one-sided difference quotients, at a kink (a degenerate vertex) as

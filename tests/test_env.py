@@ -528,6 +528,35 @@ def test_p2p_settles_every_unmatched_buyer(role):
     assert log.by_phase("clear")[0]["deficiency"] == {unmatched: 36.0}
 
 
+class ListBidder(PriceBidder):
+    """Bids the given prices, one per market step of each round."""
+
+    def __init__(self, agent_id, bus, role, bids):
+        super().__init__(agent_id, bus, role)
+        self.bids = bids
+
+    def market_action(self, t_grid, t_market):
+        return self.bids[t_market]
+
+
+@pytest.mark.parametrize("role, bids", [
+    (CONSUMER, [None]), (CONSUMER, ["4.0"]), (CONSUMER, [6.0, None]),
+    (PRODUCER, [None])], ids=["none", "str", "second-step", "producer"])
+def test_a_p2p_bid_that_is_not_a_number_names_its_agent(role, bids):
+    other = CONSUMER if role == PRODUCER else PRODUCER
+    agents = [UcbNegotiator("u1", 1, other, arms=[3.0]),
+              ListBidder("b1", 2, role, bids)]
+    env = Environment(grid=Grid(chain()), market=P2pMarket(P2pConfig()),
+                      agents=agents).reset()
+    with pytest.raises(EnvError) as e:
+        env.run_episode(grid_steps=2, market_steps_per_grid=len(bids))
+    t_market = len(bids) - 1
+    assert str(e.value) == (
+        f"agent 'b1' bid {bids[-1]!r} at t_grid 0, t_market "
+        f"{t_market}: a P2P participant must bid a number")
+    assert len(env.log.records) == t_market
+
+
 class SteeredBidder(PriceBidder):
     """Bids the price its caller set since its last bid, once: a bid not
     set again before the next market step is None."""
@@ -851,9 +880,68 @@ def test_template_agents_act_through_the_hooks_they_define():
         # the curve clears; the agent without a market action is not in it
         qs = {r["agent"]: r["q_kw"] for r in rec["dispatch"] if "agent" in r}
         assert set(qs) == {"feeder", "d1"} and qs["d1"] > 0
-    # the curve's agent returns no grid action: only the load moves the grid
+    # the curve's agent returns no grid action, so the 5.3 kW it cleared
+    # reach the grid beside the load's
     assert [r["flows"] for r in log.by_phase("grid_step")] == [
-        {"a": 2.0, "b": 0.0}, {"a": 4.0, "b": 0.0}]
+        {"a": 7.3, "b": 5.3}, {"a": 9.3, "b": 5.3}]
+
+
+class DispatchingMarket(MarketBase):
+    """A template market whose result is its own: `finalize` returns the
+    grid actions it was given, whatever the agents bid."""
+
+    def __init__(self, actions):
+        self.actions = actions
+
+    def step(self, t_market, actions):
+        return {}
+
+    def finalize(self):
+        return "dispatched", {}, self.actions
+
+
+def test_stock_agents_take_what_any_market_cleared_for_them():
+    agents = [elastic_consumer("d1", 2, p_max=8.0, p_min=1.0, q_max=10.0),
+              UcbNegotiator("u1", 1, PRODUCER, arms=[3.0])]
+    env = Environment(grid=Grid(chain()), market=DispatchingMarket(
+        {"d1": (2, 4.0), "u1": (1, -1.5)}), agents=agents).reset()
+    log = env.run_episode(grid_steps=2)
+    assert [r["flows"] for r in log.by_phase("grid_step")] == [
+        {"a": 2.5, "b": 4.0}] * 2
+
+
+class RecordingGrid:
+    """A radial grid that keeps the actions of each step, in their order."""
+
+    def __init__(self, network):
+        self.grid, self.seen = Grid(network), []
+
+    def reset(self):
+        self.seen = []
+        return self.grid.reset()
+
+    def step(self, grid_actions):
+        self.seen.append(list(grid_actions.items()))
+        return self.grid.step(grid_actions)
+
+
+def test_grid_actions_reach_the_grid_market_first_then_in_agent_order():
+    # four agents at bus 2, the market's entries in an order of its own:
+    # its non-agent ids come first, as it gave them; then each agent in
+    # agent order, with its own action (l1's 2 kW replace the market's 9),
+    # or else the market's, or none
+    agents = [LoadOnly("l1", 2, CONSUMER),
+              elastic_consumer("d1", 2, p_max=8.0, p_min=1.0, q_max=10.0),
+              UcbNegotiator("u1", 2, PRODUCER, arms=[3.0]),
+              UcbNegotiator("u2", 2, PRODUCER, arms=[3.0])]
+    grid = RecordingGrid(chain())
+    env = Environment(grid=grid, market=DispatchingMarket({
+        "u1": (2, -1.5), "dso@2": (2, 0.5), "l1": (2, 9.0), "d1": (2, 4.0),
+        "dso@1": (1, 0.25)}), agents=agents).reset()
+    env.run_episode(grid_steps=1)
+    assert grid.seen == [[("dso@2", (2, 0.5)), ("dso@1", (1, 0.25)),
+                          ("l1", (2, 2.0)), ("d1", (2, 4.0)),
+                          ("u1", (2, -1.5))]]
 
 
 class BareGrid:

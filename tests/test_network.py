@@ -93,6 +93,15 @@ def test_line_flows_zero():
     assert all(v == 0.0 for v in flows.values())
 
 
+def test_line_flows_refuses_a_bus_the_network_lacks():
+    # as Grid.step does; an injection at the root is the feeder's own flow
+    with pytest.raises(UnknownBus, match="^unknown bus 999$"):
+        line_flows(chain3(), {999: 5.0})
+    with pytest.raises(UnknownBus, match="^unknown bus x$"):
+        line_flows(chain3(), {2: 1.0, "x": 1.0})
+    assert line_flows(chain3(), {0: 5.0, 2: 1.0}) == {"a": 1.0, "b": 1.0}
+
+
 def test_line_flows_star_matches_dfs_oracle():
     net = build_network([0, 1, 2, 3],
                         [("a", 0, 1, 9.0), ("b", 0, 2, 9.0), ("c", 0, 3, 9.0)])

@@ -386,8 +386,8 @@ print(json.dumps(faults))
 def test_a_repeated_feeder_clear_faults_in_no_new_heap(tmp_path):
     # A clear frees ~120 kB block arrays and numpy temporaries. With glibc's
     # thresholds left adaptive, free trimmed them off the heap top and each
-    # clear after the first faulted ~580 pages back in. A fresh process,
-    # since earlier frees move those thresholds.
+    # clear after the first faulted hundreds of pages back in. A fresh
+    # process, since earlier frees move those thresholds.
     warm_up, *faults = json.loads(run_probe(tmp_path, FAULT_PROBE,
                                             str(tmp_path)))
     assert max(faults) < 50, faults
