@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Subcommands: validate, run, clear, dlmp, sweep. Exit codes: 0 success,
-1 runtime error, 2 configuration error.
+1 runtime error, 2 configuration error. `main` alone turns a failed command
+into its exit code and one stderr line: `config error: ` for a ConfigError,
+else the subcommand's own prefix.
 """
 
 import argparse
@@ -14,13 +16,12 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields, replace
 
 from . import agents as ag
-from .clearing import (DEFAULT_SEGMENTS, ClearingError, MarketInput,
-                       clear as clear_market, parse_bids)
+from .clearing import (DEFAULT_SEGMENTS, MarketInput, clear as clear_market,
+                       parse_bids)
 from .dlmp import DlmpError, InfeasibleBaseline, ScopfInput, parse_offers, solve_dlmp
 from .env import ClearingMarket, DlmpMarket, EnvError, Environment, P2pMarket
 from .network import (CaseFileError, Grid, NetworkError, UnknownBus,
                       content_lines, load_case)
-from .optim import NumericalFailure
 from .p2p import P2pConfig
 
 EXIT_OK, EXIT_RUNTIME, EXIT_CONFIG = 0, 1, 2
@@ -70,11 +71,7 @@ def atomic_write(path, text):
 
 
 def cmd_validate(args):
-    try:
-        net = load_case(args.case)
-    except FILE_ERRORS as e:
-        print(f"invalid case: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
+    net = load_case(args.case)
     limits = [lim for _, _, _, lim in net.lines]
     print(f"{net.n_buses} buses, {net.n_lines} lines, radial: yes")
     if limits:
@@ -95,7 +92,6 @@ class RunConfig:
     grid_steps: int = 1
     market_steps: int = 1        # per grid step; for P2P the paper's T
     seed: int = 0
-    segments: int = DEFAULT_SEGMENTS
     out_dir: str = None          # None: the subcommand's default
     lmp_source: float = 5.0
     p2p: P2pConfig = field(default_factory=P2pConfig)
@@ -106,8 +102,7 @@ class RunConfig:
 P2P_KEYS = {f.name: f.type for f in fields(P2pConfig)}
 KEYS = {**{f.name: f.type for f in fields(RunConfig) if f.name != "p2p"},
         **P2P_KEYS}
-LOWEST = {"grid_steps": 1, "market_steps": 1, "seed": 0, "segments": 1,
-          "lmp_source": 0}
+LOWEST = {"grid_steps": 1, "market_steps": 1, "seed": 0, "lmp_source": 0}
 MECHANISMS = ("clearing", "p2p", "dlmp")
 
 
@@ -174,7 +169,7 @@ def build_environment(rc):
                 if a.bus not in network.buses:
                     raise UnknownBus(f"agent {a.id}: unknown bus {a.bus}")
     if rc.mechanism == "clearing":
-        market = ClearingMarket(network, segments=rc.segments)
+        market = ClearingMarket(network)
     elif rc.mechanism == "p2p":
         market = P2pMarket(rc.p2p)
     else:
@@ -214,25 +209,16 @@ def cmd_run(args):
     seed = [] if args.seed is None else [f"seed={args.seed}"]
     rc, env = _load(args.config, (args.set or []) + seed)
     out_dir = args.out or rc.out_dir or "out"
-    try:
-        write_episode(env, rc, out_dir)
-    except Exception as e:
-        print(f"runtime error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
+    write_episode(env, rc, out_dir)
     print(f"episode written to {out_dir}")
     return EXIT_OK
 
 
 def cmd_clear(args):
-    try:
-        net = load_case(args.case)
-        bids, offers = parse_bids(_read(args.bids))
-        dispatch = clear_market(
-            MarketInput(bids=bids, offers=offers, network=net),
-            segments=args.segments)
-    except FILE_ERRORS + (ClearingError, NumericalFailure) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
+    net = load_case(args.case)
+    bids, offers = parse_bids(_read(args.bids))
+    dispatch = clear_market(MarketInput(bids=bids, offers=offers, network=net),
+                            segments=args.segments)
     print("agent,bus,side,q_kw,price_c_per_kwh")
     for rec in dispatch.to_records():
         if rec.get("summary"):
@@ -247,18 +233,15 @@ def cmd_clear(args):
 
 
 def cmd_dlmp(args):
+    net = load_case(args.case)
+    gens, drs = parse_offers(_read(args.offers))
     try:
-        net = load_case(args.case)
-        gens, drs = parse_offers(_read(args.offers))
         result = solve_dlmp(ScopfInput(lmp_source=args.lmp_source,
                                        gen_offers=gens, dr_offers=drs,
                                        network=net))
     except InfeasibleBaseline as e:
         print(f"infeasible baseline: {e}; binding lines: {e.binding_lines}",
               file=sys.stderr)
-        return EXIT_RUNTIME
-    except FILE_ERRORS + (DlmpError, NumericalFailure) as e:
-        print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
     lines = ["bus,dlmp,P_g,P_d"]
     for bus in net.buses:
@@ -291,17 +274,13 @@ def cmd_sweep(args):
     rc, _ = _load(args.config, [f"seed={seeds[0]}"])
     out_dir = args.out or rc.out_dir or "sweep"
     payloads = [(replace(rc, seed=s), out_dir) for s in seeds]
-    try:
-        jobs = min(args.jobs, len(seeds))
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                list(pool.map(_sweep_one, payloads))
-        else:
-            for payload in payloads:
-                _sweep_one(payload)
-    except Exception as e:
-        print(f"runtime error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
+    jobs = min(args.jobs, len(seeds))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            list(pool.map(_sweep_one, payloads))
+    else:
+        for payload in payloads:
+            _sweep_one(payload)
     print(f"{len(seeds)} episodes written under {out_dir}")
     return EXIT_OK
 
@@ -314,7 +293,7 @@ def build_parser():
 
     v = sub.add_parser("validate", help="check a case file")
     v.add_argument("case")
-    v.set_defaults(func=cmd_validate)
+    v.set_defaults(func=cmd_validate, failure="invalid case: ")
 
     r = sub.add_parser("run", help="run an episode from a config file")
     r.add_argument("--config", help="key=value config file")
@@ -322,28 +301,28 @@ def build_parser():
                    help="override a config value (repeatable)")
     r.add_argument("--seed", type=int)
     r.add_argument("--out", help="output directory (default from config)")
-    r.set_defaults(func=cmd_run)
+    r.set_defaults(func=cmd_run, failure="runtime error: ")
 
     c = sub.add_parser("clear", help="single-shot market clearing")
     c.add_argument("--case", required=True)
     c.add_argument("--bids", required=True)
     c.add_argument("--segments", type=int, default=DEFAULT_SEGMENTS)
     c.add_argument("--out", help="write dispatch JSONL here")
-    c.set_defaults(func=cmd_clear)
+    c.set_defaults(func=cmd_clear, failure="error: ")
 
     d = sub.add_parser("dlmp", help="single-shot SCOPF / DLMP solve")
     d.add_argument("--case", required=True)
     d.add_argument("--offers", required=True)
-    d.add_argument("--lmp-source", type=float, default=5.0)
+    d.add_argument("--lmp-source", type=float, default=RunConfig.lmp_source)
     d.add_argument("--out", help="write the DLMP CSV here")
-    d.set_defaults(func=cmd_dlmp)
+    d.set_defaults(func=cmd_dlmp, failure="error: ")
 
     s = sub.add_parser("sweep", help="seed sweep of independent episodes")
     s.add_argument("--config", required=True)
     s.add_argument("--seeds", required=True, metavar="A..B")
     s.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     s.add_argument("--out")
-    s.set_defaults(func=cmd_sweep)
+    s.set_defaults(func=cmd_sweep, failure="runtime error: ")
     return p
 
 
@@ -354,6 +333,9 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as e:
+        print(f"{args.failure}{e}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ import numpy as np
 from . import curves as cv
 from . import p2p as p2p_mod
 from .agents import PRODUCER
-from .clearing import DEFAULT_SEGMENTS, MarketInput, clear
+from .clearing import MarketInput, clear
 from .dlmp import solve_dlmp
 from .network import str_clash
 from .p2p import P2pRoundResult, negotiate, settle_deficiency
@@ -162,9 +162,8 @@ class ClearingMarket(MarketBase):
     forgets them, so the memo lasts one episode. The same `Dispatch` is
     shared by those steps: treat it as read-only."""
 
-    def __init__(self, network, segments=DEFAULT_SEGMENTS):
+    def __init__(self, network):
         self.network = network
-        self.segments = segments
         self.reset()
 
     def reset(self):
@@ -189,8 +188,7 @@ class ClearingMarket(MarketBase):
             self.dispatch, self._fields = None, {}
             if bids and offers:
                 self.dispatch = clear(MarketInput(
-                    bids=bids, offers=offers, network=self.network),
-                    segments=self.segments)
+                    bids=bids, offers=offers, network=self.network))
                 self._fields = {"dispatch": Encoded(_encode(
                     self.dispatch.to_records()))}
         return self._fields
@@ -257,7 +255,10 @@ class P2pMarket(MarketBase):
         for pair in self.round.pairs:
             producer, consumer = pair
             b_p, b_c = actions[producer], actions[consumer]
-            out, entry = self._memo.get((pair, b_p, b_c), (None, None))
+            try:
+                out, entry = self._memo.get((pair, b_p, b_c), (None, None))
+            except TypeError:       # an unhashable bid: refused below
+                out = None
             if out is None or out.b_p is not b_p or out.b_c is not b_c:
                 for aid, bid in ((producer, b_p), (consumer, b_c)):
                     if not isinstance(bid, (int, float)):

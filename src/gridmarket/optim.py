@@ -270,9 +270,12 @@ def solve_lp(p):
     tol = FEAS_TOL * (1.0 + abs(offset[0]))
     if take > width + tol or take < -tol:
         raise InfeasibleLp("row 0: the balance leaves no take")
-    # any import prices the root; at a tie, the segment after the import
+    # any import prices the root; at a tie, the segment after the import.
+    # An import within the running sums' rounding, an ulp of their size per
+    # ranked segment, is a tie.
     i, t = cut_at(cum, min(max(take, 0.0), width), "right", tol)
-    if floor > a or i == ranks.size and floor >= width - tol:
+    ulps = ranks.size * np.spacing(abs(offset[0]) + abs(p.balance))
+    if floor > a + ulps or i == ranks.size and floor >= width - tol:
         cut = (imp, 0.0)
     elif i == ranks.size:           # at the end: the last segment, if any
         i, t = cut_at(cum, width, "left")

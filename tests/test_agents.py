@@ -51,15 +51,17 @@ def chain(n):
 
 
 def test_curve_bidder_actions():
-    a = elastic_consumer("d1", 2, p_max=8.0, p_min=1.0, q_max=10.0)
+    # block widths of 1/8 and 1/16 kW at the default 100 segments: their
+    # sums are exact
+    a = elastic_consumer("d1", 2, p_max=8.0, p_min=1.0, q_max=12.5)
     assert a.market_action(0, 0) is a.curve
-    s = flat_supplier("s1", 1, 0.5, 7.5)
-    market = ClearingMarket(chain(3), segments=10)
+    s = flat_supplier("s1", 1, 0.5, 6.25)
+    market = ClearingMarket(chain(3))
     Environment(Grid(chain(3)), market, [a, s]).reset()
     market.step(0, {"d1": a.curve, "s1": s.curve})
     # the market puts what it dispatched on the grid, consumption positive;
     # the bidders take it, returning no grid action of their own
-    assert market.finalize()[2] == {"d1": (2, 7.5), "s1": (1, -7.5)}
+    assert market.finalize()[2] == {"d1": (2, 6.25), "s1": (1, -6.25)}
     assert a.grid_action(0, market.dispatch) is None
     assert s.grid_action(0, market.dispatch) is None
     # a clear with one side empty dispatches nothing

@@ -30,6 +30,22 @@ def pair_input(net=None):
         network=net)
 
 
+@pytest.mark.parametrize("bids,offers,message", [
+    ([("a", 2, "D")], [("a", 1, "S")], "each agent may appear once"),
+    ([("d1", 9, "D")], [("s1", 1, "S")], "agent d1: unknown bus 9"),
+    ([("d1", 2, "S")], [("s1", 1, "S")], "bids must carry demand curves"),
+    ([("d1", 2, "D")], [("s1", 1, "D")], "offers must carry supply curves"),
+], ids=["twice", "unknown-bus", "supply-bid", "demand-offer"])
+def test_a_market_input_refuses_what_it_cannot_clear(bids, offers, message):
+    curve = {"D": Curve(DEMAND, 3.0, 1.0, 10.0, 0.0),
+             "S": Curve(SUPPLY, 3.0, 1.0, 10.0, 0.0)}
+    with pytest.raises(ClearingError) as e:
+        MarketInput(bids=[(a, b, curve[c]) for a, b, c in bids],
+                    offers=[(a, b, curve[c]) for a, b, c in offers],
+                    network=chain())
+    assert str(e.value) == message
+
+
 def settle(quantities, market_input):
     """settle_prices on the agents of `quantities` that trade, suppliers
     first, from the scalar curve functions; as a dict by agent."""

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -16,6 +17,7 @@ from gridmarket.cli import (
     EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, KEYS, ConfigError, RunConfig, main,
     parse, read_config,
 )
+from gridmarket.env import ClearingMarket
 from helpers import run_probe
 
 CASES = os.path.join(os.path.dirname(__file__), "..", "cases")
@@ -162,6 +164,23 @@ def test_clear_bad_bids_input_prints_error_line(tmp_path, capsys, bids,
     captured = capsys.readouterr()
     assert captured.err == message + "\n" and captured.out == ""
 
+
+@pytest.mark.parametrize("argv", [
+    ["clear", "--case", case("case34.txt"), "--bids", case("bids34.txt")],
+    ["dlmp", "--case", case("case34.txt"), "--offers", case("offers34.txt")],
+], ids=["clear", "dlmp"])
+def test_an_out_path_that_cannot_be_written_prints_one_error_line(
+        tmp_path, capsys, argv):
+    # the result is printed, then writing it to a directory fails
+    target = tmp_path / "taken"
+    target.mkdir()
+    rc = main(argv + ["--out", str(target)])
+    assert rc == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert not any(target.iterdir())
 
 def test_dlmp_subcommand(capsys):
     rc = main(["dlmp", "--case", case("case34.txt"),
@@ -397,6 +416,21 @@ def test_sweep_serial(tmp_path, capsys):
         assert os.path.exists(os.path.join(out, f"seed_{s}", "episode.jsonl"))
 
 
+def test_sweep_whose_episode_fails_is_one_runtime_error(tmp_path, capsys):
+    # each value is finite; the line flows overflow in the log
+    cfg = write(tmp_path, "over.cfg", (
+        f"case = {case('case34.txt')}\nroster = {case('roster_p2p.txt')}\n"
+        "mechanism = p2p\ntrade_quantity = 1e308\n"))
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--config", cfg, "--out", str(out), "--seeds", "0..1",
+               "--jobs", "1"])
+    assert rc == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "runtime error: grid_step record at t_grid 0, field 'flows': ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not (out / "seed_0" / "summary.csv").exists()
+
 def test_sweep_bad_range(tmp_path, capsys):
     rc = main(["sweep", "--config", case("demo_p2p.cfg"),
                "--seeds", "5..2", "--jobs", "1"])
@@ -474,8 +508,8 @@ BAD_FILES = {
     ("demo_p2p.cfg", "roster={tmp}/bad_roster.txt"),
     ("demo_p2p.cfg", "roster={tmp}/dup_roster.txt"),
     ("demo_p2p.cfg", "case={tmp}/binary.txt"),
-    ("demo_clearing.cfg", "segments=0"),
-    ("demo_clearing.cfg", "segments=-2"),
+    ("demo_clearing.cfg", "grid_steps=0"),
+    ("demo_clearing.cfg", "grid_steps=-2"),
     ("demo_dlmp.cfg", "lmp_source=x"),
     ("demo_dlmp.cfg", "lmp_source=-1"),
     ("demo_dlmp.cfg", "offers={tmp}/far_offers.txt"),
@@ -742,7 +776,7 @@ def test_unreadable_input_file_prints_error_line(tmp_path, capsys, argv, line):
 EVERY_KEY = {
     "case": "net.txt", "mechanism": "dlmp", "roster": "r.txt",
     "offers": "o.txt", "grid_steps": "2", "market_steps": "3",
-    "seed": "4", "segments": "5", "out_dir": "out", "lmp_source": "4.3",
+    "seed": "4", "out_dir": "out", "lmp_source": "4.3",
     "c_service": "0.5", "c_lose": "1", "ub": "10",
     "trade_quantity": "3", "retail_price": "12",
 }
@@ -766,9 +800,38 @@ def test_readme_config_keys_are_the_parsed_keys():
     assert set(EVERY_KEY) == set(KEYS)
     rc = parse(EVERY_KEY, base_dir="base")
     assert rc.case == os.path.join("base", "net.txt")
-    assert (rc.grid_steps, rc.market_steps, rc.seed, rc.segments) == (2, 3, 4, 5)
+    assert (rc.grid_steps, rc.market_steps, rc.seed) == (2, 3, 4)
     assert rc.p2p.ub == 10.0 and rc.lmp_source == 4.3
 
+
+def test_the_retired_key_segments_is_an_unknown_config_key(tmp_path, capsys):
+    # a clearing run clears at clearing.DEFAULT_SEGMENTS
+    assert len(KEYS) == 14 and "segments" not in KEYS
+    assert list(inspect.signature(ClearingMarket).parameters) == ["network"]
+    out = tmp_path / "out"
+    rc = main(["run", "--config", case("demo_clearing.cfg"), "--set",
+               "segments=100", "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: unknown config key 'segments'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name,data", [
+    ("missing.cfg", None), ("binary.cfg", b"case = \xff\xfe\n"),
+], ids=["missing", "not-utf8"])
+def test_run_on_an_unreadable_config_file_exits_2(tmp_path, capsys, name,
+                                                  data):
+    path = tmp_path / name
+    if data is not None:
+        path.write_bytes(data)
+    out = tmp_path / "out"
+    rc = main(["run", "--config", str(path), "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {path}: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not out.exists()
 
 CONFIG_VALUES = st.one_of(
     st.text(max_size=6),
@@ -793,7 +856,7 @@ def test_parse_returns_valid_config_or_config_error(dropped, changed):
     assert isinstance(rc, RunConfig)
     assert rc.mechanism in ("clearing", "p2p", "dlmp")
     assert rc.mechanism != "dlmp" or rc.offers is not None
-    assert rc.grid_steps >= 1 and rc.segments >= 1 and rc.seed >= 0
+    assert rc.grid_steps >= 1 and rc.seed >= 0
     assert rc.market_steps >= 1
     p2p = rc.p2p
     assert p2p.c_lose >= 0 and p2p.trade_quantity > 0
@@ -801,5 +864,5 @@ def test_parse_returns_valid_config_or_config_error(dropped, changed):
     for value in (rc.lmp_source, p2p.c_service, p2p.c_lose, p2p.ub,
                   p2p.trade_quantity, p2p.retail_price):
         assert isinstance(value, float) and math.isfinite(value)
-    for value in (rc.grid_steps, rc.market_steps, rc.seed, rc.segments):
+    for value in (rc.grid_steps, rc.market_steps, rc.seed):
         assert type(value) is int

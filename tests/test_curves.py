@@ -20,6 +20,9 @@ def test_invariants_enforced():
         Curve(SUPPLY, p_max=1.0, p_min=2.0, q_max=10.0, q_min=0.0)
     with pytest.raises(CurveError):
         Curve(DEMAND, p_max=2.0, p_min=1.0, q_max=5.0, q_min=5.0)
+    with pytest.raises(CurveError) as e:
+        Curve("both", p_max=2.0, p_min=1.0, q_max=5.0, q_min=0.0)
+    assert str(e.value) == "side must be 'supply' or 'demand'"
 
 
 def test_price_at_endpoints():

@@ -322,7 +322,7 @@ def logged_against_fresh(env, grid_steps, market_steps):
         ref = clear(MarketInput(
             bids=[b for b in curves if b[2].side == DEMAND],
             offers=[b for b in curves if b[2].side == SUPPLY],
-            network=env.market.network), segments=env.market.segments)
+            network=env.market.network))
         pairs.append((env.log.records[-1]["dispatch"], ref.to_records()))
         if phase == "market_step":
             dispatches.append((env.market.dispatch.to_jsonl(),
@@ -541,7 +541,8 @@ class ListBidder(PriceBidder):
 
 @pytest.mark.parametrize("role, bids", [
     (CONSUMER, [None]), (CONSUMER, ["4.0"]), (CONSUMER, [6.0, None]),
-    (PRODUCER, [None])], ids=["none", "str", "second-step", "producer"])
+    (PRODUCER, [None]), (CONSUMER, [[4.0]]), (CONSUMER, [{"b": 4.0}])],
+    ids=["none", "str", "second-step", "producer", "list", "dict"])
 def test_a_p2p_bid_that_is_not_a_number_names_its_agent(role, bids):
     other = CONSUMER if role == PRODUCER else PRODUCER
     agents = [UcbNegotiator("u1", 1, other, arms=[3.0]),
@@ -761,7 +762,7 @@ def test_seeded_episodes_are_deterministic(seed, grid_steps, market_steps):
         assert episode(a) == episode(b)
     for name, reference in (
             ("demo_clearing.cfg",
-             lambda m: ClearEveryStep(m.network, m.segments)),
+             lambda m: ClearEveryStep(m.network)),
             ("demo_dlmp.cfg", lambda m: SolveEveryStep(m.scopf_input))):
         memo = demo_environment(name, seed)
         env = demo_environment(name, seed)
@@ -789,6 +790,22 @@ def test_a_template_market_logs_the_fields_its_step_returns():
     assert log.by_phase("clear") == [
         {"phase": "clear", "t_grid": g, "cleared": False} for g in range(2)]
 
+
+
+class NonFiniteFieldMarket(MarketBase):
+    """A template market whose second step logs a NaN."""
+
+    def step(self, t_market, actions):
+        return {"price": float("nan") if t_market == 1 else 1.0}
+
+
+def test_a_step_field_the_log_cannot_hold_names_its_market_step():
+    env = Environment(grid=Grid(chain()), market=NonFiniteFieldMarket(),
+                      agents=[flat_supplier("feeder", 0, 4.3, 500.0)])
+    with pytest.raises(ValueError) as e:
+        env.reset().run_episode(grid_steps=1, market_steps_per_grid=2)
+    assert str(e.value).startswith(
+        "market_step record at t_grid 0, t_market 1, field 'price': ")
 
 class ClearsWithActionsMarket(MarketBase):
     """A template market whose `finalize` returns a result, one `clear`

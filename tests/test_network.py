@@ -55,6 +55,17 @@ def test_build_cycle_rejected():
 def test_build_disconnected_rejected():
     with pytest.raises(Disconnected):
         build_network([0, 1, 2, 3], [("a", 0, 1, 1.0), ("b", 2, 3, 1.0)])
+    # enough lines, but a triangle beside the root: the walk from it stops
+    with pytest.raises(Disconnected) as e:
+        build_network([0, 1, 2, 3],
+                      [("a", 1, 2, 1.0), ("b", 2, 3, 1.0), ("c", 3, 1, 1.0)])
+    assert str(e.value) == "buses unreachable from root 0: [1, 2, 3]"
+
+
+def test_build_self_loop_rejected():
+    with pytest.raises(CyclicTopology) as e:
+        build_network([0, 1], [("a", 0, 1, 1.0), ("b", 1, 1, 1.0)])
+    assert str(e.value) == "line b: self-loop at bus 1"
 
 
 def test_build_unknown_bus_and_duplicates():

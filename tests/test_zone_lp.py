@@ -17,7 +17,8 @@ from gridmarket.clearing import MarketInput, clear, curve_blocks, curve_params
 from gridmarket.dlmp import DrOffer, InfeasibleBaseline, ScopfInput, solve_dlmp
 from gridmarket.network import build_network, line_flows, ptdf
 from gridmarket.optim import (
-    REACH_TOL, InfeasibleLp, dispatch_duals, dispatch_lp, solve_lp,
+    REACH_TOL, InfeasibleLp, NumericalFailure, dispatch_duals, dispatch_lp,
+    solve_lp,
 )
 from helpers import (
     INF, bench_feeder_inputs, box_flows, case34_inputs, certify, chain,
@@ -112,6 +113,9 @@ def check_zone_lp(net, buses, signs, prices, caps, balance, f_const):
 # the root's take rounds to 2 ulp short of the end of an idle producer's
 # segment: the price is that of the segment after it, 0, not the producer's
 @example(seed=290209, window=2, balance=0.0)
+# the idle import's floor sums to 1 ulp above the root's take: that is
+# rounding, so the root prices the consumer after the import, not the import
+@example(seed=438, window=2, balance=0.0)
 def test_zone_lp_matches_the_path_walk_and_the_ptdf_twins_prices(
         seed, window, balance):
     """On random radial markets, some of them deep, the zone LP is laid out
@@ -288,6 +292,23 @@ def test_tied_runs_are_taken_in_input_order_like_a_stable_argsort(prices,
     assert x[rank[:k]].tolist() == np.array(caps)[rank[:k]].tolist()
     assert x[rank[k]] == caps[rank[k]] - 0.5
     assert not x[rank[k + 1:]].any()
+
+
+@pytest.mark.parametrize("buses, signs, prices, caps, message", [
+    # the feeder's import is the only uncapped producer the root prices
+    ([1, 1], [-1.0, 1.0], [1.0, 10.0], [INF, 10.0],
+     "an uncapped producer outside the root zone"),
+    ([0, 0], [1.0, -1.0], [10.0, 5.0], [INF, INF],
+     "unbounded: an uncapped consumer outbids an uncapped producer"),
+], ids=["producer-off-root", "consumer-outbids"])
+def test_an_uncapped_block_the_recursion_cannot_solve_is_refused(
+        buses, signs, prices, caps, message):
+    H = ptdf(build_network([0, 1], [("a", 0, 1, 5.0)]))
+    problem, _ = dispatch_lp(H, H.positions(buses), np.array(signs),
+                             np.array(prices), np.array(caps))
+    with pytest.raises(NumericalFailure) as e:
+        solve_lp(problem)
+    assert str(e.value) == message
 
 
 def test_a_sign_other_than_one_is_refused():
