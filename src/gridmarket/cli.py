@@ -219,16 +219,17 @@ def cmd_clear(args):
     bids, offers = parse_bids(_read(args.bids))
     dispatch = clear_market(MarketInput(bids=bids, offers=offers, network=net),
                             segments=args.segments)
-    print("agent,bus,side,q_kw,price_c_per_kwh")
+    rows = ["agent,bus,side,q_kw,price_c_per_kwh"]
     for rec in dispatch.to_records():
         if rec.get("summary"):
-            print(f"# total_surplus={rec['total_surplus']:.9g} "
-                  f"traded={rec['traded']} binding={rec['binding_lines']}")
+            rows.append(f"# total_surplus={rec['total_surplus']:.9g} "
+                        f"traded={rec['traded']} binding={rec['binding_lines']}")
         else:
-            print(f"{rec['agent']},{rec['bus']},{rec['side']},"
-                  f"{rec['q_kw']:.9g},{rec['price_c_per_kwh']:.9g}")
+            rows.append(f"{rec['agent']},{rec['bus']},{rec['side']},"
+                        f"{rec['q_kw']:.9g},{rec['price_c_per_kwh']:.9g}")
     if args.out:
         atomic_write(args.out, dispatch.to_jsonl() + "\n")
+    print("\n".join(rows))
     return EXIT_OK
 
 
@@ -248,9 +249,9 @@ def cmd_dlmp(args):
         p_g, p_d = result.dispatch[bus]
         lines.append(f"{bus},{result.dlmp[bus]:.9g},{p_g:.9g},{p_d:.9g}")
     text = "\n".join(lines)
-    print(text)
     if args.out:
         atomic_write(args.out, text + "\n")
+    print(text)
     return EXIT_OK
 
 

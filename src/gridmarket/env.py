@@ -13,16 +13,19 @@ A market step returns the fields of its `market_step` log record, and
 the grid actions of what it cleared. Each piece of episode work is done
 once, and its log text is encoded with it (`Encoded`): the clearing market
 reuses its last `Dispatch` while the submitted curves do not change, the
-DLMP market solves its fixed SCOPF once per episode, and the P2P market
-negotiates a pair at a pair of prices once per round. The episode log's
-file, or else its byte buffer, is its only copy of a record. UCB agents
-refresh only the updated arm's index.
+DLMP market solves its fixed SCOPF once per episode, the P2P market
+negotiates a pair at a pair of prices once per round, and a grid step that
+returns the very flows of the last one (as `Grid` does on unchanged
+actions) reuses their log text and summary value. The episode log's file,
+or else its byte buffer, is its only copy of a record. UCB agents refresh
+only the updated arm's index.
 """
 
 import io
 import json
 import weakref
 from contextlib import contextmanager
+from operator import is_
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +47,10 @@ _encode = json.JSONEncoder(sort_keys=True, check_circular=False,
 
 class Encoded(str):
     """JSON text of a log value, encoded once by the market that reuses it."""
+
+
+# the log text of the `cleared` and `feasible` flags
+_BOOLS = {True: Encoded("true"), False: Encoded("false")}
 
 
 def _line(record, shapes):
@@ -74,6 +81,18 @@ def _overflow(where, record, e):
                 _encode(v)
             except ValueError:
                 return ValueError(f"{where}, field {k!r}: {e}")
+
+
+def _encode_flows(flows, t_grid):
+    """A grid step's `flows` log field, rounded to 9 decimals and encoded
+    once, and the largest rounded magnitude, for its summary row."""
+    rounded = {str(k): round(v, 9) for k, v in flows.items()}
+    try:
+        text = Encoded(_encode(rounded))
+    except ValueError as e:
+        raise _overflow(f"grid_step record at t_grid {t_grid}",
+                        {"flows": rounded}, e) from None
+    return text, max(map(abs, rounded.values()), default=0.0)
 
 
 class EnvError(Exception):
@@ -407,6 +426,10 @@ class Environment:
         # the market steps' numbers as log text, encoded once as the first
         # grid step reaches them
         ticks = []
+        # the last grid step's flows, keys then values: a step whose flows
+        # are the very same objects (`is` tells -0.0 from 0.0) reuses their
+        # log text and largest magnitude
+        last_seen = None
         hooks = [(a.id, a.market_action) for a in self.agents]
         with self.log.writing():
             for t_grid in range(grid_steps):
@@ -428,8 +451,8 @@ class Environment:
                 cleared, fields, market_actions = self.market.finalize()
                 if "phase" in fields or "t_grid" in fields:
                     self._refuse("finalize", fields)
-                self.log.add({"phase": "clear", "t_grid": t_grid,
-                              "cleared": cleared is not None, **fields})
+                self.log.add({"phase": "clear", "t_grid": tick,
+                              "cleared": _BOOLS[cleared is not None], **fields})
                 yield "clear", t_grid, t_market
 
                 # non-agent ids first, then each agent's own or market action
@@ -441,12 +464,17 @@ class Environment:
                     if action is not None:
                         actions[a.id] = action
                 state = self.grid.step(actions)
-                flows = {str(k): round(v, 9) for k, v in state.flows.items()}
-                self.log.add({"phase": "grid_step", "t_grid": t_grid,
-                              "feasible": state.feasible, "flows": flows})
-                self._rows.append({
-                    "t_grid": t_grid, "feasible": state.feasible,
-                    "max_abs_flow": max(map(abs, flows.values()), default=0.0)})
+                seen = (*state.flows, *state.flows.values())
+                if (last_seen is None or len(seen) != len(last_seen)
+                        or not all(map(is_, seen, last_seen))):
+                    flows_text, max_flow = _encode_flows(state.flows, t_grid)
+                    last_seen = seen
+                feasible = state.feasible
+                self.log.add({"phase": "grid_step", "t_grid": tick, "feasible":
+                              _BOOLS[feasible] if type(feasible) is bool
+                              else feasible, "flows": flows_text})
+                self._rows.append({"t_grid": t_grid, "feasible": feasible,
+                                   "max_abs_flow": max_flow})
                 yield "grid_step", t_grid, t_market
 
     def _refuse(self, hook, fields):

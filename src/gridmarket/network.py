@@ -271,6 +271,9 @@ def ptdf(network):
 
 @dataclass
 class GridState:
+    """A grid step's result. Steps on unchanged actions share the
+    `injections` and `flows` dicts: treat them as read-only."""
+
     t: int
     injections: dict
     flows: dict
@@ -287,6 +290,7 @@ class Grid:
     def reset(self):
         """The state of no actions, at t = -1."""
         self.state = None
+        self._actions = None    # the last successful step's, as a tuple
         return self.step({})
 
     def step(self, grid_actions):
@@ -294,10 +298,17 @@ class Grid:
 
         Actions at the same bus superpose, added in action order. Infeasible
         states are recorded, not rejected: market trades can overload lines.
+        Actions equal, in order, to the last successful step's give its
+        state again at the next `t`, sharing its dicts.
         """
+        actions = tuple([(a, bus, kw) for a, (bus, kw) in grid_actions.items()])
+        s = self.state
+        if actions == self._actions:
+            self.state = GridState(s.t + 1, s.injections, s.flows, s.feasible)
+            return self.state
         H = ptdf(self.network)
         x = [0.0] * len(H.bus_order)
-        for agent_id, (bus, kw) in grid_actions.items():
+        for agent_id, bus, kw in actions:
             i = H.bus_index.get(bus)
             if i is not None:
                 x[i] += kw
@@ -305,8 +316,9 @@ class Grid:
                 raise UnknownBus(f"agent {agent_id}: unknown bus {bus}")
         f = H.flows(np.array(x))
         self.state = GridState(
-            t=-1 if self.state is None else self.state.t + 1,
+            t=-1 if s is None else s.t + 1,
             injections=dict(zip(H.bus_order, x)),
             flows=dict(zip(H.line_order, f.tolist())),
             feasible=bool((np.abs(f) <= H.limits + FLOW_TOL).all()))
+        self._actions = actions
         return self.state

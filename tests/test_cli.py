@@ -171,16 +171,18 @@ def test_clear_bad_bids_input_prints_error_line(tmp_path, capsys, bids,
 ], ids=["clear", "dlmp"])
 def test_an_out_path_that_cannot_be_written_prints_one_error_line(
         tmp_path, capsys, argv):
-    # the result is printed, then writing it to a directory fails
+    # writing the result to a directory fails before any of it is printed
     target = tmp_path / "taken"
     target.mkdir()
     rc = main(argv + ["--out", str(target)])
     assert rc == EXIT_RUNTIME
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
     assert not any(target.iterdir())
+
 
 def test_dlmp_subcommand(capsys):
     rc = main(["dlmp", "--case", case("case34.txt"),

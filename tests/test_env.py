@@ -20,7 +20,7 @@ from gridmarket.dlmp import DrOffer, ScopfInput
 from gridmarket.env import (
     ClearingMarket, DlmpMarket, EnvError, Environment, MarketBase, P2pMarket,
 )
-from gridmarket.network import Grid, build_network
+from gridmarket.network import Grid, PtdfMatrix, build_network
 from gridmarket.p2p import P2pConfig, negotiate
 from helpers import Recording, state_fingerprint, surplus, to_jsonl
 
@@ -997,6 +997,73 @@ def test_scripted_profile_row_follows_t_grid_across_episodes(tmp_path):
     env.run_episode(grid_steps=2)
     assert [r["flows"]["b"] for r in env.log.by_phase("grid_step")] == [
         1.0, 2.0, 1.0, 2.0]
+
+
+class InPlaceGrid:
+    """A grid that returns one flows dict, rewritten in place each step from
+    `script`: the same dict, and at times the same values, as last step."""
+
+    def __init__(self, script):
+        self.script, self.flows, self.t = script, {}, -1
+
+    def reset(self):
+        self.t = -1
+
+    def step(self, actions):
+        self.t += 1
+        self.flows.clear()
+        self.flows.update(self.script[self.t])
+        return SimpleNamespace(flows=self.flows, feasible=True)
+
+
+def test_a_grid_that_rewrites_one_flows_dict_logs_each_steps_flows():
+    zero, minus_zero, one = 0.0, -0.0, 1.25
+    script = [{"a": zero}, {"a": minus_zero}, {"a": minus_zero},
+              {"a": one, "b": zero}, {"b": zero, "a": one}, {"a": zero}]
+    env = Environment(grid=InPlaceGrid(script), market=P2pMarket(P2pConfig()),
+                      agents=[]).reset()
+    env.run_episode(grid_steps=len(script))
+    lines = env.log._sink.getvalue().decode().splitlines()
+    assert [ln for ln in lines if '"grid_step"' in ln] == [
+        strict_dumps({"phase": "grid_step", "t_grid": t, "feasible": True,
+                      "flows": flows}) for t, flows in enumerate(script)]
+    assert [r["max_abs_flow"] for r in env.summary_rows()] == [
+        0.0, 0.0, 0.0, 1.25, 1.25, 0.0]
+
+
+def profile_env(tmp_path, kws):
+    (tmp_path / "load.csv").write_text("kw\n" + "\n".join(kws) + "\n")
+    net = chain()
+    return Environment(grid=Grid(net), market=ClearingMarket(net), agents=[
+        ScriptedAgent("load", 2, tmp_path / "load.csv")])
+
+
+def test_a_changing_profile_recomputes_the_flows_every_grid_step(
+        tmp_path, monkeypatch):
+    env = profile_env(tmp_path, ["1", "2", "3"]).reset()
+    solved = counted(monkeypatch, PtdfMatrix, "flows")
+    encoded = counted(monkeypatch, env_mod, "_encode_flows")
+    log = env.run_episode(grid_steps=3, market_steps_per_grid=2)
+    assert len(solved) == len(encoded) == 3
+    assert [r["flows"] for r in log.by_phase("grid_step")] == [
+        {"a": 1.0, "b": 1.0}, {"a": 2.0, "b": 2.0}, {"a": 3.0, "b": 3.0}]
+
+
+def test_an_unchanged_grid_step_reuses_its_flows_until_reset(
+        tmp_path, monkeypatch):
+    # equal rows, each its own float: the flows are computed and encoded
+    # once per episode, and a reset's first grid step computes them anew
+    env = profile_env(tmp_path, ["2", "2.0", "2"]).reset()
+    solved = counted(monkeypatch, PtdfMatrix, "flows")
+    encoded = counted(monkeypatch, env_mod, "_encode_flows")
+    first = env.run_episode(grid_steps=3).records
+    assert len(solved) == len(encoded) == 1
+    env.reset()
+    assert len(solved) == 2         # the reset's own step, on no actions
+    assert env.run_episode(grid_steps=3).records == first
+    assert len(solved) == 3 and len(encoded) == 2
+    assert [r["flows"] for r in first if r["phase"] == "grid_step"] == [
+        {"a": 2.0, "b": 2.0}] * 3
 
 
 # JSON values as the log writes them: nested lists and dicts, -0.0 and the

@@ -246,19 +246,56 @@ def step_or_error(grid, actions):
         return str(e)
 
 
+def twin(kw):
+    """A kW equal to `kw` but another object: 0.0 and -0.0 swap, an int
+    becomes its float, an integral float its int, any other float a copy."""
+    if kw == 0:
+        return -0.0 if struct.pack("<d", kw) == struct.pack("<d", 0.0) else 0.0
+    if isinstance(kw, int):
+        return float(kw)
+    if kw.is_integer():
+        return int(kw)
+    return struct.unpack("<d", struct.pack("<d", kw))[0]
+
+
+TWO_BUS = build_network([0, 1, 2], [("a", 0, 1, 5.0), ("b", 1, 2, 1.0)])
+
+
 @settings(max_examples=300, deadline=None)
 @given(feeder_and_steps())
-@example((build_network([0, 1, 2], [("a", 0, 1, 5.0), ("b", 1, 2, 1.0)]),
+@example((TWO_BUS,
           [{"r": (0, 7.0), "p": (2, -0.0), "q": (2, 1.0 + 1e-9)},
            {"n": (1, float("inf")), "m": (1, float("-inf"))},
            {"u": (2, 0.5), "v": (3, 1.0)}]))
+# the same actions in another order sum to another injection: (1e16 + 1.0)
+# + -1e16 is 0.0, (1e16 + -1e16) + 1.0 is 1.0
+@example((TWO_BUS, [{"p": (1, 1e16), "q": (1, 1.0), "r": (1, -1e16)},
+                    {"p": (1, 1e16), "r": (1, -1e16), "q": (1, 1.0)}]))
+# a step after one that raised, equal to the one before it
+@example((TWO_BUS, [{"a": (1, 2.0)}, {"a": (99, 2.0)}, {"a": (1, 2.0)}]))
 def test_grid_matches_the_dict_grid_bit_for_bit(case):
+    # each step three times: as drawn, again, and with each kW swapped for
+    # an equal twin; the repeats give the first's state at the next t,
+    # sharing its dicts, and a step that raised raises again
     net, steps = case
     grid, ref = Grid(net), DictGrid(net)
     assert bits(grid.state) == bits(ref.state)
     for actions in steps:
-        assert step_or_error(grid, actions) == step_or_error(ref, actions)
-        assert bits(grid.state) == bits(ref.state)
+        twins = {a: (bus, twin(kw)) for a, (bus, kw) in actions.items()}
+        states = []
+        for step in (actions, actions, twins):
+            got = step_or_error(grid, step)
+            assert got == step_or_error(ref, step)
+            assert bits(grid.state) == bits(ref.state)
+            states.append(grid.state if isinstance(got, tuple) else None)
+        first, again, twinned = states
+        assert (first is None) == (again is None) == (twinned is None)
+        if first is not None:
+            assert again.flows is first.flows
+            assert again.injections is first.injections
+            # a NaN's twin is another NaN, which compares unequal
+            if all(kw == kw for _, kw in actions.values()):
+                assert twinned.flows is first.flows
     assert bits(grid.reset()) == bits(ref.reset())
 
 
