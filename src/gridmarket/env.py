@@ -14,9 +14,13 @@ the grid actions of what it cleared. Each piece of episode work is done
 once, and its log text is encoded with it (`Encoded`): the clearing market
 reuses its last `Dispatch` while the submitted curves do not change, the
 DLMP market solves its fixed SCOPF once per episode, the P2P market
-negotiates a pair at a pair of prices once per round, and a grid step that
+negotiates a pair at a pair of prices once per round, a grid step that
 returns the very flows of the last one (as `Grid` does on unchanged
-actions) reuses their log text and summary value. The episode log's file,
+actions) reuses their log text and summary value, and a market step that
+returns the very fields dict of the step before it in its grid step, with
+the very keys and `Encoded` values that step logged (as the clearing market
+does on unchanged curves, and the DLMP market after its solve), writes that
+step's line bytes again around its own `t_market`. The episode log's file,
 or else its byte buffer, is its only copy of a record. UCB agents refresh
 only the updated arm's index.
 """
@@ -53,23 +57,34 @@ class Encoded(str):
 _BOOLS = {True: Encoded("true"), False: Encoded("false")}
 
 
-def _line(record, shapes):
-    """json.dumps(record, sort_keys=True, allow_nan=False) for a record with
-    str keys, writing each `Encoded` value as it is. `shapes` maps a record
-    shape, its keys in insertion order, to its template: the keys sorted,
-    each encoded once, with a `%s` slot per value."""
+def _parts(record, shapes):
+    """The line of json.dumps(record, sort_keys=True, allow_nan=False), for
+    a record with str keys, writing each `Encoded` value as it is, in parts:
+    each key's piece (`{` or `, `, the key encoded, `: `), then its value's
+    text, and last `}` and the line's end. `shapes` maps a record shape, its
+    keys in insertion order, to its keys sorted and their pieces, encoded
+    once."""
     try:
-        template, keys = shapes[tuple(record)]
+        keys, pieces = shapes[tuple(record)]
     except KeyError:
         keys = sorted(record)
-        template = "{%s}" % ", ".join(
-            [_encode(k).replace("%", "%%") + ": %s" for k in keys])
-        shapes[tuple(record)] = template, keys
-    values = []
-    for k in keys:
+        pieces = [("{" if i == 0 else ", ") + _encode(k) + ": "
+                  for i, k in enumerate(keys)] + ["}\n" if keys else "{}\n"]
+        shapes[tuple(record)] = keys, pieces
+    parts = []
+    for k, piece in zip(keys, pieces):
         v = record[k]
-        values.append(v if type(v) is Encoded else _encode(v))
-    return template % tuple(values)
+        parts.append(piece)
+        parts.append(v if type(v) is Encoded else _encode(v))
+    parts.append(pieces[-1])
+    return parts
+
+
+def _identical(seen, last):
+    """Whether `seen` holds the very objects of `last` (None: nothing yet),
+    in order; `is` tells -0.0 from 0.0."""
+    return (last is not None and len(seen) == len(last)
+            and all(map(is_, seen, last)))
 
 
 def _overflow(where, record, e):
@@ -123,15 +138,28 @@ class EpisodeLog:
             self._sink.close()
             self._sink = None
 
-    def add(self, record):
+    def add(self, record, hole=None):
+        """Write `record` as one line. Given `hole`, one of its keys, return
+        the line's bytes before and after that key's value: joined around
+        another value's text, they are the line of the record holding it."""
         try:
-            line = _line(record, self._shapes)
+            parts = _parts(record, self._shapes)
         except ValueError as e:
             where = f"{record['phase']} record at t_grid {record['t_grid']}"
             if "t_market" in record:
                 where += f", t_market {record['t_market']}"
             raise _overflow(where, record, e) from None
-        data = (line + "\n").encode()
+        if hole is None:
+            self.write("".join(parts).encode())
+            return None
+        i = 2 * self._shapes[tuple(record)][0].index(hole) + 1
+        head = "".join(parts[:i]).encode()
+        tail = "".join(parts[i + 1:]).encode()
+        self.write(head + parts[i].encode() + tail)
+        return head, tail
+
+    def write(self, data):
+        """Write the bytes of one whole line, `data`, to the sink."""
         while data:     # a short write leaves the rest to write
             data = data[self._sink.write(data):]
 
@@ -423,30 +451,47 @@ class Environment:
             live.close()
 
     def _loop(self, grid_steps, market_steps_per_grid):
-        # the market steps' numbers as log text, encoded once as the first
-        # grid step reaches them
-        ticks = []
+        # the market steps' numbers as log text, and as its bytes, encoded
+        # once as the first grid step reaches them
+        ticks, tick_bytes = [], []
         # the last grid step's flows, keys then values: a step whose flows
-        # are the very same objects (`is` tells -0.0 from 0.0) reuses their
-        # log text and largest magnitude
+        # are the very same objects reuses their log text and largest
+        # magnitude
         last_seen = None
         hooks = [(a.id, a.market_action) for a in self.agents]
         with self.log.writing():
             for t_grid in range(grid_steps):
                 self.market.reset_round(t_grid)
                 tick = Encoded(_encode(t_grid))
+                # the dict the last market step returned; once a step returns
+                # it again holding only `Encoded` values, its keys then
+                # values as logged, and that line's bytes around `t_market`,
+                # which a step returning the very same dict, keys and values
+                # writes again around its own
+                last_fields = logged = None
                 for t_market in range(market_steps_per_grid):
                     if t_grid == 0:
                         ticks.append(Encoded(_encode(t_market)))
+                        tick_bytes.append(ticks[t_market].encode())
                     actions = {}
                     for aid, act in hooks:
                         actions[aid] = act(t_grid, t_market)
                     fields = self.market.step(t_market, actions)
-                    record = {"phase": "market_step", "t_grid": tick,
-                              "t_market": ticks[t_market], **fields}
-                    if len(record) != len(fields) + 3:
-                        self._refuse("step", fields)
-                    self.log.add(record)
+                    if fields is last_fields and _identical(
+                            held := (*fields, *fields.values()), logged):
+                        self.log.write(head + tick_bytes[t_market] + tail)
+                    else:
+                        record = {"phase": "market_step", "t_grid": tick,
+                                  "t_market": ticks[t_market], **fields}
+                        if len(record) != len(fields) + 3:
+                            self._refuse("step", fields)
+                        if fields is last_fields and all(
+                                type(v) is Encoded for v in fields.values()):
+                            head, tail = self.log.add(record, "t_market")
+                            logged = held
+                        else:
+                            self.log.add(record)
+                            last_fields, logged = fields, None
                     yield "market_step", t_grid, t_market
                 cleared, fields, market_actions = self.market.finalize()
                 if "phase" in fields or "t_grid" in fields:
@@ -465,8 +510,7 @@ class Environment:
                         actions[a.id] = action
                 state = self.grid.step(actions)
                 seen = (*state.flows, *state.flows.values())
-                if (last_seen is None or len(seen) != len(last_seen)
-                        or not all(map(is_, seen, last_seen))):
+                if not _identical(seen, last_seen):
                     flows_text, max_flow = _encode_flows(state.flows, t_grid)
                     last_seen = seen
                 feasible = state.feasible

@@ -298,17 +298,19 @@ class Grid:
 
         Actions at the same bus superpose, added in action order. Infeasible
         states are recorded, not rejected: market trades can overload lines.
-        Actions equal, in order, to the last successful step's give its
-        state again at the next `t`, sharing its dicts.
+        Actions equal, in order, to the last successful step's, each kW of
+        the same type, give its state again at the next `t`, sharing its
+        dicts.
         """
-        actions = tuple([(a, bus, kw) for a, (bus, kw) in grid_actions.items()])
+        actions = tuple([(a, bus, kw, type(kw))
+                         for a, (bus, kw) in grid_actions.items()])
         s = self.state
         if actions == self._actions:
             self.state = GridState(s.t + 1, s.injections, s.flows, s.feasible)
             return self.state
         H = ptdf(self.network)
         x = [0.0] * len(H.bus_order)
-        for agent_id, bus, kw in actions:
+        for agent_id, bus, kw, _ in actions:
             i = H.bus_index.get(bus)
             if i is not None:
                 x[i] += kw

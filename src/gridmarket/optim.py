@@ -204,7 +204,9 @@ def solve_lp(p):
     price = p.prices[order]
     tie = np.flatnonzero(price[1:] == price[:-1])
     if tie.size:
-        tied = np.union1d(tie, tie + 1)
+        in_run = np.zeros(m, bool)
+        in_run[tie] = in_run[tie + 1] = True
+        tied = np.flatnonzero(in_run)
         run = np.cumsum(price[tied] != price[tied - 1])
         order[tied] = np.sort(run * m + order[tied]) - run * m
     free, t0 = cap[order], np.zeros(m)

@@ -18,7 +18,8 @@ from gridmarket.cli import build_environment, parse, read_config
 from gridmarket.curves import DEMAND, SUPPLY, Curve
 from gridmarket.dlmp import DrOffer, ScopfInput
 from gridmarket.env import (
-    ClearingMarket, DlmpMarket, EnvError, Environment, MarketBase, P2pMarket,
+    ClearingMarket, DlmpMarket, Encoded, EnvError, Environment, MarketBase,
+    P2pMarket,
 )
 from gridmarket.network import Grid, PtdfMatrix, build_network
 from gridmarket.p2p import P2pConfig, negotiate
@@ -750,9 +751,13 @@ def demo_environment(name, seed):
     return build_environment(parse(cfg, base_dir=CASES))
 
 
+# Long rounds as well as short ones: the memo markets return one fields
+# dict step after step, and so reuse their log lines, which the reference
+# markets, returning a new dict each step, never do.
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), grid_steps=st.integers(1, 3),
-       market_steps=st.integers(1, 3))
+       market_steps=st.integers(1, 24))
+@example(seed=0, grid_steps=3, market_steps=20)
 def test_seeded_episodes_are_deterministic(seed, grid_steps, market_steps):
     def episode(env):
         env.reset().run_episode(grid_steps, market_steps)
@@ -790,6 +795,65 @@ def test_a_template_market_logs_the_fields_its_step_returns():
     assert log.by_phase("clear") == [
         {"phase": "clear", "t_grid": g, "cleared": False} for g in range(2)]
 
+
+
+class OneDictMarket(MarketBase):
+    """A template market whose every step returns one dict, which
+    `edit(fields, t_market)` changes in place first."""
+
+    def __init__(self, edit):
+        self.fields = {}
+        self.edit = edit
+
+    def step(self, t_market, actions):
+        self.edit(self.fields, t_market)
+        return self.fields
+
+
+def one_dict_log(edit, grid_steps=2, market_steps=4):
+    env = Environment(grid=Grid(chain()), market=OneDictMarket(edit),
+                      agents=[flat_supplier("feeder", 0, 4.3, 500.0)])
+    log = env.reset().run_episode(grid_steps, market_steps)
+    return [{k: v for k, v in r.items() if k != "phase"}
+            for r in log.by_phase("market_step")]
+
+
+def test_a_step_dict_edited_in_place_logs_each_steps_values():
+    def edit(fields, t_market):
+        fields.setdefault("bids", [0, 1.5])[0] = t_market
+        fields["note"] = f"step {t_market}"
+    assert one_dict_log(edit) == [
+        {"t_grid": g, "t_market": m, "bids": [m, 1.5], "note": f"step {m}"}
+        for g in range(2) for m in range(4)]
+
+
+def test_a_step_dict_given_a_new_encoded_value_logs_its_text():
+    def edit(fields, t_market):
+        if t_market in (0, 2):
+            fields["price"] = Encoded(json.dumps(t_market + 0.5))
+    assert one_dict_log(edit) == [
+        {"t_grid": g, "t_market": m, "price": 0.5 if m < 2 else 2.5}
+        for g in range(2) for m in range(4)]
+
+
+def test_one_encoded_step_dict_logs_each_grid_steps_own_t_grid():
+    price = Encoded("1.5")
+
+    def edit(fields, t_market):
+        fields["price"] = price
+    assert one_dict_log(edit, grid_steps=3, market_steps=3) == [
+        {"t_grid": g, "t_market": m, "price": 1.5}
+        for g in range(3) for m in range(3)]
+
+
+def test_a_step_dict_that_gains_an_environment_key_is_refused():
+    def edit(fields, t_market):
+        fields["price"] = Encoded("1.5")
+        if t_market == 2:
+            fields["t_grid"] = Encoded("7")
+    with pytest.raises(EnvError, match="OneDictMarket.step returned log "
+                       "field 't_grid', which the environment writes"):
+        one_dict_log(edit)
 
 
 class NonFiniteFieldMarket(MarketBase):
@@ -1110,9 +1174,9 @@ def test_log_line_equals_sorted_json_dumps(record):
     for rec in (mixed, backwards, mixed):
         if want is None:
             with pytest.raises(ValueError):
-                env_mod._line(rec, shapes)
+                env_mod._parts(rec, shapes)
         else:
-            assert env_mod._line(rec, shapes) == want
+            assert "".join(env_mod._parts(rec, shapes)) == want + "\n"
     assert set(shapes) == {tuple(mixed), tuple(backwards)}
 
 

@@ -23,7 +23,8 @@ The episode logs `gridmarket run` writes for the three demo configs must
 also equal the digests in `golden_episodes.sha256`. The first three runs
 were recorded before the episode loop reused log records and bandit
 indices; `p2p_seed3`, a longer seeded P2P round, before each market result's
-log text was encoded once.
+log text was encoded once; `dlmp_rounds`, a DLMP run over three grid steps,
+before a repeated market step reused its log line.
 
 What `gridmarket clear` and `gridmarket dlmp` print on case34 must equal the
 digests in `golden_cli.sha256`: at those segment counts blocks tie, so the
@@ -158,7 +159,7 @@ def episode_runs():
 def test_demo_episode_logs_equal_their_recorded_digests(tmp_path, capsys):
     runs, digests = episode_runs()
     assert [out for out, _, _ in runs] == ["clearing", "p2p", "dlmp",
-                                           "p2p_seed3"]
+                                           "p2p_seed3", "dlmp_rounds"]
     got = {}
     for out, config, overrides in runs:
         argv = ["run", "--config", os.path.join(HERE, "..", "cases", config),

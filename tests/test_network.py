@@ -1,4 +1,5 @@
 import struct
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -201,6 +202,20 @@ def test_grid_overload_recorded_not_fatal():
     assert s.flows["b"] == pytest.approx(10.1)
 
 
+def test_a_kw_a_fresh_step_refuses_is_refused_after_an_equal_one():
+    # Decimal(1) == 1.0, but 0.0 + Decimal(1) raises: the memo compares
+    # each kW's type too, so the step after 1.0 computes and raises alike
+    errors = []
+    for before in ([], [{"x": (1, 1.0)}]):
+        grid = Grid(build_network([0, 1], [("a", 0, 1, 5.0)]))
+        for actions in before:
+            grid.step(actions)
+        with pytest.raises(TypeError) as e:
+            grid.step({"x": (1, Decimal(1))})
+        errors.append(str(e.value))
+    assert errors[0] == errors[1]
+
+
 def test_grid_step_deterministic():
     actions = [{"a": (1, 2.0)}, {"a": (2, -1.0)}, {"a": (1, 0.5)}]
     states = []
@@ -275,8 +290,9 @@ TWO_BUS = build_network([0, 1, 2], [("a", 0, 1, 5.0), ("b", 1, 2, 1.0)])
 @example((TWO_BUS, [{"a": (1, 2.0)}, {"a": (99, 2.0)}, {"a": (1, 2.0)}]))
 def test_grid_matches_the_dict_grid_bit_for_bit(case):
     # each step three times: as drawn, again, and with each kW swapped for
-    # an equal twin; the repeats give the first's state at the next t,
-    # sharing its dicts, and a step that raised raises again
+    # an equal twin; the repeat gives the first's state at the next t,
+    # sharing its dicts, and so does the twin where every kW keeps its type;
+    # a step that raised raises again
     net, steps = case
     grid, ref = Grid(net), DictGrid(net)
     assert bits(grid.state) == bits(ref.state)
@@ -294,8 +310,9 @@ def test_grid_matches_the_dict_grid_bit_for_bit(case):
             assert again.flows is first.flows
             assert again.injections is first.injections
             # a NaN's twin is another NaN, which compares unequal
-            if all(kw == kw for _, kw in actions.values()):
-                assert twinned.flows is first.flows
+            same = all(kw == kw and type(twins[a][1]) is type(kw)
+                       for a, (_, kw) in actions.items())
+            assert (twinned.flows is first.flows) == same
     assert bits(grid.reset()) == bits(ref.reset())
 
 
