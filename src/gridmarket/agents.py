@@ -28,14 +28,14 @@ class AgentError(Exception):
 
 
 class Agent:
-    """Agent template: owns its bus and role. `reset()` runs once per
-    episode; `current_role(t_grid)` returns the side the agent trades on in
-    P2P this grid step, or None (the default) for no part in P2P;
-    `market_action(t_grid, t_market)` returns the agent's action for one
-    market step (None: no action) and `grid_action(t_grid, result)` its
-    `(bus, kW)` for the grid step, given the result the market cleared to,
-    in place of what the market cleared for it (None, the default, takes
-    that); `observe_reward(r)` receives its last market action's reward."""
+    """Agent template: owns its role and its bus, which is fixed for an
+    episode (the clearing market reads it only when an action changes).
+    `reset()` runs once per episode; `current_role(t_grid)` returns its P2P
+    side this grid step, or None (the default) for no part in P2P;
+    `market_action(t_grid, t_market)` its action for one market step (None:
+    no action) and `grid_action(t_grid, result)` its `(bus, kW)`, given the
+    market's result, in place of what the market cleared for it (None, the
+    default, takes that); `observe_reward(r)` gets its last market reward."""
 
     def __init__(self, agent_id, bus, role):
         self.id = agent_id

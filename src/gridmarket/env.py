@@ -11,18 +11,18 @@ The market reaches the agents and the seeded `rng` through its `env`.
 A market step returns the fields of its `market_step` log record, and
 `finalize` returns the clearing result, the fields of its `clear` record and
 the grid actions of what it cleared. Each piece of episode work is done
-once, and its log text is encoded with it (`Encoded`): the clearing market
-reuses its last `Dispatch` while the submitted curves do not change, the
-DLMP market solves its fixed SCOPF once per episode, the P2P market
-negotiates a pair at a pair of prices once per round, a grid step that
-returns the very flows of the last one (as `Grid` does on unchanged
-actions) reuses their log text and summary value, and a market step that
-returns the very fields dict of the step before it in its grid step, with
-the very keys and `Encoded` values that step logged (as the clearing market
-does on unchanged curves, and the DLMP market after its solve), writes that
-step's line bytes again around its own `t_market`. The episode log's file,
-or else its byte buffer, is its only copy of a record. UCB agents refresh
-only the updated arm's index.
+once, its log text encoded with it (`Encoded`), and reused by one rule:
+for the very same objects only (`_identical`; `is` tells `-0.0` from `0.0`
+and `1` from `1.0`), so an episode logs what a loop with no cache would.
+The clearing market reuses its `Dispatch` for the last step's very actions,
+or else curves; the P2P market a pair's outcome for its very bids, within
+a round; a grid step the log text of the very flows of the last; and a
+market step returning the very fields dict, keys and `Encoded` values of
+the step before it in its grid step, that line's bytes around its own
+`t_market`. Two caches keep their own rule: `Grid.step` reuses a state for
+equal kW of one type, which adding to +0.0 cannot tell apart, and the DLMP
+market solves its fixed SCOPF once per episode. A log's file, or else its
+byte buffer, is its only copy of a record.
 """
 
 import io
@@ -53,8 +53,10 @@ class Encoded(str):
     """JSON text of a log value, encoded once by the market that reuses it."""
 
 
-# the log text of the `cleared` and `feasible` flags
+# the log text of the `cleared` and `feasible` flags, and of each phase
 _BOOLS = {True: Encoded("true"), False: Encoded("false")}
+_MARKET_STEP, _CLEAR, _GRID_STEP = (
+    Encoded(_encode(p)) for p in ("market_step", "clear", "grid_step"))
 
 
 def _parts(record, shapes):
@@ -145,7 +147,8 @@ class EpisodeLog:
         try:
             parts = _parts(record, self._shapes)
         except ValueError as e:
-            where = f"{record['phase']} record at t_grid {record['t_grid']}"
+            where = (record["phase"].strip('"')
+                     + f" record at t_grid {record['t_grid']}")
             if "t_market" in record:
                 where += f", t_market {record['t_market']}"
             raise _overflow(where, record, e) from None
@@ -203,33 +206,33 @@ class ClearingMarket(MarketBase):
     """Use Case 1 mechanism: affine-curve surplus clearing each market step;
     the last step's dispatch binds.
 
-    A step whose actions, or else whose submitted curves, equal the last
-    step's reuses that step's `Dispatch` (None while a side is empty) and
-    its `dispatch` log field, encoded once when it cleared; `reset()`
-    forgets them, so the memo lasts one episode. The same `Dispatch` is
-    shared by those steps: treat it as read-only."""
+    A step whose actions (by `_identical`'s test, inline on this hot path),
+    or else whose curves, are the very objects of the last step's reuses its
+    `Dispatch` (None while a side is empty) and its `dispatch` log field,
+    encoded once when it cleared; `reset()` forgets them, so the memo lasts
+    one episode. The same `Dispatch` is shared by those steps: read-only."""
 
     def __init__(self, network):
         self.network = network
         self.reset()
 
     def reset(self):
-        self._actions = None        # the last step's actions, as a tuple
-        self._submitted = []        # their curves, as (id, bus, curve)
+        self._actions = self._curves = None  # last actions; each if a curve
+        self._submitted = []        # its curves, as (id, bus, curve)
         self.dispatch = None
         self._fields = {}           # the dispatch's log fields
 
     def step(self, t_market, actions):
-        key = tuple(actions.values())
-        if key != self._actions:
-            agents = self.env.agent_map
+        key, last = tuple(actions.values()), self._actions
+        if not last or len(key) != len(last) or not all(map(is_, key, last)):
             self._actions = key
-            submitted = [(aid, agents[aid].bus, curve)
-                         for aid, curve in actions.items()
-                         if isinstance(curve, cv.Curve)]
-            if submitted == self._submitted:
+            curves = [a if isinstance(a, cv.Curve) else None for a in key]
+            if _identical(curves, self._curves):
                 return self._fields
-            self._submitted = submitted
+            self._curves = curves
+            self._submitted = submitted = [
+                (aid, self.env.agent_map[aid].bus, c)
+                for aid, c in zip(actions, curves) if c is not None]
             bids = [s for s in submitted if s[2].side == cv.DEMAND]
             offers = [s for s in submitted if s[2].side != cv.DEMAND]
             self.dispatch, self._fields = None, {}
@@ -266,11 +269,11 @@ class P2pMarket(MarketBase):
     producers against the rest, who buy; an unmatched buyer draws its trade
     quantity from the feeder at the retail price.
 
-    `negotiate` is pure, so within a round a pair that bids the very price
-    objects of an outcome again (`is` tells `-0.0` from `0.0`, `1` from
-    `1.0`) reuses that outcome (treat it as read-only) and its log entry,
-    encoded once. A step negotiates the pairs in the log's order (by `str`):
-    an agent sits in at most one pair, so the order changes no reward."""
+    `negotiate` is pure, so within a round a pair bidding the very price
+    objects of an outcome again reuses it (read-only) and its log entry,
+    encoded once: the memo keys on the bids' `id`s, which the outcome holds.
+    A step negotiates the pairs in the log's order (by `str`): an agent sits
+    in at most one pair, so the order changes no reward."""
 
     def __init__(self, config):
         self.config = config
@@ -292,7 +295,7 @@ class P2pMarket(MarketBase):
         self._consumers = set(consumers)
         self.round = p2p_mod.match(producers, consumers, self.env.rng)
         self.round.pairs.sort(key=str)      # the log's order
-        self._memo = {}      # (pair, b_p, b_c) -> (outcome, its log entry)
+        self._memo = {}      # (pair, id(b_p), id(b_c)) -> (outcome, entry)
         self.outcomes = {}
         self.result = None
 
@@ -302,11 +305,8 @@ class P2pMarket(MarketBase):
         for pair in self.round.pairs:
             producer, consumer = pair
             b_p, b_c = actions[producer], actions[consumer]
-            try:
-                out, entry = self._memo.get((pair, b_p, b_c), (None, None))
-            except TypeError:       # an unhashable bid: refused below
-                out = None
-            if out is None or out.b_p is not b_p or out.b_c is not b_c:
+            key = pair, id(b_p), id(b_c)
+            if (hit := self._memo.get(key)) is None:
                 for aid, bid in ((producer, b_p), (consumer, b_c)):
                     if not isinstance(bid, (int, float)):
                         raise EnvError(f"agent {aid!r} bid {bid!r} at t_grid "
@@ -323,7 +323,8 @@ class P2pMarket(MarketBase):
                         f"market_step record at t_grid {self._t_grid}, "
                         f"t_market {t_market}, pair ({producer}, {consumer})",
                         record, e) from None
-                self._memo[pair, b_p, b_c] = out, entry
+                hit = self._memo[key] = out, entry
+            out, entry = hit
             self.outcomes[pair] = out
             entries.append(entry)
             agents[producer].observe_reward(out.r_p)
@@ -454,9 +455,8 @@ class Environment:
         # the market steps' numbers as log text, and as its bytes, encoded
         # once as the first grid step reaches them
         ticks, tick_bytes = [], []
-        # the last grid step's flows, keys then values: a step whose flows
-        # are the very same objects reuses their log text and largest
-        # magnitude
+        # the last grid step's flows, keys then values: a step with the very
+        # same reuses their log text and largest magnitude
         last_seen = None
         hooks = [(a.id, a.market_action) for a in self.agents]
         with self.log.writing():
@@ -481,7 +481,7 @@ class Environment:
                             held := (*fields, *fields.values()), logged):
                         self.log.write(head + tick_bytes[t_market] + tail)
                     else:
-                        record = {"phase": "market_step", "t_grid": tick,
+                        record = {"phase": _MARKET_STEP, "t_grid": tick,
                                   "t_market": ticks[t_market], **fields}
                         if len(record) != len(fields) + 3:
                             self._refuse("step", fields)
@@ -496,7 +496,7 @@ class Environment:
                 cleared, fields, market_actions = self.market.finalize()
                 if "phase" in fields or "t_grid" in fields:
                     self._refuse("finalize", fields)
-                self.log.add({"phase": "clear", "t_grid": tick,
+                self.log.add({"phase": _CLEAR, "t_grid": tick,
                               "cleared": _BOOLS[cleared is not None], **fields})
                 yield "clear", t_grid, t_market
 
@@ -514,7 +514,7 @@ class Environment:
                     flows_text, max_flow = _encode_flows(state.flows, t_grid)
                     last_seen = seen
                 feasible = state.feasible
-                self.log.add({"phase": "grid_step", "t_grid": tick, "feasible":
+                self.log.add({"phase": _GRID_STEP, "t_grid": tick, "feasible":
                               _BOOLS[feasible] if type(feasible) is bool
                               else feasible, "flows": flows_text})
                 self._rows.append({"t_grid": t_grid, "feasible": feasible,

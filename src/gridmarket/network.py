@@ -300,7 +300,7 @@ class Grid:
         states are recorded, not rejected: market trades can overload lines.
         Actions equal, in order, to the last successful step's, each kW of
         the same type, give its state again at the next `t`, sharing its
-        dicts.
+        dicts: a kW is only added to +0.0, which cannot tell them apart.
         """
         actions = tuple([(a, bus, kw, type(kw))
                          for a, (bus, kw) in grid_actions.items()])

@@ -16,17 +16,23 @@ from itertools import combinations
 
 import numpy as np
 
-from gridmarket.agents import ucb_select, ucb_update
-from gridmarket.clearing import MarketInput, parse_bids
+from gridmarket.agents import PRODUCER, ucb_select, ucb_update
+from gridmarket.clearing import MarketInput, clear, parse_bids
 from gridmarket.curves import (
     DOMAIN_TOL, Curve, CurveError, DEMAND, QuantityOutOfRange, SUPPLY,
 )
-from gridmarket.dlmp import DrOffer, GenOffer, ScopfInput, parse_offers
+from gridmarket.dlmp import (
+    DrOffer, GenOffer, ScopfInput, parse_offers, solve_dlmp,
+)
+from gridmarket.env import ClearingMarket, DlmpMarket, EnvError, P2pMarket
 from gridmarket.network import (
     FLOW_TOL, GridState, UnknownBus, build_network, line_flows, load_case, ptdf,
 )
 from gridmarket.optim import (
     REACH_TOL, InfeasibleLp, LpSolution, NumericalFailure, pin_malloc,
+)
+from gridmarket.p2p import (
+    P2pRoundResult, match, negotiate, settle_deficiency,
 )
 
 INF = float("inf")
@@ -880,6 +886,134 @@ class DictGrid:
         self.state = GridState(t=self.state.t + 1, injections=injections,
                                flows=flows, feasible=feasible)
         return self.state
+
+
+def reference_episode(network, market, agents, seed, grid_steps,
+                      market_steps):
+    """The episode that `Environment(Grid(network), market, agents, seed)`
+    runs, by the loop with no cache: a fresh `clear`, `negotiate` or
+    `solve_dlmp` on every market step, `DictGrid`'s flows and one
+    `json.dumps(sort_keys=True, allow_nan=False)` per record. `market`, a
+    stock market, is read only for its kind and its input. Returns the log's
+    bytes and the summary rows, as far as the episode got, and the exception
+    that stopped it (None when it ran through)."""
+    lines, rows = [], []
+
+    def log(record):
+        lines.append(json.dumps(record, sort_keys=True, allow_nan=False)
+                     + "\n")
+    try:
+        _reference_loop(network, market, agents, seed, grid_steps,
+                        market_steps, log, rows)
+    except Exception as e:      # the same type must stop the environment
+        return "".join(lines).encode(), rows, e
+    return "".join(lines).encode(), rows, None
+
+
+def _reference_loop(network, market, agents, seed, grid_steps, market_steps,
+                    log, rows):
+    rng = np.random.default_rng(seed)
+    agent_map = {a.id: a for a in agents}
+    grid = DictGrid(network)
+    for a in agents:
+        a.reset()
+    for t_grid in range(grid_steps):
+        if isinstance(market, P2pMarket):
+            roles = [(a.id, a.current_role(t_grid)) for a in agents]
+            consumers = [aid for aid, r in roles if r not in (None, PRODUCER)]
+            matched = match([aid for aid, r in roles if r == PRODUCER],
+                            consumers, rng)
+        for t_market in range(market_steps):
+            actions = {a.id: a.market_action(t_grid, t_market)
+                       for a in agents}
+            if isinstance(market, ClearingMarket):
+                submitted = [(aid, agent_map[aid].bus, c)
+                             for aid, c in actions.items()
+                             if isinstance(c, Curve)]
+                bids = [s for s in submitted if s[2].side == DEMAND]
+                offers = [s for s in submitted if s[2].side != DEMAND]
+                result, fields = None, {}
+                if bids and offers:
+                    result = clear(MarketInput(bids=bids, offers=offers,
+                                               network=network))
+                    fields = {"dispatch": result.to_records()}
+            elif isinstance(market, P2pMarket):
+                outcomes, entries = {}, []
+                for producer, consumer in sorted(matched.pairs, key=str):
+                    b_p, b_c = actions[producer], actions[consumer]
+                    for aid, bid in ((producer, b_p), (consumer, b_c)):
+                        if not isinstance(bid, (int, float)):
+                            raise EnvError(f"agent {aid!r} bids {bid!r}")
+                    out = negotiate(b_p, b_c, market.config)
+                    outcomes[producer, consumer] = out
+                    entries.append({
+                        "producer": producer, "consumer": consumer,
+                        "b_p": b_p, "b_c": b_c, "success": out.success,
+                        "r_p": round(out.r_p, 9), "r_c": round(out.r_c, 9)})
+                    agent_map[producer].observe_reward(out.r_p)
+                    agent_map[consumer].observe_reward(out.r_c)
+                fields = {"negotiations": entries}
+            else:
+                assert isinstance(market, DlmpMarket)
+                result = solve_dlmp(market.scopf_input)
+                fields = {"dlmp": {str(b): round(v, 9)
+                                   for b, v in result.dlmp.items()}}
+            log({"phase": "market_step", "t_grid": t_grid,
+                 "t_market": t_market, **fields})
+
+        # the market clears on its last step
+        cleared = {}
+        if isinstance(market, ClearingMarket):
+            for aid, bus, curve in submitted if result is not None else ():
+                q = result.quantities[aid]
+                p = result.prices.get(aid, 0.0)
+                if curve.side == DEMAND:
+                    r = result.values[aid] - p * q
+                else:
+                    r, q = p * q - result.values[aid], -q
+                cleared[aid] = bus, q
+                agent_map[aid].observe_reward(r)
+        elif isinstance(market, P2pMarket):
+            q, price = market.config.trade_quantity, market.config.retail_price
+            grid_kw, deficiency = {}, {}
+            for (producer, consumer), out in outcomes.items():
+                delivered = q if out.success else 0.0
+                grid_kw[producer], grid_kw[consumer] = -delivered, q
+                if charge := settle_deficiency(delivered, q, price):
+                    deficiency[consumer] = charge
+            for aid in matched.unmatched:
+                if aid in consumers:
+                    grid_kw[aid] = q
+                    deficiency[aid] = settle_deficiency(0.0, q, price)
+            result = P2pRoundResult(outcomes, grid_kw, deficiency,
+                                    matched.unmatched)
+            fields = {"deficiency": {str(k): round(v, 9)
+                                     for k, v in deficiency.items()},
+                      "successes": sum(o.success for o in outcomes.values())}
+            cleared = {a.id: (a.bus, grid_kw[a.id]) for a in agents
+                       if a.id in grid_kw}
+        else:
+            cleared = {f"dso@{bus}": (bus, p_d - p_g)
+                       for bus, (p_g, p_d) in result.dispatch.items()
+                       if bus != network.root and p_d != p_g}
+            fields["objective"] = round(result.objective, 9)
+        log({"phase": "clear", "t_grid": t_grid,
+             "cleared": result is not None, **fields})
+
+        actions = {k: v for k, v in cleared.items() if k not in agent_map}
+        for a in agents:
+            action = a.grid_action(t_grid, result)
+            if action is None:
+                action = cleared.get(a.id)
+            if action is not None:
+                actions[a.id] = action
+        state = grid.step(actions)
+        flows = {str(k): round(v, 9) for k, v in state.flows.items()}
+        log({"phase": "grid_step", "t_grid": t_grid,
+             "feasible": state.feasible, "flows": flows})
+        rows.append({"t_grid": t_grid, "feasible": state.feasible,
+                     "max_abs_flow": max(map(abs, flows.values()),
+                                         default=0.0)})
 
 
 def state_fingerprint(env, position=None):

@@ -337,14 +337,17 @@ def test_a_killed_run_leaves_whole_lines_that_a_shorter_run_begins_with(
         child.wait()
     assert child.returncode == -signal.SIGKILL
     data = log.read_bytes()
-    assert data.endswith(b"\n")
+    # on failure: whether the kill cut a write at a 4096-byte page boundary
+    why = (f"log of {len(data)} bytes, {len(data) % 4096} past a 4096-byte "
+           f"boundary, ending {data[-200:]!r}")
+    assert data.endswith(b"\n"), why
     lines = data.splitlines()
     whole = tmp_path / "whole"
     assert main(["run", "--config", case("demo_p2p.cfg"), "--out", str(whole),
                  "--set", "grid_steps=1",
                  "--set", f"market_steps={len(lines)}"]) == EXIT_OK
     assert lines == (whole / "episode.jsonl").read_bytes().splitlines()[
-        :len(lines)]
+        :len(lines)], why
 
 
 def strict_json(line):

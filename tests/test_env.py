@@ -2,6 +2,8 @@ import json
 import os
 import re
 import tempfile
+from decimal import Decimal
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,7 +25,10 @@ from gridmarket.env import (
 )
 from gridmarket.network import Grid, PtdfMatrix, build_network
 from gridmarket.p2p import P2pConfig, negotiate
-from helpers import Recording, state_fingerprint, surplus, to_jsonl
+from helpers import (
+    Recording, random_radial_network, reference_episode, state_fingerprint,
+    surplus, to_jsonl,
+)
 
 INF = float("inf")
 CASES = os.path.join(os.path.dirname(__file__), "..", "cases")
@@ -357,13 +362,22 @@ def test_unchanged_curves_beside_other_changing_actions_clear_once(
         monkeypatch):
     calls = counted(monkeypatch, env_mod, "clear")
     net = chain()
-    env = Environment(grid=Grid(net), market=ClearingMarket(net), agents=[
-        flat_supplier("feeder", 0, 4.3, 500.0), StepCounter("n1", 1, CONSUMER),
-        elastic_consumer("d1", 2, p_max=8.0, p_min=1.0, q_max=10.0)]).reset()
-    log = env.run_episode(grid_steps=2, market_steps_per_grid=3)
-    assert len(calls) == 1
-    assert log.records == clearing_env().reset().run_episode(
+    want = clearing_env().reset().run_episode(
         grid_steps=2, market_steps_per_grid=3).records
+    # A new non-curve action every step misses the first key, so only the
+    # second holds the clear. A stock UCB agent in a clearing market
+    # observes no reward, so it bids its first arm, the very same float,
+    # every step: the first key holds.
+    for other in (StepCounter("n1", 1, CONSUMER),
+                  UcbNegotiator("u1", 1, CONSUMER, arms=[4.0, 5.0, 6.0])):
+        calls.clear()
+        env = Environment(grid=Grid(net), market=ClearingMarket(net), agents=[
+            flat_supplier("feeder", 0, 4.3, 500.0), other,
+            elastic_consumer("d1", 2, p_max=8.0, p_min=1.0, q_max=10.0),
+        ]).reset()
+        log = env.run_episode(grid_steps=2, market_steps_per_grid=3)
+        assert len(calls) == 1, other
+        assert log.records == want
 
 
 def test_changed_bids_are_cleared_again(monkeypatch):
@@ -774,6 +788,174 @@ def test_seeded_episodes_are_deterministic(seed, grid_steps, market_steps):
         ref = Environment(env.grid, reference(env.market), env.agents,
                           seed=seed)
         assert episode(memo) == episode(ref)
+
+
+def another_kind(x, kind):
+    """The float `x` as an equal value of `kind` where one exists, else `x`:
+    `copy` is another float object of its value."""
+    return {"copy": lambda: float(repr(x)),
+            "-0.0": lambda: -x if x == 0 else x,
+            "int": lambda: int(x) if x.is_integer() else x,
+            "bool": lambda: bool(x) if x in (0, 1) else x,
+            "float64": lambda: np.float64(x),
+            "Decimal": lambda: Decimal(x),
+            "Fraction": lambda: Fraction(x)}.get(kind, lambda: x)()
+
+
+KINDS = st.sampled_from(["same", "copy", "-0.0", "int", "bool", "float64",
+                         "Decimal", "Fraction"])
+NUMBERS = st.sampled_from([0.0, 1.0, 4.0, 5.5])
+
+
+@st.composite
+def value_pairs(draw, values=NUMBERS):
+    """Two actions: a number, then it as another kind, or another number
+    as some kind."""
+    x = draw(values)
+    return x, another_kind(draw(st.sampled_from([x, draw(values)])),
+                           draw(KINDS))
+
+
+@st.composite
+def curve_pairs(draw, side):
+    """Two curves of `side`, the second with one field as another kind of
+    its value, or of another value, where `Curve` takes it."""
+    fields = draw(st.sampled_from(
+        [(1.0, 0.0, 20.0, 15.0), (4.0, 2.0, 10.0, 0.0)] if side == SUPPLY
+        else [(5.0, 1.0, 10.0, 0.0), (8.0, 0.0, 6.0, 1.0)]))
+    i = draw(st.integers(0, 3))
+    changed = list(fields)
+    changed[i] = another_kind(changed[i], draw(KINDS))
+    try:
+        return Curve(side, *fields), Curve(side, *changed)
+    except (TypeError, ValueError):
+        return Curve(side, *fields), Curve(side, *fields)
+
+
+class PatternAgent(Agent):
+    """Takes its first action, or alternates its two, or switches to the
+    second from its third market step (`pattern` 'repeat', 'alternate' or
+    'switch'): a curve in a clearing market, else a bid. Given grid kW, it
+    puts them on the grid at its bus in the same pattern over grid steps."""
+
+    def __init__(self, agent_id, bus, role, pattern, actions, kws):
+        super().__init__(agent_id, bus, role)
+        self.pattern, self.actions, self.kws = pattern, actions, kws
+        self.calls = 0
+
+    def reset(self):
+        self.calls = 0
+
+    def which(self, n):
+        return {"repeat": 0, "alternate": n % 2, "switch": int(n >= 2)}[
+            self.pattern]
+
+    def current_role(self, t_grid):
+        return self.role
+
+    def market_action(self, t_grid, t_market):
+        self.calls += 1
+        return self.actions[self.which(self.calls - 1)]
+
+    def grid_action(self, t_grid, result):
+        if self.kws is not None:
+            return self.bus, self.kws[self.which(t_grid)]
+        return None
+
+
+@st.composite
+def roster_specs(draw):
+    """One agent spec per agent: a stock agent, or a `PatternAgent` with
+    its curves, bids and grid kW (or None)."""
+    specs = []
+    for _ in range(draw(st.integers(1, 5))):
+        bus = draw(st.integers(0, 11))
+        role = draw(st.sampled_from([PRODUCER, CONSUMER]))
+        kind = draw(st.sampled_from(["flat", "elastic", "ucb", "pattern"]))
+        if kind == "flat":
+            specs.append(("flat", bus, draw(NUMBERS), 50.0))
+        elif kind == "elastic":
+            specs.append(("elastic", bus, 8.0, draw(NUMBERS), 10.0))
+        elif kind == "ucb":
+            specs.append(("ucb", bus, role, [draw(NUMBERS), 5.0, 6.0]))
+        else:
+            side = SUPPLY if role == PRODUCER else DEMAND
+            specs.append((
+                "pattern", bus, role,
+                draw(st.sampled_from(["repeat", "alternate", "switch"])),
+                draw(curve_pairs(side)), draw(value_pairs()),
+                draw(st.none() | value_pairs(
+                    st.sampled_from([0.0, 2.0, -3.0])))))
+    return specs
+
+
+def roster(specs, mechanism, n_buses):
+    """The agents of `specs`, each at its bus modulo `n_buses`."""
+    agents = []
+    for i, (kind, bus, *params) in enumerate(specs):
+        aid, bus = f"a{i}", bus % n_buses
+        if kind == "flat":
+            agents.append(flat_supplier(aid, bus, *params))
+        elif kind == "elastic":
+            agents.append(elastic_consumer(aid, bus, *params))
+        elif kind == "ucb":
+            agents.append(UcbNegotiator(aid, bus, *params))
+        else:
+            role, pattern, curves, bids, kws = params
+            agents.append(PatternAgent(
+                aid, bus, role, pattern,
+                curves if mechanism == "clearing" else bids, kws))
+    return agents
+
+
+def stock_market(mechanism, net):
+    if mechanism == "clearing":
+        return ClearingMarket(net)
+    if mechanism == "p2p":
+        return P2pMarket(P2pConfig())
+    return DlmpMarket(ScopfInput(
+        lmp_source=4.3, gen_offers=[], network=net, dr_offers=[
+            DrOffer(bus=net.buses[-1], baseline=10.0,
+                    blocks=[(10.0, 15.0)])]))
+
+
+# The episode logs what the loop with no cache would: the same bytes and
+# summary rows, or the same exception type after the same records.
+@settings(max_examples=40, deadline=None)
+@given(n_buses=st.integers(2, 12), net_seed=st.integers(0, 2**16),
+       unlimited=st.booleans(),
+       mechanism=st.sampled_from(["clearing", "p2p", "dlmp"]),
+       seed=st.integers(0, 2**16), grid_steps=st.integers(1, 3),
+       market_steps=st.integers(1, 4), specs=roster_specs())
+# a supplier alternating p_min 0.0 and -0.0: equal curves that clear to
+# supply prices of 0.0 and -0.0
+@example(n_buses=2, net_seed=0, unlimited=True, mechanism="clearing",
+         seed=0, grid_steps=1, market_steps=2, specs=[
+             ("pattern", 0, PRODUCER, "alternate",
+              (Curve(SUPPLY, 1.0, 0.0, 20.0, 15.0),
+               Curve(SUPPLY, 1.0, -0.0, 20.0, 15.0)), (4.0, 4.0), None),
+             ("elastic", 1, 5.0, 1.0, 10.0)])
+def test_an_episode_logs_what_the_loop_with_no_cache_logs(
+        tmp_path_factory, n_buses, net_seed, unlimited, mechanism, seed,
+        grid_steps, market_steps, specs):
+    limits = (INF, INF) if unlimited else (5.0, 50.0)
+    net = random_radial_network(np.random.default_rng(net_seed), n_buses,
+                                *limits)
+    market = stock_market(mechanism, net)
+    path = tmp_path_factory.getbasetemp() / "reference_property.jsonl"
+    env = Environment(Grid(net), market, roster(specs, mechanism, n_buses),
+                      seed=seed).reset(log_path=str(path))
+    try:
+        env.run_episode(grid_steps, market_steps)
+        error = None
+    except Exception as e:      # compared with the reference's below
+        error = e
+    want, rows, want_error = reference_episode(
+        net, market, roster(specs, mechanism, n_buses), seed, grid_steps,
+        market_steps)
+    assert type(error) is type(want_error), (error, want_error)
+    assert path.read_bytes() == want
+    assert env.summary_rows() == rows
 
 
 class PlainFieldsMarket(MarketBase):
