@@ -19,7 +19,8 @@ on the own-curve prices and integrals stage 1 computed for its surplus.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from operator import attrgetter
 
@@ -30,7 +31,7 @@ from . import curves as cv
 from .network import (  # noqa: F401
     CaseFileError, _bus_id, content_lines, line_flows, ptdf,
 )
-from .optim import dispatch_lp, solve_lp
+from .optim import SolverResult, dispatch_lp, solve_lp
 
 
 # Quantities at or below this many kW do not trade: they are zeroed in the
@@ -72,17 +73,55 @@ class MarketInput:
                 raise ClearingError("offers must carry supply curves")
 
 
-@dataclass
-class Dispatch:
-    quantities: dict          # agent -> kW
-    values: dict              # agent -> integral of its curve from 0 to its kW
-    prices: dict              # agent -> cents/kWh (trading agents only)
-    sides: dict               # agent -> "supply" | "demand"
-    buses: dict               # agent -> bus
-    line_flows: dict          # line_id -> kW
-    total_surplus: float
-    traded: bool = True       # False: no nonzero trade satisfies the limits
-    binding_lines: list = field(default_factory=list)
+class Dispatch(SolverResult):
+    """A clear's result. Its dicts are built from the clear's arrays on
+    first read and then cached: read-only, and shared by the market steps
+    that reuse this Dispatch."""
+
+    _attrs = ("quantities", "values", "prices", "sides", "buses",
+              "line_flows", "total_surplus", "traded", "binding_lines")
+
+    def __init__(self, names, q, values, trading, settled, curves,
+                 agent_buses, line_order, f, total_surplus, traded,
+                 binding_lines):
+        self._names, self._q, self._v = names, q, values
+        self._trading, self._settled = trading, settled
+        self._curves, self._buses = curves, agent_buses
+        self._line_order, self._f = line_order, f
+        self.total_surplus = total_surplus
+        self.traded = traded  # False: no nonzero trade satisfies the limits
+        self.binding_lines = binding_lines
+
+    @cached_property
+    def quantities(self):
+        """agent -> kW"""
+        return dict(zip(self._names, self._q.tolist()))
+
+    @cached_property
+    def values(self):
+        """agent -> integral of its curve from 0 to its kW"""
+        return dict(zip(self._names, self._v))
+
+    @cached_property
+    def prices(self):
+        """agent -> cents/kWh (trading agents only)"""
+        return dict(zip(map(self._names.__getitem__, self._trading.tolist()),
+                        self._settled.tolist()))
+
+    @cached_property
+    def sides(self):
+        """agent -> 'supply' | 'demand'"""
+        return dict(zip(self._names, map(_side, self._curves)))
+
+    @cached_property
+    def buses(self):
+        """agent -> bus"""
+        return dict(zip(self._names, self._buses))
+
+    @cached_property
+    def line_flows(self):
+        """line_id -> kW"""
+        return dict(zip(self._line_order, self._f.tolist()))
 
     def to_records(self):
         """JSON-lines records: one per agent plus a summary."""
@@ -213,15 +252,8 @@ def clear(market_input, segments=DEFAULT_SEGMENTS):
     t = order[q[order] > SETTLE_TOL]
     settled = settle_prices(price[t], value[t] / q[t], q[t],
                             int((t >= len(bids)).sum()))
-    return Dispatch(quantities=dict(zip(names, q.tolist())),
-                    values=dict(zip(names, v)),
-                    prices=dict(zip(map(names.__getitem__, t.tolist()),
-                                    settled.tolist())),
-                    sides=dict(zip(names, map(_side, curves))),
-                    buses=dict(zip(names, agent_buses)),
-                    line_flows=dict(zip(H.line_order, f.tolist())),
-                    total_surplus=total_surplus, traded=bool(t.size),
-                    binding_lines=binding)
+    return Dispatch(names, q, v, t, settled, curves, agent_buses,
+                    H.line_order, f, total_surplus, bool(t.size), binding)
 
 
 def spread(prices, bounds, q, residual):

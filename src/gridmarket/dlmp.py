@@ -14,12 +14,15 @@ the result are built from whole arrays, with no loop over blocks or buses.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
 
 from .network import FLOW_TOL, CaseFileError, _bus_id, content_lines, ptdf
-from .optim import InfeasibleLp, dispatch_duals, dispatch_lp, solve_lp
+from .optim import (
+    InfeasibleLp, SolverResult, dispatch_duals, dispatch_lp, solve_lp,
+)
 
 
 class DlmpError(Exception):
@@ -100,16 +103,49 @@ class ScopfInput:
         return self.network.line_limits()
 
 
-@dataclass
-class DlmpResult:
-    dispatch: dict            # bus -> (P_g, P_d)
-    p_source: float
-    lam: float                # system marginal price (balance dual)
-    mu_plus: dict             # line -> dual of f <= f_max
-    mu_minus: dict            # line -> dual of -f <= f_max
-    dlmp: dict                # bus -> cents/kWh (root included, = lam)
-    objective: float
-    flows: dict
+class DlmpResult(SolverResult):
+    """A SCOPF's result. Its dicts are built from the solve's arrays on
+    first read and then cached: read-only, and shared by the market steps
+    that reuse this DlmpResult."""
+
+    _attrs = ("dispatch", "p_source", "lam", "mu_plus", "mu_minus", "dlmp",
+              "objective", "flows")
+
+    def __init__(self, buses, p_g, p_d, p_source, lam, mu_plus, mu_minus,
+                 dlmp, objective, H):
+        self._buses, self._p_g, self._p_d = buses, p_g, p_d
+        self._mu_plus, self._mu_minus, self._dlmp = mu_plus, mu_minus, dlmp
+        self._H = H
+        self.p_source = p_source
+        self.lam = lam                # system marginal price (balance dual)
+        self.objective = objective
+
+    @cached_property
+    def dispatch(self):
+        """bus -> (P_g, P_d)"""
+        return dict(zip(self._buses, zip(self._p_g.tolist(),
+                                         self._p_d.tolist())))
+
+    @cached_property
+    def mu_plus(self):
+        """line -> dual of f <= f_max"""
+        return dict(zip(self._H.line_order, self._mu_plus.tolist()))
+
+    @cached_property
+    def mu_minus(self):
+        """line -> dual of -f <= f_max"""
+        return dict(zip(self._H.line_order, self._mu_minus.tolist()))
+
+    @cached_property
+    def dlmp(self):
+        """bus -> cents/kWh (root included, = lam)"""
+        return dict(zip(self._buses, self._dlmp.tolist()))
+
+    @cached_property
+    def flows(self):
+        """line -> kW"""
+        return dict(zip(self._H.line_order, self._H.flows(
+            (self._p_d - self._p_g)[1:]).tolist()))
 
 
 def build_scopf(scopf_input):
@@ -201,16 +237,9 @@ def solve_dlmp(scopf_input):
     p_g, p_d = np.bincount(np.append(slot, slot[owner]), np.append(
         maps["fixed"], np.where(owner < len(scopf_input.gen_offers), x, -x)),
         2 * n).astype(float, copy=False).reshape(2, n)
-    return DlmpResult(
-        dispatch=dict(zip(net.buses, zip(p_g.tolist(), p_d.tolist()))),
-        p_source=float(sol.x[0] - sol.x[1]),
-        lam=float(dlmp[0]),
-        mu_plus=dict(zip(H.line_order, mu_plus.tolist())),
-        mu_minus=dict(zip(H.line_order, mu_minus.tolist())),
-        dlmp=dict(zip(net.buses, dlmp.tolist())),
-        objective=sol.objective,
-        flows=dict(zip(H.line_order, H.flows((p_d - p_g)[1:]).tolist())),
-    )
+    return DlmpResult(net.buses, p_g, p_d, float(sol.x[0] - sol.x[1]),
+                      float(dlmp[0]), mu_plus, mu_minus, dlmp, sol.objective,
+                      H)
 
 
 def parse_offers(text):

@@ -150,6 +150,28 @@ class LpSolution:
     row_duals: np.ndarray       # d objective / d row side: -price
 
 
+class SolverResult:
+    """What `clear` and `solve_dlmp` return. They keep the solve's arrays;
+    each dict attribute is a `cached_property` that builds its dict from
+    them on its first read, so a step that reads none builds none. `repr`
+    and `==` read the attributes named in `_attrs`, in order, as a
+    dataclass's would."""
+
+    _attrs = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._attrs)
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self._attrs, self._values())
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+
 def pin_malloc():
     """Sets glibc's M_TRIM_THRESHOLD to 64 MiB and M_MMAP_THRESHOLD to 32 MiB
     at its first call in a process, and does nothing at any later call or

@@ -33,6 +33,12 @@ the solver must not move them unnoticed. The clears at 2, 20 and 100
 segments moved with the zone form, and those at 2, 7 and 20 with the
 recursion's input-order tie rule, and were re-recorded; `test_zone_lp.py`
 checks case34's welfare, prices and flows against the PTDF twin.
+
+`clear` and `solve_dlmp` build their results' dicts on first read: on case34
+and the benchmark feeder, the `repr` of both results must equal the digests
+in `REPR_GOLDEN`, recorded while each call built every dict, and the
+package's own readers (the clearing and DLMP markets, `gridmarket clear` and
+`gridmarket dlmp`) must build only the dicts they read.
 """
 
 import hashlib
@@ -40,10 +46,11 @@ import os
 
 import pytest
 
-from gridmarket.clearing import MarketInput, clear
-from gridmarket.cli import EXIT_OK, main
+from gridmarket import cli
+from gridmarket.clearing import Dispatch, MarketInput, clear
+from gridmarket.cli import EXIT_OK, build_environment, main, parse, read_config
 from gridmarket.curves import Curve, DEMAND
-from gridmarket.dlmp import ScopfInput, solve_dlmp
+from gridmarket.dlmp import DlmpResult, ScopfInput, solve_dlmp
 from gridmarket.network import build_network
 from helpers import (
     bench_feeder_inputs, case34_inputs, feeder, use_ptdf_twin,
@@ -58,7 +65,23 @@ PTDF_GOLDEN = (
 PTDF_FEEDER_GOLDEN = (
     "f0b081c20a16266019df2a875b7b12f3e8694fc579c5b654b8c57503b97550d2")
 
+# sha256 of repr(Dispatch) and repr(DlmpResult), a line each, of `clear` at
+# 20 segments and `solve_dlmp`, recorded while both built every dict in the
+# call: each dict's keys in order, and each value's type and exact digits.
+REPR_GOLDEN = {
+    "case34":
+        "8a8f594f2872c8e4b70e27d9e95b0f23e2e14ed7d8d6f1e611c1f1a68a77e35f",
+    "bench_feeder":
+        "ef76bb0cbf86a9a5589acecf49a45a07e130bf525f4c424f1fe62e9802280166",
+}
+RESULT_DICTS = {
+    Dispatch: ["quantities", "values", "prices", "sides", "buses",
+               "line_flows"],
+    DlmpResult: ["dispatch", "mu_plus", "mu_minus", "dlmp", "flows"],
+}
+
 HERE = os.path.dirname(__file__)
+CASES = os.path.join(HERE, "..", "cases")
 EPISODE_DIGESTS = os.path.join(HERE, "golden_episodes.sha256")
 CLI_DIGESTS = os.path.join(HERE, "golden_cli.sha256")
 FEEDER_CLI_DIGESTS = os.path.join(HERE, "golden_feeder_cli.sha256")
@@ -139,6 +162,64 @@ def test_every_result_value_is_a_python_float(inputs, tmp_path):
         values += [p_g, p_d]
     assert len(values) > 4
     assert {type(v) for v in values} == {float}
+
+
+def built(result):
+    """The dict attributes of a Dispatch or DlmpResult read so far."""
+    return [n for n in RESULT_DICTS[type(result)] if n in vars(result)]
+
+
+@pytest.mark.parametrize("inputs", ["case34", "bench_feeder"])
+def test_result_dicts_are_built_once_on_first_read(inputs, tmp_path):
+    """`clear` and `solve_dlmp` build no dict; the first read of one builds
+    it and later reads return that very dict, equal, key order included, to
+    the one the call built before (`REPR_GOLDEN`)."""
+    market, scopf = {"case34": case34_inputs,
+                     "bench_feeder": lambda: bench_feeder_inputs(tmp_path),
+                     }[inputs]()
+    dispatch, result = clear(market, segments=20), solve_dlmp(scopf)
+    for r in (dispatch, result):
+        assert built(r) == []
+        for name in RESULT_DICTS[type(r)]:
+            d = getattr(r, name)
+            assert type(d) is dict and getattr(r, name) is d
+        assert built(r) == RESULT_DICTS[type(r)]
+    text = f"{dispatch!r}\n{result!r}"
+    assert hashlib.sha256(text.encode()).hexdigest() == REPR_GOLDEN[inputs]
+
+
+def test_the_package_builds_only_the_result_dicts_it_reads(tmp_path,
+                                                          monkeypatch):
+    """A clearing episode reads every Dispatch dict but `line_flows`, and
+    `gridmarket clear` neither that nor `values`; a DLMP episode and
+    `gridmarket dlmp` read a DlmpResult's `dispatch` and `dlmp` alone."""
+    reads = {Dispatch: ["quantities", "values", "prices", "sides", "buses"],
+             DlmpResult: ["dispatch", "dlmp"]}
+    for name in ("demo_clearing.cfg", "demo_dlmp.cfg"):
+        rc = parse(read_config(os.path.join(CASES, name)), base_dir=CASES)
+        env = build_environment(rc).reset(log_path=str(tmp_path / name))
+        env.run_episode(rc.grid_steps, rc.market_steps)
+        result = getattr(env.market, {"clearing": "dispatch",
+                                      "dlmp": "result"}[rc.mechanism])
+        assert built(result) == reads[type(result)]
+
+    results = []
+
+    def keep(solve):
+        def spy(*args, **kwargs):
+            results.append(solve(*args, **kwargs))
+            return results[-1]
+        return spy
+
+    monkeypatch.setattr(cli, "clear_market", keep(cli.clear_market))
+    monkeypatch.setattr(cli, "solve_dlmp", keep(cli.solve_dlmp))
+    case = os.path.join(CASES, "case34.txt")
+    assert main(["clear", "--case", case, "--bids",
+                 os.path.join(CASES, "bids34.txt")]) == EXIT_OK
+    assert main(["dlmp", "--case", case, "--offers",
+                 os.path.join(CASES, "offers34.txt")]) == EXIT_OK
+    assert [built(r) for r in results] == [
+        ["quantities", "prices", "sides", "buses"], reads[DlmpResult]]
 
 
 def episode_runs():
